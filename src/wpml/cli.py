@@ -2,8 +2,9 @@
 
 Exit codes: 0 pass, 1 property/validation failure, 2 I/O error, 3 parse
 error, 4 resource bound.  The WPML_BUDGET environment variable overrides
-the exhaustive-sweep budget.  All JSON output is key-sorted, so identical
-inputs produce byte-identical artifacts.
+the exhaustive-sweep budget; a value that is not a non-negative integer
+is a parse error (exit 3) before any command runs.  All JSON output is
+key-sorted, so identical inputs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from . import __version__
 from .duality import fil_l, round_trip_iso
 from .errors import (
     FormulaSyntaxError,
+    InvalidBudget,
     ResourceBound,
     SizeCap,
     WpmlError,
@@ -207,7 +209,7 @@ def cmd_correspond(args) -> int:
         print(f"error: unknown axiom {args.axiom!r}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        rep = correspondence_check(artifact, args.axiom, budget=resolve_budget())
+        rep = correspondence_check(artifact, args.axiom)
     except ResourceBound as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -399,6 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        resolve_budget()
+    except InvalidBudget as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import DEFAULT_BUDGET
+from .errors import resolve_budget
 from .formulas import ConsequencePair, parse_pair
 from .lframe import ModalLFrame, frame_validates
 from .duality import is_tight
@@ -224,10 +224,12 @@ class CorrespondenceReport:
 
 
 def correspondence_check(
-    x: ModalLFrame, axiom: str, budget: int = DEFAULT_BUDGET
+    x: ModalLFrame, axiom: str, budget: Optional[int] = None
 ) -> CorrespondenceReport:
     """Evaluate the frame condition, frame validity of the axiom's pairs,
-    and (on tight frames) the derived existential space conditions."""
+    and (on tight frames) the derived existential space conditions.  The
+    budget defaults through `resolve_budget`, so WPML_BUDGET applies."""
+    budget = resolve_budget(budget)
     cond_tag = CONDITION_OF_AXIOM[axiom]
     holds, witness = frame_satisfies(x, cond_tag)
     pair_results = []

@@ -68,17 +68,28 @@ class SizeCap(WpmlError):
     """Requested generated object exceeds the documented size caps."""
 
 
+class InvalidBudget(WpmlError):
+    """WPML_BUDGET is set to something other than a non-negative integer."""
+
+
 DEFAULT_BUDGET = 10**7
 
 
 def resolve_budget(explicit=None) -> int:
     """Explicit argument, else the WPML_BUDGET environment variable, else
-    the default."""
+    the default.  A WPML_BUDGET that is not a non-negative integer raises
+    InvalidBudget instead of being replaced in silence."""
     import os
 
     if explicit is not None:
         return explicit
-    try:
-        return int(os.environ.get("WPML_BUDGET", DEFAULT_BUDGET))
-    except ValueError:
+    text = os.environ.get("WPML_BUDGET")
+    if text is None:
         return DEFAULT_BUDGET
+    try:
+        budget = int(text)
+    except ValueError:
+        raise InvalidBudget(f"WPML_BUDGET={text!r} is not an integer") from None
+    if budget < 0:
+        raise InvalidBudget(f"WPML_BUDGET={text!r} is negative")
+    return budget

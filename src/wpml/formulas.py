@@ -23,6 +23,42 @@ class Formula:
     def __str__(self):
         return pretty(self)
 
+    def __reduce__(self):
+        # Rebuild through the constructor, so copies and unpickled formulas
+        # compute their own hash: str hashes differ between processes.
+        return (self.__class__, tuple(getattr(self, n) for n in self.__match_args__))
+
+
+class _Node(Formula):
+    """A formula whose hash is computed once, at construction.
+
+    `_hash` is a slot, not a dataclass field, so `repr`, `fields()` and
+    everything derived from them are those of the plain dataclass.
+    Equality returns at once on identity or on a hash mismatch, and only
+    then compares the fields.  Subclasses pass `eq=False` so the dataclass
+    decorator keeps these methods.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __post_init__(self):
+        parts = tuple(getattr(self, n) for n in self.__match_args__)
+        object.__setattr__(self, "_hash", hash((self.__class__, parts)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        return all(
+            getattr(self, n) == getattr(other, n) for n in self.__match_args__
+        )
+
 
 @dataclass(frozen=True)
 class Top(Formula):
@@ -34,34 +70,34 @@ class Bot(Formula):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Letter(Formula):
+@dataclass(frozen=True, eq=False)
+class Letter(_Node):
     __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class And(Formula):
+@dataclass(frozen=True, eq=False)
+class And(_Node):
     __slots__ = ("lhs", "rhs")
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
-class Or(Formula):
+@dataclass(frozen=True, eq=False)
+class Or(_Node):
     __slots__ = ("lhs", "rhs")
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
-class Box(Formula):
+@dataclass(frozen=True, eq=False)
+class Box(_Node):
     __slots__ = ("arg",)
     arg: Formula
 
 
-@dataclass(frozen=True)
-class Dia(Formula):
+@dataclass(frozen=True, eq=False)
+class Dia(_Node):
     __slots__ = ("arg",)
     arg: Formula
 

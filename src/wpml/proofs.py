@@ -8,6 +8,19 @@ axiom set.  Transitivity is searched over a bounded cut-formula pool
 (subformulas of the goal and of axiom instances, the constants, all
 closed once under box/diamond), so completeness is only relative to the
 bounds.
+
+Semantic screening: before expanding a subgoal of at most three letters,
+the search refutes it on a fixed set of small modal lattices that
+validate the axioms (`_screening_algebras`).  Each formula's value
+vector, its value under every valuation of the subgoal's sorted letters
+in `algebra_validates`' order, is stored as `bytes` and built once from
+its children's vectors; a subgoal is screened out at the first position
+where its left value is not below its right one.  The memo belongs to the
+`ProofSearch` and lives as long as it does, one search per
+`derive_bounded` call.  The scalar `lattice.algebra_validates` and
+`lattice.evaluate` stay the reference oracles: tests/test_proofs.py
+checks the screen's verdicts against them and whole searches against a
+search that screens through `algebra_validates`.
 """
 
 from __future__ import annotations
@@ -15,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import getitem
 from typing import Optional
 
-from .errors import ResourceBound
+from .errors import PreconditionViolated, ResourceBound, resolve_budget
 from .formulas import (
     BOT,
     TOP,
@@ -27,6 +41,7 @@ from .formulas import (
     ConsequencePair,
     Dia,
     Formula,
+    Letter,
     Or,
     Top,
     formula_key,
@@ -289,11 +304,73 @@ def _screening_algebras(gamma):
     return tuple(out)
 
 
+class _VectorScreen:
+    """One screen algebra, ready to evaluate formulas as value vectors:
+    the values under every valuation of a sorted letter tuple, in
+    `algebra_validates`' order (`product(range(n), repeat=k)`, the last
+    letter varying fastest), one byte per valuation."""
+
+    def __init__(self, a):
+        from .lattice import FiniteModalLattice
+
+        if a.n > 256:
+            raise PreconditionViolated("a screen algebra has at most 256 elements")
+        self.algebra = a
+        self.n = a.n
+        self.nleq = tuple(tuple(not le for le in row) for row in a.leq)
+        # box/diamond as bytes.translate tables; None on a plain lattice
+        pad = bytes(256 - a.n)
+        modal = isinstance(a, FiniteModalLattice)
+        self.box = bytes(a.box) + pad if modal else None
+        self.dia = bytes(a.diamond) + pad if modal else None
+
+    def seed(self, ls: tuple[str, ...]) -> dict[Formula, bytes]:
+        """A fresh memo holding the vectors of the letters and constants."""
+        a = self.algebra
+        n, k = self.n, len(ls)
+        count = n**k
+        memo = {TOP: bytes((a.top,)) * count, BOT: bytes((a.bot,)) * count}
+        for j, name in enumerate(ls):
+            stride = n ** (k - 1 - j)
+            memo[Letter(name)] = bytes(i // stride % n for i in range(count))
+        return memo
+
+    def vector(self, memo: dict[Formula, bytes], f: Formula) -> bytes:
+        """Value vector of f, built from its children's and memoized."""
+        v = memo.get(f)
+        if v is not None:
+            return v
+        if isinstance(f, (And, Or)):
+            rows = self.algebra.meet if isinstance(f, And) else self.algebra.join
+            left = self.vector(memo, f.lhs)
+            right = self.vector(memo, f.rhs)
+            v = bytes(map(getitem, map(rows.__getitem__, left), right))
+        elif isinstance(f, (Box, Dia)):
+            table = self.box if isinstance(f, Box) else self.dia
+            if table is None:
+                raise PreconditionViolated("modal formula on a plain lattice")
+            v = self.vector(memo, f.arg).translate(table)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        memo[f] = v
+        return v
+
+    def refutes(self, left: bytes, right: bytes) -> bool:
+        """True iff some valuation puts the left value outside the order
+        below the right one; stops at the first such valuation."""
+        return any(map(getitem, map(self.nleq.__getitem__, left), right))
+
+
 class ProofSearch:
     """Backward search context with memoization that persists across
     goals sharing the same axiom set and cut pool.  Deterministic: rules
     are tried in a fixed order and cut formulas in structural order, so
-    the returned proof is the first in that order."""
+    the returned proof is the first in that order.
+
+    `expansions`, `screen_calls` (pairs checked against the screen set),
+    `screen_rejects` (pairs a screen refuted) and `vector_entries`
+    (memoized value vectors) are deterministic work counters.
+    """
 
     def __init__(self, gamma, pool, budget: int = 200_000, screens=None):
         self.gamma = tuple(gamma)
@@ -302,21 +379,44 @@ class ProofSearch:
         self.screens = (
             _screening_algebras(self.gamma) if screens is None else tuple(screens)
         )
+        self.screen_budget = resolve_budget()
         self.success: dict[ConsequencePair, Proof] = {}
         self.failed_at: dict[ConsequencePair, int] = {}
         self._screen_ok: set[ConsequencePair] = set()
+        self._vector_screens = [_VectorScreen(a) for a in self.screens]
+        # (screen index, sorted letters) -> formula -> value vector
+        self._vectors: dict[tuple[int, tuple[str, ...]], dict[Formula, bytes]] = {}
         self.expansions = 0
+        self.screen_calls = 0
+        self.screen_rejects = 0
+
+    @property
+    def vector_entries(self) -> int:
+        return sum(len(memo) for memo in self._vectors.values())
 
     def _screened_out(self, pair: ConsequencePair) -> bool:
-        from .lattice import algebra_validates
-
+        """True iff some screen algebra, tried in order, refutes the pair.
+        The same decision as `algebra_validates(a, pair) is not None` for
+        some `a` in `screens`, and the same ResourceBound, but each
+        formula's value vector is computed once per search."""
         if pair in self._screen_ok:
             return False
-        if len(letters(pair)) > 3:
+        ls = tuple(sorted(letters(pair)))
+        if len(ls) > 3:
             self._screen_ok.add(pair)
             return False
-        for a in self.screens:
-            if algebra_validates(a, pair) is not None:
+        self.screen_calls += 1
+        for i, screen in enumerate(self._vector_screens):
+            needed = screen.n ** len(ls)
+            if needed > self.screen_budget:
+                raise ResourceBound(needed, self.screen_budget)
+            memo = self._vectors.get((i, ls))
+            if memo is None:
+                memo = self._vectors[(i, ls)] = screen.seed(ls)
+            left = screen.vector(memo, pair.lhs)
+            right = screen.vector(memo, pair.rhs)
+            if screen.refutes(left, right):
+                self.screen_rejects += 1
                 return True
         self._screen_ok.add(pair)
         return False

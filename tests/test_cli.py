@@ -141,3 +141,11 @@ class TestGenerateAndRoundTrips:
     def test_fuzz_count_zero_usage_error(self, capsys):
         code, _, err = run(["fuzz", "duality", "--count", "0"], capsys)
         assert code == 2 and "count" in err
+
+
+@pytest.mark.parametrize("text", ["abc", "-5"])
+def test_invalid_wpml_budget_exits_with_parse_code(monkeypatch, capsys, text):
+    monkeypatch.setenv("WPML_BUDGET", text)
+    code, out, err = run(["interpolate", "p & q", "p v r"], capsys)
+    assert code == 3 and out == ""
+    assert "WPML_BUDGET" in err and "Traceback" not in err

@@ -13,6 +13,7 @@ from wpml.correspondence import (
     pullback_preserves,
 )
 from wpml.duality import dual_of_hom, fil_l, is_tight
+from wpml.errors import ResourceBound
 from wpml.formulas import parse_pair
 from wpml.generators import sample_modal_lattice, sample_vformation
 from wpml.lframe import ModalLFrame, frame_validates, validate_modal_lframe
@@ -183,3 +184,12 @@ class TestAxiomTables:
             "5": "euclideanity",
             ".2": "directedness",
         }
+
+
+def test_correspondence_check_honours_wpml_budget(monkeypatch):
+    frame = identity_modal(next(iter(all_lframes(2))))
+    assert correspondence_check(frame, "T").sound
+    monkeypatch.setenv("WPML_BUDGET", "1")
+    with pytest.raises(ResourceBound):
+        correspondence_check(frame, "T")
+    assert correspondence_check(frame, "T", budget=100).sound

@@ -1,8 +1,15 @@
+import copy
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import wpml
 from wpml.errors import FormulaSyntaxError
 from wpml.formulas import (
     BOT,
@@ -143,3 +150,70 @@ def test_formula_key_is_total_order(f, g):
 def test_letters_of_pair():
     pair = parse_pair("p & q |- <>r v p")
     assert letters(pair) == frozenset({"p", "q", "r"})
+
+
+class TestCachedHash:
+    def test_equal_formulas_built_separately_have_equal_hashes(self):
+        rng = random.Random(77)
+        for _ in range(300):
+            f = _random_formula(rng, rng.randint(0, 5))
+            g = parse_formula(pretty(f))
+            assert g == f and hash(g) == hash(f)
+        a, b = parse_formula("[](p & q) v <>r"), parse_formula("[](p & q) v <>r")
+        assert a is not b and a == b and hash(a) == hash(b)
+
+    def test_same_children_different_connective(self):
+        p, q = Letter("p"), Letter("q")
+        assert And(p, q) != Or(p, q)
+        assert Box(p) != Dia(p)
+        assert Letter("p") != Letter("q")
+        assert And(p, q) != And(q, p)
+        assert len({And(p, q), Or(p, q), And(p, q)}) == 2
+
+    def test_repr_and_fields_unchanged(self):
+        f = parse_formula("[](p & q) v <>r")
+        assert repr(f) == (
+            "Or(lhs=Box(arg=And(lhs=Letter(name='p'), rhs=Letter(name='q'))), "
+            "rhs=Dia(arg=Letter(name='r')))"
+        )
+        names = {
+            cls: [fld.name for fld in dataclasses.fields(cls)]
+            for cls in (Letter, And, Or, Box, Dia)
+        }
+        assert names == {
+            Letter: ["name"],
+            And: ["lhs", "rhs"],
+            Or: ["lhs", "rhs"],
+            Box: ["arg"],
+            Dia: ["arg"],
+        }
+
+    def test_deepcopy_and_pickle(self):
+        for text in ("p |- p", "[](p & q) v <>T |- F v r"):
+            pair = parse_pair(text)
+            for clone in (
+                copy.deepcopy(pair),
+                copy.copy(pair),
+                pickle.loads(pickle.dumps(pair)),
+            ):
+                assert clone == pair and hash(clone) == hash(pair)
+                assert repr(clone) == repr(pair)
+                assert {clone: 1}[pair] == 1
+
+    def test_unpickled_hash_is_recomputed(self):
+        # str hashes differ between processes: a hash copied from the
+        # pickling process would not match this one's
+        root = os.path.dirname(os.path.dirname(os.path.abspath(wpml.__file__)))
+        code = (
+            "import pickle, sys; from wpml.formulas import parse_pair; "
+            "sys.stdout.write(pickle.dumps(parse_pair('[](p & q) |- <>r v p')).hex())"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=root)
+        blob = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        ).stdout
+        pair = pickle.loads(bytes.fromhex(blob))
+        fresh = parse_pair("[](p & q) |- <>r v p")
+        assert pair == fresh and hash(pair.lhs) == hash(fresh.lhs)
+        assert hash(pair) == hash(fresh)

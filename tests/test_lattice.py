@@ -3,7 +3,15 @@ from itertools import product
 import pytest
 
 from wpml.catalog import all_distributive_lattices, all_lattices
-from wpml.errors import NotALattice, NotAPoset, ResourceBound, WrongBounds
+from wpml.errors import (
+    DEFAULT_BUDGET,
+    InvalidBudget,
+    NotALattice,
+    NotAPoset,
+    ResourceBound,
+    WrongBounds,
+    resolve_budget,
+)
 from wpml.formulas import parse_pair
 from wpml.lattice import (
     FiniteModalLattice,
@@ -243,6 +251,19 @@ class TestBudgetEnv:
             algebra_validates(b4_modal, pair)
         monkeypatch.setenv("WPML_BUDGET", "1000")
         algebra_validates(b4_modal, pair)
+
+    @pytest.mark.parametrize("text", ["abc", "-5", "", "1e6"])
+    def test_invalid_wpml_budget_is_rejected(self, monkeypatch, text):
+        monkeypatch.setenv("WPML_BUDGET", text)
+        with pytest.raises(InvalidBudget):
+            resolve_budget()
+
+    def test_resolve_budget_sources(self, monkeypatch):
+        monkeypatch.delenv("WPML_BUDGET", raising=False)
+        assert resolve_budget() == DEFAULT_BUDGET
+        monkeypatch.setenv("WPML_BUDGET", "0")
+        assert resolve_budget() == 0
+        assert resolve_budget(7) == 7
 
 
 class TestEpiBounded:

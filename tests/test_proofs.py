@@ -3,7 +3,8 @@ import random
 import pytest
 
 from wpml.correspondence import AXIOMS
-from wpml.errors import ResourceBound
+from wpml.entailment import gamma_pairs
+from wpml.errors import PreconditionViolated, ResourceBound
 from wpml.formulas import (
     TOP,
     And,
@@ -11,12 +12,22 @@ from wpml.formulas import (
     ConsequencePair,
     Dia,
     Letter,
+    letters,
     parse_pair,
 )
 from wpml.generators import sample_modal_lattice, sample_modal_lframe
-from wpml.lattice import algebra_validates
+from wpml.lattice import algebra_validates, with_identity_modalities
 from wpml.lframe import frame_validates
-from wpml.proofs import BadNode, Proof, check_proof, cut_pool, derive_bounded
+from wpml.proofs import (
+    BadNode,
+    Proof,
+    ProofSearch,
+    _screening_algebras,
+    check_proof,
+    cut_pool,
+    derive_bounded,
+    order_cuts,
+)
 from wpml.serialize import proof_from_json, proof_to_json
 
 
@@ -229,3 +240,95 @@ class TestProofSerialization:
         p = Proof("reflexivity", parse_pair("p |- p"))
         blob = proof_to_json(p)
         assert blob == {"rule": "reflexivity", "conclusion": "p |- p", "premises": []}
+
+
+class ScalarScreenSearch(ProofSearch):
+    """Reference search: screens each pair through the scalar
+    `algebra_validates` oracle, as the search did before value vectors."""
+
+    def _screened_out(self, pair):
+        if pair in self._screen_ok:
+            return False
+        if len(letters(pair)) > 3:
+            self._screen_ok.add(pair)
+            return False
+        for a in self.screens:
+            if algebra_validates(a, pair) is not None:
+                return True
+        self._screen_ok.add(pair)
+        return False
+
+
+# (goal, axiom tags) from the interpolation golden corpus
+GOLDEN_SAMPLE = (
+    ("[](p & q) |- <>p", ("T",)),
+    ("[]p & q |- [][]p v r", ("4",)),
+    ("<><>p & q |- <>p v r", ("4",)),
+    ("[]p & []q |- [](p & q) v r", ()),
+    ("<>p & []q |- <>(p & q) v r", ()),
+    ("[](p & q) & s |- []p v r", ()),
+)
+
+
+class TestVectorScreen:
+    """The memoized value-vector screen against the scalar oracle."""
+
+    def test_verdicts_match_algebra_validates(self):
+        rng = random.Random(4242)
+        corpus = {}  # distinct pairs, in draw order
+        for text, tags in GOLDEN_SAMPLE[:4]:
+            pool = cut_pool(parse_pair(text), gamma_pairs(tags))
+            target = len(corpus) + 150
+            while len(corpus) < target:
+                pair = ConsequencePair(rng.choice(pool), rng.choice(pool))
+                if len(letters(pair)) <= 3:
+                    corpus[pair] = None
+        for gamma in [()] + [AXIOMS[tag] for tag in sorted(AXIOMS)]:
+            screens = _screening_algebras(tuple(gamma))
+            search = ProofSearch(gamma, (), screens=screens)
+            verdicts = []
+            for pair in corpus:
+                expected = any(algebra_validates(a, pair) is not None for a in screens)
+                assert search._screened_out(pair) == expected, (gamma, str(pair))
+                verdicts.append(expected)
+            assert any(verdicts) and not all(verdicts)
+            assert search.screen_calls == len(corpus)
+            assert search.screen_rejects == sum(verdicts)
+            assert search.vector_entries > 0
+
+    def test_plain_lattice_screen_rejects_modal_formulas(self, chain3):
+        pair = parse_pair("[]p |- p")
+        with pytest.raises(PreconditionViolated):
+            algebra_validates(chain3, pair)
+        with pytest.raises(PreconditionViolated):
+            ProofSearch((), (), screens=(chain3,))._screened_out(pair)
+        # a modality-free pair is screened on a plain lattice as before
+        search = ProofSearch((), (), screens=(chain3,))
+        assert search._screened_out(parse_pair("p v q |- p")) is True
+        assert search._screened_out(parse_pair("p & q |- q v r")) is False
+
+    @pytest.mark.parametrize(
+        "text,tags,depth",
+        [(text, tags, 6) for text, tags in GOLDEN_SAMPLE] + [("p |- []p", (), 4)],
+    )
+    def test_search_matches_scalar_screen_reference(self, text, tags, depth):
+        gamma = gamma_pairs(tags)
+        goal = parse_pair(text)
+        cuts = order_cuts(goal, cut_pool(goal, gamma))
+        fast = ProofSearch(gamma, cuts)
+        slow = ScalarScreenSearch(gamma, cuts)
+        proof = fast.prove(goal, depth)
+        assert proof == slow.prove(goal, depth)
+        assert proof == derive_bounded(gamma, goal, depth)
+        assert fast.expansions == slow.expansions
+        assert fast.success == slow.success and fast.failed_at == slow.failed_at
+
+    def test_wpml_budget_raises_from_the_screen(self, monkeypatch):
+        monkeypatch.setenv("WPML_BUDGET", "10")
+        goal = parse_pair("p & q |- p v r")
+        with pytest.raises(ResourceBound) as fast:
+            derive_bounded((), goal, 6)
+        with pytest.raises(ResourceBound) as slow:
+            ScalarScreenSearch((), order_cuts(goal, cut_pool(goal))).prove(goal, 6)
+        assert (fast.value.needed, fast.value.budget) == (27, 10)
+        assert (slow.value.needed, slow.value.budget) == (27, 10)
