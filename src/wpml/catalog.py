@@ -3,13 +3,20 @@
 Enumeration convention: candidate orders are generated with ids in a
 linear extension (i below j implies i < j), so bot is always id 0 and
 top id n-1; isomorphic duplicates are removed by taking the minimum
-relabeling.  Everything is cached per size.
+relabeling.
+
+Every catalog is computed once per size and cached.  The modal L-frames
+are the one catalog not held as objects: 21,627 `ModalLFrame`s at size 5
+would take about 4 MB.  Each L-frame's valid relations are kept instead
+as one `bytes` of successor masks, n bytes per relation (about 110 KB at
+size 5), and `all_modal_lframes` builds the frames from it as it yields
+them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Iterator
 
 from .lattice import (
@@ -269,9 +276,20 @@ def modal_relations(frame: LFrame) -> Iterator[tuple[int, ...]]:
     yield from backtrack(0)
 
 
+@lru_cache(maxsize=None)
+def _packed_relations(n: int, i: int) -> bytes | tuple[int, ...]:
+    """`modal_relations` of the i-th size-n L-frame, the successor tuples
+    concatenated: n masks per relation, one byte each (ints past n = 8)."""
+    frame = all_lframes(n)[i]
+    return (bytes if n <= 8 else tuple)(chain.from_iterable(modal_relations(frame)))
+
+
 def all_modal_lframes(n: int) -> Iterator[ModalLFrame]:
     """All valid modal L-frames of size exactly n (frames up to iso, all
-    relations per frame), in deterministic order."""
-    for frame in all_lframes(n):
-        for succ in modal_relations(frame):
-            yield ModalLFrame(frame, succ)
+    relations per frame), in deterministic order.  The relations are
+    enumerated once per size and L-frame, when an iteration first
+    reaches that L-frame."""
+    for i, frame in enumerate(all_lframes(n)):
+        packed = _packed_relations(n, i)
+        for start in range(0, len(packed), n):
+            yield ModalLFrame(frame, tuple(packed[start:start + n]))

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import resolve_budget
+from .errors import PreconditionViolated, resolve_budget
 from .formulas import ConsequencePair, parse_pair
 from .lframe import ModalLFrame, frame_validates
 from .duality import is_tight
@@ -257,7 +257,9 @@ def correspondence_check(
 def pullback_preserves(cond: FrameCondition | str, f1, f2):
     """True iff the pullback of two condition-satisfying surjective
     bounded L-morphisms satisfies the condition; returns (ok, witness).
-    A False outcome falsifies the closure theorem for these inputs."""
+    A False outcome falsifies the closure theorem for these inputs.
+    PreconditionViolated if a leg domain or the common codomain fails
+    the condition."""
     from .amalgam import pullback
 
     if isinstance(cond, str):
@@ -265,9 +267,9 @@ def pullback_preserves(cond: FrameCondition | str, f1, f2):
     for leg in (f1, f2):
         holds, w = frame_satisfies(leg.dom, cond)
         if not holds:
-            raise ValueError(f"leg domain fails {cond.tag} at {w}")
+            raise PreconditionViolated(f"leg domain fails {cond.tag} at {w}")
     holds, w = frame_satisfies(f1.cod, cond)
     if not holds:
-        raise ValueError(f"common codomain fails {cond.tag} at {w}")
+        raise PreconditionViolated(f"common codomain fails {cond.tag} at {w}")
     pb = pullback(f1, f2)
     return frame_satisfies(pb.frame, cond)

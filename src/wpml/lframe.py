@@ -5,13 +5,22 @@ Point sets throughout are bitmasks over element ids; a FrameFilter is a
 bitmask that is nonempty, upward closed under the frame order and closed
 under the frame meet.  The improper filter (all points) is admitted and
 the least filter is {1}.
+
+An L-frame enumerates its filters once (`LFrame.filter_masks`) and builds
+the meet and join tables over them on first use; a modal L-frame adds the
+box and diamond of every filter (`ModalLFrame.filter_modalities`).  These
+caches live on the frame objects, so they go when the frame goes.
+`frame_validates` evaluates each side of a pair once, as a value vector
+over all filter-valued valuations, with these tables (see `vectors`).
+The pointwise `satisfies` and the recursive `truth_set` are the
+reference oracles for that path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import compress, count
 from typing import Iterator, Optional
 
 from .errors import (
@@ -25,6 +34,7 @@ from .errors import (
 )
 from .formulas import And, Bot, Box, ConsequencePair, Dia, Formula, Letter, Or, Top
 from .lattice import FiniteLattice, FiniteModalLattice
+from .vectors import ValueVectors
 
 FrameFilter = int  # bitmask over frame points
 FrameValuation = dict[str, int]  # letter -> FrameFilter
@@ -67,6 +77,42 @@ class LFrame:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    @cached_property
+    def filter_masks(self) -> tuple[int, ...]:
+        """All filters, sorted by bitmask value.  Enumeration closes
+        up-sets under the meet starting from {1}, so no 2^n subset scan."""
+        start = 1 << self.one
+        seen = {start}
+        stack = [start]
+        while stack:
+            f = stack.pop()
+            rest = self.full_mask & ~f
+            while rest:
+                e = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                g = filter_closure(self, f | 1 << e)
+                if g not in seen:
+                    seen.add(g)
+                    stack.append(g)
+        return tuple(sorted(seen))
+
+    @cached_property
+    def _filter_index(self) -> dict[int, int]:
+        """Filter mask -> its position in `filter_masks`."""
+        return {m: i for i, m in enumerate(self.filter_masks)}
+
+    @cached_property
+    def filter_meet_table(self) -> tuple[tuple[int, ...], ...]:
+        """Meet (intersection) of filters, by position in `filter_masks`."""
+        fs, idx = self.filter_masks, self._filter_index
+        return tuple(tuple(idx[a & b] for b in fs) for a in fs)
+
+    @cached_property
+    def filter_join_table(self) -> tuple[tuple[int, ...], ...]:
+        """Join (generated filter) of filters, by position in `filter_masks`."""
+        fs, idx = self.filter_masks, self._filter_index
+        return tuple(tuple(idx[filter_join(self, a, b)] for b in fs) for a in fs)
+
     def __repr__(self):
         return f"LFrame(n={self.n})"
 
@@ -107,6 +153,25 @@ class ModalLFrame:
         return [
             (x, y) for x in range(self.n) for y in range(self.n) if self.rel(x, y)
         ]
+
+    @cached_property
+    def filter_modalities(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(box, diamond) on the base frame's filters, by position in
+        `filter_masks`.  InternalInconsistency if the box or diamond of a
+        filter is not a filter, which a valid modal L-frame rules out."""
+        fs, idx = self.base.filter_masks, self.base._filter_index
+        box = []
+        dia = []
+        for m in fs:
+            bm = box_mask(self, m)
+            dm = dia_mask(self, m)
+            if bm not in idx or dm not in idx:
+                raise InternalInconsistency(
+                    f"box/diamond of filter {hex(m)} is not a filter"
+                )
+            box.append(idx[bm])
+            dia.append(idx[dm])
+        return tuple(box), tuple(dia)
 
     def __repr__(self):
         return f"ModalLFrame(n={self.n}, edges={sum(m.bit_count() for m in self.succ)})"
@@ -298,25 +363,9 @@ def filter_closure(frame: LFrame, mask: int) -> int:
 
 
 def filters(frame: LFrame) -> list[int]:
-    """All filters of the frame, sorted by bitmask value.
-
-    Enumeration closes up-sets under the meet starting from {1}; this is
-    the hot path, so no 2^n subset scan.
-    """
-    start = 1 << frame.one
-    seen = {start}
-    stack = [start]
-    while stack:
-        f = stack.pop()
-        rest = frame.full_mask & ~f
-        while rest:
-            e = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            g = filter_closure(frame, f | 1 << e)
-            if g not in seen:
-                seen.add(g)
-                stack.append(g)
-    return sorted(seen)
+    """All filters of the frame, sorted by bitmask value: a fresh list of
+    `frame.filter_masks`, which is enumerated once per frame."""
+    return list(frame.filter_masks)
 
 
 def filter_join(frame: LFrame, a: int, b: int) -> int:
@@ -346,42 +395,24 @@ def fil_f_lattice(frame: LFrame) -> FiniteLattice:
     """Lattice of all filters ordered by inclusion.  Element i is the
     filter with the i-th smallest bitmask; names are hex bitmasks."""
     fs = filters(frame)
-    idx = {m: i for i, m in enumerate(fs)}
     k = len(fs)
+    idx = frame._filter_index
     leq = tuple(tuple(fs[i] & ~fs[j] == 0 for j in range(k)) for i in range(k))
-    meet = [[0] * k for _ in range(k)]
-    join = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            meet[i][j] = idx[fs[i] & fs[j]]
-            join[i][j] = idx[filter_join(frame, fs[i], fs[j])]
     return FiniteLattice(
         elements=tuple(hex(m) for m in fs),
         leq=leq,
         bot=idx[1 << frame.one],
         top=idx[frame.full_mask],
-        meet=tuple(tuple(r) for r in meet),
-        join=tuple(tuple(r) for r in join),
+        meet=frame.filter_meet_table,
+        join=frame.filter_join_table,
     )
 
 
 def fil_f(frame: ModalLFrame) -> FiniteModalLattice:
     """Filter lattice with box/diamond induced by the relation."""
     lat = fil_f_lattice(frame.base)
-    fs = [int(name, 16) for name in lat.elements]
-    idx = {m: i for i, m in enumerate(fs)}
-    box = []
-    dia = []
-    for m in fs:
-        bm = box_mask(frame, m)
-        dm = dia_mask(frame, m)
-        if bm not in idx or dm not in idx:
-            raise InternalInconsistency(
-                f"box/diamond of filter {hex(m)} is not a filter"
-            )
-        box.append(idx[bm])
-        dia.append(idx[dm])
-    return FiniteModalLattice(lat, tuple(box), tuple(dia))
+    box, dia = frame.filter_modalities
+    return FiniteModalLattice(lat, box, dia)
 
 
 # --- morphisms ---------------------------------------------------------------
@@ -596,7 +627,8 @@ def satisfies(frame: ModalLFrame, val: FrameValuation, x: int, f: Formula) -> bo
 
 
 def truth_set(frame: ModalLFrame, val: FrameValuation, f: Formula) -> int:
-    """Bitmask {x : x satisfies f}; the fast bulk route used by sweeps."""
+    """Bitmask {x : x satisfies f}, computed recursively on point sets;
+    the reference oracle for the vector path of `frame_validates`."""
     if isinstance(f, Top):
         return frame.base.full_mask
     if isinstance(f, Bot):
@@ -618,12 +650,43 @@ def truth_set(frame: ModalLFrame, val: FrameValuation, f: Formula) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
+class _FilterVectors(ValueVectors):
+    """The filter algebra of a modal L-frame for the value-vector kernel:
+    element i is the filter with the i-th smallest bitmask.  The tables
+    are the frame's cached ones, read on first use."""
+
+    def __init__(self, frame: ModalLFrame):
+        self.frame = frame
+        self.n = len(frame.base.filter_masks)
+        self.top, self.bot = self.n - 1, 0
+
+    @property
+    def meet(self):
+        return self.frame.base.filter_meet_table
+
+    @property
+    def join(self):
+        return self.frame.base.filter_join_table
+
+    @property
+    def box(self):
+        return self.frame.filter_modalities[0]
+
+    @property
+    def diamond(self):
+        return self.frame.filter_modalities[1]
+
+
 def frame_validates(
     frame: ModalLFrame, pair: ConsequencePair, budget: Optional[int] = None
 ) -> Optional[FrameValuation]:
     """None iff V(lhs) is contained in V(rhs) for every filter-valued
     valuation on the occurring letters; otherwise the first countervaluation
-    in bitmask-lexicographic order."""
+    in bitmask-lexicographic order (`product(filters, repeat=k)` over the
+    sorted letters).
+
+    Each side is evaluated once, as a value vector over all valuations
+    (see `vectors`), instead of one `truth_set` per valuation."""
     from .errors import resolve_budget
     from .formulas import letters as letters_of
 
@@ -633,11 +696,19 @@ def frame_validates(
     needed = len(fs) ** len(ls)
     if needed > budget:
         raise ResourceBound(needed, budget)
-    for combo in product(fs, repeat=len(ls)):
-        val = dict(zip(ls, combo))
-        if truth_set(frame, val, pair.lhs) & ~truth_set(frame, val, pair.rhs):
-            return val
-    return None
+    vectors = _FilterVectors(frame)
+    memo = vectors.seed(ls)
+    left = vectors.vector(memo, pair.lhs)
+    right = vectors.vector(memo, pair.rhs)
+    outside = [~m for m in fs]
+    escapes = map(
+        int.__and__, map(fs.__getitem__, left), map(outside.__getitem__, right)
+    )
+    i = next(compress(count(), escapes), None)
+    if i is None:
+        return None
+    k, last = len(fs), len(ls) - 1
+    return {name: fs[i // k ** (last - j) % k] for j, name in enumerate(ls)}
 
 
 def successor_extrema(frame: ModalLFrame, x: int, y: int) -> tuple[int, int]:

@@ -13,11 +13,11 @@ Semantic screening: before expanding a subgoal of at most three letters,
 the search refutes it on a fixed set of small modal lattices that
 validate the axioms (`_screening_algebras`).  Each formula's value
 vector, its value under every valuation of the subgoal's sorted letters
-in `algebra_validates`' order, is stored as `bytes` and built once from
-its children's vectors; a subgoal is screened out at the first position
-where its left value is not below its right one.  The memo belongs to the
-`ProofSearch` and lives as long as it does, one search per
-`derive_bounded` call.  The scalar `lattice.algebra_validates` and
+in `algebra_validates`' order, is built once from its children's
+vectors by the kernel in `vectors`; a subgoal is screened out at the
+first position where its left value is not below its right one.  The
+memo belongs to the `ProofSearch` and lives as long as it does, one
+search per `derive_bounded` call.  The scalar `lattice.algebra_validates` and
 `lattice.evaluate` stay the reference oracles: tests/test_proofs.py
 checks the screen's verdicts against them and whole searches against a
 search that screens through `algebra_validates`.
@@ -31,7 +31,7 @@ from itertools import product
 from operator import getitem
 from typing import Optional
 
-from .errors import PreconditionViolated, ResourceBound, resolve_budget
+from .errors import ResourceBound, resolve_budget
 from .formulas import (
     BOT,
     TOP,
@@ -41,7 +41,6 @@ from .formulas import (
     ConsequencePair,
     Dia,
     Formula,
-    Letter,
     Or,
     Top,
     formula_key,
@@ -50,6 +49,7 @@ from .formulas import (
     subformulas,
     substitute,
 )
+from .vectors import ValueVectors
 
 RULES = (
     "top",
@@ -304,58 +304,22 @@ def _screening_algebras(gamma):
     return tuple(out)
 
 
-class _VectorScreen:
-    """One screen algebra, ready to evaluate formulas as value vectors:
-    the values under every valuation of a sorted letter tuple, in
-    `algebra_validates`' order (`product(range(n), repeat=k)`, the last
-    letter varying fastest), one byte per valuation."""
+class _VectorScreen(ValueVectors):
+    """One screen algebra, ready to evaluate formulas as value vectors in
+    `algebra_validates`' valuation order (`product(range(n), repeat=k)`,
+    the last letter varying fastest)."""
 
     def __init__(self, a):
         from .lattice import FiniteModalLattice
 
-        if a.n > 256:
-            raise PreconditionViolated("a screen algebra has at most 256 elements")
-        self.algebra = a
-        self.n = a.n
-        self.nleq = tuple(tuple(not le for le in row) for row in a.leq)
-        # box/diamond as bytes.translate tables; None on a plain lattice
-        pad = bytes(256 - a.n)
+        self.n, self.top, self.bot = a.n, a.top, a.bot
+        self.meet, self.join = a.meet, a.join
         modal = isinstance(a, FiniteModalLattice)
-        self.box = bytes(a.box) + pad if modal else None
-        self.dia = bytes(a.diamond) + pad if modal else None
+        self.box = a.box if modal else None
+        self.diamond = a.diamond if modal else None
+        self.nleq = tuple(tuple(not le for le in row) for row in a.leq)
 
-    def seed(self, ls: tuple[str, ...]) -> dict[Formula, bytes]:
-        """A fresh memo holding the vectors of the letters and constants."""
-        a = self.algebra
-        n, k = self.n, len(ls)
-        count = n**k
-        memo = {TOP: bytes((a.top,)) * count, BOT: bytes((a.bot,)) * count}
-        for j, name in enumerate(ls):
-            stride = n ** (k - 1 - j)
-            memo[Letter(name)] = bytes(i // stride % n for i in range(count))
-        return memo
-
-    def vector(self, memo: dict[Formula, bytes], f: Formula) -> bytes:
-        """Value vector of f, built from its children's and memoized."""
-        v = memo.get(f)
-        if v is not None:
-            return v
-        if isinstance(f, (And, Or)):
-            rows = self.algebra.meet if isinstance(f, And) else self.algebra.join
-            left = self.vector(memo, f.lhs)
-            right = self.vector(memo, f.rhs)
-            v = bytes(map(getitem, map(rows.__getitem__, left), right))
-        elif isinstance(f, (Box, Dia)):
-            table = self.box if isinstance(f, Box) else self.dia
-            if table is None:
-                raise PreconditionViolated("modal formula on a plain lattice")
-            v = self.vector(memo, f.arg).translate(table)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        memo[f] = v
-        return v
-
-    def refutes(self, left: bytes, right: bytes) -> bool:
+    def refutes(self, left, right) -> bool:
         """True iff some valuation puts the left value outside the order
         below the right one; stops at the first such valuation."""
         return any(map(getitem, map(self.nleq.__getitem__, left), right))

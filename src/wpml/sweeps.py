@@ -122,10 +122,18 @@ def correspondence_sweep(seed: int, count: int, max_frame_size: int = 4) -> dict
     sizes = []
     for i in range(count):
         a = sample_modal_lattice(rng, rng.randint(1, max_frame_size))
-        space = fil_l(a)
+        try:
+            space = fil_l(a)
+        except Exception as exc:  # a sweep must report, not crash
+            failures.append({"instance": i, "reason": repr(exc)})
+            continue
         sizes.append(space.frame.n)
         for tag in AXIOM_TAGS:
-            rep = correspondence_check(space.frame, tag)
+            try:
+                rep = correspondence_check(space.frame, tag)
+            except Exception as exc:
+                failures.append({"instance": i, "axiom": tag, "reason": repr(exc)})
+                continue
             if not rep.sound:
                 failures.append({"instance": i, "axiom": tag, "reason": "soundness"})
             if rep.tight and rep.condition_holds != rep.all_pairs_valid:
@@ -158,6 +166,30 @@ def correspondence_sweep(seed: int, count: int, max_frame_size: int = 4) -> dict
     }
 
 
+def _closure_instance(i: int, v, condition: str, sizes: list) -> list[dict]:
+    """The failures of one closure instance; records its sizes once both
+    dual legs satisfy the condition."""
+    space_k = fil_l(v.k)
+    f1 = dual_of_hom(v.h1, dom_space=space_k)
+    f2 = dual_of_hom(v.h2, dom_space=space_k)
+    failures = []
+    for name, leg in (("f1", f1), ("f2", f2)):
+        holds, w = frame_satisfies(leg.dom, condition)
+        if not holds:
+            failures.append(
+                {"instance": i, "reason": f"{name} dual leg fails", "witness": list(w)}
+            )
+    if failures:
+        return failures
+    sizes.append((f1.dom.n, f2.dom.n, f1.cod.n))
+    holds, w = pullback_preserves(condition, f1, f2)
+    if not holds:
+        failures.append(
+            {"instance": i, "reason": "pullback fails condition", "witness": list(w)}
+        )
+    return failures
+
+
 def closure_sweep(
     condition: str, seed: int, count: int, max_k: int = 4, max_l: int = 5
 ) -> dict:
@@ -172,25 +204,10 @@ def closure_sweep(
         except SizeCap as exc:
             failures.append({"instance": i, "reason": f"sampler: {exc}"})
             continue
-        space_k = fil_l(v.k)
-        f1 = dual_of_hom(v.h1, dom_space=space_k)
-        f2 = dual_of_hom(v.h2, dom_space=space_k)
-        legs_ok = True
-        for name, leg in (("f1", f1), ("f2", f2)):
-            holds, w = frame_satisfies(leg.dom, condition)
-            if not holds:
-                failures.append(
-                    {"instance": i, "reason": f"{name} dual leg fails", "witness": list(w)}
-                )
-                legs_ok = False
-        if not legs_ok:
-            continue
-        sizes.append((f1.dom.n, f2.dom.n, f1.cod.n))
-        holds, w = pullback_preserves(condition, f1, f2)
-        if not holds:
-            failures.append(
-                {"instance": i, "reason": "pullback fails condition", "witness": list(w)}
-            )
+        try:
+            failures.extend(_closure_instance(i, v, condition, sizes))
+        except Exception as exc:  # a sweep must report, not crash
+            failures.append({"instance": i, "reason": repr(exc)})
     return {
         "target": "closure",
         "condition": condition,
@@ -216,7 +233,11 @@ def jonsson_sweep(seed: int, count: int, max_k: int = 4, max_l: int = 6) -> dict
             failures.append({"instance": i, "reason": f"sampler: {exc}"})
             continue
         sizes.append((k.n, l1.n, l2.n))
-        cmp = jonsson_filters(k, l1, l2)
+        try:
+            cmp = jonsson_filters(k, l1, l2)
+        except Exception as exc:  # a sweep must report, not crash
+            failures.append({"instance": i, "reason": repr(exc)})
+            continue
         if not cmp.anti_isomorphism:
             failures.append(
                 {

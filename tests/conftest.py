@@ -1,7 +1,18 @@
+from itertools import product
+
 import pytest
 
+from wpml.catalog import all_lframes, modal_relations
+from wpml.errors import ResourceBound, resolve_budget
+from wpml.formulas import BOT, TOP, And, Box, ConsequencePair, Dia, Letter, Or, letters
 from wpml.lattice import validate_lattice, with_identity_modalities
-from wpml.lframe import lframe_from_leq, validate_modal_lframe
+from wpml.lframe import (
+    ModalLFrame,
+    filters,
+    lframe_from_leq,
+    truth_set,
+    validate_modal_lframe,
+)
 
 
 def chain_leq(n):
@@ -86,3 +97,52 @@ def identity_modal(frame):
     out = validate_modal_lframe(frame, [(i, i) for i in range(frame.n)])
     assert not isinstance(out, tuple)
     return out
+
+
+def reference_frame_validates(frame, pair, budget=None):
+    """The literal frame-validity loop: one `truth_set` per filter-valued
+    valuation, in `product` order, first countervaluation returned."""
+    budget = resolve_budget(budget)
+    ls = sorted(letters(pair))
+    fs = filters(frame.base)
+    needed = len(fs) ** len(ls)
+    if needed > budget:
+        raise ResourceBound(needed, budget)
+    for combo in product(fs, repeat=len(ls)):
+        val = dict(zip(ls, combo))
+        if truth_set(frame, val, pair.lhs) & ~truth_set(frame, val, pair.rhs):
+            return val
+    return None
+
+
+def literal_modal_lframes(n):
+    """Every modal L-frame of size n, straight from `modal_relations`."""
+    return [ModalLFrame(f, s) for f in all_lframes(n) for s in modal_relations(f)]
+
+
+def random_formula(rng, names, depth):
+    """A seeded formula over `names` using T, F, &, v, [] and <>."""
+    if depth == 0 or rng.random() < 0.25:
+        r = rng.random()
+        if r < 0.08:
+            return TOP
+        if r < 0.16:
+            return BOT
+        return Letter(rng.choice(names))
+    op = rng.choice((And, Or, Box, Dia))
+    if op in (Box, Dia):
+        return op(random_formula(rng, names, depth - 1))
+    return op(
+        random_formula(rng, names, depth - 1), random_formula(rng, names, depth - 1)
+    )
+
+
+def random_pairs(rng, count, depth=3, names=("p", "q", "r")):
+    """`count` distinct seeded pairs of at most three letters."""
+    out = {}
+    while len(out) < count:
+        pair = ConsequencePair(
+            random_formula(rng, names, depth), random_formula(rng, names, depth)
+        )
+        out[pair] = None
+    return list(out)

@@ -13,7 +13,7 @@ from wpml.correspondence import (
     pullback_preserves,
 )
 from wpml.duality import dual_of_hom, fil_l, is_tight
-from wpml.errors import ResourceBound
+from wpml.errors import PreconditionViolated, ResourceBound, WpmlError
 from wpml.formulas import parse_pair
 from wpml.generators import sample_modal_lattice, sample_vformation
 from wpml.lframe import ModalLFrame, frame_validates, validate_modal_lframe
@@ -151,8 +151,21 @@ class TestPullbackPreserves:
         assert isinstance(y, ModalLFrame)
         ident2 = FrameMorphism(y, y, (0, 1), "bounded-L")
         assert not frame_satisfies(y, "reflexivity")[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionViolated, match="leg domain fails"):
             pullback_preserves("reflexivity", ident2, ident2)
+
+    def test_codomain_must_satisfy(self, chain2_frame):
+        from wpml.lframe import FrameMorphism
+
+        # reflexive leg domains over a non-reflexive codomain: the legs
+        # are not bounded morphisms, but the check comes first
+        x = identity_modal(chain2_frame)
+        y = validate_modal_lframe(chain2_frame, [(0, 1), (1, 1)])
+        assert isinstance(y, ModalLFrame)
+        leg = FrameMorphism(x, y, (0, 1), "bounded-L")
+        with pytest.raises(PreconditionViolated, match="common codomain fails") as exc:
+            pullback_preserves("reflexivity", leg, leg)
+        assert isinstance(exc.value, WpmlError)
 
     def test_seeded_closure_per_condition(self):
         rng = random.Random(41)

@@ -1,9 +1,14 @@
+import pytest
+
+from wpml import entailment
 from wpml.catalog import all_modal_lframes
 from wpml.entailment import decide_entailment
 from wpml.formulas import parse_pair
 from wpml.lframe import frame_validates, truth_set
 from wpml.proofs import check_proof
 from wpml.correspondence import AXIOMS
+
+from conftest import literal_modal_lframes, reference_frame_validates
 
 
 class TestDerivableVerdicts:
@@ -99,3 +104,35 @@ class TestAgreementWithAlgebraSemantics:
                     assert (frame_validates(x, pair) is None) == (
                         algebra_validates(a, pair) is None
                     ), (n, x.succ, str(pair))
+
+
+class TestAgainstLiteralFrameSearch:
+    """Verdict, frame and countervaluation equal those of a search over the
+    literal catalog with the literal frame-validity loop."""
+
+    @pytest.mark.parametrize(
+        "text,tags",
+        [
+            ("[]p & <>q |- <>(p & q)", ("T",)),
+            ("p |- []p", ()),
+            ("<>p |- []p", ("4",)),
+            ("p v q |- p", ()),
+            ("[](p v q) |- []p v <>q", ("B",)),
+            ("<>(p & q) & []r |- <>(q & r)", (".2",)),
+            ("[]p |- <>p", ()),
+        ],
+    )
+    def test_same_result(self, monkeypatch, text, tags):
+        goal = parse_pair(text)
+        fast = decide_entailment(tags, goal, 3, 4)
+        monkeypatch.setattr(entailment, "frame_validates", reference_frame_validates)
+        monkeypatch.setattr(
+            entailment, "all_modal_lframes", lambda n: iter(literal_modal_lframes(n))
+        )
+        slow = decide_entailment(tags, goal, 3, 4)
+        assert fast.verdict == slow.verdict
+        assert fast.frame == slow.frame
+        assert fast.valuation == slow.valuation
+        if fast.valuation is not None:
+            assert list(fast.valuation) == list(slow.valuation)
+        assert fast.diagnostics == slow.diagnostics

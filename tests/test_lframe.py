@@ -4,8 +4,23 @@ from itertools import product
 import pytest
 
 from wpml.catalog import all_lframes, all_modal_lframes
-from wpml.errors import PreconditionViolated, ResourceBound, UndefinedLetter
-from wpml.formulas import parse_formula, parse_pair
+from wpml.errors import (
+    InternalInconsistency,
+    PreconditionViolated,
+    ResourceBound,
+    UndefinedLetter,
+)
+from wpml.formulas import (
+    And,
+    Bot,
+    Box,
+    Dia,
+    Or,
+    Top,
+    parse_formula,
+    parse_pair,
+    subformulas,
+)
 from wpml.lattice import check_modal_identities, validate_lattice
 from wpml.lframe import (
     FrameMorphism,
@@ -25,7 +40,12 @@ from wpml.lframe import (
     validate_modal_lframe,
 )
 
-from conftest import identity_modal
+from conftest import (
+    identity_modal,
+    literal_modal_lframes,
+    random_pairs,
+    reference_frame_validates,
+)
 
 
 class TestValidateModalLFrame:
@@ -283,6 +303,79 @@ class TestFrameValidates:
         x = identity_modal(m2_frame)
         with pytest.raises(ResourceBound):
             frame_validates(x, parse_pair("a & b & c |- d"), budget=7)
+
+
+class TestVectorFrameValidates:
+    """The value-vector `frame_validates` against the literal loop."""
+
+    def test_matches_literal_loop_on_every_small_frame(self):
+        pairs = random_pairs(random.Random(2024), 36) + [
+            parse_pair(s)
+            for s in ("[]p & <>q |- <>(p & q)", "p v q |- [](p & r)", "T |- F")
+        ]
+        kinds = {
+            type(g)
+            for pair in pairs
+            for side in (pair.lhs, pair.rhs)
+            for g in subformulas(side)
+        }
+        assert {Top, Bot, And, Or, Box, Dia} <= kinds
+        refuted = held = 0
+        for n in range(1, 5):
+            for x in all_modal_lframes(n):
+                for pair in pairs:
+                    got = frame_validates(x, pair)
+                    want = reference_frame_validates(x, pair)
+                    assert got == want, (n, x.succ, str(pair))
+                    if want is None:
+                        held += 1
+                    else:
+                        assert list(got) == list(want)
+                        refuted += 1
+        assert refuted > 1000 and held > 1000
+
+    def test_same_resource_bound(self, m2_frame):
+        x = identity_modal(m2_frame)
+        pair = parse_pair("a & b & c |- d")
+        with pytest.raises(ResourceBound) as fast:
+            frame_validates(x, pair, budget=7)
+        with pytest.raises(ResourceBound) as slow:
+            reference_frame_validates(x, pair, budget=7)
+        assert (fast.value.needed, fast.value.budget) == (256, 7)
+        assert (slow.value.needed, slow.value.budget) == (256, 7)
+
+    def test_box_of_a_filter_not_a_filter(self, chain2_frame):
+        # 1 R x breaks condition (v); box{1} = {x} is not up-closed
+        x = ModalLFrame(chain2_frame, (0b10, 0b01))
+        assert isinstance(validate_modal_lframe(chain2_frame, x.succ), FrameViolation)
+        with pytest.raises(InternalInconsistency):
+            frame_validates(x, parse_pair("[]p |- p"))
+        with pytest.raises(InternalInconsistency):
+            fil_f(x)
+        # a modality-free pair needs no box/diamond table
+        assert frame_validates(x, parse_pair("p & q |- p")) is None
+
+    def test_filters_are_cached_but_returned_fresh(self, m2_frame):
+        first = filters(m2_frame)
+        first.append(0)
+        assert filters(m2_frame) == [0b1000, 0b1010, 0b1100, 0b1111]
+        assert filters(m2_frame) is not filters(m2_frame)
+
+
+class TestModalCatalog:
+    def test_matches_modal_relations(self):
+        for n in range(1, 5):
+            assert list(all_modal_lframes(n)) == literal_modal_lframes(n)
+
+    def test_interleaved_and_nested_iterations_agree(self):
+        want = literal_modal_lframes(4)
+        assert list(zip(all_modal_lframes(4), all_modal_lframes(4))) == [
+            (x, x) for x in want
+        ]
+        for i, x in enumerate(all_modal_lframes(4)):
+            assert x == want[i]
+            if i % 100 == 0:
+                assert list(all_modal_lframes(4)) == want
 
 
 class TestSuccessorStructure:
