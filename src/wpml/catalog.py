@@ -25,7 +25,7 @@ from .lattice import (
     is_distributive,
     validate_lattice,
 )
-from .lframe import LFrame, ModalLFrame, lframe_from_leq, validate_modal_lframe
+from .lframe import LFrame, ModalLFrame, _condition_iii_witness, lframe_from_leq
 
 
 def _is_transitive(leq, n) -> bool:
@@ -208,7 +208,10 @@ def modal_relations(frame: LFrame) -> Iterator[tuple[int, ...]]:
     in lexicographic order of the mask tuple.
 
     Search assigns per-point successor sets (nonempty, meet closed; {1}
-    for the top point) with partial pruning on conditions (i), (ii), (iv).
+    for the top point, which is condition (v)) with partial pruning on
+    conditions (i), (ii), (iv); a complete assignment has passed those on
+    every pair of points, so only condition (iii) is left to check.  It is
+    symmetric in the pair and holds at (x, x), so the pairs y < x do.
     """
     n = frame.n
     meet = frame.meet
@@ -263,7 +266,11 @@ def modal_relations(frame: LFrame) -> Iterator[tuple[int, ...]]:
 
     def backtrack(i: int):
         if i == n:
-            if isinstance(validate_modal_lframe(frame, tuple(succ)), ModalLFrame):
+            if all(
+                _condition_iii_witness(frame, succ, x, y) is None
+                for x in range(n)
+                for y in range(x)
+            ):
                 yield tuple(succ)
             return
         options = (1 << one,) if i == one else closed_sets

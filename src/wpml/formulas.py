@@ -60,14 +60,23 @@ class _Node(Formula):
         )
 
 
+# The generated hash of a field-less dataclass is hash(()), the same for
+# both constants, so every two formulas that differ only in T against F
+# would collide.  Fixed distinct values keep them apart.
 @dataclass(frozen=True)
 class Top(Formula):
     __slots__ = ()
+
+    def __hash__(self):
+        return 1
 
 
 @dataclass(frozen=True)
 class Bot(Formula):
     __slots__ = ()
+
+    def __hash__(self):
+        return 2
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .catalog import all_distributive_lattices
 from .entailment import decide_entailment, gamma_pairs
-from .errors import PreconditionViolated, ResourceBound
+from .errors import InternalInconsistency, PreconditionViolated, ResourceBound
 from .formulas import (
     BOT,
     TOP,
@@ -143,11 +143,11 @@ def _assert_obligations(result: InterpolationResult, prob, gamma) -> None:
     chi = result.interpolant
     shared = frozenset(prob.shared)
     if not letters(chi) <= shared:
-        raise PreconditionViolated("interpolant uses non-shared letters")
+        raise InternalInconsistency("interpolant uses non-shared letters")
     if check_proof(result.proof_left, gamma) is not None:
-        raise PreconditionViolated("left derivation does not check")
+        raise InternalInconsistency("left derivation does not check")
     if check_proof(result.proof_right, gamma) is not None:
-        raise PreconditionViolated("right derivation does not check")
+        raise InternalInconsistency("right derivation does not check")
 
 
 def _screen_algebras(tags, max_frame_size: int = 3, cap: int = 16):
@@ -336,8 +336,8 @@ def distributive_fragment_interpolant(
             continue
         result = InterpolationResult("interpolant", chi, left, right)
         if not letters(chi) <= frozenset(shared):
-            raise PreconditionViolated("interpolant uses non-shared letters")
+            raise InternalInconsistency("interpolant uses non-shared letters")
         if check_proof(left, DISTRIBUTIVITY) or check_proof(right, DISTRIBUTIVITY):
-            raise PreconditionViolated("distributive derivation does not check")
+            raise InternalInconsistency("distributive derivation does not check")
         return result
     return InterpolationResult("unknown", diagnostics=notes)

@@ -6,10 +6,11 @@ bitmask that is nonempty, upward closed under the frame order and closed
 under the frame meet.  The improper filter (all points) is admitted and
 the least filter is {1}.
 
-An L-frame enumerates its filters once (`LFrame.filter_masks`) and builds
-the meet and join tables over them on first use; a modal L-frame adds the
-box and diamond of every filter (`ModalLFrame.filter_modalities`).  These
-caches live on the frame objects, so they go when the frame goes.
+An L-frame lists its filters, which are its principal up-sets, once
+(`LFrame.filter_masks`) and builds the meet and join tables over them on
+first use; a modal L-frame adds the box and diamond of every filter
+(`ModalLFrame.filter_modalities`).  These caches live on the frame
+objects, so they go when the frame goes.
 `frame_validates` evaluates each side of a pair once, as a value vector
 over all filter-valued valuations, with these tables (see `vectors`).
 The pointwise `satisfies` and the recursive `truth_set` are the
@@ -79,22 +80,10 @@ class LFrame:
 
     @cached_property
     def filter_masks(self) -> tuple[int, ...]:
-        """All filters, sorted by bitmask value.  Enumeration closes
-        up-sets under the meet starting from {1}, so no 2^n subset scan."""
-        start = 1 << self.one
-        seen = {start}
-        stack = [start]
-        while stack:
-            f = stack.pop()
-            rest = self.full_mask & ~f
-            while rest:
-                e = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                g = filter_closure(self, f | 1 << e)
-                if g not in seen:
-                    seen.add(g)
-                    stack.append(g)
-        return tuple(sorted(seen))
+        """All filters, sorted by bitmask value.  Every filter of a finite
+        meet semilattice is principal, the up-set of the meet of its
+        points, and every up-set is a filter, so these are the up-sets."""
+        return tuple(sorted(set(self.up_masks)))
 
     @cached_property
     def _filter_index(self) -> dict[int, int]:
@@ -266,24 +255,28 @@ def _check_modal_conditions(base: LFrame, succ) -> Optional[FrameViolation]:
                     mv &= mv - 1
                     if not succ[xy] >> meet[u][v] & 1:
                         return FrameViolation("iv", (x, y, u, v))
-            # (iii): (x meet y) R z needs u in R[x], v in R[y], u meet v below z
-            reach = 0
-            mu = succ[x]
-            while mu:
-                u = (mu & -mu).bit_length() - 1
-                mu &= mu - 1
-                mv = succ[y]
-                while mv:
-                    v = (mv & -mv).bit_length() - 1
-                    mv &= mv - 1
-                    reach |= up[meet[u][v]]
-            m = succ[xy]
-            while m:
-                z = (m & -m).bit_length() - 1
-                m &= m - 1
-                if not reach >> z & 1:
-                    return FrameViolation("iii", (x, y, z))
+            z = _condition_iii_witness(base, succ, x, y)
+            if z is not None:
+                return FrameViolation("iii", (x, y, z))
     return None
+
+
+def _condition_iii_witness(base: LFrame, succ, x: int, y: int) -> Optional[int]:
+    """Condition (iii) at (x, y): (x meet y) R z needs u in R[x], v in R[y]
+    with u meet v below z.  The least z it fails for, or None."""
+    meet, up = base.meet, base.up_masks
+    reach = 0
+    mu = succ[x]
+    while mu:
+        u = (mu & -mu).bit_length() - 1
+        mu &= mu - 1
+        mv = succ[y]
+        while mv:
+            v = (mv & -mv).bit_length() - 1
+            mv &= mv - 1
+            reach |= up[meet[u][v]]
+    missed = succ[meet[x][y]] & ~reach
+    return (missed & -missed).bit_length() - 1 if missed else None
 
 
 def validate_modal_lframe(base: LFrame, rel) -> ModalLFrame | FrameViolation:

@@ -21,10 +21,20 @@ search per `derive_bounded` call.  The scalar `lattice.algebra_validates` and
 `lattice.evaluate` stay the reference oracles: tests/test_proofs.py
 checks the screen's verdicts against them and whole searches against a
 search that screens through `algebra_validates`.
+
+Memo tables: a search numbers the formulas it meets with small ints of
+its own and keys its memo tables by the ids of a pair's two sides, so
+the memo probes that make up most `prove` calls are int-keyed dict hits
+instead of hashing and comparing formula pairs.  The public `success`
+and `failed_at` are read-only views that decode those tables into
+`ConsequencePair` keys.  No table is shared between searches: an id
+means nothing outside the search that gave it.  tests/test_proofs.py
+checks the search against a literal copy of the formula-keyed one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -325,11 +335,51 @@ class _VectorScreen(ValueVectors):
         return any(map(getitem, map(self.nleq.__getitem__, left), right))
 
 
+# memo key of the pair of formula ids (l, r): l << _SHIFT | r
+_SHIFT = 32
+_LOW = (1 << _SHIFT) - 1
+
+
+class _PairTable(Mapping):
+    """Read-only view of an id-keyed memo table as a mapping keyed by
+    `ConsequencePair`, decoded through the search's formula table."""
+
+    def __init__(
+        self, table: dict[int, object], ids: dict[Formula, int], formulas: list[Formula]
+    ):
+        # the search's own tables, not the search: no reference cycle, so a
+        # finished search is freed at once
+        self._table, self._ids, self._formulas = table, ids, formulas
+
+    def __len__(self):
+        return len(self._table)
+
+    def __iter__(self):
+        formulas = self._formulas
+        for key in self._table:
+            yield ConsequencePair(formulas[key >> _SHIFT], formulas[key & _LOW])
+
+    def __getitem__(self, pair):
+        l, r = self._ids.get(pair.lhs), self._ids.get(pair.rhs)
+        if l is None or r is None:
+            raise KeyError(pair)
+        return self._table[l << _SHIFT | r]
+
+
 class ProofSearch:
     """Backward search context with memoization that persists across
     goals sharing the same axiom set and cut pool.  Deterministic: rules
     are tried in a fixed order and cut formulas in structural order, so
     the returned proof is the first in that order.
+
+    The search gives each formula a small int id, private to it, when it
+    first meets the formula: pool formulas in pool order at construction,
+    the children of a subgoal when the subgoal is expanded.  The memo
+    tables are keyed by the ids of a pair's two sides, so a memo probe is
+    an int-keyed dict hit; a `ConsequencePair` is built only when a
+    subgoal is expanded.  `success` (pair -> proof) and `failed_at`
+    (pair -> largest depth that failed) are read-only views that decode
+    those tables.
 
     `expansions`, `screen_calls` (pairs checked against the screen set),
     `screen_rejects` (pairs a screen refuted) and `vector_entries`
@@ -344,8 +394,18 @@ class ProofSearch:
             _screening_algebras(self.gamma) if screens is None else tuple(screens)
         )
         self.screen_budget = resolve_budget()
-        self.success: dict[ConsequencePair, Proof] = {}
-        self.failed_at: dict[ConsequencePair, int] = {}
+        ids: dict[Formula, int] = {}
+        self._ids = ids
+        self._pool_ids = tuple(ids.setdefault(f, len(ids)) for f in self.pool)
+        self._formulas: list[Formula] = list(ids)
+        self._success: dict[int, Proof] = {}
+        self._failed_at: dict[int, int] = {}
+        self.success: Mapping[ConsequencePair, Proof] = _PairTable(
+            self._success, ids, self._formulas
+        )
+        self.failed_at: Mapping[ConsequencePair, int] = _PairTable(
+            self._failed_at, ids, self._formulas
+        )
         self._screen_ok: set[ConsequencePair] = set()
         self._vector_screens = [_VectorScreen(a) for a in self.screens]
         # (screen index, sorted letters) -> formula -> value vector
@@ -404,58 +464,72 @@ class ProofSearch:
                 return Proof("axiom", pair, (), tuple(sorted(subst.items())))
         return None
 
+    def _id(self, f: Formula) -> int:
+        i = self._ids.get(f)
+        if i is None:
+            i = self._ids[f] = len(self._formulas)
+            self._formulas.append(f)
+        return i
+
     def prove(self, pair: ConsequencePair, depth: int) -> Optional[Proof]:
-        if pair in self.success:
-            return self.success[pair]
-        if depth <= 0 or self.failed_at.get(pair, -1) >= depth:
+        return self._prove(self._id(pair.lhs), self._id(pair.rhs), depth)
+
+    def _prove(self, l: int, r: int, depth: int) -> Optional[Proof]:
+        key = l << _SHIFT | r
+        found = self._success.get(key)
+        if found is not None:
+            return found
+        if depth <= 0 or self._failed_at.get(key, -1) >= depth:
             return None
         self.expansions += 1
         if self.expansions > self.budget:
             raise ResourceBound(self.expansions, self.budget)
+        lhs, rhs = self._formulas[l], self._formulas[r]
+        pair = ConsequencePair(lhs, rhs)
         if self._screened_out(pair):
-            self.failed_at[pair] = _NEVER
+            self._failed_at[key] = _NEVER
             return None
         found = self._leaf(pair)
-        lhs, rhs = pair.lhs, pair.rhs
         if found is None and depth < 2:
             # no room for premises: only leaves fit
-            self.failed_at[pair] = depth
+            self._failed_at[key] = depth
             return None
+        prove, fid, d = self._prove, self._id, depth - 1
         if found is None and isinstance(rhs, And):
-            a = self.prove(ConsequencePair(lhs, rhs.lhs), depth - 1)
+            a = prove(l, fid(rhs.lhs), d)
             if a is not None:
-                b = self.prove(ConsequencePair(lhs, rhs.rhs), depth - 1)
+                b = prove(l, fid(rhs.rhs), d)
                 if b is not None:
                     found = Proof("right-conjunction", pair, (a, b))
         if found is None and isinstance(lhs, Or):
-            a = self.prove(ConsequencePair(lhs.lhs, rhs), depth - 1)
+            a = prove(fid(lhs.lhs), r, d)
             if a is not None:
-                b = self.prove(ConsequencePair(lhs.rhs, rhs), depth - 1)
+                b = prove(fid(lhs.rhs), r, d)
                 if b is not None:
                     found = Proof("left-disjunction", pair, (a, b))
         if found is None and isinstance(lhs, Box) and isinstance(rhs, Box):
-            a = self.prove(ConsequencePair(lhs.arg, rhs.arg), depth - 1)
+            a = prove(fid(lhs.arg), fid(rhs.arg), d)
             if a is not None:
                 found = Proof("becker-box", pair, (a,))
         if found is None and isinstance(lhs, Dia) and isinstance(rhs, Dia):
-            a = self.prove(ConsequencePair(lhs.arg, rhs.arg), depth - 1)
+            a = prove(fid(lhs.arg), fid(rhs.arg), d)
             if a is not None:
                 found = Proof("becker-dia", pair, (a,))
         if found is None:
-            for cut in self.pool:
-                if cut == lhs or cut == rhs:
+            for cut in self._pool_ids:
+                if cut == l or cut == r:
                     continue
-                a = self.prove(ConsequencePair(lhs, cut), depth - 1)
+                a = prove(l, cut, d)
                 if a is None:
                     continue
-                b = self.prove(ConsequencePair(cut, rhs), depth - 1)
+                b = prove(cut, r, d)
                 if b is not None:
                     found = Proof("transitivity", pair, (a, b))
                     break
         if found is not None:
-            self.success[pair] = found
+            self._success[key] = found
         else:
-            self.failed_at[pair] = depth
+            self._failed_at[key] = depth
         return found
 
 

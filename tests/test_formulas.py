@@ -20,6 +20,7 @@ from wpml.formulas import (
     Dia,
     Letter,
     Or,
+    Top,
     formula_key,
     letters,
     match_pair,
@@ -161,6 +162,13 @@ class TestCachedHash:
             assert g == f and hash(g) == hash(f)
         a, b = parse_formula("[](p & q) v <>r"), parse_formula("[](p & q) v <>r")
         assert a is not b and a == b and hash(a) == hash(b)
+
+    def test_constants_hash_apart(self):
+        assert Top() == TOP and hash(Top()) == hash(TOP)
+        assert hash(TOP) != hash(BOT)
+        texts = ("[]<>T", "[]<>F", "<>(T & F)", "<>(F & T)")
+        variants = [parse_formula(t) for t in texts]
+        assert len({hash(f) for f in variants}) == 4
 
     def test_same_children_different_connective(self):
         p, q = Letter("p"), Letter("q")

@@ -1,7 +1,8 @@
 import pytest
 
 from wpml.catalog import all_distributive_lattices
-from wpml.errors import PreconditionViolated, ResourceBound
+from wpml import interpolation
+from wpml.errors import InternalInconsistency, PreconditionViolated, ResourceBound
 from wpml.formulas import ConsequencePair, letters, parse_formula, pretty
 from wpml.interpolation import (
     DISTRIBUTIVITY,
@@ -12,7 +13,7 @@ from wpml.interpolation import (
     enumerate_candidates,
 )
 from wpml.lattice import algebra_validates
-from wpml.proofs import check_proof
+from wpml.proofs import BadNode, check_proof
 
 
 def interpolate(phi, psi, tags=()):
@@ -140,6 +141,27 @@ class TestDistributiveFragment:
         psi = parse_formula("a v b v c v d v e")
         with pytest.raises(ResourceBound):
             distributive_fragment_interpolant(phi, psi)
+
+
+class TestFailedInvariants:
+    """A derivation that does not check is a fault of the implementation,
+    not of the input, so it raises InternalInconsistency."""
+
+    @pytest.fixture
+    def reject_proofs(self, monkeypatch):
+        monkeypatch.setattr(
+            interpolation, "check_proof", lambda proof, gamma=(): BadNode((), "x")
+        )
+
+    def test_craig_interpolant(self, reject_proofs):
+        with pytest.raises(InternalInconsistency, match="left derivation"):
+            interpolate("p & q", "p v r")
+
+    def test_distributive_fragment(self, reject_proofs):
+        with pytest.raises(InternalInconsistency, match="distributive derivation"):
+            distributive_fragment_interpolant(
+                parse_formula("p & q"), parse_formula("p v r")
+            )
 
 
 class TestCandidateSpaceIsFreeDistributiveLattice:

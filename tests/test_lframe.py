@@ -21,6 +21,7 @@ from wpml.formulas import (
     parse_pair,
     subformulas,
 )
+from wpml.generators import sample_modal_lframe
 from wpml.lattice import check_modal_identities, validate_lattice
 from wpml.lframe import (
     FrameMorphism,
@@ -28,6 +29,7 @@ from wpml.lframe import (
     ModalLFrame,
     enumerate_frame_morphisms,
     fil_f,
+    filter_closure,
     filters,
     frame_join,
     frame_validates,
@@ -100,6 +102,32 @@ class TestFilters:
         for n in range(1, 6):
             for frame in all_lframes(n):
                 assert filters(frame) == self.brute(frame)
+
+    @staticmethod
+    def closure_enumeration(frame):
+        """Filters grown from {1} by repeated `filter_closure`, the
+        enumeration that the principal up-sets replaced."""
+        start = 1 << frame.one
+        seen = {start}
+        stack = [start]
+        while stack:
+            f = stack.pop()
+            rest = frame.full_mask & ~f
+            while rest:
+                e = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                g = filter_closure(frame, f | 1 << e)
+                if g not in seen:
+                    seen.add(g)
+                    stack.append(g)
+        return tuple(sorted(seen))
+
+    def test_principal_up_sets_match_closure_enumeration(self):
+        frames = [frame for n in range(1, 7) for frame in all_lframes(n)]
+        rng = random.Random(77)
+        frames += [sample_modal_lframe(rng, rng.randint(1, 7)).base for _ in range(200)]
+        for frame in frames:
+            assert frame.filter_masks == self.closure_enumeration(frame), frame.meet
 
 
 class TestFilF:
@@ -366,6 +394,51 @@ class TestModalCatalog:
     def test_matches_modal_relations(self):
         for n in range(1, 5):
             assert list(all_modal_lframes(n)) == literal_modal_lframes(n)
+
+    def test_matches_brute_force_validation(self):
+        """Every tuple of meet-closed successor sets, in lexicographic
+        order, kept when the full `validate_modal_lframe` accepts it.  The
+        condition (iii) kernel it shares with the catalog is checked
+        against the literal definition on the way."""
+        rejected_by_iii = 0
+        for n in range(1, 5):
+            want = []
+            for frame in all_lframes(n):
+                closed = [
+                    mask
+                    for mask in range(1 << n)
+                    if all(
+                        mask >> frame.meet[x][y] & 1
+                        for x in range(n)
+                        for y in range(n)
+                        if mask >> x & mask >> y & 1
+                    )
+                ]
+                for succ in product(closed, repeat=n):
+                    x = validate_modal_lframe(frame, succ)
+                    if isinstance(x, ModalLFrame):
+                        assert self.literal_iii(frame, succ)
+                        want.append(x)
+                    elif x.condition == "iii":
+                        assert not self.literal_iii(frame, succ)
+                        rejected_by_iii += 1
+            assert list(all_modal_lframes(n)) == want
+        assert rejected_by_iii > 0
+
+    @staticmethod
+    def literal_iii(frame, succ):
+        """(x meet y) R z needs u in R[x], v in R[y] with u meet v below z."""
+        points = range(frame.n)
+
+        def r(x):
+            return [u for u in points if succ[x] >> u & 1]
+
+        return all(
+            any(frame.le(frame.meet[u][v], z) for u in r(x) for v in r(y))
+            for x in points
+            for y in points
+            for z in r(frame.meet[x][y])
+        )
 
     def test_interleaved_and_nested_iterations_agree(self):
         want = literal_modal_lframes(4)

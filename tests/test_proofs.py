@@ -12,6 +12,7 @@ from wpml.formulas import (
     ConsequencePair,
     Dia,
     Letter,
+    Or,
     letters,
     parse_pair,
 )
@@ -259,6 +260,78 @@ class ScalarScreenSearch(ProofSearch):
         return False
 
 
+class FormulaKeyedSearch(ProofSearch):
+    """Reference search: the formula-keyed `prove` that the id-keyed one
+    replaced, with memo tables keyed by `ConsequencePair`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.success = {}
+        self.failed_at = {}
+
+    def prove(self, pair, depth):
+        if pair in self.success:
+            return self.success[pair]
+        if depth <= 0 or self.failed_at.get(pair, -1) >= depth:
+            return None
+        self.expansions += 1
+        if self.expansions > self.budget:
+            raise ResourceBound(self.expansions, self.budget)
+        if self._screened_out(pair):
+            self.failed_at[pair] = 10**9
+            return None
+        found = self._leaf(pair)
+        lhs, rhs = pair.lhs, pair.rhs
+        if found is None and depth < 2:
+            self.failed_at[pair] = depth
+            return None
+        if found is None and isinstance(rhs, And):
+            a = self.prove(ConsequencePair(lhs, rhs.lhs), depth - 1)
+            if a is not None:
+                b = self.prove(ConsequencePair(lhs, rhs.rhs), depth - 1)
+                if b is not None:
+                    found = Proof("right-conjunction", pair, (a, b))
+        if found is None and isinstance(lhs, Or):
+            a = self.prove(ConsequencePair(lhs.lhs, rhs), depth - 1)
+            if a is not None:
+                b = self.prove(ConsequencePair(lhs.rhs, rhs), depth - 1)
+                if b is not None:
+                    found = Proof("left-disjunction", pair, (a, b))
+        if found is None and isinstance(lhs, Box) and isinstance(rhs, Box):
+            a = self.prove(ConsequencePair(lhs.arg, rhs.arg), depth - 1)
+            if a is not None:
+                found = Proof("becker-box", pair, (a,))
+        if found is None and isinstance(lhs, Dia) and isinstance(rhs, Dia):
+            a = self.prove(ConsequencePair(lhs.arg, rhs.arg), depth - 1)
+            if a is not None:
+                found = Proof("becker-dia", pair, (a,))
+        if found is None:
+            for cut in self.pool:
+                if cut == lhs or cut == rhs:
+                    continue
+                a = self.prove(ConsequencePair(lhs, cut), depth - 1)
+                if a is None:
+                    continue
+                b = self.prove(ConsequencePair(cut, rhs), depth - 1)
+                if b is not None:
+                    found = Proof("transitivity", pair, (a, b))
+                    break
+        if found is not None:
+            self.success[pair] = found
+        else:
+            self.failed_at[pair] = depth
+        return found
+
+
+def _assert_same_search(fast, slow):
+    assert fast.expansions == slow.expansions
+    assert fast.screen_calls == slow.screen_calls
+    assert fast.screen_rejects == slow.screen_rejects
+    assert len(fast.success) == len(slow.success)
+    assert len(fast.failed_at) == len(slow.failed_at)
+    assert fast.success == slow.success and fast.failed_at == slow.failed_at
+
+
 # (goal, axiom tags) from the interpolation golden corpus
 GOLDEN_SAMPLE = (
     ("[](p & q) |- <>p", ("T",)),
@@ -317,11 +390,14 @@ class TestVectorScreen:
         cuts = order_cuts(goal, cut_pool(goal, gamma))
         fast = ProofSearch(gamma, cuts)
         slow = ScalarScreenSearch(gamma, cuts)
+        formula_keyed = FormulaKeyedSearch(gamma, cuts)
         proof = fast.prove(goal, depth)
         assert proof == slow.prove(goal, depth)
+        assert proof == formula_keyed.prove(goal, depth)
         assert proof == derive_bounded(gamma, goal, depth)
         assert fast.expansions == slow.expansions
         assert fast.success == slow.success and fast.failed_at == slow.failed_at
+        _assert_same_search(fast, formula_keyed)
 
     def test_wpml_budget_raises_from_the_screen(self, monkeypatch):
         monkeypatch.setenv("WPML_BUDGET", "10")
@@ -332,3 +408,68 @@ class TestVectorScreen:
             ScalarScreenSearch((), order_cuts(goal, cut_pool(goal))).prove(goal, 6)
         assert (fast.value.needed, fast.value.budget) == (27, 10)
         assert (slow.value.needed, slow.value.budget) == (27, 10)
+
+
+class TestIdKeyedSearch:
+    """The search on per-search formula ids against the formula-keyed
+    reference: same proofs, counters and memo tables (the golden sample
+    is compared in `TestVectorScreen`)."""
+
+    @pytest.mark.parametrize("tags", [(), ("T",), ("4",), ("B",), ("5",), (".2",)])
+    def test_seeded_pairs_share_one_search(self, tags):
+        """Pairs drawn from a cut pool, proved one after another in one
+        search, so later goals hit memo entries of earlier ones."""
+        rng = random.Random(2024)
+        gamma = gamma_pairs(tags)
+        goal = parse_pair(GOLDEN_SAMPLE[0][0])
+        pool = cut_pool(goal, gamma)
+        cuts = order_cuts(goal, pool)
+        fast, slow = ProofSearch(gamma, cuts), FormulaKeyedSearch(gamma, cuts)
+        found = 0
+        for _ in range(60):
+            pair = ConsequencePair(rng.choice(pool), rng.choice(pool))
+            depth = rng.randint(0, 3)
+            proof = fast.prove(pair, depth)
+            assert proof == slow.prove(pair, depth), str(pair)
+            found += proof is not None
+            assert fast.expansions == slow.expansions
+        assert 0 < found < 60
+        _assert_same_search(fast, slow)
+        # a goal whose sides are not pool formulas
+        goal = parse_pair("[](p & q) & s |- <>(p v s) v []r")
+        assert fast.prove(goal, 4) == slow.prove(goal, 4)
+        _assert_same_search(fast, slow)
+
+    def test_duplicated_pool_formula(self):
+        goal = parse_pair("[](p & q) & s |- []p v r")
+        cuts = order_cuts(goal, cut_pool(goal))
+        pool = cuts[:5] + cuts[3:4] + cuts[5:] + cuts[:1]
+        fast, slow = ProofSearch((), pool), FormulaKeyedSearch((), pool)
+        proof = fast.prove(goal, 6)
+        assert proof is not None and proof == slow.prove(goal, 6)
+        _assert_same_search(fast, slow)
+
+    @pytest.mark.parametrize("budget", [0, 1, 7, 200])
+    def test_same_resource_bound(self, budget):
+        goal = parse_pair("[](p & q) & s |- []p v r")  # 1023 expansions
+        cuts = order_cuts(goal, cut_pool(goal))
+        fast = ProofSearch((), cuts, budget=budget)
+        slow = FormulaKeyedSearch((), cuts, budget=budget)
+        with pytest.raises(ResourceBound) as fast_exc:
+            fast.prove(goal, 6)
+        with pytest.raises(ResourceBound) as slow_exc:
+            slow.prove(goal, 6)
+        assert fast_exc.value.needed == slow_exc.value.needed == budget + 1
+        _assert_same_search(fast, slow)
+
+    def test_memo_views_decode_pairs(self):
+        goal = parse_pair("[]p & []q |- [](p & q) v r")
+        search = ProofSearch((), order_cuts(goal, cut_pool(goal)))
+        proof = search.prove(goal, 6)
+        assert search.success[goal] is proof and goal in search.success
+        assert all(search.success[pair].conclusion == pair for pair in search.success)
+        unseen = parse_pair("zz |- zz")
+        assert unseen not in search.success and unseen not in search.failed_at
+        assert search.failed_at.get(unseen) is None
+        with pytest.raises(KeyError):
+            search.failed_at[unseen]
