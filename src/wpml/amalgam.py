@@ -164,10 +164,9 @@ def _point_embedding(space, pb: PullbackFrame, side: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def superamalgamate(v: VFormation) -> Superamalgamation:
-    """Run the dual pullback construction and verify commutativity,
-    injectivity of both filter-level embeddings, and the witness
-    condition on every ordered pair (a, b) with p1(a) inside p2(b)."""
+def _dual_pullback(v: VFormation):
+    """The dual spaces of K, L1 and L2, the pullback of the dual legs,
+    and the embeddings p1, p2 of L1, L2 into its point sets."""
     validate_vformation(v)
     space_k = fil_l(v.k)
     space1 = fil_l(v.l1)
@@ -177,6 +176,14 @@ def superamalgamate(v: VFormation) -> Superamalgamation:
     pb = pullback(f1, f2)
     p1 = _point_embedding(space1, pb, 0)
     p2 = _point_embedding(space2, pb, 1)
+    return space_k, space1, space2, pb, p1, p2
+
+
+def superamalgamate(v: VFormation) -> Superamalgamation:
+    """Run the dual pullback construction and verify commutativity,
+    injectivity of both filter-level embeddings, and the witness
+    condition on every ordered pair (a, b) with p1(a) inside p2(b)."""
+    space_k, space1, space2, pb, p1, p2 = _dual_pullback(v)
 
     commutes = all(
         p1[v.h1.map[c]] == p2[v.h2.map[c]] for c in range(v.k.n)
@@ -232,15 +239,7 @@ def find_algebraic_interpolant(v: VFormation, a: int, b: int) -> InterpolantWitn
     """Witness c in K for p1(a) <= p2(b), least by element id.  A missing
     witness falsifies the superamalgamation theorem and is reported as a
     hard inconsistency by callers."""
-    validate_vformation(v)
-    space_k = fil_l(v.k)
-    space1 = fil_l(v.l1)
-    space2 = fil_l(v.l2)
-    f1 = dual_of_hom(v.h1, dom_space=space_k, cod_space=space1)
-    f2 = dual_of_hom(v.h2, dom_space=space_k, cod_space=space2)
-    pb = pullback(f1, f2)
-    p1 = _point_embedding(space1, pb, 0)
-    p2 = _point_embedding(space2, pb, 1)
+    _, _, _, _, p1, p2 = _dual_pullback(v)
     if p1[a] & ~p2[b]:
         return InterpolantWitness("none-needed")
     c = _least_witness(v, a, b)

@@ -19,9 +19,12 @@ from functools import lru_cache
 from itertools import chain, combinations, permutations
 from typing import Iterator
 
+from .errors import NotALattice
 from .lattice import (
     FiniteLattice,
     FiniteModalLattice,
+    _order_tables,
+    _table_maps,
     is_distributive,
     validate_lattice,
 )
@@ -38,25 +41,6 @@ def _is_transitive(leq, n) -> bool:
                     if rj[k] and not row[k]:
                         return False
     return True
-
-
-def _lattice_tables(leq, n):
-    """(meet, join) tables, or None if some pair lacks a unique bound."""
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
-            glb = [k for k in lower if all(leq[m][k] for m in lower)]
-            if len(glb) != 1:
-                return None
-            meet[i][j] = meet[j][i] = glb[0]
-            upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
-            lub = [k for k in upper if all(leq[k][m] for m in upper)]
-            if len(lub) != 1:
-                return None
-            join[i][j] = join[j][i] = lub[0]
-    return meet, join
 
 
 def _canonical(leq, n) -> tuple:
@@ -92,7 +76,9 @@ def all_lattice_orders(n: int) -> tuple[tuple[tuple[bool, ...], ...], ...]:
             continue
         if not all(leq[x][n - 1] for x in range(n)):
             continue
-        if _lattice_tables(leq, n) is None:
+        try:
+            _order_tables(leq)
+        except NotALattice:
             continue
         canon = _canonical(leq, n)
         if canon in seen:
@@ -114,39 +100,6 @@ def all_distributive_lattices(n: int) -> tuple[FiniteLattice, ...]:
     return tuple(lat for lat in all_lattices(n) if is_distributive(lat))
 
 
-def _meet_operators(lat: FiniteLattice) -> list[tuple[int, ...]]:
-    """Unary ops fixing top and commuting with meet (candidate boxes)."""
-    n = lat.n
-    assign = [-1] * n
-    out = []
-
-    def consistent(i):
-        if i == lat.top and assign[i] != lat.top:
-            return False
-        for j in range(i + 1):
-            mij = lat.meet[i][j]
-            if mij <= i and assign[mij] != lat.meet[assign[i]][assign[j]]:
-                return False
-        for j in range(i + 1):
-            for k in range(j + 1):
-                if lat.meet[j][k] == i and assign[i] != lat.meet[assign[j]][assign[k]]:
-                    return False
-        return True
-
-    def backtrack(i):
-        if i == n:
-            out.append(tuple(assign))
-            return
-        for v in range(n):
-            assign[i] = v
-            if consistent(i):
-                backtrack(i + 1)
-        assign[i] = -1
-
-    backtrack(0)
-    return out
-
-
 @lru_cache(maxsize=None)
 def all_modal_lattices(n: int) -> tuple[FiniteModalLattice, ...]:
     """All modal structures over the size-n lattice catalog.
@@ -158,8 +111,8 @@ def all_modal_lattices(n: int) -> tuple[FiniteModalLattice, ...]:
 
     out = []
     for lat in all_lattices(n):
-        boxes = _meet_operators(lat)
-        for box in boxes:
+        # boxes: the unary ops fixing top and commuting with meet
+        for box in _table_maps(n, n, [(lat.top, lat.top)], [(lat.meet, lat.meet)]):
             for dia in _diamond_candidates(lat, box):
                 cand = FiniteModalLattice(lat, box, dia)
                 if not check_modal_identities(cand):

@@ -83,11 +83,8 @@ def plain_round_trip_ok(lat: FiniteLattice) -> bool:
     """a |-> {F : a in F} is an order isomorphism onto the filter lattice
     of the dual semilattice."""
     frame, points = fil_l_plain(lat)
-    from .lattice import FiniteLattice as _FL
-
     into = fil_f_lattice(frame)
-    masks = [int(name, 16) for name in into.elements]
-    index = {m: i for i, m in enumerate(masks)}
+    index = {m: i for i, m in enumerate(frame.filter_masks)}
     mapping = []
     for elt in range(lat.n):
         phi = sum(1 << p for p, fm in enumerate(points) if fm >> elt & 1)
@@ -171,7 +168,7 @@ def round_trip_iso(a: FiniteModalLattice) -> LatticeMorphism:
     space = fil_l(a)
     into = clopfil(space)
     point_filters = space.provenance
-    filter_index = {int(name, 16): i for i, name in enumerate(into.elements)}
+    filter_index = {m: i for i, m in enumerate(space.frame.base.filter_masks)}
     mapping = []
     for elt in range(a.n):
         phi = sum(1 << p for p, fm in enumerate(point_filters) if fm >> elt & 1)
@@ -234,16 +231,16 @@ def dual_of_frame_morphism(f: FrameMorphism) -> LatticeMorphism:
     if bad is not None:
         raise MorphismInvalid(f"not an {f.kind} morphism: {bad}")
     dom_base = f.dom.base if isinstance(f.dom, ModalLFrame) else f.dom
+    cod_base = f.cod.base if isinstance(f.cod, ModalLFrame) else f.cod
     if modal:
         cod_lat = fil_f(f.cod)
         dom_lat = fil_f(f.dom)
     else:
-        cod_lat = fil_f_lattice(f.cod if isinstance(f.cod, LFrame) else f.cod.base)
+        cod_lat = fil_f_lattice(cod_base)
         dom_lat = fil_f_lattice(dom_base)
-    dom_index = {int(name, 16): i for i, name in enumerate(dom_lat.elements)}
+    dom_index = {m: i for i, m in enumerate(dom_base.filter_masks)}
     mapping = []
-    for name in cod_lat.elements:
-        u = int(name, 16)
+    for u in cod_base.filter_masks:
         pre = sum(1 << x for x in range(dom_base.n) if u >> f.map[x] & 1)
         if pre not in dom_index:
             raise InternalInconsistency(f"preimage {hex(pre)} is not a filter")
@@ -253,7 +250,7 @@ def dual_of_frame_morphism(f: FrameMorphism) -> LatticeMorphism:
     return out
 
 
-def separating_filter(frame: LFrame, u: int, v: int) -> Optional[int]:
+def separating_filter(frame: LFrame, u: int, v: int) -> int:
     """A filter W with u inside W and W disjoint from v, given that u is a
     filter, the complement of v is a filter, and u, v are disjoint.  The
     inclusion-least such W (namely the filter generated by u) is returned."""
@@ -264,7 +261,4 @@ def separating_filter(frame: LFrame, u: int, v: int) -> Optional[int]:
         raise PreconditionViolated("complement of V is not a filter")
     if u & v:
         raise PreconditionViolated("U and V intersect")
-    w = u
-    if w & v:
-        return None
-    return w
+    return u

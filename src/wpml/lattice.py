@@ -4,6 +4,12 @@ of consequence pairs on a concrete algebra.
 Elements are dense integer ids.  The order matrix is the source of truth;
 meet/join tables are derived once at validation time and cached on the
 structure.
+
+Two private kernels serve both sides of the duality: `_order_tables`
+derives bound tables from an order (lattices here, L-frames in
+`lframe.lframe_from_leq`, the lattice catalog) and `_table_maps`
+enumerates the maps that preserve given tables (lattice homomorphisms
+here, L-frame maps in `lframe`, candidate boxes in `catalog`).
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .errors import (
-    DEFAULT_BUDGET,
     MorphismInvalid,
     NotALattice,
     NotAPoset,
@@ -172,32 +177,8 @@ def validate_lattice(
     if n == 0:
         raise NotAPoset("empty carrier")
 
-    for i in range(n):
-        if not leq[i][i]:
-            raise NotAPoset(f"not reflexive at {i}")
-    for i in range(n):
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
-                raise NotAPoset(f"not antisymmetric on pair ({i}, {j})")
-            if leq[i][j]:
-                for k in range(n):
-                    if leq[j][k] and not leq[i][k]:
-                        raise NotAPoset(f"not transitive on ({i}, {j}, {k})")
-
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
-            glb = [k for k in lower if all(leq[m][k] for m in lower)]
-            if len(glb) != 1:
-                raise NotALattice((i, j), "meet")
-            meet[i][j] = glb[0]
-            upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
-            lub = [k for k in upper if all(leq[k][m] for m in upper)]
-            if len(lub) != 1:
-                raise NotALattice((i, j), "join")
-            join[i][j] = lub[0]
+    _check_order(leq)
+    meet, join = _order_tables(leq)
 
     if not (0 <= bot < n and 0 <= top < n):
         raise WrongBounds(f"bot={bot} or top={top} out of range")
@@ -212,9 +193,52 @@ def validate_lattice(
         leq=leq,
         bot=bot,
         top=top,
-        meet=tuple(tuple(r) for r in meet),
-        join=tuple(tuple(r) for r in join),
+        meet=meet,
+        join=join,
     )
+
+
+def _check_order(leq) -> None:
+    """Raise NotAPoset with a witness unless the square boolean matrix
+    is reflexive, antisymmetric and transitive."""
+    n = len(leq)
+    for i in range(n):
+        if not leq[i][i]:
+            raise NotAPoset(f"not reflexive at {i}")
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                raise NotAPoset(f"not antisymmetric on pair ({i}, {j})")
+            if leq[i][j]:
+                for k in range(n):
+                    if leq[j][k] and not leq[i][k]:
+                        raise NotAPoset(f"not transitive on ({i}, {j}, {k})")
+
+
+def _order_tables(leq, ops=("meet", "join")) -> tuple:
+    """The meet and/or join tables of a partial order, one per name in
+    `ops`.  The bound of (i, j) is the k whose down-mask (meet) or
+    up-mask (join) is the intersection of those of i and j; antisymmetry
+    makes the masks distinct, so k is unique when it exists.  Pairs are
+    checked in row-major order and the ops in the given order:
+    NotALattice(pair, op) at the first pair with no such k."""
+    ids = range(len(leq))
+    down = [sum(1 << k for k in ids if leq[k][i]) for i in ids]
+    up = [sum(1 << k for k in ids if leq[i][k]) for i in ids]
+    masks = [down if op == "meet" else up for op in ops]
+    indexes = [{m: k for k, m in enumerate(ms)} for ms in masks]
+    tables = [[] for _ in ops]
+    for i in ids:
+        rows = [[] for _ in ops]
+        for j in ids:
+            for op, ms, index, row in zip(ops, masks, indexes, rows):
+                k = index.get(ms[i] & ms[j])
+                if k is None:
+                    raise NotALattice((i, j), op)
+                row.append(k)
+        for table, row in zip(tables, rows):
+            table.append(tuple(row))
+    return tuple(tuple(table) for table in tables)
 
 
 @dataclass(frozen=True)
@@ -290,58 +314,55 @@ def enumerate_homs(
     modal: bool = False,
 ) -> Iterator[LatticeMorphism]:
     """All structure-preserving maps a -> b, in lexicographic order of the
-    map array.  Deterministic; backtracking checks constraints as soon as
-    every involved id is assigned."""
-    n, m = a.n, b.n
+    map array (see `_table_maps`)."""
     amod = isinstance(a, FiniteModalLattice)
     bmod = isinstance(b, FiniteModalLattice)
     if modal and not (amod and bmod):
         raise MorphismInvalid("modal hom enumeration needs modal lattices")
+    fixed = [(a.bot, b.bot), (a.top, b.top)]
+    binary = [(a.meet, b.meet), (a.join, b.join)]
+    unary = [(a.box, b.box), (a.diamond, b.diamond)] if modal else []
+    for f in _table_maps(a.n, b.n, fixed, binary, unary):
+        yield LatticeMorphism(a, b, f, modal)
 
-    assign = [-1] * n
 
-    def consistent(i: int) -> bool:
-        fi = assign[i]
-        if i == a.bot and fi != b.bot:
-            return False
-        if i == a.top and fi != b.top:
-            return False
-        for j in range(i + 1):
-            fj = assign[j]
-            mij = a.meet[i][j]
-            if mij <= i and assign[mij] != b.meet[fi][fj]:
-                return False
-            jij = a.join[i][j]
-            if jij <= i and assign[jij] != b.join[fi][fj]:
-                return False
-        # meets/joins that land on i from already-assigned pairs
-        for j in range(i + 1):
-            for k in range(j + 1):
-                if a.meet[j][k] == i and assign[i] != b.meet[assign[j]][assign[k]]:
-                    return False
-                if a.join[j][k] == i and assign[i] != b.join[assign[j]][assign[k]]:
-                    return False
-        if modal:
-            for j in range(i + 1):
-                bj = a.box[j]
-                if bj <= i and assign[bj] != b.box[assign[j]]:
-                    return False
-                dj = a.diamond[j]
-                if dj <= i and assign[dj] != b.diamond[assign[j]]:
-                    return False
-        return True
+def _table_maps(n: int, m: int, fixed, binary, unary=()) -> Iterator[tuple[int, ...]]:
+    """All maps f from 0..n-1 to 0..m-1 with f[i] == v for each (i, v)
+    in `fixed`, f[dom[i][j]] == cod[f[i]][f[j]] for each (dom, cod) in
+    `binary` (commutative tables) and f[dom[i]] == cod[f[i]] for each
+    (dom, cod) in `unary`, in lexicographic order.  Backtracking checks
+    each equation once its largest position is assigned."""
+    values = [range(m)] * n
+    for i, v in fixed:
+        values[i] = [w for w in values[i] if w == v]
+    # checks[p]: the (z, x, y, cod) with f[z] == cod[f[x]][f[y]] and
+    # largest position p; a unary equation is one with x == y over a
+    # table that ignores its second argument
+    checks = [[] for _ in range(n)]
+    for dom, cod in binary:
+        for x in range(n):
+            for y in range(x + 1):
+                z = dom[x][y]
+                checks[max(x, z)].append((z, x, y, cod))
+    for dom, cod in unary:
+        table = [(c,) * m for c in cod]
+        for x in range(n):
+            checks[max(x, dom[x])].append((dom[x], x, x, table))
+    f = [0] * n
 
-    def backtrack(i: int):
+    def extend(i: int):
         if i == n:
-            yield LatticeMorphism(a, b, tuple(assign), modal)
+            yield tuple(f)
             return
-        for v in range(m):
-            assign[i] = v
-            if consistent(i):
-                yield from backtrack(i + 1)
-        assign[i] = -1
+        for v in values[i]:
+            f[i] = v
+            for z, x, y, cod in checks[i]:
+                if f[z] != cod[f[x]][f[y]]:
+                    break
+            else:
+                yield from extend(i + 1)
 
-    yield from backtrack(0)
+    return extend(0)
 
 
 def _eval_formula(

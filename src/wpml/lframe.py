@@ -25,16 +25,22 @@ from itertools import compress, count
 from typing import Iterator, Optional
 
 from .errors import (
-    DEFAULT_BUDGET,
     InternalInconsistency,
     MorphismInvalid,
+    NotALattice,
     NotAPoset,
     PreconditionViolated,
     ResourceBound,
     UndefinedLetter,
 )
 from .formulas import And, Bot, Box, ConsequencePair, Dia, Formula, Letter, Or, Top
-from .lattice import FiniteLattice, FiniteModalLattice
+from .lattice import (
+    FiniteLattice,
+    FiniteModalLattice,
+    _check_order,
+    _order_tables,
+    _table_maps,
+)
 from .vectors import ValueVectors
 
 FrameFilter = int  # bitmask over frame points
@@ -190,16 +196,14 @@ def validate_lframe(elements, meet, one: int) -> LFrame:
 
 
 def lframe_from_leq(elements, leq, one: int) -> LFrame:
-    """Build an LFrame from an order matrix in which all binary meets exist."""
-    n = len(elements)
-    table = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            lower = [k for k in range(n) if leq[k][x] and leq[k][y]]
-            glb = [k for k in lower if all(leq[m][k] for m in lower)]
-            if len(glb) != 1:
-                raise NotAPoset(f"pair ({x}, {y}) has no meet")
-            table[x][y] = glb[0]
+    """Build an LFrame from an order matrix in which all binary meets
+    exist; NotAPoset if the matrix is not a partial order or some pair
+    has no meet."""
+    _check_order(leq)
+    try:
+        (table,) = _order_tables(leq, ("meet",))
+    except NotALattice as exc:
+        raise NotAPoset(f"pair {exc.pair} has no meet")
     return validate_lframe(elements, table, one)
 
 
@@ -501,7 +505,6 @@ def is_bounded_l_morphism(f: FrameMorphism) -> Optional[MorphismViolation]:
     if not isinstance(dom, ModalLFrame) or not isinstance(cod, ModalLFrame):
         raise MorphismInvalid("bounded L-morphism needs modal frames")
     cbase = cod.base
-    dbase = dom.base
     for x in range(dom.n):
         fx = f.map[x]
         m = dom.succ[x]
@@ -528,7 +531,6 @@ def is_bounded_l_morphism(f: FrameMorphism) -> Optional[MorphismViolation]:
             )
             if not up_ok:
                 return MorphismViolation("back-above", (x, z))
-    del dbase
     return None
 
 
@@ -540,40 +542,16 @@ def enumerate_frame_morphisms(
 ) -> Iterator[FrameMorphism]:
     """All morphisms of the requested kind, lexicographic in the map array."""
     dbase, cbase = _base_of(dom), _base_of(cod)
-    n, m = dbase.n, cbase.n
-    assign = [-1] * n
-
-    def consistent(i: int) -> bool:
-        if i == dbase.one and assign[i] != cbase.one:
-            return False
-        for j in range(i + 1):
-            mij = dbase.meet[i][j]
-            if mij <= i and assign[mij] != cbase.meet[assign[i]][assign[j]]:
-                return False
-        for j in range(i + 1):
-            for k in range(j + 1):
-                if dbase.meet[j][k] == i and assign[i] != cbase.meet[assign[j]][assign[k]]:
-                    return False
-        return True
-
-    def backtrack(i: int):
-        if i == n:
-            cand = FrameMorphism(dom, cod, tuple(assign), kind)
-            if surjective_only and not cand.is_surjective():
-                return
-            if kind == "L" and is_l_morphism(cand) is not None:
-                return
-            if kind == "bounded-L" and is_bounded_l_morphism(cand) is not None:
-                return
-            yield cand
-            return
-        for v in range(m):
-            assign[i] = v
-            if consistent(i):
-                yield from backtrack(i + 1)
-        assign[i] = -1
-
-    yield from backtrack(0)
+    fixed = [(dbase.one, cbase.one)]
+    for f in _table_maps(dbase.n, cbase.n, fixed, [(dbase.meet, cbase.meet)]):
+        cand = FrameMorphism(dom, cod, f, kind)
+        if surjective_only and not cand.is_surjective():
+            continue
+        if kind == "L" and is_l_morphism(cand) is not None:
+            continue
+        if kind == "bounded-L" and is_bounded_l_morphism(cand) is not None:
+            continue
+        yield cand
 
 
 # --- semantics ---------------------------------------------------------------

@@ -78,16 +78,30 @@ def lattice_to_json(lat: FiniteLattice | FiniteModalLattice) -> dict:
 
 
 def lattice_from_json(payload: dict) -> FiniteLattice | FiniteModalLattice:
+    """Shape and range checks raise PayloadError; a well-formed payload
+    that is not a (modal) lattice raises the validator's WpmlError."""
+    if not isinstance(payload, dict):
+        raise PayloadError("lattice payload must be an object")
     try:
-        base = validate_lattice(
-            payload["leq"], payload["bot"], payload["top"], payload["elements"]
-        )
+        leq, bot, top = payload["leq"], payload["bot"], payload["top"]
+        elements = payload["elements"]
     except KeyError as exc:
         raise PayloadError(f"lattice payload missing {exc}")
+    if not isinstance(leq, list) or not all(
+        isinstance(row, list) and len(row) == len(leq) and all(_is_bit(x) for x in row)
+        for row in leq
+    ):
+        raise PayloadError("lattice leq must be a square list of lists of 0/1")
+    n = len(leq)
+    if not isinstance(elements, list) or len(elements) != n:
+        raise PayloadError(f"lattice elements must be a list of {n} names")
+    base = validate_lattice(
+        leq, _element_id(bot, "bot", n), _element_id(top, "top", n), elements
+    )
     if payload.get("kind") == "modal_lattice" or "box" in payload:
         try:
-            box = tuple(int(v) for v in payload["box"])
-            diamond = tuple(int(v) for v in payload["diamond"])
+            box = _element_ids(payload["box"], "box", n)
+            diamond = _element_ids(payload["diamond"], "diamond", n)
         except KeyError as exc:
             raise PayloadError(f"modal lattice payload missing {exc}")
         modal = FiniteModalLattice(base, box, diamond)
@@ -99,6 +113,22 @@ def lattice_from_json(payload: dict) -> FiniteLattice | FiniteModalLattice:
             )
         return modal
     return base
+
+
+def _is_bit(x) -> bool:
+    return type(x) in (int, bool) and x in (0, 1)
+
+
+def _element_id(v, what: str, n: int) -> int:
+    if type(v) is not int or not 0 <= v < n:
+        raise PayloadError(f"lattice {what} must be an element id below {n}, got {v!r}")
+    return v
+
+
+def _element_ids(values, what: str, n: int) -> tuple[int, ...]:
+    if not isinstance(values, list) or len(values) != n:
+        raise PayloadError(f"lattice {what} must be a list of {n} element ids")
+    return tuple(_element_id(v, what, n) for v in values)
 
 
 # --- frames ------------------------------------------------------------------

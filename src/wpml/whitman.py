@@ -9,8 +9,6 @@ countermodel search rather than trusted axiomatically.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import PreconditionViolated
 from .formulas import (
     BOT,
@@ -50,23 +48,30 @@ def normalize_constants(f: Formula) -> Formula:
     return f
 
 
-@lru_cache(maxsize=None)
-def _whitman(a: Formula, b: Formula) -> bool:
-    """Whitman's condition on constant-free terms."""
+def _whitman(a: Formula, b: Formula, memo: dict) -> bool:
+    """Whitman's condition on constant-free terms.  `memo` holds the
+    answers for subterm pairs of one `free_lattice_leq` call."""
+    key = (a, b)
+    if key not in memo:
+        memo[key] = _whitman_step(a, b, memo)
+    return memo[key]
+
+
+def _whitman_step(a: Formula, b: Formula, memo: dict) -> bool:
     if isinstance(a, Or):
-        return _whitman(a.lhs, b) and _whitman(a.rhs, b)
+        return _whitman(a.lhs, b, memo) and _whitman(a.rhs, b, memo)
     if isinstance(b, And):
-        return _whitman(a, b.lhs) and _whitman(a, b.rhs)
+        return _whitman(a, b.lhs, memo) and _whitman(a, b.rhs, memo)
     if isinstance(a, Letter):
         if isinstance(b, Letter):
             return a.name == b.name
         # b is a join
-        return _whitman(a, b.lhs) or _whitman(a, b.rhs)
+        return _whitman(a, b.lhs, memo) or _whitman(a, b.rhs, memo)
     # a is a meet
-    if _whitman(a.lhs, b) or _whitman(a.rhs, b):
+    if _whitman(a.lhs, b, memo) or _whitman(a.rhs, b, memo):
         return True
     if isinstance(b, Or):
-        return _whitman(a, b.lhs) or _whitman(a, b.rhs)
+        return _whitman(a, b.lhs, memo) or _whitman(a, b.rhs, memo)
     return False
 
 
@@ -83,4 +88,4 @@ def free_lattice_leq(phi: Formula, psi: Formula) -> bool:
         return isinstance(b, Top)
     if isinstance(b, Bot):
         return isinstance(a, Bot)
-    return _whitman(a, b)
+    return _whitman(a, b, {})

@@ -149,3 +149,44 @@ def test_invalid_wpml_budget_exits_with_parse_code(monkeypatch, capsys, text):
     code, out, err = run(["interpolate", "p & q", "p v r"], capsys)
     assert code == 3 and out == ""
     assert "WPML_BUDGET" in err and "Traceback" not in err
+
+
+CHAIN2_MODAL = {
+    "kind": "modal_lattice",
+    "elements": ["0", "1"],
+    "leq": [[1, 1], [0, 1]],
+    "bot": 0,
+    "top": 1,
+    "box": [0, 1],
+    "diamond": [0, 1],
+}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"leq": 5},
+        {"leq": [[1, 1], 5]},
+        {"leq": [[1, 1], [0, 2]]},
+        {"bot": "x"},
+        {"top": True},
+        {"elements": ["0"]},
+        {"box": [1, 7]},
+        {"diamond": "01"},
+    ],
+    ids=[
+        "leq-int",
+        "leq-row",
+        "leq-entry",
+        "bot-str",
+        "top-bool",
+        "elements-length",
+        "box-range",
+        "diamond-str",
+    ],
+)
+def test_malformed_lattice_payload_exits_with_parse_code(tmp_path, capsys, change):
+    path = write(tmp_path, "bad.json", wrap("modal_lattice", {**CHAIN2_MODAL, **change}))
+    code, out, err = run(["validate", path], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -211,10 +211,11 @@ class TestDualityCharacterizations:
             ax, ay = fil_f(x), fil_f(y)
         else:
             ax, ay = fil_f_lattice(x), fil_f_lattice(y)
-        idx = {int(nm, 16): i for i, nm in enumerate(ax.elements)}
+        # element i of a filter lattice is the frame's i-th filter mask
+        xbase, ybase = (x.base, y.base) if modal else (x, y)
+        idx = {m: i for i, m in enumerate(xbase.filter_masks)}
         pre = []
-        for nm in ay.elements:
-            u = int(nm, 16)
+        for u in ybase.filter_masks:
             mask = sum(1 << p for p in range(x.n if modal else x.n) if u >> mapping[p] & 1)
             if mask not in idx:
                 return False

@@ -1,8 +1,14 @@
+import hashlib
 from itertools import product
 
 import pytest
 
-from wpml.catalog import all_distributive_lattices, all_lattices
+from wpml.catalog import (
+    all_distributive_lattices,
+    all_lattice_orders,
+    all_lattices,
+    all_modal_lattices,
+)
 from wpml.errors import (
     DEFAULT_BUDGET,
     InvalidBudget,
@@ -16,6 +22,7 @@ from wpml.formulas import parse_pair
 from wpml.lattice import (
     FiniteModalLattice,
     LatticeMorphism,
+    _table_maps,
     algebra_validates,
     check_modal_identities,
     enumerate_homs,
@@ -25,7 +32,7 @@ from wpml.lattice import (
     validate_morphism,
     with_identity_modalities,
 )
-from wpml.lframe import fil_f
+from wpml.lframe import fil_f, lframe_from_leq
 from wpml.catalog import all_modal_lframes
 
 from conftest import chain_leq
@@ -59,8 +66,10 @@ class TestValidateLattice:
             return len([k for k in ups if all(leq[k][m] for m in ups)]) == 1
 
         assert not all(has_unique_lub(i, j) for i in range(4) for j in range(4))
-        with pytest.raises(NotALattice):
+        # the first pair in row-major order lacking a bound, meet before join
+        with pytest.raises(NotALattice) as info:
             validate_lattice(leq, 1, 2)
+        assert (info.value.pair, info.value.which) == ((0, 1), "meet")
 
     def test_not_a_poset(self):
         with pytest.raises(NotAPoset):
@@ -74,6 +83,8 @@ class TestValidateLattice:
         ]
         with pytest.raises(NotAPoset):
             validate_lattice(bad_trans, 0, 2)
+        with pytest.raises(NotAPoset):
+            lframe_from_leq(("a", "b"), [[1, 1], [1, 1]], 1)  # masks collide
 
     def test_wrong_bounds(self):
         with pytest.raises(WrongBounds):
@@ -152,6 +163,11 @@ class TestEnumerateHoms:
                 assert got == _brute_force_homs(a, b)
                 # output is lexicographically sorted and duplicate-free
                 assert got == sorted(set(got))
+        modal = [a for n in range(1, 4) for a in all_modal_lattices(n)]
+        for a in modal:
+            for b in modal:
+                got = [h.map for h in enumerate_homs(a, b, modal=True)]
+                assert got == _brute_force_homs(a, b, modal=True)
 
     def test_injective_filter_matches_brute_force(self, chain3, b4):
         got = [h.map for h in enumerate_homs(chain3, b4) if h.is_injective()]
@@ -223,8 +239,6 @@ class TestDistributive:
 
 class TestModalCatalog:
     def test_modal_two_chains_match_brute_force(self, chain2):
-        from wpml.catalog import all_modal_lattices
-
         got = sorted((a.box, a.diamond) for a in all_modal_lattices(2))
         brute = sorted(
             (b, d)
@@ -235,9 +249,51 @@ class TestModalCatalog:
         assert got == brute
         assert len(got) == 3
 
-    def test_all_entries_satisfy_identities(self):
-        from wpml.catalog import all_modal_lattices
+    def test_box_candidates_match_brute_force(self):
+        # the catalog's boxes: every top-fixing, meet-preserving array
+        for n in range(1, 6):
+            for lat in all_lattices(n):
+                got = list(
+                    _table_maps(n, n, [(lat.top, lat.top)], [(lat.meet, lat.meet)])
+                )
+                brute = [
+                    box
+                    for box in product(range(n), repeat=n)
+                    if box[lat.top] == lat.top
+                    and all(
+                        box[lat.meet[x][y]] == lat.meet[box[x]][box[y]]
+                        for x in range(n)
+                        for y in range(n)
+                    )
+                ]
+                assert got == brute
 
+    def test_catalog_digests(self):
+        # sha256 of the catalogs as first recorded; they must not change
+        orders = {
+            1: "bf297da11c7214e3c3ab40bbfb70eb80282b7a1d03090b90ba59343c658eb288",
+            2: "b4bd30d29df64da45e27a1e7da0b63039163b0a72326aed6e663776d9050f95d",
+            3: "c076c5b6b4b0c84e21231c50e8f88307fc28d6f1c95f5bfde0feb2ebd136d130",
+            4: "84081f82e020b340563fa5990b7088dd9a2b9db17ae933167ef446e5b8b736fd",
+            5: "2f1bc9025ce4dd51ddc922dbca1eac1b27c37d676219f32b3248c1feb8db13ab",
+            6: "0d2e7af12d5c8440c35551ec31728986015f5ae933f107bfafef7e2a93ff7d10",
+        }
+        modal = {
+            1: "a2cb5029566e2f5f88a63369de48a1652a77994407ea5d993f389db3ec2f7bd7",
+            2: "d42d2a8caa78235ead78e2ae421754e9ed460d1310a75802c6017e1ec6e31f12",
+            3: "9d78d9e2edc742b174aa1cd26d5c16b175ca5672b8371b3507e9a70a04fc0510",
+        }
+
+        def digest(obj):
+            return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+        for n, want in orders.items():
+            assert digest(all_lattice_orders(n)) == want
+        for n, want in modal.items():
+            entries = [(a.base.leq, a.box, a.diamond) for a in all_modal_lattices(n)]
+            assert digest(entries) == want
+
+    def test_all_entries_satisfy_identities(self):
         for n in (1, 2, 3):
             for a in all_modal_lattices(n):
                 assert check_modal_identities(a) == []

@@ -214,6 +214,24 @@ class TestMorphismCheckers:
                 oracle.append(mapping)
         assert [f.map for f in got] == oracle
 
+    def test_plain_enumeration_matches_brute_force(self):
+        # oracle: every map preserving 1 and the meet, in lexicographic order
+        frames = [x for n in range(1, 5) for x in all_lframes(n)]
+        for x in frames:
+            for y in frames:
+                got = [f.map for f in enumerate_frame_morphisms(x, y, "plain")]
+                oracle = [
+                    mapping
+                    for mapping in product(range(y.n), repeat=x.n)
+                    if mapping[x.one] == y.one
+                    and all(
+                        mapping[x.meet[a][b]] == y.meet[mapping[a]][mapping[b]]
+                        for a in range(x.n)
+                        for b in range(x.n)
+                    )
+                ]
+                assert got == oracle
+
 
 class TestSatisfaction:
     def test_top_always(self, m2_frame):

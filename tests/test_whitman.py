@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -51,6 +52,18 @@ class TestExamples:
     def test_modalities_rejected(self):
         with pytest.raises(PreconditionViolated):
             free_lattice_leq(parse_formula("[]p"), parse_formula("p"))
+
+    def test_no_formula_outlives_the_call(self):
+        # the memo is per call: no module-level table keeps the pairs
+        assert leq("fresh_a & (fresh_b v fresh_c)", "fresh_a v fresh_d")
+        assert not leq("fresh_a v fresh_b", "fresh_a & fresh_c")
+        gc.collect()
+        kept = [
+            o
+            for o in gc.get_objects()
+            if isinstance(o, Letter) and o.name.startswith("fresh_")
+        ]
+        assert kept == []
 
 
 class TestNormalization:
