@@ -28,7 +28,14 @@ from .lattice import (
     is_distributive,
     validate_lattice,
 )
-from .lframe import LFrame, ModalLFrame, _condition_iii_witness, lframe_from_leq
+from .lframe import (
+    LFrame,
+    ModalLFrame,
+    _meet_gap,
+    _meet_reach,
+    _order_gap,
+    lframe_from_leq,
+)
 
 
 def _is_transitive(leq, n) -> bool:
@@ -44,14 +51,10 @@ def _is_transitive(leq, n) -> bool:
 
 
 def _canonical(leq, n) -> tuple:
-    best = None
-    for perm in permutations(range(n)):
-        enc = tuple(
-            leq[perm.index(i)][perm.index(j)] for i in range(n) for j in range(n)
-        )
-        if best is None or enc < best:
-            best = enc
-    return best
+    """The least row-major encoding of leq under a relabeling.  Relabeling
+    by p reads entry (i, j) at leq[p[i]][p[j]], and p runs over all
+    permutations, so no inverse is needed."""
+    return min(tuple(leq[a][b] for a in p for b in p) for p in permutations(range(n)))
 
 
 @lru_cache(maxsize=None)
@@ -177,50 +180,21 @@ def modal_relations(frame: LFrame) -> Iterator[tuple[int, ...]]:
             closed_sets.append(mask)
 
     succ = [0] * n
-    up = frame.up_masks
-    down = frame.down_masks
 
     def partial_ok(i: int) -> bool:
-        si = succ[i]
         for j in range(i + 1):
-            sj = succ[j]
-            # (iv): meets of successors land in succ of the meet point
-            tgt = succ[meet[i][j]]
-            mi = si
-            while mi:
-                u = (mi & -mi).bit_length() - 1
-                mi &= mi - 1
-                mj = sj
-                while mj:
-                    v = (mj & -mj).bit_length() - 1
-                    mj &= mj - 1
-                    if not tgt >> meet[u][v] & 1:
-                        return False
+            if _meet_gap(frame, succ, i, j) is not None:
+                return False
             # (i)/(ii) for comparable pairs
-            if frame.le(j, i):
-                lo, hi = j, i
-            elif frame.le(i, j):
-                lo, hi = i, j
-            else:
-                continue
-            m = succ[hi]
-            while m:
-                z = (m & -m).bit_length() - 1
-                m &= m - 1
-                if succ[lo] & down[z] == 0:
-                    return False
-            m = succ[lo]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                if succ[hi] & up[w] == 0:
-                    return False
+            lo, hi = (j, i) if frame.le(j, i) else (i, j)
+            if frame.le(lo, hi) and _order_gap(frame, succ, lo, hi) is not None:
+                return False
         return True
 
     def backtrack(i: int):
         if i == n:
-            if all(
-                _condition_iii_witness(frame, succ, x, y) is None
+            if not any(
+                succ[meet[x][y]] & ~_meet_reach(frame, succ[x], succ[y])
                 for x in range(n)
                 for y in range(x)
             ):

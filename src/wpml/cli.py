@@ -16,6 +16,7 @@ import sys
 import time
 
 from . import __version__
+from .correspondence import AXIOMS, correspondence_check
 from .duality import fil_l, round_trip_iso
 from .errors import (
     FormulaSyntaxError,
@@ -191,8 +192,6 @@ def cmd_amalgamate(args) -> int:
 
 
 def cmd_correspond(args) -> int:
-    from .correspondence import AXIOMS, correspondence_check
-
     obj = _read_json(args.frame)
     try:
         kind, artifact = load_artifact(obj)
@@ -242,6 +241,10 @@ def cmd_interpolate(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     tags = tuple(t for t in args.axioms.split(",") if t) if args.axioms else ()
+    unknown = [t for t in tags if t not in AXIOMS]
+    if unknown:
+        print(f"error: unknown axiom {unknown[0]!r}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         if args.distributive:
             if tags:

@@ -5,6 +5,10 @@ At finite scale every subset is clopen, so "clopen filter" means
 "filter" and the space side of the duality is a tight modal L-frame.
 Algebra filters and frame filters share the bitmask representation and
 the closure-based enumeration engine from `lframe`.
+
+Shared kernels: `_canonical_relation`, the relation of `fil_l` and of
+`tightening`; `_unit_masks`, the unit c |-> {F : c in F}; and
+`_preimage_map`, the filter-preimage map of both morphism duals.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .lframe import (
     LFrame,
     ModalLFrame,
     FrameViolation,
+    _base_of,
     box_mask,
     dia_mask,
     fil_f,
@@ -79,18 +84,50 @@ def fil_l_plain(lat: FiniteLattice) -> tuple[LFrame, tuple[int, ...]]:
     return _algebra_frame(lat, points), tuple(points)
 
 
+def _unit_masks(n: int, points) -> list[int]:
+    """The unit phi(c) = {p : c in points[p]} of each element c < n, as a
+    mask over the points (the algebra filters)."""
+    return [sum(1 << p for p, fm in enumerate(points) if fm >> c & 1) for c in range(n)]
+
+
+def _preimage_map(fmap, masks, index: dict[int, int]) -> tuple[int, ...]:
+    """For each mask m, the position in `index` of its preimage
+    {c : fmap[c] in m}; InternalInconsistency if a preimage is not there
+    (not a filter)."""
+    mapping = []
+    for m in masks:
+        pre = sum(1 << c for c, fc in enumerate(fmap) if m >> fc & 1)
+        if pre not in index:
+            raise InternalInconsistency(f"preimage {hex(pre)} is not a filter")
+        mapping.append(index[pre])
+    return tuple(mapping)
+
+
+def _canonical_relation(n: int, tests) -> tuple[int, ...]:
+    """Successor masks of x R y iff, for each test (b, u, d) of point masks,
+    x in b implies y in u and y in u implies x in d."""
+    succ = []
+    for x in range(n):
+        row = (1 << n) - 1
+        for b, u, d in tests:
+            if b >> x & 1:
+                row &= u
+            if not d >> x & 1:
+                row &= ~u
+        succ.append(row)
+    return tuple(succ)
+
+
 def plain_round_trip_ok(lat: FiniteLattice) -> bool:
     """a |-> {F : a in F} is an order isomorphism onto the filter lattice
     of the dual semilattice."""
     frame, points = fil_l_plain(lat)
     into = fil_f_lattice(frame)
-    index = {m: i for i, m in enumerate(frame.filter_masks)}
-    mapping = []
-    for elt in range(lat.n):
-        phi = sum(1 << p for p, fm in enumerate(points) if fm >> elt & 1)
-        if phi not in index:
-            return False
-        mapping.append(index[phi])
+    index = frame._filter_index
+    phi = _unit_masks(lat.n, points)
+    if any(m not in index for m in phi):
+        return False
+    mapping = [index[m] for m in phi]
     if len(set(mapping)) != lat.n or into.n != lat.n:
         return False
     return all(
@@ -106,25 +143,9 @@ def fil_l(a: FiniteModalLattice) -> ModalLSpaceFin:
     The result is checked to be a valid, tight modal L-frame."""
     points = algebra_filters(a)
     frame = _algebra_frame(a, points)
-    n = len(points)
-    succ = []
-    for i in range(n):
-        fi = points[i]
-        row = 0
-        for j in range(n):
-            gj = points[j]
-            ok = True
-            for c in range(a.n):
-                if fi >> a.box[c] & 1 and not gj >> c & 1:
-                    ok = False
-                    break
-                if gj >> c & 1 and not fi >> a.diamond[c] & 1:
-                    ok = False
-                    break
-            if ok:
-                row |= 1 << j
-        succ.append(row)
-    out = validate_modal_lframe(frame, tuple(succ))
+    phi = _unit_masks(a.n, points)
+    tests = [(phi[a.box[c]], phi[c], phi[a.diamond[c]]) for c in range(a.n)]
+    out = validate_modal_lframe(frame, _canonical_relation(len(points), tests))
     if isinstance(out, FrameViolation):
         raise InternalInconsistency(f"dual space is not a modal L-frame: {out}")
     if not is_tight(out):
@@ -140,21 +161,8 @@ def clopfil(x: ModalLSpaceFin | ModalLFrame) -> FiniteModalLattice:
 
 def tightening(frame: ModalLFrame) -> tuple[int, ...]:
     """The relation determined by the box/diamond of all filters."""
-    fs = filters(frame.base)
-    n = frame.n
-    boxes = [(u, box_mask(frame, u)) for u in fs]
-    dias = [(u, dia_mask(frame, u)) for u in fs]
-    succ = []
-    for x in range(n):
-        row = 0
-        for y in range(n):
-            ok = all(not bm >> x & 1 or u >> y & 1 for u, bm in boxes) and all(
-                not u >> y & 1 or dm >> x & 1 for u, dm in dias
-            )
-            if ok:
-                row |= 1 << y
-        succ.append(row)
-    return tuple(succ)
+    tests = [(box_mask(frame, u), u, dia_mask(frame, u)) for u in filters(frame.base)]
+    return _canonical_relation(frame.n, tests)
 
 
 def is_tight(frame: ModalLFrame) -> bool:
@@ -167,11 +175,9 @@ def round_trip_iso(a: FiniteModalLattice) -> LatticeMorphism:
     the implementation, not the input."""
     space = fil_l(a)
     into = clopfil(space)
-    point_filters = space.provenance
-    filter_index = {m: i for i, m in enumerate(space.frame.base.filter_masks)}
+    filter_index = space.frame.base._filter_index
     mapping = []
-    for elt in range(a.n):
-        phi = sum(1 << p for p, fm in enumerate(point_filters) if fm >> elt & 1)
+    for elt, phi in enumerate(_unit_masks(a.n, space.provenance)):
         if phi not in filter_index:
             raise InternalInconsistency(
                 f"phi({elt}) = {hex(phi)} is not a filter of the dual space"
@@ -205,13 +211,8 @@ def dual_of_hom(
     space_b = cod_space if cod_space is not None else fil_l(h.cod)
     space_a = dom_space if dom_space is not None else fil_l(h.dom)
     index_a = {m: i for i, m in enumerate(space_a.provenance)}
-    mapping = []
-    for fm in space_b.provenance:
-        pre = sum(1 << c for c in range(h.dom.n) if fm >> h.map[c] & 1)
-        if pre not in index_a:
-            raise InternalInconsistency(f"preimage {hex(pre)} is not a filter")
-        mapping.append(index_a[pre])
-    out = FrameMorphism(space_b.frame, space_a.frame, tuple(mapping), "bounded-L")
+    mapping = _preimage_map(h.map, space_b.provenance, index_a)
+    out = FrameMorphism(space_b.frame, space_a.frame, mapping, "bounded-L")
     bad = is_bounded_l_morphism(out)
     if bad is not None:
         raise InternalInconsistency(f"dual of a hom is not bounded-L: {bad}")
@@ -230,22 +231,15 @@ def dual_of_frame_morphism(f: FrameMorphism) -> LatticeMorphism:
         bad = is_l_morphism(f)
     if bad is not None:
         raise MorphismInvalid(f"not an {f.kind} morphism: {bad}")
-    dom_base = f.dom.base if isinstance(f.dom, ModalLFrame) else f.dom
-    cod_base = f.cod.base if isinstance(f.cod, ModalLFrame) else f.cod
+    dom_base, cod_base = _base_of(f.dom), _base_of(f.cod)
     if modal:
         cod_lat = fil_f(f.cod)
         dom_lat = fil_f(f.dom)
     else:
         cod_lat = fil_f_lattice(cod_base)
         dom_lat = fil_f_lattice(dom_base)
-    dom_index = {m: i for i, m in enumerate(dom_base.filter_masks)}
-    mapping = []
-    for u in cod_base.filter_masks:
-        pre = sum(1 << x for x in range(dom_base.n) if u >> f.map[x] & 1)
-        if pre not in dom_index:
-            raise InternalInconsistency(f"preimage {hex(pre)} is not a filter")
-        mapping.append(dom_index[pre])
-    out = LatticeMorphism(cod_lat, dom_lat, tuple(mapping), modal=modal)
+    mapping = _preimage_map(f.map, cod_base.filter_masks, dom_base._filter_index)
+    out = LatticeMorphism(cod_lat, dom_lat, mapping, modal=modal)
     validate_morphism(out)
     return out
 

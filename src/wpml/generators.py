@@ -20,6 +20,7 @@ from .lframe import (
     FrameViolation,
     LFrame,
     ModalLFrame,
+    _meet_reach,
     enumerate_frame_morphisms,
     fil_f,
     filters,
@@ -68,7 +69,9 @@ def sample_lframe(rng: random.Random, size: int, attempts: int = 200) -> LFrame:
 
 
 def _modal_fixpoint(frame: LFrame, succ: list[int], rounds: int) -> bool:
-    """Grow the relation toward conditions (i)-(v); True when stable."""
+    """Grow the relation toward conditions (i)-(v); True when stable.  The
+    (iv) and (i)/(ii) repairs are written out because they re-read the
+    successor sets they grow; (iii) adds what `_meet_reach` misses."""
     n = frame.n
     one = frame.one
     meet = frame.meet
@@ -115,27 +118,13 @@ def _modal_fixpoint(frame: LFrame, succ: list[int], rounds: int) -> bool:
                         changed = True
         for x in range(n):
             for y in range(n):
-                xy = meet[x][y]
-                reach = 0
-                mu = succ[x]
-                while mu:
-                    u = (mu & -mu).bit_length() - 1
-                    mu &= mu - 1
-                    mv = succ[y]
-                    while mv:
-                        v = (mv & -mv).bit_length() - 1
-                        mv &= mv - 1
-                        reach |= up[meet[u][v]]
-                m = succ[xy]
-                while m:
-                    z = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if not reach >> z & 1:
-                        if x != one:
-                            succ[x] |= 1 << z
-                        if y != one:
-                            succ[y] |= 1 << z
-                        changed = True
+                missed = succ[meet[x][y]] & ~_meet_reach(frame, succ[x], succ[y])
+                if missed:
+                    if x != one:
+                        succ[x] |= missed
+                    if y != one:
+                        succ[y] |= missed
+                    changed = True
         if not changed:
             return True
     return False

@@ -15,6 +15,14 @@ objects, so they go when the frame goes.
 over all filter-valued valuations, with these tables (see `vectors`).
 The pointwise `satisfies` and the recursive `truth_set` are the
 reference oracles for that path.
+
+Each modal-L-frame condition is written once, as a kernel on one pair of
+points: `_order_gap` for (i)/(ii), `_meet_gap` for (iv) and `_meet_reach`
+for (iii), which is also `filter_join`.  The validator and
+`catalog.modal_relations` use all three.  `generators._modal_fixpoint`
+uses `_meet_reach` only: its (i)/(ii)/(iv) repairs grow successor sets
+mid-scan and read the grown sets at once, which a per-pair kernel would
+not reproduce.
 """
 
 from __future__ import annotations
@@ -215,11 +223,70 @@ class FrameViolation:
     witness: tuple[int, ...]
 
 
+def _order_gap(base: LFrame, succ, x: int, y: int) -> Optional[tuple[str, int]]:
+    """Conditions (i) and (ii) at x below y.  ("i", z) for the least z in
+    R[y] with no w in R[x] below it; else ("ii", w) for the least w in R[x]
+    with no z in R[y] above it; else None."""
+    sx, sy = succ[x], succ[y]
+    down, up = base.down_masks, base.up_masks
+    m = sy
+    while m:
+        z = (m & -m).bit_length() - 1
+        m &= m - 1
+        if sx & down[z] == 0:
+            return "i", z
+    m = sx
+    while m:
+        w = (m & -m).bit_length() - 1
+        m &= m - 1
+        if sy & up[w] == 0:
+            return "ii", w
+    return None
+
+
+def _meet_gap(base: LFrame, succ, x: int, y: int) -> Optional[tuple[int, int]]:
+    """Condition (iv) at (x, y): x R u and y R v imply (x meet y) R
+    (u meet v).  The least (u, v) it fails for, or None."""
+    meet = base.meet
+    tgt = succ[meet[x][y]]
+    mu = succ[x]
+    while mu:
+        u = (mu & -mu).bit_length() - 1
+        mu &= mu - 1
+        row = meet[u]
+        mv = succ[y]
+        while mv:
+            v = (mv & -mv).bit_length() - 1
+            mv &= mv - 1
+            if not tgt >> row[v] & 1:
+                return u, v
+    return None
+
+
+def _meet_reach(base: LFrame, a: int, b: int) -> int:
+    """The up-closure of {u meet v : u in a, v in b}.  Condition (iii) at
+    (x, y), that (x meet y) R z needs u in R[x], v in R[y] with u meet v
+    below z, holds iff R[x meet y] lies inside the reach of R[x], R[y]."""
+    meet, up = base.meet, base.up_masks
+    reach = 0
+    while a:
+        u = (a & -a).bit_length() - 1
+        a &= a - 1
+        row = meet[u]
+        mv = b
+        while mv:
+            v = (mv & -mv).bit_length() - 1
+            mv &= mv - 1
+            reach |= up[row[v]]
+    return reach
+
+
 def _check_modal_conditions(base: LFrame, succ) -> Optional[FrameViolation]:
+    """The first violation in the scan order: (v), nonempty successor
+    sets, (i)/(ii) over the pairs x below y, then (iv) before (iii) over
+    all pairs, each in lexicographic order of the pair."""
     n = base.n
     meet = base.meet
-    up = base.up_masks
-    down = base.down_masks
     one = base.one
     # (v) 1 R x iff x = 1
     if succ[one] != 1 << one:
@@ -229,58 +296,20 @@ def _check_modal_conditions(base: LFrame, succ) -> Optional[FrameViolation]:
             return FrameViolation("i", (x,))  # forced nonempty via x below 1, 1 R 1
     for x in range(n):
         for y in range(n):
-            if not base.le(x, y):
-                continue
-            # (i): y R z needs some w with x R w, w below z
-            m = succ[y]
-            while m:
-                z = (m & -m).bit_length() - 1
-                m &= m - 1
-                if succ[x] & down[z] == 0:
-                    return FrameViolation("i", (x, y, z))
-            # (ii): x R w needs some z with y R z, w below z
-            m = succ[x]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                if succ[y] & up[w] == 0:
-                    return FrameViolation("ii", (x, y, w))
+            if base.le(x, y):
+                gap = _order_gap(base, succ, x, y)
+                if gap is not None:
+                    return FrameViolation(gap[0], (x, y, gap[1]))
     for x in range(n):
         for y in range(n):
-            xy = meet[x][y]
-            # (iv): x R u and y R v imply (x meet y) R (u meet v)
-            mu = succ[x]
-            while mu:
-                u = (mu & -mu).bit_length() - 1
-                mu &= mu - 1
-                mv = succ[y]
-                while mv:
-                    v = (mv & -mv).bit_length() - 1
-                    mv &= mv - 1
-                    if not succ[xy] >> meet[u][v] & 1:
-                        return FrameViolation("iv", (x, y, u, v))
-            z = _condition_iii_witness(base, succ, x, y)
-            if z is not None:
+            gap = _meet_gap(base, succ, x, y)
+            if gap is not None:
+                return FrameViolation("iv", (x, y) + gap)
+            missed = succ[meet[x][y]] & ~_meet_reach(base, succ[x], succ[y])
+            if missed:
+                z = (missed & -missed).bit_length() - 1
                 return FrameViolation("iii", (x, y, z))
     return None
-
-
-def _condition_iii_witness(base: LFrame, succ, x: int, y: int) -> Optional[int]:
-    """Condition (iii) at (x, y): (x meet y) R z needs u in R[x], v in R[y]
-    with u meet v below z.  The least z it fails for, or None."""
-    meet, up = base.meet, base.up_masks
-    reach = 0
-    mu = succ[x]
-    while mu:
-        u = (mu & -mu).bit_length() - 1
-        mu &= mu - 1
-        mv = succ[y]
-        while mv:
-            v = (mv & -mv).bit_length() - 1
-            mv &= mv - 1
-            reach |= up[meet[u][v]]
-    missed = succ[meet[x][y]] & ~reach
-    return (missed & -missed).bit_length() - 1 if missed else None
 
 
 def validate_modal_lframe(base: LFrame, rel) -> ModalLFrame | FrameViolation:
@@ -367,17 +396,7 @@ def filters(frame: LFrame) -> list[int]:
 
 def filter_join(frame: LFrame, a: int, b: int) -> int:
     """Filter generated by the union: up-closure of pairwise meets."""
-    out = 0
-    ma = a
-    while ma:
-        x = (ma & -ma).bit_length() - 1
-        ma &= ma - 1
-        mb = b
-        while mb:
-            y = (mb & -mb).bit_length() - 1
-            mb &= mb - 1
-            out |= frame.up_masks[frame.meet[x][y]]
-    return out
+    return _meet_reach(frame, a, b)
 
 
 def box_mask(frame: ModalLFrame, u: int) -> int:

@@ -80,13 +80,9 @@ def lattice_to_json(lat: FiniteLattice | FiniteModalLattice) -> dict:
 def lattice_from_json(payload: dict) -> FiniteLattice | FiniteModalLattice:
     """Shape and range checks raise PayloadError; a well-formed payload
     that is not a (modal) lattice raises the validator's WpmlError."""
-    if not isinstance(payload, dict):
-        raise PayloadError("lattice payload must be an object")
-    try:
-        leq, bot, top = payload["leq"], payload["bot"], payload["top"]
-        elements = payload["elements"]
-    except KeyError as exc:
-        raise PayloadError(f"lattice payload missing {exc}")
+    leq, bot, top, elements = _fields(
+        payload, "lattice", "leq", "bot", "top", "elements"
+    )
     if not isinstance(leq, list) or not all(
         isinstance(row, list) and len(row) == len(leq) and all(_is_bit(x) for x in row)
         for row in leq
@@ -95,15 +91,12 @@ def lattice_from_json(payload: dict) -> FiniteLattice | FiniteModalLattice:
     n = len(leq)
     if not isinstance(elements, list) or len(elements) != n:
         raise PayloadError(f"lattice elements must be a list of {n} names")
-    base = validate_lattice(
-        leq, _element_id(bot, "bot", n), _element_id(top, "top", n), elements
-    )
+    bot, top = _element_id(bot, "lattice bot", n), _element_id(top, "lattice top", n)
+    base = validate_lattice(leq, bot, top, elements)
     if payload.get("kind") == "modal_lattice" or "box" in payload:
-        try:
-            box = _element_ids(payload["box"], "box", n)
-            diamond = _element_ids(payload["diamond"], "diamond", n)
-        except KeyError as exc:
-            raise PayloadError(f"modal lattice payload missing {exc}")
+        box, diamond = _fields(payload, "modal lattice", "box", "diamond")
+        box = _element_ids(box, "lattice box", n)
+        diamond = _element_ids(diamond, "lattice diamond", n)
         modal = FiniteModalLattice(base, box, diamond)
         violations = check_modal_identities(modal)
         if violations:
@@ -115,19 +108,31 @@ def lattice_from_json(payload: dict) -> FiniteLattice | FiniteModalLattice:
     return base
 
 
+def _fields(payload, what: str, *keys) -> list:
+    """The values of `keys` in the payload object."""
+    if not isinstance(payload, dict):
+        raise PayloadError(f"{what} payload must be an object")
+    try:
+        return [payload[key] for key in keys]
+    except KeyError as exc:
+        raise PayloadError(f"{what} payload missing {exc}")
+
+
 def _is_bit(x) -> bool:
     return type(x) in (int, bool) and x in (0, 1)
 
 
 def _element_id(v, what: str, n: int) -> int:
     if type(v) is not int or not 0 <= v < n:
-        raise PayloadError(f"lattice {what} must be an element id below {n}, got {v!r}")
+        raise PayloadError(f"{what} must be an element id below {n}, got {v!r}")
     return v
 
 
-def _element_ids(values, what: str, n: int) -> tuple[int, ...]:
-    if not isinstance(values, list) or len(values) != n:
-        raise PayloadError(f"lattice {what} must be a list of {n} element ids")
+def _element_ids(values, what: str, n: int, length=None) -> tuple[int, ...]:
+    """A list of `length` (default n) element ids below n."""
+    length = n if length is None else length
+    if not isinstance(values, list) or len(values) != length:
+        raise PayloadError(f"{what} must be a list of {length} element ids")
     return tuple(_element_id(v, what, n) for v in values)
 
 
@@ -150,13 +155,23 @@ def frame_to_json(frame: LFrame | ModalLFrame, provenance=None) -> dict:
 
 
 def frame_from_json(payload: dict) -> LFrame | ModalLFrame:
-    try:
-        base = validate_lframe(payload["elements"], payload["meet"], payload["one"])
-    except KeyError as exc:
-        raise PayloadError(f"frame payload missing {exc}")
+    """Shape and range checks raise PayloadError, as in `lattice_from_json`;
+    a well-formed payload that is not a (modal) L-frame raises the
+    validator's WpmlError."""
+    elements, meet, one = _fields(payload, "frame", "elements", "meet", "one")
+    if not isinstance(elements, list):
+        raise PayloadError("frame elements must be a list of names")
+    n = len(elements)
+    if not isinstance(meet, list) or len(meet) != n:
+        raise PayloadError(f"frame meet must be a list of {n} rows")
+    table = [_element_ids(row, "frame meet", n) for row in meet]
+    base = validate_lframe(elements, table, _element_id(one, "frame one", n))
     if payload.get("kind") == "modal_lframe" or "R" in payload:
-        rel = [(int(x), int(y)) for x, y in payload.get("R", [])]
-        out = validate_modal_lframe(base, rel)
+        rel = payload.get("R", [])
+        if not isinstance(rel, list):
+            raise PayloadError("frame R must be a list of [x, y] pairs")
+        pairs = [_element_ids(p, "frame R", n, 2) for p in rel]
+        out = validate_modal_lframe(base, pairs)
         if isinstance(out, FrameViolation):
             raise WpmlError(
                 f"modal L-frame condition ({out.condition}) violated at {out.witness}"
@@ -187,25 +202,22 @@ def vformation_to_json(v: VFormation) -> dict:
 
 
 def vformation_from_json(payload: dict) -> VFormation:
-    try:
-        k = lattice_from_json(payload["K"])
-        l1 = lattice_from_json(payload["L1"])
-        l2 = lattice_from_json(payload["L2"])
-    except KeyError as exc:
-        raise PayloadError(f"vformation payload missing {exc}")
+    k, l1, l2 = map(lattice_from_json, _fields(payload, "vformation", "K", "L1", "L2"))
     for name, lat in (("K", k), ("L1", l1), ("L2", l2)):
         if not isinstance(lat, FiniteModalLattice):
             raise PayloadError(f"{name} must be a modal_lattice")
     structures = {"K": k, "L1": l1, "L2": l2}
     hs = []
     for name in ("h1", "h2"):
-        try:
-            entry = payload[name]
-            dom = structures[entry["dom"]]
-            cod = structures[entry["cod"]]
-            h = LatticeMorphism(dom, cod, tuple(int(v) for v in entry["map"]), True)
-        except KeyError as exc:
-            raise PayloadError(f"{name} missing {exc}")
+        entry = payload.get(name)
+        if not isinstance(entry, dict):
+            raise PayloadError(f"vformation {name} must be an object")
+        ends = [entry.get("dom"), entry.get("cod")]
+        if not all(isinstance(e, str) and e in structures for e in ends):
+            raise PayloadError(f"{name} dom and cod must each be K, L1 or L2")
+        dom, cod = (structures[e] for e in ends)
+        fmap = _element_ids(entry.get("map"), f"{name} map", cod.n, dom.n)
+        h = LatticeMorphism(dom, cod, fmap, True)
         validate_morphism(h)
         hs.append(h)
     v = VFormation(k, l1, l2, hs[0], hs[1])

@@ -162,17 +162,52 @@ CHAIN2_MODAL = {
 }
 
 
+CHAIN2_FRAME = {
+    "kind": "modal_lframe",
+    "elements": ["0", "1"],
+    "meet": [[0, 0], [0, 1]],
+    "one": 1,
+    "R": [[0, 0], [0, 1], [1, 1]],
+}
+
+IDENTITY_SPAN = {
+    "kind": "vformation",
+    "K": CHAIN2_MODAL,
+    "L1": CHAIN2_MODAL,
+    "L2": CHAIN2_MODAL,
+    "h1": {"dom": "K", "cod": "L1", "map": [0, 1]},
+    "h2": {"dom": "K", "cod": "L2", "map": [0, 1]},
+}
+
+WELL_FORMED = {
+    "modal_lattice": CHAIN2_MODAL,
+    "modal_lframe": CHAIN2_FRAME,
+    "vformation": IDENTITY_SPAN,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WELL_FORMED))
+def test_well_formed_payload_validates(tmp_path, capsys, kind):
+    path = write(tmp_path, "good.json", wrap(kind, WELL_FORMED[kind]))
+    assert run(["validate", path], capsys) == (0, f"valid {kind}\n", "")
+
+
 @pytest.mark.parametrize(
-    "change",
+    "kind,change",
     [
-        {"leq": 5},
-        {"leq": [[1, 1], 5]},
-        {"leq": [[1, 1], [0, 2]]},
-        {"bot": "x"},
-        {"top": True},
-        {"elements": ["0"]},
-        {"box": [1, 7]},
-        {"diamond": "01"},
+        ("modal_lattice", {"leq": 5}),
+        ("modal_lattice", {"leq": [[1, 1], 5]}),
+        ("modal_lattice", {"leq": [[1, 1], [0, 2]]}),
+        ("modal_lattice", {"bot": "x"}),
+        ("modal_lattice", {"top": True}),
+        ("modal_lattice", {"elements": ["0"]}),
+        ("modal_lattice", {"box": [1, 7]}),
+        ("modal_lattice", {"diamond": "01"}),
+        ("modal_lframe", {"meet": 5}),
+        ("modal_lframe", {"R": 5}),
+        ("modal_lframe", {"one": "x"}),
+        ("modal_lframe", {"R": [[0, 9]]}),
+        ("vformation", {"h1": {"dom": "K", "cod": "L1", "map": 5}}),
     ],
     ids=[
         "leq-int",
@@ -183,10 +218,21 @@ CHAIN2_MODAL = {
         "elements-length",
         "box-range",
         "diamond-str",
+        "frame-meet-int",
+        "frame-R-int",
+        "frame-one-str",
+        "frame-R-range",
+        "vformation-map-int",
     ],
 )
-def test_malformed_lattice_payload_exits_with_parse_code(tmp_path, capsys, change):
-    path = write(tmp_path, "bad.json", wrap("modal_lattice", {**CHAIN2_MODAL, **change}))
+def test_malformed_lattice_payload_exits_with_parse_code(tmp_path, capsys, kind, change):
+    path = write(tmp_path, "bad.json", wrap(kind, {**WELL_FORMED[kind], **change}))
     code, out, err = run(["validate", path], capsys)
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("axioms", ["Z", "T,Z"])
+def test_unknown_axiom_exits_with_parse_code(capsys, axioms):
+    code, out, err = run(["interpolate", "p", "p", "--axioms", axioms], capsys)
+    assert (code, out, err) == (3, "", "error: unknown axiom 'Z'\n")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wpml.catalog import all_lattices, all_modal_lframes
+from wpml.catalog import all_lattices, all_lframes, all_modal_lframes
 from wpml.duality import (
     algebra_filters,
     clopfil,
@@ -22,7 +22,15 @@ from wpml.lattice import (
     validate_morphism,
     with_identity_modalities,
 )
-from wpml.lframe import fil_f, filters, is_bounded_l_morphism, is_l_morphism
+from wpml.lframe import (
+    ModalLFrame,
+    box_mask,
+    dia_mask,
+    fil_f,
+    filters,
+    is_bounded_l_morphism,
+    is_l_morphism,
+)
 
 from conftest import identity_modal
 
@@ -180,7 +188,6 @@ class TestDualOfFrameMorphism:
         # unit reflection forbids collapsing a larger frame onto the
         # one-point frame; only the one-point identity maps into it, and
         # its dual is the unique hom of the trivial lattice
-        from wpml.catalog import all_lframes
         from wpml.lframe import FrameMorphism
 
         pt = identity_modal(all_lframes(1)[0])
@@ -229,7 +236,6 @@ class TestDualityCharacterizations:
     def test_l_morphism_iff_dual_lattice_hom(self):
         from itertools import product as _p
 
-        from wpml.catalog import all_lframes
         from wpml.errors import MorphismInvalid
         from wpml.lframe import FrameMorphism, check_semilattice_hom
 
@@ -283,8 +289,6 @@ class TestDualityCharacterizations:
 
 class TestTightness:
     def test_one_point(self):
-        from wpml.catalog import all_lframes
-
         x = identity_modal(all_lframes(1)[0])
         assert is_tight(x)
 
@@ -297,6 +301,66 @@ class TestTightness:
                 t = tightening(x)
                 for a in range(n):
                     assert x.succ[a] & ~t[a] == 0  # only grows
+
+
+def reference_dual_relation(a, points):
+    """The relation of `fil_l` pair by pair, as first written: F R G iff
+    box(c) in F implies c in G and c in G implies dia(c) in F."""
+    succ = []
+    for fi in points:
+        row = 0
+        for j, gj in enumerate(points):
+            if all(
+                (not fi >> a.box[c] & 1 or gj >> c & 1)
+                and (not gj >> c & 1 or fi >> a.diamond[c] & 1)
+                for c in range(a.n)
+            ):
+                row |= 1 << j
+        succ.append(row)
+    return tuple(succ)
+
+
+def reference_tightening(frame):
+    """`tightening` pair by pair, as first written: x R y iff for every
+    filter u, x in box(u) implies y in u and y in u implies x in dia(u)."""
+    fs = filters(frame.base)
+    boxes = [(u, box_mask(frame, u)) for u in fs]
+    dias = [(u, dia_mask(frame, u)) for u in fs]
+    succ = []
+    for x in range(frame.n):
+        row = 0
+        for y in range(frame.n):
+            if all(not bm >> x & 1 or u >> y & 1 for u, bm in boxes) and all(
+                not u >> y & 1 or dm >> x & 1 for u, dm in dias
+            ):
+                row |= 1 << y
+        succ.append(row)
+    return tuple(succ)
+
+
+class TestCanonicalRelation:
+    """The one mask pass behind `fil_l` and `tightening` against the
+    pair-by-pair definitions."""
+
+    def test_fil_l_matches_definition(self):
+        frames = [x for n in range(1, 5) for x in all_modal_lframes(n)]
+        algebras = [fil_f(x) for x in frames]
+        rng = random.Random(9)
+        algebras += [sample_modal_lattice(rng, rng.randint(1, 5)) for _ in range(40)]
+        for a in algebras:
+            space = fil_l(a)
+            assert space.frame.succ == reference_dual_relation(a, space.provenance)
+
+    def test_tightening_matches_definition(self):
+        rng = random.Random(4)
+        for n in range(1, 5):
+            for x in all_modal_lframes(n):
+                assert tightening(x) == reference_tightening(x)
+            # any relation, valid or not, has a tightening
+            for frame in all_lframes(n):
+                for _ in range(40):
+                    x = ModalLFrame(frame, tuple(rng.getrandbits(n) for _ in range(n)))
+                    assert tightening(x) == reference_tightening(x)
 
 
 class TestSeparatingFilter:

@@ -283,6 +283,12 @@ class TestModalCatalog:
             2: "d42d2a8caa78235ead78e2ae421754e9ed460d1310a75802c6017e1ec6e31f12",
             3: "9d78d9e2edc742b174aa1cd26d5c16b175ca5672b8371b3507e9a70a04fc0510",
         }
+        frames = {
+            1: "c5f1df50d129f60a1c57c317125bba0e9b07123890bd7dc9feb983ebcc5e8f65",
+            2: "e1fc32dac5da95a478fa0bff0c13893a9d85d17f326b5af29fc6977d2ccdfec2",
+            3: "9b9932fd27f9f233cebe57cebb66e24e034dec2494b0a784d529270f6bf8bc51",
+            4: "f16afb72ca8fcfc6ddc15943880ceb4215751d4941b3b7602b5a023025fef2d5",
+        }
 
         def digest(obj):
             return hashlib.sha256(repr(obj).encode()).hexdigest()
@@ -291,6 +297,9 @@ class TestModalCatalog:
             assert digest(all_lattice_orders(n)) == want
         for n, want in modal.items():
             entries = [(a.base.leq, a.box, a.diamond) for a in all_modal_lattices(n)]
+            assert digest(entries) == want
+        for n, want in frames.items():
+            entries = [(x.base.meet, x.succ) for x in all_modal_lframes(n)]
             assert digest(entries) == want
 
     def test_all_entries_satisfy_identities(self):

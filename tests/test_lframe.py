@@ -82,6 +82,77 @@ class TestValidateModalLFrame:
             [(1, 2), (2, 2), (3, 2)]
         )
 
+    def test_matches_literal_scan(self):
+        """Condition name and witness equal a literal scan in the checker's
+        documented order: every successor tuple on L-frames of up to 3
+        points, then seeded tuples and one-edge edits of catalog frames on
+        4 and 5 points."""
+        cases = [
+            (frame, succ)
+            for n in range(1, 4)
+            for frame in all_lframes(n)
+            for succ in product(range(1 << n), repeat=n)
+        ]
+        rng = random.Random(6)
+        for n in (4, 5):
+            for frame in all_lframes(n):
+                for _ in range(30):
+                    succ = [rng.randrange(1, 1 << n) for _ in range(n)]
+                    succ[frame.one] = 1 << frame.one
+                    cases.append((frame, tuple(succ)))
+            valid = list(all_modal_lframes(n))
+            for x in rng.sample(valid, 300):
+                succ = list(x.succ)
+                succ[rng.randrange(n)] ^= 1 << rng.randrange(n)
+                cases.append((x.base, tuple(succ)))
+        seen = set()
+        for frame, succ in cases:
+            out = validate_modal_lframe(frame, succ)
+            want = self.literal_violation(frame, succ)
+            if want is None:
+                assert isinstance(out, ModalLFrame) and out.succ == succ
+            else:
+                assert (out.condition, out.witness) == want, (frame.meet, succ)
+                seen.add((want[0], len(want[1])))
+        assert seen == {("v", 1), ("i", 1), ("i", 3), ("ii", 3), ("iv", 4), ("iii", 3)}
+
+    @staticmethod
+    def literal_violation(frame, succ):
+        """(v), nonempty successor sets, (i)/(ii) over the pairs x below y,
+        then (iv) before (iii) over all pairs, each straight from its
+        definition."""
+        points = range(frame.n)
+        le, meet, one = frame.le, frame.meet, frame.one
+
+        def r(x):
+            return [u for u in points if succ[x] >> u & 1]
+
+        if r(one) != [one]:
+            return "v", (one,)
+        for x in points:
+            if not r(x):
+                return "i", (x,)
+        for x in points:
+            for y in points:
+                if not le(x, y):
+                    continue
+                for z in r(y):
+                    if not any(le(w, z) for w in r(x)):
+                        return "i", (x, y, z)
+                for w in r(x):
+                    if not any(le(w, z) for z in r(y)):
+                        return "ii", (x, y, w)
+        for x in points:
+            for y in points:
+                for u in r(x):
+                    for v in r(y):
+                        if meet[u][v] not in r(meet[x][y]):
+                            return "iv", (x, y, u, v)
+                for z in r(meet[x][y]):
+                    if not any(le(meet[u][v], z) for u in r(x) for v in r(y)):
+                        return "iii", (x, y, z)
+        return None
+
 
 class TestFilters:
     def brute(self, frame):
