@@ -117,7 +117,7 @@ def all_modal_lattices(n: int) -> tuple[FiniteModalLattice, ...]:
         # boxes: the unary ops fixing top and commuting with meet
         for box in _table_maps(n, n, [(lat.top, lat.top)], [(lat.meet, lat.meet)]):
             for dia in _diamond_candidates(lat, box):
-                cand = FiniteModalLattice(lat, box, dia)
+                cand = FiniteModalLattice.over(lat, box, dia)
                 if not check_modal_identities(cand):
                     out.append(cand)
     return tuple(out)

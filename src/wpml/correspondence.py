@@ -33,6 +33,17 @@ CONDITION_OF_AXIOM = {
 CONDITION_TAGS = tuple(CONDITION_OF_AXIOM[t] for t in AXIOM_TAGS)
 
 
+def _named(table: dict, name: str, what: str):
+    """`table[name]`; PreconditionViolated naming an unknown `what`."""
+    try:
+        return table[name]
+    except KeyError:
+        known = ", ".join(table)
+        raise PreconditionViolated(
+            f"unknown {what} {name!r} (known: {known})"
+        ) from None
+
+
 def _reflexivity(x: ModalLFrame):
     for a in range(x.n):
         if not x.succ[a] >> a & 1:
@@ -106,7 +117,7 @@ CONDITIONS: dict[str, FrameCondition] = {
 def frame_satisfies(x: ModalLFrame, cond: FrameCondition | str):
     """(holds, witness): witness is the least failing tuple or None."""
     if isinstance(cond, str):
-        cond = CONDITIONS[cond]
+        cond = _named(CONDITIONS, cond, "frame condition")
     witness = cond.evaluator(x)
     return witness is None, witness
 
@@ -230,7 +241,7 @@ def correspondence_check(
     and (on tight frames) the derived existential space conditions.  The
     budget defaults through `resolve_budget`, so WPML_BUDGET applies."""
     budget = resolve_budget(budget)
-    cond_tag = CONDITION_OF_AXIOM[axiom]
+    cond_tag = _named(CONDITION_OF_AXIOM, axiom, "axiom tag")
     holds, witness = frame_satisfies(x, cond_tag)
     pair_results = []
     cvs = []
@@ -263,7 +274,7 @@ def pullback_preserves(cond: FrameCondition | str, f1, f2):
     from .amalgam import pullback
 
     if isinstance(cond, str):
-        cond = CONDITIONS[cond]
+        cond = _named(CONDITIONS, cond, "frame condition")
     for leg in (f1, f2):
         holds, w = frame_satisfies(leg.dom, cond)
         if not holds:

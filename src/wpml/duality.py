@@ -56,15 +56,14 @@ class ModalLSpaceFin:
         return self.frame.n
 
 
-def algebra_filters(lat: FiniteLattice | FiniteModalLattice) -> list[int]:
+def algebra_filters(lat: FiniteLattice) -> list[int]:
     """All filters of the algebra (nonempty, upward closed, meet closed),
     sorted by bitmask; the improper filter is included."""
-    base = lat.base if isinstance(lat, FiniteModalLattice) else lat
-    view = LFrame(base.elements, base.meet, base.top)
+    view = LFrame(lat.elements, lat.meet, lat.top)
     return filters(view)
 
 
-def _algebra_frame(lat: FiniteLattice | FiniteModalLattice, points: list[int]) -> LFrame:
+def _algebra_frame(lat: FiniteLattice, points: list[int]) -> LFrame:
     """Meet semilattice of algebra filters: order is inclusion, meet is
     intersection, 1 is the improper filter."""
     idx = {m: i for i, m in enumerate(points)}
@@ -73,8 +72,7 @@ def _algebra_frame(lat: FiniteLattice | FiniteModalLattice, points: list[int]) -
         tuple(idx[points[i] & points[j]] for j in range(k)) for i in range(k)
     )
     names = tuple(hex(m) for m in points)
-    base = lat.base if isinstance(lat, FiniteModalLattice) else lat
-    return validate_lframe(names, meet, idx[(1 << base.n) - 1])
+    return validate_lframe(names, meet, idx[(1 << lat.n) - 1])
 
 
 def fil_l_plain(lat: FiniteLattice) -> tuple[LFrame, tuple[int, ...]]:

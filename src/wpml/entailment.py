@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .catalog import all_modal_lframes
-from .correspondence import AXIOMS, CONDITION_OF_AXIOM, CONDITIONS, frame_satisfies
+from .correspondence import (
+    AXIOMS,
+    CONDITION_OF_AXIOM,
+    CONDITIONS,
+    _named,
+    frame_satisfies,
+)
 from .errors import ResourceBound
 from .formulas import ConsequencePair
 from .lframe import FrameValuation, ModalLFrame, frame_validates
@@ -42,12 +48,14 @@ class EntailmentResult:
 def gamma_pairs(tags) -> tuple[ConsequencePair, ...]:
     out = []
     for tag in tags:
-        out.extend(AXIOMS[tag])
+        out.extend(_named(AXIOMS, tag, "axiom tag"))
     return tuple(out)
 
 
 def gamma_conditions(tags):
-    return tuple(CONDITIONS[CONDITION_OF_AXIOM[tag]] for tag in tags)
+    return tuple(
+        CONDITIONS[_named(CONDITION_OF_AXIOM, tag, "axiom tag")] for tag in tags
+    )
 
 
 def decide_entailment(

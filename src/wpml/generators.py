@@ -14,10 +14,9 @@ from typing import Optional
 from .amalgam import VFormation, validate_vformation
 from .correspondence import CONDITIONS, frame_satisfies
 from .duality import dual_of_frame_morphism
-from .errors import SizeCap
+from .errors import PreconditionViolated, SizeCap
 from .lattice import FiniteLattice, FiniteModalLattice, LatticeMorphism, enumerate_homs
 from .lframe import (
-    FrameViolation,
     LFrame,
     ModalLFrame,
     _meet_reach,
@@ -32,14 +31,14 @@ MAX_FRAME_POINTS = 8
 MAX_GROUND = 5
 
 
-def sample_lframe(rng: random.Random, size: int, attempts: int = 200) -> LFrame:
+def sample_lframe(rng: random.Random, size: int) -> LFrame:
     """Meet semilattice with `size` elements: a random intersection-closed
     family of subsets of a small ground set, plus the ground set itself."""
     if not 1 <= size <= MAX_FRAME_POINTS:
         raise SizeCap(f"frame size {size} outside 1..{MAX_FRAME_POINTS}")
     m = min(MAX_GROUND, max(2, size - 1))
     full = (1 << m) - 1
-    for _ in range(attempts):
+    for _ in range(200):
         family = {full}
         for _ in range(4 * size):
             if len(family) == size:
@@ -198,7 +197,7 @@ def _condition_closure(frame: LFrame, succ: list[int], tag: str) -> bool:
                         succ[z] |= 1 << t
                         changed = True
         else:
-            raise ValueError(f"unknown condition {tag!r}")
+            raise PreconditionViolated(f"unknown frame condition {tag!r}")
         if not changed:
             return True
     return False
@@ -208,11 +207,10 @@ def sample_modal_lframe(
     rng: random.Random,
     size: int,
     condition: Optional[str] = None,
-    attempts: int = 400,
 ) -> ModalLFrame:
     """Random valid modal L-frame; with `condition` set, the frame also
     satisfies that first-order property.  Rejection keeps validity exact."""
-    for _ in range(attempts):
+    for _ in range(400):
         frame = sample_lframe(rng, size)
         n = frame.n
         succ = [0] * n
@@ -222,34 +220,18 @@ def sample_modal_lframe(
                 if rng.random() < density:
                     succ[x] |= 1 << y
         succ[frame.one] = 1 << frame.one
-        ok = True
         for _ in range(3):
             if not _modal_fixpoint(frame, succ, rounds=4 * n * n + 4):
-                ok = False
                 break
+            if condition is not None and not _condition_closure(frame, succ, condition):
+                break
+            out = validate_modal_lframe(frame, tuple(succ))
+            if isinstance(out, ModalLFrame) and (
+                condition is None or frame_satisfies(out, CONDITIONS[condition])[0]
+            ):
+                return out
             if condition is None:
                 break
-            if not _condition_closure(frame, succ, condition):
-                ok = False
-                break
-            holds, _ = frame_satisfies(
-                ModalLFrame(frame, tuple(succ)), CONDITIONS[condition]
-            )
-            valid = isinstance(
-                validate_modal_lframe(frame, tuple(succ)), ModalLFrame
-            )
-            if holds and valid:
-                break
-        if not ok:
-            continue
-        out = validate_modal_lframe(frame, tuple(succ))
-        if isinstance(out, FrameViolation):
-            continue
-        if condition is not None:
-            holds, _ = frame_satisfies(out, CONDITIONS[condition])
-            if not holds:
-                continue
-        return out
     raise SizeCap(f"could not sample a valid modal L-frame of size {size}")
 
 
@@ -262,9 +244,9 @@ def sample_modal_lattice(
 
 
 def _frame_with_filter_cap(
-    rng: random.Random, max_points: int, max_filters: int, condition=None, tries=60
+    rng: random.Random, max_points: int, max_filters: int, condition=None
 ) -> Optional[ModalLFrame]:
-    for _ in range(tries):
+    for _ in range(60):
         size = rng.randint(1, max_points)
         try:
             x = sample_modal_lframe(rng, size, condition)
@@ -276,13 +258,10 @@ def _frame_with_filter_cap(
 
 
 def sample_vformation(
-    rng: random.Random,
-    max_k: int = 4,
-    max_l: int = 5,
-    condition: Optional[str] = None,
-    attempts: int = 80,
+    rng: random.Random, max_l: int = 5, condition: Optional[str] = None
 ) -> VFormation:
-    """Span of modal-lattice embeddings.
+    """Span of modal-lattice embeddings, K of at most 4 elements and each
+    L of at most `max_l`.
 
     Primary route: pick a small frame for K and two frames admitting
     surjective bounded L-morphisms onto it; the duals of those surjections
@@ -290,8 +269,8 @@ def sample_vformation(
     search injective homs between independently sampled filter algebras.
     Spans without embeddings are discarded and the stream advances.
     """
-    for _ in range(attempts):
-        xk = _frame_with_filter_cap(rng, 3, max_k, condition)
+    for _ in range(80):
+        xk = _frame_with_filter_cap(rng, 3, 4, condition)
         if xk is None:
             continue
         k = fil_f(xk)
@@ -345,23 +324,22 @@ def sample_vformation(
     raise SizeCap("could not sample a V-formation within the attempt budget")
 
 
-def sample_inclusion_span(
-    rng: random.Random, max_k: int = 4, max_l: int = 6, attempts: int = 100
-):
+def sample_inclusion_span(rng: random.Random):
     """Non-modal span K <= L1, K <= L2 with K's ids shared (for the
-    glued-filter comparison): finds bounded-lattice embeddings in the
-    small catalog and relabels each L so the image of K is the id prefix."""
+    glued-filter comparison), |K| <= 4 and |Li| <= 6: finds
+    bounded-lattice embeddings in the small catalog and relabels each L
+    so the image of K is the id prefix."""
     from .catalog import all_lattices
 
-    for _ in range(attempts):
-        nk = rng.randint(1, max_k)
+    for _ in range(100):
+        nk = rng.randint(1, 4)
         ks = all_lattices(nk)
         k = ks[rng.randrange(len(ks))]
         ls = []
         for _ in range(2):
             chosen = None
             for _ in range(12):
-                nl = rng.randint(nk, max_l)
+                nl = rng.randint(nk, 6)
                 cands = all_lattices(nl)
                 lat = cands[rng.randrange(len(cands))]
                 embs = [e for e in enumerate_homs(k, lat) if e.is_injective()]

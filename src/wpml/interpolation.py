@@ -5,6 +5,11 @@ Candidates are joins of meets over a pool of shared-letter subformulas
 (with the constants, closed once under box/diamond), enumerated by
 increasing total pool-atom count; the returned interpolant is the least
 candidate in that canonical order for which both derivations are found.
+
+Before any proof search, a candidate is dropped when a lattice of the
+proof search's screening set (`proofs._screening_algebras`) refutes one
+of its obligations: the same value-vector screens, tried in order, left
+obligation first, but with no skip by letter count.
 """
 
 from __future__ import annotations
@@ -16,7 +21,12 @@ from typing import Optional
 
 from .catalog import all_distributive_lattices
 from .entailment import decide_entailment, gamma_pairs
-from .errors import InternalInconsistency, PreconditionViolated, ResourceBound
+from .errors import (
+    InternalInconsistency,
+    PreconditionViolated,
+    ResourceBound,
+    resolve_budget,
+)
 from .formulas import (
     BOT,
     TOP,
@@ -35,7 +45,14 @@ from .formulas import (
     subformulas,
 )
 from .lattice import FiniteLattice, Valuation, algebra_validates
-from .proofs import Proof, check_proof, cut_pool, derive_bounded
+from .proofs import (
+    Proof,
+    _screening_algebras,
+    _VectorScreen,
+    check_proof,
+    cut_pool,
+    derive_bounded,
+)
 
 DISTRIBUTIVITY = (parse_pair("p & (q v r) |- p & q v p & r"),)
 
@@ -150,30 +167,6 @@ def _assert_obligations(result: InterpolationResult, prob, gamma) -> None:
         raise InternalInconsistency("right derivation does not check")
 
 
-def _screen_algebras(tags, max_frame_size: int = 3, cap: int = 16):
-    """Small modal lattices validating the axioms, used to discard
-    candidate obligations semantically before spending proof search on
-    them (a semantic failure is a sound non-derivability certificate)."""
-    from .catalog import all_modal_lframes
-    from .correspondence import frame_satisfies
-    from .entailment import gamma_conditions
-    from .lframe import fil_f
-
-    conds = gamma_conditions(tags)
-    out = []
-    for n in range(1, max_frame_size + 1):
-        for frame in all_modal_lframes(n):
-            if any(frame_satisfies(frame, c)[1] is not None for c in conds):
-                continue
-            a = fil_f(frame)
-            if all(existing.base.leq != a.base.leq or existing.box != a.box
-                   or existing.diamond != a.diamond for existing in out):
-                out.append(a)
-            if len(out) >= cap:
-                return out
-    return out
-
-
 def craig_interpolant(prob: InterpolationProblem) -> InterpolationResult:
     """Entailment first (so no-entailment never spends the candidate
     budget); then least-candidate interpolant search."""
@@ -194,18 +187,16 @@ def craig_interpolant(prob: InterpolationProblem) -> InterpolationResult:
         )
     gamma = gamma_pairs(prob.tags)
     pool = candidate_pool(prob.phi, prob.psi, prob.shared)
-    screens = _screen_algebras(prob.tags)
+    budget = resolve_budget()
+    screens = [_VectorScreen(a, budget) for a in _screening_algebras(gamma)]
     tried = 0
     notes: dict = {}
     for chi in enumerate_candidates(pool, prob.cand_size):
         tried += 1
         left_goal = ConsequencePair(prob.phi, chi)
         right_goal = ConsequencePair(chi, prob.psi)
-        if any(
-            algebra_validates(a, left_goal) is not None
-            or algebra_validates(a, right_goal) is not None
-            for a in screens
-        ):
+        goals = [(g, tuple(sorted(letters(g)))) for g in (left_goal, right_goal)]
+        if any(s.refutes(g, ls) for s in screens for g, ls in goals):
             continue
         try:
             left = derive_bounded(gamma, left_goal, prob.proof_depth, prob.proof_budget)

@@ -73,44 +73,19 @@ class FiniteLattice:
 
 
 @dataclass(frozen=True)
-class FiniteModalLattice:
+class FiniteModalLattice(FiniteLattice):
     """Bounded lattice with unary box/diamond satisfying the five
     modal-lattice identities (see `check_modal_identities`)."""
 
-    base: FiniteLattice
     box: tuple[int, ...]
     diamond: tuple[int, ...]
 
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def elements(self):
-        return self.base.elements
-
-    @property
-    def leq(self):
-        return self.base.leq
-
-    @property
-    def bot(self) -> int:
-        return self.base.bot
-
-    @property
-    def top(self) -> int:
-        return self.base.top
-
-    @property
-    def meet(self):
-        return self.base.meet
-
-    @property
-    def join(self):
-        return self.base.join
-
-    def le(self, i: int, j: int) -> bool:
-        return self.base.leq[i][j]
+    @classmethod
+    def over(cls, lat: FiniteLattice, box, diamond) -> "FiniteModalLattice":
+        """`lat` with the given box and diamond tables."""
+        return cls(
+            lat.elements, lat.leq, lat.bot, lat.top, lat.meet, lat.join, box, diamond
+        )
 
     def __repr__(self):
         return f"FiniteModalLattice(n={self.n})"
@@ -119,7 +94,7 @@ class FiniteModalLattice:
 def with_identity_modalities(lat: FiniteLattice) -> FiniteModalLattice:
     """Identity box/diamond always satisfy the modal-lattice identities."""
     ident = tuple(range(lat.n))
-    return FiniteModalLattice(lat, ident, ident)
+    return FiniteModalLattice.over(lat, ident, ident)
 
 
 @dataclass(frozen=True)
@@ -127,8 +102,8 @@ class LatticeMorphism:
     """Element map between two lattices, tagged whether it must also
     preserve the modal operators."""
 
-    dom: FiniteLattice | FiniteModalLattice
-    cod: FiniteLattice | FiniteModalLattice
+    dom: FiniteLattice
+    cod: FiniteLattice
     map: tuple[int, ...]
     modal: bool = False
 
@@ -154,9 +129,7 @@ class LatticeMorphism:
 Valuation = dict[str, int]
 
 
-def validate_lattice(
-    raw_leq, bot: int, top: int, elements=None, *, names=None
-) -> FiniteLattice:
+def validate_lattice(raw_leq, bot: int, top: int, elements=None) -> FiniteLattice:
     """Check the order axioms and derive meet/join tables.
 
     Raises NotAPoset / NotALattice / WrongBounds with a witness for the
@@ -167,11 +140,9 @@ def validate_lattice(
         if len(row) != n:
             raise NotAPoset("order matrix is not square")
     leq = tuple(tuple(bool(x) for x in row) for row in raw_leq)
-    if names is None:
-        names = elements
-    if names is None:
-        names = tuple(f"e{i}" for i in range(n))
-    names = tuple(str(x) for x in names)
+    if elements is None:
+        elements = tuple(f"e{i}" for i in range(n))
+    names = tuple(str(x) for x in elements)
     if len(names) != n:
         raise NotAPoset("element name list does not match matrix size")
     if n == 0:
@@ -261,21 +232,20 @@ _MODAL_IDENTITIES = (
 def check_modal_identities(a: FiniteModalLattice) -> list[IdentityViolation]:
     """Empty list iff all five modal-lattice identities hold."""
     out = []
-    lat = a.base
-    if a.box[lat.top] != lat.top:
-        out.append(IdentityViolation(_MODAL_IDENTITIES[0], (lat.top,)))
-    if a.diamond[lat.top] != lat.top:
-        out.append(IdentityViolation(_MODAL_IDENTITIES[1], (lat.top,)))
-    n = lat.n
-    meet, join = lat.meet, lat.join
+    if a.box[a.top] != a.top:
+        out.append(IdentityViolation(_MODAL_IDENTITIES[0], (a.top,)))
+    if a.diamond[a.top] != a.top:
+        out.append(IdentityViolation(_MODAL_IDENTITIES[1], (a.top,)))
+    n, leq = a.n, a.leq
+    meet, join = a.meet, a.join
     box, dia = a.box, a.diamond
     for x in range(n):
         for y in range(n):
             if meet[box[x]][box[y]] != box[meet[x][y]]:
                 out.append(IdentityViolation(_MODAL_IDENTITIES[2], (x, y)))
-            if not lat.leq[join[dia[x]][dia[y]]][dia[join[x][y]]]:
+            if not leq[join[dia[x]][dia[y]]][dia[join[x][y]]]:
                 out.append(IdentityViolation(_MODAL_IDENTITIES[3], (x, y)))
-            if not lat.leq[meet[dia[x]][box[y]]][dia[meet[x][y]]]:
+            if not leq[meet[dia[x]][box[y]]][dia[meet[x][y]]]:
                 out.append(IdentityViolation(_MODAL_IDENTITIES[4], (x, y)))
     return out
 
@@ -309,8 +279,8 @@ def validate_morphism(h: LatticeMorphism) -> None:
 
 
 def enumerate_homs(
-    a: FiniteLattice | FiniteModalLattice,
-    b: FiniteLattice | FiniteModalLattice,
+    a: FiniteLattice,
+    b: FiniteLattice,
     modal: bool = False,
 ) -> Iterator[LatticeMorphism]:
     """All structure-preserving maps a -> b, in lexicographic order of the
@@ -366,7 +336,7 @@ def _table_maps(n: int, m: int, fixed, binary, unary=()) -> Iterator[tuple[int, 
 
 
 def _eval_formula(
-    a: FiniteLattice | FiniteModalLattice, f: Formula, val: Valuation
+    a: FiniteLattice, f: Formula, val: Valuation
 ) -> int:
     if isinstance(f, Letter):
         return val[f.name]
@@ -395,7 +365,7 @@ def evaluate(a, f: Formula, val: Valuation) -> int:
 
 
 def algebra_validates(
-    a: FiniteLattice | FiniteModalLattice,
+    a: FiniteLattice,
     pair: ConsequencePair,
     budget: Optional[int] = None,
 ) -> Optional[Valuation]:
@@ -458,8 +428,7 @@ def is_epi_bounded(
     for m in range(1, bound + 1):
         candidates = all_modal_lattices(m) if h.modal else all_lattices(m)
         for cand in candidates:
-            base = cand.base if isinstance(cand, FiniteModalLattice) else cand
-            if restrict_distributive and not is_distributive(base):
+            if restrict_distributive and not is_distributive(cand):
                 continue
             homs = list(enumerate_homs(cod, cand, modal=h.modal))
             work += cod.n ** 2 * max(len(homs), 1)

@@ -426,9 +426,8 @@ def fil_f_lattice(frame: LFrame) -> FiniteLattice:
 
 def fil_f(frame: ModalLFrame) -> FiniteModalLattice:
     """Filter lattice with box/diamond induced by the relation."""
-    lat = fil_f_lattice(frame.base)
     box, dia = frame.filter_modalities
-    return FiniteModalLattice(lat, box, dia)
+    return FiniteModalLattice.over(fil_f_lattice(frame.base), box, dia)
 
 
 # --- morphisms ---------------------------------------------------------------

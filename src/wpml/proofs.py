@@ -11,16 +11,18 @@ bounds.
 
 Semantic screening: before expanding a subgoal of at most three letters,
 the search refutes it on a fixed set of small modal lattices that
-validate the axioms (`_screening_algebras`).  Each formula's value
-vector, its value under every valuation of the subgoal's sorted letters
-in `algebra_validates`' order, is built once from its children's
-vectors by the kernel in `vectors`; a subgoal is screened out at the
-first position where its left value is not below its right one.  The
-memo belongs to the `ProofSearch` and lives as long as it does, one
-search per `derive_bounded` call.  The scalar `lattice.algebra_validates` and
-`lattice.evaluate` stay the reference oracles: tests/test_proofs.py
-checks the screen's verdicts against them and whole searches against a
-search that screens through `algebra_validates`.
+validate the axioms (`_screening_algebras`, cached per axiom set;
+`interpolation.craig_interpolant` screens candidates on the same set).
+Each screen algebra is a `_VectorScreen` that builds a formula's value
+vector, its value under every valuation of the pair's sorted letters in
+`algebra_validates`' order, once from its children's vectors by the
+kernel in `vectors`, and keeps it per letter tuple for as long as the
+screen lives (one search per `derive_bounded` call); a pair is refuted
+at the first position where its left value is not below its right one.
+The scalar `lattice.algebra_validates` and `lattice.evaluate` stay the
+reference oracles: tests/test_proofs.py checks the screen's verdicts
+against them and whole searches against a search that screens through
+`algebra_validates`.
 
 Memo tables: a search numbers the formulas it meets with small ints of
 its own and keys its memo tables by the ids of a pair's two sides, so
@@ -303,7 +305,7 @@ def _screening_algebras(gamma):
     out = []
     seen = set()
     for a in candidates:
-        key = (a.base.leq, a.box, a.diamond)
+        key = (a.leq, a.box, a.diamond)
         if key in seen:
             continue
         seen.add(key)
@@ -317,9 +319,10 @@ def _screening_algebras(gamma):
 class _VectorScreen(ValueVectors):
     """One screen algebra, ready to evaluate formulas as value vectors in
     `algebra_validates`' valuation order (`product(range(n), repeat=k)`,
-    the last letter varying fastest)."""
+    the last letter varying fastest).  It keeps the vectors it builds,
+    per sorted letter tuple, for as long as it lives."""
 
-    def __init__(self, a):
+    def __init__(self, a, budget: int):
         from .lattice import FiniteModalLattice
 
         self.n, self.top, self.bot = a.n, a.top, a.bot
@@ -328,10 +331,23 @@ class _VectorScreen(ValueVectors):
         self.box = a.box if modal else None
         self.diamond = a.diamond if modal else None
         self.nleq = tuple(tuple(not le for le in row) for row in a.leq)
+        self.budget = budget
+        # sorted letters -> formula -> value vector
+        self.memo: dict[tuple[str, ...], dict[Formula, bytes | tuple]] = {}
 
-    def refutes(self, left, right) -> bool:
-        """True iff some valuation puts the left value outside the order
-        below the right one; stops at the first such valuation."""
+    def refutes(self, pair: ConsequencePair, ls: tuple[str, ...]) -> bool:
+        """True iff some valuation of the sorted letters `ls` (those of
+        the pair) puts the left value outside the order below the right
+        one: the decision of `algebra_validates(a, pair) is not None`,
+        with the same ResourceBound(n**k, budget)."""
+        needed = self.n ** len(ls)
+        if needed > self.budget:
+            raise ResourceBound(needed, self.budget)
+        memo = self.memo.get(ls)
+        if memo is None:
+            memo = self.memo[ls] = self.seed(ls)
+        left = self.vector(memo, pair.lhs)
+        right = self.vector(memo, pair.rhs)
         return any(map(getitem, map(self.nleq.__getitem__, left), right))
 
 
@@ -393,7 +409,6 @@ class ProofSearch:
         self.screens = (
             _screening_algebras(self.gamma) if screens is None else tuple(screens)
         )
-        self.screen_budget = resolve_budget()
         ids: dict[Formula, int] = {}
         self._ids = ids
         self._pool_ids = tuple(ids.setdefault(f, len(ids)) for f in self.pool)
@@ -407,16 +422,16 @@ class ProofSearch:
             self._failed_at, ids, self._formulas
         )
         self._screen_ok: set[ConsequencePair] = set()
-        self._vector_screens = [_VectorScreen(a) for a in self.screens]
-        # (screen index, sorted letters) -> formula -> value vector
-        self._vectors: dict[tuple[int, tuple[str, ...]], dict[Formula, bytes]] = {}
+        screen_budget = resolve_budget()
+        self._vector_screens = [_VectorScreen(a, screen_budget) for a in self.screens]
         self.expansions = 0
         self.screen_calls = 0
         self.screen_rejects = 0
 
     @property
     def vector_entries(self) -> int:
-        return sum(len(memo) for memo in self._vectors.values())
+        screens = self._vector_screens
+        return sum(len(memo) for s in screens for memo in s.memo.values())
 
     def _screened_out(self, pair: ConsequencePair) -> bool:
         """True iff some screen algebra, tried in order, refutes the pair.
@@ -430,16 +445,8 @@ class ProofSearch:
             self._screen_ok.add(pair)
             return False
         self.screen_calls += 1
-        for i, screen in enumerate(self._vector_screens):
-            needed = screen.n ** len(ls)
-            if needed > self.screen_budget:
-                raise ResourceBound(needed, self.screen_budget)
-            memo = self._vectors.get((i, ls))
-            if memo is None:
-                memo = self._vectors[(i, ls)] = screen.seed(ls)
-            left = screen.vector(memo, pair.lhs)
-            right = screen.vector(memo, pair.rhs)
-            if screen.refutes(left, right):
+        for screen in self._vector_screens:
+            if screen.refutes(pair, ls):
                 self.screen_rejects += 1
                 return True
         self._screen_ok.add(pair)

@@ -61,15 +61,14 @@ def dumps(obj: Any) -> str:
 
 # --- lattices ----------------------------------------------------------------
 
-def lattice_to_json(lat: FiniteLattice | FiniteModalLattice) -> dict:
+def lattice_to_json(lat: FiniteLattice) -> dict:
     modal = isinstance(lat, FiniteModalLattice)
-    base = lat.base if modal else lat
     out = {
         "kind": "modal_lattice" if modal else "lattice",
-        "elements": list(base.elements),
-        "leq": [[1 if v else 0 for v in row] for row in base.leq],
-        "bot": base.bot,
-        "top": base.top,
+        "elements": list(lat.elements),
+        "leq": [[1 if v else 0 for v in row] for row in lat.leq],
+        "bot": lat.bot,
+        "top": lat.top,
     }
     if modal:
         out["box"] = list(lat.box)
@@ -77,7 +76,7 @@ def lattice_to_json(lat: FiniteLattice | FiniteModalLattice) -> dict:
     return out
 
 
-def lattice_from_json(payload: dict) -> FiniteLattice | FiniteModalLattice:
+def lattice_from_json(payload: dict) -> FiniteLattice:
     """Shape and range checks raise PayloadError; a well-formed payload
     that is not a (modal) lattice raises the validator's WpmlError."""
     leq, bot, top, elements = _fields(
@@ -97,7 +96,7 @@ def lattice_from_json(payload: dict) -> FiniteLattice | FiniteModalLattice:
         box, diamond = _fields(payload, "modal lattice", "box", "diamond")
         box = _element_ids(box, "lattice box", n)
         diamond = _element_ids(diamond, "lattice diamond", n)
-        modal = FiniteModalLattice(base, box, diamond)
+        modal = FiniteModalLattice.over(base, box, diamond)
         violations = check_modal_identities(modal)
         if violations:
             v = violations[0]

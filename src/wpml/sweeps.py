@@ -31,14 +31,15 @@ def _histogram(values) -> dict:
     return dict(sorted(out.items()))
 
 
-def duality_sweep(seed: int, count: int, max_frame_size: int = 5) -> dict:
-    """Round-trip isomorphism on seeded filter algebras of random frames;
-    also re-checks the modal identities and tightness of the dual."""
+def duality_sweep(seed: int, count: int) -> dict:
+    """Round-trip isomorphism on seeded filter algebras of random frames
+    of at most 5 points; also re-checks the modal identities and
+    tightness of the dual."""
     rng = random.Random(seed)
     failures = []
     sizes = []
     for i in range(count):
-        a = sample_modal_lattice(rng, rng.randint(1, max_frame_size))
+        a = sample_modal_lattice(rng, rng.randint(1, 5))
         sizes.append(a.n)
         try:
             if check_modal_identities(a):
@@ -60,11 +61,9 @@ def duality_sweep(seed: int, count: int, max_frame_size: int = 5) -> dict:
     }
 
 
-def superamalgamation_sweep(
-    seed: int, count: int, max_k: int = 4, max_l: int = 5, claim: bool = True
-) -> dict:
+def superamalgamation_sweep(seed: int, count: int) -> dict:
     """Seeded V-formations through the dual pullback construction; checks
-    the full report and (optionally) the separation-claim assertions.
+    the full report and the separation-claim assertions.
     Construction failures and claim failures are reported separately."""
     rng = random.Random(seed)
     failures = []
@@ -73,7 +72,7 @@ def superamalgamation_sweep(
     witness_total = 0
     for i in range(count):
         try:
-            v = sample_vformation(rng, max_k=max_k, max_l=max_l)
+            v = sample_vformation(rng)
         except SizeCap as exc:
             failures.append({"instance": i, "reason": f"sampler: {exc}"})
             continue
@@ -96,10 +95,9 @@ def superamalgamation_sweep(
             )
             continue
         witness_total += len(res.report.witnesses)
-        if claim:
-            problems = check_supamal_claim(res.pb)
-            if problems:
-                claim_failures.append({"instance": i, "reason": problems})
+        problems = check_supamal_claim(res.pb)
+        if problems:
+            claim_failures.append({"instance": i, "reason": problems})
     return {
         "target": "superamalgamation",
         "seed": seed,
@@ -113,15 +111,16 @@ def superamalgamation_sweep(
     }
 
 
-def correspondence_sweep(seed: int, count: int, max_frame_size: int = 4) -> dict:
-    """On tight frames (duals of seeded algebras): the frame condition
+def correspondence_sweep(seed: int, count: int) -> dict:
+    """On tight frames (duals of seeded algebras of random frames of at
+    most 4 points): the frame condition
     must hold exactly when every axiom pair is frame-valid; on all frames
     the condition must imply validity."""
     rng = random.Random(seed)
     failures = []
     sizes = []
     for i in range(count):
-        a = sample_modal_lattice(rng, rng.randint(1, max_frame_size))
+        a = sample_modal_lattice(rng, rng.randint(1, 4))
         try:
             space = fil_l(a)
         except Exception as exc:  # a sweep must report, not crash
@@ -190,9 +189,7 @@ def _closure_instance(i: int, v, condition: str, sizes: list) -> list[dict]:
     return failures
 
 
-def closure_sweep(
-    condition: str, seed: int, count: int, max_k: int = 4, max_l: int = 5
-) -> dict:
+def closure_sweep(condition: str, seed: int, count: int) -> dict:
     """Pullbacks of condition-satisfying co-V-formations (duals of
     condition-axiom-validating spans) must satisfy the condition."""
     rng = random.Random(seed)
@@ -200,7 +197,7 @@ def closure_sweep(
     sizes = []
     for i in range(count):
         try:
-            v = sample_vformation(rng, max_k=max_k, max_l=max_l, condition=condition)
+            v = sample_vformation(rng, condition=condition)
         except SizeCap as exc:
             failures.append({"instance": i, "reason": f"sampler: {exc}"})
             continue
@@ -220,7 +217,7 @@ def closure_sweep(
     }
 
 
-def jonsson_sweep(seed: int, count: int, max_k: int = 4, max_l: int = 6) -> dict:
+def jonsson_sweep(seed: int, count: int) -> dict:
     """Glued-filter lattice versus pullback point poset: the bijection
     must reverse the order on every seeded non-modal inclusion span."""
     rng = random.Random(seed)
@@ -228,7 +225,7 @@ def jonsson_sweep(seed: int, count: int, max_k: int = 4, max_l: int = 6) -> dict
     sizes = []
     for i in range(count):
         try:
-            k, l1, l2 = sample_inclusion_span(rng, max_k=max_k, max_l=max_l)
+            k, l1, l2 = sample_inclusion_span(rng)
         except SizeCap as exc:
             failures.append({"instance": i, "reason": f"sampler: {exc}"})
             continue

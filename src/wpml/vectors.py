@@ -8,9 +8,10 @@ Each vector is built once from its children's vectors: conjunction and
 disjunction are lookups in the meet and join tables, box and diamond in
 unary tables.
 
-Two callers share this kernel: the proof search screens subgoals on small
-modal lattices (`proofs._VectorScreen`), and `lframe.frame_validates`
-evaluates a pair over a frame's filters.  The scalar evaluators
+Two users share this kernel: `proofs._VectorScreen` refutes pairs on
+small modal lattices (the proof search's subgoals and the interpolant
+search's candidate obligations), and `lframe.frame_validates` evaluates
+a pair over a frame's filters.  The scalar evaluators
 (`lattice.evaluate`, `lframe.truth_set`) stay the reference oracles.
 """
 

@@ -4,26 +4,34 @@ per-criterion lines.  Shared corpora are module-scoped fixtures, so the
 criteria stay order-independent.
 """
 
+import hashlib
 import json
 import random
 
 import pytest
 
-from wpml.catalog import all_lattices
+from wpml.catalog import all_lattices, all_modal_lframes
 from wpml.correspondence import AXIOM_TAGS, AXIOMS, CONDITION_OF_AXIOM, frame_satisfies
 from wpml.duality import fil_l, is_tight, round_trip_iso
-from wpml.entailment import gamma_pairs
-from wpml.formulas import ConsequencePair, connectives, letters, parse_formula
+from wpml.entailment import gamma_conditions, gamma_pairs
+from wpml.errors import resolve_budget
+from wpml.formulas import ConsequencePair, connectives, letters, parse_formula, pretty
 from wpml.generators import sample_modal_lattice, sample_modal_lframe
-from wpml.interpolation import InterpolationProblem, craig_interpolant
+from wpml.interpolation import (
+    InterpolationProblem,
+    candidate_pool,
+    craig_interpolant,
+    enumerate_candidates,
+)
 from wpml.lattice import (
     LatticeMorphism,
     algebra_validates,
     is_epi_bounded,
     with_identity_modalities,
 )
-from wpml.lframe import frame_validates
-from wpml.proofs import check_proof, derive_bounded
+from wpml.lframe import fil_f, frame_validates
+from wpml.proofs import _screening_algebras, _VectorScreen, check_proof, derive_bounded
+from wpml.serialize import proof_to_json
 from wpml.sweeps import (
     closure_sweep,
     correspondence_sweep,
@@ -356,6 +364,70 @@ def test_criterion_09_interpolation_golden_corpus(golden_results):
         f"{refut.countermodel.structure.n if refut.countermodel else '?'} points, "
         f"problems: {problems[:3]}",
     )
+
+
+# sha256 of [verdict, interpolant, left proof, right proof] for the 50
+# golden problems, recorded before the candidate screen moved to the
+# proof search's screening set
+GOLDEN_ANSWERS_SHA256 = (
+    "d5e36cf2da5f232714376110ca0169c0b7f151a8a2a4ffa259a6e448876d07b5"
+)
+
+
+def test_golden_answers_are_pinned(golden_results):
+    rows = [
+        [res.verdict, pretty(res.interpolant)]
+        + [proof_to_json(p) for p in (res.proof_left, res.proof_right)]
+        for _, res in golden_results
+    ]
+    text = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ANSWERS_SHA256
+
+
+def _frame_screen_algebras(tags):
+    """The former candidate screen: the filter algebras of the modal
+    L-frames of at most 3 points that satisfy the axioms' conditions,
+    without repeats, at most 16."""
+    conds = gamma_conditions(tags)
+    out = []
+    for n in range(1, 4):
+        for frame in all_modal_lframes(n):
+            if any(frame_satisfies(frame, c)[1] is not None for c in conds):
+                continue
+            a = fil_f(frame)
+            key = (a.leq, a.box, a.diamond)
+            if all((b.leq, b.box, b.diamond) != key for b in out):
+                out.append(a)
+            if len(out) >= 16:
+                return out
+    return out
+
+
+def test_candidate_screen_matches_frame_screen_oracle(golden_results):
+    """Every candidate up to each golden interpolant is screened out by
+    the value-vector screen on the proof search's screening set exactly
+    when the former screen refutes an obligation through the scalar
+    `algebra_validates`."""
+    checked = 0
+    budget = resolve_budget()
+    for prob, res in golden_results:
+        algebras = _screening_algebras(gamma_pairs(prob.tags))
+        screens = [_VectorScreen(a, budget) for a in algebras]
+        oracle = _frame_screen_algebras(prob.tags)
+        pool = candidate_pool(prob.phi, prob.psi, prob.shared)
+        for chi in enumerate_candidates(pool, prob.cand_size):
+            goals = [ConsequencePair(prob.phi, chi), ConsequencePair(chi, prob.psi)]
+            got = any(
+                s.refutes(g, tuple(sorted(letters(g)))) for s in screens for g in goals
+            )
+            want = any(
+                algebra_validates(a, g) is not None for a in oracle for g in goals
+            )
+            assert got == want, (str(prob.phi), str(prob.psi), str(chi))
+            checked += 1
+            if chi == res.interpolant:
+                break
+    assert checked == 332
 
 
 def test_criterion_10_jonsson_equivalence():

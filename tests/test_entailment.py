@@ -3,10 +3,13 @@ import pytest
 from wpml import entailment
 from wpml.catalog import all_modal_lframes
 from wpml.entailment import decide_entailment
-from wpml.formulas import parse_pair
+from wpml.errors import PreconditionViolated
+from wpml.formulas import parse_formula, parse_pair
+from wpml.interpolation import InterpolationProblem, craig_interpolant
 from wpml.lframe import frame_validates, truth_set
 from wpml.proofs import check_proof
-from wpml.correspondence import AXIOMS
+from wpml.correspondence import AXIOMS, correspondence_check, frame_satisfies
+from wpml.sweeps import closure_sweep
 
 from conftest import literal_modal_lframes, reference_frame_validates
 
@@ -76,6 +79,33 @@ class TestUnknownVerdicts:
             assert r.diagnostics["proof_depth"] == 2
             assert r.diagnostics["model_size"] == 2
             assert r.diagnostics["largest_frame_size"] <= 2
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("Z", lambda: decide_entailment(("Z",), parse_pair("p |- p"))),
+        (
+            "Z",
+            lambda: craig_interpolant(
+                InterpolationProblem(parse_formula("p"), parse_formula("p"), ("Z",))
+            ),
+        ),
+        ("Z", lambda: correspondence_check(next(all_modal_lframes(1)), "Z")),
+        ("nope", lambda: frame_satisfies(next(all_modal_lframes(1)), "nope")),
+        ("nope", lambda: closure_sweep("nope", 0, 2)),
+    ],
+    ids=[
+        "decide_entailment",
+        "craig_interpolant",
+        "correspondence_check",
+        "frame_satisfies",
+        "closure_sweep",
+    ],
+)
+def test_unknown_name_is_a_precondition_violation(name, call):
+    with pytest.raises(PreconditionViolated, match=repr(name)):
+        call()
 
 
 class TestAgreementWithAlgebraSemantics:

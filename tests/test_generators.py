@@ -46,7 +46,7 @@ class TestPostValidation:
         rng = random.Random(101)
         for _ in range(30):
             a = sample_modal_lattice(rng, rng.randint(1, 5))
-            validate_lattice(a.base.leq, a.base.bot, a.base.top)
+            validate_lattice(a.leq, a.bot, a.top)
             assert check_modal_identities(a) == []
 
     def test_vformations_validate(self):

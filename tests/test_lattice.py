@@ -100,7 +100,7 @@ class TestModalIdentities:
     def test_constant_bottom_diamond_breaks_modal_top(self, b4):
         top_const = tuple(b4.top for _ in range(4))
         bot_const = tuple(b4.bot for _ in range(4))
-        a = FiniteModalLattice(b4, top_const, bot_const)
+        a = FiniteModalLattice.over(b4, top_const, bot_const)
         violated = {v.identity for v in check_modal_identities(a)}
         assert "T = <>T" in violated
 
@@ -244,7 +244,7 @@ class TestModalCatalog:
             (b, d)
             for b in product(range(2), repeat=2)
             for d in product(range(2), repeat=2)
-            if not check_modal_identities(FiniteModalLattice(chain2, b, d))
+            if not check_modal_identities(FiniteModalLattice.over(chain2, b, d))
         )
         assert got == brute
         assert len(got) == 3
@@ -296,7 +296,7 @@ class TestModalCatalog:
         for n, want in orders.items():
             assert digest(all_lattice_orders(n)) == want
         for n, want in modal.items():
-            entries = [(a.base.leq, a.box, a.diamond) for a in all_modal_lattices(n)]
+            entries = [(a.leq, a.box, a.diamond) for a in all_modal_lattices(n)]
             assert digest(entries) == want
         for n, want in frames.items():
             entries = [(x.base.meet, x.succ) for x in all_modal_lframes(n)]

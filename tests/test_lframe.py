@@ -218,13 +218,13 @@ class TestFilF:
         a = fil_f(identity_modal(m2_frame))
         assert a.n == 4
         want = validate_lattice(B4_LEQ, 0, 3)
-        assert a.base.leq == want.leq  # two incomparable mid elements
+        assert a.leq == want.leq  # two incomparable mid elements
 
     def test_lattice_structure_revalidates(self):
         for n in range(1, 5):
             for frame in all_lframes(n):
                 a = fil_f(identity_modal(frame))
-                validate_lattice(a.base.leq, a.base.bot, a.base.top)
+                validate_lattice(a.leq, a.bot, a.top)
 
     def test_identities_on_seeded_sample(self):
         # frames of size <= 5: exhaustive for <= 4, seeded relations for 5

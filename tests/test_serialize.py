@@ -47,7 +47,7 @@ class TestLatticeCodec:
         for _ in range(10):
             a = sample_modal_lattice(rng, rng.randint(1, 4))
             back = lattice_from_json(lattice_to_json(a))
-            assert back.base.leq == a.base.leq
+            assert back.leq == a.leq
             assert back.box == a.box and back.diamond == a.diamond
 
     def test_identity_check_on_load(self, b4):
@@ -84,7 +84,7 @@ class TestVFormationCodec:
         v = sample_vformation(random.Random(3))
         back = vformation_from_json(vformation_to_json(v))
         assert back.h1.map == v.h1.map and back.h2.map == v.h2.map
-        assert back.k.base.leq == v.k.base.leq
+        assert back.k.leq == v.k.leq
 
     def test_non_embedding_rejected(self):
         v = None
