@@ -146,6 +146,25 @@ def formula_key(f: Formula):
     return (tag,)
 
 
+def _size_key(f: Formula, memo: dict) -> tuple[int, tuple]:
+    """`(size(f), formula_key(f))`, built from those of f's children and
+    kept in `memo` with theirs, so a sort over many formulas that share
+    subformulas computes each key once."""
+    found = memo.get(f)
+    if found is None:
+        tag = _TAG_ORDER[type(f)]
+        if isinstance(f, (And, Or)):
+            (m, a), (n, b) = _size_key(f.lhs, memo), _size_key(f.rhs, memo)
+            found = (1 + m + n, (tag, a, b))
+        elif isinstance(f, (Box, Dia)):
+            m, a = _size_key(f.arg, memo)
+            found = (1 + m, (tag, a))
+        else:
+            found = (1, formula_key(f))
+        memo[f] = found
+    return found
+
+
 def size(f: Formula) -> int:
     """Node count of the syntax tree."""
     if isinstance(f, (And, Or)):

@@ -8,8 +8,10 @@ candidate in that canonical order for which both derivations are found.
 
 Before any proof search, a candidate is dropped when a lattice of the
 proof search's screening set (`proofs._screening_algebras`) refutes one
-of its obligations: the same value-vector screens, tried in order, left
-obligation first, but with no skip by letter count.
+of its obligations.  Both obligations are evaluated on the whole set at
+once by a packed screen (`vectors.PackedScreen`, one per call), with the
+decision and the exceptions of the literal loop over the algebras, left
+obligation first at each, and with no skip by letter count.
 """
 
 from __future__ import annotations
@@ -47,12 +49,13 @@ from .formulas import (
 from .lattice import FiniteLattice, Valuation, algebra_validates
 from .proofs import (
     Proof,
+    _screen_tables,
     _screening_algebras,
-    _VectorScreen,
     check_proof,
     cut_pool,
     derive_bounded,
 )
+from .vectors import PackedScreen
 
 DISTRIBUTIVITY = (parse_pair("p & (q v r) |- p & q v p & r"),)
 
@@ -187,16 +190,17 @@ def craig_interpolant(prob: InterpolationProblem) -> InterpolationResult:
         )
     gamma = gamma_pairs(prob.tags)
     pool = candidate_pool(prob.phi, prob.psi, prob.shared)
-    budget = resolve_budget()
-    screens = [_VectorScreen(a, budget) for a in _screening_algebras(gamma)]
+    screen = PackedScreen(_screen_tables(_screening_algebras(gamma)), resolve_budget())
     tried = 0
     notes: dict = {}
     for chi in enumerate_candidates(pool, prob.cand_size):
         tried += 1
         left_goal = ConsequencePair(prob.phi, chi)
         right_goal = ConsequencePair(chi, prob.psi)
-        goals = [(g, tuple(sorted(letters(g)))) for g in (left_goal, right_goal)]
-        if any(s.refutes(g, ls) for s in screens for g, ls in goals):
+        goals = [
+            (g.lhs, g.rhs, tuple(sorted(letters(g)))) for g in (left_goal, right_goal)
+        ]
+        if screen.refutes(goals):
             continue
         try:
             left = derive_bounded(gamma, left_goal, prob.proof_depth, prob.proof_budget)

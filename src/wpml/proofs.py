@@ -13,15 +13,17 @@ Semantic screening: before expanding a subgoal of at most three letters,
 the search refutes it on a fixed set of small modal lattices that
 validate the axioms (`_screening_algebras`, cached per axiom set;
 `interpolation.craig_interpolant` screens candidates on the same set).
-Each screen algebra is a `_VectorScreen` that builds a formula's value
-vector, its value under every valuation of the pair's sorted letters in
-`algebra_validates`' order, once from its children's vectors by the
-kernel in `vectors`, and keeps it per letter tuple for as long as the
-screen lives (one search per `derive_bounded` call); a pair is refuted
-at the first position where its left value is not below its right one.
-The scalar `lattice.algebra_validates` and `lattice.evaluate` stay the
-reference oracles: tests/test_proofs.py checks the screen's verdicts
-against them and whole searches against a search that screens through
+The set is packed once (`_screen_tables`, a `vectors.ScreenTables`), so
+that a formula's value under every valuation of the pair's sorted
+letters, on every screen algebra, is one packed `bytes` vector, built
+once per search from its children's vectors; a pair is refuted at the
+first screen, in order, where its left value is not below its right
+one, and only screens within the budget are evaluated.  The search keeps
+the letter set of each formula id it screens.  The scalar
+`lattice.algebra_validates` and `lattice.evaluate` stay the reference
+oracles: tests/test_proofs.py checks the screen's verdicts, first
+refuting screens and exceptions against the literal loop over the
+algebras, and whole searches against a search that screens through
 `algebra_validates`.
 
 Memo tables: a search numbers the formulas it meets with small ints of
@@ -40,7 +42,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import getitem
 from typing import Optional
 
 from .errors import ResourceBound, resolve_budget
@@ -55,13 +56,13 @@ from .formulas import (
     Formula,
     Or,
     Top,
-    formula_key,
+    _size_key,
     letters,
     match_pair,
     subformulas,
     substitute,
 )
-from .vectors import ValueVectors
+from .vectors import PackedScreen, ScreenTables
 
 RULES = (
     "top",
@@ -255,19 +256,26 @@ def cut_pool(
     `pool_cap` smallest formulas.  Both caps only bound the search, they
     never affect soundness.
     """
-    from .formulas import size as fsize
+    memo: dict = {}
+
+    def keys(f):
+        return _size_key(f, memo)
 
     base: set[Formula] = {TOP, BOT}
     base |= subformulas(goal.lhs) | subformulas(goal.rhs)
-    ground = sorted(base, key=lambda f: (fsize(f), formula_key(f)))
+    ground = sorted(base, key=keys)
+    ground_keys = [keys(f) for f in ground]
     for member in gamma:
         vs = sorted(letters(member))
         combos = sorted(
-            product(ground, repeat=len(vs)),
-            key=lambda c: (sum(fsize(f) for f in c), tuple(formula_key(f) for f in c)),
+            product(range(len(ground)), repeat=len(vs)),
+            key=lambda c: (
+                sum(ground_keys[i][0] for i in c),
+                tuple(ground_keys[i][1] for i in c),
+            ),
         )[:instance_cap]
         for combo in combos:
-            m = dict(zip(vs, combo))
+            m = {v: ground[i] for v, i in zip(vs, combo)}
             base |= subformulas(substitute(member.lhs, m))
             base |= subformulas(substitute(member.rhs, m))
     once = set(base)
@@ -278,8 +286,8 @@ def cut_pool(
         # through dia T & box f |- dia(T & f) (the duality axiom at T)
         once.add(And(Dia(TOP), Box(f)))
         once.add(Dia(And(TOP, f)))
-    ranked = sorted(once, key=lambda f: (fsize(f), formula_key(f)))[:pool_cap]
-    return tuple(sorted(ranked, key=formula_key))
+    ranked = sorted(once, key=keys)[:pool_cap]
+    return tuple(sorted(ranked, key=lambda f: keys(f)[1]))
 
 
 _NEVER = 10**9
@@ -316,39 +324,10 @@ def _screening_algebras(gamma):
     return tuple(out)
 
 
-class _VectorScreen(ValueVectors):
-    """One screen algebra, ready to evaluate formulas as value vectors in
-    `algebra_validates`' valuation order (`product(range(n), repeat=k)`,
-    the last letter varying fastest).  It keeps the vectors it builds,
-    per sorted letter tuple, for as long as it lives."""
-
-    def __init__(self, a, budget: int):
-        from .lattice import FiniteModalLattice
-
-        self.n, self.top, self.bot = a.n, a.top, a.bot
-        self.meet, self.join = a.meet, a.join
-        modal = isinstance(a, FiniteModalLattice)
-        self.box = a.box if modal else None
-        self.diamond = a.diamond if modal else None
-        self.nleq = tuple(tuple(not le for le in row) for row in a.leq)
-        self.budget = budget
-        # sorted letters -> formula -> value vector
-        self.memo: dict[tuple[str, ...], dict[Formula, bytes | tuple]] = {}
-
-    def refutes(self, pair: ConsequencePair, ls: tuple[str, ...]) -> bool:
-        """True iff some valuation of the sorted letters `ls` (those of
-        the pair) puts the left value outside the order below the right
-        one: the decision of `algebra_validates(a, pair) is not None`,
-        with the same ResourceBound(n**k, budget)."""
-        needed = self.n ** len(ls)
-        if needed > self.budget:
-            raise ResourceBound(needed, self.budget)
-        memo = self.memo.get(ls)
-        if memo is None:
-            memo = self.memo[ls] = self.seed(ls)
-        left = self.vector(memo, pair.lhs)
-        right = self.vector(memo, pair.rhs)
-        return any(map(getitem, map(self.nleq.__getitem__, left), right))
+@lru_cache(maxsize=64)
+def _screen_tables(screens: tuple) -> ScreenTables:
+    """The packed tables of a screening set, built once per set."""
+    return ScreenTables(screens)
 
 
 # memo key of the pair of formula ids (l, r): l << _SHIFT | r
@@ -399,7 +378,8 @@ class ProofSearch:
 
     `expansions`, `screen_calls` (pairs checked against the screen set),
     `screen_rejects` (pairs a screen refuted) and `vector_entries`
-    (memoized value vectors) are deterministic work counters.
+    (packed vectors held by the search's screen) are deterministic work
+    counters.
     """
 
     def __init__(self, gamma, pool, budget: int = 200_000, screens=None):
@@ -421,35 +401,43 @@ class ProofSearch:
         self.failed_at: Mapping[ConsequencePair, int] = _PairTable(
             self._failed_at, ids, self._formulas
         )
-        self._screen_ok: set[ConsequencePair] = set()
-        screen_budget = resolve_budget()
-        self._vector_screens = [_VectorScreen(a, screen_budget) for a in self.screens]
+        # letter set of each formula id the screen has met
+        self._letters: dict[int, frozenset[str]] = {}
+        self._screen_ok: set[int] = set()
+        self._screen = PackedScreen(_screen_tables(self.screens), resolve_budget())
         self.expansions = 0
         self.screen_calls = 0
         self.screen_rejects = 0
 
     @property
     def vector_entries(self) -> int:
-        screens = self._vector_screens
-        return sum(len(memo) for s in screens for memo in s.memo.values())
+        return self._screen.vector_entries
 
-    def _screened_out(self, pair: ConsequencePair) -> bool:
-        """True iff some screen algebra, tried in order, refutes the pair.
-        The same decision as `algebra_validates(a, pair) is not None` for
-        some `a` in `screens`, and the same ResourceBound, but each
-        formula's value vector is computed once per search."""
-        if pair in self._screen_ok:
+    def _letters_of(self, i: int) -> frozenset[str]:
+        found = self._letters.get(i)
+        if found is None:
+            found = self._letters[i] = letters(self._formulas[i])
+        return found
+
+    def _screened_out(self, key: int) -> bool:
+        """True iff some screen algebra, tried in order, refutes the pair
+        of formula ids `key`.  The same decision as `algebra_validates(a,
+        pair) is not None` for some `a` in `screens`, and the same
+        ResourceBound, but all screens are tried at once on packed
+        vectors computed once per search."""
+        if key in self._screen_ok:
             return False
-        ls = tuple(sorted(letters(pair)))
+        l, r = key >> _SHIFT, key & _LOW
+        ls = tuple(sorted(self._letters_of(l) | self._letters_of(r)))
         if len(ls) > 3:
-            self._screen_ok.add(pair)
+            self._screen_ok.add(key)
             return False
         self.screen_calls += 1
-        for screen in self._vector_screens:
-            if screen.refutes(pair, ls):
-                self.screen_rejects += 1
-                return True
-        self._screen_ok.add(pair)
+        formulas = self._formulas
+        if self._screen.refutes(((formulas[l], formulas[r], ls),)):
+            self.screen_rejects += 1
+            return True
+        self._screen_ok.add(key)
         return False
 
     def _leaf(self, pair: ConsequencePair) -> Optional[Proof]:
@@ -491,11 +479,11 @@ class ProofSearch:
         self.expansions += 1
         if self.expansions > self.budget:
             raise ResourceBound(self.expansions, self.budget)
-        lhs, rhs = self._formulas[l], self._formulas[r]
-        pair = ConsequencePair(lhs, rhs)
-        if self._screened_out(pair):
+        if self._screened_out(key):
             self._failed_at[key] = _NEVER
             return None
+        lhs, rhs = self._formulas[l], self._formulas[r]
+        pair = ConsequencePair(lhs, rhs)
         found = self._leaf(pair)
         if found is None and depth < 2:
             # no room for premises: only leaves fit
@@ -544,12 +532,9 @@ def order_cuts(goal: ConsequencePair, pool) -> tuple[Formula, ...]:
     """Search order for transitivity cuts: goal subformulas first (small
     to large), then the remaining pool formulas.  The pool order is the
     search order inside ProofSearch."""
-    from .formulas import size as fsize
-
     subs = subformulas(goal.lhs) | subformulas(goal.rhs)
-    return tuple(
-        sorted(pool, key=lambda f: (f not in subs, fsize(f), formula_key(f)))
-    )
+    memo: dict = {}
+    return tuple(sorted(pool, key=lambda f: (f not in subs, *_size_key(f, memo))))
 
 
 def derive_bounded(

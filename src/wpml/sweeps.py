@@ -9,6 +9,7 @@ import random
 from .amalgam import check_supamal_claim, jonsson_filters, superamalgamate
 from .correspondence import (
     AXIOM_TAGS,
+    _named,
     correspondence_check,
     frame_satisfies,
     pullback_preserves,
@@ -264,8 +265,6 @@ FUZZ_TARGETS = {
 
 
 def run_fuzz(target: str, seed: int, count: int) -> dict:
-    if target not in FUZZ_TARGETS:
-        raise ValueError(
-            f"unknown target {target!r}; pick one of {sorted(FUZZ_TARGETS)}"
-        )
-    return FUZZ_TARGETS[target](seed, count)
+    """The sweep named `target`; PreconditionViolated naming an unknown
+    one."""
+    return _named(FUZZ_TARGETS, target, "fuzz target")(seed, count)

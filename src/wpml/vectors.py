@@ -1,28 +1,39 @@
-"""Formulas evaluated as value vectors over a finite algebra.
+"""Formulas evaluated as value vectors over finite algebras.
 
 A value vector holds a formula's value under every valuation of a sorted
 letter tuple, in `product(range(n), repeat=k)` order (the last letter
-varies fastest).  Its entries are element indices, so a vector is `bytes`
-when the algebra has at most 256 elements and a tuple of ints otherwise.
-Each vector is built once from its children's vectors: conjunction and
-disjunction are lookups in the meet and join tables, box and diamond in
-unary tables.
+varies fastest).  Each vector is built once from its children's vectors.
 
-Two users share this kernel: `proofs._VectorScreen` refutes pairs on
-small modal lattices (the proof search's subgoals and the interpolant
-search's candidate obligations), and `lframe.frame_validates` evaluates
-a pair over a frame's filters.  The scalar evaluators
-(`lattice.evaluate`, `lframe.truth_set`) stay the reference oracles.
+`ValueVectors` evaluates over one algebra: its entries are element
+indices, so a vector is `bytes` when the algebra has at most 256
+elements and a tuple of ints otherwise; conjunction and disjunction are
+lookups in the meet and join tables, box and diamond in unary tables.
+`lframe.frame_validates` uses it over a frame's filters.
+
+`ScreenTables` packs a whole screening set of small lattices (at most 16
+elements each) so that a formula is evaluated on all of them at once:
+its packed vector is one `bytes`, the per-algebra vectors concatenated
+in screen order, whose entries are element ids global to a group of
+consecutive screens.  A pair of vectors becomes a vector of pair codes
+by one big-integer addition, and meet, join, box, diamond and the order
+test are each one `bytes.translate`.  `PackedScreen` holds one search's
+budget and memo over those tables; the proof search screens its subgoals
+and the interpolant search its candidates' obligations with it.
+
+The scalar evaluators (`lattice.evaluate`, `lattice.algebra_validates`,
+`lframe.truth_set`) stay the reference oracles.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import getitem
+from typing import Optional
 
-from .errors import PreconditionViolated
-from .formulas import BOT, TOP, And, Box, Dia, Formula, Letter, Or
+from .errors import PreconditionViolated, ResourceBound
+from .formulas import BOT, TOP, And, Box, Dia, Formula, Letter, Or, is_modality_free
 
 
 class ValueVectors:
@@ -87,3 +98,225 @@ class ValueVectors:
             raise TypeError(f"not a formula: {f!r}")
         memo[f] = v
         return v
+
+
+class _PackedGroup:
+    """Consecutive screens whose pair codes fit in one byte (the sum of
+    n**2 over the group is at most 256).
+
+    Element x of screen s has the global id `base_s + x` and the pair
+    (x, y) of its elements the code `off_s + x * n_s + y`, where base_s
+    and off_s are the sums of n and of n**2 over the screens before s.
+    The code of the global ids (gx, gy) is `scale[gx] + local[gy]`;
+    `meet`, `join` and `nleq` map it to the global id of x meet y, of
+    x join y, and to 1 iff not x <= y.  `box` and `dia` map global ids
+    to global ids (the identity on a plain lattice, whose stretch of a
+    vector is never read for a modal pair)."""
+
+    def __init__(self, algebras, start: int):
+        self.start = start
+        self.sizes = tuple(a.n for a in algebras)
+        self.stop = start + len(algebras)
+        scale, local, meet, join, nleq, box, dia = (bytearray(256) for _ in range(7))
+        self.tops, self.bots, self.bases = [], [], []
+        base = off = 0
+        for a in algebras:
+            n = a.n
+            plain = getattr(a, "box", None) is None
+            for x in range(n):
+                scale[base + x] = off + x * n
+                local[base + x] = x
+                box[base + x] = base + (x if plain else a.box[x])
+                dia[base + x] = base + (x if plain else a.diamond[x])
+                for y in range(n):
+                    meet[off + x * n + y] = base + a.meet[x][y]
+                    join[off + x * n + y] = base + a.join[x][y]
+                    nleq[off + x * n + y] = not a.leq[x][y]
+            self.tops.append(base + a.top)
+            self.bots.append(base + a.bot)
+            self.bases.append(base)
+            base += n
+            off += n * n
+        self.scale, self.local = bytes(scale), bytes(local)
+        self.meet, self.join, self.nleq = bytes(meet), bytes(join), bytes(nleq)
+        self.box, self.dia = bytes(box), bytes(dia)
+        self._ends: dict[int, tuple[int, ...]] = {}
+
+    def ends(self, k: int) -> tuple[int, ...]:
+        """End of each screen's stretch of a packed vector over k letters."""
+        ends = self._ends.get(k)
+        if ends is None:
+            ends = self._ends[k] = tuple(accumulate(n**k for n in self.sizes))
+        return ends
+
+    def seeds(self, k: int, count: int) -> tuple[bytes, ...]:
+        """Packed vectors of T, F and the k letters, in letter order, over
+        the group's first `count` screens."""
+        columns = []
+        for s in range(count):
+            n, base, size = self.sizes[s], self.bases[s], self.sizes[s] ** k
+            column = [bytes((self.tops[s],)) * size, bytes((self.bots[s],)) * size]
+            for j in range(k):
+                stride = n ** (k - 1 - j)
+                block = bytes(
+                    chain.from_iterable(repeat(base + d, stride) for d in range(n))
+                )
+                column.append(block * n**j)
+            columns.append(column)
+        return tuple(b"".join(row) for row in zip(*columns))
+
+    def vector(self, memo: dict[Formula, bytes], f: Formula) -> bytes:
+        """Packed vector of f, built from its children's and memoized."""
+        v = memo.get(f)
+        if v is not None:
+            return v
+        if isinstance(f, (And, Or)):
+            left = self.vector(memo, f.lhs)
+            right = self.vector(memo, f.rhs)
+            v = _pair_codes(self, left, right).translate(
+                self.meet if isinstance(f, And) else self.join
+            )
+        elif isinstance(f, (Box, Dia)):
+            arg = self.vector(memo, f.arg)
+            v = arg.translate(self.box if isinstance(f, Box) else self.dia)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        memo[f] = v
+        return v
+
+
+def _pair_codes(group: _PackedGroup, left: bytes, right: bytes) -> bytes:
+    """The pair code of each position: every sum is below 256, so the
+    big-integer addition carries nothing from one byte to the next."""
+    size = len(left)
+    codes = int.from_bytes(left.translate(group.scale), "big") + int.from_bytes(
+        right.translate(group.local), "big"
+    )
+    return codes.to_bytes(size, "big")
+
+
+class ScreenTables:
+    """The packed tables of one screening set, split into consecutive
+    groups whenever the sum of n**2 would pass 256.  Raises
+    PreconditionViolated for an algebra of more than 16 elements, whose
+    pair codes do not fit in a byte."""
+
+    def __init__(self, algebras):
+        algebras = tuple(algebras)
+        sizes = self.sizes = tuple(a.n for a in algebras)
+        for n in sizes:
+            if n > 16:
+                raise PreconditionViolated(
+                    f"screen algebra of {n} elements (at most 16)"
+                )
+        plain = (s for s, a in enumerate(algebras) if getattr(a, "box", None) is None)
+        self.first_plain = next(plain, len(sizes))
+        self.groups: list[_PackedGroup] = []
+        start = 0
+        while start < len(sizes):
+            stop, area = start, 0
+            while stop < len(sizes) and area + sizes[stop] ** 2 <= 256:
+                area += sizes[stop] ** 2
+                stop += 1
+            self.groups.append(_PackedGroup(algebras[start:stop], start))
+            start = stop
+
+
+class PackedScreen:
+    """One search's screen over a `ScreenTables`: its budget, and its
+    packed vectors per sorted letter tuple and group, kept for as long
+    as the screen lives.
+
+    Over k letters, only the screens before the first one with
+    n**k > budget are evaluated; that screen is where the literal loop
+    over the algebras would raise ResourceBound(n**k, budget)."""
+
+    def __init__(self, tables: ScreenTables, budget: int):
+        self.tables, self.budget = tables, budget
+        # sorted letters -> one memo (formula -> packed vector) per group
+        self.memo: dict[tuple[str, ...], list[dict[Formula, bytes]]] = {}
+        self._cuts: dict[int, int] = {}
+        # k -> per group, the packed vectors of T, F and k letters; kept
+        # per search, since wide candidate goals make them large
+        self._seeds: dict[int, list[tuple[bytes, ...]]] = {}
+
+    def _cut(self, k: int) -> int:
+        cut = self._cuts.get(k)
+        if cut is None:
+            sizes = self.tables.sizes
+            over = (s for s, n in enumerate(sizes) if n**k > self.budget)
+            cut = self._cuts[k] = next(over, len(sizes))
+        return cut
+
+    def _seed(self, ls: tuple[str, ...]) -> list[dict[Formula, bytes]]:
+        k = len(ls)
+        seeds = self._seeds.get(k)
+        if seeds is None:
+            cut = self._cut(k)
+            seeds = self._seeds[k] = [
+                group.seeds(k, min(group.stop, cut) - group.start)
+                for group in self.tables.groups
+                if group.start < cut
+            ]
+        memos = []
+        for top, bot, *vectors in seeds:
+            memo = {TOP: top, BOT: bot}
+            memo.update(zip(map(Letter, ls), vectors))
+            memos.append(memo)
+        return memos
+
+    def first_event(
+        self, lhs: Formula, rhs: Formula, ls: tuple[str, ...], stop: int
+    ) -> Optional[tuple[int, bool]]:
+        """The first screen before `stop` at which the literal loop over
+        the algebras stops on the pair lhs |- rhs over the sorted letters
+        `ls`: `(s, True)` if screen s refutes it, `(s, False)` if screen
+        s cannot evaluate it (over budget, or a modal pair on a plain
+        lattice); None if no screen before `stop` does either."""
+        tables, k = self.tables, len(ls)
+        cut = self._cut(k)
+        if tables.first_plain < cut and not (
+            is_modality_free(lhs) and is_modality_free(rhs)
+        ):
+            cut = tables.first_plain
+        last = min(cut, stop)
+        memos = self.memo.get(ls)
+        if memos is None:
+            memos = self.memo[ls] = self._seed(ls)
+        for group, memo in zip(tables.groups, memos):
+            if group.start >= last:
+                break
+            codes = _pair_codes(group, group.vector(memo, lhs), group.vector(memo, rhs))
+            ends = group.ends(k)
+            count = min(group.stop, last) - group.start
+            pos = codes.translate(group.nleq).find(1, 0, ends[count - 1])
+            if pos >= 0:
+                return group.start + bisect_right(ends, pos), True
+        return (cut, False) if cut < stop else None
+
+    def refutes(self, goals) -> bool:
+        """For (lhs, rhs, sorted letters) goals: the decision of the
+        literal loop `any(algebra_validates(a, goal) is not None for a in
+        algebras for goal in goals)`, raising what it raises first:
+        ResourceBound(n**k, budget) at an algebra over budget for a
+        goal's k letters, PreconditionViolated at a plain lattice for a
+        modal goal."""
+        stop, first = len(self.tables.sizes), None
+        for lhs, rhs, ls in goals:
+            event = self.first_event(lhs, rhs, ls, stop)
+            if event is not None:
+                stop, first = event[0], (event[1], len(ls))
+        if first is None:
+            return False
+        refuted, k = first
+        if refuted:
+            return True
+        needed = self.tables.sizes[stop] ** k
+        if needed > self.budget:
+            raise ResourceBound(needed, self.budget)
+        raise PreconditionViolated("modal formula on a plain lattice")
+
+    @property
+    def vector_entries(self) -> int:
+        """Packed vectors held: one per formula, letter tuple and group."""
+        return sum(len(memo) for memos in self.memo.values() for memo in memos)

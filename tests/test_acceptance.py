@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from wpml import proofs
 from wpml.catalog import all_lattices, all_modal_lframes
 from wpml.correspondence import AXIOM_TAGS, AXIOMS, CONDITION_OF_AXIOM, frame_satisfies
 from wpml.duality import fil_l, is_tight, round_trip_iso
@@ -30,7 +31,12 @@ from wpml.lattice import (
     with_identity_modalities,
 )
 from wpml.lframe import fil_f, frame_validates
-from wpml.proofs import _screening_algebras, _VectorScreen, check_proof, derive_bounded
+from wpml.proofs import (
+    _screen_tables,
+    _screening_algebras,
+    check_proof,
+    derive_bounded,
+)
 from wpml.serialize import proof_to_json
 from wpml.sweeps import (
     closure_sweep,
@@ -39,6 +45,7 @@ from wpml.sweeps import (
     jonsson_sweep,
     superamalgamation_sweep,
 )
+from wpml.vectors import PackedScreen
 from wpml.whitman import free_lattice_leq
 
 SEEDS = {
@@ -140,12 +147,54 @@ def golden_corpus():
 
 
 @pytest.fixture(scope="module")
-def golden_results():
+def golden_run():
+    """The golden problems through `craig_interpolant`, with the summed
+    work counters of every proof search they make (recorded the way
+    `perfbench/tracing.py` records them, by wrapping `ProofSearch`)."""
+    counters = dict.fromkeys(
+        ("expansions", "screen_calls", "screen_rejects", "memo_entries"), 0
+    )
+    searches = []
+
+    def harvest():
+        # searches run one after another, so every recorded one is done
+        for search in searches:
+            counters["expansions"] += search.expansions
+            counters["screen_calls"] += search.screen_calls
+            counters["screen_rejects"] += search.screen_rejects
+            counters["memo_entries"] += len(search.success) + len(search.failed_at)
+        searches.clear()
+
+    class RecordedProofSearch(proofs.ProofSearch):
+        def __init__(self, *args, **kwargs):
+            harvest()
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
     out = []
-    for phi, psi, tags in golden_corpus():
-        prob = InterpolationProblem(parse_formula(phi), parse_formula(psi), tags)
-        out.append((prob, craig_interpolant(prob)))
-    return out
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(proofs, "ProofSearch", RecordedProofSearch)
+        for phi, psi, tags in golden_corpus():
+            prob = InterpolationProblem(parse_formula(phi), parse_formula(psi), tags)
+            out.append((prob, craig_interpolant(prob)))
+    harvest()
+    return out, counters
+
+
+@pytest.fixture(scope="module")
+def golden_results(golden_run):
+    return golden_run[0]
+
+
+def test_golden_search_counters_are_pinned(golden_run):
+    """The work of the golden corpus's proof searches, as recorded before
+    the screen was packed; screening changes cost, never the search."""
+    assert golden_run[1] == {
+        "expansions": 141_975,
+        "screen_calls": 113_247,
+        "screen_rejects": 83_162,
+        "memo_entries": 122_224,
+    }
 
 
 def _random_lattice_formula(rng, depth, letters=("p", "q", "r")):
@@ -405,20 +454,19 @@ def _frame_screen_algebras(tags):
 
 def test_candidate_screen_matches_frame_screen_oracle(golden_results):
     """Every candidate up to each golden interpolant is screened out by
-    the value-vector screen on the proof search's screening set exactly
-    when the former screen refutes an obligation through the scalar
+    the packed screen on the proof search's screening set exactly when
+    the former screen refutes an obligation through the scalar
     `algebra_validates`."""
     checked = 0
-    budget = resolve_budget()
     for prob, res in golden_results:
-        algebras = _screening_algebras(gamma_pairs(prob.tags))
-        screens = [_VectorScreen(a, budget) for a in algebras]
+        tables = _screen_tables(_screening_algebras(gamma_pairs(prob.tags)))
+        screen = PackedScreen(tables, resolve_budget())
         oracle = _frame_screen_algebras(prob.tags)
         pool = candidate_pool(prob.phi, prob.psi, prob.shared)
         for chi in enumerate_candidates(pool, prob.cand_size):
             goals = [ConsequencePair(prob.phi, chi), ConsequencePair(chi, prob.psi)]
-            got = any(
-                s.refutes(g, tuple(sorted(letters(g)))) for s in screens for g in goals
+            got = screen.refutes(
+                [(g.lhs, g.rhs, tuple(sorted(letters(g)))) for g in goals]
             )
             want = any(
                 algebra_validates(a, g) is not None for a in oracle for g in goals

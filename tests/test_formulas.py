@@ -21,6 +21,7 @@ from wpml.formulas import (
     Letter,
     Or,
     Top,
+    _size_key,
     formula_key,
     letters,
     match_pair,
@@ -28,6 +29,7 @@ from wpml.formulas import (
     parse_formula,
     parse_pair,
     pretty,
+    size,
     substitute,
 )
 
@@ -146,6 +148,16 @@ def test_round_trip_property(f):
 @given(_formula_strategy, _formula_strategy)
 def test_formula_key_is_total_order(f, g):
     assert (formula_key(f) == formula_key(g)) == (f == g)
+
+
+def test_size_key_memo_matches_size_and_formula_key():
+    """One memo shared by many formulas, as `cut_pool` shares it."""
+    rng = random.Random(77)
+    memo = {}
+    for _ in range(300):
+        f = _random_formula(rng, rng.randint(0, 5))
+        assert _size_key(f, memo) == (size(f), formula_key(f))
+        assert _size_key(f, {}) == (size(f), formula_key(f))
 
 
 def test_letters_of_pair():

@@ -1,10 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
+from wpml.catalog import all_lattices
 from wpml.correspondence import AXIOMS
 from wpml.entailment import gamma_pairs
-from wpml.errors import PreconditionViolated, ResourceBound
+from wpml.errors import PreconditionViolated, ResourceBound, resolve_budget
 from wpml.formulas import (
     TOP,
     And,
@@ -17,12 +19,14 @@ from wpml.formulas import (
     parse_pair,
 )
 from wpml.generators import sample_modal_lattice, sample_modal_lframe
-from wpml.lattice import algebra_validates, with_identity_modalities
+from wpml.lattice import algebra_validates, validate_lattice, with_identity_modalities
 from wpml.lframe import frame_validates
 from wpml.proofs import (
+    _SHIFT,
     BadNode,
     Proof,
     ProofSearch,
+    _screen_tables,
     _screening_algebras,
     check_proof,
     cut_pool,
@@ -30,6 +34,9 @@ from wpml.proofs import (
     order_cuts,
 )
 from wpml.serialize import proof_from_json, proof_to_json
+from wpml.vectors import PackedScreen, ScreenTables
+
+from conftest import chain_leq
 
 
 class TestCheckProof:
@@ -179,6 +186,10 @@ class TestEmptyLogicBoxDiamond:
             assert frame_validates(x, goal) is None
 
 
+# `cut_pool` and `order_cuts` outputs of `test_pools_and_cut_orders_are_pinned`
+CUT_POOLS_SHA256 = "1ca672b847462e56c0ea95067d12bcb8623b3d0e3af1de72cf69ba32f14599c0"
+
+
 class TestCutPool:
     def test_contains_goal_subformulas_constants_and_modal_closure(self):
         goal = parse_pair("p & q |- r")
@@ -195,6 +206,19 @@ class TestCutPool:
 
         # T instantiated at []p contributes [][]p via subformulas+closure
         assert parse_formula("[][]p") in pool
+
+    def test_pools_and_cut_orders_are_pinned(self):
+        """`cut_pool` and `order_cuts` on the golden sample under every
+        axiom set and two cap settings, as recorded before they computed
+        each sort key once per call."""
+        digest = hashlib.sha256()
+        for text, _ in GOLDEN_SAMPLE:
+            goal = parse_pair(text)
+            for gamma in AXIOM_SETS:
+                for caps in ({}, {"instance_cap": 5, "pool_cap": 40}):
+                    pool = cut_pool(goal, gamma, **caps)
+                    digest.update(repr((pool, order_cuts(goal, pool))).encode())
+        assert digest.hexdigest() == CUT_POOLS_SHA256
 
 
 class TestSoundness:
@@ -245,19 +269,79 @@ class TestProofSerialization:
 
 class ScalarScreenSearch(ProofSearch):
     """Reference search: screens each pair through the scalar
-    `algebra_validates` oracle, as the search did before value vectors."""
+    `algebra_validates` oracle, as the search did before value vectors,
+    and counts screen calls and rejects as the packed screen does."""
 
-    def _screened_out(self, pair):
-        if pair in self._screen_ok:
+    def _screened_out(self, key):
+        if key in self._screen_ok:
             return False
+        pair = _pair_of(self, key)
         if len(letters(pair)) > 3:
-            self._screen_ok.add(pair)
+            self._screen_ok.add(key)
             return False
+        self.screen_calls += 1
         for a in self.screens:
             if algebra_validates(a, pair) is not None:
+                self.screen_rejects += 1
                 return True
-        self._screen_ok.add(pair)
+        self._screen_ok.add(key)
         return False
+
+
+def _pair_of(search, key):
+    formulas = search._formulas
+    return ConsequencePair(formulas[key >> _SHIFT], formulas[key & (1 << _SHIFT) - 1])
+
+
+def screened_out(search, pair):
+    """`search._screened_out` on a pair, through the search's ids."""
+    return search._screened_out(search._id(pair.lhs) << _SHIFT | search._id(pair.rhs))
+
+
+def outcome(thunk):
+    """What a call returns, or the type and arguments of what it raises."""
+    try:
+        return "returns", thunk()
+    except (ResourceBound, PreconditionViolated) as exc:
+        return "raises", type(exc), exc.args
+
+
+def literal_screen(algebras, goals):
+    """The literal loop over the algebras (goals in order at each): the
+    index of the first refuting algebra, or None."""
+    for s, a in enumerate(algebras):
+        for goal in goals:
+            if algebra_validates(a, goal) is not None:
+                return s
+    return None
+
+
+def packed_screen(algebras, goals):
+    """The packed screen's decision, given as `literal_screen` gives it."""
+    screen = PackedScreen(ScreenTables(algebras), resolve_budget())
+    triples = [(g.lhs, g.rhs, tuple(sorted(letters(g)))) for g in goals]
+    if not screen.refutes(triples):
+        return None
+    stop = len(algebras)
+    for lhs, rhs, ls in triples:  # the first refuting screen, as `refutes` finds it
+        event = screen.first_event(lhs, rhs, ls, stop)
+        if event is not None:
+            stop = event[0]
+    return stop
+
+
+def seeded_pairs(rng, count, max_letters=3):
+    """Distinct pairs of cut-pool formulas of the golden sample, in draw
+    order, with at most `max_letters` letters."""
+    corpus = {}
+    for text, tags in GOLDEN_SAMPLE[:4]:
+        pool = cut_pool(parse_pair(text), gamma_pairs(tags))
+        target = len(corpus) + count
+        while len(corpus) < target:
+            pair = ConsequencePair(rng.choice(pool), rng.choice(pool))
+            if len(letters(pair)) <= max_letters:
+                corpus[pair] = None
+    return list(corpus)
 
 
 class FormulaKeyedSearch(ProofSearch):
@@ -277,7 +361,7 @@ class FormulaKeyedSearch(ProofSearch):
         self.expansions += 1
         if self.expansions > self.budget:
             raise ResourceBound(self.expansions, self.budget)
-        if self._screened_out(pair):
+        if screened_out(self, pair):
             self.failed_at[pair] = 10**9
             return None
         found = self._leaf(pair)
@@ -343,30 +427,30 @@ GOLDEN_SAMPLE = (
 )
 
 
+AXIOM_SETS = [()] + [AXIOMS[tag] for tag in sorted(AXIOMS)]
+
+
 class TestVectorScreen:
-    """The memoized value-vector screen against the scalar oracle."""
+    """The packed screen against the scalar oracle: the literal loop of
+    `algebra_validates` over the screen algebras."""
 
     def test_verdicts_match_algebra_validates(self):
-        rng = random.Random(4242)
-        corpus = {}  # distinct pairs, in draw order
-        for text, tags in GOLDEN_SAMPLE[:4]:
-            pool = cut_pool(parse_pair(text), gamma_pairs(tags))
-            target = len(corpus) + 150
-            while len(corpus) < target:
-                pair = ConsequencePair(rng.choice(pool), rng.choice(pool))
-                if len(letters(pair)) <= 3:
-                    corpus[pair] = None
-        for gamma in [()] + [AXIOMS[tag] for tag in sorted(AXIOMS)]:
+        corpus = seeded_pairs(random.Random(4242), 150)
+        for gamma in AXIOM_SETS:
             screens = _screening_algebras(tuple(gamma))
             search = ProofSearch(gamma, (), screens=screens)
-            verdicts = []
+            screen = PackedScreen(_screen_tables(screens), resolve_budget())
+            firsts = []
             for pair in corpus:
-                expected = any(algebra_validates(a, pair) is not None for a in screens)
-                assert search._screened_out(pair) == expected, (gamma, str(pair))
-                verdicts.append(expected)
-            assert any(verdicts) and not all(verdicts)
+                first = literal_screen(screens, [pair])
+                ls = tuple(sorted(letters(pair)))
+                event = screen.first_event(pair.lhs, pair.rhs, ls, len(screens))
+                assert event == (None if first is None else (first, True)), str(pair)
+                assert screened_out(search, pair) == (first is not None), str(pair)
+                firsts.append(first)
+            assert None in firsts and len(set(firsts)) > 2
             assert search.screen_calls == len(corpus)
-            assert search.screen_rejects == sum(verdicts)
+            assert search.screen_rejects == sum(f is not None for f in firsts)
             assert search.vector_entries > 0
 
     def test_plain_lattice_screen_rejects_modal_formulas(self, chain3):
@@ -374,11 +458,82 @@ class TestVectorScreen:
         with pytest.raises(PreconditionViolated):
             algebra_validates(chain3, pair)
         with pytest.raises(PreconditionViolated):
-            ProofSearch((), (), screens=(chain3,))._screened_out(pair)
+            screened_out(ProofSearch((), (), screens=(chain3,)), pair)
         # a modality-free pair is screened on a plain lattice as before
         search = ProofSearch((), (), screens=(chain3,))
-        assert search._screened_out(parse_pair("p v q |- p")) is True
-        assert search._screened_out(parse_pair("p & q |- q v r")) is False
+        assert screened_out(search, parse_pair("p v q |- p")) is True
+        assert screened_out(search, parse_pair("p & q |- q v r")) is False
+
+    def test_plain_lattice_inside_a_modal_set(self, chain3):
+        """A modal pair stops at the plain lattice as the literal loop
+        does: refuted before it, or PreconditionViolated there."""
+        screens = _screening_algebras(()) + (chain3,) + _screening_algebras(AXIOMS["B"])
+        pairs = seeded_pairs(random.Random(17), 60)
+        pairs += [parse_pair(t) for t in ("p & q |- q v r", "p |- p", "[]p |- []p")]
+        seen = set()
+        for pair in pairs:
+            want = outcome(lambda: literal_screen(screens, [pair]))
+            assert outcome(lambda: packed_screen(screens, [pair])) == want, str(pair)
+            seen.add(want[0] if want[0] == "raises" else want[1] is not None)
+        assert seen == {"raises", True, False}
+
+    def test_two_groups(self):
+        """A set whose sum of n**2 passes 256 is split into consecutive
+        groups; decisions and first refuting screens are the literal
+        loop's across the split."""
+        sixes = tuple(with_identity_modalities(lat) for lat in all_lattices(6))
+        screens = sixes[:7] + _screening_algebras(())  # sizes 6 (x7), 2, 2, 2, 3, ...
+        tables = ScreenTables(screens)
+        assert [(g.start, g.stop) for g in tables.groups] == [(0, 8), (8, 19)]
+        firsts = set()
+        for pair in seeded_pairs(random.Random(5), 80):
+            first = literal_screen(screens, [pair])
+            assert packed_screen(screens, [pair]) == first, str(pair)
+            firsts.add(first)
+        assert None in firsts and any(f is not None and f >= 8 for f in firsts)
+
+    def test_sixteen_elements_at_most(self):
+        chain16 = validate_lattice(chain_leq(16), 0, 15)
+        chain17 = validate_lattice(chain_leq(17), 0, 16)
+        search = ProofSearch((), (), screens=(chain16,))
+        assert screened_out(search, parse_pair("p v q |- p")) is True
+        with pytest.raises(PreconditionViolated, match="17 elements"):
+            ProofSearch((), (), screens=(chain16, chain17))
+
+    @pytest.mark.parametrize("budget", [8, 9, 26, 27, 64, 124, 125])
+    def test_budget_cuts_the_set_mid_way(self, budget, monkeypatch):
+        """Under budgets that stop the literal loop part way through a
+        screening set, the packed screen refutes or raises where it does:
+        one goal as the proof search screens it, two as the candidate
+        screen does (left first at each algebra)."""
+        monkeypatch.setenv("WPML_BUDGET", str(budget))
+        rng = random.Random(budget)
+        pairs = seeded_pairs(rng, 40)
+        wide = seeded_pairs(rng, 10, max_letters=4)
+        # valid, so no screen refutes them before the budget cuts in
+        wide += [parse_pair("p & q & r & s |- s v t"), parse_pair("[]p & q |- []p v r")]
+        kinds, candidate_kinds = set(), set()
+        for gamma in (AXIOMS["B"], AXIOMS["5"], ()):
+            screens = _screening_algebras(gamma)
+            search = ProofSearch(gamma, (), screens=screens)
+            scalar = ScalarScreenSearch(gamma, (), screens=screens)
+            for pair in pairs:
+                want = outcome(lambda: screened_out(scalar, pair))
+                assert outcome(lambda: screened_out(search, pair)) == want, str(pair)
+                kinds.add(want[0])
+            assert (search.screen_calls, search.screen_rejects) == (
+                scalar.screen_calls,
+                scalar.screen_rejects,
+            )
+            for left, right in zip(pairs + wide, wide + pairs):
+                goals = [left, right]
+                want = outcome(lambda: literal_screen(screens, goals))
+                got = outcome(lambda: packed_screen(screens, goals))
+                assert got == want, (str(left), str(right))
+                candidate_kinds.add(want[0])
+        # the largest screen has 5 elements: 5**3 == 125
+        assert kinds == ({"returns", "raises"} if budget < 125 else {"returns"})
+        assert candidate_kinds == {"returns", "raises"}
 
     @pytest.mark.parametrize(
         "text,tags,depth",
@@ -395,8 +550,7 @@ class TestVectorScreen:
         assert proof == slow.prove(goal, depth)
         assert proof == formula_keyed.prove(goal, depth)
         assert proof == derive_bounded(gamma, goal, depth)
-        assert fast.expansions == slow.expansions
-        assert fast.success == slow.success and fast.failed_at == slow.failed_at
+        _assert_same_search(fast, slow)
         _assert_same_search(fast, formula_keyed)
 
     def test_wpml_budget_raises_from_the_screen(self, monkeypatch):

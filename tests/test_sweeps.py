@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 from wpml import sweeps
-from wpml.errors import InternalInconsistency
+from wpml.errors import InternalInconsistency, PreconditionViolated
 from wpml.serialize import dumps, wrap
 
 
@@ -92,3 +92,8 @@ def test_fuzz_report_digest(target):
 def test_closure_sweep_digest(condition):
     report = sweeps.closure_sweep(condition, 0, 10)
     assert sha256(dumps(report)) == CLOSURE_DIGESTS[condition]
+
+
+def test_unknown_fuzz_target_is_a_precondition_violation():
+    with pytest.raises(PreconditionViolated, match="unknown fuzz target 'nope'"):
+        sweeps.run_fuzz("nope", 0, 1)
