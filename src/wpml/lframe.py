@@ -11,10 +11,13 @@ An L-frame lists its filters, which are its principal up-sets, once
 first use; a modal L-frame adds the box and diamond of every filter
 (`ModalLFrame.filter_modalities`).  These caches live on the frame
 objects, so they go when the frame goes.
-`frame_validates` evaluates each side of a pair once, as a value vector
-over all filter-valued valuations, with these tables (see `vectors`).
-The pointwise `satisfies` and the recursive `truth_set` are the
-reference oracles for that path.
+`frame_validates` evaluates each side of a pair once, as a vector over
+all filter-valued valuations (see `vectors`): on an L-frame of at most
+16 filters, with the pair-code tables of its filter lattice
+(`LFrame.filter_codes`) and the modal L-frame's box and diamond as
+translate tables (`ModalLFrame.unary_tables`); on a larger one, with
+`ValueVectors` over the same filter tables.  The pointwise `satisfies`
+and the recursive `truth_set` are the reference oracles for both paths.
 
 Each modal-L-frame condition is written once, as a kernel on one pair of
 points: `_order_gap` for (i)/(ii), `_meet_gap` for (iv) and `_meet_reach`
@@ -40,8 +43,20 @@ from .errors import (
     PreconditionViolated,
     ResourceBound,
     UndefinedLetter,
+    resolve_budget,
 )
-from .formulas import And, Bot, Box, ConsequencePair, Dia, Formula, Letter, Or, Top
+from .formulas import (
+    And,
+    Bot,
+    Box,
+    ConsequencePair,
+    Dia,
+    Formula,
+    Letter,
+    Or,
+    Top,
+    letters as letters_of,
+)
 from .lattice import (
     FiniteLattice,
     FiniteModalLattice,
@@ -49,7 +64,7 @@ from .lattice import (
     _order_tables,
     _table_maps,
 )
-from .vectors import ValueVectors
+from .vectors import ValueVectors, _PackedGroup, _seeded
 
 FrameFilter = int  # bitmask over frame points
 FrameValuation = dict[str, int]  # letter -> FrameFilter
@@ -116,6 +131,14 @@ class LFrame:
         fs, idx = self.filter_masks, self._filter_index
         return tuple(tuple(idx[filter_join(self, a, b)] for b in fs) for a in fs)
 
+    @cached_property
+    def filter_codes(self) -> Optional[_PackedGroup]:
+        """The pair-code tables of the filter lattice (see `vectors`); None
+        over 16 filters, whose pair codes do not fit in a byte."""
+        if len(self.filter_masks) > 16:
+            return None
+        return _PackedGroup((_filter_lattice(self, self.filter_masks),), 0)
+
     def __repr__(self):
         return f"LFrame(n={self.n})"
 
@@ -175,6 +198,14 @@ class ModalLFrame:
             box.append(idx[bm])
             dia.append(idx[dm])
         return tuple(box), tuple(dia)
+
+    @cached_property
+    def unary_tables(self) -> tuple[bytes, bytes]:
+        """`filter_modalities` as `bytes.translate` tables over the
+        positions of the base frame's `filter_codes`."""
+        box, dia = self.filter_modalities
+        pad = bytes(256 - len(box))
+        return bytes(box) + pad, bytes(dia) + pad
 
     def __repr__(self):
         return f"ModalLFrame(n={self.n}, edges={sum(m.bit_count() for m in self.succ)})"
@@ -400,17 +431,31 @@ def filter_join(frame: LFrame, a: int, b: int) -> int:
 
 
 def box_mask(frame: ModalLFrame, u: int) -> int:
-    return sum(1 << x for x in range(frame.n) if frame.succ[x] & ~u == 0)
+    """The points all of whose successors lie in u."""
+    out = 0
+    for x, s in enumerate(frame.succ):
+        if not s & ~u:
+            out |= 1 << x
+    return out
 
 
 def dia_mask(frame: ModalLFrame, u: int) -> int:
-    return sum(1 << x for x in range(frame.n) if frame.succ[x] & u)
+    """The points with a successor in u."""
+    out = 0
+    for x, s in enumerate(frame.succ):
+        if s & u:
+            out |= 1 << x
+    return out
 
 
 def fil_f_lattice(frame: LFrame) -> FiniteLattice:
     """Lattice of all filters ordered by inclusion.  Element i is the
     filter with the i-th smallest bitmask; names are hex bitmasks."""
-    fs = filters(frame)
+    return _filter_lattice(frame, filters(frame))
+
+
+def _filter_lattice(frame: LFrame, fs) -> FiniteLattice:
+    """`fil_f_lattice` over the frame's filters `fs`."""
     k = len(fs)
     idx = frame._filter_index
     leq = tuple(tuple(fs[i] & ~fs[j] == 0 for j in range(k)) for i in range(k))
@@ -640,9 +685,10 @@ def truth_set(frame: ModalLFrame, val: FrameValuation, f: Formula) -> int:
 
 
 class _FilterVectors(ValueVectors):
-    """The filter algebra of a modal L-frame for the value-vector kernel:
-    element i is the filter with the i-th smallest bitmask.  The tables
-    are the frame's cached ones, read on first use."""
+    """The filter algebra of a modal L-frame of more than 16 filters for
+    the value-vector kernel: element i is the filter with the i-th
+    smallest bitmask.  The tables are the frame's cached ones, read on
+    first use."""
 
     def __init__(self, frame: ModalLFrame):
         self.frame = frame
@@ -674,29 +720,37 @@ def frame_validates(
     in bitmask-lexicographic order (`product(filters, repeat=k)` over the
     sorted letters).
 
-    Each side is evaluated once, as a value vector over all valuations
-    (see `vectors`), instead of one `truth_set` per valuation."""
-    from .errors import resolve_budget
-    from .formulas import letters as letters_of
-
+    Each side is evaluated once, as a vector over all valuations, instead
+    of one `truth_set` per valuation: on the base frame's `filter_codes`
+    with the frame's `unary_tables` (see `vectors`), or with
+    `ValueVectors` on a frame of more than 16 filters."""
     budget = resolve_budget(budget)
     ls = sorted(letters_of(pair))
     fs = filters(frame.base)
-    needed = len(fs) ** len(ls)
+    k, last = len(fs), len(ls) - 1
+    needed = k ** len(ls)
     if needed > budget:
         raise ResourceBound(needed, budget)
-    vectors = _FilterVectors(frame)
-    memo = vectors.seed(ls)
-    left = vectors.vector(memo, pair.lhs)
-    right = vectors.vector(memo, pair.rhs)
-    outside = [~m for m in fs]
-    escapes = map(
-        int.__and__, map(fs.__getitem__, left), map(outside.__getitem__, right)
-    )
-    i = next(compress(count(), escapes), None)
-    if i is None:
-        return None
-    k, last = len(fs), len(ls) - 1
+    codes = frame.base.filter_codes
+    if codes is not None:
+        memo = _seeded(codes.seeds(len(ls), 1), ls)
+        left = codes.vector(memo, pair.lhs, frame)
+        right = codes.vector(memo, pair.rhs, frame)
+        i = codes.escape(left, right)
+        if i < 0:
+            return None
+    else:
+        vectors = _FilterVectors(frame)
+        memo = vectors.seed(ls)
+        left = vectors.vector(memo, pair.lhs)
+        right = vectors.vector(memo, pair.rhs)
+        outside = [~m for m in fs]
+        escapes = map(
+            int.__and__, map(fs.__getitem__, left), map(outside.__getitem__, right)
+        )
+        i = next(compress(count(), escapes), None)
+        if i is None:
+            return None
     return {name: fs[i // k ** (last - j) % k] for j, name in enumerate(ls)}
 
 

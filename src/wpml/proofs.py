@@ -54,6 +54,7 @@ from .formulas import (
     ConsequencePair,
     Dia,
     Formula,
+    Letter,
     Or,
     Top,
     _size_key,
@@ -144,6 +145,26 @@ def _axiom_matches(rule: str, c: ConsequencePair) -> Optional[str]:
             return None
         return "needs <>a & []b |- <>(a & b)"
     return f"unknown premise-less rule {rule!r}"
+
+
+# The premise-less rules in the order the search tries them, each with the
+# top-level constructors (left, right) a conclusion needs to match it.
+_LEAF_RULES = (
+    ("reflexivity", lambda l, r: l is r),
+    ("top", lambda l, r: r is Top),
+    ("bottom", lambda l, r: l is Bot),
+    ("left-conjunction", lambda l, r: l is And),
+    ("right-disjunction", lambda l, r: r is Or),
+    ("modal-top", lambda l, r: l is Top and r in (Box, Dia)),
+    ("linearity", lambda l, r: l is And and r is Box),
+    ("duality", lambda l, r: l is And and r is Dia),
+)
+
+
+def _fits(pattern: Formula, kind: type) -> bool:
+    """Whether a pattern side can match a formula of constructor `kind`:
+    a schematic letter matches anything."""
+    return type(pattern) is Letter or type(pattern) is kind
 
 
 def _rule_matches(rule: str, c: ConsequencePair, prems) -> Optional[str]:
@@ -405,6 +426,9 @@ class ProofSearch:
         self._letters: dict[int, frozenset[str]] = {}
         self._screen_ok: set[int] = set()
         self._screen = PackedScreen(_screen_tables(self.screens), resolve_budget())
+        # (type(lhs), type(rhs)) -> the leaf rules and axiom members that
+        # can match a pair of that shape
+        self._leaf_plans: dict[tuple[type, type], tuple[tuple, tuple]] = {}
         self.expansions = 0
         self.screen_calls = 0
         self.screen_rejects = 0
@@ -441,19 +465,21 @@ class ProofSearch:
         return False
 
     def _leaf(self, pair: ConsequencePair) -> Optional[Proof]:
-        for rule in (
-            "reflexivity",
-            "top",
-            "bottom",
-            "left-conjunction",
-            "right-disjunction",
-            "modal-top",
-            "linearity",
-            "duality",
-        ):
+        """The first premise-less rule, then the first axiom member, that
+        matches the pair; only those that fit its shape are tried."""
+        shape = type(pair.lhs), type(pair.rhs)
+        plan = self._leaf_plans.get(shape)
+        if plan is None:
+            l, r = shape
+            plan = self._leaf_plans[shape] = (
+                tuple(rule for rule, fits in _LEAF_RULES if fits(l, r)),
+                tuple(m for m in self.gamma if _fits(m.lhs, l) and _fits(m.rhs, r)),
+            )
+        rules, members = plan
+        for rule in rules:
             if _axiom_matches(rule, pair) is None:
                 return Proof(rule, pair)
-        for member in self.gamma:
+        for member in members:
             subst = match_pair(member, pair)
             if subst is not None:
                 return Proof("axiom", pair, (), tuple(sorted(subst.items())))

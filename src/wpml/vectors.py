@@ -8,7 +8,7 @@ varies fastest).  Each vector is built once from its children's vectors.
 indices, so a vector is `bytes` when the algebra has at most 256
 elements and a tuple of ints otherwise; conjunction and disjunction are
 lookups in the meet and join tables, box and diamond in unary tables.
-`lframe.frame_validates` uses it over a frame's filters.
+`lframe.frame_validates` uses it only on frames of more than 16 filters.
 
 `ScreenTables` packs a whole screening set of small lattices (at most 16
 elements each) so that a formula is evaluated on all of them at once:
@@ -19,6 +19,9 @@ by one big-integer addition, and meet, join, box, diamond and the order
 test are each one `bytes.translate`.  `PackedScreen` holds one search's
 budget and memo over those tables; the proof search screens its subgoals
 and the interpolant search its candidates' obligations with it.
+`lframe.frame_validates` runs the same kernel on one group: the filter
+lattice of an L-frame of at most 16 filters, with the box and diamond
+tables of the modal L-frame it searches.
 
 The scalar evaluators (`lattice.evaluate`, `lattice.algebra_validates`,
 `lframe.truth_set`) stay the reference oracles.
@@ -109,9 +112,13 @@ class _PackedGroup:
     and off_s are the sums of n and of n**2 over the screens before s.
     The code of the global ids (gx, gy) is `scale[gx] + local[gy]`;
     `meet`, `join` and `nleq` map it to the global id of x meet y, of
-    x join y, and to 1 iff not x <= y.  `box` and `dia` map global ids
-    to global ids (the identity on a plain lattice, whose stretch of a
-    vector is never read for a modal pair)."""
+    x join y, and to 1 iff not x <= y.  `unary_tables` are box and
+    diamond from global ids to global ids (the identity on a plain
+    lattice, whose stretch of a vector is never read for a modal pair).
+
+    `lframe` keeps one group per L-frame of at most 16 filters, over its
+    filter algebra, and passes each modal L-frame's own box and diamond
+    tables to `vector`."""
 
     def __init__(self, algebras, start: int):
         self.start = start
@@ -139,7 +146,7 @@ class _PackedGroup:
             off += n * n
         self.scale, self.local = bytes(scale), bytes(local)
         self.meet, self.join, self.nleq = bytes(meet), bytes(join), bytes(nleq)
-        self.box, self.dia = bytes(box), bytes(dia)
+        self.unary_tables = bytes(box), bytes(dia)
         self._ends: dict[int, tuple[int, ...]] = {}
 
     def ends(self, k: int) -> tuple[int, ...]:
@@ -156,33 +163,39 @@ class _PackedGroup:
         for s in range(count):
             n, base, size = self.sizes[s], self.bases[s], self.sizes[s] ** k
             column = [bytes((self.tops[s],)) * size, bytes((self.bots[s],)) * size]
+            ids = [bytes((base + d,)) for d in range(n)]
             for j in range(k):
                 stride = n ** (k - 1 - j)
-                block = bytes(
-                    chain.from_iterable(repeat(base + d, stride) for d in range(n))
-                )
-                column.append(block * n**j)
+                column.append(b"".join([d * stride for d in ids]) * n**j)
             columns.append(column)
         return tuple(b"".join(row) for row in zip(*columns))
 
-    def vector(self, memo: dict[Formula, bytes], f: Formula) -> bytes:
-        """Packed vector of f, built from its children's and memoized."""
+    def vector(self, memo: dict[Formula, bytes], f: Formula, modal) -> bytes:
+        """Packed vector of f, built from its children's and memoized.
+        Box and diamond are `modal.unary_tables`, read at the first
+        modal subformula: the group itself, or a modal L-frame over the
+        group's filter algebra."""
         v = memo.get(f)
         if v is not None:
             return v
         if isinstance(f, (And, Or)):
-            left = self.vector(memo, f.lhs)
-            right = self.vector(memo, f.rhs)
+            left = self.vector(memo, f.lhs, modal)
+            right = self.vector(memo, f.rhs, modal)
             v = _pair_codes(self, left, right).translate(
                 self.meet if isinstance(f, And) else self.join
             )
         elif isinstance(f, (Box, Dia)):
-            arg = self.vector(memo, f.arg)
-            v = arg.translate(self.box if isinstance(f, Box) else self.dia)
+            arg = self.vector(memo, f.arg, modal)
+            v = arg.translate(modal.unary_tables[isinstance(f, Dia)])
         else:
             raise TypeError(f"not a formula: {f!r}")
         memo[f] = v
         return v
+
+    def escape(self, left: bytes, right: bytes, end: Optional[int] = None) -> int:
+        """The first position before `end` whose left value is not below
+        its right one, or -1."""
+        return _pair_codes(self, left, right).translate(self.nleq).find(1, 0, end)
 
 
 def _pair_codes(group: _PackedGroup, left: bytes, right: bytes) -> bytes:
@@ -193,6 +206,14 @@ def _pair_codes(group: _PackedGroup, left: bytes, right: bytes) -> bytes:
         right.translate(group.local), "big"
     )
     return codes.to_bytes(size, "big")
+
+
+def _seeded(seeds: tuple[bytes, ...], ls: tuple[str, ...]) -> dict[Formula, bytes]:
+    """A fresh memo from `_PackedGroup.seeds` over the sorted letters `ls`."""
+    top, bot, *vectors = seeds
+    memo = {TOP: top, BOT: bot}
+    memo.update(zip(map(Letter, ls), vectors))
+    return memo
 
 
 class ScreenTables:
@@ -258,12 +279,7 @@ class PackedScreen:
                 for group in self.tables.groups
                 if group.start < cut
             ]
-        memos = []
-        for top, bot, *vectors in seeds:
-            memo = {TOP: top, BOT: bot}
-            memo.update(zip(map(Letter, ls), vectors))
-            memos.append(memo)
-        return memos
+        return [_seeded(group_seeds, ls) for group_seeds in seeds]
 
     def first_event(
         self, lhs: Formula, rhs: Formula, ls: tuple[str, ...], stop: int
@@ -286,10 +302,11 @@ class PackedScreen:
         for group, memo in zip(tables.groups, memos):
             if group.start >= last:
                 break
-            codes = _pair_codes(group, group.vector(memo, lhs), group.vector(memo, rhs))
+            left = group.vector(memo, lhs, group)
+            right = group.vector(memo, rhs, group)
             ends = group.ends(k)
             count = min(group.stop, last) - group.start
-            pos = codes.translate(group.nleq).find(1, 0, ends[count - 1])
+            pos = group.escape(left, right, ends[count - 1])
             if pos >= 0:
                 return group.start + bisect_right(ends, pos), True
         return (cut, False) if cut < stop else None

@@ -1,6 +1,12 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wpml.cli import main
 from wpml.serialize import dumps, wrap
@@ -236,3 +242,78 @@ def test_malformed_lattice_payload_exits_with_parse_code(tmp_path, capsys, kind,
 def test_unknown_axiom_exits_with_parse_code(capsys, axioms):
     code, out, err = run(["interpolate", "p", "p", "--axioms", axioms], capsys)
     assert (code, out, err) == (3, "", "error: unknown axiom 'Z'\n")
+
+
+def _paths(obj, prefix=()):
+    """Every path to a value inside a JSON object, the root first."""
+    yield prefix
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _paths(value, prefix + (i,))
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 20),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(sorted(WELL_FORMED) + ["lattice", "lframe", "K", "L1"]),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+def _mutate(data, obj):
+    """Replace, delete or add one value somewhere in `obj`, in place."""
+    path = data.draw(st.sampled_from(list(_paths(obj))))
+    value = data.draw(_json_values)
+    if not path:
+        return value
+    parent = obj
+    for step in path[:-1]:
+        parent = parent[step]
+    op = data.draw(st.sampled_from(("replace", "delete", "add")))
+    if op == "replace":
+        parent[path[-1]] = value
+    elif isinstance(parent, dict):
+        if op == "delete":
+            del parent[path[-1]]
+        else:
+            parent[data.draw(st.text(max_size=3))] = value
+    elif op == "delete":
+        del parent[path[-1]]
+    else:
+        parent.insert(path[-1], value)
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_artifacts_end_in_an_exit_code(data):
+    # the loaders meet any JSON shape: every mutation ends in a
+    # documented exit code, never an exception or a traceback
+    kind = data.draw(st.sampled_from(sorted(WELL_FORMED)))
+    obj = wrap(kind, copy.deepcopy(WELL_FORMED[kind]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        obj = _mutate(data, obj)
+    command = data.draw(st.sampled_from(("validate", "dualize")))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path])
+    assert code in range(5), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -1,10 +1,12 @@
+import gc
+
 import pytest
 
 from wpml import entailment
 from wpml.catalog import all_modal_lframes
 from wpml.entailment import decide_entailment
 from wpml.errors import PreconditionViolated
-from wpml.formulas import parse_formula, parse_pair
+from wpml.formulas import Letter, parse_formula, parse_pair
 from wpml.interpolation import InterpolationProblem, craig_interpolant
 from wpml.lframe import frame_validates, truth_set
 from wpml.proofs import check_proof
@@ -59,6 +61,28 @@ class TestRefutedVerdicts:
         r = decide_entailment(("T",), parse_pair("p |- []p"), 3, 3)
         assert r.refuted
         assert frame_satisfies(r.frame, "reflexivity")[0]
+
+
+def test_no_formula_outlives_the_decision():
+    # the frame tables are cached per frame and the search memos per
+    # call: nothing keeps the goal's letters once the results are dropped
+    results = [
+        decide_entailment(tags, parse_pair(text), 3, 3)
+        for text, tags in (
+            ("leak_a |- []leak_a", ()),
+            ("[]leak_a & <>leak_b |- <>(leak_a & leak_b)", ("T",)),
+            ("leak_a & leak_b |- leak_b v leak_c", ()),
+        )
+    ]
+    assert [r.verdict for r in results] == ["refuted", "unknown", "derivable"]
+    del results
+    gc.collect()
+    kept = [
+        o
+        for o in gc.get_objects()
+        if isinstance(o, Letter) and o.name.startswith("leak_")
+    ]
+    assert kept == []
 
 
 class TestUnknownVerdicts:
@@ -136,6 +160,10 @@ class TestAgreementWithAlgebraSemantics:
                     ), (n, x.succ, str(pair))
 
 
+# goals of `test_same_result` searched past size 4: refuted only at 5
+MODEL_SIZES = {"(p v q) & r |- p v (q & r)": 5}
+
+
 class TestAgainstLiteralFrameSearch:
     """Verdict, frame and countervaluation equal those of a search over the
     literal catalog with the literal frame-validity loop."""
@@ -150,16 +178,18 @@ class TestAgainstLiteralFrameSearch:
             ("[](p v q) |- []p v <>q", ("B",)),
             ("<>(p & q) & []r |- <>(q & r)", (".2",)),
             ("[]p |- <>p", ()),
+            ("(p v q) & r |- p v (q & r)", ("5",)),
         ],
     )
     def test_same_result(self, monkeypatch, text, tags):
         goal = parse_pair(text)
-        fast = decide_entailment(tags, goal, 3, 4)
+        size = MODEL_SIZES.get(text, 4)
+        fast = decide_entailment(tags, goal, 3, size)
         monkeypatch.setattr(entailment, "frame_validates", reference_frame_validates)
         monkeypatch.setattr(
             entailment, "all_modal_lframes", lambda n: iter(literal_modal_lframes(n))
         )
-        slow = decide_entailment(tags, goal, 3, 4)
+        slow = decide_entailment(tags, goal, 3, size)
         assert fast.verdict == slow.verdict
         assert fast.frame == slow.frame
         assert fast.valuation == slow.valuation

@@ -36,6 +36,7 @@ from wpml.lframe import (
     is_bounded_l_morphism,
     is_filter,
     is_l_morphism,
+    lframe_from_leq,
     satisfies,
     successor_extrema,
     truth_set,
@@ -43,6 +44,7 @@ from wpml.lframe import (
 )
 
 from conftest import (
+    chain_leq,
     identity_modal,
     literal_modal_lframes,
     random_pairs,
@@ -460,6 +462,42 @@ class TestVectorFrameValidates:
             reference_frame_validates(x, pair, budget=7)
         assert (fast.value.needed, fast.value.budget) == (256, 7)
         assert (slow.value.needed, slow.value.budget) == (256, 7)
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_both_sides_of_the_sixteen_filter_switch(self, n):
+        # a chain has one filter per point: 16 filters take the pair-code
+        # tables, 17 the value vectors
+        base = lframe_from_leq(tuple(map(str, range(n))), chain_leq(n), n - 1)
+        pairs = random_pairs(random.Random(n), 20, names=("p", "q"))
+        step = [(x, min(x + 1, n - 1)) for x in range(n)]
+        refuted = 0
+        for rel in ([(x, x) for x in range(n)], step):
+            x = validate_modal_lframe(base, rel)
+            assert isinstance(x, ModalLFrame)
+            for pair in pairs:
+                got = frame_validates(x, pair)
+                want = reference_frame_validates(x, pair)
+                assert got == want, (n, rel, str(pair))
+                if want is not None:
+                    assert list(got) == list(want)
+                    refuted += 1
+        assert 0 < refuted < 2 * len(pairs)
+        assert (base.filter_codes is None) == (n > 16)
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_resource_bound_before_any_table(self, n):
+        base = lframe_from_leq(tuple(map(str, range(n))), chain_leq(n), n - 1)
+        x = validate_modal_lframe(base, [(x, min(x + 1, n - 1)) for x in range(n)])
+        pair = parse_pair("[]p & q |- <>r")
+        for check in (frame_validates, reference_frame_validates):
+            with pytest.raises(ResourceBound) as exc:
+                check(x, pair, budget=n**3 - 1)
+            assert (exc.value.needed, exc.value.budget) == (n**3, n**3 - 1)
+        assert "filter_codes" not in vars(base)
+        assert "filter_modalities" not in vars(x)
+        got = frame_validates(x, pair, budget=n**3)
+        assert got == reference_frame_validates(x, pair, budget=n**3)
+        assert got is not None
 
     def test_box_of_a_filter_not_a_filter(self, chain2_frame):
         # 1 R x breaks condition (v); box{1} = {x} is not up-closed

@@ -8,6 +8,7 @@ from wpml.correspondence import AXIOMS
 from wpml.entailment import gamma_pairs
 from wpml.errors import PreconditionViolated, ResourceBound, resolve_budget
 from wpml.formulas import (
+    BOT,
     TOP,
     And,
     Box,
@@ -16,7 +17,9 @@ from wpml.formulas import (
     Letter,
     Or,
     letters,
+    match_pair,
     parse_pair,
+    substitute,
 )
 from wpml.generators import sample_modal_lattice, sample_modal_lframe
 from wpml.lattice import algebra_validates, validate_lattice, with_identity_modalities
@@ -26,6 +29,7 @@ from wpml.proofs import (
     BadNode,
     Proof,
     ProofSearch,
+    _axiom_matches,
     _screen_tables,
     _screening_algebras,
     check_proof,
@@ -36,7 +40,7 @@ from wpml.proofs import (
 from wpml.serialize import proof_from_json, proof_to_json
 from wpml.vectors import PackedScreen, ScreenTables
 
-from conftest import chain_leq
+from conftest import chain_leq, random_formula
 
 
 class TestCheckProof:
@@ -627,3 +631,75 @@ class TestIdKeyedSearch:
         assert search.failed_at.get(unseen) is None
         with pytest.raises(KeyError):
             search.failed_at[unseen]
+
+
+def literal_leaf(gamma, pair):
+    """The leaf check before the shape dispatch: every premise-less rule
+    in order, then every axiom member."""
+    for rule in (
+        "reflexivity",
+        "top",
+        "bottom",
+        "left-conjunction",
+        "right-disjunction",
+        "modal-top",
+        "linearity",
+        "duality",
+    ):
+        if _axiom_matches(rule, pair) is None:
+            return Proof(rule, pair)
+    for member in gamma:
+        subst = match_pair(member, pair)
+        if subst is not None:
+            return Proof("axiom", pair, (), tuple(sorted(subst.items())))
+    return None
+
+
+def leaf_pairs(rng, count):
+    """Seeded random pairs, each next to pairs built to match one
+    premise-less rule and an instance of every axiom member."""
+    members = [m for tag in sorted(AXIOMS) for m in AXIOMS[tag]]
+    out = []
+    for _ in range(count):
+        a, b, c = (random_formula(rng, ("p", "q", "r"), 2) for _ in range(3))
+        member = rng.choice(members)
+        out += [
+            ConsequencePair(a, b),
+            ConsequencePair(a, a),
+            ConsequencePair(a, TOP),
+            ConsequencePair(BOT, b),
+            ConsequencePair(And(a, b), rng.choice((a, b, c))),
+            ConsequencePair(rng.choice((a, b, c)), Or(a, b)),
+            ConsequencePair(TOP, rng.choice((Box(TOP), Dia(TOP), Box(a)))),
+            ConsequencePair(And(Box(a), Box(b)), Box(And(a, rng.choice((b, c))))),
+            ConsequencePair(And(Dia(a), Box(b)), Dia(And(a, rng.choice((b, c))))),
+            ConsequencePair(substitute(member.lhs, {"p": a}), member.rhs),
+            ConsequencePair(
+                substitute(member.lhs, {"p": a}), substitute(member.rhs, {"p": a})
+            ),
+        ]
+    return out
+
+
+class TestLeafDispatch:
+    @pytest.mark.parametrize("tags", [(), ("T",), ("4",), ("B",), ("5",), (".2",)])
+    def test_matches_the_literal_loop(self, tags):
+        gamma = gamma_pairs(tags)
+        search = ProofSearch(gamma, ())
+        rules = set()
+        for pair in leaf_pairs(random.Random(7), 150):
+            got = search._leaf(pair)
+            assert got == literal_leaf(gamma, pair), str(pair)
+            rules.add(got and got.rule)
+        assert rules >= {
+            None,
+            "reflexivity",
+            "top",
+            "bottom",
+            "left-conjunction",
+            "right-disjunction",
+            "modal-top",
+            "linearity",
+            "duality",
+        }
+        assert ("axiom" in rules) == bool(tags)
