@@ -1,10 +1,16 @@
 """Named axioms T, 4, B, 5, .2, their first-order frame conditions,
 bidirectional correspondence checks, and closure of pullbacks under each
-condition."""
+condition.  Four conditions are universal Horn, "for all x, and all y with
+x R y when a term names y, A <= B" over the terms {x}, R[x], {y}, R[y]:
+their `INCLUSIONS` rows are read by one least-witness evaluator here and
+by the sampler's closure in `generators`.  Directedness (for all, exists)
+and the existential `SPACE_CONDITIONS` of tight frames are not Horn, so
+they stay written out."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .errors import PreconditionViolated, resolve_budget
@@ -44,54 +50,60 @@ def _named(table: dict, name: str, what: str):
         ) from None
 
 
-def _reflexivity(x: ModalLFrame):
-    for a in range(x.n):
-        if not x.succ[a] >> a & 1:
-            return (a,)
-    return None
+# A term of an inclusion row (A, B): bit _Y names y rather than x, bit _R
+# the successor set rather than the singleton.
+_R, _Y = 1, 2
+_X, _RX, _RY = 0, _R, _Y | _R
+
+INCLUSIONS = {
+    "reflexivity": (_X, _RX),
+    "transitivity": (_RY, _RX),
+    "symmetry": (_X, _RY),
+    "euclideanity": (_RX, _RY),
+}
 
 
-def _transitivity(x: ModalLFrame):
-    for a in range(x.n):
-        sa = x.succ[a]
-        for b in range(x.n):
-            if not sa >> b & 1:
-                continue
-            if x.succ[b] & ~sa:
-                c = (x.succ[b] & ~sa & -(x.succ[b] & ~sa)).bit_length() - 1
-                return (a, b, c)
-    return None
+def _inclusion_gaps(succ, row: tuple[int, int]):
+    """(x, y, A minus B) wherever `row` fails, x ascending and then y
+    (y = x when no term mentions y).  Reads `succ` as it goes, so a
+    caller may grow it between steps."""
+    sub, sup = row
+    over_y = (sub | sup) & _Y
+    for x in range(len(succ)):
+        ys = succ[x] if over_y else 1 << x
+        while ys:
+            y = (ys & -ys).bit_length() - 1
+            ys &= ys - 1
+            terms = (1 << x, succ[x], 1 << y, succ[y])
+            gap = terms[sub] & ~terms[sup]
+            if gap:
+                yield x, y, gap
 
 
-def _symmetry(x: ModalLFrame):
-    for a in range(x.n):
-        for b in range(x.n):
-            if x.succ[a] >> b & 1 and not x.succ[b] >> a & 1:
-                return (a, b)
-    return None
-
-
-def _euclideanity(x: ModalLFrame):
-    for a in range(x.n):
-        sa = x.succ[a]
-        for b in range(x.n):
-            if not sa >> b & 1:
-                continue
-            if sa & ~x.succ[b]:
-                c = (sa & ~x.succ[b] & -(sa & ~x.succ[b])).bit_length() - 1
-                return (a, b, c)
+def _inclusion_witness(row: tuple[int, int], x: ModalLFrame):
+    """The least failure of `row`: (x,) for a row over x alone, scanned
+    inline since reflexivity filters every frame of a countermodel
+    search; else (x, y), with the least point of A minus B when A is a
+    successor set."""
+    sub, sup = row
+    if not (sub | sup) & _Y:
+        for a, sa in enumerate(x.succ):
+            if (sa if sub else 1 << a) & ~(sa if sup else 1 << a):
+                return (a,)
+        return None
+    for a, b, gap in _inclusion_gaps(x.succ, row):
+        return (a, b, (gap & -gap).bit_length() - 1) if sub & _R else (a, b)
     return None
 
 
 def _directedness(x: ModalLFrame):
-    for a in range(x.n):
-        sa = x.succ[a]
-        for b in range(x.n):
-            if not sa >> b & 1:
-                continue
-            for c in range(x.n):
-                if sa >> c & 1 and not x.succ[b] & x.succ[c]:
-                    return (a, b, c)
+    succ = x.succ
+    for a, sa in enumerate(succ):
+        for b in range(len(succ)):
+            if sa >> b & 1:
+                for c in range(len(succ)):
+                    if sa >> c & 1 and not succ[b] & succ[c]:
+                        return (a, b, c)
     return None
 
 
@@ -106,12 +118,10 @@ class FrameCondition:
 
 
 CONDITIONS: dict[str, FrameCondition] = {
-    "reflexivity": FrameCondition("reflexivity", _reflexivity),
-    "transitivity": FrameCondition("transitivity", _transitivity),
-    "symmetry": FrameCondition("symmetry", _symmetry),
-    "euclideanity": FrameCondition("euclideanity", _euclideanity),
-    "directedness": FrameCondition("directedness", _directedness),
+    tag: FrameCondition(tag, partial(_inclusion_witness, row))
+    for tag, row in INCLUSIONS.items()
 }
+CONDITIONS["directedness"] = FrameCondition("directedness", _directedness)
 
 
 def frame_satisfies(x: ModalLFrame, cond: FrameCondition | str):
@@ -127,84 +137,64 @@ def frame_satisfies(x: ModalLFrame, cond: FrameCondition | str):
 # frame-side proofs).
 
 def _t_space(x: ModalLFrame):
+    down, up = x.base.down_masks, x.base.up_masks
     out = []
-    for a in range(x.n):
-        below = any(x.succ[a] >> y & 1 and x.le(y, a) for y in range(x.n))
-        above = any(x.succ[a] >> y & 1 and x.le(a, y) for y in range(x.n))
-        if not below:
+    for a, sa in enumerate(x.succ):
+        if not sa & down[a]:
             out.append(("T-lower", (a,)))
-        if not above:
+        if not sa & up[a]:
             out.append(("T-upper", (a,)))
     return out
 
 
 def _4_space(x: ModalLFrame):
+    down, up, succ = x.base.down_masks, x.base.up_masks, x.succ
     out = []
-    for a in range(x.n):
-        for b in range(x.n):
-            if not x.succ[a] >> b & 1:
+    for a, b in x.pairs:
+        for c in range(x.n):
+            if not succ[b] >> c & 1:
                 continue
-            for c in range(x.n):
-                if not x.succ[b] >> c & 1:
-                    continue
-                lo = any(x.succ[a] >> t & 1 and x.le(t, c) for t in range(x.n))
-                hi = any(x.succ[a] >> t & 1 and x.le(c, t) for t in range(x.n))
-                if not lo:
-                    out.append(("4-lower", (a, b, c)))
-                if not hi:
-                    out.append(("4-upper", (a, b, c)))
+            if not succ[a] & down[c]:
+                out.append(("4-lower", (a, b, c)))
+            if not succ[a] & up[c]:
+                out.append(("4-upper", (a, b, c)))
     return out
 
 
 def _b_space(x: ModalLFrame):
+    down, up, succ = x.base.down_masks, x.base.up_masks, x.succ
     out = []
-    for a in range(x.n):
-        for b in range(x.n):
-            if not x.succ[a] >> b & 1:
-                continue
-            hi = any(x.succ[b] >> z & 1 and x.le(a, z) for z in range(x.n))
-            lo = any(x.succ[b] >> z & 1 and x.le(z, a) for z in range(x.n))
-            if not hi:
-                out.append(("B-upper", (a, b)))
-            if not lo:
-                out.append(("B-lower", (a, b)))
+    for a, b in x.pairs:
+        if not succ[b] & up[a]:
+            out.append(("B-upper", (a, b)))
+        if not succ[b] & down[a]:
+            out.append(("B-lower", (a, b)))
     return out
 
 
 def _5_space(x: ModalLFrame):
+    down, up, succ = x.base.down_masks, x.base.up_masks, x.succ
     out = []
-    for a in range(x.n):
-        for b in range(x.n):
-            if not x.succ[a] >> b & 1:
+    for a, b in x.pairs:
+        for c in range(x.n):
+            if not succ[a] >> c & 1:
                 continue
-            for c in range(x.n):
-                if not x.succ[a] >> c & 1:
-                    continue
-                hi = any(x.succ[b] >> t & 1 and x.le(c, t) for t in range(x.n))
-                lo = any(x.succ[b] >> t & 1 and x.le(t, c) for t in range(x.n))
-                if not hi:
-                    out.append(("5-upper", (a, c, b)))
-                if not lo:
-                    out.append(("5-lower", (a, b, c)))
+            if not succ[b] & up[c]:
+                out.append(("5-upper", (a, c, b)))
+            if not succ[b] & down[c]:
+                out.append(("5-lower", (a, b, c)))
     return out
 
 
 def _dot2_space(x: ModalLFrame):
+    up, succ = x.base.up_masks, x.succ
     out = []
-    for a in range(x.n):
-        for b in range(x.n):
-            if not x.succ[a] >> b & 1:
-                continue
-            for c in range(x.n):
-                if not x.succ[a] >> c & 1:
-                    continue
-                ok = any(
-                    x.succ[b] >> u & 1 and x.succ[c] >> v & 1 and x.le(u, v)
-                    for u in range(x.n)
-                    for v in range(x.n)
-                )
-                if not ok:
-                    out.append((".2-directed", (a, b, c)))
+    for a, b in x.pairs:
+        for c in range(x.n):
+            if succ[a] >> c & 1 and not any(
+                up[u] & succ[c] for u in range(x.n) if succ[b] >> u & 1
+            ):
+                out.append((".2-directed", (a, b, c)))
     return out
 
 

@@ -12,7 +12,7 @@ import random
 from typing import Optional
 
 from .amalgam import VFormation, validate_vformation
-from .correspondence import CONDITIONS, frame_satisfies
+from .correspondence import CONDITIONS, INCLUSIONS, _Y, _inclusion_gaps, frame_satisfies
 from .duality import dual_of_frame_morphism
 from .errors import PreconditionViolated, SizeCap
 from .lattice import FiniteLattice, FiniteModalLattice, LatticeMorphism, enumerate_homs
@@ -129,75 +129,63 @@ def _modal_fixpoint(frame: LFrame, succ: list[int], rounds: int) -> bool:
     return False
 
 
+def _inclusion_closure(succ: list[int], one: int, row) -> bool:
+    """Grow `succ` to the least relation closed under the inclusion `row`
+    by OR-ing A into the successor set of B's point (B is R[x] or R[y]);
+    False = reject, when the top point `one` would get a successor other
+    than itself (condition (v))."""
+    changed = True
+    while changed:
+        changed = False
+        for x, y, gap in _inclusion_gaps(succ, row):
+            p = y if row[1] & _Y else x
+            if p == one and succ[p] | gap != 1 << one:
+                return False
+            succ[p] |= gap
+            changed = True
+    return True
+
+
 def _condition_closure(frame: LFrame, succ: list[int], tag: str) -> bool:
-    """Close the relation toward the named condition; False = reject."""
+    """Close the relation toward the named condition; False = reject.
+
+    A Horn condition is closed by `_inclusion_closure` on its row of
+    `correspondence.INCLUSIONS`: the least relation closed under the
+    row, whatever the scan order, rejected when it would give the top
+    point a successor other than itself.  Directedness is not Horn: for
+    x R y, x R z with no common successor, y and z get the meet of their
+    least successors, for at most 2n**2 + 4 rounds, and a pair that
+    meets the top point is rejected."""
+    row = INCLUSIONS.get(tag)
+    if row is not None:
+        return _inclusion_closure(succ, frame.one, row)
+    if tag != "directedness":
+        raise PreconditionViolated(f"unknown frame condition {tag!r}")
     n = frame.n
     one = frame.one
     meet = frame.meet
     for _ in range(2 * n * n + 4):
         changed = False
-        if tag == "reflexivity":
-            for x in range(n):
-                if not succ[x] >> x & 1:
-                    succ[x] |= 1 << x
+        for x in range(n):
+            sx = succ[x]
+            my = sx
+            while my:
+                y = (my & -my).bit_length() - 1
+                my &= my - 1
+                mz = sx
+                while mz:
+                    z = (mz & -mz).bit_length() - 1
+                    mz &= mz - 1
+                    if succ[y] & succ[z]:
+                        continue
+                    u = (succ[y] & -succ[y]).bit_length() - 1
+                    v = (succ[z] & -succ[z]).bit_length() - 1
+                    t = meet[u][v]
+                    if y == one or z == one:
+                        return False
+                    succ[y] |= 1 << t
+                    succ[z] |= 1 << t
                     changed = True
-        elif tag == "transitivity":
-            for x in range(n):
-                m = succ[x]
-                while m:
-                    y = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if succ[y] & ~succ[x]:
-                        if x == one and succ[y] & ~succ[x] != 0:
-                            if succ[y] != 1 << one:
-                                return False
-                        succ[x] |= succ[y]
-                        changed = True
-        elif tag == "symmetry":
-            for x in range(n):
-                m = succ[x]
-                while m:
-                    y = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if not succ[y] >> x & 1:
-                        if y == one and x != one:
-                            return False
-                        succ[y] |= 1 << x
-                        changed = True
-        elif tag == "euclideanity":
-            for x in range(n):
-                m = succ[x]
-                while m:
-                    y = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if succ[x] & ~succ[y]:
-                        if y == one and succ[x] != 1 << one:
-                            return False
-                        succ[y] |= succ[x]
-                        changed = True
-        elif tag == "directedness":
-            for x in range(n):
-                sx = succ[x]
-                my = sx
-                while my:
-                    y = (my & -my).bit_length() - 1
-                    my &= my - 1
-                    mz = sx
-                    while mz:
-                        z = (mz & -mz).bit_length() - 1
-                        mz &= mz - 1
-                        if succ[y] & succ[z]:
-                            continue
-                        u = (succ[y] & -succ[y]).bit_length() - 1
-                        v = (succ[z] & -succ[z]).bit_length() - 1
-                        t = meet[u][v]
-                        if y == one or z == one:
-                            return False
-                        succ[y] |= 1 << t
-                        succ[z] |= 1 << t
-                        changed = True
-        else:
-            raise PreconditionViolated(f"unknown frame condition {tag!r}")
         if not changed:
             return True
     return False

@@ -64,7 +64,7 @@ from .lattice import (
     _order_tables,
     _table_maps,
 )
-from .vectors import ValueVectors, _PackedGroup, _seeded
+from .vectors import ScreenTables, ValueVectors, _seeded
 
 FrameFilter = int  # bitmask over frame points
 FrameValuation = dict[str, int]  # letter -> FrameFilter
@@ -132,12 +132,12 @@ class LFrame:
         return tuple(tuple(idx[filter_join(self, a, b)] for b in fs) for a in fs)
 
     @cached_property
-    def filter_codes(self) -> Optional[_PackedGroup]:
+    def filter_codes(self) -> Optional[ScreenTables]:
         """The pair-code tables of the filter lattice (see `vectors`); None
         over 16 filters, whose pair codes do not fit in a byte."""
         if len(self.filter_masks) > 16:
             return None
-        return _PackedGroup((_filter_lattice(self, self.filter_masks),), 0)
+        return ScreenTables((_filter_lattice(self, self.filter_masks),))
 
     def __repr__(self):
         return f"LFrame(n={self.n})"

@@ -10,18 +10,21 @@ elements and a tuple of ints otherwise; conjunction and disjunction are
 lookups in the meet and join tables, box and diamond in unary tables.
 `lframe.frame_validates` uses it only on frames of more than 16 filters.
 
-`ScreenTables` packs a whole screening set of small lattices (at most 16
-elements each) so that a formula is evaluated on all of them at once:
-its packed vector is one `bytes`, the per-algebra vectors concatenated
-in screen order, whose entries are element ids global to a group of
-consecutive screens.  A pair of vectors becomes a vector of pair codes
-by one big-integer addition, and meet, join, box, diamond and the order
-test are each one `bytes.translate`.  `PackedScreen` holds one search's
-budget and memo over those tables; the proof search screens its subgoals
-and the interpolant search its candidates' obligations with it.
-`lframe.frame_validates` runs the same kernel on one group: the filter
-lattice of an L-frame of at most 16 filters, with the box and diamond
-tables of the modal L-frame it searches.
+`ScreenTables` packs a whole screening set of small lattices so that a
+formula is evaluated on all of them at once: its packed vector is one
+`bytes`, the per-algebra vectors concatenated in screen order, whose
+entries are element ids global to the set.  A pair of vectors becomes a
+vector of pair codes by one big-integer addition, and meet, join, box,
+diamond and the order test are each one `bytes.translate`.  A pair code
+must fit in a byte, so the set is one table only if each algebra has at
+most 16 elements and the sum of n**2 over the set is at most 256; every
+screening set that `proofs` builds is well inside that (at most 202).
+`PackedScreen` holds one search's budget and memo over those tables; the
+proof search screens its subgoals and the interpolant search its
+candidates' obligations with it.  `lframe.frame_validates` runs the same
+kernel on one table: the filter lattice of an L-frame of at most 16
+filters, with the box and diamond tables of the modal L-frame it
+searches.
 
 The scalar evaluators (`lattice.evaluate`, `lattice.algebra_validates`,
 `lframe.truth_set`) stay the reference oracles.
@@ -103,9 +106,10 @@ class ValueVectors:
         return v
 
 
-class _PackedGroup:
-    """Consecutive screens whose pair codes fit in one byte (the sum of
-    n**2 over the group is at most 256).
+class ScreenTables:
+    """The packed tables of one screening set, whose pair codes fit in
+    one byte.  Raises PreconditionViolated for an algebra of more than 16
+    elements, or when the sum of n**2 over the set passes 256.
 
     Element x of screen s has the global id `base_s + x` and the pair
     (x, y) of its elements the code `off_s + x * n_s + y`, where base_s
@@ -116,14 +120,25 @@ class _PackedGroup:
     diamond from global ids to global ids (the identity on a plain
     lattice, whose stretch of a vector is never read for a modal pair).
 
-    `lframe` keeps one group per L-frame of at most 16 filters, over its
+    `lframe` keeps one table per L-frame of at most 16 filters, over its
     filter algebra, and passes each modal L-frame's own box and diamond
     tables to `vector`."""
 
-    def __init__(self, algebras, start: int):
-        self.start = start
-        self.sizes = tuple(a.n for a in algebras)
-        self.stop = start + len(algebras)
+    def __init__(self, algebras):
+        algebras = tuple(algebras)
+        sizes = self.sizes = tuple(a.n for a in algebras)
+        for n in sizes:
+            if n > 16:
+                raise PreconditionViolated(
+                    f"screen algebra of {n} elements (at most 16)"
+                )
+        area = sum(n * n for n in sizes)
+        if area > 256:
+            raise PreconditionViolated(
+                f"screening set with a sum of n**2 of {area} (at most 256)"
+            )
+        plain = (s for s, a in enumerate(algebras) if getattr(a, "box", None) is None)
+        self.first_plain = next(plain, len(sizes))
         scale, local, meet, join, nleq, box, dia = (bytearray(256) for _ in range(7))
         self.tops, self.bots, self.bases = [], [], []
         base = off = 0
@@ -158,7 +173,7 @@ class _PackedGroup:
 
     def seeds(self, k: int, count: int) -> tuple[bytes, ...]:
         """Packed vectors of T, F and the k letters, in letter order, over
-        the group's first `count` screens."""
+        the first `count` screens."""
         columns = []
         for s in range(count):
             n, base, size = self.sizes[s], self.bases[s], self.sizes[s] ** k
@@ -173,8 +188,8 @@ class _PackedGroup:
     def vector(self, memo: dict[Formula, bytes], f: Formula, modal) -> bytes:
         """Packed vector of f, built from its children's and memoized.
         Box and diamond are `modal.unary_tables`, read at the first
-        modal subformula: the group itself, or a modal L-frame over the
-        group's filter algebra."""
+        modal subformula: the tables themselves, or a modal L-frame over
+        their filter algebra."""
         v = memo.get(f)
         if v is not None:
             return v
@@ -198,55 +213,28 @@ class _PackedGroup:
         return _pair_codes(self, left, right).translate(self.nleq).find(1, 0, end)
 
 
-def _pair_codes(group: _PackedGroup, left: bytes, right: bytes) -> bytes:
+def _pair_codes(tables: ScreenTables, left: bytes, right: bytes) -> bytes:
     """The pair code of each position: every sum is below 256, so the
     big-integer addition carries nothing from one byte to the next."""
     size = len(left)
-    codes = int.from_bytes(left.translate(group.scale), "big") + int.from_bytes(
-        right.translate(group.local), "big"
+    codes = int.from_bytes(left.translate(tables.scale), "big") + int.from_bytes(
+        right.translate(tables.local), "big"
     )
     return codes.to_bytes(size, "big")
 
 
 def _seeded(seeds: tuple[bytes, ...], ls: tuple[str, ...]) -> dict[Formula, bytes]:
-    """A fresh memo from `_PackedGroup.seeds` over the sorted letters `ls`."""
+    """A fresh memo from `ScreenTables.seeds` over the sorted letters `ls`."""
     top, bot, *vectors = seeds
     memo = {TOP: top, BOT: bot}
     memo.update(zip(map(Letter, ls), vectors))
     return memo
 
 
-class ScreenTables:
-    """The packed tables of one screening set, split into consecutive
-    groups whenever the sum of n**2 would pass 256.  Raises
-    PreconditionViolated for an algebra of more than 16 elements, whose
-    pair codes do not fit in a byte."""
-
-    def __init__(self, algebras):
-        algebras = tuple(algebras)
-        sizes = self.sizes = tuple(a.n for a in algebras)
-        for n in sizes:
-            if n > 16:
-                raise PreconditionViolated(
-                    f"screen algebra of {n} elements (at most 16)"
-                )
-        plain = (s for s, a in enumerate(algebras) if getattr(a, "box", None) is None)
-        self.first_plain = next(plain, len(sizes))
-        self.groups: list[_PackedGroup] = []
-        start = 0
-        while start < len(sizes):
-            stop, area = start, 0
-            while stop < len(sizes) and area + sizes[stop] ** 2 <= 256:
-                area += sizes[stop] ** 2
-                stop += 1
-            self.groups.append(_PackedGroup(algebras[start:stop], start))
-            start = stop
-
-
 class PackedScreen:
     """One search's screen over a `ScreenTables`: its budget, and its
-    packed vectors per sorted letter tuple and group, kept for as long
-    as the screen lives.
+    packed vectors per sorted letter tuple, kept for as long as the
+    screen lives.
 
     Over k letters, only the screens before the first one with
     n**k > budget are evaluated; that screen is where the literal loop
@@ -254,12 +242,12 @@ class PackedScreen:
 
     def __init__(self, tables: ScreenTables, budget: int):
         self.tables, self.budget = tables, budget
-        # sorted letters -> one memo (formula -> packed vector) per group
-        self.memo: dict[tuple[str, ...], list[dict[Formula, bytes]]] = {}
+        # sorted letters -> memo (formula -> packed vector)
+        self.memo: dict[tuple[str, ...], dict[Formula, bytes]] = {}
         self._cuts: dict[int, int] = {}
-        # k -> per group, the packed vectors of T, F and k letters; kept
-        # per search, since wide candidate goals make them large
-        self._seeds: dict[int, list[tuple[bytes, ...]]] = {}
+        # k -> the packed vectors of T, F and k letters; kept per search,
+        # since wide candidate goals make them large
+        self._seeds: dict[int, tuple[bytes, ...]] = {}
 
     def _cut(self, k: int) -> int:
         cut = self._cuts.get(k)
@@ -269,17 +257,15 @@ class PackedScreen:
             cut = self._cuts[k] = next(over, len(sizes))
         return cut
 
-    def _seed(self, ls: tuple[str, ...]) -> list[dict[Formula, bytes]]:
-        k = len(ls)
-        seeds = self._seeds.get(k)
-        if seeds is None:
-            cut = self._cut(k)
-            seeds = self._seeds[k] = [
-                group.seeds(k, min(group.stop, cut) - group.start)
-                for group in self.tables.groups
-                if group.start < cut
-            ]
-        return [_seeded(group_seeds, ls) for group_seeds in seeds]
+    def _memo(self, ls: tuple[str, ...]) -> dict[Formula, bytes]:
+        memo = self.memo.get(ls)
+        if memo is None:
+            k = len(ls)
+            seeds = self._seeds.get(k)
+            if seeds is None:
+                seeds = self._seeds[k] = self.tables.seeds(k, self._cut(k))
+            memo = self.memo[ls] = _seeded(seeds, ls)
+        return memo
 
     def first_event(
         self, lhs: Formula, rhs: Formula, ls: tuple[str, ...], stop: int
@@ -296,19 +282,14 @@ class PackedScreen:
         ):
             cut = tables.first_plain
         last = min(cut, stop)
-        memos = self.memo.get(ls)
-        if memos is None:
-            memos = self.memo[ls] = self._seed(ls)
-        for group, memo in zip(tables.groups, memos):
-            if group.start >= last:
-                break
-            left = group.vector(memo, lhs, group)
-            right = group.vector(memo, rhs, group)
-            ends = group.ends(k)
-            count = min(group.stop, last) - group.start
-            pos = group.escape(left, right, ends[count - 1])
+        if last:
+            memo = self._memo(ls)
+            left = tables.vector(memo, lhs, tables)
+            right = tables.vector(memo, rhs, tables)
+            ends = tables.ends(k)
+            pos = tables.escape(left, right, ends[last - 1])
             if pos >= 0:
-                return group.start + bisect_right(ends, pos), True
+                return bisect_right(ends, pos), True
         return (cut, False) if cut < stop else None
 
     def refutes(self, goals) -> bool:
@@ -335,5 +316,5 @@ class PackedScreen:
 
     @property
     def vector_entries(self) -> int:
-        """Packed vectors held: one per formula, letter tuple and group."""
-        return sum(len(memo) for memos in self.memo.values() for memo in memos)
+        """Packed vectors held: one per formula and letter tuple."""
+        return sum(map(len, self.memo.values()))

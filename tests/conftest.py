@@ -146,3 +146,69 @@ def random_pairs(rng, count, depth=3, names=("p", "q", "r")):
         )
         out[pair] = None
     return list(out)
+
+
+
+
+# The five frame conditions as literal first-order clauses over a relation
+# `r` (r[a][b] iff a R b) on the points P: each lists, in lexicographic
+# variable order, the tuples at which the clause's body holds and its head
+# fails.  The reference for `frame_satisfies` and the sampler's closure.
+LITERAL_FAILURES = {
+    "reflexivity": lambda r, P: [(x,) for x in P if not r[x][x]],
+    "transitivity": lambda r, P: [
+        (x, y, z)
+        for x in P for y in P if r[x][y]
+        for z in P if r[y][z] and not r[x][z]
+    ],
+    "symmetry": lambda r, P: [
+        (x, y) for x in P for y in P if r[x][y] and not r[y][x]
+    ],
+    "euclideanity": lambda r, P: [
+        (x, y, z)
+        for x in P for y in P if r[x][y]
+        for z in P if r[x][z] and not r[y][z]
+    ],
+    "directedness": lambda r, P: [
+        (x, y, z)
+        for x in P for y in P if r[x][y]
+        for z in P if r[x][z] and not any(r[y][t] and r[z][t] for t in P)
+    ],
+}
+
+# The edge each Horn clause's head asks for.
+LITERAL_HEAD_EDGES = {
+    "reflexivity": lambda x: (x, x),
+    "transitivity": lambda x, y, z: (x, z),
+    "symmetry": lambda x, y: (y, x),
+    "euclideanity": lambda x, y, z: (y, z),
+}
+
+
+def relation_matrix(succ):
+    """The relation of successor masks as rows of booleans."""
+    return [[bool(m >> b & 1) for b in range(len(succ))] for m in succ]
+
+
+def literal_witness(tag, r):
+    """`frame_satisfies` by quantifiers: (holds, least failing tuple)."""
+    witness = min(LITERAL_FAILURES[tag](r, range(len(r))), default=None)
+    return witness is None, witness
+
+
+def literal_closure(tag, succ, one):
+    """The least relation containing `succ` closed under the Horn clause
+    of `tag`, adding every missing head edge until nothing changes: None
+    when the top point `one` has a successor other than itself, else the
+    successor masks."""
+    r = relation_matrix(succ)
+    points = range(len(r))
+    while True:
+        missing = {LITERAL_HEAD_EDGES[tag](*t) for t in LITERAL_FAILURES[tag](r, points)}
+        if not missing:
+            break
+        for a, b in missing:
+            r[a][b] = True
+    if r[one] != [b == one for b in range(len(r))]:
+        return None
+    return [sum(1 << b for b, edge in enumerate(row) if edge) for row in r]

@@ -4,11 +4,13 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wpml.cli import main
+from wpml.correspondence import AXIOM_TAGS
 from wpml.serialize import dumps, wrap
 
 
@@ -81,7 +83,7 @@ class TestGenerateAndRoundTrips:
         b = str(tmp_path / "b.json")
         run(["generate", "modal_lframe", "--seed", "3", "--size", "4", "--out", a], capsys)
         run(["generate", "modal_lframe", "--seed", "3", "--size", "4", "--out", b], capsys)
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_dualize_plain_lattice(self, lattice_file, capsys):
         # 3-chain dualizes to a 3-point space; round-trip verified
@@ -111,7 +113,7 @@ class TestGenerateAndRoundTrips:
         rep = str(tmp_path / "rep.json")
         code, _, _ = run(["amalgamate", "--vformation", v, "--out", rep], capsys)
         assert code == 0
-        blob = json.loads(open(rep).read())
+        blob = json.loads(Path(rep).read_text())
         assert blob["payload"]["verdict"] == "pass"
         assert blob["payload"]["claim_checks"] == []
 
@@ -142,7 +144,7 @@ class TestGenerateAndRoundTrips:
         )
         assert code == 0
         run(["fuzz", "duality", "--seed", "7", "--count", "5", "--out", b], capsys)
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_fuzz_count_zero_usage_error(self, capsys):
         code, _, err = run(["fuzz", "duality", "--count", "0"], capsys)
@@ -298,22 +300,34 @@ def _mutate(data, obj):
     return obj
 
 
+# the subcommands that read an artifact of each kind, besides `validate`
+# and `dualize`
+READERS = {"modal_lframe": ("correspond",), "vformation": ("amalgamate",)}
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mutated_artifacts_end_in_an_exit_code(data):
-    # the loaders meet any JSON shape: every mutation ends in a
-    # documented exit code, never an exception or a traceback
+    # the loaders and the subcommands meet any JSON shape: every mutation
+    # ends in a documented exit code, never an exception or a traceback
     kind = data.draw(st.sampled_from(sorted(WELL_FORMED)))
     obj = wrap(kind, copy.deepcopy(WELL_FORMED[kind]))
     for _ in range(data.draw(st.integers(1, 3))):
         obj = _mutate(data, obj)
-    command = data.draw(st.sampled_from(("validate", "dualize")))
+    command = data.draw(st.sampled_from(("validate", "dualize") + READERS.get(kind, ())))
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "mutated.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
+        if command == "correspond":
+            axiom = data.draw(st.sampled_from(AXIOM_TAGS))
+            argv = [command, "--frame", path, "--axiom", axiom]
+        elif command == "amalgamate":
+            argv = [command, "--vformation", path]
+        else:
+            argv = [command, path]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, path])
-    assert code in range(5), (code, err.getvalue())
+            code = main(argv)
+    assert code in range(5), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -15,10 +15,10 @@ from wpml.correspondence import (
 from wpml.duality import dual_of_hom, fil_l, is_tight
 from wpml.errors import PreconditionViolated, ResourceBound, WpmlError
 from wpml.formulas import parse_pair
-from wpml.generators import sample_modal_lattice, sample_vformation
+from wpml.generators import sample_modal_lattice, sample_modal_lframe, sample_vformation
 from wpml.lframe import ModalLFrame, frame_validates, validate_modal_lframe
 
-from conftest import identity_modal
+from conftest import identity_modal, literal_witness, relation_matrix
 
 
 class TestFrameSatisfies:
@@ -55,38 +55,30 @@ class TestFrameSatisfies:
         assert frame_satisfies(x, "directedness")[0]
 
     def test_exhaustive_scan_matches_definitions(self):
-        # independent quantifier evaluation on every frame of size <= 3
-        for n in range(1, 4):
+        # holds and the least failing tuple, in lexicographic variable
+        # order, by literal quantifiers on every catalog frame of <= 5 points
+        failing = dict.fromkeys(CONDITIONS, 0)
+        for n in range(1, 6):
             for x in all_modal_lframes(n):
-                rel = {(a, b) for a in range(n) for b in range(n) if x.rel(a, b)}
-                want_refl = all((a, a) in rel for a in range(n))
-                want_trans = all(
-                    (a, c) in rel
-                    for (a, b) in rel
-                    for c in range(n)
-                    if (b, c) in rel
-                )
-                want_sym = all((b, a) in rel for (a, b) in rel)
-                want_eucl = all(
-                    (b, c) in rel
-                    for (a, b) in rel
-                    for c in range(n)
-                    if (a, c) in rel
-                )
-                want_dir = all(
-                    any((b, t) in rel and (c, t) in rel for t in range(n))
-                    for (a, b) in rel
-                    for c in range(n)
-                    if (a, c) in rel
-                )
-                got = {tag: frame_satisfies(x, tag)[0] for tag in CONDITIONS}
-                assert got == {
-                    "reflexivity": want_refl,
-                    "transitivity": want_trans,
-                    "symmetry": want_sym,
-                    "euclideanity": want_eucl,
-                    "directedness": want_dir,
-                }
+                r = relation_matrix(x.succ)
+                for tag in CONDITIONS:
+                    got = frame_satisfies(x, tag)
+                    assert got == literal_witness(tag, r), (tag, x.succ)
+                    failing[tag] += not got[0]
+        assert all(failing.values()), failing
+
+    def test_witnesses_match_the_literal_quantifiers_on_samples(self):
+        # the same on sampled frames of 6 to 8 points, per sampler condition
+        rng = random.Random(2718)
+        sizes = set()
+        for condition in (None,) + tuple(CONDITIONS):
+            for _ in range(12):
+                x = sample_modal_lframe(rng, rng.randint(6, 8), condition)
+                sizes.add(x.n)
+                r = relation_matrix(x.succ)
+                for tag in CONDITIONS:
+                    assert frame_satisfies(x, tag) == literal_witness(tag, r), tag
+        assert sizes == {6, 7, 8}
 
 
 class TestCorrespondenceCheck:

@@ -5,6 +5,8 @@ import pytest
 from wpml.amalgam import validate_vformation
 from wpml.errors import SizeCap
 from wpml.generators import (
+    _condition_closure,
+    _modal_fixpoint,
     sample_inclusion_span,
     sample_lframe,
     sample_modal_lattice,
@@ -13,7 +15,9 @@ from wpml.generators import (
 )
 from wpml.lattice import check_modal_identities, validate_lattice
 from wpml.lframe import ModalLFrame, validate_lframe, validate_modal_lframe
-from wpml.correspondence import CONDITIONS, frame_satisfies
+from wpml.correspondence import CONDITIONS, INCLUSIONS, frame_satisfies
+
+from conftest import literal_closure
 
 
 class TestDeterminism:
@@ -78,3 +82,39 @@ class TestPostValidation:
                         assert lat.meet[a][b] == k.meet[a][b]
                         assert lat.join[a][b] == k.join[a][b]
                 assert lat.bot == k.bot and lat.top == k.top
+
+
+def fixpoint_states(rng, count):
+    """(L-frame, successor masks) as the sampler holds them after
+    `_modal_fixpoint`: a random relation grown toward (i)-(v)."""
+    states = []
+    while len(states) < count:
+        frame = sample_lframe(rng, rng.randint(2, 8))
+        n = frame.n
+        density = rng.choice((0.2, 0.35, 0.5))
+        succ = [sum(1 << y for y in range(n) if rng.random() < density) for _ in range(n)]
+        if _modal_fixpoint(frame, succ, rounds=4 * n * n + 4):
+            states.append((frame, succ))
+    return states
+
+
+def test_horn_closure_is_the_literal_least_fixpoint():
+    # accepted: the least relation closed under the clause; rejected
+    # exactly when that relation gives the top point another successor,
+    # which reflexivity and transitivity never do from R[top] = {top}
+    outcomes = {tag: set() for tag in INCLUSIONS}
+    for frame, succ in fixpoint_states(random.Random(1984), 300):
+        for tag in INCLUSIONS:
+            got = list(succ)
+            accepted = _condition_closure(frame, got, tag)
+            want = literal_closure(tag, succ, frame.one)
+            assert accepted == (want is not None), (tag, succ)
+            if accepted:
+                assert got == want, (tag, succ)
+            outcomes[tag].add(accepted)
+    assert outcomes == {
+        "reflexivity": {True},
+        "transitivity": {True},
+        "symmetry": {True, False},
+        "euclideanity": {True, False},
+    }

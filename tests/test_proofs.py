@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from wpml.catalog import all_lattices
 from wpml.correspondence import AXIOMS
 from wpml.entailment import gamma_pairs
 from wpml.errors import PreconditionViolated, ResourceBound, resolve_budget
@@ -22,7 +21,7 @@ from wpml.formulas import (
     substitute,
 )
 from wpml.generators import sample_modal_lattice, sample_modal_lframe
-from wpml.lattice import algebra_validates, validate_lattice, with_identity_modalities
+from wpml.lattice import algebra_validates, validate_lattice
 from wpml.lframe import frame_validates
 from wpml.proofs import (
     _SHIFT,
@@ -470,8 +469,10 @@ class TestVectorScreen:
 
     def test_plain_lattice_inside_a_modal_set(self, chain3):
         """A modal pair stops at the plain lattice as the literal loop
-        does: refuted before it, or PreconditionViolated there."""
-        screens = _screening_algebras(()) + (chain3,) + _screening_algebras(AXIOMS["B"])
+        does: refuted before it, or PreconditionViolated there.  B's
+        set without its last algebra keeps the sum of n**2 at 256."""
+        screens = _screening_algebras(()) + (chain3,) + _screening_algebras(AXIOMS["B"])[:-1]
+        assert sum(a.n**2 for a in screens) == 256
         pairs = seeded_pairs(random.Random(17), 60)
         pairs += [parse_pair(t) for t in ("p & q |- q v r", "p |- p", "[]p |- []p")]
         seen = set()
@@ -481,20 +482,17 @@ class TestVectorScreen:
             seen.add(want[0] if want[0] == "raises" else want[1] is not None)
         assert seen == {"raises", True, False}
 
-    def test_two_groups(self):
-        """A set whose sum of n**2 passes 256 is split into consecutive
-        groups; decisions and first refuting screens are the literal
-        loop's across the split."""
-        sixes = tuple(with_identity_modalities(lat) for lat in all_lattices(6))
-        screens = sixes[:7] + _screening_algebras(())  # sizes 6 (x7), 2, 2, 2, 3, ...
-        tables = ScreenTables(screens)
-        assert [(g.start, g.stop) for g in tables.groups] == [(0, 8), (8, 19)]
-        firsts = set()
-        for pair in seeded_pairs(random.Random(5), 80):
-            first = literal_screen(screens, [pair])
-            assert packed_screen(screens, [pair]) == first, str(pair)
-            firsts.add(first)
-        assert None in firsts and any(f is not None and f >= 8 for f in firsts)
+    def test_pair_codes_fit_in_a_byte(self, chain3):
+        """A set whose sum of n**2 passes 256 is refused, as an algebra
+        of more than 16 elements is; at 256 it is one table."""
+        screens = _screening_algebras(()) + _screening_algebras(AXIOMS["B"])
+        assert sum(a.n**2 for a in screens) == 272
+        with pytest.raises(PreconditionViolated, match="sum of n\\*\\*2 of 272"):
+            ScreenTables(screens)
+        with pytest.raises(PreconditionViolated, match="272"):
+            ProofSearch((), (), screens=screens)
+        search = ProofSearch((), (), screens=screens[:-1] + (chain3,))
+        assert screened_out(search, parse_pair("p v q |- p")) is True
 
     def test_sixteen_elements_at_most(self):
         chain16 = validate_lattice(chain_leq(16), 0, 15)
