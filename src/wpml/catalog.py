@@ -10,7 +10,10 @@ are the one catalog not held as objects: 21,627 `ModalLFrame`s at size 5
 would take about 4 MB.  Each L-frame's valid relations are kept instead
 as one `bytes` of successor masks, n bytes per relation (about 110 KB at
 size 5), and `all_modal_lframes` builds the frames from it as it yields
-them.
+them.  `entailment` keeps its own packed copy per (size, frame
+conditions), with each relation's box and diamond over the L-frame's
+filters added: 3n bytes per relation kept, 324,405 bytes for all 21,627
+relations at size 5 and 36,105 for the 2,407 reflexive ones.
 """
 
 from __future__ import annotations

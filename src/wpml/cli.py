@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 pass, 1 property/validation failure, 2 I/O error, 3 parse
-error, 4 resource bound.  The WPML_BUDGET environment variable overrides
-the exhaustive-sweep budget; a value that is not a non-negative integer
-is a parse error (exit 3) before any command runs.  All JSON output is
-key-sorted, so identical inputs produce byte-identical artifacts.
+Exit codes: 0 pass, 1 property/validation failure, 2 I/O or usage error,
+3 parse error, 4 resource bound.  A numeric option below its least value
+(`MINIMUMS`) is a usage error; one past a resource cap is exit 4.  The
+WPML_BUDGET environment variable overrides the exhaustive-sweep budget;
+a value that is not a non-negative integer is a parse error (exit 3)
+before any command runs.  All JSON output is key-sorted, so identical
+inputs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ EXIT_FAIL = 1
 EXIT_IO = 2
 EXIT_PARSE = 3
 EXIT_RESOURCE = 4
+
+# The least value of each numeric option; a smaller one is a usage error
+# (exit 2, as argparse's own), a larger one past a resource cap exit 4.
+MINIMUMS = {"proof_depth": 0, "cand_depth": 0, "model_size": 1, "size": 1, "count": 1}
 
 
 def _read_json(path: str) -> dict:
@@ -292,9 +298,6 @@ def cmd_interpolate(args) -> int:
 def cmd_fuzz(args) -> int:
     from .sweeps import run_fuzz
 
-    if args.count < 1:
-        print("error: --count must be at least 1", file=sys.stderr)
-        return EXIT_IO
     start = time.monotonic()
     report = run_fuzz(args.target, args.seed, args.count)
     if args.timings:
@@ -404,6 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for dest, least in MINIMUMS.items():
+        if getattr(args, dest, least) < least:
+            option = "--" + dest.replace("_", "-")
+            print(f"error: {option} must be at least {least}", file=sys.stderr)
+            return EXIT_IO
     try:
         resolve_budget()
     except InvalidBudget as exc:

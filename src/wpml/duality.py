@@ -51,10 +51,6 @@ class ModalLSpaceFin:
     provenance: tuple[int, ...]
     source: Optional[FiniteModalLattice] = None
 
-    @property
-    def n(self) -> int:
-        return self.frame.n
-
 
 def algebra_filters(lat: FiniteLattice) -> list[int]:
     """All filters of the algebra (nonempty, upward closed, meet closed),

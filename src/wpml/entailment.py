@@ -4,12 +4,32 @@ conditions of the named axioms.
 
 Unknown is an admissible verdict: no completeness claim is made beyond
 the stated bounds.
+
+Which catalog frames meet the conditions depends only on (size,
+conditions), so the countermodel search reads them from a private cache
+built once per (size, conditions) by one walk of `all_modal_lframes` and
+`frame_satisfies`.  Per catalog L-frame it keeps only the relations
+that meet the conditions, packed: their successor masks as
+`catalog._packed_relations` keeps them, and their box and diamond over
+the L-frame's f filters as local filter ids, f bytes each.  No
+`ModalLFrame` is held (see `catalog`).
+
+A goal over k letters is evaluated on up to M = min(256 // f,
+budget // f**k) relations of one L-frame at once, in catalog order: the
+L-frame's `filter_codes` evaluate one packed vector of M stretches of
+f**k positions, relation j's stretch first shifted by j * f at each
+modal step so that one translate through the batch's concatenated box
+or diamond tables serves all M relations (see `vectors`).  The first
+escape position names the first refuting relation; its countervaluation
+is then taken from `frame_validates` on that relation's `ModalLFrame`,
+so the result is the one a frame-by-frame search returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from .catalog import all_modal_lframes
 from .correspondence import (
@@ -19,10 +39,11 @@ from .correspondence import (
     _named,
     frame_satisfies,
 )
-from .errors import ResourceBound
-from .formulas import ConsequencePair
-from .lframe import FrameValuation, ModalLFrame, frame_validates
+from .errors import InternalInconsistency, ResourceBound, resolve_budget
+from .formulas import ConsequencePair, letters
+from .lframe import FrameValuation, LFrame, ModalLFrame, frame_validates
 from .proofs import Proof, derive_bounded
+from .vectors import _seeded
 
 DEFAULT_PROOF_DEPTH = 6
 DEFAULT_MODEL_SIZE = 4
@@ -58,6 +79,94 @@ def gamma_conditions(tags):
     )
 
 
+@dataclass(frozen=True)
+class _KeptRelations:
+    """The relations of one catalog L-frame that meet a set of frame
+    conditions, in catalog order: n successor masks per relation in
+    `succ`, and f local filter ids per relation in `box` and `diamond`
+    (its `ModalLFrame.filter_modalities`)."""
+
+    base: LFrame
+    succ: bytes | tuple[int, ...]
+    box: bytes
+    diamond: bytes
+
+
+@lru_cache(maxsize=None)
+def _kept_relations(n: int, conds: tuple[str, ...]) -> tuple[_KeptRelations, ...]:
+    """The size-n catalog L-frames with at least one relation meeting the
+    frame conditions `conds` (sorted tags), each with those relations."""
+    groups: list[tuple[LFrame, list[int], bytearray, bytearray]] = []
+    for x in all_modal_lframes(n):
+        if any(frame_satisfies(x, c)[1] is not None for c in conds):
+            continue
+        if not groups or groups[-1][0] is not x.base:
+            groups.append((x.base, [], bytearray(), bytearray()))
+        _, succ, box, diamond = groups[-1]
+        succ.extend(x.succ)
+        box += bytes(x.filter_modalities[0])
+        diamond += bytes(x.filter_modalities[1])
+    pack = bytes if n <= 8 else tuple
+    return tuple(
+        _KeptRelations(base, pack(succ), bytes(box), bytes(diamond))
+        for base, succ, box, diamond in groups
+    )
+
+
+class _Batch(NamedTuple):
+    """Relations of one L-frame as a modal provider of
+    `ScreenTables.vector`: their box and diamond tables concatenated,
+    relation j's at j * f, and the big integer adding j * f to each
+    position of relation j's stretch."""
+
+    unary_tables: tuple[bytes, bytes]
+    offsets: int
+
+
+def _first_refuting(
+    kept: _KeptRelations, goal: ConsequencePair, ls: list[str], budget: int
+) -> Optional[tuple[int, int]]:
+    """(j, i): relation j of `kept` is the first on which a valuation of
+    the sorted letters `ls` refutes the goal, and i is the first such
+    valuation's position in `product(range(f), repeat=len(ls))` order;
+    None if no relation of `kept` refutes it.  ResourceBound when
+    f**len(ls) passes `budget`, as `frame_validates` raises it."""
+    f = len(kept.base.filter_masks)
+    size = f ** len(ls)
+    if size > budget:
+        raise ResourceBound(size, budget)
+    codes = kept.base.filter_codes
+    if codes is None:
+        raise InternalInconsistency("catalog L-frame of more than 16 filters")
+    seeds = codes.seeds(len(ls), 1)
+
+    def shape(width: int) -> tuple[list[bytes], int]:
+        stretches = b"".join([bytes((j * f,)) * size for j in range(width)])
+        return [v * width for v in seeds], int.from_bytes(stretches, "big")
+
+    count = len(kept.box) // f
+    width = min(256 // f, budget // size)
+    full = shape(width)
+    for start in range(0, count, width):
+        stop = min(start + width, count)
+        vectors, offsets = full if stop - start == width else shape(stop - start)
+        pad = bytes(256 - (stop - start) * f)
+        batch = _Batch(
+            (
+                kept.box[start * f:stop * f] + pad,
+                kept.diamond[start * f:stop * f] + pad,
+            ),
+            offsets,
+        )
+        memo = _seeded(vectors, ls)
+        left = codes.vector(memo, goal.lhs, batch)
+        right = codes.vector(memo, goal.rhs, batch)
+        pos = codes.escape(left, right)
+        if pos >= 0:
+            return divmod(start * size + pos, size)
+    return None
+
+
 def decide_entailment(
     tags,
     goal: ConsequencePair,
@@ -69,7 +178,16 @@ def decide_entailment(
     """Proof search first; otherwise exhaustive frame search (up to
     isomorphism) over the class carved out by the axioms' frame
     conditions.  Resource exhaustion is folded into Unknown with
-    diagnostics."""
+    diagnostics.
+
+    The frames are the catalog's, in catalog order, read from the cache
+    kept per (size, conditions) and searched in batches of relations
+    per L-frame (see the module docstring).  An L-frame of f filters
+    with f**k over `model_budget` for the goal's k letters counts its
+    relations as searched and notes the bound, as a frame-by-frame
+    search does.  The first refuting relation's countervaluation comes
+    from `frame_validates` on that frame, the function the batches must
+    agree with; if it finds none, that is an InternalInconsistency."""
     tags = tuple(tags)
     unknown_notes: dict = {
         "proof_depth": proof_depth,
@@ -86,21 +204,31 @@ def decide_entailment(
     if proof is not None:
         return EntailmentResult("derivable", proof=proof)
 
+    budget = resolve_budget(model_budget)
+    ls = sorted(letters(goal))
+    condition_tags = tuple(sorted({c.tag for c in conds}))
     frames_seen = 0
     largest = 0
     for n in range(1, model_size + 1):
-        for frame in all_modal_lframes(n):
-            if any(frame_satisfies(frame, c)[1] is not None for c in conds):
-                continue
-            frames_seen += 1
+        for kept in _kept_relations(n, condition_tags):
+            frames_seen += len(kept.succ) // n
             largest = n
             try:
-                cv = frame_validates(frame, goal, model_budget)
+                first = _first_refuting(kept, goal, ls, budget)
             except ResourceBound as exc:
                 unknown_notes["model_search"] = f"resource bound: {exc}"
                 continue
-            if cv is not None:
-                return EntailmentResult("refuted", frame=frame, valuation=cv)
+            if first is None:
+                continue
+            j, _ = first
+            frame = ModalLFrame(kept.base, tuple(kept.succ[j * n:(j + 1) * n]))
+            cv = frame_validates(frame, goal, budget)
+            if cv is None:
+                raise InternalInconsistency(
+                    f"batch search refutes {goal} on {frame}, frame_validates"
+                    " finds no countervaluation"
+                )
+            return EntailmentResult("refuted", frame=frame, valuation=cv)
     unknown_notes["frames_searched"] = frames_seen
     unknown_notes["largest_frame_size"] = largest
     return EntailmentResult("unknown", diagnostics=unknown_notes)

@@ -15,7 +15,6 @@ here, L-frame maps in `lframe`, candidate boxes in `catalog`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional
 
@@ -50,20 +49,6 @@ class FiniteLattice:
     @property
     def n(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def up_masks(self) -> tuple[int, ...]:
-        """up_masks[i] = bitmask of {j : i <= j}."""
-        return tuple(
-            sum(1 << j for j in range(self.n) if self.leq[i][j]) for i in range(self.n)
-        )
-
-    @cached_property
-    def down_masks(self) -> tuple[int, ...]:
-        """down_masks[i] = bitmask of {j : j <= i}."""
-        return tuple(
-            sum(1 << j for j in range(self.n) if self.leq[j][i]) for i in range(self.n)
-        )
 
     def le(self, i: int, j: int) -> bool:
         return self.leq[i][j]
@@ -106,9 +91,6 @@ class LatticeMorphism:
     cod: FiniteLattice
     map: tuple[int, ...]
     modal: bool = False
-
-    def __call__(self, i: int) -> int:
-        return self.map[i]
 
     def is_injective(self) -> bool:
         return len(set(self.map)) == len(self.map)

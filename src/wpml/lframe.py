@@ -18,6 +18,10 @@ all filter-valued valuations (see `vectors`): on an L-frame of at most
 translate tables (`ModalLFrame.unary_tables`); on a larger one, with
 `ValueVectors` over the same filter tables.  The pointwise `satisfies`
 and the recursive `truth_set` are the reference oracles for both paths.
+`entailment` searches the catalog with the same kernel, many relations
+of one L-frame per vector, and takes the valuation of the first
+refuting relation from `frame_validates`, which is still the one
+per-frame search.
 
 Each modal-L-frame condition is written once, as a kernel on one pair of
 points: `_order_gap` for (i)/(ii), `_meet_gap` for (iv) and `_meet_reach`
@@ -151,6 +155,9 @@ class ModalLFrame:
 
     base: LFrame
     succ: tuple[int, ...]
+
+    # as a modal provider of `ScreenTables.vector`: one relation, no offset
+    offsets = 0
 
     @property
     def n(self) -> int:
@@ -485,9 +492,6 @@ class FrameMorphism:
     cod: LFrame | ModalLFrame
     map: tuple[int, ...]
     kind: str = "plain"
-
-    def __call__(self, x: int) -> int:
-        return self.map[x]
 
     def is_surjective(self) -> bool:
         return len(set(self.map)) == self.cod.n

@@ -93,11 +93,6 @@ class Proof:
     def height(self) -> int:
         return 1 + max((p.height() for p in self.premises), default=0)
 
-    def nodes(self):
-        yield self
-        for p in self.premises:
-            yield from p.nodes()
-
 
 @dataclass(frozen=True)
 class BadNode:

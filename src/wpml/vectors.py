@@ -26,6 +26,16 @@ kernel on one table: the filter lattice of an L-frame of at most 16
 filters, with the box and diamond tables of the modal L-frame it
 searches.
 
+Box and diamond come from a modal provider: an object with
+`unary_tables` and `offsets`, a big integer added to a vector before
+each modal translate.  A screening set and a modal L-frame add no
+offset.  `entailment` batches M relations of one L-frame: the letters'
+vectors repeat M times, meet and join are the L-frame's, and the
+offsets add j * f to relation j's stretch, so that one translate
+through the M concatenated tables of f entries takes each stretch
+through its own relation's box or diamond.  M * f is at most 256, so
+no sum carries into the next byte.
+
 The scalar evaluators (`lattice.evaluate`, `lattice.algebra_validates`,
 `lframe.truth_set`) stay the reference oracles.
 """
@@ -162,6 +172,7 @@ class ScreenTables:
         self.scale, self.local = bytes(scale), bytes(local)
         self.meet, self.join, self.nleq = bytes(meet), bytes(join), bytes(nleq)
         self.unary_tables = bytes(box), bytes(dia)
+        self.offsets = 0
         self._ends: dict[int, tuple[int, ...]] = {}
 
     def ends(self, k: int) -> tuple[int, ...]:
@@ -188,8 +199,10 @@ class ScreenTables:
     def vector(self, memo: dict[Formula, bytes], f: Formula, modal) -> bytes:
         """Packed vector of f, built from its children's and memoized.
         Box and diamond are `modal.unary_tables`, read at the first
-        modal subformula: the tables themselves, or a modal L-frame over
-        their filter algebra."""
+        modal subformula, after adding `modal.offsets` to the argument's
+        vector as one big integer: the tables themselves or a modal
+        L-frame over their filter algebra, which add no offset, or a
+        batch of relations over one L-frame (see `entailment`)."""
         v = memo.get(f)
         if v is not None:
             return v
@@ -201,6 +214,10 @@ class ScreenTables:
             )
         elif isinstance(f, (Box, Dia)):
             arg = self.vector(memo, f.arg, modal)
+            if modal.offsets:
+                arg = (int.from_bytes(arg, "big") + modal.offsets).to_bytes(
+                    len(arg), "big"
+                )
             v = arg.translate(modal.unary_tables[isinstance(f, Dia)])
         else:
             raise TypeError(f"not a formula: {f!r}")

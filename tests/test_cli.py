@@ -151,6 +151,46 @@ class TestGenerateAndRoundTrips:
         assert code == 2 and "count" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option, least",
+    [
+        (["interpolate", "p", "q", "--proof-depth", "-1"], "--proof-depth", 0),
+        (["interpolate", "p", "q", "--cand-depth", "-3"], "--cand-depth", 0),
+        (["interpolate", "p", "q", "--model-size", "0"], "--model-size", 1),
+        (["interpolate", "p", "q", "--model-size", "-2"], "--model-size", 1),
+        (["generate", "modal_lframe", "--size", "0"], "--size", 1),
+        (["generate", "lattice", "--size", "-1"], "--size", 1),
+        (["fuzz", "duality", "--count", "0"], "--count", 1),
+        (["fuzz", "duality", "--count", "-1"], "--count", 1),
+    ],
+)
+def test_numeric_option_below_its_least_value_is_a_usage_error(
+    capsys, argv, option, least
+):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} must be at least {least}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # no proof of height 0; p & q |- p holds on every frame
+        (["interpolate", "p & q", "p", "--proof-depth", "0"], 4),
+        (["interpolate", "p", "q", "--proof-depth", "0", "--cand-depth", "0"], 0),
+        # a one-point frame has one filter, so it refutes nothing
+        (["interpolate", "p", "q", "--model-size", "1"], 4),
+        (["generate", "modal_lframe", "--size", "1"], 0),
+        (["fuzz", "duality", "--count", "1"], 0),
+        (["generate", "modal_lframe", "--size", "9"], 4),
+    ],
+)
+def test_numeric_option_at_its_least_value_or_past_a_cap(capsys, argv, code):
+    got, _, err = run(argv, capsys)
+    assert got == code
+    assert "must be at least" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("text", ["abc", "-5"])
 def test_invalid_wpml_budget_exits_with_parse_code(monkeypatch, capsys, text):
     monkeypatch.setenv("WPML_BUDGET", text)

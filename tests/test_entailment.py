@@ -1,19 +1,26 @@
 import gc
+import random
+from itertools import chain
 
 import pytest
 
 from wpml import entailment
-from wpml.catalog import all_modal_lframes
-from wpml.entailment import decide_entailment
-from wpml.errors import PreconditionViolated
-from wpml.formulas import Letter, parse_formula, parse_pair
+from wpml.catalog import all_lframes, all_modal_lframes
+from wpml.entailment import EntailmentResult, decide_entailment, gamma_pairs
+from wpml.errors import PreconditionViolated, ResourceBound
+from wpml.formulas import Letter, letters, parse_formula, parse_pair
 from wpml.interpolation import InterpolationProblem, craig_interpolant
-from wpml.lframe import frame_validates, truth_set
-from wpml.proofs import check_proof
-from wpml.correspondence import AXIOMS, correspondence_check, frame_satisfies
+from wpml.lframe import ModalLFrame, frame_validates, truth_set
+from wpml.proofs import check_proof, derive_bounded
+from wpml.correspondence import (
+    AXIOMS,
+    CONDITION_OF_AXIOM,
+    correspondence_check,
+    frame_satisfies,
+)
 from wpml.sweeps import closure_sweep
 
-from conftest import literal_modal_lframes, reference_frame_validates
+from conftest import literal_modal_lframes, random_pairs, reference_frame_validates
 
 
 class TestDerivableVerdicts:
@@ -163,10 +170,58 @@ class TestAgreementWithAlgebraSemantics:
 # goals of `test_same_result` searched past size 4: refuted only at 5
 MODEL_SIZES = {"(p v q) & r |- p v (q & r)": 5}
 
+# the tag sets of the seeded comparison
+SEEDED_TAGS = [(), ("T",), ("4",), ("B",), ("5",), (".2",), ("T", "4")]
+
+
+def reference_decide(tags, goal, proof_depth, model_size, model_budget=10**6):
+    """`decide_entailment` written out literally: the same proof search,
+    then every modal L-frame straight from `modal_relations`, filtered by
+    `frame_satisfies` per condition and checked by the literal
+    frame-validity loop, one frame at a time."""
+    notes = {"proof_depth": proof_depth, "model_size": model_size, "axioms": list(tags)}
+    try:
+        proof = derive_bounded(gamma_pairs(tags), goal, proof_depth, 200_000)
+    except ResourceBound as exc:
+        proof = None
+        notes["proof_search"] = f"resource bound: {exc}"
+    if proof is not None:
+        return EntailmentResult("derivable", proof=proof)
+    conditions = [CONDITION_OF_AXIOM[tag] for tag in tags]
+    seen = largest = 0
+    for n in range(1, model_size + 1):
+        for frame in literal_modal_lframes(n):
+            if not all(frame_satisfies(frame, c)[0] for c in conditions):
+                continue
+            seen += 1
+            largest = n
+            try:
+                cv = reference_frame_validates(frame, goal, model_budget)
+            except ResourceBound as exc:
+                notes["model_search"] = f"resource bound: {exc}"
+                continue
+            if cv is not None:
+                return EntailmentResult("refuted", frame=frame, valuation=cv)
+    notes["frames_searched"] = seen
+    notes["largest_frame_size"] = largest
+    return EntailmentResult("unknown", diagnostics=notes)
+
+
+def assert_same_result(fast, slow):
+    assert fast.verdict == slow.verdict
+    assert fast.frame == slow.frame
+    assert fast.valuation == slow.valuation
+    if fast.valuation is not None:
+        assert list(fast.valuation) == list(slow.valuation)
+    assert fast.diagnostics == slow.diagnostics
+    if fast.diagnostics is not None:
+        assert list(fast.diagnostics) == list(slow.diagnostics)
+
 
 class TestAgainstLiteralFrameSearch:
-    """Verdict, frame and countervaluation equal those of a search over the
-    literal catalog with the literal frame-validity loop."""
+    """Verdict, frame, countervaluation and diagnostics equal those of a
+    test-local search over the literal catalog with the literal
+    frame-validity loop."""
 
     @pytest.mark.parametrize(
         "text,tags",
@@ -181,18 +236,171 @@ class TestAgainstLiteralFrameSearch:
             ("(p v q) & r |- p v (q & r)", ("5",)),
         ],
     )
-    def test_same_result(self, monkeypatch, text, tags):
+    def test_same_result(self, text, tags):
         goal = parse_pair(text)
         size = MODEL_SIZES.get(text, 4)
         fast = decide_entailment(tags, goal, 3, size)
-        monkeypatch.setattr(entailment, "frame_validates", reference_frame_validates)
-        monkeypatch.setattr(
-            entailment, "all_modal_lframes", lambda n: iter(literal_modal_lframes(n))
+        assert_same_result(fast, reference_decide(tags, goal, 3, size))
+
+    @pytest.mark.parametrize("tags", SEEDED_TAGS, ids=lambda t: "+".join(t) or "none")
+    def test_seeded_pairs(self, tags):
+        verdicts = set()
+        rng = random.Random("entailment:" + "+".join(tags))
+        for i, goal in enumerate(random_pairs(rng, 16)):
+            size = 1 + i % 4
+            fast = decide_entailment(tags, goal, 3, size)
+            assert_same_result(fast, reference_decide(tags, goal, 3, size))
+            verdicts.add(fast.verdict)
+        assert "refuted" in verdicts
+
+    @pytest.mark.parametrize(
+        "text,tags,size,budget,frames,note",
+        [
+            ("[]p & <>q |- <>(p & q)", ("T",), 5, 20, 2540, 25),
+            ("p & (q v r) |- (p & q) v (p & r)", (), 4, 10, 575, 64),
+        ],
+    )
+    def test_budget_limited(self, text, tags, size, budget, frames, note):
+        goal = parse_pair(text)
+        fast = decide_entailment(tags, goal, 3, size, model_budget=budget)
+        assert_same_result(fast, reference_decide(tags, goal, 3, size, budget))
+        assert fast.verdict == "unknown"
+        assert fast.diagnostics["frames_searched"] == frames
+        assert fast.diagnostics["model_search"] == (
+            f"resource bound: sweep needs {note} evaluations, budget is {budget}"
         )
-        slow = decide_entailment(tags, goal, 3, size)
-        assert fast.verdict == slow.verdict
-        assert fast.frame == slow.frame
-        assert fast.valuation == slow.valuation
-        if fast.valuation is not None:
-            assert list(fast.valuation) == list(slow.valuation)
-        assert fast.diagnostics == slow.diagnostics
+
+
+def kernel_pairs(seed, count):
+    """Seeded pairs of one to three letters."""
+    pairs = random_pairs(random.Random(seed), 2 * count)
+    return [pair for pair in pairs if letters(pair)][:count]
+
+
+def kept_relations(n):
+    """Every size-n catalog L-frame with all its relations."""
+    kept = entailment._kept_relations(n, ())
+    assert [k.base for k in kept] == list(all_lframes(n))
+    return kept
+
+
+def relation_count(kept):
+    return len(kept.succ) // kept.base.n
+
+
+def relation(kept, j):
+    """Relation j of `kept` as a `ModalLFrame`."""
+    n = kept.base.n
+    return ModalLFrame(kept.base, tuple(kept.succ[j * n:(j + 1) * n]))
+
+
+def kept_subset(kept, indices):
+    """`kept` holding only its relations `indices`, in that order."""
+    n, f = kept.base.n, len(kept.base.filter_masks)
+
+    def pick(data, width):
+        return bytes(
+            chain.from_iterable(data[i * width:(i + 1) * width] for i in indices)
+        )
+
+    return entailment._KeptRelations(
+        kept.base, pick(kept.succ, n), pick(kept.box, f), pick(kept.diamond, f)
+    )
+
+
+def per_frame(kept, pair):
+    """(j, valuation) for the first relation of `kept` on which
+    `frame_validates` finds a countervaluation, or None."""
+    for j in range(relation_count(kept)):
+        cv = frame_validates(relation(kept, j), pair)
+        if cv is not None:
+            return j, cv
+    return None
+
+
+def batch(kept, pair, budget):
+    """`entailment._first_refuting` with its valuation position decoded as
+    `frame_validates` decodes a position: (j, valuation) or None."""
+    ls = sorted(letters(pair))
+    got = entailment._first_refuting(kept, pair, ls, budget)
+    if got is None:
+        return None
+    j, i = got
+    fs, k = kept.base.filter_masks, len(ls)
+    f = len(fs)
+    return j, {name: fs[i // f ** (k - 1 - t) % f] for t, name in enumerate(ls)}
+
+
+def assert_same_first(got, want):
+    assert got == want
+    if want is not None:
+        assert list(got[1]) == list(want[1])
+
+
+class TestBatchKernel:
+    """The batched search of one L-frame's relations against
+    `frame_validates` on one relation at a time."""
+
+    @staticmethod
+    def budgets(kept, pair):
+        """The default budget, and budgets capping a batch at 1 and at 3
+        relations (f**k * M <= budget)."""
+        size = len(kept.base.filter_masks) ** len(letters(pair))
+        return (10**6, size, 3 * size + size - 1)
+
+    def test_matches_per_frame_kernel(self):
+        cases = [
+            (kept, kernel_pairs(n, 16))
+            for n in range(1, 5)
+            for kept in kept_relations(n)
+        ]
+        cases += [(kept, kernel_pairs(5, 3)) for kept in kept_relations(5)]
+        assert len(cases) == 1 + 1 + 1 + 2 + 5
+        refuted = held = 0
+        for kept, pairs in cases:
+            for pair in pairs:
+                want = per_frame(kept, pair)
+                for budget in self.budgets(kept, pair):
+                    assert_same_first(batch(kept, pair, budget), want)
+                refuted += want is not None
+                held += want is None
+        assert refuted > 20 and held > 5
+
+    def test_refuting_relation_at_batch_edges(self):
+        """A refuting relation placed after t relations that hold the pair:
+        first, last in a batch, first of the next batch, and last of all,
+        with and without refuting relations after it."""
+        placed = set()
+        for n in (3, 4):
+            for kept in kept_relations(n):
+                for pair in kernel_pairs(10 + n, 8):
+                    first = [
+                        frame_validates(relation(kept, j), pair)
+                        for j in range(relation_count(kept))
+                    ]
+                    holds = [j for j, cv in enumerate(first) if cv is None]
+                    fails = [j for j, cv in enumerate(first) if cv is not None]
+                    if not holds or not fails:
+                        continue
+                    f = len(kept.base.filter_masks)
+                    for budget in self.budgets(kept, pair):
+                        size = f ** len(letters(pair))
+                        width = max(1, min(256 // f, budget // size))
+                        for t in sorted({0, width - 1, width, 2 * width - 1}):
+                            if t > len(holds):
+                                continue
+                            for tail in ([], fails[1:3] + holds[t:t + 2]):
+                                order = holds[:t] + [fails[0]] + tail
+                                sub = kept_subset(kept, order)
+                                got = batch(sub, pair, budget)
+                                assert_same_first(got, (t, first[fails[0]]))
+                                placed.add(
+                                    "first" if t == 0 else
+                                    "last slot" if t % width == width - 1 else
+                                    "next batch" if t % width == 0 else "inside"
+                                )
+                                if not tail:
+                                    placed.add("last relation")
+                    # no refuting relation at all
+                    assert batch(kept_subset(kept, holds), pair, 10**6) is None
+        assert {"first", "last slot", "next batch", "last relation"} <= placed
