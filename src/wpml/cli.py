@@ -326,7 +326,7 @@ def cmd_generate(args) -> int:
             frame = sample_modal_lframe(rng, args.size)
             _emit(wrap("modal_lframe", frame_to_json(frame)), args.out)
         elif args.kind == "vformation":
-            v = sample_vformation(rng, max_l=min(args.size if args.size > 1 else 5, 5))
+            v = sample_vformation(rng, max_l=args.size)
             _emit(wrap("vformation", vformation_to_json(v)), args.out)
         else:
             print(f"error: unknown kind {args.kind!r}", file=sys.stderr)

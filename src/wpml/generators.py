@@ -4,11 +4,19 @@ Every sampler is a pure function of its rng stream, so one 64-bit seed
 fully determines all randomized behavior.  Samplers repair candidates
 toward validity and reject those that do not converge, keeping the
 output distribution inside the valid class exactly.
+
+`sample_lframe` draws from a few dozen semilattices, so it interns
+them: `_family_lframe`, an LRU cache of 256 families keyed by the sorted
+family and the ground set, validates each family once and returns the
+same `LFrame` for an equal one, and with it the frame's cached filter
+tables.  The cache sits after the last rng call of a draw, so draws and
+the rng state are as without it.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Optional
 
 from .amalgam import VFormation, validate_vformation
@@ -59,12 +67,19 @@ def sample_lframe(rng: random.Random, size: int) -> LFrame:
                 family = new
         if len(family) != size:
             continue
-        members = sorted(family)
-        idx = {s: i for i, s in enumerate(members)}
-        meet = [[idx[a & b] for b in members] for a in members]
-        names = tuple(f"s{bin(s)[2:]}" for s in members)
-        return validate_lframe(names, meet, idx[full])
+        return _family_lframe(tuple(sorted(family)), full)
     raise SizeCap(f"could not sample a {size}-element semilattice")
+
+
+@lru_cache(maxsize=256)
+def _family_lframe(members: tuple[int, ...], full: int) -> LFrame:
+    """The L-frame of a sorted intersection-closed family, validated once
+    per family: an equal family gets the same object, and with it the
+    frame's cached tables."""
+    idx = {s: i for i, s in enumerate(members)}
+    meet = [[idx[a & b] for b in members] for a in members]
+    names = tuple(f"s{bin(s)[2:]}" for s in members)
+    return validate_lframe(names, meet, idx[full])
 
 
 def _modal_fixpoint(frame: LFrame, succ: list[int], rounds: int) -> bool:

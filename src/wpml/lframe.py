@@ -7,10 +7,15 @@ under the frame meet.  The improper filter (all points) is admitted and
 the least filter is {1}.
 
 An L-frame lists its filters, which are its principal up-sets, once
-(`LFrame.filter_masks`) and builds the meet and join tables over them on
-first use; a modal L-frame adds the box and diamond of every filter
-(`ModalLFrame.filter_modalities`).  These caches live on the frame
-objects, so they go when the frame goes.
+(`LFrame.filter_masks`) and builds the meet and join tables and the
+filter lattice over them on first use (`LFrame.filter_lattice`, which
+`fil_f_lattice`, `fil_f` and `filter_codes` share); a modal L-frame adds
+the box and diamond of every filter (`ModalLFrame.filter_modalities`).
+These caches live on the frame objects, so they go when the frame goes.
+The L-morphism maps between two base L-frames depend on no relation, so
+`enumerate_frame_morphisms` keeps them per (domain base, codomain base,
+surjective_only) in `_l_maps`, an LRU cache of 1,024 pairs; kind
+bounded-L checks only forth and back on each cached map.
 `frame_validates` evaluates each side of a pair once, as a vector over
 all filter-valued valuations (see `vectors`): on an L-frame of at most
 16 filters, with the pair-code tables of its filter lattice
@@ -35,7 +40,7 @@ not reproduce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress, count
 from typing import Iterator, Optional
 
@@ -136,12 +141,25 @@ class LFrame:
         return tuple(tuple(idx[filter_join(self, a, b)] for b in fs) for a in fs)
 
     @cached_property
+    def filter_lattice(self) -> FiniteLattice:
+        """The filters ordered by inclusion (see `fil_f_lattice`)."""
+        fs, idx = self.filter_masks, self._filter_index
+        return FiniteLattice(
+            elements=tuple(hex(m) for m in fs),
+            leq=tuple(tuple(a & ~b == 0 for b in fs) for a in fs),
+            bot=idx[1 << self.one],
+            top=idx[self.full_mask],
+            meet=self.filter_meet_table,
+            join=self.filter_join_table,
+        )
+
+    @cached_property
     def filter_codes(self) -> Optional[ScreenTables]:
         """The pair-code tables of the filter lattice (see `vectors`); None
         over 16 filters, whose pair codes do not fit in a byte."""
         if len(self.filter_masks) > 16:
             return None
-        return ScreenTables((_filter_lattice(self, self.filter_masks),))
+        return ScreenTables((self.filter_lattice,))
 
     def __repr__(self):
         return f"LFrame(n={self.n})"
@@ -457,29 +475,15 @@ def dia_mask(frame: ModalLFrame, u: int) -> int:
 
 def fil_f_lattice(frame: LFrame) -> FiniteLattice:
     """Lattice of all filters ordered by inclusion.  Element i is the
-    filter with the i-th smallest bitmask; names are hex bitmasks."""
-    return _filter_lattice(frame, filters(frame))
-
-
-def _filter_lattice(frame: LFrame, fs) -> FiniteLattice:
-    """`fil_f_lattice` over the frame's filters `fs`."""
-    k = len(fs)
-    idx = frame._filter_index
-    leq = tuple(tuple(fs[i] & ~fs[j] == 0 for j in range(k)) for i in range(k))
-    return FiniteLattice(
-        elements=tuple(hex(m) for m in fs),
-        leq=leq,
-        bot=idx[1 << frame.one],
-        top=idx[frame.full_mask],
-        meet=frame.filter_meet_table,
-        join=frame.filter_join_table,
-    )
+    filter with the i-th smallest bitmask; names are hex bitmasks.  The
+    frame's cached `filter_lattice`, shared by every caller."""
+    return frame.filter_lattice
 
 
 def fil_f(frame: ModalLFrame) -> FiniteModalLattice:
     """Filter lattice with box/diamond induced by the relation."""
     box, dia = frame.filter_modalities
-    return FiniteModalLattice.over(fil_f_lattice(frame.base), box, dia)
+    return FiniteModalLattice.over(frame.base.filter_lattice, box, dia)
 
 
 # --- morphisms ---------------------------------------------------------------
@@ -568,6 +572,12 @@ def is_bounded_l_morphism(f: FrameMorphism) -> Optional[MorphismViolation]:
     bad = is_l_morphism(f)
     if bad is not None:
         return bad
+    return _forth_back_violation(f)
+
+
+def _forth_back_violation(f: FrameMorphism) -> Optional[MorphismViolation]:
+    """The first failure of forth, back-below or back-above, or None;
+    the relational half of `is_bounded_l_morphism`."""
     dom, cod = f.dom, f.cod
     if not isinstance(dom, ModalLFrame) or not isinstance(cod, ModalLFrame):
         raise MorphismInvalid("bounded L-morphism needs modal frames")
@@ -607,18 +617,41 @@ def enumerate_frame_morphisms(
     kind: str = "L",
     surjective_only: bool = False,
 ) -> Iterator[FrameMorphism]:
-    """All morphisms of the requested kind, lexicographic in the map array."""
+    """All morphisms of the requested kind, lexicographic in the map array.
+    Kinds L and bounded-L read the L-morphism maps of the two base frames
+    from `_l_maps`; bounded-L then checks forth and back on each."""
     dbase, cbase = _base_of(dom), _base_of(cod)
-    fixed = [(dbase.one, cbase.one)]
-    for f in _table_maps(dbase.n, cbase.n, fixed, [(dbase.meet, cbase.meet)]):
-        cand = FrameMorphism(dom, cod, f, kind)
-        if surjective_only and not cand.is_surjective():
+    if kind in ("L", "bounded-L"):
+        for f in _l_maps(dbase, cbase, surjective_only):
+            cand = FrameMorphism(dom, cod, f, kind)
+            if kind == "L" or _forth_back_violation(cand) is None:
+                yield cand
+        return
+    for f in _base_maps(dbase, cbase):
+        if surjective_only and len(set(f)) != cbase.n:
             continue
-        if kind == "L" and is_l_morphism(cand) is not None:
-            continue
-        if kind == "bounded-L" and is_bounded_l_morphism(cand) is not None:
-            continue
-        yield cand
+        yield FrameMorphism(dom, cod, f, kind)
+
+
+def _base_maps(dom: LFrame, cod: LFrame) -> Iterator[tuple[int, ...]]:
+    """The maps that preserve 1 and meets, in lexicographic order."""
+    fixed = [(dom.one, cod.one)]
+    return _table_maps(dom.n, cod.n, fixed, [(dom.meet, cod.meet)])
+
+
+@lru_cache(maxsize=1024)
+def _l_maps(
+    dom: LFrame, cod: LFrame, surjective_only: bool
+) -> tuple[tuple[int, ...], ...]:
+    """The L-morphism maps from `dom` to `cod` (onto `cod` if asked), in
+    lexicographic order: they depend on the two bases only, not on a
+    relation, so `enumerate_frame_morphisms` computes them once per pair."""
+    return tuple(
+        f
+        for f in _base_maps(dom, cod)
+        if (not surjective_only or len(set(f)) == cod.n)
+        and is_l_morphism(FrameMorphism(dom, cod, f, "L")) is None
+    )
 
 
 # --- semantics ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -84,6 +85,31 @@ class TestGenerateAndRoundTrips:
         run(["generate", "modal_lframe", "--seed", "3", "--size", "4", "--out", a], capsys)
         run(["generate", "modal_lframe", "--seed", "3", "--size", "4", "--out", b], capsys)
         assert Path(a).read_text() == Path(b).read_text()
+
+    def test_vformation_size_one_gives_one_element_spans(self, capsys):
+        for seed in range(5):
+            code, out, err = run(
+                ["generate", "vformation", "--seed", str(seed), "--size", "1"], capsys
+            )
+            assert code == 0, err
+            payload = json.loads(out)["payload"]
+            assert [len(payload[k]["elements"]) for k in ("K", "L1", "L2")] == [1, 1, 1]
+
+    @pytest.mark.parametrize("size", ["5", "8"])
+    def test_vformation_sizes_past_the_legs_unchanged(self, size, capsys):
+        # sha256 of stdout at --size 5 as first recorded; the legs never
+        # exceed 4 elements, so every size from 5 up gives these bytes
+        recorded = {
+            0: "d478cb00636d13411e527a14af5a7f40ea2e06cd7c98fbf00c6cd5921e0814f6",
+            5: "0f9121218e99d4fb48959d04a83c8415f6f58a71de6249b91a7e7403c09ea740",
+            7: "ba3da9e392910147b3175e0ea22ed2dbbe006bc5c57799a5ef6c173036340dc3",
+        }
+        for seed, want in recorded.items():
+            code, out, _ = run(
+                ["generate", "vformation", "--seed", str(seed), "--size", size], capsys
+            )
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == want
 
     def test_dualize_plain_lattice(self, lattice_file, capsys):
         # 3-chain dualizes to a 3-point space; round-trip verified

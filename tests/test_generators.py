@@ -6,6 +6,7 @@ from wpml.amalgam import validate_vformation
 from wpml.errors import SizeCap
 from wpml.generators import (
     _condition_closure,
+    _family_lframe,
     _modal_fixpoint,
     sample_inclusion_span,
     sample_lframe,
@@ -14,7 +15,7 @@ from wpml.generators import (
     sample_vformation,
 )
 from wpml.lattice import check_modal_identities, validate_lattice
-from wpml.lframe import ModalLFrame, validate_lframe, validate_modal_lframe
+from wpml.lframe import ModalLFrame, _l_maps, validate_lframe, validate_modal_lframe
 from wpml.correspondence import CONDITIONS, INCLUSIONS, frame_satisfies
 
 from conftest import literal_closure
@@ -118,3 +119,98 @@ def test_horn_closure_is_the_literal_least_fixpoint():
         "symmetry": {True, False},
         "euclideanity": {True, False},
     }
+
+
+def reference_sample_lframe(rng, size):
+    """`sample_lframe` without interning: one fresh, validated `LFrame`
+    per draw."""
+    m = min(5, max(2, size - 1))
+    full = (1 << m) - 1
+    for _ in range(200):
+        family = {full}
+        for _ in range(4 * size):
+            if len(family) == size:
+                break
+            cand = rng.getrandbits(m)
+            new = set(family)
+            new.add(cand)
+            frontier = [cand]
+            while frontier:
+                a = frontier.pop()
+                for b in list(new):
+                    c = a & b
+                    if c not in new:
+                        new.add(c)
+                        frontier.append(c)
+            if len(new) <= size:
+                family = new
+        if len(family) != size:
+            continue
+        members = sorted(family)
+        idx = {s: i for i, s in enumerate(members)}
+        meet = [[idx[a & b] for b in members] for a in members]
+        names = tuple(f"s{bin(s)[2:]}" for s in members)
+        return validate_lframe(names, meet, idx[full])
+    raise SizeCap(f"could not sample a {size}-element semilattice")
+
+
+CACHES = (_family_lframe, _l_maps)
+
+SAMPLERS = {
+    "lframe": lambda rng: sample_lframe(rng, rng.randint(1, 8)),
+    "modal_lattice": lambda rng: sample_modal_lattice(rng, rng.randint(1, 5)),
+    "vformation": lambda rng: sample_vformation(rng, rng.randint(1, 5)),
+    **{
+        f"modal_lframe:{tag}": (
+            lambda rng, tag=tag: sample_modal_lframe(rng, rng.randint(1, 5), tag)
+        )
+        for tag in (None, *CONDITIONS)
+    },
+}
+
+
+class TestSamplerCaches:
+    @staticmethod
+    def draws(sampler, seed, cold, count):
+        """(output, rng state) after each of `count` draws from one stream;
+        with `cold`, every cache is cleared before each draw."""
+        rng = random.Random(seed)
+        out = []
+        for _ in range(count):
+            if cold:
+                for cache in CACHES:
+                    cache.cache_clear()
+            out.append((sampler(rng), rng.getstate()))
+        return out
+
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_cleared_caches_change_no_draw(self, name):
+        count = 6 if name == "vformation" else 12
+        for seed in (0, 41):
+            warm = self.draws(SAMPLERS[name], seed, False, count)
+            assert warm == self.draws(SAMPLERS[name], seed, True, count)
+            assert warm == self.draws(SAMPLERS[name], seed, False, count)
+
+    def test_lframe_matches_uninterned_sampler(self):
+        for seed in range(40):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for size in (1, 2, 3, 4, 5, 6, 7, 8):
+                assert sample_lframe(rng, size) == reference_sample_lframe(ref, size)
+                assert rng.getstate() == ref.getstate()
+
+    def test_equal_families_share_one_frame(self):
+        a = sample_lframe(random.Random(8), 5)
+        b = sample_lframe(random.Random(8), 5)
+        assert a is b
+        fam = (0b001, 0b011, 0b101, 0b111)
+        assert _family_lframe(fam, 0b111) is _family_lframe(tuple(list(fam)), 0b111)
+        want = validate_lframe(
+            ("s1", "s11", "s101", "s111"),
+            ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3)),
+            3,
+        )
+        assert _family_lframe(fam, 0b111) == want
+
+    def test_every_cache_is_bounded(self):
+        for cache in CACHES:
+            assert isinstance(cache.cache_info().maxsize, int)

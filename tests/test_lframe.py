@@ -27,8 +27,11 @@ from wpml.lframe import (
     FrameMorphism,
     FrameViolation,
     ModalLFrame,
+    MorphismViolation,
+    _l_maps,
     enumerate_frame_morphisms,
     fil_f,
+    fil_f_lattice,
     filter_closure,
     filters,
     frame_join,
@@ -237,6 +240,27 @@ class TestFilF:
             x = sample_modal_lframe(rng, rng.randint(1, 5))
             assert check_modal_identities(fil_f(x)) == []
 
+    def test_filter_lattice_matches_definition(self):
+        # filters by inclusion; meet is intersection, join the generated
+        # filter; the lattice is built once per frame and shared
+        frames = [x for n in range(1, 6) for x in all_lframes(n)]
+        for frame in frames:
+            fs = filters(frame)
+            pos = {m: i for i, m in enumerate(fs)}
+            lat = fil_f_lattice(frame)
+            assert lat.elements == tuple(hex(m) for m in fs)
+            assert lat.leq == tuple(tuple(a & b == a for b in fs) for a in fs)
+            assert (lat.bot, lat.top) == (pos[1 << frame.one], pos[frame.full_mask])
+            assert lat.meet == tuple(tuple(pos[a & b] for b in fs) for a in fs)
+            assert lat.join == tuple(
+                tuple(pos[filter_closure(frame, a | b)] for b in fs) for a in fs
+            )
+            assert fil_f_lattice(frame) is lat
+            a = fil_f(identity_modal(frame))
+            assert (a.elements, a.leq, a.meet, a.join) == (
+                lat.elements, lat.leq, lat.meet, lat.join
+            )
+
 
 class TestMorphismCheckers:
     def test_identity_is_l_morphism(self, chain3_frame):
@@ -304,6 +328,113 @@ class TestMorphismCheckers:
                     )
                 ]
                 assert got == oracle
+
+
+def reference_frame_morphisms(dom, cod, kind, surjective_only=False):
+    """The enumeration without a cache: every map that preserves 1 and
+    the meet, in lexicographic order, filtered one map at a time by
+    `is_l_morphism` or `is_bounded_l_morphism`."""
+    dbase = dom.base if isinstance(dom, ModalLFrame) else dom
+    cbase = cod.base if isinstance(cod, ModalLFrame) else cod
+    out = []
+    for mapping in product(range(cbase.n), repeat=dbase.n):
+        if mapping[dbase.one] != cbase.one or any(
+            mapping[dbase.meet[a][b]] != cbase.meet[mapping[a]][mapping[b]]
+            for a in range(dbase.n)
+            for b in range(dbase.n)
+        ):
+            continue
+        cand = FrameMorphism(dom, cod, mapping, kind)
+        if surjective_only and not cand.is_surjective():
+            continue
+        if kind == "L" and is_l_morphism(cand) is not None:
+            continue
+        if kind == "bounded-L" and is_bounded_l_morphism(cand) is not None:
+            continue
+        out.append(cand)
+    return out
+
+
+def morphism_frame_pairs():
+    """Every pair of catalog modal L-frames of at most 3 points, and
+    seeded pairs of sampled ones of at most 4."""
+    small = [x for n in range(1, 4) for x in all_modal_lframes(n)]
+    pairs = [(x, y) for x in small for y in small]
+    rng = random.Random(31)
+    for _ in range(80):
+        pairs.append(
+            (
+                sample_modal_lframe(rng, rng.randint(1, 4)),
+                sample_modal_lframe(rng, rng.randint(1, 4)),
+            )
+        )
+    return pairs
+
+
+class TestMorphismCache:
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_matches_per_map_checkers(self, warm):
+        # cold: the cache is cleared before each enumeration; warm: each
+        # enumeration runs twice, and bounded-L reads what L filled
+        found = {kind: 0 for kind in ("plain", "L", "bounded-L")}
+        for dom, cod in morphism_frame_pairs():
+            for surjective_only in (False, True):
+                for kind in ("plain", "L", "bounded-L"):
+                    want = reference_frame_morphisms(dom, cod, kind, surjective_only)
+                    for _ in range(2 if warm else 1):
+                        if not warm:
+                            _l_maps.cache_clear()
+                        got = list(
+                            enumerate_frame_morphisms(dom, cod, kind, surjective_only)
+                        )
+                        assert got == want, (dom, cod, kind, surjective_only)
+                    found[kind] += len(want)
+        assert all(found.values()), found
+
+    def test_bounded_violation_matches_literal_definition(self):
+        # the first violation in the literal scan order: the L-morphism
+        # conditions, then per point x forth over R[x], then back-below
+        # and back-above per z in R'[f(x)]
+        def literal(f):
+            bad = is_l_morphism(f)
+            if bad is not None:
+                return bad
+            dom, cod = f.dom, f.cod
+            for x in range(dom.n):
+                rx = [y for y in range(dom.n) if dom.rel(x, y)]
+                for y in rx:
+                    if not cod.rel(f.map[x], f.map[y]):
+                        return MorphismViolation("forth", (x, y))
+                for z in range(cod.n):
+                    if not cod.rel(f.map[x], z):
+                        continue
+                    if not any(cod.le(f.map[y], z) for y in rx):
+                        return MorphismViolation("back-below", (x, z))
+                    if not any(cod.le(z, f.map[y]) for y in rx):
+                        return MorphismViolation("back-above", (x, z))
+            return None
+
+        seen = set()
+        for dom, cod in morphism_frame_pairs():
+            for f in reference_frame_morphisms(dom, cod, "plain"):
+                got = is_bounded_l_morphism(f)
+                assert got == literal(f), f
+                seen.add(got and got.condition)
+        assert {"forth", "back-below", "back-above", None} <= seen
+
+    def test_maps_depend_on_the_bases_only(self, chain3_frame, chain2_frame):
+        x3, x2 = identity_modal(chain3_frame), identity_modal(chain2_frame)
+        full = validate_modal_lframe(chain2_frame, [(0, 0), (0, 1), (1, 1)])
+        _l_maps.cache_clear()
+        assert [f.map for f in enumerate_frame_morphisms(x3, x2, "L")] == [
+            f.map for f in enumerate_frame_morphisms(chain3_frame, chain2_frame, "L")
+        ]
+        assert _l_maps.cache_info().currsize == 1
+        bounded = [f.map for f in enumerate_frame_morphisms(x3, full, "bounded-L")]
+        assert bounded == [
+            f.map for f in reference_frame_morphisms(x3, full, "bounded-L")
+        ]
+        assert _l_maps.cache_info().currsize == 1
 
 
 class TestSatisfaction:
