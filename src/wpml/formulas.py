@@ -8,6 +8,11 @@ Grammar (text form):
 `|-` separates the two sides of a consequence pair.  Precedence is
 unary > '&' > 'v', binary operators associate to the left.  `T`, `F`
 and `v` are reserved words and cannot be used as letters.
+
+A parsed formula nests at most `MAX_HEIGHT` (100) deep: no root-to-leaf
+path holds more than 100 connectives, and no more than 100 parentheses
+and modal operators are open at once.  Past that the parser raises
+FormulaSyntaxError.
 """
 
 from __future__ import annotations
@@ -302,11 +307,20 @@ def _tokenize(text: str):
     return tokens
 
 
+# The parser refuses a formula with more than MAX_HEIGHT connectives on
+# one root-to-leaf path, or more than MAX_HEIGHT parentheses and modal
+# operators open at once: the library's walks over formulas recurse once
+# per level, and at this cap they all stay far inside Python's default
+# recursion limit.
+MAX_HEIGHT = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -322,48 +336,57 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
         return tok
 
+    def capped(self, level: int, pos: int) -> int:
+        if level > MAX_HEIGHT:
+            raise FormulaSyntaxError(f"formula nested more than {MAX_HEIGHT} deep", pos)
+        return level
+
+    # each parse_* returns (formula, height)
+
     def parse_or(self):
-        f = self.parse_and()
+        f, h = self.parse_and()
         while self.peek()[0] == "OR":
-            self.advance()
-            f = Or(f, self.parse_and())
-        return f
+            pos = self.advance()[2]
+            g, hg = self.parse_and()
+            f, h = Or(f, g), self.capped(max(h, hg) + 1, pos)
+        return f, h
 
     def parse_and(self):
-        f = self.parse_unary()
+        f, h = self.parse_unary()
         while self.peek()[0] == "AND":
-            self.advance()
-            f = And(f, self.parse_unary())
-        return f
+            pos = self.advance()[2]
+            g, hg = self.parse_unary()
+            f, h = And(f, g), self.capped(max(h, hg) + 1, pos)
+        return f, h
 
     def parse_unary(self):
         kind, value, pos = self.peek()
-        if kind == "BOX":
+        if kind in ("BOX", "DIA", "LP"):
             self.advance()
-            return Box(self.parse_unary())
-        if kind == "DIA":
-            self.advance()
-            return Dia(self.parse_unary())
+            self.open = self.capped(self.open + 1, pos)
+            if kind == "LP":
+                f, h = self.parse_or()
+                self.expect("RP")
+            else:
+                f, h = self.parse_unary()
+                f, h = (Box if kind == "BOX" else Dia)(f), self.capped(h + 1, pos)
+            self.open -= 1
+            return f, h
         if kind == "TOP":
             self.advance()
-            return TOP
+            return TOP, 0
         if kind == "BOT":
             self.advance()
-            return BOT
+            return BOT, 0
         if kind == "IDENT":
             self.advance()
-            return Letter(value)
-        if kind == "LP":
-            self.advance()
-            f = self.parse_or()
-            self.expect("RP")
-            return f
+            return Letter(value), 0
         raise FormulaSyntaxError(f"expected a formula, found {value!r}", pos)
 
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
-    f = p.parse_or()
+    f = p.parse_or()[0]
     kind, value, pos = p.peek()
     if kind != "EOF":
         raise FormulaSyntaxError(f"trailing input {value!r}", pos)
@@ -372,9 +395,9 @@ def parse_formula(text: str) -> Formula:
 
 def parse_pair(text: str) -> ConsequencePair:
     p = _Parser(text)
-    lhs = p.parse_or()
+    lhs = p.parse_or()[0]
     p.expect("TURNSTILE")
-    rhs = p.parse_or()
+    rhs = p.parse_or()[0]
     kind, value, pos = p.peek()
     if kind != "EOF":
         raise FormulaSyntaxError(f"trailing input {value!r}", pos)

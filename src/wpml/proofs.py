@@ -16,24 +16,36 @@ validate the axioms (`_screening_algebras`, cached per axiom set;
 The set is packed once (`_screen_tables`, a `vectors.ScreenTables`), so
 that a formula's value under every valuation of the pair's sorted
 letters, on every screen algebra, is one packed `bytes` vector, built
-once per search from its children's vectors; a pair is refuted at the
-first screen, in order, where its left value is not below its right
-one, and only screens within the budget are evaluated.  The search keeps
-the letter set of each formula id it screens.  The scalar
-`lattice.algebra_validates` and `lattice.evaluate` stay the reference
-oracles: tests/test_proofs.py checks the screen's verdicts, first
-refuting screens and exceptions against the literal loop over the
-algebras, and whole searches against a search that screens through
-`algebra_validates`.
+once per search from its children's vectors.  Each formula id has a
+bitmask of its letters; a pair's mask picks a slot, built once per mask:
+the sorted letters, their vector memo and the end of the stretch the
+literal loop evaluates every such pair on, or "not screened" past three
+letters.  In its slot each formula id keeps its vector's two pair-code
+halves as big integers, the scale half for a left side and the local
+half for a right side, so screening a pair is one addition, one
+`to_bytes`, one `translate` and one `find`: it is refuted at the first
+screen, in order, where its left value is not below its right one.
+When the budget cut or a plain lattice stops the literal loop before the
+last screen, a pair not refuted in the stretch falls back to
+`PackedScreen.refutes`, which decides it and raises what the loop
+raises.  The scalar `lattice.algebra_validates` and `lattice.evaluate`
+stay the reference oracles: tests/test_proofs.py checks the screen's
+verdicts, first refuting screens and exceptions against the literal loop
+over the algebras, and whole searches against a search that screens
+through `algebra_validates`.
 
 Memo tables: a search numbers the formulas it meets with small ints of
 its own and keys its memo tables by the ids of a pair's two sides, so
 the memo probes that make up most `prove` calls are int-keyed dict hits
-instead of hashing and comparing formula pairs.  The public `success`
-and `failed_at` are read-only views that decode those tables into
-`ConsequencePair` keys.  No table is shared between searches: an id
-means nothing outside the search that gave it.  tests/test_proofs.py
-checks the search against a literal copy of the formula-keyed one.
+instead of hashing and comparing formula pairs.  The transitivity loop
+probes each leg's entry inline, by the rule of `_prove`'s prologue (a
+success at any depth, or a failure at that depth or deeper, decides the
+leg), and calls `_prove` only for the legs the memo leaves open.  The
+public `success` and `failed_at` are read-only views that decode those
+tables into `ConsequencePair` keys.  No table is shared between
+searches: an id means nothing outside the search that gave it.
+tests/test_proofs.py checks the search against a literal copy of the
+formula-keyed one.
 """
 
 from __future__ import annotations
@@ -417,8 +429,12 @@ class ProofSearch:
         self.failed_at: Mapping[ConsequencePair, int] = _PairTable(
             self._failed_at, ids, self._formulas
         )
-        # letter set of each formula id the screen has met
-        self._letters: dict[int, frozenset[str]] = {}
+        # letter bitmask of each formula id the screen has met, one bit per
+        # letter in the order the search met them
+        self._masks: dict[int, int] = {}
+        self._bits: dict[str, int] = {}
+        # pair mask -> its slot (see `_slot`), or None past three letters
+        self._slots: dict[int, Optional[tuple]] = {}
         self._screen_ok: set[int] = set()
         self._screen = PackedScreen(_screen_tables(self.screens), resolve_budget())
         # (type(lhs), type(rhs)) -> the leaf rules and axiom members that
@@ -432,28 +448,65 @@ class ProofSearch:
     def vector_entries(self) -> int:
         return self._screen.vector_entries
 
-    def _letters_of(self, i: int) -> frozenset[str]:
-        found = self._letters.get(i)
-        if found is None:
-            found = self._letters[i] = letters(self._formulas[i])
-        return found
+    def _mask(self, i: int) -> int:
+        mask = self._masks.get(i)
+        if mask is None:
+            bits, mask = self._bits, 0
+            for name in letters(self._formulas[i]):
+                mask |= bits.setdefault(name, 1 << len(bits))
+            self._masks[i] = mask
+        return mask
+
+    def _slot(self, mask: int) -> Optional[tuple]:
+        """The slot of the pairs whose letters are `mask`, built once per
+        mask: `(ls, memo, size, end, whole, lefts, rights)`, with the
+        sorted letters, the screen's `stretch` of them, and each formula
+        id's two pair-code halves as big integers, filled as ids meet the
+        screen; None past three letters, which are not screened."""
+        slot = self._slots.get(mask, False)
+        if slot is False:
+            names = [name for name, bit in self._bits.items() if mask & bit]
+            slot = None
+            if len(names) <= 3:
+                ls = tuple(sorted(names))
+                slot = (ls, *self._screen.stretch(ls), {}, {})
+            self._slots[mask] = slot
+        return slot
 
     def _screened_out(self, key: int) -> bool:
         """True iff some screen algebra, tried in order, refutes the pair
         of formula ids `key`.  The same decision as `algebra_validates(a,
         pair) is not None` for some `a` in `screens`, and the same
-        ResourceBound, but all screens are tried at once on packed
-        vectors computed once per search."""
+        ResourceBound, but all screens are tried at once: the pair's
+        codes are the sum of its left id's left half and its right id's
+        right half in the slot of its letters, and one translate marks
+        the positions whose left value is not below the right one."""
         if key in self._screen_ok:
             return False
         l, r = key >> _SHIFT, key & _LOW
-        ls = tuple(sorted(self._letters_of(l) | self._letters_of(r)))
-        if len(ls) > 3:
+        slot = self._slot(self._mask(l) | self._mask(r))
+        if slot is None:
             self._screen_ok.add(key)
             return False
         self.screen_calls += 1
-        formulas = self._formulas
-        if self._screen.refutes(((formulas[l], formulas[r], ls),)):
+        ls, memo, size, end, whole, lefts, rights = slot
+        formulas, tables = self._formulas, self._screen.tables
+        if end:
+            left = lefts.get(l)
+            if left is None:
+                v = tables.vector(memo, formulas[l], tables)
+                left = lefts[l] = int.from_bytes(v.translate(tables.scale), "big")
+            right = rights.get(r)
+            if right is None:
+                v = tables.vector(memo, formulas[r], tables)
+                right = rights[r] = int.from_bytes(v.translate(tables.local), "big")
+            codes = (left + right).to_bytes(size, "big")
+            if codes.translate(tables.nleq).find(1, 0, end) >= 0:
+                self.screen_rejects += 1
+                return True
+        # the cut fallback: the budget or a plain lattice stops the literal
+        # loop before the last screen, and `refutes` knows where and how
+        if not whole and self._screen.refutes(((formulas[l], formulas[r], ls),)):
             self.screen_rejects += 1
             return True
         self._screen_ok.add(key)
@@ -532,16 +585,29 @@ class ProofSearch:
             if a is not None:
                 found = Proof("becker-dia", pair, (a,))
         if found is None:
+            # each leg's memo probe is `_prove`'s own, inline: a success at
+            # any depth, or a failure at depth d or deeper, needs no call
+            success, failed_at, ll = self._success, self._failed_at, l << _SHIFT
             for cut in self._pool_ids:
                 if cut == l or cut == r:
                     continue
-                a = prove(l, cut, d)
+                a = success.get(ll | cut)
                 if a is None:
-                    continue
-                b = prove(cut, r, d)
-                if b is not None:
-                    found = Proof("transitivity", pair, (a, b))
-                    break
+                    if failed_at.get(ll | cut, -1) >= d:
+                        continue
+                    a = prove(l, cut, d)
+                    if a is None:
+                        continue
+                key2 = cut << _SHIFT | r
+                b = success.get(key2)
+                if b is None:
+                    if failed_at.get(key2, -1) >= d:
+                        continue
+                    b = prove(cut, r, d)
+                    if b is None:
+                        continue
+                found = Proof("transitivity", pair, (a, b))
+                break
         if found is not None:
             self._success[key] = found
         else:

@@ -19,12 +19,17 @@ diamond and the order test are each one `bytes.translate`.  A pair code
 must fit in a byte, so the set is one table only if each algebra has at
 most 16 elements and the sum of n**2 over the set is at most 256; every
 screening set that `proofs` builds is well inside that (at most 202).
-`PackedScreen` holds one search's budget and memo over those tables; the
-proof search screens its subgoals and the interpolant search its
-candidates' obligations with it.  `lframe.frame_validates` runs the same
-kernel on one table: the filter lattice of an L-frame of at most 16
-filters, with the box and diamond tables of the modal L-frame it
-searches.
+`PackedScreen` holds one search's budget and memo over those tables.
+The interpolant search screens its candidates' obligations with
+`refutes`.  The proof search asks it once per letter tuple for the
+`stretch` every pair over those letters is screened on, keeps each
+formula's two pair-code halves there as big integers, and screens a
+subgoal by one addition and one translate of their sum; only a pair
+that the stretch does not refute, when the budget cut or a plain lattice
+stops the literal loop before the last screen, goes to `refutes`.
+`lframe.frame_validates` runs the same kernel on one table: the filter
+lattice of an L-frame of at most 16 filters, with the box and diamond
+tables of the modal L-frame it searches.
 
 Box and diamond come from a modal provider: an object with
 `unary_tables` and `offsets`, a big integer added to a vector before
@@ -284,6 +289,38 @@ class PackedScreen:
             memo = self.memo[ls] = _seeded(seeds, ls)
         return memo
 
+    def _stop(
+        self, k: int, lhs: Optional[Formula] = None, rhs: Optional[Formula] = None
+    ) -> int:
+        """The screen at which the literal loop stops on the pair lhs |-
+        rhs over k letters, unless a screen before it refutes the pair:
+        the first over budget or, for a modal pair, the first plain
+        lattice; the number of screens if neither.  With no pair given,
+        the least such screen over all pairs of k letters."""
+        cut, plain = self._cut(k), self.tables.first_plain
+        if plain < cut and (
+            lhs is None or not (is_modality_free(lhs) and is_modality_free(rhs))
+        ):
+            cut = plain
+        return cut
+
+    def stretch(
+        self, ls: tuple[str, ...]
+    ) -> tuple[Optional[dict[Formula, bytes]], int, int, bool]:
+        """`(memo, size, end, whole)` for every pair over the sorted
+        letters `ls`: the memo of their packed vectors, the vectors'
+        length, the end of the stretch on which the literal loop evaluates
+        each such pair, and whether that stretch holds every screen.  A
+        pair that no position before `end` refutes is refuted by no screen
+        when `whole`; otherwise `refutes` decides it, and raises what the
+        loop raises.  The memo is None when `end` is 0."""
+        k, count = len(ls), len(self.tables.sizes)
+        stop = self._stop(k)
+        if not stop:
+            return None, 0, 0, stop == count
+        ends = self.tables.ends(k)
+        return self._memo(ls), ends[self._cut(k) - 1], ends[stop - 1], stop == count
+
     def first_event(
         self, lhs: Formula, rhs: Formula, ls: tuple[str, ...], stop: int
     ) -> Optional[tuple[int, bool]]:
@@ -293,11 +330,7 @@ class PackedScreen:
         s cannot evaluate it (over budget, or a modal pair on a plain
         lattice); None if no screen before `stop` does either."""
         tables, k = self.tables, len(ls)
-        cut = self._cut(k)
-        if tables.first_plain < cut and not (
-            is_modality_free(lhs) and is_modality_free(rhs)
-        ):
-            cut = tables.first_plain
+        cut = self._stop(k, lhs, rhs)
         last = min(cut, stop)
         if last:
             memo = self._memo(ls)

@@ -4,6 +4,7 @@ per-criterion lines.  Shared corpora are module-scoped fixtures, so the
 criteria stay order-independent.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -16,7 +17,20 @@ from wpml.correspondence import AXIOM_TAGS, AXIOMS, CONDITION_OF_AXIOM, frame_sa
 from wpml.duality import fil_l, is_tight, round_trip_iso
 from wpml.entailment import gamma_conditions, gamma_pairs
 from wpml.errors import resolve_budget
-from wpml.formulas import ConsequencePair, connectives, letters, parse_formula, pretty
+from wpml.formulas import (
+    And,
+    Box,
+    ConsequencePair,
+    Dia,
+    Or,
+    connectives,
+    letters,
+    match,
+    match_pair,
+    parse_formula,
+    parse_pair,
+    pretty,
+)
 from wpml.generators import sample_modal_lattice, sample_modal_lframe
 from wpml.interpolation import (
     InterpolationProblem,
@@ -32,6 +46,7 @@ from wpml.lattice import (
 )
 from wpml.lframe import fil_f, frame_validates
 from wpml.proofs import (
+    RULES,
     _screen_tables,
     _screening_algebras,
     check_proof,
@@ -413,6 +428,154 @@ def test_criterion_09_interpolation_golden_corpus(golden_results):
         f"{refut.countermodel.structure.n if refut.countermodel else '?'} points, "
         f"problems: {problems[:3]}",
     )
+
+
+# The thirteen schemata as text, each (conclusion, premises) with the
+# letters schematic: the literal reference for `check_proof`.
+SCHEMATA = {
+    "top": [("p |- T", ())],
+    "bottom": [("F |- p", ())],
+    "reflexivity": [("p |- p", ())],
+    "transitivity": [("p |- r", ("p |- q", "q |- r"))],
+    "left-conjunction": [("p & q |- p", ()), ("p & q |- q", ())],
+    "right-conjunction": [("p |- q & r", ("p |- q", "p |- r"))],
+    "left-disjunction": [("p v q |- r", ("p |- r", "q |- r"))],
+    "right-disjunction": [("p |- p v q", ()), ("q |- p v q", ())],
+    "modal-top": [("T |- []T", ()), ("T |- <>T", ())],
+    "becker-box": [("[]p |- []q", ("p |- q",))],
+    "becker-dia": [("<>p |- <>q", ("p |- q",))],
+    "linearity": [("[]p & []q |- [](p & q)", ())],
+    "duality": [("<>p & []q |- <>(p & q)", ())],
+}
+
+
+def schema_instance(node, gamma) -> bool:
+    """Whether one proof node, its premises' own derivations aside, is an
+    instance of its rule: one substitution takes the schema's conclusion
+    and premises, in order, to the node's; an axiom node has no premises
+    and its conclusion is an instance of a member of gamma."""
+    if node.rule == "axiom":
+        return not node.premises and any(
+            match_pair(m, node.conclusion) is not None for m in gamma
+        )
+    targets = (node.conclusion, *(p.conclusion for p in node.premises))
+    for conclusion, premises in SCHEMATA.get(node.rule, ()):
+        patterns = tuple(map(parse_pair, (conclusion, *premises)))
+        if len(patterns) != len(targets):
+            continue
+        subst = {}
+        for pattern, target in zip(patterns, targets):
+            if match(pattern.lhs, target.lhs, subst) is None:
+                break
+            if match(pattern.rhs, target.rhs, subst) is None:
+                break
+        else:
+            return True
+    return False
+
+
+def _children(f):
+    if isinstance(f, (And, Or)):
+        return (f.lhs, f.rhs)
+    return (f.arg,) if isinstance(f, (Box, Dia)) else ()
+
+
+def node_mutants(node):
+    """One mutation each: the rule relabelled (also to an unknown name),
+    a premise dropped or duplicated, the two premises swapped, or one side
+    of the conclusion replaced by the other side or by a child of either."""
+    for rule in RULES + ("weakening",):
+        if rule != node.rule:
+            yield dataclasses.replace(node, rule=rule)
+    prems = node.premises
+    for i in range(len(prems)):
+        yield dataclasses.replace(node, premises=prems[:i] + prems[i + 1 :])
+        yield dataclasses.replace(node, premises=prems[: i + 1] + prems[i:])
+    if len(prems) == 2:
+        yield dataclasses.replace(node, premises=prems[::-1])
+    lhs, rhs = node.conclusion.lhs, node.conclusion.rhs
+    relatives = {lhs, rhs, *_children(lhs), *_children(rhs)}
+    for f in relatives - {lhs}:
+        yield dataclasses.replace(node, conclusion=ConsequencePair(f, rhs))
+    for f in relatives - {rhs}:
+        yield dataclasses.replace(node, conclusion=ConsequencePair(lhs, f))
+
+
+def test_check_proof_rejects_every_mutant_that_is_no_schema_instance(golden_results):
+    """Every node of every golden proof, mutated once: `check_proof`
+    accepts the mutant exactly when the literal schema table does (the
+    premises' derivations are the golden ones, so they check)."""
+    proofs_by_gamma = [
+        (gamma_pairs(prob.tags), (res.proof_left, res.proof_right))
+        for prob, res in golden_results
+    ]
+    # the golden proofs have no left-disjunction node
+    extra = (derive_bounded((), parse_pair(t), 4) for t in LEFT_DISJUNCTIONS)
+    proofs_by_gamma.append(((), tuple(extra)))
+    nodes = {}
+    for gamma, roots in proofs_by_gamma:
+        stack = list(roots)
+        while stack:
+            node = stack.pop()
+            nodes[node, gamma] = None
+            stack.extend(node.premises)
+    reasons, accepted = set(), 0
+    for node, gamma in nodes:
+        assert check_proof(node, gamma) is None and schema_instance(node, gamma)
+        for mutant in node_mutants(node):
+            bad = check_proof(mutant, gamma)
+            assert (bad is None) == schema_instance(mutant, gamma), (
+                mutant.rule,
+                str(mutant.conclusion),
+                [str(p.conclusion) for p in mutant.premises],
+            )
+            if bad is None:
+                accepted += 1
+            else:
+                assert bad.path == ()
+                reasons.add(bad.reason)
+    assert accepted > 0
+    assert reasons == CHECKER_REASONS
+
+
+LEFT_DISJUNCTIONS = ("p v q |- q v p", "<>p v <>q |- <>(p v q)")
+
+# every reason `check_proof` gives, but the unknown inference rule of
+# `_rule_matches`, which it never asks about
+CHECKER_REASONS = {
+    "axiom nodes take no premises",
+    "not an instance of any axiom in the set",
+    "unknown premise-less rule 'weakening'",
+    "weakening takes no premises",
+    "top takes no premises",
+    "bottom takes no premises",
+    "reflexivity takes no premises",
+    "left-conjunction takes no premises",
+    "right-disjunction takes no premises",
+    "modal-top takes no premises",
+    "linearity takes no premises",
+    "duality takes no premises",
+    "right side must be T",
+    "left side must be F",
+    "sides differ",
+    "needs a & b |- a or a & b |- b",
+    "needs a |- a v b or b |- a v b",
+    "needs T |- []T or T |- <>T",
+    "needs []a & []b |- [](a & b)",
+    "needs <>a & []b |- <>(a & b)",
+    "transitivity takes two premises",
+    "premises do not chain",
+    "right-conjunction takes two premises",
+    "conclusion right side must be a conjunction",
+    "premises must derive both conjuncts",
+    "left-disjunction takes two premises",
+    "conclusion left side must be a disjunction",
+    "premises must cover both disjuncts",
+    "becker-box takes one premise",
+    "needs a |- b deriving []a |- []b",
+    "becker-dia takes one premise",
+    "needs a |- b deriving <>a |- <>b",
+}
 
 
 # sha256 of [verdict, interpolant, left proof, right proof] for the 50

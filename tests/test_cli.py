@@ -162,6 +162,21 @@ class TestGenerateAndRoundTrips:
         code, _, err = run(["interpolate", "p &", "q"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "phi,psi",
+        [("(" * 330 + "p" + ")" * 330, "p"), (" & ".join(["p"] * 1500), "p v q")],
+    )
+    def test_interpolate_too_deep_is_a_parse_error(self, phi, psi, capsys):
+        code, out, err = run(["interpolate", phi, psi], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("parse error:") and "more than 100 deep" in err
+
+    def test_interpolate_at_the_nesting_cap(self, capsys):
+        phi = " & ".join(["p"] * 101)
+        code, out, _ = run(["interpolate", phi, "p v q"], capsys)
+        assert code == 0
+        assert json.loads(out)["payload"]["interpolant"] == "p"
+
     def test_fuzz_deterministic_and_green(self, tmp_path, capsys):
         a = str(tmp_path / "fa.json")
         b = str(tmp_path / "fb.json")

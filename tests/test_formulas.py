@@ -20,6 +20,7 @@ from wpml.formulas import (
     Dia,
     Letter,
     Or,
+    MAX_HEIGHT,
     Top,
     _size_key,
     formula_key,
@@ -72,6 +73,40 @@ def test_syntax_error_position():
         parse_formula("p q")
     with pytest.raises(FormulaSyntaxError):
         parse_pair("p |- q |- r")
+
+
+# texts of n levels: each nests exactly n deep
+NESTED = {
+    "parentheses": lambda n: "(" * n + "p" + ")" * n,
+    "flat conjunction": lambda n: " & ".join(["p"] * (n + 1)),
+    "flat disjunction": lambda n: " v ".join(["p"] * (n + 1)),
+    "modal prefix": lambda n: "[]<>" * (n // 2) + "[]" * (n % 2) + "p",
+    "right-nested": lambda n: "(p & " * n + "q" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_cap_is_exact(shape):
+    text = NESTED[shape](MAX_HEIGHT)
+    f = parse_formula(text)
+    assert parse_pair(f"{text} |- {text}") == ConsequencePair(f, f)
+    assert parse_formula(pretty(f)) == f
+    with pytest.raises(FormulaSyntaxError, match=f"more than {MAX_HEIGHT} deep"):
+        parse_formula(NESTED[shape](MAX_HEIGHT + 1))
+    with pytest.raises(FormulaSyntaxError, match=f"more than {MAX_HEIGHT} deep"):
+        parse_pair(f"p |- {NESTED[shape](MAX_HEIGHT + 1)}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 330 + "p" + ")" * 330, " & ".join(["p"] * 1500), "[]" * 1500 + "p"],
+)
+def test_deep_formulas_are_syntax_errors_not_recursion_errors(text):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula(text)
+    assert err.value.position < len(text)
+    with pytest.raises(FormulaSyntaxError):
+        parse_pair(f"{text} |- p v q")
 
 
 def test_reserved_words_are_not_letters():

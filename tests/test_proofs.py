@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+from itertools import combinations
 
 import pytest
 
@@ -566,6 +568,131 @@ class TestVectorScreen:
         assert (slow.value.needed, slow.value.budget) == (27, 10)
 
 
+class RefutesScreenSearch(ProofSearch):
+    """Reference search: screens each pair through `PackedScreen.refutes`
+    on its sorted letters, as the search did before its per-mask slots,
+    so that it builds the same packed vectors."""
+
+    def _screened_out(self, key):
+        if key in self._screen_ok:
+            return False
+        pair = _pair_of(self, key)
+        ls = tuple(sorted(letters(pair)))
+        if len(ls) > 3:
+            self._screen_ok.add(key)
+            return False
+        self.screen_calls += 1
+        if self._screen.refutes(((pair.lhs, pair.rhs, ls),)):
+            self.screen_rejects += 1
+            return True
+        self._screen_ok.add(key)
+        return False
+
+
+def mask_shape_pairs(rng, count):
+    """Pairs drawn from one bank of formulas over p, q, r, s, so that many
+    share a side, with letters first met part way through; some repeat."""
+    bank = [TOP, BOT]
+    for k in (1, 2, 3):
+        for names in combinations("pqrs", k):
+            bank += [random_formula(rng, names, 3) for _ in range(2)]
+    first = bank[:6]  # T, F and formulas over p alone or q alone
+    pairs = [ConsequencePair(rng.choice(first), rng.choice(first)) for _ in range(10)]
+    pairs += map(parse_pair, MASK_SHAPES)
+    pairs += [ConsequencePair(rng.choice(bank), rng.choice(bank)) for _ in range(count)]
+    return pairs + pairs[::7]
+
+
+# one pair of each (letters in all, sides share a letter) shape
+MASK_SHAPES = (
+    "T |- F",
+    "p |- T",
+    "p |- <>p",
+    "p |- q",
+    "p & q |- q",
+    "p & q |- []r",
+    "p & q |- q v r",
+    "p v q |- r & s",
+    "[]p & q |- <>(q v r) v s",
+)
+
+
+def mask_shape(pair):
+    """(letters in all, whether both sides have letters and share one)."""
+    left, right = letters(pair.lhs), letters(pair.rhs)
+    return len(left | right), bool(left & right)
+
+
+def mask_slot_sets():
+    """Each `_screening_algebras` set, and B's set with a plain
+    two-element chain at index 1, before the cut of three letters under
+    every budget the test sets."""
+    chain2 = validate_lattice(chain_leq(2), 0, 1)
+    b = _screening_algebras(AXIOMS["B"])
+    sets = [_screening_algebras(tuple(gamma)) for gamma in AXIOM_SETS]
+    return sets + [b[:1] + (chain2,) + b[1:]]
+
+
+class TestMaskSlotScreen:
+    """The search's screen on per-mask slots and integer halves, warm in
+    one search over many pairs and goals, against the scalar reference
+    (`ScalarScreenSearch`) and the search that screens through
+    `PackedScreen.refutes` (`RefutesScreenSearch`)."""
+
+    @pytest.mark.parametrize("budget", [26, 27, 124, 125])
+    def test_matches_scalar_screen_on_every_mask_shape(self, budget, monkeypatch):
+        monkeypatch.setenv("WPML_BUDGET", str(budget))
+        pairs = mask_shape_pairs(random.Random(budget), 150)
+        shapes = set(map(mask_shape, pairs))
+        every = {(n, shared) for n in (1, 2, 3, 4) for shared in (False, True)}
+        assert shapes >= every | {(0, False)}
+        goals = [parse_pair(text) for text, _ in GOLDEN_SAMPLE]
+        goals += [parse_pair("p & q |- q v r"), parse_pair("p v q |- p")]
+        cuts = order_cuts(goals[0], cut_pool(goals[0]))
+        kinds = set()
+        for screens in mask_slot_sets():
+            fast, slow, packed = (
+                cls((), cuts, screens=screens)
+                for cls in (ProofSearch, ScalarScreenSearch, RefutesScreenSearch)
+            )
+            for pair in pairs:
+                want = outcome(lambda: screened_out(slow, pair))
+                assert outcome(lambda: screened_out(fast, pair)) == want, str(pair)
+                assert outcome(lambda: screened_out(packed, pair)) == want
+                kinds.add(want[1])
+            for goal in goals:
+                want = outcome(lambda: slow.prove(goal, 3))
+                assert outcome(lambda: fast.prove(goal, 3)) == want, str(goal)
+                assert outcome(lambda: packed.prove(goal, 3)) == want
+            for search in (slow, packed):
+                assert (fast.screen_calls, fast.screen_rejects) == (
+                    search.screen_calls,
+                    search.screen_rejects,
+                )
+            assert fast.expansions == slow.expansions
+            assert fast.vector_entries == packed.vector_entries > 0
+        # the largest screen has 5 elements: 5**3 == 125
+        over = {ResourceBound} if budget < 125 else set()
+        assert kinds == {True, False, PreconditionViolated} | over
+
+
+class LegRecordingSearch(ProofSearch):
+    """Counts the transitivity legs that enter `_prove` (its caller is in
+    the cut loop, where `cut` is bound), and those of them whose memo
+    entry decides them: a success, or a failure at that depth or deeper."""
+
+    legs = decided_legs = 0
+
+    def _prove(self, l, r, depth):
+        if "cut" in sys._getframe(1).f_locals:
+            key = l << _SHIFT | r
+            self.legs += 1
+            self.decided_legs += (
+                key in self._success or self._failed_at.get(key, -1) >= depth
+            )
+        return super()._prove(l, r, depth)
+
+
 class TestIdKeyedSearch:
     """The search on per-search formula ids against the formula-keyed
     reference: same proofs, counters and memo tables (the golden sample
@@ -617,6 +744,19 @@ class TestIdKeyedSearch:
             slow.prove(goal, 6)
         assert fast_exc.value.needed == slow_exc.value.needed == budget + 1
         _assert_same_search(fast, slow)
+
+    @pytest.mark.parametrize("text,tags", GOLDEN_SAMPLE)
+    def test_cut_legs_the_memo_decides_are_not_entered(self, text, tags):
+        """The cut loop probes each leg's memo entry inline, by the rule of
+        `_prove`'s prologue, so no leg the memo decides enters `_prove`,
+        and the search is the formula-keyed one."""
+        gamma = gamma_pairs(tags)
+        goal = parse_pair(text)
+        cuts = order_cuts(goal, cut_pool(goal, gamma))
+        fast, slow = LegRecordingSearch(gamma, cuts), FormulaKeyedSearch(gamma, cuts)
+        assert fast.prove(goal, 6) == slow.prove(goal, 6)
+        _assert_same_search(fast, slow)
+        assert fast.legs > 0 and fast.decided_legs == 0
 
     def test_memo_views_decode_pairs(self):
         goal = parse_pair("[]p & []q |- [](p & q) v r")
