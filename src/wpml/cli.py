@@ -2,7 +2,8 @@
 
 Exit codes: 0 pass, 1 property/validation failure, 2 I/O or usage error,
 3 parse error, 4 resource bound.  A numeric option below its least value
-(`MINIMUMS`) is a usage error; one past a resource cap is exit 4.  The
+(`MINIMUMS`) is a usage error; one past a resource cap, such as a
+`--proof-depth` above `proofs.MAX_PROOF_DEPTH` (200), is exit 4.  The
 WPML_BUDGET environment variable overrides the exhaustive-sweep budget;
 a value that is not a non-negative integer is a parse error (exit 3)
 before any command runs.  All JSON output is key-sorted, so identical
@@ -315,25 +316,21 @@ def cmd_generate(args) -> int:
     )
 
     rng = random.Random(args.seed)
-    try:
-        if args.kind == "lattice":
-            frame = sample_lframe(rng, args.size)
-            _emit(wrap("lattice", lattice_to_json(fil_f_lattice(frame))), args.out)
-        elif args.kind == "modal_lattice":
-            lat = sample_modal_lattice(rng, args.size)
-            _emit(wrap("modal_lattice", lattice_to_json(lat)), args.out)
-        elif args.kind == "modal_lframe":
-            frame = sample_modal_lframe(rng, args.size)
-            _emit(wrap("modal_lframe", frame_to_json(frame)), args.out)
-        elif args.kind == "vformation":
-            v = sample_vformation(rng, max_l=args.size)
-            _emit(wrap("vformation", vformation_to_json(v)), args.out)
-        else:
-            print(f"error: unknown kind {args.kind!r}", file=sys.stderr)
-            return EXIT_PARSE
-    except SizeCap as exc:
-        print(f"size cap: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    if args.kind == "lattice":
+        frame = sample_lframe(rng, args.size)
+        _emit(wrap("lattice", lattice_to_json(fil_f_lattice(frame))), args.out)
+    elif args.kind == "modal_lattice":
+        lat = sample_modal_lattice(rng, args.size)
+        _emit(wrap("modal_lattice", lattice_to_json(lat)), args.out)
+    elif args.kind == "modal_lframe":
+        frame = sample_modal_lframe(rng, args.size)
+        _emit(wrap("modal_lframe", frame_to_json(frame)), args.out)
+    elif args.kind == "vformation":
+        v = sample_vformation(rng, max_l=args.size)
+        _emit(wrap("vformation", vformation_to_json(v)), args.out)
+    else:
+        print(f"error: unknown kind {args.kind!r}", file=sys.stderr)
+        return EXIT_PARSE
     return EXIT_PASS
 
 
@@ -423,6 +420,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_IO
     except ResourceBound as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except SizeCap as exc:
+        print(f"size cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except WpmlError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,7 +65,7 @@ class MorphismInvalid(WpmlError):
 
 
 class SizeCap(WpmlError):
-    """Requested generated object exceeds the documented size caps."""
+    """A requested size or depth exceeds its documented cap."""
 
 
 class InvalidBudget(WpmlError):

@@ -35,20 +35,19 @@ class Formula:
 
 
 class _Node(Formula):
-    """A formula whose hash is computed once, at construction.
+    """A formula whose hash and size key are computed once, at construction.
 
-    `_hash` is a slot, not a dataclass field, so `repr`, `fields()` and
-    everything derived from them are those of the plain dataclass.
-    Equality returns at once on identity or on a hash mismatch, and only
-    then compares the fields.  Subclasses pass `eq=False` so the dataclass
-    decorator keeps these methods.
+    `_hash` and `_key` are slots, not dataclass fields, so `repr`,
+    `fields()` and everything derived from them are those of the plain
+    dataclass.  `_hash` is the hash of `(class, fields)`; `_key` is
+    `(size, formula_key)`, built from the children's keys.  Each subclass
+    sets both in its `__post_init__`, written per arity.  Equality returns
+    at once on identity or on a hash mismatch, and only then compares the
+    fields.  Subclasses pass `eq=False` so the dataclass decorator keeps
+    these methods.
     """
 
-    __slots__ = ("_hash",)
-
-    def __post_init__(self):
-        parts = tuple(getattr(self, n) for n in self.__match_args__)
-        object.__setattr__(self, "_hash", hash((self.__class__, parts)))
+    __slots__ = ("_hash", "_key")
 
     def __hash__(self):
         return self._hash
@@ -67,10 +66,12 @@ class _Node(Formula):
 
 # The generated hash of a field-less dataclass is hash(()), the same for
 # both constants, so every two formulas that differ only in T against F
-# would collide.  Fixed distinct values keep them apart.
+# would collide.  Fixed distinct values keep them apart.  Their size keys
+# are constants too: size 1 and their tag in `_TAG_ORDER`.
 @dataclass(frozen=True)
 class Top(Formula):
     __slots__ = ()
+    _key = (1, (0,))
 
     def __hash__(self):
         return 1
@@ -79,9 +80,26 @@ class Top(Formula):
 @dataclass(frozen=True)
 class Bot(Formula):
     __slots__ = ()
+    _key = (1, (1,))
 
     def __hash__(self):
         return 2
+
+
+def _binary_keys(self):
+    lhs, rhs = self.lhs, self.rhs
+    (m, a), (n, b) = lhs._key, rhs._key
+    cls = self.__class__
+    object.__setattr__(self, "_hash", hash((cls, (lhs, rhs))))
+    object.__setattr__(self, "_key", (1 + m + n, (_TAG_ORDER[cls], a, b)))
+
+
+def _unary_keys(self):
+    arg = self.arg
+    m, a = arg._key
+    cls = self.__class__
+    object.__setattr__(self, "_hash", hash((cls, (arg,))))
+    object.__setattr__(self, "_key", (1 + m, (_TAG_ORDER[cls], a)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,12 +107,18 @@ class Letter(_Node):
     __slots__ = ("name",)
     name: str
 
+    def __post_init__(self):
+        name = self.name
+        object.__setattr__(self, "_hash", hash((Letter, (name,))))
+        object.__setattr__(self, "_key", (1, (_TAG_ORDER[Letter], name)))
+
 
 @dataclass(frozen=True, eq=False)
 class And(_Node):
     __slots__ = ("lhs", "rhs")
     lhs: Formula
     rhs: Formula
+    __post_init__ = _binary_keys
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,18 +126,21 @@ class Or(_Node):
     __slots__ = ("lhs", "rhs")
     lhs: Formula
     rhs: Formula
+    __post_init__ = _binary_keys
 
 
 @dataclass(frozen=True, eq=False)
 class Box(_Node):
     __slots__ = ("arg",)
     arg: Formula
+    __post_init__ = _unary_keys
 
 
 @dataclass(frozen=True, eq=False)
 class Dia(_Node):
     __slots__ = ("arg",)
     arg: Formula
+    __post_init__ = _unary_keys
 
 
 TOP = Top()
@@ -141,42 +168,18 @@ def formula_key(f: Formula):
 
     Used everywhere a deterministic formula ordering is needed.
     """
-    tag = _TAG_ORDER[type(f)]
-    if isinstance(f, Letter):
-        return (tag, f.name)
-    if isinstance(f, (And, Or)):
-        return (tag, formula_key(f.lhs), formula_key(f.rhs))
-    if isinstance(f, (Box, Dia)):
-        return (tag, formula_key(f.arg))
-    return (tag,)
+    return f._key[1]
 
 
-def _size_key(f: Formula, memo: dict) -> tuple[int, tuple]:
-    """`(size(f), formula_key(f))`, built from those of f's children and
-    kept in `memo` with theirs, so a sort over many formulas that share
-    subformulas computes each key once."""
-    found = memo.get(f)
-    if found is None:
-        tag = _TAG_ORDER[type(f)]
-        if isinstance(f, (And, Or)):
-            (m, a), (n, b) = _size_key(f.lhs, memo), _size_key(f.rhs, memo)
-            found = (1 + m + n, (tag, a, b))
-        elif isinstance(f, (Box, Dia)):
-            m, a = _size_key(f.arg, memo)
-            found = (1 + m, (tag, a))
-        else:
-            found = (1, formula_key(f))
-        memo[f] = found
-    return found
+def _size_key(f: Formula) -> tuple[int, tuple]:
+    """`(size(f), formula_key(f))`, kept on the formula since its
+    construction: the sort key of the cut and candidate pools."""
+    return f._key
 
 
 def size(f: Formula) -> int:
     """Node count of the syntax tree."""
-    if isinstance(f, (And, Or)):
-        return 1 + size(f.lhs) + size(f.rhs)
-    if isinstance(f, (Box, Dia)):
-        return 1 + size(f.arg)
-    return 1
+    return f._key[0]
 
 
 def connectives(f: Formula) -> int:

@@ -39,6 +39,7 @@ from .formulas import (
     Formula,
     Letter,
     Or,
+    _size_key,
     formula_key,
     is_modality_free,
     letters,
@@ -112,7 +113,7 @@ def candidate_pool(phi: Formula, psi: Formula, shared) -> tuple[Formula, ...]:
     for f in base:
         once.add(Box(f))
         once.add(Dia(f))
-    return tuple(sorted(once, key=lambda f: (size(f), formula_key(f))))
+    return tuple(sorted(once, key=_size_key))
 
 
 def enumerate_candidates(pool, max_atoms: int):

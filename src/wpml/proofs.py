@@ -40,23 +40,29 @@ the memo probes that make up most `prove` calls are int-keyed dict hits
 instead of hashing and comparing formula pairs.  The transitivity loop
 probes each leg's entry inline, by the rule of `_prove`'s prologue (a
 success at any depth, or a failure at that depth or deeper, decides the
-leg), and calls `_prove` only for the legs the memo leaves open.  The
-public `success` and `failed_at` are read-only views that decode those
-tables into `ConsequencePair` keys.  No table is shared between
-searches: an id means nothing outside the search that gave it.
+leg), and calls `_prove` only for the legs the memo leaves open.  Once a
+loop for a left id has walked the whole pool at depth d without finding
+a cut, the search keeps that id's live cuts, the pool cuts whose first
+leg succeeded: every other first leg failed at depth d or deeper, which
+decides it in any loop at depth d or less, so such loops walk the live
+cuts alone, in pool order (`ProofSearch._live_cuts`).  The public
+`success` and `failed_at` are read-only views that decode those tables
+into `ConsequencePair` keys.  No table is shared between searches: an id
+means nothing outside the search that gave it.
 tests/test_proofs.py checks the search against a literal copy of the
 formula-keyed one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Optional
 
-from .errors import ResourceBound, resolve_budget
+from .errors import InternalInconsistency, ResourceBound, SizeCap, resolve_budget
 from .formulas import (
     BOT,
     TOP,
@@ -70,6 +76,7 @@ from .formulas import (
     Or,
     Top,
     _size_key,
+    formula_key,
     letters,
     match_pair,
     subformulas,
@@ -222,7 +229,9 @@ def _rule_matches(rule: str, c: ConsequencePair, prems) -> Optional[str]:
         ):
             return None
         return "needs a |- b deriving <>a |- <>b"
-    return f"unknown rule {rule!r}"
+    # `check_proof` sends only the names in `_INFERENCE_RULES` here; any
+    # other name is a caller's bug, and falling through would mean "accepted"
+    raise InternalInconsistency(f"unknown inference rule {rule!r}")
 
 
 _INFERENCE_RULES = (
@@ -284,15 +293,10 @@ def cut_pool(
     `pool_cap` smallest formulas.  Both caps only bound the search, they
     never affect soundness.
     """
-    memo: dict = {}
-
-    def keys(f):
-        return _size_key(f, memo)
-
     base: set[Formula] = {TOP, BOT}
     base |= subformulas(goal.lhs) | subformulas(goal.rhs)
-    ground = sorted(base, key=keys)
-    ground_keys = [keys(f) for f in ground]
+    ground = sorted(base, key=_size_key)
+    ground_keys = [_size_key(f) for f in ground]
     for member in gamma:
         vs = sorted(letters(member))
         combos = sorted(
@@ -314,8 +318,8 @@ def cut_pool(
         # through dia T & box f |- dia(T & f) (the duality axiom at T)
         once.add(And(Dia(TOP), Box(f)))
         once.add(Dia(And(TOP, f)))
-    ranked = sorted(once, key=keys)[:pool_cap]
-    return tuple(sorted(ranked, key=lambda f: keys(f)[1]))
+    ranked = sorted(once, key=_size_key)[:pool_cap]
+    return tuple(sorted(ranked, key=formula_key))
 
 
 _NEVER = 10**9
@@ -421,6 +425,12 @@ class ProofSearch:
         self._ids = ids
         self._pool_ids = tuple(ids.setdefault(f, len(ids)) for f in self.pool)
         self._formulas: list[Formula] = list(ids)
+        # pool id -> its positions in the pool (a formula may occur twice)
+        self._pool_at: dict[int, list[int]] = {}
+        for at, cut in enumerate(self._pool_ids):
+            self._pool_at.setdefault(cut, []).append(at)
+        # left id -> its live cuts `(dmax, cuts, positions)`; see `_prove`
+        self._live: dict[int, tuple[int, list[int], list[int]]] = {}
         self._success: dict[int, Proof] = {}
         self._failed_at: dict[int, int] = {}
         self.success: Mapping[ConsequencePair, Proof] = _PairTable(
@@ -588,7 +598,9 @@ class ProofSearch:
             # each leg's memo probe is `_prove`'s own, inline: a success at
             # any depth, or a failure at depth d or deeper, needs no call
             success, failed_at, ll = self._success, self._failed_at, l << _SHIFT
-            for cut in self._pool_ids:
+            live = self._live.get(l)
+            full = live is None or live[0] < d
+            for cut in self._pool_ids if full else live[1]:
                 if cut == l or cut == r:
                     continue
                 a = success.get(ll | cut)
@@ -608,11 +620,46 @@ class ProofSearch:
                         continue
                 found = Proof("transitivity", pair, (a, b))
                 break
+            else:
+                if full:
+                    self._live[l] = self._live_cuts(l, d)
         if found is not None:
             self._success[key] = found
+            # l is never a cut of its own loop, and (l, l) may succeed
+            # while a loop for l walks its live cuts
+            live = self._live.get(l)
+            if live is not None and r != l and r in self._pool_at:
+                self._revive(live, r)
         else:
             self._failed_at[key] = depth
         return found
+
+    def _live_cuts(self, l: int, d: int) -> tuple[int, list[int], list[int]]:
+        """The live cuts of left id `l` after a full cut loop at depth `d`
+        that found no cut: the pool cuts other than `l` whose first leg
+        `(l, cut)` is a success, in pool order, with their positions.
+
+        Every other cut's first leg then failed at depth d or deeper (the
+        loop probed or proved it, and the loop's own pair is stored as
+        failed at d + 1 next).  Such a failure stays decided in any later
+        loop for `l` at depth d or less: calls nested in that loop are at
+        depth d or less, so `_prove`'s prologue refuses the leg.  So that
+        loop may walk the live cuts instead of the pool and visit the same
+        legs in the same order, as long as a first leg that succeeds later
+        (at a depth above its failure) is put back (`_revive`)."""
+        ll, success, pool = l << _SHIFT, self._success, self._pool_ids
+        at = [i for i, cut in enumerate(pool) if cut != l and ll | cut in success]
+        return d, [pool[i] for i in at], at
+
+    def _revive(self, live, cut: int) -> None:
+        """Put pool cut `cut`, whose first leg from `live`'s left id has
+        just succeeded, into the live cuts at each of its pool positions."""
+        _, cuts, positions = live
+        for at in self._pool_at[cut]:
+            i = bisect_left(positions, at)
+            if i == len(positions) or positions[i] != at:
+                positions.insert(i, at)
+                cuts.insert(i, cut)
 
 
 def order_cuts(goal: ConsequencePair, pool) -> tuple[Formula, ...]:
@@ -620,8 +667,15 @@ def order_cuts(goal: ConsequencePair, pool) -> tuple[Formula, ...]:
     to large), then the remaining pool formulas.  The pool order is the
     search order inside ProofSearch."""
     subs = subformulas(goal.lhs) | subformulas(goal.rhs)
-    memo: dict = {}
-    return tuple(sorted(pool, key=lambda f: (f not in subs, *_size_key(f, memo))))
+    return tuple(sorted(pool, key=lambda f: (f not in subs, _size_key(f))))
+
+
+# The greatest proof depth `derive_bounded` accepts.  The search recurses
+# once per depth level, and the walks over a proof (checking, comparing,
+# printing) recurse once or twice per level of its height, so at this
+# depth they stay well inside Python's default recursion limit, under a
+# test runner too, even on formulas nested `formulas.MAX_HEIGHT` deep.
+MAX_PROOF_DEPTH = 200
 
 
 def derive_bounded(
@@ -633,7 +687,10 @@ def derive_bounded(
 ) -> Optional[Proof]:
     """One-shot bounded search; returns a proof whose conclusion is the
     goal, or None when the bounded space is exhausted.  Raises
-    ResourceBound when the expansion budget is exceeded."""
+    ResourceBound when the expansion budget is exceeded, and SizeCap
+    for a depth above `MAX_PROOF_DEPTH`."""
+    if depth > MAX_PROOF_DEPTH:
+        raise SizeCap(f"proof depth {depth} exceeds the cap of {MAX_PROOF_DEPTH}")
     gamma = tuple(gamma)
     if pool is None:
         pool = cut_pool(goal, gamma)

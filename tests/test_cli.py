@@ -224,12 +224,21 @@ def test_numeric_option_below_its_least_value_is_a_usage_error(
         (["generate", "modal_lframe", "--size", "1"], 0),
         (["fuzz", "duality", "--count", "1"], 0),
         (["generate", "modal_lframe", "--size", "9"], 4),
+        # the greatest proof depth, and one past it
+        (["interpolate", "p & q", "r v s", "--proof-depth", "200"], 0),
+        (["interpolate", "p & q", "r v s", "--proof-depth", "201"], 4),
     ],
 )
 def test_numeric_option_at_its_least_value_or_past_a_cap(capsys, argv, code):
     got, _, err = run(argv, capsys)
     assert got == code
     assert "must be at least" not in err and "Traceback" not in err
+
+
+def test_proof_depth_past_its_cap_is_a_resource_exit(capsys):
+    code, out, err = run(["interpolate", "p & q", "r v s", "--proof-depth", "1000"], capsys)
+    assert (code, out) == (4, "")
+    assert err == "size cap: proof depth 1000 exceeds the cap of 200\n"
 
 
 @pytest.mark.parametrize("text", ["abc", "-5"])

@@ -15,6 +15,7 @@ from wpml.formulas import (
     BOT,
     TOP,
     And,
+    Bot,
     Box,
     ConsequencePair,
     Dia,
@@ -186,13 +187,44 @@ def test_formula_key_is_total_order(f, g):
 
 
 def test_size_key_memo_matches_size_and_formula_key():
-    """One memo shared by many formulas, as `cut_pool` shares it."""
     rng = random.Random(77)
-    memo = {}
     for _ in range(300):
         f = _random_formula(rng, rng.randint(0, 5))
-        assert _size_key(f, memo) == (size(f), formula_key(f))
-        assert _size_key(f, {}) == (size(f), formula_key(f))
+        assert _size_key(f) == (size(f), formula_key(f))
+
+
+_TAGS = {Top: 0, Bot: 1, Letter: 2, And: 3, Or: 4, Box: 5, Dia: 6}
+
+
+def literal_size_key(f):
+    """`(size, formula_key)` by recursion over the syntax tree, as both
+    were computed before formulas kept them."""
+    tag = _TAGS[type(f)]
+    if isinstance(f, Letter):
+        return 1, (tag, f.name)
+    if isinstance(f, (And, Or)):
+        (m, a), (n, b) = literal_size_key(f.lhs), literal_size_key(f.rhs)
+        return 1 + m + n, (tag, a, b)
+    if isinstance(f, (Box, Dia)):
+        m, a = literal_size_key(f.arg)
+        return 1 + m, (tag, a)
+    return 1, (tag,)
+
+
+@given(_formula_strategy, _formula_strategy)
+def test_size_key_kept_at_construction_matches_recursion(f, g):
+    """The key each formula keeps from its construction is the recursive
+    one, on copies and on substitution results too; the hash is still
+    that of (class, fields)."""
+    for h in (f, copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert _size_key(h) == literal_size_key(f)
+        assert (size(h), formula_key(h)) == literal_size_key(f)
+    for name in ("p", "zz_1"):
+        h = substitute(f, {name: g})
+        assert _size_key(h) == literal_size_key(h)
+        if not isinstance(h, (Top, Bot)):
+            fields = tuple(getattr(h, n) for n in h.__match_args__)
+            assert hash(h) == hash((type(h), fields))
 
 
 def test_letters_of_pair():

@@ -6,8 +6,14 @@ from itertools import combinations
 import pytest
 
 from wpml.correspondence import AXIOMS
-from wpml.entailment import gamma_pairs
-from wpml.errors import PreconditionViolated, ResourceBound, resolve_budget
+from wpml.entailment import decide_entailment, gamma_pairs
+from wpml.errors import (
+    InternalInconsistency,
+    PreconditionViolated,
+    ResourceBound,
+    SizeCap,
+    resolve_budget,
+)
 from wpml.formulas import (
     BOT,
     TOP,
@@ -19,18 +25,22 @@ from wpml.formulas import (
     Or,
     letters,
     match_pair,
+    parse_formula,
     parse_pair,
     substitute,
 )
 from wpml.generators import sample_modal_lattice, sample_modal_lframe
+from wpml.interpolation import InterpolationProblem, craig_interpolant
 from wpml.lattice import algebra_validates, validate_lattice
 from wpml.lframe import frame_validates
 from wpml.proofs import (
     _SHIFT,
+    MAX_PROOF_DEPTH,
     BadNode,
     Proof,
     ProofSearch,
     _axiom_matches,
+    _rule_matches,
     _screen_tables,
     _screening_algebras,
     check_proof,
@@ -91,6 +101,12 @@ class TestCheckProof:
         out = check_proof(outer)
         assert out is not None and out.path == (0,)
 
+    def test_unknown_inference_rule_is_an_internal_inconsistency(self):
+        """`check_proof` sends `_rule_matches` only inference rule names;
+        another name must not fall through to None, which means valid."""
+        with pytest.raises(InternalInconsistency, match="unknown inference rule 'cut'"):
+            _rule_matches("cut", parse_pair("p |- p"), [parse_pair("p |- p")] * 2)
+
 
 class TestDeriveBounded:
     def test_bottom_axiom(self):
@@ -133,6 +149,27 @@ class TestDeriveBounded:
         a = derive_bounded(AXIOMS["T"], goal, 6)
         b = derive_bounded(AXIOMS["T"], goal, 6)
         assert a == b
+
+    def test_depth_above_the_cap_is_a_size_cap(self):
+        goal = parse_pair("p & q |- r v s")
+        over = MAX_PROOF_DEPTH + 1
+        with pytest.raises(SizeCap, match=f"proof depth {over} exceeds the cap of 200"):
+            derive_bounded((), goal, over)
+        with pytest.raises(SizeCap):
+            decide_entailment((), goal, proof_depth=over)
+        with pytest.raises(SizeCap):
+            craig_interpolant(InterpolationProblem(goal.lhs, goal.rhs, proof_depth=over))
+
+    def test_search_at_the_cap_stays_inside_the_recursion_limit(self):
+        """At the greatest depth: a failing search that recurses to the
+        bottom, and a proof of height 100 over formulas nested 100 deep,
+        checked, measured, compared and printed."""
+        assert sys.getrecursionlimit() == 1000
+        assert derive_bounded((), parse_pair("p & q |- r v s"), MAX_PROOF_DEPTH) is None
+        goal = parse_pair("[]" * 99 + "(p & q) |- " + "[]" * 99 + "p")
+        proof = derive_bounded((), goal, MAX_PROOF_DEPTH)
+        assert proof.height() == 100 and check_proof(proof) is None
+        assert proof_from_json(proof_to_json(proof)) == proof
 
 
 class TestEmptyLogicBoxDiamond:
@@ -693,6 +730,24 @@ class LegRecordingSearch(ProofSearch):
         return super()._prove(l, r, depth)
 
 
+def assert_live_cuts_exact(search):
+    """Each left id's live cuts are the pool cuts other than itself whose
+    first leg is a success, at their pool positions; every other one
+    failed at the depth the list was made for, or deeper."""
+    pool = search._pool_ids
+    assert search._live
+    for left, (dmax, cuts, positions) in search._live.items():
+        assert positions == sorted(set(positions))
+        assert cuts == [pool[at] for at in positions]
+        for at, cut in enumerate(pool):
+            key = left << _SHIFT | cut
+            if at in positions:
+                assert cut != left and key in search._success
+            elif cut != left:
+                assert key not in search._success
+                assert search._failed_at.get(key, -1) >= dmax
+
+
 class TestIdKeyedSearch:
     """The search on per-search formula ids against the formula-keyed
     reference: same proofs, counters and memo tables (the golden sample
@@ -718,10 +773,12 @@ class TestIdKeyedSearch:
             assert fast.expansions == slow.expansions
         assert 0 < found < 60
         _assert_same_search(fast, slow)
+        assert_live_cuts_exact(fast)
         # a goal whose sides are not pool formulas
         goal = parse_pair("[](p & q) & s |- <>(p v s) v []r")
         assert fast.prove(goal, 4) == slow.prove(goal, 4)
         _assert_same_search(fast, slow)
+        assert_live_cuts_exact(fast)
 
     def test_duplicated_pool_formula(self):
         goal = parse_pair("[](p & q) & s |- []p v r")
@@ -731,6 +788,32 @@ class TestIdKeyedSearch:
         proof = fast.prove(goal, 6)
         assert proof is not None and proof == slow.prove(goal, 6)
         _assert_same_search(fast, slow)
+        assert_live_cuts_exact(fast)
+
+    def test_first_leg_revived_after_a_deeper_success(self):
+        """A first leg that failed at depth 1 when its left id's live cuts
+        were listed, and succeeds at depth 2 later, is put back at its pool
+        position, and the next loop at depth 1 reuses it, as the full
+        pool loop of the formula-keyed search does."""
+        p_and_q, q_and_p = parse_formula("p & q"), parse_formula("q & p")
+        pool = (*map(Letter, "pq"), q_and_p, Letter("r"), Letter("s"))
+        fast, slow = ProofSearch((), pool), FormulaKeyedSearch((), pool)
+        left, cut = fast._id(p_and_q), fast._id(q_and_p)
+        steps = [
+            (parse_formula("q & p v r"), 2, None),
+            (q_and_p, 2, "right-conjunction"),
+            (parse_formula("q & p v s"), 2, "transitivity"),
+        ]
+        live = []
+        for right, depth, rule in steps:
+            pair = ConsequencePair(p_and_q, right)
+            proof = fast.prove(pair, depth)
+            assert proof == slow.prove(pair, depth) and (proof and proof.rule) == rule
+            _assert_same_search(fast, slow)
+            assert_live_cuts_exact(fast)
+            live.append(cut in fast._live[left][1])
+        assert live == [False, True, True]
+        assert proof.premises[0].conclusion.rhs == q_and_p
 
     @pytest.mark.parametrize("budget", [0, 1, 7, 200])
     def test_same_resource_bound(self, budget):
