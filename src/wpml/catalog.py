@@ -1,9 +1,9 @@
 """Exhaustive catalogs of small structures, up to isomorphism.
 
 Enumeration convention: candidate orders are generated with ids in a
-linear extension (i below j implies i < j), so bot is always id 0 and
-top id n-1; isomorphic duplicates are removed by taking the minimum
-relabeling.
+linear extension (i below j implies i < j), with bot id 0 and top id n-1,
+so only the pairs between 1 and n-2 are free; isomorphic duplicates are
+removed by the least relabeling that fixes bot and top.
 
 Every catalog is computed once per size and cached.  The modal L-frames
 are the one catalog not held as objects: 21,627 `ModalLFrame`s at size 5
@@ -54,10 +54,14 @@ def _is_transitive(leq, n) -> bool:
 
 
 def _canonical(leq, n) -> tuple:
-    """The least row-major encoding of leq under a relabeling.  Relabeling
-    by p reads entry (i, j) at leq[p[i]][p[j]], and p runs over all
-    permutations, so no inverse is needed."""
-    return min(tuple(leq[a][b] for a in p for b in p) for p in permutations(range(n)))
+    """The least row-major encoding of leq under a relabeling p that fixes
+    bot 0 and top n-1, as every isomorphism of bounded orders does.  It
+    reads entry (i, j) at leq[p[i]][p[j]]; p runs over all of them, so no
+    inverse is needed."""
+    return min(
+        tuple(leq[a][b] for a in p for b in p)
+        for p in ((0, *q, n - 1) for q in permutations(range(1, n - 1)))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -67,20 +71,16 @@ def all_lattice_orders(n: int) -> tuple[tuple[tuple[bool, ...], ...], ...]:
         return ()
     if n == 1:
         return (((True,),),)
-    pairs = list(combinations(range(n), 2))
+    # bot 0 and top n-1 are forced, so only the inner pairs are free
+    pairs = list(combinations(range(1, n - 1), 2))
     seen = set()
     out = []
     for bits in range(1 << len(pairs)):
-        leq = [[i == j for j in range(n)] for i in range(n)]
+        leq = [[i == j or i == 0 or j == n - 1 for j in range(n)] for i in range(n)]
         for b, (i, j) in enumerate(pairs):
             if bits >> b & 1:
                 leq[i][j] = True
         if not _is_transitive(leq, n):
-            continue
-        # a lattice in a linear extension has bot 0 and top n-1
-        if not all(leq[0][x] for x in range(n)):
-            continue
-        if not all(leq[x][n - 1] for x in range(n)):
             continue
         try:
             _order_tables(leq)

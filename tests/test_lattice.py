@@ -1,9 +1,12 @@
 import hashlib
-from itertools import product
+import random
+from itertools import combinations, permutations, product
 
 import pytest
 
 from wpml.catalog import (
+    _canonical,
+    _is_transitive,
     all_distributive_lattices,
     all_lattice_orders,
     all_lattices,
@@ -22,6 +25,7 @@ from wpml.formulas import parse_pair
 from wpml.lattice import (
     FiniteModalLattice,
     LatticeMorphism,
+    _order_tables,
     _table_maps,
     algebra_validates,
     check_modal_identities,
@@ -226,15 +230,91 @@ class TestDistributive:
         assert is_distributive(b4)
 
     def test_catalog_counts(self):
-        assert [len(all_lattices(n)) for n in range(1, 7)] == [1, 1, 1, 2, 5, 15]
-        assert [len(all_distributive_lattices(n)) for n in range(1, 7)] == [
+        # OEIS A006966 and A006982
+        assert [len(all_lattices(n)) for n in range(1, 8)] == [1, 1, 1, 2, 5, 15, 53]
+        assert [len(all_distributive_lattices(n)) for n in range(1, 8)] == [
             1,
             1,
             1,
             2,
             3,
             5,
+            8,
         ]
+
+
+def _reference_canonical(leq, n):
+    # the least encoding over all n! relabelings
+    return min(tuple(leq[a][b] for a in p for b in p) for p in permutations(range(n)))
+
+
+def _reference_lattice_orders(n):
+    # the full walk over every upper-triangular relation, kept literally
+    if n <= 0:
+        return ()
+    if n == 1:
+        return (((True,),),)
+    pairs = list(combinations(range(n), 2))
+    seen = set()
+    out = []
+    for bits in range(1 << len(pairs)):
+        leq = [[i == j for j in range(n)] for i in range(n)]
+        for b, (i, j) in enumerate(pairs):
+            if bits >> b & 1:
+                leq[i][j] = True
+        if not _is_transitive(leq, n):
+            continue
+        if not all(leq[0][x] for x in range(n)):
+            continue
+        if not all(leq[x][n - 1] for x in range(n)):
+            continue
+        try:
+            _order_tables(leq)
+        except NotALattice:
+            continue
+        canon = _reference_canonical(leq, n)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        out.append(tuple(tuple(row) for row in leq))
+    return tuple(out)
+
+
+def _random_linear_extension(leq, n, rng):
+    # repeatedly take a random minimal element of what is left
+    left = set(range(n))
+    order = []
+    while left:
+        x = rng.choice(sorted(x for x in left if not any(leq[y][x] for y in left - {x})))
+        order.append(x)
+        left.remove(x)
+    return order
+
+
+class TestLatticeOrderCatalog:
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_literal_full_walk(self, n):
+        assert all_lattice_orders(n) == _reference_lattice_orders(n)
+
+    def test_canonical_is_invariant_under_bounded_relabelings(self):
+        rng = random.Random(0)
+        moved = 0
+        for n in range(2, 7):
+            orders = all_lattice_orders(n)
+            for leq in orders:
+                want = _canonical(leq, n)
+                for _ in range(8):
+                    p = _random_linear_extension(leq, n, rng)
+                    assert p[0] == 0 and p[-1] == n - 1
+                    relabeled = [[leq[a][b] for b in p] for a in p]
+                    assert all(
+                        i <= j for i in range(n) for j in range(n) if relabeled[i][j]
+                    )
+                    moved += relabeled != [list(row) for row in leq]
+                    assert _canonical(relabeled, n) == want
+            # one value per class: 15 distinct values at n = 6
+            assert len({_canonical(leq, n) for leq in orders}) == len(orders)
+        assert moved
 
 
 class TestModalCatalog:
@@ -277,6 +357,7 @@ class TestModalCatalog:
             4: "84081f82e020b340563fa5990b7088dd9a2b9db17ae933167ef446e5b8b736fd",
             5: "2f1bc9025ce4dd51ddc922dbca1eac1b27c37d676219f32b3248c1feb8db13ab",
             6: "0d2e7af12d5c8440c35551ec31728986015f5ae933f107bfafef7e2a93ff7d10",
+            7: "8840f538ef0fc7beeecc4ea881015a6f1b3d5249bec7bebc06ef89975473fb98",
         }
         modal = {
             1: "a2cb5029566e2f5f88a63369de48a1652a77994407ea5d993f389db3ec2f7bd7",
