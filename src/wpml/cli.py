@@ -17,6 +17,7 @@ import json
 import random
 import sys
 import time
+from typing import Optional
 
 from . import __version__
 from .correspondence import AXIOMS, correspondence_check
@@ -74,6 +75,24 @@ def _read_json(path: str) -> dict:
         raise SystemExit(EXIT_PARSE)
 
 
+def _load(path: str, expect: Optional[str] = None):
+    """The (kind, artifact) of the JSON file at `path`.  A malformed
+    payload, or a kind other than `expect`, is exit 3 and an invalid
+    artifact exit 1, each with its line on stderr."""
+    obj = _read_json(path)
+    try:
+        kind, _ = unwrap(obj)
+        if expect not in (None, kind):
+            raise PayloadError(f"expected a {expect}, found {kind!r}")
+        return load_artifact(obj)
+    except PayloadError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+    except WpmlError as exc:
+        print(f"invalid: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_FAIL)
+
+
 def _emit(obj: dict, out_path) -> None:
     text = dumps(obj)
     if out_path:
@@ -88,29 +107,13 @@ def _emit(obj: dict, out_path) -> None:
 
 
 def cmd_validate(args) -> int:
-    obj = _read_json(args.path)
-    try:
-        kind, _ = load_artifact(obj)
-    except PayloadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except WpmlError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    kind, _ = _load(args.path)
     print(f"valid {kind}")
     return EXIT_PASS
 
 
 def cmd_dualize(args) -> int:
-    obj = _read_json(args.path)
-    try:
-        kind, artifact = load_artifact(obj)
-    except PayloadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except WpmlError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    kind, artifact = _load(args.path)
     direction = args.direction
     if direction == "auto":
         direction = (
@@ -164,20 +167,8 @@ def cmd_dualize(args) -> int:
 
 def cmd_amalgamate(args) -> int:
     from .amalgam import check_supamal_claim, superamalgamate
-    from .serialize import vformation_from_json
 
-    obj = _read_json(args.vformation)
-    try:
-        kind, payload = unwrap(obj)
-        if kind != "vformation":
-            raise PayloadError(f"expected a vformation, found {kind!r}")
-        v = vformation_from_json(payload)
-    except PayloadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except WpmlError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    _, v = _load(args.vformation, "vformation")
     res = superamalgamate(v)
     claim_problems = check_supamal_claim(res.pb)
     report = {
@@ -199,26 +190,14 @@ def cmd_amalgamate(args) -> int:
 
 
 def cmd_correspond(args) -> int:
-    obj = _read_json(args.frame)
-    try:
-        kind, artifact = load_artifact(obj)
-    except PayloadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except WpmlError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    _, artifact = _load(args.frame)
     if not isinstance(artifact, ModalLFrame):
         print("error: correspond needs a modal_lframe", file=sys.stderr)
         return EXIT_PARSE
     if args.axiom not in AXIOMS:
         print(f"error: unknown axiom {args.axiom!r}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        rep = correspondence_check(artifact, args.axiom)
-    except ResourceBound as exc:
-        print(f"resource bound: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    rep = correspondence_check(artifact, args.axiom)
     report = {
         "axiom": rep.axiom,
         "condition": rep.condition,
@@ -252,25 +231,21 @@ def cmd_interpolate(args) -> int:
     if unknown:
         print(f"error: unknown axiom {unknown[0]!r}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        if args.distributive:
-            if tags:
-                print("error: --distributive takes no axioms", file=sys.stderr)
-                return EXIT_PARSE
-            res = distributive_fragment_interpolant(phi, psi)
-        else:
-            prob = InterpolationProblem(
-                phi,
-                psi,
-                tags,
-                proof_depth=args.proof_depth,
-                cand_size=args.cand_depth,
-                model_size=args.model_size,
-            )
-            res = craig_interpolant(prob)
-    except ResourceBound as exc:
-        print(f"resource bound: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    if args.distributive:
+        if tags:
+            print("error: --distributive takes no axioms", file=sys.stderr)
+            return EXIT_PARSE
+        res = distributive_fragment_interpolant(phi, psi)
+    else:
+        prob = InterpolationProblem(
+            phi,
+            psi,
+            tags,
+            proof_depth=args.proof_depth,
+            cand_size=args.cand_depth,
+            model_size=args.model_size,
+        )
+        res = craig_interpolant(prob)
     report: dict = {"verdict": res.verdict, "phi": pretty(phi), "psi": pretty(psi)}
     if res.verdict == "interpolant":
         report["interpolant"] = pretty(res.interpolant)

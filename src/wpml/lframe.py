@@ -20,9 +20,11 @@ bounded-L checks only forth and back on each cached map.
 all filter-valued valuations (see `vectors`): on an L-frame of at most
 16 filters, with the pair-code tables of its filter lattice
 (`LFrame.filter_codes`) and the modal L-frame's box and diamond as
-translate tables (`ModalLFrame.unary_tables`); on a larger one, with
-`ValueVectors` over the same filter tables.  The pointwise `satisfies`
-and the recursive `truth_set` are the reference oracles for both paths.
+translate tables (`ModalLFrame.unary_tables`); on a larger one, by
+`_filter_vector` over the frame's filter meet and join tables, with the
+same box and diamond tables up to 256 filters and tuples past that.  The
+pointwise `satisfies` and the recursive `truth_set` are the reference
+oracles for both paths.
 `entailment` searches the catalog with the same kernel, many relations
 of one L-frame per vector, and takes the valuation of the first
 refuting relation from `frame_validates`, which is still the one
@@ -41,7 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress, count
+from itertools import chain, compress, count, repeat
+from operator import getitem
 from typing import Iterator, Optional
 
 from .errors import (
@@ -55,6 +58,8 @@ from .errors import (
     resolve_budget,
 )
 from .formulas import (
+    BOT,
+    TOP,
     And,
     Bot,
     Box,
@@ -73,7 +78,7 @@ from .lattice import (
     _order_tables,
     _table_maps,
 )
-from .vectors import ScreenTables, ValueVectors, _seeded
+from .vectors import ScreenTables, _seeded
 
 FrameFilter = int  # bitmask over frame points
 FrameValuation = dict[str, int]  # letter -> FrameFilter
@@ -226,8 +231,8 @@ class ModalLFrame:
 
     @cached_property
     def unary_tables(self) -> tuple[bytes, bytes]:
-        """`filter_modalities` as `bytes.translate` tables over the
-        positions of the base frame's `filter_codes`."""
+        """`filter_modalities` as `bytes.translate` tables over filter
+        positions; they serve frames of up to 256 filters."""
         box, dia = self.filter_modalities
         pad = bytes(256 - len(box))
         return bytes(box) + pad, bytes(dia) + pad
@@ -721,32 +726,31 @@ def truth_set(frame: ModalLFrame, val: FrameValuation, f: Formula) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-class _FilterVectors(ValueVectors):
-    """The filter algebra of a modal L-frame of more than 16 filters for
-    the value-vector kernel: element i is the filter with the i-th
-    smallest bitmask.  The tables are the frame's cached ones, read on
-    first use."""
-
-    def __init__(self, frame: ModalLFrame):
-        self.frame = frame
-        self.n = len(frame.base.filter_masks)
-        self.top, self.bot = self.n - 1, 0
-
-    @property
-    def meet(self):
-        return self.frame.base.filter_meet_table
-
-    @property
-    def join(self):
-        return self.frame.base.filter_join_table
-
-    @property
-    def box(self):
-        return self.frame.filter_modalities[0]
-
-    @property
-    def diamond(self):
-        return self.frame.filter_modalities[1]
+def _filter_vector(frame: ModalLFrame, memo: dict, f: Formula, pack) -> bytes | tuple:
+    """Value vector of f over the filters of `frame`, built from its
+    children's and memoized: entry i is the position in `filter_masks` of
+    f's value under the i-th valuation, packed as `bytes` when there are
+    at most 256 filters (`pack is bytes`) and as a tuple past that."""
+    v = memo.get(f)
+    if v is not None:
+        return v
+    if isinstance(f, (And, Or)):
+        base = frame.base
+        rows = base.filter_meet_table if isinstance(f, And) else base.filter_join_table
+        left = _filter_vector(frame, memo, f.lhs, pack)
+        right = _filter_vector(frame, memo, f.rhs, pack)
+        v = pack(map(getitem, map(rows.__getitem__, left), right))
+    elif isinstance(f, (Box, Dia)):
+        arg = _filter_vector(frame, memo, f.arg, pack)
+        dia = isinstance(f, Dia)
+        if pack is bytes:
+            v = arg.translate(frame.unary_tables[dia])
+        else:
+            v = tuple(map(frame.filter_modalities[dia].__getitem__, arg))
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    memo[f] = v
+    return v
 
 
 def frame_validates(
@@ -759,8 +763,8 @@ def frame_validates(
 
     Each side is evaluated once, as a vector over all valuations, instead
     of one `truth_set` per valuation: on the base frame's `filter_codes`
-    with the frame's `unary_tables` (see `vectors`), or with
-    `ValueVectors` on a frame of more than 16 filters."""
+    with the frame's `unary_tables` (see `vectors`), or by
+    `_filter_vector` on a frame of more than 16 filters."""
     budget = resolve_budget(budget)
     ls = sorted(letters_of(pair))
     fs = filters(frame.base)
@@ -777,10 +781,13 @@ def frame_validates(
         if i < 0:
             return None
     else:
-        vectors = _FilterVectors(frame)
-        memo = vectors.seed(ls)
-        left = vectors.vector(memo, pair.lhs)
-        right = vectors.vector(memo, pair.rhs)
+        pack = bytes if k <= 256 else tuple
+        memo = {TOP: pack((k - 1,)) * needed, BOT: pack((0,)) * needed}
+        for j, name in enumerate(ls):
+            block = chain.from_iterable(repeat(d, k ** (last - j)) for d in range(k))
+            memo[Letter(name)] = pack(block) * k**j
+        left = _filter_vector(frame, memo, pair.lhs, pack)
+        right = _filter_vector(frame, memo, pair.rhs, pack)
         outside = [~m for m in fs]
         escapes = map(
             int.__and__, map(fs.__getitem__, left), map(outside.__getitem__, right)

@@ -45,10 +45,9 @@ loop for a left id has walked the whole pool at depth d without finding
 a cut, the search keeps that id's live cuts, the pool cuts whose first
 leg succeeded: every other first leg failed at depth d or deeper, which
 decides it in any loop at depth d or less, so such loops walk the live
-cuts alone, in pool order (`ProofSearch._live_cuts`).  The public
-`success` and `failed_at` are read-only views that decode those tables
-into `ConsequencePair` keys.  No table is shared between searches: an id
-means nothing outside the search that gave it.
+cuts alone, in pool order (`ProofSearch._live_cuts`).  No table is
+shared between searches: an id means nothing outside the search that
+gave it.
 tests/test_proofs.py checks the search against a literal copy of the
 formula-keyed one.
 """
@@ -56,7 +55,6 @@ formula-keyed one.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -367,32 +365,6 @@ _SHIFT = 32
 _LOW = (1 << _SHIFT) - 1
 
 
-class _PairTable(Mapping):
-    """Read-only view of an id-keyed memo table as a mapping keyed by
-    `ConsequencePair`, decoded through the search's formula table."""
-
-    def __init__(
-        self, table: dict[int, object], ids: dict[Formula, int], formulas: list[Formula]
-    ):
-        # the search's own tables, not the search: no reference cycle, so a
-        # finished search is freed at once
-        self._table, self._ids, self._formulas = table, ids, formulas
-
-    def __len__(self):
-        return len(self._table)
-
-    def __iter__(self):
-        formulas = self._formulas
-        for key in self._table:
-            yield ConsequencePair(formulas[key >> _SHIFT], formulas[key & _LOW])
-
-    def __getitem__(self, pair):
-        l, r = self._ids.get(pair.lhs), self._ids.get(pair.rhs)
-        if l is None or r is None:
-            raise KeyError(pair)
-        return self._table[l << _SHIFT | r]
-
-
 class ProofSearch:
     """Backward search context with memoization that persists across
     goals sharing the same axiom set and cut pool.  Deterministic: rules
@@ -404,9 +376,9 @@ class ProofSearch:
     the children of a subgoal when the subgoal is expanded.  The memo
     tables are keyed by the ids of a pair's two sides, so a memo probe is
     an int-keyed dict hit; a `ConsequencePair` is built only when a
-    subgoal is expanded.  `success` (pair -> proof) and `failed_at`
-    (pair -> largest depth that failed) are read-only views that decode
-    those tables.
+    subgoal is expanded.  They are `success` (key -> proof) and
+    `failed_at` (key -> largest depth that failed), where the key of the
+    pair of ids (l, r) is `l << 32 | r`.
 
     `expansions`, `screen_calls` (pairs checked against the screen set),
     `screen_rejects` (pairs a screen refuted) and `vector_entries`
@@ -431,14 +403,8 @@ class ProofSearch:
             self._pool_at.setdefault(cut, []).append(at)
         # left id -> its live cuts `(dmax, cuts, positions)`; see `_prove`
         self._live: dict[int, tuple[int, list[int], list[int]]] = {}
-        self._success: dict[int, Proof] = {}
-        self._failed_at: dict[int, int] = {}
-        self.success: Mapping[ConsequencePair, Proof] = _PairTable(
-            self._success, ids, self._formulas
-        )
-        self.failed_at: Mapping[ConsequencePair, int] = _PairTable(
-            self._failed_at, ids, self._formulas
-        )
+        self.success: dict[int, Proof] = {}
+        self.failed_at: dict[int, int] = {}
         # letter bitmask of each formula id the screen has met, one bit per
         # letter in the order the search met them
         self._masks: dict[int, int] = {}
@@ -555,23 +521,23 @@ class ProofSearch:
 
     def _prove(self, l: int, r: int, depth: int) -> Optional[Proof]:
         key = l << _SHIFT | r
-        found = self._success.get(key)
+        found = self.success.get(key)
         if found is not None:
             return found
-        if depth <= 0 or self._failed_at.get(key, -1) >= depth:
+        if depth <= 0 or self.failed_at.get(key, -1) >= depth:
             return None
         self.expansions += 1
         if self.expansions > self.budget:
             raise ResourceBound(self.expansions, self.budget)
         if self._screened_out(key):
-            self._failed_at[key] = _NEVER
+            self.failed_at[key] = _NEVER
             return None
         lhs, rhs = self._formulas[l], self._formulas[r]
         pair = ConsequencePair(lhs, rhs)
         found = self._leaf(pair)
         if found is None and depth < 2:
             # no room for premises: only leaves fit
-            self._failed_at[key] = depth
+            self.failed_at[key] = depth
             return None
         prove, fid, d = self._prove, self._id, depth - 1
         if found is None and isinstance(rhs, And):
@@ -597,7 +563,7 @@ class ProofSearch:
         if found is None:
             # each leg's memo probe is `_prove`'s own, inline: a success at
             # any depth, or a failure at depth d or deeper, needs no call
-            success, failed_at, ll = self._success, self._failed_at, l << _SHIFT
+            success, failed_at, ll = self.success, self.failed_at, l << _SHIFT
             live = self._live.get(l)
             full = live is None or live[0] < d
             for cut in self._pool_ids if full else live[1]:
@@ -624,14 +590,14 @@ class ProofSearch:
                 if full:
                     self._live[l] = self._live_cuts(l, d)
         if found is not None:
-            self._success[key] = found
+            self.success[key] = found
             # l is never a cut of its own loop, and (l, l) may succeed
             # while a loop for l walks its live cuts
             live = self._live.get(l)
             if live is not None and r != l and r in self._pool_at:
                 self._revive(live, r)
         else:
-            self._failed_at[key] = depth
+            self.failed_at[key] = depth
         return found
 
     def _live_cuts(self, l: int, d: int) -> tuple[int, list[int], list[int]]:
@@ -647,7 +613,7 @@ class ProofSearch:
         loop may walk the live cuts instead of the pool and visit the same
         legs in the same order, as long as a first leg that succeeds later
         (at a depth above its failure) is put back (`_revive`)."""
-        ll, success, pool = l << _SHIFT, self._success, self._pool_ids
+        ll, success, pool = l << _SHIFT, self.success, self._pool_ids
         at = [i for i, cut in enumerate(pool) if cut != l and ll | cut in success]
         return d, [pool[i] for i in at], at
 

@@ -1,14 +1,8 @@
-"""Formulas evaluated as value vectors over finite algebras.
+"""Formulas evaluated as packed value vectors over finite algebras.
 
 A value vector holds a formula's value under every valuation of a sorted
 letter tuple, in `product(range(n), repeat=k)` order (the last letter
 varies fastest).  Each vector is built once from its children's vectors.
-
-`ValueVectors` evaluates over one algebra: its entries are element
-indices, so a vector is `bytes` when the algebra has at most 256
-elements and a tuple of ints otherwise; conjunction and disjunction are
-lookups in the meet and join tables, box and diamond in unary tables.
-`lframe.frame_validates` uses it only on frames of more than 16 filters.
 
 `ScreenTables` packs a whole screening set of small lattices so that a
 formula is evaluated on all of them at once: its packed vector is one
@@ -19,27 +13,16 @@ diamond and the order test are each one `bytes.translate`.  A pair code
 must fit in a byte, so the set is one table only if each algebra has at
 most 16 elements and the sum of n**2 over the set is at most 256; every
 screening set that `proofs` builds is well inside that (at most 202).
-`PackedScreen` holds one search's budget and memo over those tables.
-The interpolant search screens its candidates' obligations with
-`refutes`.  The proof search asks it once per letter tuple for the
-`stretch` every pair over those letters is screened on, keeps each
-formula's two pair-code halves there as big integers, and screens a
-subgoal by one addition and one translate of their sum; only a pair
-that the stretch does not refute, when the budget cut or a plain lattice
-stops the literal loop before the last screen, goes to `refutes`.
+`PackedScreen` holds one search's budget and memo over those tables and
+decides, with `refutes`, what the literal loop over the algebras
+decides; `stretch` serves the proof search (see `proofs`).
 `lframe.frame_validates` runs the same kernel on one table: the filter
-lattice of an L-frame of at most 16 filters, with the box and diamond
-tables of the modal L-frame it searches.
+lattice of an L-frame of at most 16 filters.
 
 Box and diamond come from a modal provider: an object with
 `unary_tables` and `offsets`, a big integer added to a vector before
 each modal translate.  A screening set and a modal L-frame add no
-offset.  `entailment` batches M relations of one L-frame: the letters'
-vectors repeat M times, meet and join are the L-frame's, and the
-offsets add j * f to relation j's stretch, so that one translate
-through the M concatenated tables of f entries takes each stretch
-through its own relation's box or diamond.  M * f is at most 256, so
-no sum carries into the next byte.
+offset; `entailment` batches relations of one L-frame through offsets.
 
 The scalar evaluators (`lattice.evaluate`, `lattice.algebra_validates`,
 `lframe.truth_set`) stay the reference oracles.
@@ -48,77 +31,11 @@ The scalar evaluators (`lattice.evaluate`, `lattice.algebra_validates`,
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property
-from itertools import accumulate, chain, repeat
-from operator import getitem
+from itertools import accumulate
 from typing import Optional
 
 from .errors import PreconditionViolated, ResourceBound
 from .formulas import BOT, TOP, And, Box, Dia, Formula, Letter, Or, is_modality_free
-
-
-class ValueVectors:
-    """Value-vector evaluation over one finite algebra.
-
-    Subclasses supply `n`, `top`, `bot` and the tables `meet`, `join`
-    (rows of element indices), `box` and `diamond` (element indices; None
-    on a plain lattice).  A table is read only when a formula first needs
-    it, so a subclass may compute its tables lazily."""
-
-    n: int
-    top: int
-    bot: int
-
-    @cached_property
-    def _pack(self):
-        return bytes if self.n <= 256 else tuple
-
-    @cached_property
-    def _unary(self):
-        """(box, diamond) as `bytes.translate` tables or tuples; None on a
-        plain lattice."""
-        if self.box is None:
-            return None
-        if self.n <= 256:
-            pad = bytes(256 - self.n)
-            return bytes(self.box) + pad, bytes(self.diamond) + pad
-        return tuple(self.box), tuple(self.diamond)
-
-    def seed(self, ls: tuple[str, ...]) -> dict[Formula, bytes | tuple]:
-        """A fresh memo holding the vectors of the letters and constants."""
-        n, k, pack = self.n, len(ls), self._pack
-        size = n**k
-        memo = {TOP: pack((self.top,)) * size, BOT: pack((self.bot,)) * size}
-        for j, name in enumerate(ls):
-            stride = n ** (k - 1 - j)
-            block = pack(chain.from_iterable(repeat(d, stride) for d in range(n)))
-            memo[Letter(name)] = block * n**j
-        return memo
-
-    def vector(self, memo: dict, f: Formula) -> bytes | tuple:
-        """Value vector of f, built from its children's and memoized."""
-        v = memo.get(f)
-        if v is not None:
-            return v
-        if isinstance(f, (And, Or)):
-            rows = self.meet if isinstance(f, And) else self.join
-            left = self.vector(memo, f.lhs)
-            right = self.vector(memo, f.rhs)
-            v = self._pack(map(getitem, map(rows.__getitem__, left), right))
-        elif isinstance(f, (Box, Dia)):
-            unary = self._unary
-            if unary is None:
-                raise PreconditionViolated("modal formula on a plain lattice")
-            table = unary[isinstance(f, Dia)]
-            arg = self.vector(memo, f.arg)
-            if self._pack is bytes:
-                v = arg.translate(table)
-            else:
-                v = tuple(map(table.__getitem__, arg))
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        memo[f] = v
-        return v
 
 
 class ScreenTables:

@@ -284,6 +284,20 @@ WELL_FORMED = {
 }
 
 
+def test_correspond_past_the_budget_is_a_resource_exit(tmp_path, monkeypatch, capsys):
+    # two filters and one letter: 2 valuations against a budget of 1
+    path = write(tmp_path, "frame.json", wrap("modal_lframe", CHAIN2_FRAME))
+    monkeypatch.setenv("WPML_BUDGET", "1")
+    code, out, err = run(["correspond", "--frame", path, "--axiom", "T"], capsys)
+    assert (code, out) == (4, "") and err.startswith("resource bound:")
+
+
+def test_distributive_interpolant_past_the_budget_is_a_resource_exit(capsys):
+    phi = "a & b & c & d & e"
+    code, out, err = run(["interpolate", phi, phi, "--distributive"], capsys)
+    assert (code, out) == (4, "") and err.startswith("resource bound:")
+
+
 @pytest.mark.parametrize("kind", sorted(WELL_FORMED))
 def test_well_formed_payload_validates(tmp_path, capsys, kind):
     path = write(tmp_path, "good.json", wrap(kind, WELL_FORMED[kind]))

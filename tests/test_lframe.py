@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import product, repeat
 
 import pytest
 
@@ -26,6 +26,7 @@ from wpml.lattice import check_modal_identities, validate_lattice
 from wpml.lframe import (
     FrameMorphism,
     FrameViolation,
+    LFrame,
     ModalLFrame,
     MorphismViolation,
     _l_maps,
@@ -614,6 +615,36 @@ class TestVectorFrameValidates:
                     refuted += 1
         assert 0 < refuted < 2 * len(pairs)
         assert (base.filter_codes is None) == (n > 16)
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_both_sides_of_the_byte_switch(self, n):
+        # 256 filters take bytes and the translate tables, 257 tuples; the
+        # chain is trusted, and no pair has a join, whose filter table
+        # would be slow to build at this size.  Box and diamond differ only
+        # under the last relation, the one with two successors per point.
+        meet = tuple(tuple(map(min, repeat(x), range(n))) for x in range(n))
+        base = LFrame(tuple(map(str, range(n))), meet, n - 1)
+        texts = (
+            "[]p |- p",
+            "<>p |- p",
+            "p |- []<>p",
+            "<>p & []T |- <>[]p",
+            "[][]p |- <>F",
+        )
+        pairs = [parse_pair(s) for s in texts]
+        identity = [(x, x) for x in range(n)]
+        step = [(x, min(x + 1, n - 1)) for x in range(n)]
+        refuted = 0
+        for rel in (identity, step, identity + step):
+            x = validate_modal_lframe(base, rel)
+            assert isinstance(x, ModalLFrame)
+            for pair in pairs:
+                got = frame_validates(x, pair)
+                assert got == reference_frame_validates(x, pair), (n, str(pair))
+                refuted += got is not None
+            assert ("unary_tables" in vars(x)) == (n <= 256)
+        assert 0 < refuted < 3 * len(pairs)
+        assert base.filter_codes is None and "filter_join_table" not in vars(base)
 
     @pytest.mark.parametrize("n", [16, 17])
     def test_resource_bound_before_any_table(self, n):
