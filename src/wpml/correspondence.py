@@ -2,10 +2,10 @@
 bidirectional correspondence checks, and closure of pullbacks under each
 condition.  Four conditions are universal Horn, "for all x, and all y with
 x R y when a term names y, A <= B" over the terms {x}, R[x], {y}, R[y]:
-their `INCLUSIONS` rows are read by one least-witness evaluator here and
-by the sampler's closure in `generators`.  Directedness (for all, exists)
-and the existential `SPACE_CONDITIONS` of tight frames are not Horn, so
-they stay written out."""
+their `INCLUSIONS` rows are read by one least-witness evaluator and one
+space-condition kernel here, and by the sampler's closure in
+`generators`.  Directedness (for all, exists) is not Horn, so it and the
+`.2` space condition stay written out."""
 
 from __future__ import annotations
 
@@ -96,6 +96,50 @@ def _inclusion_witness(row: tuple[int, int], x: ModalLFrame):
     return None
 
 
+def _space_gaps(axiom: str, row: tuple[int, int], x: ModalLFrame):
+    """The existential space conditions that a tight frame meeting the
+    Horn `row` must also exhibit (with the convexity of successor sets,
+    in the frame-side proofs): wherever the row's quantifier prefix
+    holds, each point c of A has a point of B below it (`-lower`) and
+    one above it (`-upper`).  Failures are witnessed as in
+    `_inclusion_witness`, with c added when A is a successor set."""
+    sub, sup = row
+    down, up, succ = x.base.down_masks, x.base.up_masks, x.succ
+    over_y = (sub | sup) & _Y
+    out = []
+    for a, b in x.pairs if over_y else [(a, a) for a in range(x.n)]:
+        terms = (1 << a, succ[a], 1 << b, succ[b])
+        for c in range(x.n):
+            if terms[sub] >> c & 1:
+                w = (a, b, c) if sub & _R else (a, b) if over_y else (a,)
+                for side, near in (("lower", down), ("upper", up)):
+                    if not terms[sup] & near[c]:
+                        out.append((f"{axiom}-{side}", w))
+    return out
+
+
+def _dot2_space(x: ModalLFrame):
+    """The space condition of `.2`, which is not Horn: for x R y and
+    x R c, some point of R[c] lies above some point of R[y]."""
+    up, succ = x.base.up_masks, x.succ
+    out = []
+    for a, b in x.pairs:
+        for c in range(x.n):
+            if succ[a] >> c & 1 and not any(
+                up[u] & succ[c] for u in range(x.n) if succ[b] >> u & 1
+            ):
+                out.append((".2-directed", (a, b, c)))
+    return out
+
+
+SPACE_CONDITIONS = {
+    tag: partial(_space_gaps, tag, INCLUSIONS[CONDITION_OF_AXIOM[tag]])
+    for tag in AXIOM_TAGS
+    if CONDITION_OF_AXIOM[tag] in INCLUSIONS
+}
+SPACE_CONDITIONS[".2"] = _dot2_space
+
+
 def _directedness(x: ModalLFrame):
     succ = x.succ
     for a, sa in enumerate(succ):
@@ -132,81 +176,6 @@ def frame_satisfies(x: ModalLFrame, cond: FrameCondition | str):
     return witness is None, witness
 
 
-# Existential conditions that tight frames satisfying the axioms must
-# additionally exhibit (used with the convexity of successor sets in the
-# frame-side proofs).
-
-def _t_space(x: ModalLFrame):
-    down, up = x.base.down_masks, x.base.up_masks
-    out = []
-    for a, sa in enumerate(x.succ):
-        if not sa & down[a]:
-            out.append(("T-lower", (a,)))
-        if not sa & up[a]:
-            out.append(("T-upper", (a,)))
-    return out
-
-
-def _4_space(x: ModalLFrame):
-    down, up, succ = x.base.down_masks, x.base.up_masks, x.succ
-    out = []
-    for a, b in x.pairs:
-        for c in range(x.n):
-            if not succ[b] >> c & 1:
-                continue
-            if not succ[a] & down[c]:
-                out.append(("4-lower", (a, b, c)))
-            if not succ[a] & up[c]:
-                out.append(("4-upper", (a, b, c)))
-    return out
-
-
-def _b_space(x: ModalLFrame):
-    down, up, succ = x.base.down_masks, x.base.up_masks, x.succ
-    out = []
-    for a, b in x.pairs:
-        if not succ[b] & up[a]:
-            out.append(("B-upper", (a, b)))
-        if not succ[b] & down[a]:
-            out.append(("B-lower", (a, b)))
-    return out
-
-
-def _5_space(x: ModalLFrame):
-    down, up, succ = x.base.down_masks, x.base.up_masks, x.succ
-    out = []
-    for a, b in x.pairs:
-        for c in range(x.n):
-            if not succ[a] >> c & 1:
-                continue
-            if not succ[b] & up[c]:
-                out.append(("5-upper", (a, c, b)))
-            if not succ[b] & down[c]:
-                out.append(("5-lower", (a, b, c)))
-    return out
-
-
-def _dot2_space(x: ModalLFrame):
-    up, succ = x.base.up_masks, x.succ
-    out = []
-    for a, b in x.pairs:
-        for c in range(x.n):
-            if succ[a] >> c & 1 and not any(
-                up[u] & succ[c] for u in range(x.n) if succ[b] >> u & 1
-            ):
-                out.append((".2-directed", (a, b, c)))
-    return out
-
-
-SPACE_CONDITIONS = {
-    "T": _t_space,
-    "4": _4_space,
-    "B": _b_space,
-    "5": _5_space,
-    ".2": _dot2_space,
-}
-
-
 @dataclass(frozen=True)
 class CorrespondenceReport:
     axiom: str
@@ -222,6 +191,27 @@ class CorrespondenceReport:
     @property
     def all_pairs_valid(self) -> bool:
         return all(ok for _, ok in self.pair_results)
+
+    def problems(self) -> list[dict]:
+        """What contradicts the correspondence theorem, as failure
+        records: an unsound report; on a tight frame, a condition that
+        disagrees with the pairs' validity, or that holds while a space
+        condition fails.  Empty when the report passes."""
+        out = []
+        if not self.sound:
+            out.append({"reason": "soundness"})
+        if self.tight and self.condition_holds != self.all_pairs_valid:
+            out.append(
+                {
+                    "reason": "tight equivalence",
+                    "condition": self.condition_holds,
+                    "pairs": self.all_pairs_valid,
+                }
+            )
+        if self.tight and self.condition_holds and self.space_condition_failures:
+            detail = [list(map(str, t)) for t in self.space_condition_failures]
+            out.append({"reason": "space conditions", "detail": detail})
+        return out
 
 
 def correspondence_check(

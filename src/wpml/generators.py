@@ -260,6 +260,22 @@ def _frame_with_filter_cap(
     return None
 
 
+def _pick_legs(rng: random.Random, draw) -> Optional[list]:
+    """Two legs, each a random member of the first nonempty list among up
+    to 12 calls of `draw()` (None counts as empty), picked with `rng`;
+    None as soon as a leg gets none, before the next leg draws."""
+    legs = []
+    for _ in range(2):
+        for _ in range(12):
+            cands = draw()
+            if cands:
+                legs.append(cands[rng.randrange(len(cands))])
+                break
+        else:
+            return None
+    return legs
+
+
 def sample_vformation(
     rng: random.Random, max_l: int = 5, condition: Optional[str] = None
 ) -> VFormation:
@@ -278,48 +294,32 @@ def sample_vformation(
             continue
         k = fil_f(xk)
         if rng.random() < 0.7:
-            legs = []
-            for _ in range(2):
-                leg = None
-                for _ in range(12):
-                    xi = _frame_with_filter_cap(rng, 4, max_l, condition)
-                    if xi is None:
-                        continue
-                    surjs = list(
+
+            def surjections():
+                xi = _frame_with_filter_cap(rng, 4, max_l, condition)
+                if xi is not None:
+                    return list(
                         enumerate_frame_morphisms(
                             xi, xk, "bounded-L", surjective_only=True
                         )
                     )
-                    if surjs:
-                        leg = surjs[rng.randrange(len(surjs))]
-                        break
-                if leg is None:
-                    break
-                legs.append(leg)
-            if len(legs) != 2:
+
+            legs = _pick_legs(rng, surjections)
+            if legs is None:
                 continue
             h1 = dual_of_frame_morphism(legs[0])
             h2 = dual_of_frame_morphism(legs[1])
             v = VFormation(h1.dom, h1.cod, h2.cod, h1, h2)
         else:
-            hs = []
-            for _ in range(2):
-                h = None
-                for _ in range(12):
-                    xi = _frame_with_filter_cap(rng, 4, max_l, condition)
-                    if xi is None:
-                        continue
-                    li = fil_f(xi)
-                    embeddings = [
-                        e for e in enumerate_homs(k, li, modal=True) if e.is_injective()
-                    ]
-                    if embeddings:
-                        h = embeddings[rng.randrange(len(embeddings))]
-                        break
-                if h is None:
-                    break
-                hs.append(h)
-            if len(hs) != 2:
+
+            def embeddings():
+                xi = _frame_with_filter_cap(rng, 4, max_l, condition)
+                if xi is not None:
+                    homs = enumerate_homs(k, fil_f(xi), modal=True)
+                    return [e for e in homs if e.is_injective()]
+
+            hs = _pick_legs(rng, embeddings)
+            if hs is None:
                 continue
             v = VFormation(k, hs[0].cod, hs[1].cod, hs[0], hs[1])
         validate_vformation(v)
@@ -338,22 +338,16 @@ def sample_inclusion_span(rng: random.Random):
         nk = rng.randint(1, 4)
         ks = all_lattices(nk)
         k = ks[rng.randrange(len(ks))]
-        ls = []
-        for _ in range(2):
-            chosen = None
-            for _ in range(12):
-                nl = rng.randint(nk, 6)
-                cands = all_lattices(nl)
-                lat = cands[rng.randrange(len(cands))]
-                embs = [e for e in enumerate_homs(k, lat) if e.is_injective()]
-                if embs:
-                    chosen = _relabel_prefix(k, lat, embs[rng.randrange(len(embs))])
-                    break
-            if chosen is None:
-                break
-            ls.append(chosen)
-        if len(ls) == 2:
-            return k, ls[0], ls[1]
+
+        def embeddings():
+            cands = all_lattices(rng.randint(nk, 6))
+            lat = cands[rng.randrange(len(cands))]
+            return [(lat, e) for e in enumerate_homs(k, lat) if e.is_injective()]
+
+        legs = _pick_legs(rng, embeddings)
+        if legs is not None:
+            l1, l2 = (_relabel_prefix(k, lat, e) for lat, e in legs)
+            return k, l1, l2
     raise SizeCap("could not sample an inclusion span")
 
 

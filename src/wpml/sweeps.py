@@ -1,10 +1,13 @@
 """Seeded theorem sweeps: the engine behind `wpml fuzz` and the
-acceptance suite.  Every sweep returns a JSON-ready report that is a
-pure function of (seed, count), so reruns are byte-identical."""
+acceptance suite.  Each sweep is a sampler and a per-instance check run
+by one skeleton, `_sweep`, which owns the rng, the failure records and
+the report.  Every report is JSON-ready and a pure function of (seed,
+count), so reruns are byte-identical."""
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from .amalgam import check_supamal_claim, jonsson_filters, superamalgamate
 from .correspondence import (
@@ -32,84 +35,101 @@ def _histogram(values) -> dict:
     return dict(sorted(out.items()))
 
 
+def _guarded(check, *args, **tags) -> list[dict]:
+    """`check(*args)`'s failure records, or, when it raises, one record
+    of the exception tagged with `tags`: a sweep must report, not crash."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        return [{**tags, "reason": repr(exc)}]
+
+
+def _sweep(target: str, seed: int, count: int, sample, check, **extra) -> dict:
+    """The report on `count` instances drawn by `sample(rng)`.
+    `check(instance, sizes)` appends the instance's sizes to `sizes` and
+    returns its failure records; each is tagged with the instance and
+    filed under the report key its "into" entry names ("failures" when
+    it has none).  An instance passes when it files no record.  `extra`
+    adds report keys; a callable one is read after the last instance."""
+    rng = random.Random(seed)
+    filed = {"failures": [], **extra}
+    sizes = []
+    passes = 0
+    for i in range(count):
+        try:
+            instance = sample(rng)
+        except SizeCap as exc:
+            found = [{"reason": f"sampler: {exc}"}]
+        else:
+            found = _guarded(check, instance, sizes)
+        passes += not found
+        for record in found:
+            into = filed[record.pop("into", "failures")]
+            into.append({"instance": i, **record})
+    return {
+        "target": target,
+        "seed": seed,
+        "count": count,
+        "passes": passes,
+        "ok": passes == count,
+        **{key: v() if callable(v) else v for key, v in filed.items()},
+        "size_histogram": _histogram(sizes),
+    }
+
+
 def duality_sweep(seed: int, count: int) -> dict:
     """Round-trip isomorphism on seeded filter algebras of random frames
     of at most 5 points; also re-checks the modal identities and
     tightness of the dual."""
-    rng = random.Random(seed)
-    failures = []
-    sizes = []
-    for i in range(count):
-        a = sample_modal_lattice(rng, rng.randint(1, 5))
+
+    def check(a, sizes):
         sizes.append(a.n)
-        try:
-            if check_modal_identities(a):
-                failures.append({"instance": i, "reason": "identities"})
-                continue
-            round_trip_iso(a)
-            if not is_tight(fil_l(a).frame):
-                failures.append({"instance": i, "reason": "dual not tight"})
-        except Exception as exc:  # a sweep must report, not crash
-            failures.append({"instance": i, "reason": repr(exc)})
-    return {
-        "target": "duality",
-        "seed": seed,
-        "count": count,
-        "passes": count - len(failures),
-        "ok": not failures,
-        "failures": failures,
-        "size_histogram": _histogram(sizes),
-    }
+        if check_modal_identities(a):
+            return [{"reason": "identities"}]
+        round_trip_iso(a)
+        return [] if is_tight(fil_l(a).frame) else [{"reason": "dual not tight"}]
+
+    sample = lambda rng: sample_modal_lattice(rng, rng.randint(1, 5))
+    return _sweep("duality", seed, count, sample, check)
 
 
 def superamalgamation_sweep(seed: int, count: int) -> dict:
     """Seeded V-formations through the dual pullback construction; checks
     the full report and the separation-claim assertions.
     Construction failures and claim failures are reported separately."""
-    rng = random.Random(seed)
-    failures = []
-    claim_failures = []
-    sizes = []
-    witness_total = 0
-    for i in range(count):
-        try:
-            v = sample_vformation(rng)
-        except SizeCap as exc:
-            failures.append({"instance": i, "reason": f"sampler: {exc}"})
-            continue
+    witnesses = []
+
+    def check(v, sizes):
         sizes.append((v.k.n, v.l1.n, v.l2.n))
-        try:
-            res = superamalgamate(v)
-        except Exception as exc:
-            failures.append({"instance": i, "reason": repr(exc)})
-            continue
-        if res.report.verdict != "pass":
-            failures.append(
+        res = superamalgamate(v)
+        rep = res.report
+        if rep.verdict != "pass":
+            return [
                 {
-                    "instance": i,
                     "reason": "report failed",
-                    "commutes": res.report.commutes,
-                    "p1_injective": res.report.p1_injective,
-                    "p2_injective": res.report.p2_injective,
-                    "missing": [list(t) for t in res.report.missing],
+                    "commutes": rep.commutes,
+                    "p1_injective": rep.p1_injective,
+                    "p2_injective": rep.p2_injective,
+                    "missing": [list(t) for t in rep.missing],
                 }
-            )
-            continue
-        witness_total += len(res.report.witnesses)
+            ]
+        witnesses.append(len(rep.witnesses))
         problems = check_supamal_claim(res.pb)
-        if problems:
-            claim_failures.append({"instance": i, "reason": problems})
-    return {
-        "target": "superamalgamation",
-        "seed": seed,
-        "count": count,
-        "passes": count - len(failures) - len(claim_failures),
-        "failures": failures,
-        "claim_failures": claim_failures,
-        "ok": not failures and not claim_failures,
-        "witness_pairs_checked": witness_total,
-        "size_histogram": _histogram(sizes),
-    }
+        return [{"into": "claim_failures", "reason": problems}] if problems else []
+
+    return _sweep(
+        "superamalgamation",
+        seed,
+        count,
+        sample_vformation,
+        check,
+        claim_failures=[],
+        witness_pairs_checked=lambda: sum(witnesses),
+    )
+
+
+def _axiom_problems(frame, tag: str) -> list[dict]:
+    return [{"axiom": tag, **p} for p in correspondence_check(frame, tag).problems()]
 
 
 def correspondence_sweep(seed: int, count: int) -> dict:
@@ -117,143 +137,64 @@ def correspondence_sweep(seed: int, count: int) -> dict:
     most 4 points): the frame condition
     must hold exactly when every axiom pair is frame-valid; on all frames
     the condition must imply validity."""
-    rng = random.Random(seed)
-    failures = []
-    sizes = []
-    for i in range(count):
-        a = sample_modal_lattice(rng, rng.randint(1, 4))
-        try:
-            space = fil_l(a)
-        except Exception as exc:  # a sweep must report, not crash
-            failures.append({"instance": i, "reason": repr(exc)})
-            continue
-        sizes.append(space.frame.n)
-        for tag in AXIOM_TAGS:
-            try:
-                rep = correspondence_check(space.frame, tag)
-            except Exception as exc:
-                failures.append({"instance": i, "axiom": tag, "reason": repr(exc)})
-                continue
-            if not rep.sound:
-                failures.append({"instance": i, "axiom": tag, "reason": "soundness"})
-            if rep.tight and rep.condition_holds != rep.all_pairs_valid:
-                failures.append(
-                    {
-                        "instance": i,
-                        "axiom": tag,
-                        "reason": "tight equivalence",
-                        "condition": rep.condition_holds,
-                        "pairs": rep.all_pairs_valid,
-                    }
-                )
-            if rep.tight and rep.condition_holds and rep.space_condition_failures:
-                failures.append(
-                    {
-                        "instance": i,
-                        "axiom": tag,
-                        "reason": "space conditions",
-                        "detail": [list(map(str, t)) for t in rep.space_condition_failures],
-                    }
-                )
-    return {
-        "target": "correspondence",
-        "seed": seed,
-        "count": count,
-        "passes": count - len({f["instance"] for f in failures}),
-        "ok": not failures,
-        "failures": failures,
-        "size_histogram": _histogram(sizes),
-    }
 
+    def check(a, sizes):
+        frame = fil_l(a).frame
+        sizes.append(frame.n)
+        return [
+            p
+            for tag in AXIOM_TAGS
+            for p in _guarded(_axiom_problems, frame, tag, axiom=tag)
+        ]
 
-def _closure_instance(i: int, v, condition: str, sizes: list) -> list[dict]:
-    """The failures of one closure instance; records its sizes once both
-    dual legs satisfy the condition."""
-    space_k = fil_l(v.k)
-    f1 = dual_of_hom(v.h1, dom_space=space_k)
-    f2 = dual_of_hom(v.h2, dom_space=space_k)
-    failures = []
-    for name, leg in (("f1", f1), ("f2", f2)):
-        holds, w = frame_satisfies(leg.dom, condition)
-        if not holds:
-            failures.append(
-                {"instance": i, "reason": f"{name} dual leg fails", "witness": list(w)}
-            )
-    if failures:
-        return failures
-    sizes.append((f1.dom.n, f2.dom.n, f1.cod.n))
-    holds, w = pullback_preserves(condition, f1, f2)
-    if not holds:
-        failures.append(
-            {"instance": i, "reason": "pullback fails condition", "witness": list(w)}
-        )
-    return failures
+    sample = lambda rng: sample_modal_lattice(rng, rng.randint(1, 4))
+    return _sweep("correspondence", seed, count, sample, check)
 
 
 def closure_sweep(condition: str, seed: int, count: int) -> dict:
     """Pullbacks of condition-satisfying co-V-formations (duals of
     condition-axiom-validating spans) must satisfy the condition."""
-    rng = random.Random(seed)
-    failures = []
-    sizes = []
-    for i in range(count):
-        try:
-            v = sample_vformation(rng, condition=condition)
-        except SizeCap as exc:
-            failures.append({"instance": i, "reason": f"sampler: {exc}"})
-            continue
-        try:
-            failures.extend(_closure_instance(i, v, condition, sizes))
-        except Exception as exc:  # a sweep must report, not crash
-            failures.append({"instance": i, "reason": repr(exc)})
-    return {
-        "target": "closure",
-        "condition": condition,
-        "seed": seed,
-        "count": count,
-        "passes": count - len(failures),
-        "ok": not failures,
-        "failures": failures,
-        "size_histogram": _histogram(sizes),
-    }
+
+    def check(v, sizes):
+        space_k = fil_l(v.k)
+        f1 = dual_of_hom(v.h1, dom_space=space_k)
+        f2 = dual_of_hom(v.h2, dom_space=space_k)
+        failures = []
+        for name, leg in (("f1", f1), ("f2", f2)):
+            holds, w = frame_satisfies(leg.dom, condition)
+            if not holds:
+                reason = f"{name} dual leg fails"
+                failures.append({"reason": reason, "witness": list(w)})
+        if failures:
+            return failures
+        sizes.append((f1.dom.n, f2.dom.n, f1.cod.n))
+        holds, w = pullback_preserves(condition, f1, f2)
+        if holds:
+            return []
+        return [{"reason": "pullback fails condition", "witness": list(w)}]
+
+    sample = partial(sample_vformation, condition=condition)
+    return _sweep("closure", seed, count, sample, check, condition=condition)
 
 
 def jonsson_sweep(seed: int, count: int) -> dict:
     """Glued-filter lattice versus pullback point poset: the bijection
     must reverse the order on every seeded non-modal inclusion span."""
-    rng = random.Random(seed)
-    failures = []
-    sizes = []
-    for i in range(count):
-        try:
-            k, l1, l2 = sample_inclusion_span(rng)
-        except SizeCap as exc:
-            failures.append({"instance": i, "reason": f"sampler: {exc}"})
-            continue
-        sizes.append((k.n, l1.n, l2.n))
-        try:
-            cmp = jonsson_filters(k, l1, l2)
-        except Exception as exc:  # a sweep must report, not crash
-            failures.append({"instance": i, "reason": repr(exc)})
-            continue
-        if not cmp.anti_isomorphism:
-            failures.append(
-                {
-                    "instance": i,
-                    "reason": "not an order anti-isomorphism",
-                    "filters": len(cmp.glued_filters),
-                    "pb_points": len(cmp.pb_points),
-                }
-            )
-    return {
-        "target": "jonsson",
-        "seed": seed,
-        "count": count,
-        "passes": count - len(failures),
-        "ok": not failures,
-        "failures": failures,
-        "size_histogram": _histogram(sizes),
-    }
+
+    def check(span, sizes):
+        sizes.append(tuple(lat.n for lat in span))
+        cmp = jonsson_filters(*span)
+        if cmp.anti_isomorphism:
+            return []
+        return [
+            {
+                "reason": "not an order anti-isomorphism",
+                "filters": len(cmp.glued_filters),
+                "pb_points": len(cmp.pb_points),
+            }
+        ]
+
+    return _sweep("jonsson", seed, count, sample_inclusion_span, check)
 
 
 FUZZ_TARGETS = {

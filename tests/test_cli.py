@@ -10,9 +10,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wpml.cli import main
-from wpml.correspondence import AXIOM_TAGS
-from wpml.serialize import dumps, wrap
+from wpml.cli import build_parser, main
+from wpml.correspondence import AXIOM_TAGS, SPACE_CONDITIONS
+from wpml.duality import fil_l
+from wpml.lattice import validate_lattice, with_identity_modalities
+from wpml.serialize import dumps, frame_to_json, wrap
+from wpml.sweeps import FUZZ_TARGETS
+
+from conftest import chain_leq
 
 
 def run(args, capsys):
@@ -190,6 +195,25 @@ class TestGenerateAndRoundTrips:
     def test_fuzz_count_zero_usage_error(self, capsys):
         code, _, err = run(["fuzz", "duality", "--count", "0"], capsys)
         assert code == 2 and "count" in err
+
+    def test_fuzz_choices_are_the_sweep_targets(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command")
+        target = next(a for a in commands.choices["fuzz"]._actions if a.dest == "target")
+        assert target.choices == sorted(FUZZ_TARGETS)
+
+    def test_correspond_fails_on_a_space_condition(self, tmp_path, monkeypatch, capsys):
+        # a tight reflexive frame: the dual of a chain with identity modalities
+        x = fil_l(with_identity_modalities(validate_lattice(chain_leq(3), 0, 2))).frame
+        frame = write(tmp_path, "tight.json", wrap("modal_lframe", frame_to_json(x)))
+        code, out, _ = run(["correspond", "--frame", frame, "--axiom", "T"], capsys)
+        assert code == 0
+        assert json.loads(out)["payload"]["tight"] is True
+        monkeypatch.setitem(SPACE_CONDITIONS, "T", lambda x: [("T-lower", (0,))])
+        code, out, _ = run(["correspond", "--frame", frame, "--axiom", "T"], capsys)
+        payload = json.loads(out)["payload"]
+        assert (code, payload["condition_holds"], payload["sound"]) == (1, True, True)
+        assert payload["space_condition_failures"] == [["T-lower", [0]]]
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from wpml.correspondence import (
     AXIOMS,
     CONDITION_OF_AXIOM,
     CONDITIONS,
+    SPACE_CONDITIONS,
     correspondence_check,
     frame_satisfies,
     pullback_preserves,
@@ -120,6 +121,100 @@ class TestCorrespondenceCheck:
             assert frame_validates(space.frame, parse_pair("<>[]p |- []<>p")) is None
             found += 1
         assert found > 10
+
+
+# The four Horn space conditions as they were written out by hand, kept as
+# the literal reference for the kernel that reads them from the rows.
+
+def _t_space(x):
+    down, up = x.base.down_masks, x.base.up_masks
+    out = []
+    for a, sa in enumerate(x.succ):
+        if not sa & down[a]:
+            out.append(("T-lower", (a,)))
+        if not sa & up[a]:
+            out.append(("T-upper", (a,)))
+    return out
+
+
+def _4_space(x):
+    down, up, succ = x.base.down_masks, x.base.up_masks, x.succ
+    out = []
+    for a, b in x.pairs:
+        for c in range(x.n):
+            if not succ[b] >> c & 1:
+                continue
+            if not succ[a] & down[c]:
+                out.append(("4-lower", (a, b, c)))
+            if not succ[a] & up[c]:
+                out.append(("4-upper", (a, b, c)))
+    return out
+
+
+def _b_space(x):
+    down, up, succ = x.base.down_masks, x.base.up_masks, x.succ
+    out = []
+    for a, b in x.pairs:
+        if not succ[b] & up[a]:
+            out.append(("B-upper", (a, b)))
+        if not succ[b] & down[a]:
+            out.append(("B-lower", (a, b)))
+    return out
+
+
+def _5_space(x):
+    down, up, succ = x.base.down_masks, x.base.up_masks, x.succ
+    out = []
+    for a, b in x.pairs:
+        for c in range(x.n):
+            if not succ[a] >> c & 1:
+                continue
+            if not succ[b] & up[c]:
+                out.append(("5-upper", (a, c, b)))
+            if not succ[b] & down[c]:
+                out.append(("5-lower", (a, b, c)))
+    return out
+
+
+REFERENCE_SPACE = {"T": _t_space, "4": _4_space, "B": _b_space, "5": _5_space}
+
+
+def _in_kernel_order(tag, failures):
+    """A reference list in the kernel's order: per witness, lower before
+    upper, and the 5-upper witness (x, c, y) written as (x, y, c)."""
+    out = []
+    for name, w in failures:
+        if name == "5-upper":
+            w = (w[0], w[2], w[1])
+        out.append((w, name != f"{tag}-lower", name))
+    return [(name, w) for w, _, name in sorted(out)]
+
+
+class TestSpaceConditions:
+    def test_kernel_matches_the_written_out_conditions(self):
+        # every modal L-frame of at most 4 points, tight or not
+        failing = dict.fromkeys(REFERENCE_SPACE, 0)
+        for n in range(1, 5):
+            for x in all_modal_lframes(n):
+                for tag, reference in REFERENCE_SPACE.items():
+                    got = SPACE_CONDITIONS[tag](x)
+                    assert got == _in_kernel_order(tag, reference(x)), (tag, x.succ)
+                    failing[tag] += bool(got)
+        assert all(failing.values()), failing
+
+    def test_tight_frames_meeting_a_condition_meet_its_space_condition(self):
+        # the theorem, exhaustively on the tight frames of at most 4 points
+        tight = cases = 0
+        for n in range(1, 5):
+            for x in all_modal_lframes(n):
+                if not is_tight(x):
+                    continue
+                tight += 1
+                for tag in AXIOM_TAGS:
+                    if frame_satisfies(x, CONDITION_OF_AXIOM[tag])[0]:
+                        cases += 1
+                        assert SPACE_CONDITIONS[tag](x) == [], (tag, x.succ)
+        assert (tight, cases) == (299, 534)
 
 
 class TestPullbackPreserves:

@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 from wpml import sweeps
-from wpml.errors import InternalInconsistency, PreconditionViolated
+from wpml.errors import InternalInconsistency, PreconditionViolated, SizeCap
 from wpml.serialize import dumps, wrap
 
 
@@ -58,6 +58,55 @@ def test_raising_instance_is_reported(monkeypatch, run, patched, at_call, failur
     ]
     # the other instances are unchanged, so only that instance is named
     assert len({f["instance"] for f in rep["failures"]}) == 1
+
+
+@pytest.mark.parametrize(
+    "run,sampler",
+    [
+        (lambda: sweeps.duality_sweep(3, 4), "sample_modal_lattice"),
+        (lambda: sweeps.correspondence_sweep(3, 4), "sample_modal_lattice"),
+        (lambda: sweeps.superamalgamation_sweep(3, 4), "sample_vformation"),
+        (lambda: sweeps.closure_sweep("symmetry", 3, 4), "sample_vformation"),
+        (lambda: sweeps.jonsson_sweep(3, 4), "sample_inclusion_span"),
+    ],
+    ids=["duality", "correspondence", "superamalgamation", "closure", "jonsson"],
+)
+def test_sampler_size_cap_is_reported(monkeypatch, run, sampler):
+    original = getattr(sweeps, sampler)
+    calls = [0]
+
+    def capped(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == 2:
+            raise SizeCap("forced")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, sampler, capped)
+    rep = run()
+    assert (rep["ok"], rep["passes"]) == (False, 3)
+    assert rep["failures"] == [{"instance": 1, "reason": "sampler: forced"}]
+
+
+def test_passes_count_instances_not_failure_records(monkeypatch):
+    # both dual legs fail on every instance: two records, one failed instance
+    monkeypatch.setattr(sweeps, "frame_satisfies", lambda frame, cond: (False, (0,)))
+    rep = sweeps.closure_sweep("reflexivity", 3, 4)
+    assert (rep["ok"], rep["passes"], len(rep["failures"])) == (False, 0, 8)
+    assert [f["reason"] for f in rep["failures"][:2]] == [
+        "f1 dual leg fails",
+        "f2 dual leg fails",
+    ]
+
+
+def test_claim_failure_is_filed_apart(monkeypatch):
+    clean = sweeps.superamalgamation_sweep(3, 4)
+    monkeypatch.setattr(sweeps, "check_supamal_claim", lambda pb: ["forced"])
+    rep = sweeps.superamalgamation_sweep(3, 4)
+    assert (rep["ok"], rep["passes"], rep["failures"]) == (False, 0, [])
+    assert rep["claim_failures"] == [
+        {"instance": i, "reason": ["forced"]} for i in range(4)
+    ]
+    assert rep["witness_pairs_checked"] == clean["witness_pairs_checked"] > 0
 
 
 # sha256 of the key-sorted reports as first recorded; a refactor of the
