@@ -16,20 +16,21 @@ the L-frame's f filters as local filter ids, f bytes each.  No
 
 A goal over k letters is evaluated on up to M = min(256 // f,
 budget // f**k) relations of one L-frame at once, in catalog order: the
-L-frame's `filter_codes` evaluate one packed vector of M stretches of
-f**k positions, relation j's stretch first shifted by j * f at each
-modal step so that one translate through the batch's concatenated box
-or diamond tables serves all M relations (see `vectors`).  The first
-escape position names the first refuting relation; its countervaluation
-is then taken from `frame_validates` on that relation's `ModalLFrame`,
-so the result is the one a frame-by-frame search returns.
+pair-code tables of its filter lattice (`_KeptRelations.codes`, see
+`vectors`) evaluate one packed vector of M stretches of f**k positions,
+relation j's stretch first shifted by j * f at each modal step so that
+one translate through the batch's concatenated box or diamond tables
+serves all M relations.  The first escape position names the first
+refuting relation; its countervaluation is then taken from
+`frame_validates` on that relation's `ModalLFrame`, so the result is the
+one a frame-by-frame search returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple, Optional
+from functools import cached_property, lru_cache
+from typing import Optional
 
 from .catalog import all_modal_lframes
 from .correspondence import (
@@ -43,7 +44,7 @@ from .errors import InternalInconsistency, ResourceBound, resolve_budget
 from .formulas import ConsequencePair, letters
 from .lframe import FrameValuation, LFrame, ModalLFrame, frame_validates
 from .proofs import Proof, derive_bounded
-from .vectors import _seeded
+from .vectors import ScreenTables, _seeded
 
 DEFAULT_PROOF_DEPTH = 6
 DEFAULT_MODEL_SIZE = 4
@@ -91,6 +92,11 @@ class _KeptRelations:
     box: bytes
     diamond: bytes
 
+    @cached_property
+    def codes(self) -> ScreenTables:
+        """The pair-code tables of the filter lattice (see `vectors`)."""
+        return ScreenTables((self.base.filter_lattice,))
+
 
 @lru_cache(maxsize=None)
 def _kept_relations(n: int, conds: tuple[str, ...]) -> tuple[_KeptRelations, ...]:
@@ -113,16 +119,6 @@ def _kept_relations(n: int, conds: tuple[str, ...]) -> tuple[_KeptRelations, ...
     )
 
 
-class _Batch(NamedTuple):
-    """Relations of one L-frame as a modal provider of
-    `ScreenTables.vector`: their box and diamond tables concatenated,
-    relation j's at j * f, and the big integer adding j * f to each
-    position of relation j's stretch."""
-
-    unary_tables: tuple[bytes, bytes]
-    offsets: int
-
-
 def _first_refuting(
     kept: _KeptRelations, goal: ConsequencePair, ls: list[str], budget: int
 ) -> Optional[tuple[int, int]]:
@@ -135,9 +131,7 @@ def _first_refuting(
     size = f ** len(ls)
     if size > budget:
         raise ResourceBound(size, budget)
-    codes = kept.base.filter_codes
-    if codes is None:
-        raise InternalInconsistency("catalog L-frame of more than 16 filters")
+    codes = kept.codes
     seeds = codes.seeds(len(ls), 1)
 
     def shape(width: int) -> tuple[list[bytes], int]:
@@ -151,16 +145,13 @@ def _first_refuting(
         stop = min(start + width, count)
         vectors, offsets = full if stop - start == width else shape(stop - start)
         pad = bytes(256 - (stop - start) * f)
-        batch = _Batch(
-            (
-                kept.box[start * f:stop * f] + pad,
-                kept.diamond[start * f:stop * f] + pad,
-            ),
-            offsets,
+        unary = (
+            kept.box[start * f:stop * f] + pad,
+            kept.diamond[start * f:stop * f] + pad,
         )
         memo = _seeded(vectors, ls)
-        left = codes.vector(memo, goal.lhs, batch)
-        right = codes.vector(memo, goal.rhs, batch)
+        left = codes.vector(memo, goal.lhs, unary, offsets)
+        right = codes.vector(memo, goal.rhs, unary, offsets)
         pos = codes.escape(left, right)
         if pos >= 0:
             return divmod(start * size + pos, size)

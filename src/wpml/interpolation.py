@@ -6,12 +6,12 @@ Candidates are joins of meets over a pool of shared-letter subformulas
 increasing total pool-atom count; the returned interpolant is the least
 candidate in that canonical order for which both derivations are found.
 
-Before any proof search, a candidate is dropped when a lattice of the
-proof search's screening set (`proofs._screening_algebras`) refutes one
-of its obligations.  Both obligations are evaluated on the whole set at
+Before any proof search, a candidate is dropped when a modal lattice of
+the proof search's screening set (`proofs._screening_algebras`) refutes
+one of its obligations.  Both obligations are evaluated on the whole set at
 once by a packed screen (`vectors.PackedScreen`, one per call), with the
-decision and the exceptions of the literal loop over the algebras, left
-obligation first at each, and with no skip by letter count.
+decision and the ResourceBound of the literal loop over the algebras,
+left obligation first at each, and with no skip by letter count.
 """
 
 from __future__ import annotations

@@ -9,26 +9,21 @@ the least filter is {1}.
 An L-frame lists its filters, which are its principal up-sets, once
 (`LFrame.filter_masks`) and builds the meet and join tables and the
 filter lattice over them on first use (`LFrame.filter_lattice`, which
-`fil_f_lattice`, `fil_f` and `filter_codes` share); a modal L-frame adds
-the box and diamond of every filter (`ModalLFrame.filter_modalities`).
+`fil_f_lattice` and `fil_f` share); a modal L-frame adds the box and
+diamond of every filter (`ModalLFrame.filter_modalities`).
 These caches live on the frame objects, so they go when the frame goes.
 The L-morphism maps between two base L-frames depend on no relation, so
 `enumerate_frame_morphisms` keeps them per (domain base, codomain base,
 surjective_only) in `_l_maps`, an LRU cache of 1,024 pairs; kind
 bounded-L checks only forth and back on each cached map.
-`frame_validates` evaluates each side of a pair once, as a vector over
-all filter-valued valuations (see `vectors`): on an L-frame of at most
-16 filters, with the pair-code tables of its filter lattice
-(`LFrame.filter_codes`) and the modal L-frame's box and diamond as
-translate tables (`ModalLFrame.unary_tables`); on a larger one, by
-`_filter_vector` over the frame's filter meet and join tables, with the
-same box and diamond tables up to 256 filters and tuples past that.  The
-pointwise `satisfies` and the recursive `truth_set` are the reference
-oracles for both paths.
-`entailment` searches the catalog with the same kernel, many relations
-of one L-frame per vector, and takes the valuation of the first
-refuting relation from `frame_validates`, which is still the one
-per-frame search.
+`frame_validates` evaluates each side of a pair once, by
+`_filter_vector`, as a vector over all filter-valued valuations, through
+the frame's filter meet and join tables and box and diamond tables:
+`bytes` and translate tables up to 256 filters, tuples past that.  The
+pointwise `satisfies` and the recursive `truth_set` are its reference
+oracles.  `entailment` batches many relations of one L-frame per packed
+vector (see `vectors`) and takes the valuation of the first refuting
+relation from `frame_validates`, the one per-frame search.
 
 Each modal-L-frame condition is written once, as a kernel on one pair of
 points: `_order_gap` for (i)/(ii), `_meet_gap` for (iv) and `_meet_reach`
@@ -78,7 +73,6 @@ from .lattice import (
     _order_tables,
     _table_maps,
 )
-from .vectors import ScreenTables, _seeded
 
 FrameFilter = int  # bitmask over frame points
 FrameValuation = dict[str, int]  # letter -> FrameFilter
@@ -158,14 +152,6 @@ class LFrame:
             join=self.filter_join_table,
         )
 
-    @cached_property
-    def filter_codes(self) -> Optional[ScreenTables]:
-        """The pair-code tables of the filter lattice (see `vectors`); None
-        over 16 filters, whose pair codes do not fit in a byte."""
-        if len(self.filter_masks) > 16:
-            return None
-        return ScreenTables((self.filter_lattice,))
-
     def __repr__(self):
         return f"LFrame(n={self.n})"
 
@@ -178,9 +164,6 @@ class ModalLFrame:
 
     base: LFrame
     succ: tuple[int, ...]
-
-    # as a modal provider of `ScreenTables.vector`: one relation, no offset
-    offsets = 0
 
     @property
     def n(self) -> int:
@@ -761,10 +744,8 @@ def frame_validates(
     in bitmask-lexicographic order (`product(filters, repeat=k)` over the
     sorted letters).
 
-    Each side is evaluated once, as a vector over all valuations, instead
-    of one `truth_set` per valuation: on the base frame's `filter_codes`
-    with the frame's `unary_tables` (see `vectors`), or by
-    `_filter_vector` on a frame of more than 16 filters."""
+    Each side is evaluated once, by `_filter_vector`, as a vector over
+    all valuations, instead of one `truth_set` per valuation."""
     budget = resolve_budget(budget)
     ls = sorted(letters_of(pair))
     fs = filters(frame.base)
@@ -772,29 +753,20 @@ def frame_validates(
     needed = k ** len(ls)
     if needed > budget:
         raise ResourceBound(needed, budget)
-    codes = frame.base.filter_codes
-    if codes is not None:
-        memo = _seeded(codes.seeds(len(ls), 1), ls)
-        left = codes.vector(memo, pair.lhs, frame)
-        right = codes.vector(memo, pair.rhs, frame)
-        i = codes.escape(left, right)
-        if i < 0:
-            return None
-    else:
-        pack = bytes if k <= 256 else tuple
-        memo = {TOP: pack((k - 1,)) * needed, BOT: pack((0,)) * needed}
-        for j, name in enumerate(ls):
-            block = chain.from_iterable(repeat(d, k ** (last - j)) for d in range(k))
-            memo[Letter(name)] = pack(block) * k**j
-        left = _filter_vector(frame, memo, pair.lhs, pack)
-        right = _filter_vector(frame, memo, pair.rhs, pack)
-        outside = [~m for m in fs]
-        escapes = map(
-            int.__and__, map(fs.__getitem__, left), map(outside.__getitem__, right)
-        )
-        i = next(compress(count(), escapes), None)
-        if i is None:
-            return None
+    pack = bytes if k <= 256 else tuple
+    memo = {TOP: pack((k - 1,)) * needed, BOT: pack((0,)) * needed}
+    for j, name in enumerate(ls):
+        block = chain.from_iterable(repeat(d, k ** (last - j)) for d in range(k))
+        memo[Letter(name)] = pack(block) * k**j
+    left = _filter_vector(frame, memo, pair.lhs, pack)
+    right = _filter_vector(frame, memo, pair.rhs, pack)
+    outside = [~m for m in fs]
+    escapes = map(
+        int.__and__, map(fs.__getitem__, left), map(outside.__getitem__, right)
+    )
+    i = next(compress(count(), escapes), None)
+    if i is None:
+        return None
     return {name: fs[i // k ** (last - j) % k] for j, name in enumerate(ls)}
 
 

@@ -18,21 +18,22 @@ that a formula's value under every valuation of the pair's sorted
 letters, on every screen algebra, is one packed `bytes` vector, built
 once per search from its children's vectors.  Each formula id has a
 bitmask of its letters; a pair's mask picks a slot, built once per mask:
-the sorted letters, their vector memo and the end of the stretch the
+the sorted letters, their vector memo, whose length ends the stretch the
 literal loop evaluates every such pair on, or "not screened" past three
 letters.  In its slot each formula id keeps its vector's two pair-code
 halves as big integers, the scale half for a left side and the local
 half for a right side, so screening a pair is one addition, one
 `to_bytes`, one `translate` and one `find`: it is refuted at the first
 screen, in order, where its left value is not below its right one.
-When the budget cut or a plain lattice stops the literal loop before the
-last screen, a pair not refuted in the stretch falls back to
-`PackedScreen.refutes`, which decides it and raises what the loop
-raises.  The scalar `lattice.algebra_validates` and `lattice.evaluate`
-stay the reference oracles: tests/test_proofs.py checks the screen's
-verdicts, first refuting screens and exceptions against the literal loop
-over the algebras, and whole searches against a search that screens
-through `algebra_validates`.
+When the budget cuts the literal loop before the last screen, a pair not
+refuted in the stretch falls back to `PackedScreen.refutes`, which
+decides it and raises the loop's ResourceBound.  The set holds modal
+lattices only, as `PackedScreen` requires: a plain lattice gives a modal
+pair no value.  The scalar `lattice.algebra_validates` and
+`lattice.evaluate` stay the reference oracles: tests/test_proofs.py
+checks the screen's verdicts, first refuting screens and exceptions
+against the literal loop over the algebras, and whole searches against a
+search that screens through `algebra_validates`.
 
 Memo tables: a search numbers the formulas it meets with small ints of
 its own and keys its memo tables by the ids of a pair's two sides, so
@@ -435,10 +436,10 @@ class ProofSearch:
 
     def _slot(self, mask: int) -> Optional[tuple]:
         """The slot of the pairs whose letters are `mask`, built once per
-        mask: `(ls, memo, size, end, whole, lefts, rights)`, with the
-        sorted letters, the screen's `stretch` of them, and each formula
-        id's two pair-code halves as big integers, filled as ids meet the
-        screen; None past three letters, which are not screened."""
+        mask: `(ls, memo, end, whole, lefts, rights)`, with the sorted
+        letters, the screen's `stretch` of them, and each formula id's two
+        pair-code halves as big integers, filled as ids meet the screen;
+        None past three letters, which are not screened."""
         slot = self._slots.get(mask, False)
         if slot is False:
             names = [name for name, bit in self._bits.items() if mask & bit]
@@ -465,23 +466,23 @@ class ProofSearch:
             self._screen_ok.add(key)
             return False
         self.screen_calls += 1
-        ls, memo, size, end, whole, lefts, rights = slot
+        ls, memo, end, whole, lefts, rights = slot
         formulas, tables = self._formulas, self._screen.tables
         if end:
             left = lefts.get(l)
             if left is None:
-                v = tables.vector(memo, formulas[l], tables)
+                v = tables.vector(memo, formulas[l])
                 left = lefts[l] = int.from_bytes(v.translate(tables.scale), "big")
             right = rights.get(r)
             if right is None:
-                v = tables.vector(memo, formulas[r], tables)
+                v = tables.vector(memo, formulas[r])
                 right = rights[r] = int.from_bytes(v.translate(tables.local), "big")
-            codes = (left + right).to_bytes(size, "big")
-            if codes.translate(tables.nleq).find(1, 0, end) >= 0:
+            codes = (left + right).to_bytes(end, "big")
+            if codes.translate(tables.nleq).find(1) >= 0:
                 self.screen_rejects += 1
                 return True
-        # the cut fallback: the budget or a plain lattice stops the literal
-        # loop before the last screen, and `refutes` knows where and how
+        # the cut fallback: the budget stops the literal loop before the
+        # last screen, and `refutes` knows where
         if not whole and self._screen.refutes(((formulas[l], formulas[r], ls),)):
             self.screen_rejects += 1
             return True

@@ -4,25 +4,21 @@ A value vector holds a formula's value under every valuation of a sorted
 letter tuple, in `product(range(n), repeat=k)` order (the last letter
 varies fastest).  Each vector is built once from its children's vectors.
 
-`ScreenTables` packs a whole screening set of small lattices so that a
-formula is evaluated on all of them at once: its packed vector is one
-`bytes`, the per-algebra vectors concatenated in screen order, whose
-entries are element ids global to the set.  A pair of vectors becomes a
-vector of pair codes by one big-integer addition, and meet, join, box,
-diamond and the order test are each one `bytes.translate`.  A pair code
-must fit in a byte, so the set is one table only if each algebra has at
-most 16 elements and the sum of n**2 over the set is at most 256; every
-screening set that `proofs` builds is well inside that (at most 202).
-`PackedScreen` holds one search's budget and memo over those tables and
+`ScreenTables` packs a set of small lattices so that a formula is
+evaluated on all of them at once: its packed vector is one `bytes`, the
+per-algebra vectors concatenated in set order, whose entries are element
+ids global to the set.  A pair of vectors becomes a vector of pair codes
+by one big-integer addition, and meet, join, box, diamond and the order
+test are each one `bytes.translate`.  A pair code must fit in a byte, so
+each algebra has at most 16 elements and the sum of n**2 over the set is
+at most 256; every screening set that `proofs` builds is well inside
+that (at most 202).  The tables have two users.  `PackedScreen` holds
+one search's budget and memo over a screening set of modal lattices and
 decides, with `refutes`, what the literal loop over the algebras
-decides; `stretch` serves the proof search (see `proofs`).
-`lframe.frame_validates` runs the same kernel on one table: the filter
-lattice of an L-frame of at most 16 filters.
-
-Box and diamond come from a modal provider: an object with
-`unary_tables` and `offsets`, a big integer added to a vector before
-each modal translate.  A screening set and a modal L-frame add no
-offset; `entailment` batches relations of one L-frame through offsets.
+decides; `stretch` serves the proof search (see `proofs`).  `entailment`
+evaluates batches of relations of one L-frame on the tables of its
+filter lattice, passing their box and diamond tables and offsets to
+`vector`.
 
 The scalar evaluators (`lattice.evaluate`, `lattice.algebra_validates`,
 `lframe.truth_set`) stay the reference oracles.
@@ -35,11 +31,11 @@ from itertools import accumulate
 from typing import Optional
 
 from .errors import PreconditionViolated, ResourceBound
-from .formulas import BOT, TOP, And, Box, Dia, Formula, Letter, Or, is_modality_free
+from .formulas import BOT, TOP, And, Box, Dia, Formula, Letter, Or
 
 
 class ScreenTables:
-    """The packed tables of one screening set, whose pair codes fit in
+    """The packed tables of a set of lattices, whose pair codes fit in
     one byte.  Raises PreconditionViolated for an algebra of more than 16
     elements, or when the sum of n**2 over the set passes 256.
 
@@ -49,12 +45,9 @@ class ScreenTables:
     The code of the global ids (gx, gy) is `scale[gx] + local[gy]`;
     `meet`, `join` and `nleq` map it to the global id of x meet y, of
     x join y, and to 1 iff not x <= y.  `unary_tables` are box and
-    diamond from global ids to global ids (the identity on a plain
-    lattice, whose stretch of a vector is never read for a modal pair).
-
-    `lframe` keeps one table per L-frame of at most 16 filters, over its
-    filter algebra, and passes each modal L-frame's own box and diamond
-    tables to `vector`."""
+    diamond from global ids to global ids, the identity on a plain
+    lattice; `first_plain` is the position of the first plain lattice,
+    the number of algebras if there is none."""
 
     def __init__(self, algebras):
         algebras = tuple(algebras)
@@ -94,7 +87,6 @@ class ScreenTables:
         self.scale, self.local = bytes(scale), bytes(local)
         self.meet, self.join, self.nleq = bytes(meet), bytes(join), bytes(nleq)
         self.unary_tables = bytes(box), bytes(dia)
-        self.offsets = 0
         self._ends: dict[int, tuple[int, ...]] = {}
 
     def ends(self, k: int) -> tuple[int, ...]:
@@ -118,29 +110,32 @@ class ScreenTables:
             columns.append(column)
         return tuple(b"".join(row) for row in zip(*columns))
 
-    def vector(self, memo: dict[Formula, bytes], f: Formula, modal) -> bytes:
+    def vector(
+        self,
+        memo: dict[Formula, bytes],
+        f: Formula,
+        unary: Optional[tuple[bytes, bytes]] = None,
+        offsets: int = 0,
+    ) -> bytes:
         """Packed vector of f, built from its children's and memoized.
-        Box and diamond are `modal.unary_tables`, read at the first
-        modal subformula, after adding `modal.offsets` to the argument's
-        vector as one big integer: the tables themselves or a modal
-        L-frame over their filter algebra, which add no offset, or a
-        batch of relations over one L-frame (see `entailment`)."""
+        Box and diamond translate through `unary`, the pair of box and
+        diamond tables (these tables' own by default), after `offsets` is
+        added to the argument's vector as one big integer (`entailment`
+        batches relations of one L-frame that way)."""
         v = memo.get(f)
         if v is not None:
             return v
         if isinstance(f, (And, Or)):
-            left = self.vector(memo, f.lhs, modal)
-            right = self.vector(memo, f.rhs, modal)
+            left = self.vector(memo, f.lhs, unary, offsets)
+            right = self.vector(memo, f.rhs, unary, offsets)
             v = _pair_codes(self, left, right).translate(
                 self.meet if isinstance(f, And) else self.join
             )
         elif isinstance(f, (Box, Dia)):
-            arg = self.vector(memo, f.arg, modal)
-            if modal.offsets:
-                arg = (int.from_bytes(arg, "big") + modal.offsets).to_bytes(
-                    len(arg), "big"
-                )
-            v = arg.translate(modal.unary_tables[isinstance(f, Dia)])
+            arg = self.vector(memo, f.arg, unary, offsets)
+            if offsets:
+                arg = (int.from_bytes(arg, "big") + offsets).to_bytes(len(arg), "big")
+            v = arg.translate((unary or self.unary_tables)[isinstance(f, Dia)])
         else:
             raise TypeError(f"not a formula: {f!r}")
         memo[f] = v
@@ -171,15 +166,20 @@ def _seeded(seeds: tuple[bytes, ...], ls: tuple[str, ...]) -> dict[Formula, byte
 
 
 class PackedScreen:
-    """One search's screen over a `ScreenTables`: its budget, and its
-    packed vectors per sorted letter tuple, kept for as long as the
-    screen lives.
+    """One search's screen over a `ScreenTables` of modal lattices: its
+    budget, and its packed vectors per sorted letter tuple, kept for as
+    long as the screen lives.  Raises PreconditionViolated for a plain
+    lattice in the set, on which a modal pair has no value.
 
     Over k letters, only the screens before the first one with
     n**k > budget are evaluated; that screen is where the literal loop
     over the algebras would raise ResourceBound(n**k, budget)."""
 
     def __init__(self, tables: ScreenTables, budget: int):
+        if tables.first_plain < len(tables.sizes):
+            raise PreconditionViolated(
+                f"screen {tables.first_plain} is a plain lattice (modal lattices only)"
+            )
         self.tables, self.budget = tables, budget
         # sorted letters -> memo (formula -> packed vector)
         self.memo: dict[tuple[str, ...], dict[Formula, bytes]] = {}
@@ -206,37 +206,22 @@ class PackedScreen:
             memo = self.memo[ls] = _seeded(seeds, ls)
         return memo
 
-    def _stop(
-        self, k: int, lhs: Optional[Formula] = None, rhs: Optional[Formula] = None
-    ) -> int:
-        """The screen at which the literal loop stops on the pair lhs |-
-        rhs over k letters, unless a screen before it refutes the pair:
-        the first over budget or, for a modal pair, the first plain
-        lattice; the number of screens if neither.  With no pair given,
-        the least such screen over all pairs of k letters."""
-        cut, plain = self._cut(k), self.tables.first_plain
-        if plain < cut and (
-            lhs is None or not (is_modality_free(lhs) and is_modality_free(rhs))
-        ):
-            cut = plain
-        return cut
-
     def stretch(
         self, ls: tuple[str, ...]
-    ) -> tuple[Optional[dict[Formula, bytes]], int, int, bool]:
-        """`(memo, size, end, whole)` for every pair over the sorted
-        letters `ls`: the memo of their packed vectors, the vectors'
-        length, the end of the stretch on which the literal loop evaluates
-        each such pair, and whether that stretch holds every screen.  A
-        pair that no position before `end` refutes is refuted by no screen
-        when `whole`; otherwise `refutes` decides it, and raises what the
-        loop raises.  The memo is None when `end` is 0."""
-        k, count = len(ls), len(self.tables.sizes)
-        stop = self._stop(k)
-        if not stop:
-            return None, 0, 0, stop == count
-        ends = self.tables.ends(k)
-        return self._memo(ls), ends[self._cut(k) - 1], ends[stop - 1], stop == count
+    ) -> tuple[Optional[dict[Formula, bytes]], int, bool]:
+        """`(memo, end, whole)` for every pair over the sorted letters
+        `ls`: the memo of their packed vectors, the vectors' length, which
+        ends the stretch on which the literal loop evaluates each such
+        pair, and whether that stretch holds every screen.  A pair that no
+        position of the stretch refutes is refuted by no screen when
+        `whole`; otherwise `refutes` decides it, and raises what the loop
+        raises.  The memo is None when `end` is 0."""
+        k = len(ls)
+        cut = self._cut(k)
+        whole = cut == len(self.tables.sizes)
+        if not cut:
+            return None, 0, whole
+        return self._memo(ls), self.tables.ends(k)[cut - 1], whole
 
     def first_event(
         self, lhs: Formula, rhs: Formula, ls: tuple[str, ...], stop: int
@@ -244,15 +229,15 @@ class PackedScreen:
         """The first screen before `stop` at which the literal loop over
         the algebras stops on the pair lhs |- rhs over the sorted letters
         `ls`: `(s, True)` if screen s refutes it, `(s, False)` if screen
-        s cannot evaluate it (over budget, or a modal pair on a plain
-        lattice); None if no screen before `stop` does either."""
+        s is over budget for it; None if no screen before `stop` does
+        either."""
         tables, k = self.tables, len(ls)
-        cut = self._stop(k, lhs, rhs)
+        cut = self._cut(k)
         last = min(cut, stop)
         if last:
             memo = self._memo(ls)
-            left = tables.vector(memo, lhs, tables)
-            right = tables.vector(memo, rhs, tables)
+            left = tables.vector(memo, lhs)
+            right = tables.vector(memo, rhs)
             ends = tables.ends(k)
             pos = tables.escape(left, right, ends[last - 1])
             if pos >= 0:
@@ -264,8 +249,7 @@ class PackedScreen:
         literal loop `any(algebra_validates(a, goal) is not None for a in
         algebras for goal in goals)`, raising what it raises first:
         ResourceBound(n**k, budget) at an algebra over budget for a
-        goal's k letters, PreconditionViolated at a plain lattice for a
-        modal goal."""
+        goal's k letters."""
         stop, first = len(self.tables.sizes), None
         for lhs, rhs, ls in goals:
             event = self.first_event(lhs, rhs, ls, stop)
@@ -276,10 +260,7 @@ class PackedScreen:
         refuted, k = first
         if refuted:
             return True
-        needed = self.tables.sizes[stop] ** k
-        if needed > self.budget:
-            raise ResourceBound(needed, self.budget)
-        raise PreconditionViolated("modal formula on a plain lattice")
+        raise ResourceBound(self.tables.sizes[stop] ** k, self.budget)
 
     @property
     def vector_entries(self) -> int:

@@ -596,9 +596,8 @@ class TestVectorFrameValidates:
         assert (slow.value.needed, slow.value.budget) == (256, 7)
 
     @pytest.mark.parametrize("n", [16, 17])
-    def test_both_sides_of_the_sixteen_filter_switch(self, n):
-        # a chain has one filter per point: 16 filters take the pair-code
-        # tables, 17 the value vectors
+    def test_chains_of_sixteen_and_seventeen_filters(self, n):
+        # a chain has one filter per point
         base = lframe_from_leq(tuple(map(str, range(n))), chain_leq(n), n - 1)
         pairs = random_pairs(random.Random(n), 20, names=("p", "q"))
         step = [(x, min(x + 1, n - 1)) for x in range(n)]
@@ -614,7 +613,6 @@ class TestVectorFrameValidates:
                     assert list(got) == list(want)
                     refuted += 1
         assert 0 < refuted < 2 * len(pairs)
-        assert (base.filter_codes is None) == (n > 16)
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_both_sides_of_the_byte_switch(self, n):
@@ -644,7 +642,7 @@ class TestVectorFrameValidates:
                 refuted += got is not None
             assert ("unary_tables" in vars(x)) == (n <= 256)
         assert 0 < refuted < 3 * len(pairs)
-        assert base.filter_codes is None and "filter_join_table" not in vars(base)
+        assert "filter_join_table" not in vars(base)
 
     @pytest.mark.parametrize("n", [16, 17])
     def test_resource_bound_before_any_table(self, n):
@@ -655,7 +653,7 @@ class TestVectorFrameValidates:
             with pytest.raises(ResourceBound) as exc:
                 check(x, pair, budget=n**3 - 1)
             assert (exc.value.needed, exc.value.budget) == (n**3, n**3 - 1)
-        assert "filter_codes" not in vars(base)
+        assert "filter_meet_table" not in vars(base)
         assert "filter_modalities" not in vars(x)
         got = frame_validates(x, pair, budget=n**3)
         assert got == reference_frame_validates(x, pair, budget=n**3)

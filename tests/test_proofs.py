@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from wpml.correspondence import AXIOMS
+from wpml.correspondence import AXIOM_TAGS, AXIOMS
 from wpml.entailment import decide_entailment, gamma_pairs
 from wpml.errors import (
     InternalInconsistency,
@@ -31,7 +31,12 @@ from wpml.formulas import (
 )
 from wpml.generators import sample_modal_lattice, sample_modal_lframe
 from wpml.interpolation import InterpolationProblem, craig_interpolant
-from wpml.lattice import algebra_validates, validate_lattice
+from wpml.lattice import (
+    FiniteModalLattice,
+    algebra_validates,
+    validate_lattice,
+    with_identity_modalities,
+)
 from wpml.lframe import frame_validates
 from wpml.proofs import (
     _SHIFT,
@@ -504,33 +509,27 @@ class TestVectorScreen:
             assert search.screen_rejects == sum(f is not None for f in firsts)
             assert search.vector_entries > 0
 
-    def test_plain_lattice_screen_rejects_modal_formulas(self, chain3):
-        pair = parse_pair("[]p |- p")
-        with pytest.raises(PreconditionViolated):
-            algebra_validates(chain3, pair)
-        with pytest.raises(PreconditionViolated):
-            screened_out(ProofSearch((), (), screens=(chain3,)), pair)
-        # a modality-free pair is screened on a plain lattice as before
-        search = ProofSearch((), (), screens=(chain3,))
+    @pytest.mark.parametrize(
+        "tags",
+        [()] + [(tag,) for tag in AXIOM_TAGS] + [("T", "4")],
+        ids=lambda tags: "+".join(tags) or "none",
+    )
+    def test_screening_sets_are_modal(self, tags):
+        """The screen takes modal lattices only; every set the search
+        builds is one."""
+        screens = _screening_algebras(gamma_pairs(tags))
+        assert screens and all(isinstance(a, FiniteModalLattice) for a in screens)
+
+    def test_plain_lattice_screen_is_refused(self, chain3, chain3_modal):
+        with pytest.raises(PreconditionViolated, match="plain lattice"):
+            ProofSearch((), (), screens=(chain3,))
+        with pytest.raises(PreconditionViolated, match="screen 1 is a plain"):
+            PackedScreen(ScreenTables((chain3_modal, chain3)), resolve_budget())
+        search = ProofSearch((), (), screens=(chain3_modal,))
+        assert screened_out(search, parse_pair("[]p |- p")) is False
         assert screened_out(search, parse_pair("p v q |- p")) is True
-        assert screened_out(search, parse_pair("p & q |- q v r")) is False
 
-    def test_plain_lattice_inside_a_modal_set(self, chain3):
-        """A modal pair stops at the plain lattice as the literal loop
-        does: refuted before it, or PreconditionViolated there.  B's
-        set without its last algebra keeps the sum of n**2 at 256."""
-        screens = _screening_algebras(()) + (chain3,) + _screening_algebras(AXIOMS["B"])[:-1]
-        assert sum(a.n**2 for a in screens) == 256
-        pairs = seeded_pairs(random.Random(17), 60)
-        pairs += [parse_pair(t) for t in ("p & q |- q v r", "p |- p", "[]p |- []p")]
-        seen = set()
-        for pair in pairs:
-            want = outcome(lambda: literal_screen(screens, [pair]))
-            assert outcome(lambda: packed_screen(screens, [pair])) == want, str(pair)
-            seen.add(want[0] if want[0] == "raises" else want[1] is not None)
-        assert seen == {"raises", True, False}
-
-    def test_pair_codes_fit_in_a_byte(self, chain3):
+    def test_pair_codes_fit_in_a_byte(self, chain3_modal):
         """A set whose sum of n**2 passes 256 is refused, as an algebra
         of more than 16 elements is; at 256 it is one table."""
         screens = _screening_algebras(()) + _screening_algebras(AXIOMS["B"])
@@ -539,12 +538,12 @@ class TestVectorScreen:
             ScreenTables(screens)
         with pytest.raises(PreconditionViolated, match="272"):
             ProofSearch((), (), screens=screens)
-        search = ProofSearch((), (), screens=screens[:-1] + (chain3,))
+        search = ProofSearch((), (), screens=screens[:-1] + (chain3_modal,))
         assert screened_out(search, parse_pair("p v q |- p")) is True
 
     def test_sixteen_elements_at_most(self):
-        chain16 = validate_lattice(chain_leq(16), 0, 15)
-        chain17 = validate_lattice(chain_leq(17), 0, 16)
+        chain16 = with_identity_modalities(validate_lattice(chain_leq(16), 0, 15))
+        chain17 = with_identity_modalities(validate_lattice(chain_leq(17), 0, 16))
         search = ProofSearch((), (), screens=(chain16,))
         assert screened_out(search, parse_pair("p v q |- p")) is True
         with pytest.raises(PreconditionViolated, match="17 elements"):
@@ -670,10 +669,10 @@ def mask_shape(pair):
 
 
 def mask_slot_sets():
-    """Each `_screening_algebras` set, and B's set with a plain
-    two-element chain at index 1, before the cut of three letters under
-    every budget the test sets."""
-    chain2 = validate_lattice(chain_leq(2), 0, 1)
+    """Each `_screening_algebras` set, and B's set with the two-element
+    chain at index 1, before the cut of three letters under every budget
+    the test sets."""
+    chain2 = with_identity_modalities(validate_lattice(chain_leq(2), 0, 1))
     b = _screening_algebras(AXIOMS["B"])
     sets = [_screening_algebras(tuple(gamma)) for gamma in AXIOM_SETS]
     return sets + [b[:1] + (chain2,) + b[1:]]
@@ -719,7 +718,7 @@ class TestMaskSlotScreen:
             assert fast.vector_entries == packed.vector_entries > 0
         # the largest screen has 5 elements: 5**3 == 125
         over = {ResourceBound} if budget < 125 else set()
-        assert kinds == {True, False, PreconditionViolated} | over
+        assert kinds == {True, False} | over
 
 
 class LegRecordingSearch(ProofSearch):
