@@ -8,10 +8,10 @@ candidate in that canonical order for which both derivations are found.
 
 Before any proof search, a candidate is dropped when a modal lattice of
 the proof search's screening set (`proofs._screening_algebras`) refutes
-one of its obligations.  Both obligations are evaluated on the whole set at
-once by a packed screen (`vectors.PackedScreen`, one per call), with the
-decision and the ResourceBound of the literal loop over the algebras,
-left obligation first at each, and with no skip by letter count.
+one of its obligations.  Each obligation, left first, is evaluated on the
+set at once by a packed screen (`vectors.PackedScreen`, one per call),
+with no skip by letter count; a lattice over the budget for an
+obligation's letters is skipped, which keeps a candidate, never drops one.
 """
 
 from __future__ import annotations

@@ -18,22 +18,21 @@ that a formula's value under every valuation of the pair's sorted
 letters, on every screen algebra, is one packed `bytes` vector, built
 once per search from its children's vectors.  Each formula id has a
 bitmask of its letters; a pair's mask picks a slot, built once per mask:
-the sorted letters, their vector memo, whose length ends the stretch the
-literal loop evaluates every such pair on, or "not screened" past three
-letters.  In its slot each formula id keeps its vector's two pair-code
-halves as big integers, the scale half for a left side and the local
-half for a right side, so screening a pair is one addition, one
-`to_bytes`, one `translate` and one `find`: it is refuted at the first
-screen, in order, where its left value is not below its right one.
-When the budget cuts the literal loop before the last screen, a pair not
-refuted in the stretch falls back to `PackedScreen.refutes`, which
-decides it and raises the loop's ResourceBound.  The set holds modal
-lattices only, as `PackedScreen` requires: a plain lattice gives a modal
-pair no value.  The scalar `lattice.algebra_validates` and
-`lattice.evaluate` stay the reference oracles: tests/test_proofs.py
-checks the screen's verdicts, first refuting screens and exceptions
-against the literal loop over the algebras, and whole searches against a
-search that screens through `algebra_validates`.
+the vector memo of its sorted letters, whose length ends the stretch of
+screens within budget for them, or "not screened" past three letters.
+In its slot each formula id keeps its vector's two pair-code halves as
+big integers, the scale half for a left side and the local half for a
+right side, so screening a pair is one addition, one `to_bytes`, one
+`translate` and one `find`.  A screen with n**k > budget for a pair of
+k letters is skipped, never raised on: a refuted pair is not derivable
+at all, so the budget changes what screening costs, never a verdict.
+The set holds modal lattices only, as `PackedScreen` requires: a plain
+lattice gives a modal pair no value.  The scalar
+`lattice.algebra_validates` and `lattice.evaluate` stay the reference
+oracles: tests/test_proofs.py checks the screen's verdicts and first
+refuting screens against the literal loop over the algebras within
+budget, and whole searches against a search that screens through
+`algebra_validates`.
 
 Memo tables: a search numbers the formulas it meets with small ints of
 its own and keys its memo tables by the ids of a pair's two sides, so
@@ -436,28 +435,27 @@ class ProofSearch:
 
     def _slot(self, mask: int) -> Optional[tuple]:
         """The slot of the pairs whose letters are `mask`, built once per
-        mask: `(ls, memo, end, whole, lefts, rights)`, with the sorted
-        letters, the screen's `stretch` of them, and each formula id's two
-        pair-code halves as big integers, filled as ids meet the screen;
-        None past three letters, which are not screened."""
+        mask: `(memo, end, lefts, rights)`, with the screen's `stretch` of
+        the sorted letters and each formula id's two pair-code halves as
+        big integers, filled as ids meet the screen; None past three
+        letters, which are not screened."""
         slot = self._slots.get(mask, False)
         if slot is False:
             names = [name for name, bit in self._bits.items() if mask & bit]
             slot = None
             if len(names) <= 3:
-                ls = tuple(sorted(names))
-                slot = (ls, *self._screen.stretch(ls), {}, {})
+                slot = (*self._screen.stretch(tuple(sorted(names))), {}, {})
             self._slots[mask] = slot
         return slot
 
     def _screened_out(self, key: int) -> bool:
-        """True iff some screen algebra, tried in order, refutes the pair
-        of formula ids `key`.  The same decision as `algebra_validates(a,
-        pair) is not None` for some `a` in `screens`, and the same
-        ResourceBound, but all screens are tried at once: the pair's
-        codes are the sum of its left id's left half and its right id's
-        right half in the slot of its letters, and one translate marks
-        the positions whose left value is not below the right one."""
+        """True iff some screen algebra within budget for its letters
+        refutes the pair of formula ids `key`: the same decision as
+        `algebra_validates(a, pair) is not None` for some such `a` in
+        `screens`, but all of them are tried at once.  The pair's codes
+        are the sum of its left id's left half and its right id's right
+        half in the slot of its letters, and one translate marks the
+        positions whose left value is not below the right one."""
         if key in self._screen_ok:
             return False
         l, r = key >> _SHIFT, key & _LOW
@@ -466,7 +464,7 @@ class ProofSearch:
             self._screen_ok.add(key)
             return False
         self.screen_calls += 1
-        ls, memo, end, whole, lefts, rights = slot
+        memo, end, lefts, rights = slot
         formulas, tables = self._formulas, self._screen.tables
         if end:
             left = lefts.get(l)
@@ -481,11 +479,6 @@ class ProofSearch:
             if codes.translate(tables.nleq).find(1) >= 0:
                 self.screen_rejects += 1
                 return True
-        # the cut fallback: the budget stops the literal loop before the
-        # last screen, and `refutes` knows where
-        if not whole and self._screen.refutes(((formulas[l], formulas[r], ls),)):
-            self.screen_rejects += 1
-            return True
         self._screen_ok.add(key)
         return False
 

@@ -13,9 +13,10 @@ test are each one `bytes.translate`.  A pair code must fit in a byte, so
 each algebra has at most 16 elements and the sum of n**2 over the set is
 at most 256; every screening set that `proofs` builds is well inside
 that (at most 202).  The tables have two users.  `PackedScreen` holds
-one search's budget and memo over a screening set of modal lattices and
-decides, with `refutes`, what the literal loop over the algebras
-decides; `stretch` serves the proof search (see `proofs`).  `entailment`
+one search's budget and memo over a screening set of modal lattices,
+evaluates a pair only on the screens within budget for its letters, and
+never raises ResourceBound; `refutes` screens a candidate's obligations
+and `stretch` serves the proof search (see `proofs`).  `entailment`
 evaluates batches of relations of one L-frame on the tables of its
 filter lattice, passing their box and diamond tables and offsets to
 `vector`.
@@ -26,11 +27,9 @@ The scalar evaluators (`lattice.evaluate`, `lattice.algebra_validates`,
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate
 from typing import Optional
 
-from .errors import PreconditionViolated, ResourceBound
+from .errors import PreconditionViolated
 from .formulas import BOT, TOP, And, Box, Dia, Formula, Letter, Or
 
 
@@ -87,14 +86,6 @@ class ScreenTables:
         self.scale, self.local = bytes(scale), bytes(local)
         self.meet, self.join, self.nleq = bytes(meet), bytes(join), bytes(nleq)
         self.unary_tables = bytes(box), bytes(dia)
-        self._ends: dict[int, tuple[int, ...]] = {}
-
-    def ends(self, k: int) -> tuple[int, ...]:
-        """End of each screen's stretch of a packed vector over k letters."""
-        ends = self._ends.get(k)
-        if ends is None:
-            ends = self._ends[k] = tuple(accumulate(n**k for n in self.sizes))
-        return ends
 
     def seeds(self, k: int, count: int) -> tuple[bytes, ...]:
         """Packed vectors of T, F and the k letters, in letter order, over
@@ -141,10 +132,10 @@ class ScreenTables:
         memo[f] = v
         return v
 
-    def escape(self, left: bytes, right: bytes, end: Optional[int] = None) -> int:
-        """The first position before `end` whose left value is not below
-        its right one, or -1."""
-        return _pair_codes(self, left, right).translate(self.nleq).find(1, 0, end)
+    def escape(self, left: bytes, right: bytes) -> int:
+        """The first position whose left value is not below its right
+        one, or -1."""
+        return _pair_codes(self, left, right).translate(self.nleq).find(1)
 
 
 def _pair_codes(tables: ScreenTables, left: bytes, right: bytes) -> bytes:
@@ -172,8 +163,10 @@ class PackedScreen:
     lattice in the set, on which a modal pair has no value.
 
     Over k letters, only the screens before the first one with
-    n**k > budget are evaluated; that screen is where the literal loop
-    over the algebras would raise ResourceBound(n**k, budget)."""
+    n**k > budget are evaluated; a pair that none of them refutes is not
+    screened out.  Screening is sound either way, so the budget changes
+    what the screen costs, never a verdict, and no screen raises
+    ResourceBound."""
 
     def __init__(self, tables: ScreenTables, budget: int):
         if tables.first_plain < len(tables.sizes):
@@ -183,84 +176,52 @@ class PackedScreen:
         self.tables, self.budget = tables, budget
         # sorted letters -> memo (formula -> packed vector)
         self.memo: dict[tuple[str, ...], dict[Formula, bytes]] = {}
-        self._cuts: dict[int, int] = {}
+        self._cuts: dict[int, tuple[int, int]] = {}
         # k -> the packed vectors of T, F and k letters; kept per search,
         # since wide candidate goals make them large
         self._seeds: dict[int, tuple[bytes, ...]] = {}
 
-    def _cut(self, k: int) -> int:
-        cut = self._cuts.get(k)
-        if cut is None:
+    def _cut(self, k: int) -> tuple[int, int]:
+        """`(cut, end)` over k letters: the first screen with n**k > budget
+        (the number of screens if none) and the length of the packed
+        vectors of the screens before it."""
+        found = self._cuts.get(k)
+        if found is None:
             sizes = self.tables.sizes
             over = (s for s, n in enumerate(sizes) if n**k > self.budget)
-            cut = self._cuts[k] = next(over, len(sizes))
-        return cut
-
-    def _memo(self, ls: tuple[str, ...]) -> dict[Formula, bytes]:
-        memo = self.memo.get(ls)
-        if memo is None:
-            k = len(ls)
-            seeds = self._seeds.get(k)
-            if seeds is None:
-                seeds = self._seeds[k] = self.tables.seeds(k, self._cut(k))
-            memo = self.memo[ls] = _seeded(seeds, ls)
-        return memo
+            cut = next(over, len(sizes))
+            found = self._cuts[k] = cut, sum(n**k for n in sizes[:cut])
+        return found
 
     def stretch(
         self, ls: tuple[str, ...]
-    ) -> tuple[Optional[dict[Formula, bytes]], int, bool]:
-        """`(memo, end, whole)` for every pair over the sorted letters
-        `ls`: the memo of their packed vectors, the vectors' length, which
-        ends the stretch on which the literal loop evaluates each such
-        pair, and whether that stretch holds every screen.  A pair that no
-        position of the stretch refutes is refuted by no screen when
-        `whole`; otherwise `refutes` decides it, and raises what the loop
-        raises.  The memo is None when `end` is 0."""
+    ) -> tuple[Optional[dict[Formula, bytes]], int]:
+        """`(memo, end)` for every pair over the sorted letters `ls`: the
+        memo of their packed vectors, None when no screen is within
+        budget, and the vectors' length.  The pair is refuted iff some
+        position before `end` has its left value not below its right."""
         k = len(ls)
-        cut = self._cut(k)
-        whole = cut == len(self.tables.sizes)
-        if not cut:
-            return None, 0, whole
-        return self._memo(ls), self.tables.ends(k)[cut - 1], whole
-
-    def first_event(
-        self, lhs: Formula, rhs: Formula, ls: tuple[str, ...], stop: int
-    ) -> Optional[tuple[int, bool]]:
-        """The first screen before `stop` at which the literal loop over
-        the algebras stops on the pair lhs |- rhs over the sorted letters
-        `ls`: `(s, True)` if screen s refutes it, `(s, False)` if screen
-        s is over budget for it; None if no screen before `stop` does
-        either."""
-        tables, k = self.tables, len(ls)
-        cut = self._cut(k)
-        last = min(cut, stop)
-        if last:
-            memo = self._memo(ls)
-            left = tables.vector(memo, lhs)
-            right = tables.vector(memo, rhs)
-            ends = tables.ends(k)
-            pos = tables.escape(left, right, ends[last - 1])
-            if pos >= 0:
-                return bisect_right(ends, pos), True
-        return (cut, False) if cut < stop else None
+        cut, end = self._cut(k)
+        if not end:
+            return None, 0
+        memo = self.memo.get(ls)
+        if memo is None:
+            seeds = self._seeds.get(k)
+            if seeds is None:
+                seeds = self._seeds[k] = self.tables.seeds(k, cut)
+            memo = self.memo[ls] = _seeded(seeds, ls)
+        return memo, end
 
     def refutes(self, goals) -> bool:
-        """For (lhs, rhs, sorted letters) goals: the decision of the
-        literal loop `any(algebra_validates(a, goal) is not None for a in
-        algebras for goal in goals)`, raising what it raises first:
-        ResourceBound(n**k, budget) at an algebra over budget for a
-        goal's k letters."""
-        stop, first = len(self.tables.sizes), None
+        """For (lhs, rhs, sorted letters) goals: whether some goal, left
+        goal first, is refuted by a screen within budget for its
+        letters."""
+        vector = self.tables.vector
         for lhs, rhs, ls in goals:
-            event = self.first_event(lhs, rhs, ls, stop)
-            if event is not None:
-                stop, first = event[0], (event[1], len(ls))
-        if first is None:
-            return False
-        refuted, k = first
-        if refuted:
-            return True
-        raise ResourceBound(self.tables.sizes[stop] ** k, self.budget)
+            memo, end = self.stretch(ls)
+            if end and self.tables.escape(vector(memo, lhs), vector(memo, rhs)) >= 0:
+                return True
+        return False
 
     @property
     def vector_entries(self) -> int:

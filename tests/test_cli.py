@@ -273,6 +273,15 @@ def test_invalid_wpml_budget_exits_with_parse_code(monkeypatch, capsys, text):
     assert "WPML_BUDGET" in err and "Traceback" not in err
 
 
+def test_small_wpml_budget_still_finds_the_interpolant(monkeypatch, capsys):
+    """A screen over the budget for a goal's letters is skipped, so a
+    small budget leaves the search's answer as it is."""
+    monkeypatch.setenv("WPML_BUDGET", "10")
+    code, out, err = run(["interpolate", "p & q", "p v r"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["payload"]["interpolant"] == "p"
+
+
 CHAIN2_MODAL = {
     "kind": "modal_lattice",
     "elements": ["0", "1"],

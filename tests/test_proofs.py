@@ -1,7 +1,8 @@
 import hashlib
 import random
 import sys
-from itertools import combinations
+from bisect import bisect_right
+from itertools import accumulate, combinations, takewhile
 
 import pytest
 
@@ -316,8 +317,9 @@ class TestProofSerialization:
 
 class ScalarScreenSearch(ProofSearch):
     """Reference search: screens each pair through the scalar
-    `algebra_validates` oracle, as the search did before value vectors,
-    and counts screen calls and rejects as the packed screen does."""
+    `algebra_validates` oracle on the screens within budget for its
+    letters, and counts screen calls and rejects as the packed screen
+    does."""
 
     def _screened_out(self, key):
         if key in self._screen_ok:
@@ -327,12 +329,19 @@ class ScalarScreenSearch(ProofSearch):
             self._screen_ok.add(key)
             return False
         self.screen_calls += 1
-        for a in self.screens:
+        for a in within_budget(self.screens, pair):
             if algebra_validates(a, pair) is not None:
                 self.screen_rejects += 1
                 return True
         self._screen_ok.add(key)
         return False
+
+
+def within_budget(algebras, goal):
+    """The algebras before the first with n**k > WPML_BUDGET, for the k
+    letters of the goal."""
+    k, budget = len(letters(goal)), resolve_budget()
+    return list(takewhile(lambda a: a.n**k <= budget, algebras))
 
 
 def _pair_of(search, key):
@@ -354,13 +363,31 @@ def outcome(thunk):
 
 
 def literal_screen(algebras, goals):
-    """The literal loop over the algebras (goals in order at each): the
+    """The literal loop over the algebras (goals in order at each), each
+    goal tried only on the algebras within budget for its letters: the
     index of the first refuting algebra, or None."""
+    kept = [within_budget(algebras, goal) for goal in goals]
     for s, a in enumerate(algebras):
-        for goal in goals:
-            if algebra_validates(a, goal) is not None:
+        for goal, within in zip(goals, kept):
+            if s < len(within) and algebra_validates(a, goal) is not None:
                 return s
     return None
+
+
+def first_refuting(screen, pair):
+    """The index of the first screen that refutes the pair, read off the
+    escape position of its packed vectors and the screen sizes; None if
+    none within budget does."""
+    ls = tuple(sorted(letters(pair)))
+    memo, end = screen.stretch(ls)
+    if not end:
+        return None
+    tables = screen.tables
+    pos = tables.escape(tables.vector(memo, pair.lhs), tables.vector(memo, pair.rhs))
+    if pos < 0:
+        return None
+    assert pos < end
+    return bisect_right(list(accumulate(n ** len(ls) for n in tables.sizes)), pos)
 
 
 def packed_screen(algebras, goals):
@@ -369,12 +396,8 @@ def packed_screen(algebras, goals):
     triples = [(g.lhs, g.rhs, tuple(sorted(letters(g)))) for g in goals]
     if not screen.refutes(triples):
         return None
-    stop = len(algebras)
-    for lhs, rhs, ls in triples:  # the first refuting screen, as `refutes` finds it
-        event = screen.first_event(lhs, rhs, ls, stop)
-        if event is not None:
-            stop = event[0]
-    return stop
+    firsts = [first_refuting(screen, goal) for goal in goals]
+    return min(s for s in firsts if s is not None)
 
 
 def seeded_pairs(rng, count, max_letters=3):
@@ -499,9 +522,7 @@ class TestVectorScreen:
             firsts = []
             for pair in corpus:
                 first = literal_screen(screens, [pair])
-                ls = tuple(sorted(letters(pair)))
-                event = screen.first_event(pair.lhs, pair.rhs, ls, len(screens))
-                assert event == (None if first is None else (first, True)), str(pair)
+                assert first_refuting(screen, pair) == first, str(pair)
                 assert screened_out(search, pair) == (first is not None), str(pair)
                 firsts.append(first)
             assert None in firsts and len(set(firsts)) > 2
@@ -551,8 +572,9 @@ class TestVectorScreen:
 
     @pytest.mark.parametrize("budget", [8, 9, 26, 27, 64, 124, 125])
     def test_budget_cuts_the_set_mid_way(self, budget, monkeypatch):
-        """Under budgets that stop the literal loop part way through a
-        screening set, the packed screen refutes or raises where it does:
+        """Under budgets that cut a screening set part way through for
+        some letter counts, the packed screen refutes where the literal
+        loop over the algebras within budget does, and raises nothing:
         one goal as the proof search screens it, two as the candidate
         screen does (left first at each algebra)."""
         monkeypatch.setenv("WPML_BUDGET", str(budget))
@@ -562,6 +584,8 @@ class TestVectorScreen:
         # valid, so no screen refutes them before the budget cuts in
         wide += [parse_pair("p & q & r & s |- s v t"), parse_pair("[]p & q |- []p v r")]
         kinds, candidate_kinds = set(), set()
+        # whether the budget cut the set short for a pair or a goal
+        cut, candidate_cut = set(), set()
         for gamma in (AXIOMS["B"], AXIOMS["5"], ()):
             screens = _screening_algebras(gamma)
             search = ProofSearch(gamma, (), screens=screens)
@@ -570,6 +594,7 @@ class TestVectorScreen:
                 want = outcome(lambda: screened_out(scalar, pair))
                 assert outcome(lambda: screened_out(search, pair)) == want, str(pair)
                 kinds.add(want[0])
+                cut.add(len(within_budget(screens, pair)) < len(screens))
             assert (search.screen_calls, search.screen_rejects) == (
                 scalar.screen_calls,
                 scalar.screen_rejects,
@@ -580,9 +605,13 @@ class TestVectorScreen:
                 got = outcome(lambda: packed_screen(screens, goals))
                 assert got == want, (str(left), str(right))
                 candidate_kinds.add(want[0])
+                candidate_cut.update(
+                    len(within_budget(screens, g)) < len(screens) for g in goals
+                )
+        assert kinds == candidate_kinds == {"returns"}
         # the largest screen has 5 elements: 5**3 == 125
-        assert kinds == ({"returns", "raises"} if budget < 125 else {"returns"})
-        assert candidate_kinds == {"returns", "raises"}
+        assert cut == ({False, True} if budget < 125 else {False})
+        assert candidate_cut == {False, True}
 
     @pytest.mark.parametrize(
         "text,tags,depth",
@@ -602,15 +631,26 @@ class TestVectorScreen:
         _assert_same_search(fast, slow)
         _assert_same_search(fast, formula_keyed)
 
-    def test_wpml_budget_raises_from_the_screen(self, monkeypatch):
-        monkeypatch.setenv("WPML_BUDGET", "10")
+    def test_small_wpml_budget_keeps_the_proof(self, monkeypatch):
+        """A budget of 10 is below 3**3, so the three-element screens are
+        skipped for a subgoal over p, q and r, and the search finds the
+        proof it finds at the default budget."""
         goal = parse_pair("p & q |- p v r")
-        with pytest.raises(ResourceBound) as fast:
-            derive_bounded((), goal, 6)
-        with pytest.raises(ResourceBound) as slow:
-            ScalarScreenSearch((), order_cuts(goal, cut_pool(goal))).prove(goal, 6)
-        assert (fast.value.needed, fast.value.budget) == (27, 10)
-        assert (slow.value.needed, slow.value.budget) == (27, 10)
+        proof = derive_bounded((), goal, 6)
+        assert proof is not None
+        monkeypatch.setenv("WPML_BUDGET", "10")
+        assert derive_bounded((), goal, 6) == proof
+        slow = ScalarScreenSearch((), order_cuts(goal, cut_pool(goal)))
+        assert slow.prove(goal, 6) == proof
+
+    def test_small_wpml_budget_keeps_the_verdict(self, monkeypatch):
+        """At WPML_BUDGET=7 the empty axiom set's screens stop at its first
+        three-element lattice for a subgoal over two letters (3**2 > 7);
+        the two-element ones before it still screen, and the verdict is
+        the default budget's."""
+        monkeypatch.setenv("WPML_BUDGET", "7")
+        result = decide_entailment((), parse_pair("p & q |- p"))
+        assert result.verdict == "derivable"
 
 
 class RefutesScreenSearch(ProofSearch):
@@ -716,9 +756,7 @@ class TestMaskSlotScreen:
                 )
             assert fast.expansions == slow.expansions
             assert fast.vector_entries == packed.vector_entries > 0
-        # the largest screen has 5 elements: 5**3 == 125
-        over = {ResourceBound} if budget < 125 else set()
-        assert kinds == {True, False} | over
+        assert kinds == {True, False}
 
 
 class LegRecordingSearch(ProofSearch):
