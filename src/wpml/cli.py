@@ -36,15 +36,16 @@ from .interpolation import (
     craig_interpolant,
     distributive_fragment_interpolant,
 )
+from .lattice import with_identity_modalities
 from .lframe import ModalLFrame, fil_f, fil_f_lattice
 from .serialize import (
     PayloadError,
     dumps,
+    frame_from_json,
     frame_to_json,
     lattice_to_json,
     load_artifact,
     proof_to_json,
-    space_to_json,
     unwrap,
     vformation_to_json,
     wrap,
@@ -121,33 +122,18 @@ def cmd_dualize(args) -> int:
             "algebra-to-space" if kind in ("lattice", "modal_lattice") else "space-to-algebra"
         )
     if direction == "algebra-to-space":
-        if kind == "lattice":
-            from .duality import fil_l_plain, plain_round_trip_ok
-
-            frame, provenance = fil_l_plain(artifact)
-            result = wrap("lframe", frame_to_json(frame, provenance=provenance))
-            if args.round_trip:
-                from .serialize import frame_from_json
-
-                reloaded = frame_from_json(result["payload"])
-                ok = reloaded == frame and plain_round_trip_ok(artifact)
-                if not ok:
-                    print("round trip failed", file=sys.stderr)
-                    return EXIT_FAIL
-                result["round_trip"] = {"isomorphic": True}
-            _emit(result, args.out)
-            return EXIT_PASS
-        if kind != "modal_lattice":
+        if kind not in ("lattice", "modal_lattice"):
             print("error: algebra-to-space needs a (modal) lattice", file=sys.stderr)
             return EXIT_PARSE
+        # a bounded lattice dualizes as the modal lattice with identity modalities
+        if kind == "lattice":
+            artifact = with_identity_modalities(artifact)
         space = fil_l(artifact)
-        payload = space_to_json(space)
-        result = wrap("modal_lframe", payload)
+        frame = space.frame.base if kind == "lattice" else space.frame
+        payload = frame_to_json(frame, provenance=space.provenance)
+        result = wrap(payload["kind"], payload)
         if args.round_trip:
-            from .serialize import frame_from_json
-
-            reloaded = frame_from_json(payload)
-            if reloaded != space.frame:
+            if frame_from_json(payload) != frame:
                 print("round trip failed: reimport differs", file=sys.stderr)
                 return EXIT_FAIL
             round_trip_iso(artifact)  # raises on failure
@@ -299,9 +285,6 @@ def cmd_generate(args) -> int:
     elif args.kind == "vformation":
         v = sample_vformation(rng, max_l=args.size)
         _emit(wrap("vformation", vformation_to_json(v)), args.out)
-    else:
-        print(f"error: unknown kind {args.kind!r}", file=sys.stderr)
-        return EXIT_PARSE
     return EXIT_PASS
 
 
@@ -343,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("phi")
     p.add_argument("psi")
     p.add_argument("--axioms", default="")
-    p.add_argument("--proof-depth", type=int, default=6)
-    p.add_argument("--cand-depth", type=int, default=4)
-    p.add_argument("--model-size", type=int, default=4)
+    p.add_argument("--proof-depth", type=int, default=InterpolationProblem.proof_depth)
+    p.add_argument("--cand-depth", type=int, default=InterpolationProblem.cand_size)
+    p.add_argument("--model-size", type=int, default=InterpolationProblem.model_size)
     p.add_argument("--distributive", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_interpolate)

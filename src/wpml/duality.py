@@ -4,7 +4,9 @@
 At finite scale every subset is clopen, so "clopen filter" means
 "filter" and the space side of the duality is a tight modal L-frame.
 Algebra filters and frame filters share the bitmask representation and
-the closure-based enumeration engine from `lframe`.
+the closure-based enumeration engine from `lframe`.  A bounded lattice
+dualizes as the modal lattice with identity box and diamond: its dual is
+the base L-frame of that lattice's `fil_l`.
 
 Shared kernels: `_canonical_relation`, the relation of `fil_l` and of
 `tightening`; `_unit_masks`, the unit c |-> {F : c in F}; and
@@ -71,13 +73,6 @@ def _algebra_frame(lat: FiniteLattice, points: list[int]) -> LFrame:
     return validate_lframe(names, meet, idx[(1 << lat.n) - 1])
 
 
-def fil_l_plain(lat: FiniteLattice) -> tuple[LFrame, tuple[int, ...]]:
-    """Non-modal dual: the meet semilattice of algebra filters, with the
-    filter masks as provenance."""
-    points = algebra_filters(lat)
-    return _algebra_frame(lat, points), tuple(points)
-
-
 def _unit_masks(n: int, points) -> list[int]:
     """The unit phi(c) = {p : c in points[p]} of each element c < n, as a
     mask over the points (the algebra filters)."""
@@ -110,25 +105,6 @@ def _canonical_relation(n: int, tests) -> tuple[int, ...]:
                 row &= ~u
         succ.append(row)
     return tuple(succ)
-
-
-def plain_round_trip_ok(lat: FiniteLattice) -> bool:
-    """a |-> {F : a in F} is an order isomorphism onto the filter lattice
-    of the dual semilattice."""
-    frame, points = fil_l_plain(lat)
-    into = fil_f_lattice(frame)
-    index = frame._filter_index
-    phi = _unit_masks(lat.n, points)
-    if any(m not in index for m in phi):
-        return False
-    mapping = [index[m] for m in phi]
-    if len(set(mapping)) != lat.n or into.n != lat.n:
-        return False
-    return all(
-        lat.leq[i][j] == into.leq[mapping[i]][mapping[j]]
-        for i in range(lat.n)
-        for j in range(lat.n)
-    )
 
 
 def fil_l(a: FiniteModalLattice) -> ModalLSpaceFin:

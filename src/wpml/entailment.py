@@ -40,7 +40,7 @@ from .correspondence import (
     _named,
     frame_satisfies,
 )
-from .errors import InternalInconsistency, ResourceBound, resolve_budget
+from .errors import InternalInconsistency, ResourceBound
 from .formulas import ConsequencePair, letters
 from .lframe import FrameValuation, LFrame, ModalLFrame, frame_validates
 from .proofs import Proof, derive_bounded
@@ -173,8 +173,9 @@ def decide_entailment(
 
     The frames are the catalog's, in catalog order, read from the cache
     kept per (size, conditions) and searched in batches of relations
-    per L-frame (see the module docstring).  An L-frame of f filters
-    with f**k over `model_budget` for the goal's k letters counts its
+    per L-frame (see the module docstring), bounded by `model_budget`
+    alone (WPML_BUDGET does not reach it).  An L-frame of f filters with
+    f**k over `model_budget` for the goal's k letters counts its
     relations as searched and notes the bound, as a frame-by-frame
     search does.  The first refuting relation's countervaluation comes
     from `frame_validates` on that frame, the function the batches must
@@ -195,7 +196,6 @@ def decide_entailment(
     if proof is not None:
         return EntailmentResult("derivable", proof=proof)
 
-    budget = resolve_budget(model_budget)
     ls = sorted(letters(goal))
     condition_tags = tuple(sorted({c.tag for c in conds}))
     frames_seen = 0
@@ -205,7 +205,7 @@ def decide_entailment(
             frames_seen += len(kept.succ) // n
             largest = n
             try:
-                first = _first_refuting(kept, goal, ls, budget)
+                first = _first_refuting(kept, goal, ls, model_budget)
             except ResourceBound as exc:
                 unknown_notes["model_search"] = f"resource bound: {exc}"
                 continue
@@ -213,7 +213,7 @@ def decide_entailment(
                 continue
             j, _ = first
             frame = ModalLFrame(kept.base, tuple(kept.succ[j * n:(j + 1) * n]))
-            cv = frame_validates(frame, goal, budget)
+            cv = frame_validates(frame, goal, model_budget)
             if cv is None:
                 raise InternalInconsistency(
                     f"batch search refutes {goal} on {frame}, frame_validates"

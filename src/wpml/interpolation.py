@@ -22,7 +22,12 @@ from itertools import combinations
 from typing import Optional
 
 from .catalog import all_distributive_lattices
-from .entailment import decide_entailment, gamma_pairs
+from .entailment import (
+    DEFAULT_MODEL_SIZE,
+    DEFAULT_PROOF_DEPTH,
+    decide_entailment,
+    gamma_pairs,
+)
 from .errors import (
     InternalInconsistency,
     PreconditionViolated,
@@ -66,9 +71,9 @@ class InterpolationProblem:
     phi: Formula
     psi: Formula
     tags: tuple[str, ...] = ()
-    proof_depth: int = 6
+    proof_depth: int = DEFAULT_PROOF_DEPTH
     cand_size: int = 4
-    model_size: int = 4
+    model_size: int = DEFAULT_MODEL_SIZE
     proof_budget: int = 100_000
 
     @property

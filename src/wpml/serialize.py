@@ -12,7 +12,6 @@ import json
 from typing import Any
 
 from .amalgam import VFormation, validate_vformation
-from .duality import ModalLSpaceFin
 from .errors import WpmlError
 from .formulas import parse_formula, parse_pair, pretty
 from .lattice import (
@@ -177,10 +176,6 @@ def frame_from_json(payload: dict) -> LFrame | ModalLFrame:
             )
         return out
     return base
-
-
-def space_to_json(space: ModalLSpaceFin) -> dict:
-    return frame_to_json(space.frame, provenance=space.provenance)
 
 
 # --- morphisms and spans -------------------------------------------------------

@@ -10,14 +10,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wpml.catalog import all_lattices, all_modal_lattices
 from wpml.cli import build_parser, main
 from wpml.correspondence import AXIOM_TAGS, SPACE_CONDITIONS
 from wpml.duality import fil_l
 from wpml.lattice import validate_lattice, with_identity_modalities
-from wpml.serialize import dumps, frame_to_json, wrap
+from wpml.serialize import dumps, frame_to_json, lattice_to_json, wrap
 from wpml.sweeps import FUZZ_TARGETS
 
 from conftest import chain_leq
+
+DUALIZE_SHA256 = "cdc82c84ba93fce5c2c8ddbca1b16b5f2b03e6f7aabd873aa70ceb6491cd874b"
 
 
 def run(args, capsys):
@@ -137,6 +140,23 @@ class TestGenerateAndRoundTrips:
         assert blob["round_trip"] == {"isomorphic": True}
         assert blob["kind"] == "modal_lframe"
         assert "provenance" in blob["payload"]
+
+    def test_dualize_bytes_are_pinned(self, tmp_path, capsys):
+        # sha256 of every run's flags, exit code, stdout and stderr over each
+        # catalog lattice of at most 6 elements and each modal lattice of at
+        # most 4, as first recorded; a plain lattice has the dual of the
+        # modal lattice with identity box and diamond
+        lattices = [lat for n in range(1, 7) for lat in all_lattices(n)]
+        lattices += [lat for n in range(1, 5) for lat in all_modal_lattices(n)]
+        assert len(lattices) == 324
+        digest = hashlib.sha256()
+        for i, lat in enumerate(lattices):
+            payload = lattice_to_json(lat)
+            path = write(tmp_path, f"{i}.json", wrap(payload["kind"], payload))
+            for flags in ([], ["--round-trip"], ["--direction", "algebra-to-space"]):
+                code, out, err = run(["dualize", path, *flags], capsys)
+                digest.update(repr((flags, code, out, err)).encode())
+        assert digest.hexdigest() == DUALIZE_SHA256
 
     def test_amalgamate_pass(self, tmp_path, capsys):
         v = str(tmp_path / "v.json")
@@ -280,6 +300,16 @@ def test_small_wpml_budget_still_finds_the_interpolant(monkeypatch, capsys):
     code, out, err = run(["interpolate", "p & q", "p v r"], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["payload"]["interpolant"] == "p"
+
+
+def test_wpml_budget_does_not_reach_the_frame_search(monkeypatch, capsys):
+    """The frame countermodel search is bounded by `model_budget` alone
+    (default 10**6), so a tiny WPML_BUDGET leaves its answer as it is."""
+    code, want, err = run(["interpolate", "[]p", "p", "--model-size", "3"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(want)["payload"]["verdict"] == "no-entailment"
+    monkeypatch.setenv("WPML_BUDGET", "1")
+    assert run(["interpolate", "[]p", "p", "--model-size", "3"], capsys) == (0, want, "")
 
 
 CHAIN2_MODAL = {

@@ -1,13 +1,16 @@
-"""Every module-level import of the package is read in its module, and
-every private function, class and method it defines is read somewhere in
-the package."""
+"""Every module-level import of the package is read in its module, every
+private function, class and method it defines is read somewhere in the
+package, and every public module-level function and class it defines is
+read somewhere in the package, its tests or its benchmark."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "wpml").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "wpml").glob("*.py"))
+READERS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -62,6 +65,12 @@ def unread_private_definitions(sources: list[str]) -> list[str]:
                     for method in node.body
                     if isinstance(method, DEFINITIONS) and _private(method.name)
                 ]
+    read = _read(trees)
+    return [name for name in defined if name not in read]
+
+
+def _read(trees) -> set[str]:
+    """The names that the trees read, as a name or as an attribute."""
     read = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -69,7 +78,7 @@ def unread_private_definitions(sources: list[str]) -> list[str]:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    return [name for name in defined if name not in read]
+    return read
 
 
 def test_no_unread_private_definitions():
@@ -87,3 +96,36 @@ def test_the_check_sees_an_unread_private_definition():
         "    def _spare(self):\n        pass\n"
     )
     assert unread_private_definitions([used, unused]) == ["_orphan", "_spare"]
+
+
+def unread_public_definitions(sources: list[str], readers: list[str]) -> list[str]:
+    """The public module-level functions and classes that the sources
+    define and that neither they nor the readers read as a name or an
+    attribute (an import alone is not a read), in definition order."""
+    trees = [ast.parse(source) for source in sources]
+    defined = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_")
+    ]
+    read = _read(trees + [ast.parse(reader) for reader in readers])
+    return [name for name in defined if name not in read]
+
+
+def test_no_unread_public_definitions():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    readers = [path.read_text(encoding="utf-8") for path in READERS]
+    assert unread_public_definitions(sources, readers) == []
+
+
+def test_the_check_sees_an_unread_public_definition():
+    package = (
+        "def helper():\n    pass\n\n"
+        "def orphan():\n    return helper\n\n"
+        "class Box:\n    def peek(self):\n        pass\n"
+    )
+    reader = "from package import Box, orphan\n\nBox()\n"
+    assert unread_public_definitions([package], [reader]) == ["orphan"]
+    assert unread_public_definitions([package], []) == ["orphan", "Box"]
+    assert READERS
