@@ -7,17 +7,20 @@ linearity and duality; plus substitution instances of the members of an
 axiom set.  Transitivity is searched over a bounded cut-formula pool
 (subformulas of the goal and of axiom instances, the constants, all
 closed once under box/diamond), so completeness is only relative to the
-bounds.
+bounds.  `cut_pool` returns the pool in search order (goal subformulas
+first, each part by size key) after one sort; `derive_bounded` sends only
+a caller's pool through `order_cuts`.
 
 Semantic screening: before expanding a subgoal of at most three letters,
 the search refutes it on a fixed set of small modal lattices that
 validate the axioms (`_screening_algebras`, cached per axiom set;
 `interpolation.craig_interpolant` screens candidates on the same set).
-The set is packed once (`_screen_tables`, a `vectors.ScreenTables`), so
-that a formula's value under every valuation of the pair's sorted
-letters, on every screen algebra, is one packed `bytes` vector, built
-once per search from its children's vectors.  Each formula id has a
-bitmask of its letters; a pair's mask picks a slot, built once per mask:
+The set is packed once (`_screen_tables`, a `vectors.ScreenTables`, which
+keeps the seed vectors of T, F and up to three letters), so that a
+formula's value under every valuation of the pair's sorted letters, on
+every screen algebra, is one packed `bytes` vector, built once per search
+from its children's vectors.  Each formula id has a bitmask of its
+letters; a pair's mask picks a slot, built once per mask:
 the vector memo of its sorted letters, whose length ends the stretch of
 screens within budget for them, or "not screened" past three letters.
 In its slot each formula id keeps its vector's two pair-code halves as
@@ -38,9 +41,10 @@ Memo tables: a search numbers the formulas it meets with small ints of
 its own and keys its memo tables by the ids of a pair's two sides, so
 the memo probes that make up most `prove` calls are int-keyed dict hits
 instead of hashing and comparing formula pairs.  The transitivity loop
-probes each leg's entry inline, by the rule of `_prove`'s prologue (a
-success at any depth, or a failure at that depth or deeper, decides the
-leg), and calls `_prove` only for the legs the memo leaves open.  Once a
+probes each leg's entry inline, by the rule of `_prove`'s memo prologue
+(a success at any depth, or a failure at that depth or deeper, decides
+the leg), and sends the legs the memo leaves open straight to the
+expansion, `_expand`, which counts, screens and tries the rules.  Once a
 loop for a left id has walked the whole pool at depth d without finding
 a cut, the search keeps that id's live cuts, the pool cuts whose first
 leg succeeded: every other first leg failed at depth d or deeper, which
@@ -58,6 +62,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import attrgetter
 from typing import Optional
 
 from .errors import InternalInconsistency, ResourceBound, SizeCap, resolve_budget
@@ -73,14 +78,15 @@ from .formulas import (
     Letter,
     Or,
     Top,
-    _size_key,
-    formula_key,
     letters,
     match_pair,
     subformulas,
     substitute,
 )
 from .vectors import PackedScreen, ScreenTables
+
+# the `(size, formula_key)` sort key of a formula, as a C-level key function
+_KEY = attrgetter("_key")
 
 RULES = (
     "top",
@@ -288,13 +294,13 @@ def cut_pool(
 
     Axiom instantiation grids are ranked by total substituted size and
     truncated at `instance_cap` per member; the final pool keeps the
-    `pool_cap` smallest formulas.  Both caps only bound the search, they
-    never affect soundness.
+    `pool_cap` smallest formulas, in search order (`order_cuts`).  Both
+    caps only bound the search, they never affect soundness.
     """
-    base: set[Formula] = {TOP, BOT}
-    base |= subformulas(goal.lhs) | subformulas(goal.rhs)
-    ground = sorted(base, key=_size_key)
-    ground_keys = [_size_key(f) for f in ground]
+    subs = subformulas(goal.lhs) | subformulas(goal.rhs)
+    base: set[Formula] = {TOP, BOT} | subs
+    ground = sorted(base, key=_KEY)
+    ground_keys = [f._key for f in ground]
     for member in gamma:
         vs = sorted(letters(member))
         combos = sorted(
@@ -309,15 +315,22 @@ def cut_pool(
             base |= subformulas(substitute(member.lhs, m))
             base |= subformulas(substitute(member.rhs, m))
     once = set(base)
+    dia_top = Dia(TOP)
     for f in base:
-        once.add(Box(f))
+        box = Box(f)
+        once.add(box)
         once.add(Dia(f))
         # bridge for the forced seriality pattern: box f |- dia f goes
         # through dia T & box f |- dia(T & f) (the duality axiom at T)
-        once.add(And(Dia(TOP), Box(f)))
+        once.add(And(dia_top, box))
         once.add(Dia(And(TOP, f)))
-    ranked = sorted(once, key=_size_key)[:pool_cap]
-    return tuple(sorted(ranked, key=formula_key))
+    return _search_order(sorted(once, key=_KEY)[:pool_cap], subs)
+
+
+def _search_order(ranked, subs) -> tuple[Formula, ...]:
+    """The formulas of `ranked`, sorted by size key, with those in `subs`
+    first: a stable partition, so each part stays sorted."""
+    return tuple([f for f in ranked if f in subs] + [f for f in ranked if f not in subs])
 
 
 _NEVER = 10**9
@@ -401,7 +414,7 @@ class ProofSearch:
         self._pool_at: dict[int, list[int]] = {}
         for at, cut in enumerate(self._pool_ids):
             self._pool_at.setdefault(cut, []).append(at)
-        # left id -> its live cuts `(dmax, cuts, positions)`; see `_prove`
+        # left id -> its live cuts `(dmax, cuts, positions)`; see `_expand`
         self._live: dict[int, tuple[int, list[int], list[int]]] = {}
         self.success: dict[int, Proof] = {}
         self.failed_at: dict[int, int] = {}
@@ -514,12 +527,23 @@ class ProofSearch:
         return self._prove(self._id(pair.lhs), self._id(pair.rhs), depth)
 
     def _prove(self, l: int, r: int, depth: int) -> Optional[Proof]:
+        """The memo prologue: a success at any depth, or a failure at
+        `depth` or deeper, decides the pair of ids (l, r); any other pair
+        is expanded."""
         key = l << _SHIFT | r
         found = self.success.get(key)
         if found is not None:
             return found
         if depth <= 0 or self.failed_at.get(key, -1) >= depth:
             return None
+        return self._expand(l, r, depth)
+
+    def _expand(self, l: int, r: int, depth: int) -> Optional[Proof]:
+        """The expansion of the pair of ids (l, r), which the memo leaves
+        open at `depth` >= 1: it is counted against the budget and
+        screened, then the rules are tried in order and the outcome is
+        stored."""
+        key = l << _SHIFT | r
         self.expansions += 1
         if self.expansions > self.budget:
             raise ResourceBound(self.expansions, self.budget)
@@ -555,9 +579,11 @@ class ProofSearch:
             if a is not None:
                 found = Proof("becker-dia", pair, (a,))
         if found is None:
-            # each leg's memo probe is `_prove`'s own, inline: a success at
-            # any depth, or a failure at depth d or deeper, needs no call
+            # each leg's memo probe is `_prove`'s prologue, inline: a success
+            # at any depth, or a failure at depth d or deeper, needs no call,
+            # and a leg the memo leaves open is expanded directly
             success, failed_at, ll = self.success, self.failed_at, l << _SHIFT
+            expand = self._expand
             live = self._live.get(l)
             full = live is None or live[0] < d
             for cut in self._pool_ids if full else live[1]:
@@ -567,7 +593,7 @@ class ProofSearch:
                 if a is None:
                     if failed_at.get(ll | cut, -1) >= d:
                         continue
-                    a = prove(l, cut, d)
+                    a = expand(l, cut, d)
                     if a is None:
                         continue
                 key2 = cut << _SHIFT | r
@@ -575,7 +601,7 @@ class ProofSearch:
                 if b is None:
                     if failed_at.get(key2, -1) >= d:
                         continue
-                    b = prove(cut, r, d)
+                    b = expand(cut, r, d)
                     if b is None:
                         continue
                 found = Proof("transitivity", pair, (a, b))
@@ -603,7 +629,7 @@ class ProofSearch:
         loop probed or proved it, and the loop's own pair is stored as
         failed at d + 1 next).  Such a failure stays decided in any later
         loop for `l` at depth d or less: calls nested in that loop are at
-        depth d or less, so `_prove`'s prologue refuses the leg.  So that
+        depth d or less, so the loop's memo probe refuses the leg.  So that
         loop may walk the live cuts instead of the pool and visit the same
         legs in the same order, as long as a first leg that succeeds later
         (at a depth above its failure) is put back (`_revive`)."""
@@ -625,9 +651,10 @@ class ProofSearch:
 def order_cuts(goal: ConsequencePair, pool) -> tuple[Formula, ...]:
     """Search order for transitivity cuts: goal subformulas first (small
     to large), then the remaining pool formulas.  The pool order is the
-    search order inside ProofSearch."""
+    search order inside ProofSearch; `cut_pool` returns its pool in this
+    order already."""
     subs = subformulas(goal.lhs) | subformulas(goal.rhs)
-    return tuple(sorted(pool, key=lambda f: (f not in subs, _size_key(f))))
+    return _search_order(sorted(pool, key=_KEY), subs)
 
 
 # The greatest proof depth `derive_bounded` accepts.  The search recurses
@@ -652,6 +679,5 @@ def derive_bounded(
     if depth > MAX_PROOF_DEPTH:
         raise SizeCap(f"proof depth {depth} exceeds the cap of {MAX_PROOF_DEPTH}")
     gamma = tuple(gamma)
-    if pool is None:
-        pool = cut_pool(goal, gamma)
-    return ProofSearch(gamma, order_cuts(goal, pool), budget).prove(goal, depth)
+    pool = cut_pool(goal, gamma) if pool is None else order_cuts(goal, pool)
+    return ProofSearch(gamma, pool, budget).prove(goal, depth)

@@ -91,7 +91,7 @@ def lattice_from_json(payload: dict) -> FiniteLattice:
         raise PayloadError(f"lattice elements must be a list of {n} names")
     bot, top = _element_id(bot, "lattice bot", n), _element_id(top, "lattice top", n)
     base = validate_lattice(leq, bot, top, elements)
-    if payload.get("kind") == "modal_lattice" or "box" in payload:
+    if _modal(payload, "modal_lattice", "box"):
         box, diamond = _fields(payload, "modal lattice", "box", "diamond")
         box = _element_ids(box, "lattice box", n)
         diamond = _element_ids(diamond, "lattice diamond", n)
@@ -114,6 +114,13 @@ def _fields(payload, what: str, *keys) -> list:
         return [payload[key] for key in keys]
     except KeyError as exc:
         raise PayloadError(f"{what} payload missing {exc}")
+
+
+def _modal(payload: dict, modal_kind: str, modal_key: str) -> bool:
+    """Whether the payload is of the modal kind: its kind says so, or it
+    has no kind and has the modal key."""
+    kind = payload.get("kind")
+    return kind == modal_kind if kind is not None else modal_key in payload
 
 
 def _is_bit(x) -> bool:
@@ -164,7 +171,7 @@ def frame_from_json(payload: dict) -> LFrame | ModalLFrame:
         raise PayloadError(f"frame meet must be a list of {n} rows")
     table = [_element_ids(row, "frame meet", n) for row in meet]
     base = validate_lframe(elements, table, _element_id(one, "frame one", n))
-    if payload.get("kind") == "modal_lframe" or "R" in payload:
+    if _modal(payload, "modal_lframe", "R"):
         rel = payload.get("R", [])
         if not isinstance(rel, list):
             raise PayloadError("frame R must be a list of [x, y] pairs")
@@ -233,18 +240,25 @@ def proof_to_json(p: Proof) -> dict:
 
 
 def proof_from_json(obj: dict) -> Proof:
-    try:
-        conclusion = parse_pair(obj["conclusion"])
-        premises = tuple(proof_from_json(q) for q in obj.get("premises", []))
-        subst = tuple(
-            sorted(
-                (name, parse_formula(text))
-                for name, text in obj.get("subst", {}).items()
-            )
-        )
-        return Proof(obj["rule"], conclusion, premises, subst)
-    except KeyError as exc:
-        raise PayloadError(f"proof node missing {exc}")
+    """Shape errors raise PayloadError, as in the other loaders; a
+    conclusion or substituted formula that does not parse raises
+    FormulaSyntaxError.  The proof is not checked (see `check_proof`)."""
+    rule, conclusion = _fields(obj, "proof node", "rule", "conclusion")
+    premises, subst = obj.get("premises", []), obj.get("subst", {})
+    if not isinstance(rule, str) or not isinstance(conclusion, str):
+        raise PayloadError("proof node rule and conclusion must be strings")
+    if not isinstance(premises, list):
+        raise PayloadError("proof node premises must be a list of nodes")
+    if not isinstance(subst, dict) or not all(
+        isinstance(name, str) and isinstance(text, str) for name, text in subst.items()
+    ):
+        raise PayloadError("proof node subst must map letters to formulas")
+    return Proof(
+        rule,
+        parse_pair(conclusion),
+        tuple(map(proof_from_json, premises)),
+        tuple(sorted((name, parse_formula(text)) for name, text in subst.items())),
+    )
 
 
 LOADERS = {
@@ -260,4 +274,5 @@ def load_artifact(obj: dict):
     kind, payload = unwrap(obj)
     if kind not in LOADERS:
         raise PayloadError(f"no loader for kind {kind!r}")
-    return kind, LOADERS[kind](payload)
+    # the envelope's kind is the payload's, also where the payload omits it
+    return kind, LOADERS[kind]({**payload, "kind": kind})

@@ -19,7 +19,10 @@ never raises ResourceBound; `refutes` screens a candidate's obligations
 and `stretch` serves the proof search (see `proofs`).  `entailment`
 evaluates batches of relations of one L-frame on the tables of its
 filter lattice, passing their box and diamond tables and offsets to
-`vector`.
+`vector`.  The tables keep their seed vectors (T, F and the letters) for
+at most three letters, the most the proof search screens, so a search
+over a cached set builds none; wider seeds grow like n**k and are kept
+only by the `PackedScreen` that asked for them.
 
 The scalar evaluators (`lattice.evaluate`, `lattice.algebra_validates`,
 `lframe.truth_set`) stay the reference oracles.
@@ -86,10 +89,18 @@ class ScreenTables:
         self.scale, self.local = bytes(scale), bytes(local)
         self.meet, self.join, self.nleq = bytes(meet), bytes(join), bytes(nleq)
         self.unary_tables = bytes(box), bytes(dia)
+        # (k, count) -> `seeds(k, count)`, for k <= 3 only
+        self._seeds: dict[tuple[int, int], tuple[bytes, ...]] = {}
 
     def seeds(self, k: int, count: int) -> tuple[bytes, ...]:
         """Packed vectors of T, F and the k letters, in letter order, over
-        the first `count` screens."""
+        the first `count` screens.  Kept on the tables for k <= 3, the
+        most letters the proof search screens; wider ones grow like n**k,
+        so they are built afresh and live only as long as their caller
+        keeps them."""
+        found = self._seeds.get((k, count))
+        if found is not None:
+            return found
         columns = []
         for s in range(count):
             n, base, size = self.sizes[s], self.bases[s], self.sizes[s] ** k
@@ -99,7 +110,10 @@ class ScreenTables:
                 stride = n ** (k - 1 - j)
                 column.append(b"".join([d * stride for d in ids]) * n**j)
             columns.append(column)
-        return tuple(b"".join(row) for row in zip(*columns))
+        found = tuple(b"".join(row) for row in zip(*columns))
+        if k <= 3:
+            self._seeds[k, count] = found
+        return found
 
     def vector(
         self,
@@ -177,8 +191,9 @@ class PackedScreen:
         # sorted letters -> memo (formula -> packed vector)
         self.memo: dict[tuple[str, ...], dict[Formula, bytes]] = {}
         self._cuts: dict[int, tuple[int, int]] = {}
-        # k -> the packed vectors of T, F and k letters; kept per search,
-        # since wide candidate goals make them large
+        # k -> the packed vectors of T, F and k letters; the tables keep
+        # those of k <= 3, and wider ones, which wide candidate goals make
+        # large, live only as long as this screen
         self._seeds: dict[int, tuple[bytes, ...]] = {}
 
     def _cut(self, k: int) -> tuple[int, int]:

@@ -2,7 +2,7 @@ import hashlib
 import random
 import sys
 from bisect import bisect_right
-from itertools import accumulate, combinations, takewhile
+from itertools import accumulate, combinations, product, takewhile
 
 import pytest
 
@@ -24,6 +24,7 @@ from wpml.formulas import (
     Dia,
     Letter,
     Or,
+    formula_key,
     letters,
     match_pair,
     parse_formula,
@@ -258,14 +259,18 @@ class TestCutPool:
     def test_pools_and_cut_orders_are_pinned(self):
         """`cut_pool` and `order_cuts` on the golden sample under every
         axiom set and two cap settings, as recorded before they computed
-        each sort key once per call."""
+        each sort key once per call: each pool's formulas sorted by
+        `formula_key`, then their search order.  `cut_pool` returns its
+        pool in that search order, which `order_cuts` keeps."""
         digest = hashlib.sha256()
         for text, _ in GOLDEN_SAMPLE:
             goal = parse_pair(text)
             for gamma in AXIOM_SETS:
                 for caps in ({}, {"instance_cap": 5, "pool_cap": 40}):
                     pool = cut_pool(goal, gamma, **caps)
-                    digest.update(repr((pool, order_cuts(goal, pool))).encode())
+                    assert order_cuts(goal, pool) == pool
+                    by_key = tuple(sorted(pool, key=formula_key))
+                    digest.update(repr((by_key, order_cuts(goal, by_key))).encode())
         assert digest.hexdigest() == CUT_POOLS_SHA256
 
 
@@ -653,6 +658,46 @@ class TestVectorScreen:
         assert result.verdict == "derivable"
 
 
+def literal_seeds(tables, k, count):
+    """The packed vectors of T, F and k letters over the first `count`
+    screens, one valuation at a time in `product` order."""
+    rows = [bytearray() for _ in range(k + 2)]
+    for s in range(count):
+        n, base = tables.sizes[s], tables.bases[s]
+        for valuation in product(range(n), repeat=k):
+            rows[0].append(tables.tops[s])
+            rows[1].append(tables.bots[s])
+            for j, x in enumerate(valuation):
+                rows[2 + j].append(base + x)
+    return tuple(map(bytes, rows))
+
+
+class TestSeedCache:
+    """`ScreenTables.seeds` is kept on the tables for at most three
+    letters, and built afresh for more."""
+
+    @pytest.mark.parametrize("gamma", AXIOM_SETS)
+    def test_cached_seeds_are_fresh_builds(self, gamma):
+        screens = _screening_algebras(tuple(gamma))
+        tables = _screen_tables(screens)
+        for k in range(5):
+            for count in range(1, len(screens) + 1):
+                seeds = tables.seeds(k, count)
+                assert seeds == ScreenTables(screens).seeds(k, count)
+                assert seeds == literal_seeds(tables, k, count)
+                assert (tables.seeds(k, count) is seeds) == (k <= 3)
+
+    def test_wide_candidate_goals_leave_no_wide_seeds(self):
+        """The candidate screen of a five-letter phi evaluates obligations
+        over five letters and more, and the shared tables keep none of
+        their seeds."""
+        tables = _screen_tables(_screening_algebras(()))
+        phi = parse_formula("a & b & c & d & e")
+        result = craig_interpolant(InterpolationProblem(phi, parse_formula("a v z")))
+        assert result.verdict == "interpolant"
+        assert tables._seeds and max(k for k, _ in tables._seeds) == 3
+
+
 class RefutesScreenSearch(ProofSearch):
     """Reference search: screens each pair through `PackedScreen.refutes`
     on its sorted letters, as the search did before its per-mask slots,
@@ -760,19 +805,25 @@ class TestMaskSlotScreen:
 
 
 class LegRecordingSearch(ProofSearch):
-    """Counts the transitivity legs that enter `_prove` (its caller is in
-    the cut loop, where `cut` is bound), and those of them whose memo
-    entry decides them: a success, or a failure at that depth or deeper."""
+    """Counts the transitivity legs that enter the expansion `_expand`
+    (its caller is in the cut loop, where `cut` is bound), those of them
+    whose memo entry decides them (a success, or a failure at that depth
+    or deeper), and the legs that enter `_prove`'s memo prologue after
+    the cut loop has probed their memo entry inline."""
 
-    legs = decided_legs = 0
+    legs = decided_legs = reprobed_legs = 0
 
-    def _prove(self, l, r, depth):
+    def _expand(self, l, r, depth):
         if "cut" in sys._getframe(1).f_locals:
             key = l << _SHIFT | r
             self.legs += 1
             self.decided_legs += (
                 key in self.success or self.failed_at.get(key, -1) >= depth
             )
+        return super()._expand(l, r, depth)
+
+    def _prove(self, l, r, depth):
+        self.reprobed_legs += "cut" in sys._getframe(1).f_locals
         return super()._prove(l, r, depth)
 
 
@@ -877,15 +928,16 @@ class TestIdKeyedSearch:
     @pytest.mark.parametrize("text,tags", GOLDEN_SAMPLE)
     def test_cut_legs_the_memo_decides_are_not_entered(self, text, tags):
         """The cut loop probes each leg's memo entry inline, by the rule of
-        `_prove`'s prologue, so no leg the memo decides enters `_prove`,
-        and the search is the formula-keyed one."""
+        `_prove`'s prologue, so no leg the memo decides is expanded, an
+        open leg enters the expansion without a second memo probe, and
+        the search is the formula-keyed one."""
         gamma = gamma_pairs(tags)
         goal = parse_pair(text)
         cuts = order_cuts(goal, cut_pool(goal, gamma))
         fast, slow = LegRecordingSearch(gamma, cuts), FormulaKeyedSearch(gamma, cuts)
         assert fast.prove(goal, 6) == slow.prove(goal, 6)
         _assert_same_search(fast, slow)
-        assert fast.legs > 0 and fast.decided_legs == 0
+        assert fast.legs > 0 and fast.decided_legs == fast.reprobed_legs == 0
 
 
 def literal_leaf(gamma, pair):

@@ -1,10 +1,16 @@
+import copy
 import json
 import random
 
 import pytest
 
+from wpml.correspondence import AXIOMS
 from wpml.errors import WpmlError
+from wpml.formulas import parse_pair
 from wpml.generators import sample_modal_lattice, sample_modal_lframe, sample_vformation
+from wpml.lattice import FiniteModalLattice
+from wpml.lframe import ModalLFrame
+from wpml.proofs import Proof, derive_bounded
 from wpml.serialize import (
     PayloadError,
     dumps,
@@ -13,6 +19,8 @@ from wpml.serialize import (
     lattice_from_json,
     lattice_to_json,
     load_artifact,
+    proof_from_json,
+    proof_to_json,
     unwrap,
     vformation_from_json,
     vformation_to_json,
@@ -110,3 +118,116 @@ class TestLoadArtifact:
     def test_unknown_kind(self):
         with pytest.raises(PayloadError):
             load_artifact(wrap("mystery", {"kind": "mystery"}))
+
+    def test_envelope_kind_decides_modality(self, b4_modal):
+        """A payload without its own kind is of the envelope's kind: a
+        modal one without its modal key is malformed, never loaded as the
+        plain kind, and a plain one ignores a modal key."""
+        x = sample_modal_lframe(random.Random(5), 3)
+        frame = {k: v for k, v in frame_to_json(x).items() if k != "kind"}
+        lattice = {k: v for k, v in lattice_to_json(b4_modal).items() if k != "kind"}
+        assert isinstance(load_artifact(wrap("lframe", frame))[1], type(x.base))
+        assert isinstance(load_artifact(wrap("modal_lframe", frame))[1], ModalLFrame)
+        del frame["R"]
+        with pytest.raises(WpmlError):
+            load_artifact(wrap("modal_lframe", frame))
+        _, plain = load_artifact(wrap("lattice", lattice))
+        assert not isinstance(plain, FiniteModalLattice)
+        del lattice["box"]
+        with pytest.raises(PayloadError):
+            load_artifact(wrap("modal_lattice", lattice))
+
+
+def proof_nodes(blob, path=()):
+    """The path of each node of a `proof_to_json` tree, root first."""
+    yield path
+    for i, premise in enumerate(blob["premises"]):
+        yield from proof_nodes(premise, path + (i,))
+
+
+def node_at(blob, path):
+    for i in path:
+        blob = blob["premises"][i]
+    return blob
+
+
+# (field, value) mutations of one node; a None field replaces the node
+NODE_MUTATIONS = (
+    (None, [1]),
+    (None, 5),
+    (None, None),
+    (None, "p |- p"),
+    ("premises", [3]),
+    ("premises", [[]]),
+    ("premises", 5),
+    ("premises", {"rule": "top"}),
+    ("conclusion", 5),
+    ("conclusion", None),
+    ("conclusion", ["p |- p"]),
+    ("rule", 5),
+    ("rule", None),
+    ("subst", [1]),
+    ("subst", "p"),
+    ("subst", {"p": 5}),
+    ("subst", {"p": ["q"]}),
+    ("subst", {5: "q"}),
+)
+
+# mutations whose node is well formed but whose text does not parse
+TEXT_MUTATIONS = (
+    ("conclusion", ""),
+    ("conclusion", "p |-"),
+    ("conclusion", "p & q"),
+    ("subst", {"p": "q &"}),
+)
+
+
+_DELETE = object()
+
+
+def mutated(blob, path, field, value):
+    out = copy.deepcopy(blob)
+    if field is None:
+        if not path:
+            return value
+        node_at(out, path[:-1])["premises"][path[-1]] = value
+    elif value is _DELETE:
+        del node_at(out, path)[field]
+    else:
+        node_at(out, path)[field] = value
+    return out
+
+
+class TestProofCodec:
+    @pytest.fixture(scope="class")
+    def blob(self):
+        proof = derive_bounded(AXIOMS["T"], parse_pair("[](p & q) |- <>p v r"), 6)
+        assert proof is not None
+        return proof_to_json(proof)
+
+    def test_damaged_nodes_raise_payload_error(self, blob):
+        """Each shape mutation of each node of a `proof_to_json` tree, and
+        each deleted key the loader needs: a PayloadError, never a bare
+        TypeError, AttributeError or KeyError."""
+        paths = list(proof_nodes(blob))
+        assert len(paths) > 3
+        mutations = NODE_MUTATIONS + (("rule", _DELETE), ("conclusion", _DELETE))
+        for path in paths:
+            for field, value in mutations:
+                with pytest.raises(PayloadError):
+                    proof_from_json(mutated(blob, path, field, value))
+
+    def test_unparsable_text_raises_its_syntax_error(self, blob):
+        for path in proof_nodes(blob):
+            for field, value in TEXT_MUTATIONS:
+                with pytest.raises(WpmlError) as exc:
+                    proof_from_json(mutated(blob, path, field, value))
+                assert not isinstance(exc.value, PayloadError)
+
+    def test_optional_keys_may_be_left_out(self, blob):
+        """A leaf may omit `premises`, and a node without axiom
+        substitution omits `subst`; the round trip is exact."""
+        proof = proof_from_json(blob)
+        assert proof_to_json(proof) == blob
+        leaf = {"rule": "reflexivity", "conclusion": "p |- p"}
+        assert proof_from_json(leaf) == Proof("reflexivity", parse_pair("p |- p"))
