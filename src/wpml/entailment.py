@@ -132,7 +132,7 @@ def _first_refuting(
     if size > budget:
         raise ResourceBound(size, budget)
     codes = kept.codes
-    seeds = codes.seeds(len(ls), 1)
+    seeds = codes.seeds(len(ls))
 
     def shape(width: int) -> tuple[list[bytes], int]:
         stretches = b"".join([bytes((j * f,)) * size for j in range(width)])

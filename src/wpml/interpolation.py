@@ -9,9 +9,10 @@ candidate in that canonical order for which both derivations are found.
 Before any proof search, a candidate is dropped when a modal lattice of
 the proof search's screening set (`proofs._screening_algebras`) refutes
 one of its obligations.  Each obligation, left first, is evaluated on the
-set at once by a packed screen (`vectors.PackedScreen`, one per call),
-with no skip by letter count; a lattice over the budget for an
-obligation's letters is skipped, which keeps a candidate, never drops one.
+set at once by a packed screen (`vectors.PackedScreen`, one per call) by
+the proof search's rule: an obligation over more than three letters is
+not screened, which keeps a candidate, never drops one, and leaves it to
+the proof search.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from .entailment import (
     decide_entailment,
     gamma_pairs,
 )
-from .errors import (
-    InternalInconsistency,
-    PreconditionViolated,
-    ResourceBound,
-    resolve_budget,
-)
+from .errors import InternalInconsistency, PreconditionViolated, ResourceBound
 from .formulas import (
     BOT,
     TOP,
@@ -196,7 +192,7 @@ def craig_interpolant(prob: InterpolationProblem) -> InterpolationResult:
         )
     gamma = gamma_pairs(prob.tags)
     pool = candidate_pool(prob.phi, prob.psi, prob.shared)
-    screen = PackedScreen(_screen_tables(_screening_algebras(gamma)), resolve_budget())
+    screen = PackedScreen(_screen_tables(_screening_algebras(gamma)))
     tried = 0
     notes: dict = {}
     for chi in enumerate_candidates(pool, prob.cand_size):

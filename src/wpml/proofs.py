@@ -14,28 +14,25 @@ a caller's pool through `order_cuts`.
 Semantic screening: before expanding a subgoal of at most three letters,
 the search refutes it on a fixed set of small modal lattices that
 validate the axioms (`_screening_algebras`, cached per axiom set;
-`interpolation.craig_interpolant` screens candidates on the same set).
-The set is packed once (`_screen_tables`, a `vectors.ScreenTables`, which
-keeps the seed vectors of T, F and up to three letters), so that a
+`interpolation.craig_interpolant` screens candidates on the same set, by
+the same rule).  A refuted pair is not derivable at all, so the screen
+changes what the search costs, never a verdict; over at most three
+letters it is a small fixed cost, and it takes no budget.  The set is
+packed once (`_screen_tables`, a `vectors.ScreenTables`), so that a
 formula's value under every valuation of the pair's sorted letters, on
 every screen algebra, is one packed `bytes` vector, built once per search
 from its children's vectors.  Each formula id has a bitmask of its
-letters; a pair's mask picks a slot, built once per mask:
-the vector memo of its sorted letters, whose length ends the stretch of
-screens within budget for them, or "not screened" past three letters.
-In its slot each formula id keeps its vector's two pair-code halves as
-big integers, the scale half for a left side and the local half for a
-right side, so screening a pair is one addition, one `to_bytes`, one
-`translate` and one `find`.  A screen with n**k > budget for a pair of
-k letters is skipped, never raised on: a refuted pair is not derivable
-at all, so the budget changes what screening costs, never a verdict.
-The set holds modal lattices only, as `PackedScreen` requires: a plain
-lattice gives a modal pair no value.  The scalar
-`lattice.algebra_validates` and `lattice.evaluate` stay the reference
-oracles: tests/test_proofs.py checks the screen's verdicts and first
-refuting screens against the literal loop over the algebras within
-budget, and whole searches against a search that screens through
-`algebra_validates`.
+letters; a pair's mask picks a slot, built once per mask from the vector
+memo of its sorted letters (`PackedScreen.stretch`), or "not screened"
+past three letters.  In its slot each formula id keeps its vector's two
+pair-code halves as big integers, the scale half for a left side and the
+local half for a right side, so screening a pair is one addition, one
+`to_bytes`, one `translate` and one `find`.  The set holds modal
+lattices only, as `PackedScreen` requires.  The scalar
+`lattice.algebra_validates` stays the reference oracle:
+tests/test_proofs.py checks the screen's verdicts and first refuting
+screens against the literal loop over the algebras, and whole searches
+against a search that screens through `algebra_validates`.
 
 Memo tables: a search numbers the formulas it meets with small ints of
 its own and keys its memo tables by the ids of a pair's two sides, so
@@ -65,7 +62,7 @@ from itertools import product
 from operator import attrgetter
 from typing import Optional
 
-from .errors import InternalInconsistency, ResourceBound, SizeCap, resolve_budget
+from .errors import InternalInconsistency, ResourceBound, SizeCap
 from .formulas import (
     BOT,
     TOP,
@@ -425,7 +422,7 @@ class ProofSearch:
         # pair mask -> its slot (see `_slot`), or None past three letters
         self._slots: dict[int, Optional[tuple]] = {}
         self._screen_ok: set[int] = set()
-        self._screen = PackedScreen(_screen_tables(self.screens), resolve_budget())
+        self._screen = PackedScreen(_screen_tables(self.screens))
         # (type(lhs), type(rhs)) -> the leaf rules and axiom members that
         # can match a pair of that shape
         self._leaf_plans: dict[tuple[type, type], tuple[tuple, tuple]] = {}
@@ -449,22 +446,21 @@ class ProofSearch:
     def _slot(self, mask: int) -> Optional[tuple]:
         """The slot of the pairs whose letters are `mask`, built once per
         mask: `(memo, end, lefts, rights)`, with the screen's `stretch` of
-        the sorted letters and each formula id's two pair-code halves as
-        big integers, filled as ids meet the screen; None past three
-        letters, which are not screened."""
+        the sorted letters, the length of its vectors, and each formula
+        id's two pair-code halves as big integers, filled as ids meet the
+        screen; None where the screen takes no pair over those letters."""
         slot = self._slots.get(mask, False)
         if slot is False:
             names = [name for name, bit in self._bits.items() if mask & bit]
-            slot = None
-            if len(names) <= 3:
-                slot = (*self._screen.stretch(tuple(sorted(names))), {}, {})
+            memo = self._screen.stretch(tuple(sorted(names)))
+            slot = None if memo is None else (memo, len(memo[TOP]), {}, {})
             self._slots[mask] = slot
         return slot
 
     def _screened_out(self, key: int) -> bool:
-        """True iff some screen algebra within budget for its letters
-        refutes the pair of formula ids `key`: the same decision as
-        `algebra_validates(a, pair) is not None` for some such `a` in
+        """True iff some screen algebra refutes the pair of formula ids
+        `key`, of at most three letters: the same decision as
+        `algebra_validates(a, pair) is not None` for some `a` in
         `screens`, but all of them are tried at once.  The pair's codes
         are the sum of its left id's left half and its right id's right
         half in the slot of its letters, and one translate marks the
@@ -479,19 +475,18 @@ class ProofSearch:
         self.screen_calls += 1
         memo, end, lefts, rights = slot
         formulas, tables = self._formulas, self._screen.tables
-        if end:
-            left = lefts.get(l)
-            if left is None:
-                v = tables.vector(memo, formulas[l])
-                left = lefts[l] = int.from_bytes(v.translate(tables.scale), "big")
-            right = rights.get(r)
-            if right is None:
-                v = tables.vector(memo, formulas[r])
-                right = rights[r] = int.from_bytes(v.translate(tables.local), "big")
-            codes = (left + right).to_bytes(end, "big")
-            if codes.translate(tables.nleq).find(1) >= 0:
-                self.screen_rejects += 1
-                return True
+        left = lefts.get(l)
+        if left is None:
+            v = tables.vector(memo, formulas[l])
+            left = lefts[l] = int.from_bytes(v.translate(tables.scale), "big")
+        right = rights.get(r)
+        if right is None:
+            v = tables.vector(memo, formulas[r])
+            right = rights[r] = int.from_bytes(v.translate(tables.local), "big")
+        codes = (left + right).to_bytes(end, "big")
+        if codes.translate(tables.nleq).find(1) >= 0:
+            self.screen_rejects += 1
+            return True
         self._screen_ok.add(key)
         return False
 

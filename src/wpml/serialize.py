@@ -29,7 +29,7 @@ from .lframe import (
     validate_lframe,
     validate_modal_lframe,
 )
-from .proofs import Proof
+from .proofs import MAX_PROOF_DEPTH, Proof
 
 FORMAT = "wpml/1"
 
@@ -240,9 +240,17 @@ def proof_to_json(p: Proof) -> dict:
 
 
 def proof_from_json(obj: dict) -> Proof:
-    """Shape errors raise PayloadError, as in the other loaders; a
-    conclusion or substituted formula that does not parse raises
-    FormulaSyntaxError.  The proof is not checked (see `check_proof`)."""
+    """Shape errors raise PayloadError, as in the other loaders, and so
+    does nesting deeper than `MAX_PROOF_DEPTH` levels, before any recursion
+    past it; a conclusion or substituted formula that does not parse
+    raises FormulaSyntaxError.  The proof is not checked (see `check_proof`)."""
+    return _proof_node(obj, MAX_PROOF_DEPTH)
+
+
+def _proof_node(obj: dict, room: int) -> Proof:
+    """The proof node `obj`, whose subtree may span at most `room` levels."""
+    if room <= 0:
+        raise PayloadError(f"proof nested deeper than {MAX_PROOF_DEPTH} levels")
     rule, conclusion = _fields(obj, "proof node", "rule", "conclusion")
     premises, subst = obj.get("premises", []), obj.get("subst", {})
     if not isinstance(rule, str) or not isinstance(conclusion, str):
@@ -256,7 +264,7 @@ def proof_from_json(obj: dict) -> Proof:
     return Proof(
         rule,
         parse_pair(conclusion),
-        tuple(map(proof_from_json, premises)),
+        tuple(_proof_node(p, room - 1) for p in premises),
         tuple(sorted((name, parse_formula(text)) for name, text in subst.items())),
     )
 

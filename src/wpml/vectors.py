@@ -13,16 +13,15 @@ test are each one `bytes.translate`.  A pair code must fit in a byte, so
 each algebra has at most 16 elements and the sum of n**2 over the set is
 at most 256; every screening set that `proofs` builds is well inside
 that (at most 202).  The tables have two users.  `PackedScreen` holds
-one search's budget and memo over a screening set of modal lattices,
-evaluates a pair only on the screens within budget for its letters, and
-never raises ResourceBound; `refutes` screens a candidate's obligations
-and `stretch` serves the proof search (see `proofs`).  `entailment`
-evaluates batches of relations of one L-frame on the tables of its
-filter lattice, passing their box and diamond tables and offsets to
-`vector`.  The tables keep their seed vectors (T, F and the letters) for
-at most three letters, the most the proof search screens, so a search
-over a cached set builds none; wider seeds grow like n**k and are kept
-only by the `PackedScreen` that asked for them.
+one search's memo over a screening set of modal lattices and takes pairs
+of at most three letters only, the one rule of both semantic screens:
+`stretch` serves the proof search (see `proofs`) and `refutes` screens a
+candidate's obligations.  `entailment` evaluates batches of relations of
+one L-frame on the tables of its filter lattice, passing their box and
+diamond tables and offsets to `vector`.  The tables keep their seed
+vectors (T, F and the letters) for at most three letters, so a screen
+over a cached set builds none; wider seeds grow like n**k and are built
+afresh.
 
 The scalar evaluators (`lattice.evaluate`, `lattice.algebra_validates`,
 `lframe.truth_set`) stay the reference oracles.
@@ -89,22 +88,21 @@ class ScreenTables:
         self.scale, self.local = bytes(scale), bytes(local)
         self.meet, self.join, self.nleq = bytes(meet), bytes(join), bytes(nleq)
         self.unary_tables = bytes(box), bytes(dia)
-        # (k, count) -> `seeds(k, count)`, for k <= 3 only
-        self._seeds: dict[tuple[int, int], tuple[bytes, ...]] = {}
+        # k -> `seeds(k)`, for k <= 3 only
+        self._seeds: dict[int, tuple[bytes, ...]] = {}
 
-    def seeds(self, k: int, count: int) -> tuple[bytes, ...]:
+    def seeds(self, k: int) -> tuple[bytes, ...]:
         """Packed vectors of T, F and the k letters, in letter order, over
-        the first `count` screens.  Kept on the tables for k <= 3, the
-        most letters the proof search screens; wider ones grow like n**k,
-        so they are built afresh and live only as long as their caller
-        keeps them."""
-        found = self._seeds.get((k, count))
+        every screen.  Kept on the tables for k <= 3, the most letters a
+        screen takes; wider ones grow like n**k, so they are built afresh
+        and live only as long as their caller keeps them."""
+        found = self._seeds.get(k)
         if found is not None:
             return found
         columns = []
-        for s in range(count):
-            n, base, size = self.sizes[s], self.bases[s], self.sizes[s] ** k
-            column = [bytes((self.tops[s],)) * size, bytes((self.bots[s],)) * size]
+        for n, base, top, bot in zip(self.sizes, self.bases, self.tops, self.bots):
+            size = n**k
+            column = [bytes((top,)) * size, bytes((bot,)) * size]
             ids = [bytes((base + d,)) for d in range(n)]
             for j in range(k):
                 stride = n ** (k - 1 - j)
@@ -112,7 +110,7 @@ class ScreenTables:
             columns.append(column)
         found = tuple(b"".join(row) for row in zip(*columns))
         if k <= 3:
-            self._seeds[k, count] = found
+            self._seeds[k] = found
         return found
 
     def vector(
@@ -172,69 +170,42 @@ def _seeded(seeds: tuple[bytes, ...], ls: tuple[str, ...]) -> dict[Formula, byte
 
 class PackedScreen:
     """One search's screen over a `ScreenTables` of modal lattices: its
-    budget, and its packed vectors per sorted letter tuple, kept for as
+    packed vectors per sorted tuple of at most three letters, kept for as
     long as the screen lives.  Raises PreconditionViolated for a plain
     lattice in the set, on which a modal pair has no value.
 
-    Over k letters, only the screens before the first one with
-    n**k > budget are evaluated; a pair that none of them refutes is not
-    screened out.  Screening is sound either way, so the budget changes
-    what the screen costs, never a verdict, and no screen raises
-    ResourceBound."""
+    A pair over more than three letters is not screened: a refuted pair
+    is not derivable, so the rule changes what the screen costs, never a
+    verdict.  Over at most three letters a screening set of `proofs` (at
+    most 12 algebras of at most 5 elements) has at most 1,500 positions,
+    so the screen takes no budget."""
 
-    def __init__(self, tables: ScreenTables, budget: int):
+    def __init__(self, tables: ScreenTables):
         if tables.first_plain < len(tables.sizes):
             raise PreconditionViolated(
                 f"screen {tables.first_plain} is a plain lattice (modal lattices only)"
             )
-        self.tables, self.budget = tables, budget
+        self.tables = tables
         # sorted letters -> memo (formula -> packed vector)
         self.memo: dict[tuple[str, ...], dict[Formula, bytes]] = {}
-        self._cuts: dict[int, tuple[int, int]] = {}
-        # k -> the packed vectors of T, F and k letters; the tables keep
-        # those of k <= 3, and wider ones, which wide candidate goals make
-        # large, live only as long as this screen
-        self._seeds: dict[int, tuple[bytes, ...]] = {}
 
-    def _cut(self, k: int) -> tuple[int, int]:
-        """`(cut, end)` over k letters: the first screen with n**k > budget
-        (the number of screens if none) and the length of the packed
-        vectors of the screens before it."""
-        found = self._cuts.get(k)
-        if found is None:
-            sizes = self.tables.sizes
-            over = (s for s, n in enumerate(sizes) if n**k > self.budget)
-            cut = next(over, len(sizes))
-            found = self._cuts[k] = cut, sum(n**k for n in sizes[:cut])
-        return found
-
-    def stretch(
-        self, ls: tuple[str, ...]
-    ) -> tuple[Optional[dict[Formula, bytes]], int]:
-        """`(memo, end)` for every pair over the sorted letters `ls`: the
-        memo of their packed vectors, None when no screen is within
-        budget, and the vectors' length.  The pair is refuted iff some
-        position before `end` has its left value not below its right."""
-        k = len(ls)
-        cut, end = self._cut(k)
-        if not end:
-            return None, 0
+    def stretch(self, ls: tuple[str, ...]) -> Optional[dict[Formula, bytes]]:
+        """The memo of packed vectors over the sorted letters `ls`, built
+        once; None past three letters, which are not screened."""
+        if len(ls) > 3:
+            return None
         memo = self.memo.get(ls)
         if memo is None:
-            seeds = self._seeds.get(k)
-            if seeds is None:
-                seeds = self._seeds[k] = self.tables.seeds(k, cut)
-            memo = self.memo[ls] = _seeded(seeds, ls)
-        return memo, end
+            memo = self.memo[ls] = _seeded(self.tables.seeds(len(ls)), ls)
+        return memo
 
     def refutes(self, goals) -> bool:
-        """For (lhs, rhs, sorted letters) goals: whether some goal, left
-        goal first, is refuted by a screen within budget for its
-        letters."""
-        vector = self.tables.vector
+        """For (lhs, rhs, sorted letters) goals: whether some goal of at
+        most three letters, left goal first, is refuted on the set."""
+        vector, escape = self.tables.vector, self.tables.escape
         for lhs, rhs, ls in goals:
-            memo, end = self.stretch(ls)
-            if end and self.tables.escape(vector(memo, lhs), vector(memo, rhs)) >= 0:
+            memo = self.stretch(ls)
+            if memo is not None and escape(vector(memo, lhs), vector(memo, rhs)) >= 0:
                 return True
         return False
 

@@ -16,7 +16,6 @@ from wpml.catalog import all_lattices, all_modal_lframes
 from wpml.correspondence import AXIOM_TAGS, AXIOMS, CONDITION_OF_AXIOM, frame_satisfies
 from wpml.duality import fil_l, is_tight, round_trip_iso
 from wpml.entailment import gamma_conditions, gamma_pairs
-from wpml.errors import resolve_budget
 from wpml.formulas import (
     And,
     Box,
@@ -203,12 +202,16 @@ def golden_results(golden_run):
 
 def test_golden_search_counters_are_pinned(golden_run):
     """The work of the golden corpus's proof searches, as recorded before
-    the screen was packed; screening changes cost, never the search."""
+    the screen was packed; screening changes cost, never the search.
+    Since the candidate screen takes obligations of at most three letters
+    only, candidate F for `((p & q) & s) & s2 |- p v r` reaches the
+    failing search `p & q & s & s2 |- F` (968 expansions, 464 screen
+    calls, 398 rejects, 633 memo entries), the one search added."""
     assert golden_run[1] == {
-        "expansions": 141_975,
-        "screen_calls": 113_247,
-        "screen_rejects": 83_162,
-        "memo_entries": 122_224,
+        "expansions": 142_943,
+        "screen_calls": 113_711,
+        "screen_rejects": 83_560,
+        "memo_entries": 122_857,
     }
 
 
@@ -618,12 +621,13 @@ def _frame_screen_algebras(tags):
 def test_candidate_screen_matches_frame_screen_oracle(golden_results):
     """Every candidate up to each golden interpolant is screened out by
     the packed screen on the proof search's screening set exactly when
-    the former screen refutes an obligation through the scalar
-    `algebra_validates`."""
+    the former screen refutes an obligation of at most three letters
+    through the scalar `algebra_validates`: neither screen takes a wider
+    one."""
     checked = 0
     for prob, res in golden_results:
         tables = _screen_tables(_screening_algebras(gamma_pairs(prob.tags)))
-        screen = PackedScreen(tables, resolve_budget())
+        screen = PackedScreen(tables)
         oracle = _frame_screen_algebras(prob.tags)
         pool = candidate_pool(prob.phi, prob.psi, prob.shared)
         for chi in enumerate_candidates(pool, prob.cand_size):
@@ -631,8 +635,9 @@ def test_candidate_screen_matches_frame_screen_oracle(golden_results):
             got = screen.refutes(
                 [(g.lhs, g.rhs, tuple(sorted(letters(g)))) for g in goals]
             )
+            narrow = [g for g in goals if len(letters(g)) <= 3]
             want = any(
-                algebra_validates(a, g) is not None for a in oracle for g in goals
+                algebra_validates(a, g) is not None for a in oracle for g in narrow
             )
             assert got == want, (str(prob.phi), str(prob.psi), str(chi))
             checked += 1

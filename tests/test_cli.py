@@ -294,8 +294,8 @@ def test_invalid_wpml_budget_exits_with_parse_code(monkeypatch, capsys, text):
 
 
 def test_small_wpml_budget_still_finds_the_interpolant(monkeypatch, capsys):
-    """A screen over the budget for a goal's letters is skipped, so a
-    small budget leaves the search's answer as it is."""
+    """The semantic screens take no budget, so a small WPML_BUDGET
+    leaves the search's answer as it is."""
     monkeypatch.setenv("WPML_BUDGET", "10")
     code, out, err = run(["interpolate", "p & q", "p v r"], capsys)
     assert (code, err) == (0, "")

@@ -2,10 +2,11 @@ import hashlib
 import random
 import sys
 from bisect import bisect_right
-from itertools import accumulate, combinations, product, takewhile
+from itertools import accumulate, combinations, product
 
 import pytest
 
+from wpml import interpolation, proofs
 from wpml.correspondence import AXIOM_TAGS, AXIOMS
 from wpml.entailment import decide_entailment, gamma_pairs
 from wpml.errors import (
@@ -13,7 +14,6 @@ from wpml.errors import (
     PreconditionViolated,
     ResourceBound,
     SizeCap,
-    resolve_budget,
 )
 from wpml.formulas import (
     BOT,
@@ -321,10 +321,9 @@ class TestProofSerialization:
 
 
 class ScalarScreenSearch(ProofSearch):
-    """Reference search: screens each pair through the scalar
-    `algebra_validates` oracle on the screens within budget for its
-    letters, and counts screen calls and rejects as the packed screen
-    does."""
+    """Reference search: screens each pair of at most three letters
+    through the scalar `algebra_validates` oracle on every screen, and
+    counts screen calls and rejects as the packed screen does."""
 
     def _screened_out(self, key):
         if key in self._screen_ok:
@@ -334,19 +333,14 @@ class ScalarScreenSearch(ProofSearch):
             self._screen_ok.add(key)
             return False
         self.screen_calls += 1
-        for a in within_budget(self.screens, pair):
-            if algebra_validates(a, pair) is not None:
+        for a in self.screens:
+            # 16**3: the most positions a screen over three letters has,
+            # so WPML_BUDGET does not reach the oracle either
+            if algebra_validates(a, pair, 16**3) is not None:
                 self.screen_rejects += 1
                 return True
         self._screen_ok.add(key)
         return False
-
-
-def within_budget(algebras, goal):
-    """The algebras before the first with n**k > WPML_BUDGET, for the k
-    letters of the goal."""
-    k, budget = len(letters(goal)), resolve_budget()
-    return list(takewhile(lambda a: a.n**k <= budget, algebras))
 
 
 def _pair_of(search, key):
@@ -369,12 +363,12 @@ def outcome(thunk):
 
 def literal_screen(algebras, goals):
     """The literal loop over the algebras (goals in order at each), each
-    goal tried only on the algebras within budget for its letters: the
-    index of the first refuting algebra, or None."""
-    kept = [within_budget(algebras, goal) for goal in goals]
+    goal of at most three letters tried on every algebra and a wider one
+    on none: the index of the first refuting algebra, or None."""
+    kept = [goal for goal in goals if len(letters(goal)) <= 3]
     for s, a in enumerate(algebras):
-        for goal, within in zip(goals, kept):
-            if s < len(within) and algebra_validates(a, goal) is not None:
+        for goal in kept:
+            if algebra_validates(a, goal) is not None:
                 return s
     return None
 
@@ -382,22 +376,21 @@ def literal_screen(algebras, goals):
 def first_refuting(screen, pair):
     """The index of the first screen that refutes the pair, read off the
     escape position of its packed vectors and the screen sizes; None if
-    none within budget does."""
+    none does or the pair has more than three letters."""
     ls = tuple(sorted(letters(pair)))
-    memo, end = screen.stretch(ls)
-    if not end:
+    memo = screen.stretch(ls)
+    if memo is None:
         return None
     tables = screen.tables
     pos = tables.escape(tables.vector(memo, pair.lhs), tables.vector(memo, pair.rhs))
     if pos < 0:
         return None
-    assert pos < end
     return bisect_right(list(accumulate(n ** len(ls) for n in tables.sizes)), pos)
 
 
 def packed_screen(algebras, goals):
     """The packed screen's decision, given as `literal_screen` gives it."""
-    screen = PackedScreen(ScreenTables(algebras), resolve_budget())
+    screen = PackedScreen(ScreenTables(algebras))
     triples = [(g.lhs, g.rhs, tuple(sorted(letters(g)))) for g in goals]
     if not screen.refutes(triples):
         return None
@@ -523,7 +516,7 @@ class TestVectorScreen:
         for gamma in AXIOM_SETS:
             screens = _screening_algebras(tuple(gamma))
             search = ProofSearch(gamma, (), screens=screens)
-            screen = PackedScreen(_screen_tables(screens), resolve_budget())
+            screen = PackedScreen(_screen_tables(screens))
             firsts = []
             for pair in corpus:
                 first = literal_screen(screens, [pair])
@@ -550,7 +543,7 @@ class TestVectorScreen:
         with pytest.raises(PreconditionViolated, match="plain lattice"):
             ProofSearch((), (), screens=(chain3,))
         with pytest.raises(PreconditionViolated, match="screen 1 is a plain"):
-            PackedScreen(ScreenTables((chain3_modal, chain3)), resolve_budget())
+            PackedScreen(ScreenTables((chain3_modal, chain3)))
         search = ProofSearch((), (), screens=(chain3_modal,))
         assert screened_out(search, parse_pair("[]p |- p")) is False
         assert screened_out(search, parse_pair("p v q |- p")) is True
@@ -575,48 +568,26 @@ class TestVectorScreen:
         with pytest.raises(PreconditionViolated, match="17 elements"):
             ProofSearch((), (), screens=(chain16, chain17))
 
-    @pytest.mark.parametrize("budget", [8, 9, 26, 27, 64, 124, 125])
-    def test_budget_cuts_the_set_mid_way(self, budget, monkeypatch):
-        """Under budgets that cut a screening set part way through for
-        some letter counts, the packed screen refutes where the literal
-        loop over the algebras within budget does, and raises nothing:
-        one goal as the proof search screens it, two as the candidate
-        screen does (left first at each algebra)."""
-        monkeypatch.setenv("WPML_BUDGET", str(budget))
-        rng = random.Random(budget)
+    def test_two_goals_left_first_match_the_literal_loop(self):
+        """The candidate screen's two goals, left first at each algebra,
+        wide goals included: the packed screen refutes where the literal
+        loop does, at the same first algebra, and skips a goal over more
+        than three letters as the proof search skips such a pair."""
+        rng = random.Random(4343)
         pairs = seeded_pairs(rng, 40)
         wide = seeded_pairs(rng, 10, max_letters=4)
-        # valid, so no screen refutes them before the budget cuts in
-        wide += [parse_pair("p & q & r & s |- s v t"), parse_pair("[]p & q |- []p v r")]
-        kinds, candidate_kinds = set(), set()
-        # whether the budget cut the set short for a pair or a goal
-        cut, candidate_cut = set(), set()
+        # over four and five letters: no screen takes them, refuted or not
+        wide += [parse_pair("p & q & r & s |- F"), parse_pair("[]p & q |- []r v s v t")]
+        assert max(len(letters(pair)) for pair in wide) == 5
+        firsts = set()
         for gamma in (AXIOMS["B"], AXIOMS["5"], ()):
             screens = _screening_algebras(gamma)
-            search = ProofSearch(gamma, (), screens=screens)
-            scalar = ScalarScreenSearch(gamma, (), screens=screens)
-            for pair in pairs:
-                want = outcome(lambda: screened_out(scalar, pair))
-                assert outcome(lambda: screened_out(search, pair)) == want, str(pair)
-                kinds.add(want[0])
-                cut.add(len(within_budget(screens, pair)) < len(screens))
-            assert (search.screen_calls, search.screen_rejects) == (
-                scalar.screen_calls,
-                scalar.screen_rejects,
-            )
             for left, right in zip(pairs + wide, wide + pairs):
                 goals = [left, right]
-                want = outcome(lambda: literal_screen(screens, goals))
-                got = outcome(lambda: packed_screen(screens, goals))
-                assert got == want, (str(left), str(right))
-                candidate_kinds.add(want[0])
-                candidate_cut.update(
-                    len(within_budget(screens, g)) < len(screens) for g in goals
-                )
-        assert kinds == candidate_kinds == {"returns"}
-        # the largest screen has 5 elements: 5**3 == 125
-        assert cut == ({False, True} if budget < 125 else {False})
-        assert candidate_cut == {False, True}
+                want = literal_screen(screens, goals)
+                assert packed_screen(screens, goals) == want, (str(left), str(right))
+                firsts.add(want)
+        assert None in firsts and len(firsts) > 2
 
     @pytest.mark.parametrize(
         "text,tags,depth",
@@ -637,9 +608,9 @@ class TestVectorScreen:
         _assert_same_search(fast, formula_keyed)
 
     def test_small_wpml_budget_keeps_the_proof(self, monkeypatch):
-        """A budget of 10 is below 3**3, so the three-element screens are
-        skipped for a subgoal over p, q and r, and the search finds the
-        proof it finds at the default budget."""
+        """The screens take no budget, so at a WPML_BUDGET of 10, below
+        3**3, the search screens a subgoal over p, q and r on every
+        screen and finds the proof it finds at the default budget."""
         goal = parse_pair("p & q |- p v r")
         proof = derive_bounded((), goal, 6)
         assert proof is not None
@@ -649,20 +620,18 @@ class TestVectorScreen:
         assert slow.prove(goal, 6) == proof
 
     def test_small_wpml_budget_keeps_the_verdict(self, monkeypatch):
-        """At WPML_BUDGET=7 the empty axiom set's screens stop at its first
-        three-element lattice for a subgoal over two letters (3**2 > 7);
-        the two-element ones before it still screen, and the verdict is
-        the default budget's."""
+        """WPML_BUDGET=7 is below 3**2, and it does not reach the screens:
+        the verdict is the default budget's."""
         monkeypatch.setenv("WPML_BUDGET", "7")
         result = decide_entailment((), parse_pair("p & q |- p"))
         assert result.verdict == "derivable"
 
 
-def literal_seeds(tables, k, count):
-    """The packed vectors of T, F and k letters over the first `count`
-    screens, one valuation at a time in `product` order."""
+def literal_seeds(tables, k):
+    """The packed vectors of T, F and k letters over every screen, one
+    valuation at a time in `product` order."""
     rows = [bytearray() for _ in range(k + 2)]
-    for s in range(count):
+    for s in range(len(tables.sizes)):
         n, base = tables.sizes[s], tables.bases[s]
         for valuation in product(range(n), repeat=k):
             rows[0].append(tables.tops[s])
@@ -681,21 +650,34 @@ class TestSeedCache:
         screens = _screening_algebras(tuple(gamma))
         tables = _screen_tables(screens)
         for k in range(5):
-            for count in range(1, len(screens) + 1):
-                seeds = tables.seeds(k, count)
-                assert seeds == ScreenTables(screens).seeds(k, count)
-                assert seeds == literal_seeds(tables, k, count)
-                assert (tables.seeds(k, count) is seeds) == (k <= 3)
+            seeds = tables.seeds(k)
+            assert seeds == ScreenTables(screens).seeds(k)
+            assert seeds == literal_seeds(tables, k)
+            assert (tables.seeds(k) is seeds) == (k <= 3)
 
-    def test_wide_candidate_goals_leave_no_wide_seeds(self):
-        """The candidate screen of a five-letter phi evaluates obligations
-        over five letters and more, and the shared tables keep none of
-        their seeds."""
-        tables = _screen_tables(_screening_algebras(()))
-        phi = parse_formula("a & b & c & d & e")
-        result = craig_interpolant(InterpolationProblem(phi, parse_formula("a v z")))
-        assert result.verdict == "interpolant"
-        assert tables._seeds and max(k for k, _ in tables._seeds) == 3
+
+def test_wide_phi_screens_on_three_letters_at_most(monkeypatch):
+    """`a0 & ... & a11 |- a0 v z`: the candidate screen and the proof
+    searches screen no pair or obligation over more than three letters,
+    so no screen holds vectors over all twelve letters of phi, which
+    grow like n**12 on a lattice of n elements; the interpolant is a0."""
+    built = []
+
+    class RecordedScreen(PackedScreen):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(interpolation, "PackedScreen", RecordedScreen)
+    monkeypatch.setattr(proofs, "PackedScreen", RecordedScreen)
+    phi = parse_formula(" & ".join(f"a{i}" for i in range(12)))
+    prob = InterpolationProblem(phi, parse_formula("a0 v z"), model_size=2)
+    result = craig_interpolant(prob)
+    assert result.verdict == "interpolant" and result.interpolant == Letter("a0")
+    assert len(built) > 2 and all(screen.memo for screen in built)
+    assert max(len(ls) for screen in built for ls in screen.memo) <= 3
+    tables = _screen_tables(_screening_algebras(()))
+    assert max(tables._seeds) == 3
 
 
 class RefutesScreenSearch(ProofSearch):
@@ -755,8 +737,7 @@ def mask_shape(pair):
 
 def mask_slot_sets():
     """Each `_screening_algebras` set, and B's set with the two-element
-    chain at index 1, before the cut of three letters under every budget
-    the test sets."""
+    chain at index 1."""
     chain2 = with_identity_modalities(validate_lattice(chain_leq(2), 0, 1))
     b = _screening_algebras(AXIOMS["B"])
     sets = [_screening_algebras(tuple(gamma)) for gamma in AXIOM_SETS]
@@ -769,10 +750,8 @@ class TestMaskSlotScreen:
     (`ScalarScreenSearch`) and the search that screens through
     `PackedScreen.refutes` (`RefutesScreenSearch`)."""
 
-    @pytest.mark.parametrize("budget", [26, 27, 124, 125])
-    def test_matches_scalar_screen_on_every_mask_shape(self, budget, monkeypatch):
-        monkeypatch.setenv("WPML_BUDGET", str(budget))
-        pairs = mask_shape_pairs(random.Random(budget), 150)
+    def test_matches_scalar_screen_on_every_mask_shape(self):
+        pairs = mask_shape_pairs(random.Random(125), 150)
         shapes = set(map(mask_shape, pairs))
         every = {(n, shared) for n in (1, 2, 3, 4) for shared in (False, True)}
         assert shapes >= every | {(0, False)}

@@ -10,7 +10,7 @@ from wpml.formulas import parse_pair
 from wpml.generators import sample_modal_lattice, sample_modal_lframe, sample_vformation
 from wpml.lattice import FiniteModalLattice
 from wpml.lframe import ModalLFrame
-from wpml.proofs import Proof, derive_bounded
+from wpml.proofs import MAX_PROOF_DEPTH, Proof, derive_bounded
 from wpml.serialize import (
     PayloadError,
     dumps,
@@ -231,3 +231,26 @@ class TestProofCodec:
         assert proof_to_json(proof) == blob
         leaf = {"rule": "reflexivity", "conclusion": "p |- p"}
         assert proof_from_json(leaf) == Proof("reflexivity", parse_pair("p |- p"))
+
+    @staticmethod
+    def chain(height):
+        """A proof node over `p |- p` with one premise per level, `height`
+        levels in all, as JSON, built without recursion."""
+        node = {"rule": "reflexivity", "conclusion": "p |- p", "premises": []}
+        for _ in range(height - 1):
+            node = {"rule": "becker-box", "conclusion": "p |- p", "premises": [node]}
+        return node
+
+    def test_nesting_past_the_depth_cap_is_a_payload_error(self):
+        """A chain 3,000 levels deep, far past the recursion limit, and
+        one level past `MAX_PROOF_DEPTH`: a PayloadError, raised before
+        the loader recurses past the cap."""
+        for height in (3_000, MAX_PROOF_DEPTH + 1):
+            with pytest.raises(PayloadError, match=f"deeper than {MAX_PROOF_DEPTH}"):
+                proof_from_json(self.chain(height))
+
+    def test_a_chain_at_the_depth_cap_loads(self):
+        blob = self.chain(MAX_PROOF_DEPTH)
+        proof = proof_from_json(blob)
+        assert proof.height() == MAX_PROOF_DEPTH
+        assert proof_to_json(proof) == blob
