@@ -368,7 +368,8 @@ def literal_screen(algebras, goals):
     kept = [goal for goal in goals if len(letters(goal)) <= 3]
     for s, a in enumerate(algebras):
         for goal in kept:
-            if algebra_validates(a, goal) is not None:
+            # 16**3 bounds a three-letter goal, as in `ScalarScreenSearch`
+            if algebra_validates(a, goal, 16**3) is not None:
                 return s
     return None
 
@@ -568,25 +569,43 @@ class TestVectorScreen:
         with pytest.raises(PreconditionViolated, match="17 elements"):
             ProofSearch((), (), screens=(chain16, chain17))
 
-    def test_two_goals_left_first_match_the_literal_loop(self):
-        """The candidate screen's two goals, left first at each algebra,
-        wide goals included: the packed screen refutes where the literal
-        loop does, at the same first algebra, and skips a goal over more
-        than three letters as the proof search skips such a pair."""
-        rng = random.Random(4343)
+    @pytest.mark.parametrize("budget", [8, 9, 26, 27, 64, 124, 125])
+    def test_budget_cuts_the_set_mid_way(self, budget, monkeypatch):
+        """Budgets that would cut a screening set part way through for
+        some letter counts (the largest screen has 5 elements: 5**3 ==
+        125) do not reach the screens. The packed screen refutes where
+        the budget-free literal loop does, at the same first algebra, and
+        raises nothing: one goal as the proof search screens it, two as
+        the candidate screen does (left first at each algebra, wide goals
+        skipped as the proof search skips a wide pair)."""
+        monkeypatch.setenv("WPML_BUDGET", str(budget))
+        rng = random.Random(budget)
         pairs = seeded_pairs(rng, 40)
         wide = seeded_pairs(rng, 10, max_letters=4)
         # over four and five letters: no screen takes them, refuted or not
         wide += [parse_pair("p & q & r & s |- F"), parse_pair("[]p & q |- []r v s v t")]
         assert max(len(letters(pair)) for pair in wide) == 5
-        firsts = set()
+        kinds, firsts = set(), set()
         for gamma in (AXIOMS["B"], AXIOMS["5"], ()):
             screens = _screening_algebras(gamma)
+            search = ProofSearch(gamma, (), screens=screens)
+            scalar = ScalarScreenSearch(gamma, (), screens=screens)
+            for pair in pairs:
+                want = outcome(lambda: screened_out(scalar, pair))
+                assert outcome(lambda: screened_out(search, pair)) == want, str(pair)
+                kinds.add(want[0])
+            assert (search.screen_calls, search.screen_rejects) == (
+                scalar.screen_calls,
+                scalar.screen_rejects,
+            )
             for left, right in zip(pairs + wide, wide + pairs):
                 goals = [left, right]
-                want = literal_screen(screens, goals)
-                assert packed_screen(screens, goals) == want, (str(left), str(right))
-                firsts.add(want)
+                want = outcome(lambda: literal_screen(screens, goals))
+                got = outcome(lambda: packed_screen(screens, goals))
+                assert got == want, (str(left), str(right))
+                kinds.add(want[0])
+                firsts.add(want[1])
+        assert kinds == {"returns"}
         assert None in firsts and len(firsts) > 2
 
     @pytest.mark.parametrize(
@@ -750,8 +769,12 @@ class TestMaskSlotScreen:
     (`ScalarScreenSearch`) and the search that screens through
     `PackedScreen.refutes` (`RefutesScreenSearch`)."""
 
-    def test_matches_scalar_screen_on_every_mask_shape(self):
-        pairs = mask_shape_pairs(random.Random(125), 150)
+    @pytest.mark.parametrize("budget", [26, 27, 124, 125])
+    def test_matches_scalar_screen_on_every_mask_shape(self, budget, monkeypatch):
+        # budgets about the sizes of three-letter screens (3**3, 5**3),
+        # which no longer reach the screens
+        monkeypatch.setenv("WPML_BUDGET", str(budget))
+        pairs = mask_shape_pairs(random.Random(budget), 150)
         shapes = set(map(mask_shape, pairs))
         every = {(n, shared) for n in (1, 2, 3, 4) for shared in (False, True)}
         assert shapes >= every | {(0, False)}
