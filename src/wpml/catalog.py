@@ -108,48 +108,60 @@ def all_distributive_lattices(n: int) -> tuple[FiniteLattice, ...]:
 
 @lru_cache(maxsize=None)
 def all_modal_lattices(n: int) -> tuple[FiniteModalLattice, ...]:
-    """All modal structures over the size-n lattice catalog.
+    """All modal structures over the size-n lattice catalog (small n
+    only), lattice by lattice in catalog order."""
+    return tuple(chain.from_iterable(map(_modal_structures, all_lattices(n))))
 
-    Intended for small n only (epi checks); the diamond loop is a plain
-    filter over all arrays against the remaining identities.
-    """
-    from .lattice import check_modal_identities
 
+def _modal_structures(lat: FiniteLattice) -> Iterator[FiniteModalLattice]:
+    """The modal structures over `lat`, lazily, in lexicographic order of
+    (box, diamond).  The identities of `lattice.check_modal_identities`
+    split three ways.  Those on box alone hold for exactly the
+    top-fixing, meet-preserving boxes.  Those on diamond alone, `T = <>T`
+    and `<>a v <>b <= <>(a v b)`, hold for exactly the top-fixing
+    monotone diamonds (`_monotone_diamonds`).  Each box keeps those
+    diamonds that meet `<>a & []b <= <>(a & b)`."""
+    n, leq, meet, top = lat.n, lat.leq, lat.meet, lat.top
+    diamonds = _monotone_diamonds(lat)
+    # (x, x & y, y) where x & y != x; where x & y == x any diamond meets it
+    pairs = [(x, meet[x][y], y) for x in range(n) for y in range(n) if meet[x][y] != x]
+    for box in _table_maps(n, n, [(top, top)], [(meet, meet)]):
+        duality = [(x, xy, box[y]) for x, xy, y in pairs]
+        for dia in diamonds:
+            for x, xy, b in duality:
+                if not leq[meet[dia[x]][b]][dia[xy]]:
+                    break
+            else:
+                yield FiniteModalLattice.over(lat, box, dia)
+
+
+def _monotone_diamonds(lat: FiniteLattice) -> list[tuple[int, ...]]:
+    """The top-fixing monotone maps on `lat`, in lexicographic order.
+    Backtracking checks each pair x < y once its larger position is
+    assigned."""
+    n, leq, top = lat.n, lat.leq, lat.top
+    checks = [[] for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            if x != y and leq[x][y]:
+                checks[max(x, y)].append((x, y))
     out = []
-    for lat in all_lattices(n):
-        # boxes: the unary ops fixing top and commuting with meet
-        for box in _table_maps(n, n, [(lat.top, lat.top)], [(lat.meet, lat.meet)]):
-            for dia in _diamond_candidates(lat, box):
-                cand = FiniteModalLattice.over(lat, box, dia)
-                if not check_modal_identities(cand):
-                    out.append(cand)
-    return tuple(out)
+    dia = [0] * n
 
-
-def _diamond_candidates(lat: FiniteLattice, box) -> Iterator[tuple[int, ...]]:
-    n = lat.n
-    assign = [-1] * n
-
-    def consistent(i):
-        if i == lat.top and assign[i] != lat.top:
-            return False
-        for j in range(i + 1):
-            jij = lat.join[i][j]
-            if jij <= i and not lat.leq[lat.join[assign[i]][assign[j]]][assign[jij]]:
-                return False
-        return True
-
-    def backtrack(i):
+    def extend(i: int) -> None:
         if i == n:
-            yield tuple(assign)
+            out.append(tuple(dia))
             return
-        for v in range(n):
-            assign[i] = v
-            if consistent(i):
-                yield from backtrack(i + 1)
-        assign[i] = -1
+        for v in (top,) if i == top else range(n):
+            dia[i] = v
+            for x, y in checks[i]:
+                if not leq[dia[x]][dia[y]]:
+                    break
+            else:
+                extend(i + 1)
 
-    yield from backtrack(0)
+    extend(0)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -17,10 +17,17 @@ validate the axioms (`_screening_algebras`, cached per axiom set;
 `interpolation.craig_interpolant` screens candidates on the same set, by
 the same rule).  A refuted pair is not derivable at all, so the screen
 changes what the search costs, never a verdict; over at most three
-letters it is a small fixed cost, and it takes no budget.  The set is
-packed once (`_screen_tables`, a `vectors.ScreenTables`), so that a
-formula's value under every valuation of the pair's sorted letters, on
-every screen algebra, is one packed `bytes` vector, built once per search
+letters it is a small fixed cost, and it takes no budget.  The set's
+first part is mostly chains.  On a chain every monotone box and diamond
+commutes with join and meet, so no chain refutes a modal distribution
+law such as `[](p v q) |- []p v []q`, though the laws fail in the
+variety.  So the set ends with, per law, the first structure over the
+four-element Boolean lattice that validates the axioms and refutes it
+(`_distribution_refuters`), and a search on such a law is refuted at its
+root instead of run to exhaustion.  The set is packed once
+(`_screen_tables`, a `vectors.ScreenTables`), so that a formula's value
+under every valuation of the pair's sorted letters, on every screen
+algebra, is one packed `bytes` vector, built once per search
 from its children's vectors.  Each formula id has a bitmask of its
 letters; a pair's mask picks a slot, built once per mask from the vector
 memo of its sorted letters (`PackedScreen.stretch`), or "not screened"
@@ -77,10 +84,11 @@ from .formulas import (
     Top,
     letters,
     match_pair,
+    parse_pair,
     subformulas,
     substitute,
 )
-from .vectors import PackedScreen, ScreenTables
+from .vectors import PackedScreen, ScreenTables, _seeded
 
 # the `(size, formula_key)` sort key of a formula, as a C-level key function
 _KEY = attrgetter("_key")
@@ -333,35 +341,134 @@ def _search_order(ranked, subs) -> tuple[Formula, ...]:
 _NEVER = 10**9
 
 
+@lru_cache(maxsize=None)
+def _screening_candidates() -> tuple:
+    """The distinct candidates of `_screening_algebras`' first part, in
+    order: the filter algebras of the 2- and 3-point frames, then the 2-
+    to 5-element lattices with identity modalities."""
+    from .catalog import all_lattices, all_modal_lframes
+    from .lattice import with_identity_modalities
+    from .lframe import fil_f
+
+    candidates = [fil_f(frame) for n in (2, 3) for frame in all_modal_lframes(n)]
+    candidates += [
+        with_identity_modalities(lat) for n in (2, 3, 4, 5) for lat in all_lattices(n)
+    ]
+    seen = set()
+    out = []
+    for a in candidates:
+        key = (a.leq, a.box, a.diamond)
+        if key not in seen:
+            seen.add(key)
+            out.append(a)
+    return tuple(out)
+
+
 @lru_cache(maxsize=64)
 def _screening_algebras(gamma):
     """Small modal lattices validating every member of gamma.  A subgoal
     refuted on one of them is not derivable (soundness), so the search
     may discard it without exploring; this changes no verdicts, only
-    cost."""
-    from .catalog import all_lattices, all_modal_lframes
-    from .lattice import algebra_validates, with_identity_modalities
-    from .lframe import fil_f
+    cost.
 
-    candidates = []
-    for n in (2, 3):
-        for frame in all_modal_lframes(n):
-            candidates.append(fil_f(frame))
-    for n in (2, 3, 4, 5):
-        for lat in all_lattices(n):
-            candidates.append(with_identity_modalities(lat))
+    The set is the first twelve `_screening_candidates` that validate
+    gamma, then `_distribution_refuters(gamma)`.  Each candidate is a
+    chain or carries identity modalities; on either, every monotone box
+    and diamond commutes with join and meet, so no candidate refutes a
+    modal distribution law (`_DISTRIBUTION_LAWS`), though the laws fail
+    in the variety."""
+    from .lattice import algebra_validates
+
     out = []
-    seen = set()
-    for a in candidates:
-        key = (a.leq, a.box, a.diamond)
-        if key in seen:
-            continue
-        seen.add(key)
+    for a in _screening_candidates():
         if all(algebra_validates(a, g) is None for g in gamma):
             out.append(a)
-        if len(out) >= 12:
+            if len(out) == 12:
+                break
+    return tuple(out) + _distribution_refuters(gamma)
+
+
+# The modal distribution laws: each fails in the variety, and no chain
+# refutes it.
+_DISTRIBUTION_LAWS = tuple(
+    map(
+        parse_pair,
+        ("[](p v q) |- []p v []q", "<>(p v q) |- <>p v <>q", "<>p & <>q |- <>(p & q)"),
+    )
+)
+
+
+def _distribution_refuters(gamma) -> tuple:
+    """For each of `_DISTRIBUTION_LAWS`, the first modal structure over the
+    four-element Boolean lattice (the smallest lattice that is not a
+    chain) that validates every member of gamma and refutes the law; each
+    such structure once, in `catalog.all_modal_lattices` order.  Nothing
+    for a law that no such structure refutes, and nothing at all for a
+    gamma with a member over more than three letters, which no screen
+    takes.  The scan packs runs of 16 structures (`_square_run`) and
+    stops once every law is refuted."""
+    members = [(g.lhs, g.rhs, tuple(sorted(letters(g)))) for g in gamma]
+    if any(len(ls) > 3 for _, _, ls in members):
+        return ()
+    laws = list(range(len(_DISTRIBUTION_LAWS)))
+    out = []
+    for start in range(0, len(_square_structures()[0]), 16):
+        if not laws:
             break
+        run, refuting, law_masks = _square_run(start)
+        if not any(law_masks[law] for law in laws):
+            continue
+        invalid = 0
+        for member in members:
+            invalid |= refuting(*member)
+        # law -> the run's structures that validate gamma and refute it
+        hits = {law: law_masks[law] & ~invalid for law in laws}
+        firsts = {(mask & -mask).bit_length() - 1 for mask in hits.values() if mask}
+        out += [run[s] for s in sorted(firsts)]
+        laws = [law for law, mask in hits.items() if not mask]
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _square_structures() -> tuple:
+    """The modal structures over the four-element Boolean lattice, in
+    `catalog.all_modal_lattices` order, and the `ScreenTables` of 16
+    copies of the lattice (16 * 4**2 pair codes fill it)."""
+    from .catalog import _modal_structures, all_lattices
+
+    # 0 < 1, 2 < 3 with 1 and 2 incomparable
+    square = next(lat for lat in all_lattices(4) if not lat.leq[1][2])
+    return tuple(_modal_structures(square)), ScreenTables((square,) * 16)
+
+
+@lru_cache(maxsize=None)
+def _square_run(start: int):
+    """The run of the 16 `_square_structures` from `start`, evaluated
+    through its own box and diamond tables: the run, its
+    `refuting(lhs, rhs, ls)`, the bitmask of the run's structures that
+    refute lhs |- rhs over the sorted letters `ls` (bit s for structure
+    s), and that bitmask for each of `_DISTRIBUTION_LAWS`."""
+    structures, tables = _square_structures()
+    run = structures[start : start + 16]
+    # structure s acts on the ids 4s..4s+3; the screens past a short last
+    # run hold no structure, so their bits are dropped
+    boxes = [4 * s + x for s, a in enumerate(run) for x in a.box]
+    diamonds = [4 * s + x for s, a in enumerate(run) for x in a.diamond]
+    unary = bytes(boxes).ljust(256, b"\0"), bytes(diamonds).ljust(256, b"\0")
+    held = (1 << len(run)) - 1
+    memos = {}
+
+    def refuting(lhs, rhs, ls):
+        memo = memos.get(ls)
+        if memo is None:
+            memo = memos[ls] = _seeded(tables.seeds(len(ls)), ls)
+        left, right = tables.vector(memo, lhs, unary), tables.vector(memo, rhs, unary)
+        return tables.refuting(left, right, len(ls)) & held
+
+    law_masks = tuple(
+        refuting(law.lhs, law.rhs, ("p", "q")) for law in _DISTRIBUTION_LAWS
+    )
+    return run, refuting, law_masks
 
 
 @lru_cache(maxsize=64)

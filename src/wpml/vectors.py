@@ -11,14 +11,18 @@ ids global to the set.  A pair of vectors becomes a vector of pair codes
 by one big-integer addition, and meet, join, box, diamond and the order
 test are each one `bytes.translate`.  A pair code must fit in a byte, so
 each algebra has at most 16 elements and the sum of n**2 over the set is
-at most 256; every screening set that `proofs` builds is well inside
-that (at most 202).  The tables have two users.  `PackedScreen` holds
-one search's memo over a screening set of modal lattices and takes pairs
-of at most three letters only, the one rule of both semantic screens:
-`stretch` serves the proof search (see `proofs`) and `refutes` screens a
-candidate's obligations.  `entailment` evaluates batches of relations of
-one L-frame on the tables of its filter lattice, passing their box and
-diamond tables and offsets to `vector`.  The tables keep their seed
+at most 256; every screening set that `proofs` builds for a set of the
+axiom tags is well inside that (at most 195, B's).  The tables have
+three users.  `PackedScreen` holds one search's memo over a screening
+set of modal lattices and takes pairs of at most three letters only, the
+one rule of both semantic screens: `stretch` serves the proof search
+(see `proofs`) and `refutes` screens a candidate's obligations.
+`entailment` evaluates batches of relations of one L-frame on the tables
+of its filter lattice, passing their box and diamond tables and offsets
+to `vector`.  `proofs` builds its screening sets' last part by
+evaluating 16 modal structures over one lattice at a time on the tables
+of 16 copies of it, passing their box and diamond tables, and reads
+which structures refute a pair from `refuting`.  The tables keep their seed
 vectors (T, F and the letters) for at most three letters, so a screen
 over a cached set builds none; wider seeds grow like n**k and are built
 afresh.
@@ -149,6 +153,18 @@ class ScreenTables:
         one, or -1."""
         return _pair_codes(self, left, right).translate(self.nleq).find(1)
 
+    def refuting(self, left: bytes, right: bytes, k: int) -> int:
+        """The screens with a position, over k letters, whose left value is
+        not below its right one, as a bitmask (bit s for screen s)."""
+        bad = _pair_codes(self, left, right).translate(self.nleq)
+        mask = start = 0
+        for s, n in enumerate(self.sizes):
+            end = start + n**k
+            if bad.find(1, start, end) >= 0:
+                mask |= 1 << s
+            start = end
+        return mask
+
 
 def _pair_codes(tables: ScreenTables, left: bytes, right: bytes) -> bytes:
     """The pair code of each position: every sum is below 256, so the
@@ -176,9 +192,9 @@ class PackedScreen:
 
     A pair over more than three letters is not screened: a refuted pair
     is not derivable, so the rule changes what the screen costs, never a
-    verdict.  Over at most three letters a screening set of `proofs` (at
-    most 12 algebras of at most 5 elements) has at most 1,500 positions,
-    so the screen takes no budget."""
+    verdict.  Over at most three letters a screening set of `proofs` for a
+    set of the axiom tags has at most 879 positions (B's), so the screen
+    takes no budget."""
 
     def __init__(self, tables: ScreenTables):
         if tables.first_plain < len(tables.sizes):

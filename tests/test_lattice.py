@@ -7,6 +7,7 @@ import pytest
 from wpml.catalog import (
     _canonical,
     _is_transitive,
+    _modal_structures,
     all_distributive_lattices,
     all_lattice_orders,
     all_lattices,
@@ -329,6 +330,23 @@ class TestModalCatalog:
         assert got == brute
         assert len(got) == 3
 
+    def test_modal_structures_match_brute_force(self):
+        """For each catalog box, the diamonds kept are exactly the arrays
+        on which `check_modal_identities` finds no violation, in
+        lexicographic order."""
+        for n in range(1, 5):
+            for lat in all_lattices(n):
+                got = [(a.box, a.diamond) for a in _modal_structures(lat)]
+                boxes = _table_maps(n, n, [(lat.top, lat.top)], [(lat.meet, lat.meet)])
+                over = FiniteModalLattice.over
+                brute = [
+                    (box, dia)
+                    for box in boxes
+                    for dia in product(range(n), repeat=n)
+                    if not check_modal_identities(over(lat, box, dia))
+                ]
+                assert got == brute
+
     def test_box_candidates_match_brute_force(self):
         # the catalog's boxes: every top-fixing, meet-preserving array
         for n in range(1, 6):
@@ -363,6 +381,7 @@ class TestModalCatalog:
             1: "a2cb5029566e2f5f88a63369de48a1652a77994407ea5d993f389db3ec2f7bd7",
             2: "d42d2a8caa78235ead78e2ae421754e9ed460d1310a75802c6017e1ec6e31f12",
             3: "9d78d9e2edc742b174aa1cd26d5c16b175ca5672b8371b3507e9a70a04fc0510",
+            4: "c12fe8d39e73ed78811e18cded62e96271038b0fca940b97c59aee920994a4fa",
         }
         frames = {
             1: "c5f1df50d129f60a1c57c317125bba0e9b07123890bd7dc9feb983ebcc5e8f65",
@@ -384,7 +403,7 @@ class TestModalCatalog:
             assert digest(entries) == want
 
     def test_all_entries_satisfy_identities(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             for a in all_modal_lattices(n):
                 assert check_modal_identities(a) == []
 

@@ -7,6 +7,7 @@ from itertools import accumulate, combinations, product
 import pytest
 
 from wpml import interpolation, proofs
+from wpml.catalog import all_lattices, all_modal_lattices, all_modal_lframes
 from wpml.correspondence import AXIOM_TAGS, AXIOMS
 from wpml.entailment import decide_entailment, gamma_pairs
 from wpml.errors import (
@@ -39,8 +40,9 @@ from wpml.lattice import (
     validate_lattice,
     with_identity_modalities,
 )
-from wpml.lframe import frame_validates
+from wpml.lframe import fil_f, frame_validates
 from wpml.proofs import (
+    _DISTRIBUTION_LAWS,
     _SHIFT,
     MAX_PROOF_DEPTH,
     BadNode,
@@ -50,6 +52,7 @@ from wpml.proofs import (
     _rule_matches,
     _screen_tables,
     _screening_algebras,
+    _screening_candidates,
     check_proof,
     cut_pool,
     derive_bounded,
@@ -549,16 +552,18 @@ class TestVectorScreen:
         assert screened_out(search, parse_pair("[]p |- p")) is False
         assert screened_out(search, parse_pair("p v q |- p")) is True
 
-    def test_pair_codes_fit_in_a_byte(self, chain3_modal):
+    def test_pair_codes_fit_in_a_byte(self):
         """A set whose sum of n**2 passes 256 is refused, as an algebra
         of more than 16 elements is; at 256 it is one table."""
-        screens = _screening_algebras(()) + _screening_algebras(AXIOMS["B"])
+        chain4 = with_identity_modalities(validate_lattice(chain_leq(4), 0, 3))
+        screens = (chain4,) * 17
         assert sum(a.n**2 for a in screens) == 272
         with pytest.raises(PreconditionViolated, match="sum of n\\*\\*2 of 272"):
             ScreenTables(screens)
         with pytest.raises(PreconditionViolated, match="272"):
             ProofSearch((), (), screens=screens)
-        search = ProofSearch((), (), screens=screens[:-1] + (chain3_modal,))
+        search = ProofSearch((), (), screens=screens[:-1])
+        assert sum(a.n**2 for a in search.screens) == 256
         assert screened_out(search, parse_pair("p v q |- p")) is True
 
     def test_sixteen_elements_at_most(self):
@@ -644,6 +649,225 @@ class TestVectorScreen:
         monkeypatch.setenv("WPML_BUDGET", "7")
         result = decide_entailment((), parse_pair("p & q |- p"))
         assert result.verdict == "derivable"
+
+
+def selected_screens(gamma):
+    """The screening set without the distribution-law structures: a
+    literal copy of the selection loop, the first twelve distinct
+    candidates that validate gamma."""
+    candidates = []
+    for n in (2, 3):
+        for frame in all_modal_lframes(n):
+            candidates.append(fil_f(frame))
+    for n in (2, 3, 4, 5):
+        for lat in all_lattices(n):
+            candidates.append(with_identity_modalities(lat))
+    out = []
+    seen = set()
+    for a in candidates:
+        key = (a.leq, a.box, a.diamond)
+        if key in seen:
+            continue
+        seen.add(key)
+        if all(algebra_validates(a, g) is None for g in gamma):
+            out.append(a)
+        if len(out) >= 12:
+            break
+    return tuple(out)
+
+
+def is_chain(a):
+    return all(a.leq[x][y] or a.leq[y][x] for x in range(a.n) for y in range(a.n))
+
+
+# each axiom set, T+4, and the distribution laws each refutes (True) or
+# not on the structures over the four-element Boolean lattice
+LAW_COVERAGE = {
+    (): (True, True, True),
+    ("T",): (True, False, True),
+    ("4",): (True, True, True),
+    ("B",): (True, False, True),
+    ("5",): (True, True, True),
+    (".2",): (True, True, True),
+    ("T", "4"): (True, False, True),
+}
+
+# the distinct (pair, axiom tags) of the countermodel benchmark's templates
+COUNTERMODEL_TEMPLATES = (
+    ("[]p & <>q |- <>(p & q)", ("T",)),
+    ("<>(p v q) |- <>p v <>q", ("T",)),
+    ("p & (q v r) |- (p & q) v (p & r)", ()),
+    ("(p v q) & (p v r) |- p v (q & r)", ()),
+    ("(p v q) & r |- p v (q & r)", ()),
+    ("(p v q) & r |- p v (q & r)", ("5",)),
+    ("(p v q) & r |- p v (q & r)", ("B",)),
+    ("[](p v q) |- []p v []q", ()),
+    ("<>(p v q) |- <>p v <>q", ()),
+    ("<>p & <>q |- <>(p & q)", ()),
+    ("[](p v q) |- []p v <>q", ()),
+)
+
+
+class TestDistributionScreens:
+    """The structures over the four-element Boolean lattice appended to
+    the screening sets for the modal distribution laws, against the
+    scalar oracle and the selection without them."""
+
+    def test_chains_validate_the_laws(self):
+        """Every modal lattice of at most four elements on a chain
+        validates the three laws; every candidate of the selection is a
+        chain or carries identity modalities."""
+        chains = [a for n in (1, 2, 3, 4) for a in all_modal_lattices(n) if is_chain(a)]
+        assert len(chains) == 1 + 3 + 20 + 175
+        for a in chains:
+            for law in _DISTRIBUTION_LAWS:
+                assert algebra_validates(a, law) is None, (a.box, a.diamond, str(law))
+        for a in _screening_candidates():
+            identity = a.box == a.diamond == tuple(range(a.n))
+            assert is_chain(a) or identity
+
+    def test_wide_gamma_gets_no_structures(self):
+        """A gamma with a member over four letters, which no screen takes,
+        gets the selection alone."""
+        gamma = (parse_pair("p & q & r & s |- p"), parse_pair("p |- <>p"))
+        assert _screening_algebras(gamma) == selected_screens(gamma)
+        assert _screening_algebras(gamma[1:]) != selected_screens(gamma[1:])
+
+    @pytest.mark.parametrize(
+        "tags", list(LAW_COVERAGE), ids=lambda tags: "+".join(tags) or "none"
+    )
+    def test_appended_structures_are_the_first_refuters(self, tags):
+        """The selection is kept as it was, and refutes no law; after it
+        comes, for each law, the first structure over the Boolean
+        lattice (in `all_modal_lattices(4)` order) that validates gamma
+        and refutes it, each once and in that order.  A set refutes a law
+        exactly when a brute-force scan finds such a structure."""
+        gamma = gamma_pairs(tags)
+        screens = _screening_algebras(gamma)
+        selected = selected_screens(gamma)
+        assert screens[: len(selected)] == selected
+        appended = screens[len(selected) :]
+        square = [a for a in all_modal_lattices(4) if not is_chain(a)]
+        assert len(square) == 100
+        firsts, coverage = [], []
+        for law in _DISTRIBUTION_LAWS:
+            assert all(algebra_validates(a, law) is None for a in selected)
+            refuters = [
+                s
+                for s, a in enumerate(square)
+                if algebra_validates(a, law) is not None
+                and all(algebra_validates(a, g) is None for g in gamma)
+            ]
+            firsts += refuters[:1]
+            coverage.append(any(algebra_validates(a, law) for a in screens))
+            assert coverage[-1] == bool(refuters)
+        assert appended == tuple(square[s] for s in sorted(set(firsts)))
+        assert tuple(coverage) == LAW_COVERAGE[tags]
+        for a in appended:
+            assert all(algebra_validates(a, g) is None for g in gamma)
+
+    def test_packed_runs_match_algebra_validates(self):
+        """Each packed run of the structures over the Boolean lattice,
+        the last one short, refutes a pair on exactly the structures on
+        which `algebra_validates` finds a countervaluation."""
+        structures = proofs._square_structures()[0]
+        assert len(structures) == 100
+        members = [m for tag in sorted(AXIOMS) for m in AXIOMS[tag]]
+        pairs = [*_DISTRIBUTION_LAWS, *members, parse_pair("p |- []p")]
+        pairs.append(parse_pair("<>(p & r) v q |- [](q v r) & p"))
+        for start in range(0, 100, 16):
+            run, refuting, law_masks = proofs._square_run(start)
+            assert run == structures[start : start + 16]
+            for pair in pairs:
+                ls = tuple(sorted(letters(pair)))
+                want = sum(
+                    1 << s for s, a in enumerate(run) if algebra_validates(a, pair)
+                )
+                assert refuting(pair.lhs, pair.rhs, ls) == want, (start, str(pair))
+                if pair in _DISTRIBUTION_LAWS:
+                    assert law_masks[_DISTRIBUTION_LAWS.index(pair)] == want
+
+    def test_each_set_is_one_table(self):
+        """Every set packs into one `ScreenTables`; B's is the largest."""
+        areas, positions = {}, {}
+        for tags in LAW_COVERAGE:
+            screens = _screening_algebras(gamma_pairs(tags))
+            tables = _screen_tables(screens)
+            assert tables.sizes == tuple(a.n for a in screens)
+            areas[tags] = sum(n**2 for n in tables.sizes)
+            positions[tags] = sum(n**3 for n in tables.sizes)
+        assert max(areas.values()) == areas[("B",)] == 195
+        assert max(positions.values()) == positions[("B",)] == 879
+        assert positions[()] == 395
+
+    @pytest.mark.parametrize(
+        "tags", list(LAW_COVERAGE), ids=lambda tags: "+".join(tags) or "none"
+    )
+    def test_same_proofs_and_never_more_expansions(self, tags):
+        """On seeded pairs and the countermodel templates, a search with
+        the appended structures returns the proof a search with the
+        selection alone returns, and never needs more expansions."""
+        gamma = gamma_pairs(tags)
+        selected = selected_screens(gamma)
+        goal = parse_pair(GOLDEN_SAMPLE[1][0])
+        cuts = order_cuts(goal, cut_pool(goal, gamma))
+        pairs = seeded_pairs(random.Random(2027), 15)
+        pairs += [parse_pair(text) for text, _ in COUNTERMODEL_TEMPLATES]
+        found = saved = 0
+        for pair in pairs:
+            fast = ProofSearch(gamma, cuts)
+            slow = ProofSearch(gamma, cuts, screens=selected)
+            proof = fast.prove(pair, 4)
+            assert proof == slow.prove(pair, 4), str(pair)
+            assert fast.expansions <= slow.expansions, str(pair)
+            found += proof is not None
+            saved += fast.expansions < slow.expansions
+        assert 0 < found < len(pairs) and saved > 0
+
+    def test_same_entailment_results(self, monkeypatch):
+        """At model size 4, `decide_entailment` gives the verdict, proof,
+        frame, valuation and diagnostics that it gives with the
+        selection alone on every countermodel template."""
+
+        def results():
+            return [
+                decide_entailment(tags, parse_pair(text), model_size=4)
+                for text, tags in COUNTERMODEL_TEMPLATES
+            ]
+
+        new = results()
+        monkeypatch.setattr(proofs, "_screening_algebras", selected_screens)
+        old = results()
+        assert {r.verdict for r in new} == {"refuted", "unknown"}
+        for a, b in zip(new, old):
+            assert (a.verdict, a.proof, a.frame, a.valuation, a.diagnostics) == (
+                b.verdict,
+                b.proof,
+                b.frame,
+                b.valuation,
+                b.diagnostics,
+            )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[](p v q) |- []p v []q",
+            "[](p v q) |- []p v <>q",
+            "<>(p v q) |- <>p v <>q",
+            "<>p & <>q |- <>(p & q)",
+        ],
+    )
+    def test_axiom_free_templates_cost_one_expansion(self, text):
+        """Each axiom-free countermodel template is refuted by a screen at
+        the root, where the selection alone searches to depth 6."""
+        goal = parse_pair(text)
+        pool = cut_pool(goal)
+        search = ProofSearch((), pool)
+        assert search.prove(goal, 6) is None
+        assert (search.expansions, search.screen_rejects) == (1, 1)
+        slow = ProofSearch((), pool, screens=selected_screens(()))
+        assert slow.prove(goal, 6) is None
+        assert slow.expansions > 100
 
 
 def literal_seeds(tables, k):
