@@ -20,10 +20,13 @@ pair-code tables of its filter lattice (`_KeptRelations.codes`, see
 `vectors`) evaluate one packed vector of M stretches of f**k positions,
 relation j's stretch first shifted by j * f at each modal step so that
 one translate through the batch's concatenated box or diamond tables
-serves all M relations.  The first escape position names the first
-refuting relation; its countervaluation is then taken from
-`frame_validates` on that relation's `ModalLFrame`, so the result is the
-one a frame-by-frame search returns.
+serves all M relations.  The seeds widened to M stretches and their
+offsets (`ScreenTables.batch_shape`) are kept on the tables for k <= 3,
+beside the seeds, and built only when a batch needs them; wider ones
+are built once per search of an L-frame.  The first escape position
+names the first refuting relation; its countervaluation is then taken
+from `frame_validates` on that relation's `ModalLFrame`, so the result
+is the one a frame-by-frame search returns.
 """
 
 from __future__ import annotations
@@ -132,18 +135,16 @@ def _first_refuting(
     if size > budget:
         raise ResourceBound(size, budget)
     codes = kept.codes
-    seeds = codes.seeds(len(ls))
-
-    def shape(width: int) -> tuple[list[bytes], int]:
-        stretches = b"".join([bytes((j * f,)) * size for j in range(width)])
-        return [v * width for v in seeds], int.from_bytes(stretches, "big")
-
+    # batch width -> its shape, each built (or read from the tables) once
+    shapes: dict[int, tuple[tuple[bytes, ...], int]] = {}
     count = len(kept.box) // f
     width = min(256 // f, budget // size)
-    full = shape(width)
     for start in range(0, count, width):
         stop = min(start + width, count)
-        vectors, offsets = full if stop - start == width else shape(stop - start)
+        shape = shapes.get(stop - start)
+        if shape is None:
+            shape = shapes[stop - start] = codes.batch_shape(len(ls), stop - start)
+        vectors, offsets = shape
         pad = bytes(256 - (stop - start) * f)
         unary = (
             kept.box[start * f:stop * f] + pad,

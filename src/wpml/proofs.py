@@ -24,11 +24,13 @@ law such as `[](p v q) |- []p v []q`, though the laws fail in the
 variety.  So the set ends with, per law, the first structure over the
 four-element Boolean lattice that validates the axioms and refutes it
 (`_distribution_refuters`), and a search on such a law is refuted at its
-root instead of run to exhaustion.  The set is packed once
-(`_screen_tables`, a `vectors.ScreenTables`), so that a formula's value
-under every valuation of the pair's sorted letters, on every screen
-algebra, is one packed `bytes` vector, built once per search
-from its children's vectors.  Each formula id has a bitmask of its
+root instead of run to exhaustion.  `derive_bounded` screens the root
+before anything else, so a refuted root builds no cut pool and no
+`ProofSearch`; a root that passes hands its screen on to the search.
+The set is packed once (`_screen_tables`, a `vectors.ScreenTables`), so
+that a formula's value under every valuation of the pair's sorted
+letters, on every screen algebra, is one packed `bytes` vector, built
+once per search from its children's vectors.  Each formula id has a bitmask of its
 letters; a pair's mask picks a slot, built once per mask from the vector
 memo of its sorted letters (`PackedScreen.stretch`), or "not screened"
 past three letters.  In its slot each formula id keeps its vector's two
@@ -497,13 +499,24 @@ class ProofSearch:
     `failed_at` (key -> largest depth that failed), where the key of the
     pair of ids (l, r) is `l << 32 | r`.
 
+    `screen`, a `PackedScreen` over `screens` that the caller has used
+    already (`derive_bounded` screens the root with it), is taken over,
+    vectors and all, instead of a new one.
+
     `expansions`, `screen_calls` (pairs checked against the screen set),
     `screen_rejects` (pairs a screen refuted) and `vector_entries`
     (packed vectors held by the search's screen) are deterministic work
     counters.
     """
 
-    def __init__(self, gamma, pool, budget: int = 200_000, screens=None):
+    def __init__(
+        self,
+        gamma,
+        pool,
+        budget: int = 200_000,
+        screens=None,
+        screen: Optional[PackedScreen] = None,
+    ):
         self.gamma = tuple(gamma)
         self.pool = tuple(pool)
         self.budget = budget
@@ -529,7 +542,9 @@ class ProofSearch:
         # pair mask -> its slot (see `_slot`), or None past three letters
         self._slots: dict[int, Optional[tuple]] = {}
         self._screen_ok: set[int] = set()
-        self._screen = PackedScreen(_screen_tables(self.screens))
+        self._screen = (
+            PackedScreen(_screen_tables(self.screens)) if screen is None else screen
+        )
         # (type(lhs), type(rhs)) -> the leaf rules and axiom members that
         # can match a pair of that shape
         self._leaf_plans: dict[tuple[type, type], tuple[tuple, tuple]] = {}
@@ -777,9 +792,22 @@ def derive_bounded(
     """One-shot bounded search; returns a proof whose conclusion is the
     goal, or None when the bounded space is exhausted.  Raises
     ResourceBound when the expansion budget is exceeded, and SizeCap
-    for a depth above `MAX_PROOF_DEPTH`."""
+    for a depth above `MAX_PROOF_DEPTH`.
+
+    The root is screened first, as the search's first expansion would
+    screen it: a root the screening set refutes returns None with no cut
+    pool built and no `ProofSearch` (at budget >= 1; below, the search
+    raises ResourceBound(1, budget) before it screens).  Any other root
+    is searched with the same screen, so its vectors are built once."""
     if depth > MAX_PROOF_DEPTH:
         raise SizeCap(f"proof depth {depth} exceeds the cap of {MAX_PROOF_DEPTH}")
     gamma = tuple(gamma)
+    screens = _screening_algebras(gamma)
+    screen = PackedScreen(_screen_tables(screens))
+    # the screen of the search's first expansion, which raises at budget
+    # < 1 before it screens; at depth <= 0 the search returns None too
+    root = (goal.lhs, goal.rhs, tuple(sorted(letters(goal))))
+    if budget >= 1 and screen.refutes((root,)):
+        return None
     pool = cut_pool(goal, gamma) if pool is None else order_cuts(goal, pool)
-    return ProofSearch(gamma, pool, budget).prove(goal, depth)
+    return ProofSearch(gamma, pool, budget, screens, screen).prove(goal, depth)

@@ -18,14 +18,16 @@ set of modal lattices and takes pairs of at most three letters only, the
 one rule of both semantic screens: `stretch` serves the proof search
 (see `proofs`) and `refutes` screens a candidate's obligations.
 `entailment` evaluates batches of relations of one L-frame on the tables
-of its filter lattice, passing their box and diamond tables and offsets
-to `vector`.  `proofs` builds its screening sets' last part by
-evaluating 16 modal structures over one lattice at a time on the tables
-of 16 copies of it, passing their box and diamond tables, and reads
-which structures refute a pair from `refuting`.  The tables keep their seed
-vectors (T, F and the letters) for at most three letters, so a screen
-over a cached set builds none; wider seeds grow like n**k and are built
-afresh.
+of its filter lattice, passing their box and diamond tables and the
+offsets of `batch_shape` to `vector`.  `proofs` builds its screening
+sets' last part by evaluating 16 modal structures over one lattice at a
+time on the tables of 16 copies of it, passing their box and diamond
+tables, and reads which structures refute a pair from `refuting`.  The
+tables keep their seed vectors (T, F and the letters) and their batch
+shapes (the seeds widened to a batch, with its offsets) for at most
+three letters, so a screen over a cached set, or a batch of an L-frame
+searched before, builds none; wider seeds and shapes grow like n**k and
+are built afresh.
 
 The scalar evaluators (`lattice.evaluate`, `lattice.algebra_validates`,
 `lframe.truth_set`) stay the reference oracles.
@@ -92,8 +94,10 @@ class ScreenTables:
         self.scale, self.local = bytes(scale), bytes(local)
         self.meet, self.join, self.nleq = bytes(meet), bytes(join), bytes(nleq)
         self.unary_tables = bytes(box), bytes(dia)
-        # k -> `seeds(k)`, for k <= 3 only
+        # k -> `seeds(k)`, and (k, width) -> `batch_shape(k, width)`, for
+        # k <= 3 only
         self._seeds: dict[int, tuple[bytes, ...]] = {}
+        self._shapes: dict[tuple[int, int], tuple[tuple[bytes, ...], int]] = {}
 
     def seeds(self, k: int) -> tuple[bytes, ...]:
         """Packed vectors of T, F and the k letters, in letter order, over
@@ -115,6 +119,24 @@ class ScreenTables:
         found = tuple(b"".join(row) for row in zip(*columns))
         if k <= 3:
             self._seeds[k] = found
+        return found
+
+    def batch_shape(self, k: int, width: int) -> tuple[tuple[bytes, ...], int]:
+        """The seeds of k letters (`seeds`) repeated `width` times, and the
+        offsets that shift copy j's entries by j times the number of
+        global ids, as one big integer: with box and diamond tables that
+        concatenate `width` tables over these ids, copy j then reads the
+        j-th (`entailment` batches relations of one L-frame so).  Kept on
+        the tables for k <= 3, as the seeds are."""
+        found = self._shapes.get((k, width))
+        if found is not None:
+            return found
+        seeds = self.seeds(k)
+        step, size = sum(self.sizes), len(seeds[0])
+        stretches = b"".join([bytes((j * step,)) * size for j in range(width)])
+        found = tuple(v * width for v in seeds), int.from_bytes(stretches, "big")
+        if k <= 3:
+            self._shapes[k, width] = found
         return found
 
     def vector(

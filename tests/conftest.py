@@ -13,6 +13,7 @@ from wpml.lframe import (
     truth_set,
     validate_modal_lframe,
 )
+from wpml.proofs import ProofSearch, cut_pool, order_cuts
 
 
 def chain_leq(n):
@@ -113,6 +114,14 @@ def reference_frame_validates(frame, pair, budget=None):
         if truth_set(frame, val, pair.lhs) & ~truth_set(frame, val, pair.rhs):
             return val
     return None
+
+
+def literal_derive_bounded(gamma, goal, depth, budget=200_000, pool=None):
+    """`derive_bounded` with no root check: the cut pool first, then the
+    search, whose first expansion screens the root."""
+    gamma = tuple(gamma)
+    pool = cut_pool(goal, gamma) if pool is None else order_cuts(goal, pool)
+    return ProofSearch(gamma, pool, budget).prove(goal, depth)
 
 
 def literal_modal_lframes(n):

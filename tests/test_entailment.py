@@ -1,14 +1,27 @@
+import dataclasses
 import gc
 import random
 from itertools import chain
 
 import pytest
 
-from wpml import entailment
+from wpml import entailment, proofs
 from wpml.catalog import all_lframes, all_modal_lframes
-from wpml.entailment import EntailmentResult, decide_entailment, gamma_pairs
+from wpml.entailment import (
+    EntailmentResult,
+    decide_entailment,
+    gamma_conditions,
+    gamma_pairs,
+)
 from wpml.errors import PreconditionViolated, ResourceBound
-from wpml.formulas import Letter, letters, parse_formula, parse_pair
+from wpml.formulas import (
+    ConsequencePair,
+    Letter,
+    letters,
+    parse_formula,
+    parse_pair,
+    substitute,
+)
 from wpml.interpolation import InterpolationProblem, craig_interpolant
 from wpml.lframe import ModalLFrame, frame_validates, truth_set
 from wpml.proofs import check_proof, derive_bounded
@@ -20,7 +33,12 @@ from wpml.correspondence import (
 )
 from wpml.sweeps import closure_sweep
 
-from conftest import literal_modal_lframes, random_pairs, reference_frame_validates
+from conftest import (
+    literal_derive_bounded,
+    literal_modal_lframes,
+    random_pairs,
+    reference_frame_validates,
+)
 
 
 class TestDerivableVerdicts:
@@ -308,6 +326,17 @@ def kept_subset(kept, indices):
     )
 
 
+def fresh(kept):
+    """`kept` with pair-code tables of its own, which hold no seeds and
+    no batch shapes yet."""
+    return dataclasses.replace(kept)
+
+
+def shapes(kept):
+    """The batch shapes `kept`'s tables hold."""
+    return dict(kept.codes._shapes)
+
+
 def per_frame(kept, pair):
     """(j, valuation) for the first relation of `kept` on which
     `frame_validates` finds a countervaluation, or None."""
@@ -349,22 +378,32 @@ class TestBatchKernel:
         return (10**6, size, 3 * size + size - 1)
 
     def test_matches_per_frame_kernel(self):
+        """On tables of their own, run twice, cold and then warm with the
+        budgets in the opposite order: the same answers, and the warm run
+        builds no batch shape (`ScreenTables.batch_shape`)."""
         cases = [
-            (kept, kernel_pairs(n, 16))
+            (fresh(kept), kernel_pairs(n, 16))
             for n in range(1, 5)
             for kept in kept_relations(n)
         ]
-        cases += [(kept, kernel_pairs(5, 3)) for kept in kept_relations(5)]
+        cases += [(fresh(kept), kernel_pairs(5, 3)) for kept in kept_relations(5)]
         assert len(cases) == 1 + 1 + 1 + 2 + 5
-        refuted = held = 0
-        for kept, pairs in cases:
-            for pair in pairs:
-                want = per_frame(kept, pair)
-                for budget in self.budgets(kept, pair):
-                    assert_same_first(batch(kept, pair, budget), want)
-                refuted += want is not None
-                held += want is None
-        assert refuted > 20 and held > 5
+        assert not any(shapes(kept) for kept, _ in cases)
+        wants = [[per_frame(kept, pair) for pair in pairs] for kept, pairs in cases]
+        held_shapes = []
+        for order in (1, -1):
+            for (kept, pairs), want in zip(cases, wants):
+                for pair, first in zip(pairs, want):
+                    for budget in self.budgets(kept, pair)[::order]:
+                        assert_same_first(batch(kept, pair, budget), first)
+            held_shapes.append([shapes(kept) for kept, _ in cases])
+        cold, warm = held_shapes
+        assert cold == warm and all(cold) and any(len(h) > 3 for h in cold)
+        for before, after in zip(cold, warm):
+            assert all(after[key] is shape for key, shape in before.items())
+        firsts = [first for want in wants for first in want]
+        assert sum(f is not None for f in firsts) > 20
+        assert sum(f is None for f in firsts) > 5
 
     def test_refuting_relation_at_batch_edges(self):
         """A refuting relation placed after t relations that hold the pair:
@@ -404,3 +443,97 @@ class TestBatchKernel:
                     # no refuting relation at all
                     assert batch(kept_subset(kept, holds), pair, 10**6) is None
         assert {"first", "last slot", "next batch", "last relation"} <= placed
+
+
+class TestBatchShapes:
+    """The batch shapes (`ScreenTables.batch_shape`) kept on an L-frame's
+    tables change no answer of the batch kernel; `TestBatchKernel` runs
+    its cases on cold and then warm tables."""
+
+    def test_partial_last_batch(self):
+        """At size 5 with T, an L-frame of 173 relations and 5 filters is
+        searched in batches of 51, the last of 20: both shapes are kept,
+        and the answers are `frame_validates`'s."""
+        tags = tuple(sorted({c.tag for c in gamma_conditions(("T",))}))
+        (kept,) = [
+            fresh(k)
+            for k in entailment._kept_relations(5, tags)
+            if relation_count(k) == 173
+        ]
+        assert len(kept.base.filter_masks) == 5
+        last = 0
+        for pair in kernel_pairs(173, 24):
+            want = per_frame(kept, pair)
+            assert_same_first(batch(kept, pair, 10**6), want)
+            if want is None or want[0] >= 153:
+                last += 1
+                assert {(len(letters(pair)), 51), (len(letters(pair)), 20)} <= set(
+                    shapes(kept)
+                )
+        assert last > 0
+
+    def test_no_shape_kept_past_three_letters(self):
+        """A four-letter goal gets the answers of `frame_validates`, and
+        leaves no seeds and no shape for four letters on the tables."""
+        goals = [parse_pair("p & q |- r v s"), parse_pair("[](p v q) & r |- <>s v p")]
+        for n in (2, 3):
+            for kept in map(fresh, kept_relations(n)):
+                for goal in goals:
+                    want = per_frame(kept, goal)
+                    for budget in TestBatchKernel.budgets(kept, goal):
+                        assert_same_first(batch(kept, goal, budget), want)
+                assert all(k <= 3 for k, _ in shapes(kept))
+                assert all(k <= 3 for k in kept.codes._seeds)
+        decide_entailment((), goals[1], model_size=3)
+        for n in (1, 2, 3):
+            for kept in entailment._kept_relations(n, ()):
+                assert all(k <= 3 for k, _ in shapes(kept))
+
+
+# the axiom-free modal distribution templates of the countermodel
+# benchmark, each of which it runs four times, renamed
+AXIOM_FREE_DISTRIBUTION = (
+    "[](p v q) |- []p v []q",
+    "<>(p v q) |- <>p v <>q",
+    "<>p & <>q |- <>(p & q)",
+    "[](p v q) |- []p v <>q",
+)
+
+
+def test_axiom_free_distribution_items_build_no_search(monkeypatch):
+    """The 16 axiom-free distribution items at model size 5 (four
+    order-preserving renamings of each template): the screen refutes each
+    root, so no cut pool and no `ProofSearch` is built, and the verdict,
+    frame and valuation are those of the literal proof path."""
+    renamings = [("p", "q"), ("a", "b"), ("x1", "y"), ("m", "n2")]
+    goals = []
+    for text in AXIOM_FREE_DISTRIBUTION:
+        pair = parse_pair(text)
+        for a, b in renamings:
+            m = {"p": Letter(a), "q": Letter(b)}
+            goals.append(ConsequencePair(substitute(pair.lhs, m), substitute(pair.rhs, m)))
+    assert len(set(goals)) == 16
+
+    def results():
+        return [decide_entailment((), goal, model_size=5) for goal in goals]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(entailment, "derive_bounded", literal_derive_bounded)
+        want = results()
+    built = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            built.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(proofs, "cut_pool", counted(proofs.cut_pool))
+    monkeypatch.setattr(proofs, "ProofSearch", counted(proofs.ProofSearch))
+    got = results()
+    assert built == []
+    for a, b in zip(got, want):
+        assert a.verdict == b.verdict == "refuted"
+        assert (a.frame, a.valuation) == (b.frame, b.valuation)
+        assert list(a.valuation) == list(b.valuation)

@@ -33,7 +33,7 @@ from wpml.formulas import (
     substitute,
 )
 from wpml.generators import sample_modal_lattice, sample_modal_lframe
-from wpml.interpolation import InterpolationProblem, craig_interpolant
+from wpml.interpolation import DISTRIBUTIVITY, InterpolationProblem, craig_interpolant
 from wpml.lattice import (
     FiniteModalLattice,
     algebra_validates,
@@ -61,7 +61,7 @@ from wpml.proofs import (
 from wpml.serialize import proof_from_json, proof_to_json
 from wpml.vectors import PackedScreen, ScreenTables
 
-from conftest import chain_leq, random_formula
+from conftest import chain_leq, literal_derive_bounded, random_formula, random_pairs
 
 
 class TestCheckProof:
@@ -868,6 +868,75 @@ class TestDistributionScreens:
         slow = ProofSearch((), pool, screens=selected_screens(()))
         assert slow.prove(goal, 6) is None
         assert slow.expansions > 100
+
+
+ROOT_TAGS = [(), ("T",), ("4",), ("B",), ("5",), (".2",), ("T", "4")]
+
+
+def root_goals(tags):
+    """Seeded pairs of at most three letters and of four letters, the
+    countermodel templates and the distribution laws."""
+    rng = random.Random("root:" + "+".join(tags))
+    goals = random_pairs(rng, 8)
+    wide = random_pairs(rng, 120, depth=2, names=("p", "q", "r", "s"))
+    goals += [pair for pair in wide if len(letters(pair)) == 4][:3]
+    goals += [parse_pair(text) for text, _ in COUNTERMODEL_TEMPLATES]
+    return goals + list(_DISTRIBUTION_LAWS)
+
+
+class TestRootScreen:
+    """`derive_bounded` screens the root before it builds a cut pool or a
+    search, with the outcome of the literal path, which builds both and
+    lets the search's first expansion screen the root."""
+
+    @pytest.mark.parametrize("tags", ROOT_TAGS, ids=lambda t: "+".join(t) or "none")
+    def test_same_outcome_as_the_literal_path(self, tags):
+        gamma = gamma_pairs(tags)
+        goals = root_goals(tags)
+        at_root = 0
+        for goal in goals:
+            for depth, budget in product((0, 1, 6), (0, 1, 200_000)):
+                got = outcome(lambda: derive_bounded(gamma, goal, depth, budget))
+                want = outcome(
+                    lambda: literal_derive_bounded(gamma, goal, depth, budget)
+                )
+                assert got == want, (str(goal), depth, budget)
+            search = ProofSearch(gamma, cut_pool(goal, gamma))
+            search.prove(goal, 6)
+            at_root += (search.expansions, search.screen_rejects) == (1, 1)
+        assert 3 <= at_root < len(goals)
+
+    def test_caller_pool_path(self):
+        """A caller's pool goes through `order_cuts`, as on the
+        distributive fragment's obligations."""
+        goals = [parse_pair(text) for text, _ in COUNTERMODEL_TEMPLATES[2:5]]
+        goals += [parse_pair("p & (q v r) |- (p & q) v r"), parse_pair("p |- q")]
+        proofs_found = 0
+        for goal in goals:
+            pool = cut_pool(goal, DISTRIBUTIVITY, instance_cap=64, pool_cap=128)
+            for depth, budget in product((0, 1, 6), (0, 1, 200_000)):
+                got = outcome(
+                    lambda: derive_bounded(DISTRIBUTIVITY, goal, depth, budget, pool)
+                )
+                want = outcome(
+                    lambda: literal_derive_bounded(
+                        DISTRIBUTIVITY, goal, depth, budget, pool
+                    )
+                )
+                assert got == want, (str(goal), depth, budget)
+                proofs_found += got[0] == "returns" and got[1] is not None
+        assert proofs_found > 0
+
+    @pytest.mark.parametrize("law", _DISTRIBUTION_LAWS, ids=str)
+    def test_refuted_root_builds_no_pool(self, law, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built for a refuted root")
+
+        monkeypatch.setattr(proofs, "cut_pool", refuse)
+        monkeypatch.setattr(proofs, "order_cuts", refuse)
+        monkeypatch.setattr(proofs, "ProofSearch", refuse)
+        assert derive_bounded((), law, 6) is None
+        assert derive_bounded((), law, 6, pool=(TOP, BOT)) is None
 
 
 def literal_seeds(tables, k):
