@@ -30,7 +30,7 @@ from .errors import (
     WpmlError,
     resolve_budget,
 )
-from .formulas import parse_formula, pretty
+from .formulas import is_modality_free, parse_formula, pretty
 from .interpolation import (
     InterpolationProblem,
     craig_interpolant,
@@ -218,6 +218,9 @@ def cmd_interpolate(args) -> int:
     if args.distributive:
         if tags:
             print("error: --distributive takes no axioms", file=sys.stderr)
+            return EXIT_PARSE
+        if not (is_modality_free(phi) and is_modality_free(psi)):
+            print("error: --distributive takes modality-free formulas", file=sys.stderr)
             return EXIT_PARSE
         res = distributive_fragment_interpolant(phi, psi)
     else:

@@ -14,19 +14,11 @@ that meet the conditions, packed: their successor masks as
 the L-frame's f filters as local filter ids, f bytes each.  No
 `ModalLFrame` is held (see `catalog`).
 
-A goal over k letters is evaluated on up to M = min(256 // f,
-budget // f**k) relations of one L-frame at once, in catalog order: the
-pair-code tables of its filter lattice (`_KeptRelations.codes`, see
-`vectors`) evaluate one packed vector of M stretches of f**k positions,
-relation j's stretch first shifted by j * f at each modal step so that
-one translate through the batch's concatenated box or diamond tables
-serves all M relations.  The seeds widened to M stretches and their
-offsets (`ScreenTables.batch_shape`) are kept on the tables for k <= 3,
-beside the seeds, and built only when a batch needs them; wider ones
-are built once per search of an L-frame.  The first escape position
-names the first refuting relation; its countervaluation is then taken
-from `frame_validates` on that relation's `ModalLFrame`, so the result
-is the one a frame-by-frame search returns.
+A goal is evaluated on the kept relations of one L-frame in batches, on
+the pair-code tables of its filter lattice (`_KeptRelations.codes`), by
+`vectors.refuting_structures`.  The first refuting relation's
+countervaluation is then taken from `frame_validates` on that relation's
+`ModalLFrame`, so the result is the one a frame-by-frame search returns.
 """
 
 from __future__ import annotations
@@ -47,7 +39,7 @@ from .errors import InternalInconsistency, ResourceBound
 from .formulas import ConsequencePair, letters
 from .lframe import FrameValuation, LFrame, ModalLFrame, frame_validates
 from .proofs import Proof, derive_bounded
-from .vectors import ScreenTables, _seeded
+from .vectors import ScreenTables, refuting_structures
 
 DEFAULT_PROOF_DEPTH = 6
 DEFAULT_MODEL_SIZE = 4
@@ -122,43 +114,6 @@ def _kept_relations(n: int, conds: tuple[str, ...]) -> tuple[_KeptRelations, ...
     )
 
 
-def _first_refuting(
-    kept: _KeptRelations, goal: ConsequencePair, ls: list[str], budget: int
-) -> Optional[tuple[int, int]]:
-    """(j, i): relation j of `kept` is the first on which a valuation of
-    the sorted letters `ls` refutes the goal, and i is the first such
-    valuation's position in `product(range(f), repeat=len(ls))` order;
-    None if no relation of `kept` refutes it.  ResourceBound when
-    f**len(ls) passes `budget`, as `frame_validates` raises it."""
-    f = len(kept.base.filter_masks)
-    size = f ** len(ls)
-    if size > budget:
-        raise ResourceBound(size, budget)
-    codes = kept.codes
-    # batch width -> its shape, each built (or read from the tables) once
-    shapes: dict[int, tuple[tuple[bytes, ...], int]] = {}
-    count = len(kept.box) // f
-    width = min(256 // f, budget // size)
-    for start in range(0, count, width):
-        stop = min(start + width, count)
-        shape = shapes.get(stop - start)
-        if shape is None:
-            shape = shapes[stop - start] = codes.batch_shape(len(ls), stop - start)
-        vectors, offsets = shape
-        pad = bytes(256 - (stop - start) * f)
-        unary = (
-            kept.box[start * f:stop * f] + pad,
-            kept.diamond[start * f:stop * f] + pad,
-        )
-        memo = _seeded(vectors, ls)
-        left = codes.vector(memo, goal.lhs, unary, offsets)
-        right = codes.vector(memo, goal.rhs, unary, offsets)
-        pos = codes.escape(left, right)
-        if pos >= 0:
-            return divmod(start * size + pos, size)
-    return None
-
-
 def decide_entailment(
     tags,
     goal: ConsequencePair,
@@ -206,7 +161,12 @@ def decide_entailment(
             frames_seen += len(kept.succ) // n
             largest = n
             try:
-                first = _first_refuting(kept, goal, ls, model_budget)
+                first = next(
+                    refuting_structures(
+                        kept.codes, kept.box, kept.diamond, goal, ls, model_budget
+                    ),
+                    None,
+                )
             except ResourceBound as exc:
                 unknown_notes["model_search"] = f"resource bound: {exc}"
                 continue

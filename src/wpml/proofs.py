@@ -23,20 +23,19 @@ commutes with join and meet, so no chain refutes a modal distribution
 law such as `[](p v q) |- []p v []q`, though the laws fail in the
 variety.  So the set ends with, per law, the first structure over the
 four-element Boolean lattice that validates the axioms and refutes it
-(`_distribution_refuters`), and a search on such a law is refuted at its
-root instead of run to exhaustion.  `derive_bounded` screens the root
-before anything else, so a refuted root builds no cut pool and no
-`ProofSearch`; a root that passes hands its screen on to the search.
-The set is packed once (`_screen_tables`, a `vectors.ScreenTables`), so
-that a formula's value under every valuation of the pair's sorted
-letters, on every screen algebra, is one packed `bytes` vector, built
-once per search from its children's vectors.  Each formula id has a bitmask of its
-letters; a pair's mask picks a slot, built once per mask from the vector
-memo of its sorted letters (`PackedScreen.stretch`), or "not screened"
-past three letters.  In its slot each formula id keeps its vector's two
-pair-code halves as big integers, the scale half for a left side and the
-local half for a right side, so screening a pair is one addition, one
-`to_bytes`, one `translate` and one `find`.  The set holds modal
+(`_distribution_refuters`, by `vectors.refuting_structures`), and a
+search on such a law is refuted at its root instead of run to
+exhaustion.  `derive_bounded` screens the root before anything else, so
+a refuted root builds no cut pool and no `ProofSearch`; a root that
+passes hands its screen on to the search.  The set is packed once
+(`_screen_tables`, see `vectors`), and a formula's packed vector over it
+is built once per search from its children's.  Each formula id has a
+bitmask of its letters; a pair's mask picks a slot, built once per mask
+from the vector memo of its sorted letters (`PackedScreen.stretch`), or
+"not screened" past three letters.  In its slot each formula id keeps
+its vector's two pair-code halves as big integers, the scale half for a
+left side and the local half for a right side, so screening a pair is
+one addition, one `to_bytes`, one `translate` and one `find`.  The set holds modal
 lattices only, as `PackedScreen` requires.  The scalar
 `lattice.algebra_validates` stays the reference oracle:
 tests/test_proofs.py checks the screen's verdicts and first refuting
@@ -90,7 +89,7 @@ from .formulas import (
     subformulas,
     substitute,
 )
-from .vectors import PackedScreen, ScreenTables, _seeded
+from .vectors import PackedScreen, ScreenTables, refuting_structures
 
 # the `(size, formula_key)` sort key of a formula, as a C-level key function
 _KEY = attrgetter("_key")
@@ -407,70 +406,45 @@ def _distribution_refuters(gamma) -> tuple:
     such structure once, in `catalog.all_modal_lattices` order.  Nothing
     for a law that no such structure refutes, and nothing at all for a
     gamma with a member over more than three letters, which no screen
-    takes.  The scan packs runs of 16 structures (`_square_run`) and
-    stops once every law is refuted."""
-    members = [(g.lhs, g.rhs, tuple(sorted(letters(g)))) for g in gamma]
-    if any(len(ls) > 3 for _, _, ls in members):
+    takes.  Each member is evaluated on all the structures at once
+    (`_refuted_mask`)."""
+    if any(len(letters(g)) > 3 for g in gamma):
         return ()
-    laws = list(range(len(_DISTRIBUTION_LAWS)))
-    out = []
-    for start in range(0, len(_square_structures()[0]), 16):
-        if not laws:
-            break
-        run, refuting, law_masks = _square_run(start)
-        if not any(law_masks[law] for law in laws):
-            continue
-        invalid = 0
-        for member in members:
-            invalid |= refuting(*member)
-        # law -> the run's structures that validate gamma and refute it
-        hits = {law: law_masks[law] & ~invalid for law in laws}
-        firsts = {(mask & -mask).bit_length() - 1 for mask in hits.values() if mask}
-        out += [run[s] for s in sorted(firsts)]
-        laws = [law for law, mask in hits.items() if not mask]
-    return tuple(out)
+    structures, scan, law_masks = _square_structures()
+    invalid = 0
+    for member in gamma:
+        invalid |= _refuted_mask(scan, member)
+    hits = [mask & ~invalid for mask in law_masks]
+    firsts = {(hit & -hit).bit_length() - 1 for hit in hits if hit}
+    return tuple(structures[j] for j in sorted(firsts))
 
 
 @lru_cache(maxsize=None)
 def _square_structures() -> tuple:
     """The modal structures over the four-element Boolean lattice, in
-    `catalog.all_modal_lattices` order, and the `ScreenTables` of 16
-    copies of the lattice (16 * 4**2 pair codes fill it)."""
+    `catalog.all_modal_lattices` order; their scan, the lattice's
+    `ScreenTables` with their boxes and with their diamonds concatenated
+    (as `vectors.refuting_structures` takes them); and for each of
+    `_DISTRIBUTION_LAWS` the structures that refute it, as a bitmask."""
     from .catalog import _modal_structures, all_lattices
 
     # 0 < 1, 2 < 3 with 1 and 2 incomparable
     square = next(lat for lat in all_lattices(4) if not lat.leq[1][2])
-    return tuple(_modal_structures(square)), ScreenTables((square,) * 16)
+    structures = tuple(_modal_structures(square))
+    boxes = b"".join(bytes(a.box) for a in structures)
+    diamonds = b"".join(bytes(a.diamond) for a in structures)
+    scan = ScreenTables((square,)), boxes, diamonds
+    law_masks = tuple(_refuted_mask(scan, law) for law in _DISTRIBUTION_LAWS)
+    return structures, scan, law_masks
 
 
-@lru_cache(maxsize=None)
-def _square_run(start: int):
-    """The run of the 16 `_square_structures` from `start`, evaluated
-    through its own box and diamond tables: the run, its
-    `refuting(lhs, rhs, ls)`, the bitmask of the run's structures that
-    refute lhs |- rhs over the sorted letters `ls` (bit s for structure
-    s), and that bitmask for each of `_DISTRIBUTION_LAWS`."""
-    structures, tables = _square_structures()
-    run = structures[start : start + 16]
-    # structure s acts on the ids 4s..4s+3; the screens past a short last
-    # run hold no structure, so their bits are dropped
-    boxes = [4 * s + x for s, a in enumerate(run) for x in a.box]
-    diamonds = [4 * s + x for s, a in enumerate(run) for x in a.diamond]
-    unary = bytes(boxes).ljust(256, b"\0"), bytes(diamonds).ljust(256, b"\0")
-    held = (1 << len(run)) - 1
-    memos = {}
-
-    def refuting(lhs, rhs, ls):
-        memo = memos.get(ls)
-        if memo is None:
-            memo = memos[ls] = _seeded(tables.seeds(len(ls)), ls)
-        left, right = tables.vector(memo, lhs, unary), tables.vector(memo, rhs, unary)
-        return tables.refuting(left, right, len(ls)) & held
-
-    law_masks = tuple(
-        refuting(law.lhs, law.rhs, ("p", "q")) for law in _DISTRIBUTION_LAWS
-    )
-    return run, refuting, law_masks
+def _refuted_mask(scan: tuple, pair: ConsequencePair) -> int:
+    """The structures of a `_square_structures` scan that refute pair, of
+    at most three letters, bit j for structure j.  The budget admits
+    batches of 64 structures, the most the tables take."""
+    ls = sorted(letters(pair))
+    found = refuting_structures(*scan, pair, ls, 64 * 4**3)
+    return sum(1 << j for j, _ in found)
 
 
 @lru_cache(maxsize=64)

@@ -12,22 +12,24 @@ by one big-integer addition, and meet, join, box, diamond and the order
 test are each one `bytes.translate`.  A pair code must fit in a byte, so
 each algebra has at most 16 elements and the sum of n**2 over the set is
 at most 256; every screening set that `proofs` builds for a set of the
-axiom tags is well inside that (at most 195, B's).  The tables have
-three users.  `PackedScreen` holds one search's memo over a screening
-set of modal lattices and takes pairs of at most three letters only, the
-one rule of both semantic screens: `stretch` serves the proof search
-(see `proofs`) and `refutes` screens a candidate's obligations.
-`entailment` evaluates batches of relations of one L-frame on the tables
-of its filter lattice, passing their box and diamond tables and the
-offsets of `batch_shape` to `vector`.  `proofs` builds its screening
-sets' last part by evaluating 16 modal structures over one lattice at a
-time on the tables of 16 copies of it, passing their box and diamond
-tables, and reads which structures refute a pair from `refuting`.  The
-tables keep their seed vectors (T, F and the letters) and their batch
-shapes (the seeds widened to a batch, with its offsets) for at most
-three letters, so a screen over a cached set, or a batch of an L-frame
-searched before, builds none; wider seeds and shapes grow like n**k and
-are built afresh.
+axiom tags is well inside that (at most 195, B's).  The tables have two
+users.  `PackedScreen` holds one search's memo over a screening set of
+modal lattices and takes pairs of at most three letters only, the one
+rule of both semantic screens: `stretch` serves the proof search (see
+`proofs`) and `refutes` screens a candidate's obligations.
+`refuting_structures` evaluates a pair on many modal structures over the
+one lattice of its tables (the relations of one L-frame as box and
+diamond on its filter lattice for `entailment`, the structures over the
+four-element Boolean lattice for the distribution-law scan of `proofs`),
+M = min(256 // f, budget // f**k) of an f-element lattice at a time for
+a pair of k letters: one vector of M stretches of f**k positions,
+stretch j shifted by j * f at each modal step (`batch_shape`'s offsets),
+so that one translate through the batch's concatenated box or diamond
+tables serves all M.  The tables keep their seed vectors (T, F and the
+letters) and their batch shapes (the seeds widened to a batch, with its
+offsets) for at most three letters, so a screen over a cached set, or a
+batch of an L-frame searched before, builds none; wider seeds and shapes
+grow like n**k and are built afresh.
 
 The scalar evaluators (`lattice.evaluate`, `lattice.algebra_validates`,
 `lframe.truth_set`) stay the reference oracles.
@@ -35,10 +37,10 @@ The scalar evaluators (`lattice.evaluate`, `lattice.algebra_validates`,
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
-from .errors import PreconditionViolated
-from .formulas import BOT, TOP, And, Box, Dia, Formula, Letter, Or
+from .errors import PreconditionViolated, ResourceBound
+from .formulas import BOT, TOP, And, Box, ConsequencePair, Dia, Formula, Letter, Or
 
 
 class ScreenTables:
@@ -126,8 +128,8 @@ class ScreenTables:
         offsets that shift copy j's entries by j times the number of
         global ids, as one big integer: with box and diamond tables that
         concatenate `width` tables over these ids, copy j then reads the
-        j-th (`entailment` batches relations of one L-frame so).  Kept on
-        the tables for k <= 3, as the seeds are."""
+        j-th (see `refuting_structures`).  Kept on the tables for k <= 3,
+        as the seeds are."""
         found = self._shapes.get((k, width))
         if found is not None:
             return found
@@ -149,8 +151,8 @@ class ScreenTables:
         """Packed vector of f, built from its children's and memoized.
         Box and diamond translate through `unary`, the pair of box and
         diamond tables (these tables' own by default), after `offsets` is
-        added to the argument's vector as one big integer (`entailment`
-        batches relations of one L-frame that way)."""
+        added to the argument's vector as one big integer (see
+        `refuting_structures`)."""
         v = memo.get(f)
         if v is not None:
             return v
@@ -175,18 +177,6 @@ class ScreenTables:
         one, or -1."""
         return _pair_codes(self, left, right).translate(self.nleq).find(1)
 
-    def refuting(self, left: bytes, right: bytes, k: int) -> int:
-        """The screens with a position, over k letters, whose left value is
-        not below its right one, as a bitmask (bit s for screen s)."""
-        bad = _pair_codes(self, left, right).translate(self.nleq)
-        mask = start = 0
-        for s, n in enumerate(self.sizes):
-            end = start + n**k
-            if bad.find(1, start, end) >= 0:
-                mask |= 1 << s
-            start = end
-        return mask
-
 
 def _pair_codes(tables: ScreenTables, left: bytes, right: bytes) -> bytes:
     """The pair code of each position: every sum is below 256, so the
@@ -204,6 +194,48 @@ def _seeded(seeds: tuple[bytes, ...], ls: tuple[str, ...]) -> dict[Formula, byte
     memo = {TOP: top, BOT: bot}
     memo.update(zip(map(Letter, ls), vectors))
     return memo
+
+
+def refuting_structures(
+    tables: ScreenTables,
+    boxes: bytes,
+    diamonds: bytes,
+    goal: ConsequencePair,
+    ls: Sequence[str],
+    budget: int,
+) -> Iterator[tuple[int, int]]:
+    """(j, i) for each modal structure j over the one lattice of `tables`
+    on which a valuation of the sorted letters `ls` refutes `goal`, in
+    order: i is the first such valuation's position in
+    `product(range(f), repeat=len(ls))` order.  Structure j's box and
+    diamond are the f local ids at j * f of `boxes` and `diamonds`.
+    Batched as the module docstring says; ResourceBound when f**len(ls)
+    passes `budget`, as `lframe.frame_validates` raises it."""
+    (f,) = tables.sizes
+    size = f ** len(ls)
+    if size > budget:
+        raise ResourceBound(size, budget)
+    # batch width -> its shape, each built (or read from the tables) once
+    shapes: dict[int, tuple[tuple[bytes, ...], int]] = {}
+    count = len(boxes) // f
+    width = min(256 // f, budget // size)
+    for start in range(0, count, width):
+        stop = min(start + width, count)
+        shape = shapes.get(stop - start)
+        if shape is None:
+            shape = shapes[stop - start] = tables.batch_shape(len(ls), stop - start)
+        vectors, offsets = shape
+        pad = bytes(256 - (stop - start) * f)
+        unary = boxes[start * f : stop * f] + pad, diamonds[start * f : stop * f] + pad
+        memo = _seeded(vectors, ls)
+        left = tables.vector(memo, goal.lhs, unary, offsets)
+        right = tables.vector(memo, goal.rhs, unary, offsets)
+        bad = _pair_codes(tables, left, right).translate(tables.nleq)
+        pos = bad.find(1)
+        while pos >= 0:
+            j, i = divmod(pos, size)
+            yield start + j, i
+            pos = bad.find(1, (j + 1) * size)
 
 
 class PackedScreen:

@@ -355,6 +355,16 @@ def test_correspond_past_the_budget_is_a_resource_exit(tmp_path, monkeypatch, ca
     assert (code, out) == (4, "") and err.startswith("resource bound:")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["[]p", "p"], ["p & q", "<>q"], ["p", "p", "--axioms", "T"]],
+    ids=["box-left", "diamond-right", "axioms"],
+)
+def test_distributive_misuse_is_a_parse_exit(args, capsys):
+    code, out, err = run(["interpolate", *args, "--distributive"], capsys)
+    assert (code, out) == (3, "") and err.startswith("error: --distributive takes")
+
+
 def test_distributive_interpolant_past_the_budget_is_a_resource_exit(capsys):
     phi = "a & b & c & d & e"
     code, out, err = run(["interpolate", phi, phi, "--distributive"], capsys)

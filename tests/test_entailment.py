@@ -32,6 +32,7 @@ from wpml.correspondence import (
     frame_satisfies,
 )
 from wpml.sweeps import closure_sweep
+from wpml.vectors import refuting_structures
 
 from conftest import (
     literal_derive_bounded,
@@ -348,10 +349,12 @@ def per_frame(kept, pair):
 
 
 def batch(kept, pair, budget):
-    """`entailment._first_refuting` with its valuation position decoded as
-    `frame_validates` decodes a position: (j, valuation) or None."""
+    """The first answer of `refuting_structures` on `kept`, with its
+    valuation position decoded as `frame_validates` decodes a position:
+    (j, valuation) or None."""
     ls = sorted(letters(pair))
-    got = entailment._first_refuting(kept, pair, ls, budget)
+    found = refuting_structures(kept.codes, kept.box, kept.diamond, pair, ls, budget)
+    got = next(found, None)
     if got is None:
         return None
     j, i = got
@@ -367,8 +370,9 @@ def assert_same_first(got, want):
 
 
 class TestBatchKernel:
-    """The batched search of one L-frame's relations against
-    `frame_validates` on one relation at a time."""
+    """The batched search of one L-frame's relations
+    (`vectors.refuting_structures`) against `frame_validates` on one
+    relation at a time."""
 
     @staticmethod
     def budgets(kept, pair):

@@ -1,7 +1,8 @@
 """Every module-level import of the package is read in its module, every
 private function, class and method it defines is read somewhere in the
-package, and every public module-level function and class it defines is
-read somewhere in the package, its tests or its benchmark."""
+package, and every public module-level function and class, and every
+public method of a module-level class, it defines is read somewhere in
+the package, its tests or its benchmark."""
 
 import ast
 from pathlib import Path
@@ -99,16 +100,22 @@ def test_the_check_sees_an_unread_private_definition():
 
 
 def unread_public_definitions(sources: list[str], readers: list[str]) -> list[str]:
-    """The public module-level functions and classes that the sources
-    define and that neither they nor the readers read as a name or an
-    attribute (an import alone is not a read), in definition order."""
+    """The public module-level functions and classes, and public methods
+    of module-level classes, that the sources define and that neither
+    they nor the readers read as a name or an attribute (an import alone
+    is not a read), in definition order."""
     trees = [ast.parse(source) for source in sources]
-    defined = [
-        node.name
-        for tree in trees
-        for node in tree.body
-        if isinstance(node, DEFINITIONS) and not node.name.startswith("_")
-    ]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+                defined.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    method.name
+                    for method in node.body
+                    if isinstance(method, DEFINITIONS) and not method.name.startswith("_")
+                ]
     read = _read(trees + [ast.parse(reader) for reader in readers])
     return [name for name in defined if name not in read]
 
@@ -125,7 +132,8 @@ def test_the_check_sees_an_unread_public_definition():
         "def orphan():\n    return helper\n\n"
         "class Box:\n    def peek(self):\n        pass\n"
     )
-    reader = "from package import Box, orphan\n\nBox()\n"
+    reader = "from package import Box, orphan\n\nBox().peek()\n"
     assert unread_public_definitions([package], [reader]) == ["orphan"]
-    assert unread_public_definitions([package], []) == ["orphan", "Box"]
+    assert unread_public_definitions([package], ["Box()\n"]) == ["orphan", "peek"]
+    assert unread_public_definitions([package], []) == ["orphan", "Box", "peek"]
     assert READERS

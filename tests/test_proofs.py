@@ -59,7 +59,7 @@ from wpml.proofs import (
     order_cuts,
 )
 from wpml.serialize import proof_from_json, proof_to_json
-from wpml.vectors import PackedScreen, ScreenTables
+from wpml.vectors import PackedScreen, ScreenTables, refuting_structures
 
 from conftest import chain_leq, literal_derive_bounded, random_formula, random_pairs
 
@@ -680,8 +680,9 @@ def is_chain(a):
     return all(a.leq[x][y] or a.leq[y][x] for x in range(a.n) for y in range(a.n))
 
 
-# each axiom set, T+4, and the distribution laws each refutes (True) or
-# not on the structures over the four-element Boolean lattice
+# each set of at most two axiom tags, and the distribution laws each
+# refutes (True) or not on the structures over the four-element Boolean
+# lattice
 LAW_COVERAGE = {
     (): (True, True, True),
     ("T",): (True, False, True),
@@ -690,7 +691,21 @@ LAW_COVERAGE = {
     ("5",): (True, True, True),
     (".2",): (True, True, True),
     ("T", "4"): (True, False, True),
+    ("T", "B"): (True, False, True),
+    ("T", "5"): (True, False, True),
+    ("T", ".2"): (True, False, True),
+    ("4", "B"): (True, False, True),
+    ("4", "5"): (True, True, True),
+    ("4", ".2"): (True, True, True),
+    ("B", "5"): (True, False, True),
+    ("B", ".2"): (True, False, True),
+    ("5", ".2"): (True, True, True),
 }
+
+# the axiom sets on which whole searches are compared, with and without
+# the appended structures: none, each tag, and T+4 (each search
+# comparison takes about 1.5 s)
+SEARCH_TAGS = ((), ("T",), ("4",), ("B",), ("5",), (".2",), ("T", "4"))
 
 # the distinct (pair, axiom tags) of the countermodel benchmark's templates
 COUNTERMODEL_TEMPLATES = (
@@ -766,26 +781,39 @@ class TestDistributionScreens:
         for a in appended:
             assert all(algebra_validates(a, g) is None for g in gamma)
 
-    def test_packed_runs_match_algebra_validates(self):
-        """Each packed run of the structures over the Boolean lattice,
-        the last one short, refutes a pair on exactly the structures on
-        which `algebra_validates` finds a countervaluation."""
-        structures = proofs._square_structures()[0]
+    def test_kernel_matches_algebra_validates(self):
+        """`refuting_structures` on the 100 structures over the Boolean
+        lattice, in batches of 64, 1 and 3 structures, yields exactly the
+        structures on which `algebra_validates` finds a countervaluation,
+        in order, each with that function's first countervaluation; the
+        law masks of the scan are the laws' refuting structures."""
+        structures, scan, law_masks = proofs._square_structures()
         assert len(structures) == 100
         members = [m for tag in sorted(AXIOMS) for m in AXIOMS[tag]]
         pairs = [*_DISTRIBUTION_LAWS, *members, parse_pair("p |- []p")]
         pairs.append(parse_pair("<>(p & r) v q |- [](q v r) & p"))
-        for start in range(0, 100, 16):
-            run, refuting, law_masks = proofs._square_run(start)
-            assert run == structures[start : start + 16]
-            for pair in pairs:
-                ls = tuple(sorted(letters(pair)))
-                want = sum(
-                    1 << s for s, a in enumerate(run) if algebra_validates(a, pair)
-                )
-                assert refuting(pair.lhs, pair.rhs, ls) == want, (start, str(pair))
-                if pair in _DISTRIBUTION_LAWS:
-                    assert law_masks[_DISTRIBUTION_LAWS.index(pair)] == want
+        pairs += seeded_pairs(random.Random(2031), 12)
+        widths = set()
+        for pair in pairs:
+            ls = tuple(sorted(letters(pair)))
+            k = len(ls)
+            want = {}
+            for j, a in enumerate(structures):
+                cv = algebra_validates(a, pair)
+                if cv is not None:
+                    want[j] = cv
+            widths.add((k, 0 < len(want) < 100))
+            for budget in (10**6, 4**k, 4 * 4**k - 1):
+                got = {
+                    j: {name: i // 4 ** (k - 1 - t) % 4 for t, name in enumerate(ls)}
+                    for j, i in refuting_structures(*scan, pair, ls, budget)
+                }
+                assert list(got) == sorted(got)
+                assert got == want, (str(pair), budget)
+            if pair in _DISTRIBUTION_LAWS:
+                mask = law_masks[_DISTRIBUTION_LAWS.index(pair)]
+                assert mask == sum(1 << j for j in want)
+        assert {(1, True), (2, True), (3, True)} <= widths
 
     def test_each_set_is_one_table(self):
         """Every set packs into one `ScreenTables`; B's is the largest."""
@@ -801,7 +829,7 @@ class TestDistributionScreens:
         assert positions[()] == 395
 
     @pytest.mark.parametrize(
-        "tags", list(LAW_COVERAGE), ids=lambda tags: "+".join(tags) or "none"
+        "tags", SEARCH_TAGS, ids=lambda tags: "+".join(tags) or "none"
     )
     def test_same_proofs_and_never_more_expansions(self, tags):
         """On seeded pairs and the countermodel templates, a search with
