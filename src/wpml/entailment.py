@@ -38,7 +38,7 @@ from .correspondence import (
 from .errors import InternalInconsistency, ResourceBound
 from .formulas import ConsequencePair, letters
 from .lframe import FrameValuation, LFrame, ModalLFrame, frame_validates
-from .proofs import Proof, derive_bounded
+from .proofs import Proof, SearchSetup, derive_bounded
 from .vectors import ScreenTables, refuting_structures
 
 DEFAULT_PROOF_DEPTH = 6
@@ -121,6 +121,8 @@ def decide_entailment(
     model_size: int = DEFAULT_MODEL_SIZE,
     proof_budget: int = 200_000,
     model_budget: int = 10**6,
+    *,
+    setup: Optional[SearchSetup] = None,
 ) -> EntailmentResult:
     """Proof search first; otherwise exhaustive frame search (up to
     isomorphism) over the class carved out by the axioms' frame
@@ -135,7 +137,10 @@ def decide_entailment(
     relations as searched and notes the bound, as a frame-by-frame
     search does.  The first refuting relation's countervaluation comes
     from `frame_validates` on that frame, the function the batches must
-    agree with; if it finds none, that is an InternalInconsistency."""
+    agree with; if it finds none, that is an InternalInconsistency.
+
+    The proof search takes `setup` (see `proofs.SearchSetup`), which
+    must be over the tags' axioms, or a fresh one."""
     tags = tuple(tags)
     unknown_notes: dict = {
         "proof_depth": proof_depth,
@@ -145,7 +150,7 @@ def decide_entailment(
     pairs = gamma_pairs(tags)
     conds = gamma_conditions(tags)
     try:
-        proof = derive_bounded(pairs, goal, proof_depth, proof_budget)
+        proof = derive_bounded(pairs, goal, proof_depth, proof_budget, setup=setup)
     except ResourceBound as exc:
         proof = None
         unknown_notes["proof_search"] = f"resource bound: {exc}"

@@ -9,10 +9,19 @@ candidate in that canonical order for which both derivations are found.
 Before any proof search, a candidate is dropped when a modal lattice of
 the proof search's screening set (`proofs._screening_algebras`) refutes
 one of its obligations.  Each obligation, left first, is evaluated on the
-set at once by a packed screen (`vectors.PackedScreen`, one per call) by
-the proof search's rule: an obligation over more than three letters is
-not screened, which keeps a candidate, never drops one, and leaves it to
-the proof search.
+set at once by a packed screen (`vectors.PackedScreen`) by the proof
+search's rule: an obligation over more than three letters is not
+screened, which keeps a candidate, never drops one, and leaves it to the
+proof search.  A candidate has shared letters only, so the letters of
+its left obligation are phi's and those of its right one psi's, found
+once per call.
+
+`craig_interpolant` makes one `proofs.SearchSetup` per call: the
+entailment search, the candidate screen and the obligation searches
+share its screen, so each formula's packed vectors are built once per
+call, and its memo of axiom instances and modal closures, which their
+cut pools draw on.  It is dropped with the call.  The distributive
+fragment's obligations share one set-up at caps (64, 128).
 """
 
 from __future__ import annotations
@@ -49,15 +58,7 @@ from .formulas import (
     subformulas,
 )
 from .lattice import FiniteLattice, Valuation, algebra_validates
-from .proofs import (
-    Proof,
-    _screen_tables,
-    _screening_algebras,
-    check_proof,
-    cut_pool,
-    derive_bounded,
-)
-from .vectors import PackedScreen
+from .proofs import Proof, SearchSetup, check_proof, derive_bounded
 
 DISTRIBUTIVITY = (parse_pair("p & (q v r) |- p & q v p & r"),)
 
@@ -174,14 +175,19 @@ def _assert_obligations(result: InterpolationResult, prob, gamma) -> None:
 
 def craig_interpolant(prob: InterpolationProblem) -> InterpolationResult:
     """Entailment first (so no-entailment never spends the candidate
-    budget); then least-candidate interpolant search."""
+    budget); then least-candidate interpolant search.  The entailment
+    search, the candidate screen and the obligation searches share one
+    `proofs.SearchSetup`, made for the call."""
     goal = ConsequencePair(prob.phi, prob.psi)
+    gamma = gamma_pairs(prob.tags)
+    setup = SearchSetup(gamma)
     ent = decide_entailment(
         prob.tags,
         goal,
         proof_depth=prob.proof_depth,
         model_size=prob.model_size,
         proof_budget=prob.proof_budget,
+        setup=setup,
     )
     if ent.refuted:
         cm = CounterModel("frame", ent.frame, ent.valuation)
@@ -190,26 +196,28 @@ def craig_interpolant(prob: InterpolationProblem) -> InterpolationResult:
         return InterpolationResult(
             "unknown", diagnostics={"entailment": ent.diagnostics}
         )
-    gamma = gamma_pairs(prob.tags)
     pool = candidate_pool(prob.phi, prob.psi, prob.shared)
-    screen = PackedScreen(_screen_tables(_screening_algebras(gamma)))
+    screen = setup.screen
+    # a candidate's letters are shared ones, so each obligation's letters
+    # are those of its other side
+    left_ls = tuple(sorted(letters(prob.phi)))
+    right_ls = tuple(sorted(letters(prob.psi)))
     tried = 0
     notes: dict = {}
     for chi in enumerate_candidates(pool, prob.cand_size):
         tried += 1
+        if screen.refutes(((prob.phi, chi, left_ls), (chi, prob.psi, right_ls))):
+            continue
         left_goal = ConsequencePair(prob.phi, chi)
         right_goal = ConsequencePair(chi, prob.psi)
-        goals = [
-            (g.lhs, g.rhs, tuple(sorted(letters(g)))) for g in (left_goal, right_goal)
-        ]
-        if screen.refutes(goals):
-            continue
         try:
-            left = derive_bounded(gamma, left_goal, prob.proof_depth, prob.proof_budget)
+            left = derive_bounded(
+                gamma, left_goal, prob.proof_depth, prob.proof_budget, setup=setup
+            )
             if left is None:
                 continue
             right = derive_bounded(
-                gamma, right_goal, prob.proof_depth, prob.proof_budget
+                gamma, right_goal, prob.proof_depth, prob.proof_budget, setup=setup
             )
         except ResourceBound as exc:
             notes.setdefault("resource_bounds", []).append(str(exc))
@@ -297,6 +305,7 @@ def distributive_fragment_interpolant(
             "no-entailment", countermodel=CounterModel("algebra", lat, cv)
         )
     notes: dict = {"entailment": "valid-on-distributive-catalog"}
+    setup = SearchSetup(DISTRIBUTIVITY, instance_cap=64, pool_cap=128)
     for chi in _dnf_candidates(shared):
         if _dist_entails(ConsequencePair(phi, chi), catalog) is not None:
             continue
@@ -306,21 +315,11 @@ def distributive_fragment_interpolant(
             left_goal = ConsequencePair(phi, chi)
             right_goal = ConsequencePair(chi, psi)
             left = derive_bounded(
-                DISTRIBUTIVITY,
-                left_goal,
-                proof_depth,
-                proof_budget,
-                pool=cut_pool(left_goal, DISTRIBUTIVITY, instance_cap=64, pool_cap=128),
+                DISTRIBUTIVITY, left_goal, proof_depth, proof_budget, setup=setup
             )
             right = (
                 derive_bounded(
-                    DISTRIBUTIVITY,
-                    right_goal,
-                    proof_depth,
-                    proof_budget,
-                    pool=cut_pool(
-                        right_goal, DISTRIBUTIVITY, instance_cap=64, pool_cap=128
-                    ),
+                    DISTRIBUTIVITY, right_goal, proof_depth, proof_budget, setup=setup
                 )
                 if left is not None
                 else None

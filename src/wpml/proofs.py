@@ -8,8 +8,21 @@ axiom set.  Transitivity is searched over a bounded cut-formula pool
 (subformulas of the goal and of axiom instances, the constants, all
 closed once under box/diamond), so completeness is only relative to the
 bounds.  `cut_pool` returns the pool in search order (goal subformulas
-first, each part by size key) after one sort; `derive_bounded` sends only
-a caller's pool through `order_cuts`.
+first, each part by size key) after one sort.
+
+Search set-up: the searches of one caller over one axiom set may share a
+`SearchSetup`, which `derive_bounded` and `cut_pool` take (a fresh one
+when the caller passes none; one per `interpolation.craig_interpolant`
+call, whose entailment search, candidate screen and obligation searches
+share it).  It holds the screening set's one `PackedScreen`, the axiom
+instances of each tuple of ground formulas (a member's non-letter
+subformulas, substituted; the subformulas of the ground formulas are in
+the pool already) and each base formula's four modal-closure formulas.
+Each pool ranks and truncates its instance grids itself, so the caps
+stay exact, and the pool is the one a fresh set-up gives.  A set-up lives
+only as long as its caller keeps it: nothing is kept process-wide, so no
+formula outlives the call.  tests/test_proofs.py checks pools from fresh
+and shared set-ups against a literal build.
 
 Semantic screening: before expanding a subgoal of at most three letters,
 the search refutes it on a fixed set of small modal lattices that
@@ -27,10 +40,10 @@ four-element Boolean lattice that validates the axioms and refutes it
 search on such a law is refuted at its root instead of run to
 exhaustion.  `derive_bounded` screens the root before anything else, so
 a refuted root builds no cut pool and no `ProofSearch`; a root that
-passes hands its screen on to the search.  The set is packed once
-(`_screen_tables`, see `vectors`), and a formula's packed vector over it
-is built once per search from its children's.  Each formula id has a
-bitmask of its letters; a pair's mask picks a slot, built once per mask
+passes hands its set-up's screen on to the search.  The set is packed
+once (`_screen_tables`, see `vectors`), and a formula's packed vector
+over it is built once per set-up from its children's.  Each formula id
+has a bitmask of its letters; a pair's mask picks a slot, built once per mask
 from the vector memo of its sorted letters (`PackedScreen.stretch`), or
 "not screened" past three letters.  In its slot each formula id keeps
 its vector's two pair-code halves as big integers, the scale half for a
@@ -65,12 +78,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from operator import attrgetter
 from typing import Optional
 
-from .errors import InternalInconsistency, ResourceBound, SizeCap
+from .errors import InternalInconsistency, PreconditionViolated, ResourceBound, SizeCap
 from .formulas import (
     BOT,
     TOP,
@@ -288,11 +301,59 @@ def check_proof(proof: Proof, gamma=()) -> Optional[BadNode]:
     return walk(proof, ())
 
 
+class SearchSetup:
+    """What the searches of one caller over the axiom set gamma share (see
+    the module docstring): `screen`, the one `PackedScreen` over the
+    screening set `screens`, both built when first asked for; per member
+    of gamma, what its instance at each tuple of ground formulas adds to a
+    pool's base; and each base formula's modal closure.  `instance_cap`
+    and `pool_cap` are the caps of the pools that `derive_bounded` builds
+    with it."""
+
+    def __init__(self, gamma=(), instance_cap: int = 256, pool_cap: int = 512):
+        self.gamma = tuple(gamma)
+        self.instance_cap = instance_cap
+        self.pool_cap = pool_cap
+        # per member: its sorted letters, its non-letter subformulas, and
+        # the memo from a tuple of ground formulas to their instances
+        self._members = []
+        for member in self.gamma:
+            parts = subformulas(member.lhs) | subformulas(member.rhs)
+            self._members.append(
+                (
+                    sorted(letters(member)),
+                    [f for f in parts if type(f) is not Letter],
+                    {},
+                )
+            )
+        # base formula -> [] f, <> f, <> T & [] f, <> (T & f)
+        self._closures: dict[Formula, tuple[Formula, ...]] = {}
+
+    @cached_property
+    def screens(self) -> tuple:
+        return _screening_algebras(self.gamma)
+
+    @cached_property
+    def screen(self) -> PackedScreen:
+        return PackedScreen(_screen_tables(self.screens))
+
+
+def _setup_for(gamma: tuple, setup: Optional[SearchSetup]) -> SearchSetup:
+    """`setup`, which must be over gamma, or a fresh one."""
+    if setup is None:
+        return SearchSetup(gamma)
+    if setup.gamma != gamma:
+        raise PreconditionViolated("the search set-up is over another axiom set")
+    return setup
+
+
 def cut_pool(
     goal: ConsequencePair,
     gamma=(),
     instance_cap: int = 256,
     pool_cap: int = 512,
+    *,
+    setup: Optional[SearchSetup] = None,
 ) -> tuple[Formula, ...]:
     """Deterministic cut-formula pool: subformulas of the goal and of
     axiom instances over them, plus constants, closed once under the
@@ -300,15 +361,17 @@ def cut_pool(
 
     Axiom instantiation grids are ranked by total substituted size and
     truncated at `instance_cap` per member; the final pool keeps the
-    `pool_cap` smallest formulas, in search order (`order_cuts`).  Both
-    caps only bound the search, they never affect soundness.
+    `pool_cap` smallest formulas, in search order.  Both caps only bound
+    the search, they never affect soundness.  The instances and the
+    closure come from `setup`'s memos (a fresh set-up over gamma when
+    there is none), so the pool is the same either way.
     """
+    setup = _setup_for(tuple(gamma), setup)
     subs = subformulas(goal.lhs) | subformulas(goal.rhs)
     base: set[Formula] = {TOP, BOT} | subs
     ground = sorted(base, key=_KEY)
     ground_keys = [f._key for f in ground]
-    for member in gamma:
-        vs = sorted(letters(member))
+    for vs, parts, instances in setup._members:
         combos = sorted(
             product(range(len(ground)), repeat=len(vs)),
             key=lambda c: (
@@ -317,19 +380,25 @@ def cut_pool(
             ),
         )[:instance_cap]
         for combo in combos:
-            m = {v: ground[i] for v, i in zip(vs, combo)}
-            base |= subformulas(substitute(member.lhs, m))
-            base |= subformulas(substitute(member.rhs, m))
+            # ground is closed under subformulas, so an instance adds to
+            # the base only the images of the member's non-letter parts
+            key = tuple([ground[i] for i in combo])
+            new = instances.get(key)
+            if new is None:
+                m = dict(zip(vs, key))
+                new = instances[key] = [substitute(f, m) for f in parts]
+            base.update(new)
     once = set(base)
+    closures = setup._closures
     dia_top = Dia(TOP)
     for f in base:
-        box = Box(f)
-        once.add(box)
-        once.add(Dia(f))
-        # bridge for the forced seriality pattern: box f |- dia f goes
-        # through dia T & box f |- dia(T & f) (the duality axiom at T)
-        once.add(And(dia_top, box))
-        once.add(Dia(And(TOP, f)))
+        closure = closures.get(f)
+        if closure is None:
+            box = Box(f)
+            # bridge for the forced seriality pattern: box f |- dia f goes
+            # through dia T & box f |- dia(T & f) (the duality axiom at T)
+            closure = closures[f] = (box, Dia(f), And(dia_top, box), Dia(And(TOP, f)))
+        once.update(closure)
     return _search_order(sorted(once, key=_KEY)[:pool_cap], subs)
 
 
@@ -474,13 +543,15 @@ class ProofSearch:
     pair of ids (l, r) is `l << 32 | r`.
 
     `screen`, a `PackedScreen` over `screens` that the caller has used
-    already (`derive_bounded` screens the root with it), is taken over,
-    vectors and all, instead of a new one.
+    already (`derive_bounded` passes its `SearchSetup`'s, with which it
+    screened the root and which the other searches of that set-up
+    share), is taken over, vectors and all, instead of a new one.
 
-    `expansions`, `screen_calls` (pairs checked against the screen set),
-    `screen_rejects` (pairs a screen refuted) and `vector_entries`
-    (packed vectors held by the search's screen) are deterministic work
-    counters.
+    `expansions`, `screen_calls` (pairs checked against the screen set)
+    and `screen_rejects` (pairs a screen refuted) are deterministic work
+    counters of the search.  `vector_entries` counts the packed vectors
+    the screen holds, so with a shared screen it counts those of every
+    search and candidate screen that shared it.
     """
 
     def __init__(
@@ -739,15 +810,6 @@ class ProofSearch:
                 cuts.insert(i, cut)
 
 
-def order_cuts(goal: ConsequencePair, pool) -> tuple[Formula, ...]:
-    """Search order for transitivity cuts: goal subformulas first (small
-    to large), then the remaining pool formulas.  The pool order is the
-    search order inside ProofSearch; `cut_pool` returns its pool in this
-    order already."""
-    subs = subformulas(goal.lhs) | subformulas(goal.rhs)
-    return _search_order(sorted(pool, key=_KEY), subs)
-
-
 # The greatest proof depth `derive_bounded` accepts.  The search recurses
 # once per depth level, and the walks over a proof (checking, comparing,
 # printing) recurse once or twice per level of its height, so at this
@@ -761,7 +823,8 @@ def derive_bounded(
     goal: ConsequencePair,
     depth: int,
     budget: int = 200_000,
-    pool: Optional[tuple[Formula, ...]] = None,
+    *,
+    setup: Optional[SearchSetup] = None,
 ) -> Optional[Proof]:
     """One-shot bounded search; returns a proof whose conclusion is the
     goal, or None when the bounded space is exhausted.  Raises
@@ -772,16 +835,18 @@ def derive_bounded(
     screen it: a root the screening set refutes returns None with no cut
     pool built and no `ProofSearch` (at budget >= 1; below, the search
     raises ResourceBound(1, budget) before it screens).  Any other root
-    is searched with the same screen, so its vectors are built once."""
+    is searched with the same screen.  The screen and the cut pool come
+    from `setup` (a `SearchSetup` over gamma, or a fresh one), the pool at
+    its caps."""
     if depth > MAX_PROOF_DEPTH:
         raise SizeCap(f"proof depth {depth} exceeds the cap of {MAX_PROOF_DEPTH}")
     gamma = tuple(gamma)
-    screens = _screening_algebras(gamma)
-    screen = PackedScreen(_screen_tables(screens))
+    setup = _setup_for(gamma, setup)
+    screen = setup.screen
     # the screen of the search's first expansion, which raises at budget
     # < 1 before it screens; at depth <= 0 the search returns None too
     root = (goal.lhs, goal.rhs, tuple(sorted(letters(goal))))
     if budget >= 1 and screen.refutes((root,)):
         return None
-    pool = cut_pool(goal, gamma) if pool is None else order_cuts(goal, pool)
-    return ProofSearch(gamma, pool, budget, screens, screen).prove(goal, depth)
+    pool = cut_pool(goal, gamma, setup.instance_cap, setup.pool_cap, setup=setup)
+    return ProofSearch(gamma, pool, budget, setup.screens, screen).prove(goal, depth)

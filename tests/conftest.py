@@ -4,7 +4,19 @@ import pytest
 
 from wpml.catalog import all_lframes, modal_relations
 from wpml.errors import ResourceBound, resolve_budget
-from wpml.formulas import BOT, TOP, And, Box, ConsequencePair, Dia, Letter, Or, letters
+from wpml.formulas import (
+    BOT,
+    TOP,
+    And,
+    Box,
+    ConsequencePair,
+    Dia,
+    Letter,
+    Or,
+    letters,
+    subformulas,
+    substitute,
+)
 from wpml.lattice import validate_lattice, with_identity_modalities
 from wpml.lframe import (
     ModalLFrame,
@@ -13,7 +25,7 @@ from wpml.lframe import (
     truth_set,
     validate_modal_lframe,
 )
-from wpml.proofs import ProofSearch, cut_pool, order_cuts
+from wpml.proofs import _KEY, ProofSearch, _search_order
 
 
 def chain_leq(n):
@@ -116,11 +128,55 @@ def reference_frame_validates(frame, pair, budget=None):
     return None
 
 
-def literal_derive_bounded(gamma, goal, depth, budget=200_000, pool=None):
-    """`derive_bounded` with no root check: the cut pool first, then the
-    search, whose first expansion screens the root."""
+def order_cuts(goal, pool):
+    """Search order for transitivity cuts: goal subformulas first (small
+    to large), then the remaining pool formulas.  `cut_pool` returns its
+    pool in this order."""
+    subs = subformulas(goal.lhs) | subformulas(goal.rhs)
+    return _search_order(sorted(pool, key=_KEY), subs)
+
+
+def literal_cut_pool(goal, gamma=(), instance_cap=256, pool_cap=512):
+    """`cut_pool` with no set-up: every instance substituted in full and
+    its subformulas taken, every closure formula built, on each call."""
+    subs = subformulas(goal.lhs) | subformulas(goal.rhs)
+    base = {TOP, BOT} | subs
+    ground = sorted(base, key=_KEY)
+    ground_keys = [f._key for f in ground]
+    for member in gamma:
+        vs = sorted(letters(member))
+        combos = sorted(
+            product(range(len(ground)), repeat=len(vs)),
+            key=lambda c: (
+                sum(ground_keys[i][0] for i in c),
+                tuple(ground_keys[i][1] for i in c),
+            ),
+        )[:instance_cap]
+        for combo in combos:
+            m = {v: ground[i] for v, i in zip(vs, combo)}
+            base |= subformulas(substitute(member.lhs, m))
+            base |= subformulas(substitute(member.rhs, m))
+    once = set(base)
+    dia_top = Dia(TOP)
+    for f in base:
+        box = Box(f)
+        once.add(box)
+        once.add(Dia(f))
+        # bridge for the forced seriality pattern: box f |- dia f goes
+        # through dia T & box f |- dia(T & f) (the duality axiom at T)
+        once.add(And(dia_top, box))
+        once.add(Dia(And(TOP, f)))
+    return _search_order(sorted(once, key=_KEY)[:pool_cap], subs)
+
+
+def literal_derive_bounded(
+    gamma, goal, depth, budget=200_000, pool=None, *, setup=None
+):
+    """`derive_bounded` with no root check and no set-up (a caller's
+    `setup` is ignored): the literal cut pool first, then the search,
+    whose first expansion screens the root on a screen of its own."""
     gamma = tuple(gamma)
-    pool = cut_pool(goal, gamma) if pool is None else order_cuts(goal, pool)
+    pool = literal_cut_pool(goal, gamma) if pool is None else order_cuts(goal, pool)
     return ProofSearch(gamma, pool, budget).prove(goal, depth)
 
 

@@ -1,19 +1,49 @@
+import gc
+import json
+import random
+from pathlib import Path
+
 import pytest
 
 from wpml.catalog import all_distributive_lattices
 from wpml import interpolation
+from wpml.entailment import decide_entailment, gamma_pairs
 from wpml.errors import InternalInconsistency, PreconditionViolated, ResourceBound
-from wpml.formulas import ConsequencePair, letters, parse_formula, pretty
+from wpml.formulas import (
+    And,
+    Box,
+    ConsequencePair,
+    Dia,
+    Letter,
+    Or,
+    is_modality_free,
+    letters,
+    parse_formula,
+    pretty,
+)
 from wpml.interpolation import (
     DISTRIBUTIVITY,
+    CounterModel,
     InterpolationProblem,
+    InterpolationResult,
     candidate_pool,
     craig_interpolant,
     distributive_fragment_interpolant,
     enumerate_candidates,
 )
 from wpml.lattice import algebra_validates
-from wpml.proofs import BadNode, check_proof
+from wpml.proofs import (
+    BadNode,
+    _screen_tables,
+    _screening_algebras,
+    check_proof,
+    derive_bounded,
+)
+from wpml.vectors import PackedScreen
+
+from conftest import literal_cut_pool, literal_derive_bounded, random_formula
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "golden.json"
 
 
 def interpolate(phi, psi, tags=()):
@@ -81,6 +111,145 @@ class TestCraig:
         assert letters(res.interpolant) == frozenset()
 
 
+def per_call_craig_interpolant(prob):
+    """`craig_interpolant` with nothing shared between its searches: the
+    entailment's and each obligation's `derive_bounded` build a screen
+    and a cut pool of their own, the candidate screen is a `PackedScreen`
+    of its own, and each obligation is screened on the sorted letters of
+    the obligation itself."""
+    goal = ConsequencePair(prob.phi, prob.psi)
+    ent = decide_entailment(
+        prob.tags,
+        goal,
+        proof_depth=prob.proof_depth,
+        model_size=prob.model_size,
+        proof_budget=prob.proof_budget,
+    )
+    if ent.refuted:
+        cm = CounterModel("frame", ent.frame, ent.valuation)
+        return InterpolationResult("no-entailment", countermodel=cm)
+    if not ent.derivable:
+        return InterpolationResult(
+            "unknown", diagnostics={"entailment": ent.diagnostics}
+        )
+    gamma = gamma_pairs(prob.tags)
+    pool = candidate_pool(prob.phi, prob.psi, prob.shared)
+    screen = PackedScreen(_screen_tables(_screening_algebras(gamma)))
+    tried = 0
+    notes: dict = {}
+    for chi in enumerate_candidates(pool, prob.cand_size):
+        tried += 1
+        left_goal = ConsequencePair(prob.phi, chi)
+        right_goal = ConsequencePair(chi, prob.psi)
+        goals = [
+            (g.lhs, g.rhs, tuple(sorted(letters(g)))) for g in (left_goal, right_goal)
+        ]
+        if screen.refutes(goals):
+            continue
+        try:
+            left = derive_bounded(gamma, left_goal, prob.proof_depth, prob.proof_budget)
+            if left is None:
+                continue
+            right = derive_bounded(
+                gamma, right_goal, prob.proof_depth, prob.proof_budget
+            )
+        except ResourceBound as exc:
+            notes.setdefault("resource_bounds", []).append(str(exc))
+            continue
+        if right is None:
+            continue
+        return InterpolationResult("interpolant", chi, left, right)
+    notes.update(
+        {
+            "entailment": "derivable",
+            "candidates_tried": tried,
+            "cand_size": prob.cand_size,
+            "proof_depth": prob.proof_depth,
+        }
+    )
+    return InterpolationResult("unknown", diagnostics=notes)
+
+
+# (phi, psi) templates per axiom tag, the golden corpus's shapes, which
+# entail under the tag: a is over p and q, b adds r on the left and c
+# adds s on the right
+AGREEMENT_TEMPLATES = {
+    (): (
+        lambda a, b, c: (And(a, b), Or(a, c)),
+        lambda a, b, c: (And(Box(a), b), Or(Box(a), c)),
+        lambda a, b, c: (Dia(And(a, b)), Or(Dia(a), c)),
+    ),
+    ("T",): (lambda a, b, c: (And(Box(a), b), Or(a, c)),),
+    ("4",): (lambda a, b, c: (And(Box(a), b), Or(Box(Box(a)), c)),),
+    ("B",): (lambda a, b, c: (And(a, b), Or(Box(Dia(a)), c)),),
+    ("5",): (lambda a, b, c: (And(Dia(a), b), Or(Box(Dia(a)), c)),),
+    (".2",): (lambda a, b, c: (And(Dia(Box(a)), b), Or(Box(Dia(a)), c)),),
+}
+
+
+def agreement_problems():
+    """The golden corpus's in-pass problems, then per axiom set seeded
+    problems: template ones, which entail, and seeded pairs, which mostly
+    do not."""
+    data = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    probs = [
+        InterpolationProblem(
+            parse_formula(p["phi"]), parse_formula(p["psi"]), tuple(p["tags"])
+        )
+        for p in data["problems"]
+        if p["in_pass"]
+    ]
+    for tags, templates in AGREEMENT_TEMPLATES.items():
+        rng = random.Random("agreement:" + "+".join(tags))
+        for template in templates:
+            for _ in range(3):
+                a = random_formula(rng, ("p", "q"), 2)
+                b = random_formula(rng, ("p", "q", "r"), 1)
+                c = random_formula(rng, ("p", "q", "s"), 1)
+                phi, psi = template(a, b, c)
+                probs.append(InterpolationProblem(phi, psi, tags, proof_depth=5))
+        for _ in range(3):
+            phi = random_formula(rng, ("p", "q", "r"), 2)
+            psi = random_formula(rng, ("p", "q", "s"), 2)
+            probs.append(
+                InterpolationProblem(phi, psi, tags, proof_depth=4, model_size=3)
+            )
+    return probs
+
+
+def test_craig_interpolant_agrees_with_the_per_call_path():
+    """One set-up per call changes no result: verdict, interpolant, both
+    proofs, countermodel and diagnostics are those of the path that
+    shares nothing between its searches."""
+    verdicts = set()
+    for prob in agreement_problems():
+        got = craig_interpolant(prob)
+        assert got == per_call_craig_interpolant(prob), (str(prob.phi), str(prob.psi))
+        verdicts.add(got.verdict)
+    assert verdicts >= {"interpolant", "no-entailment"}
+
+
+def test_no_formula_outlives_the_call():
+    # the set-up is per call: nothing keeps the problems' letters once the
+    # results are dropped
+    results = [
+        interpolate(phi, psi, tags)
+        for phi, psi, tags in (
+            ("[](keep_a & keep_b) & keep_c", "[]keep_a v keep_d", ()),
+            ("[]keep_a & keep_c", "<>keep_a v keep_d", ("T",)),
+        )
+    ]
+    assert [r.verdict for r in results] == ["interpolant", "interpolant"]
+    del results
+    gc.collect()
+    kept = [
+        o
+        for o in gc.get_objects()
+        if isinstance(o, Letter) and o.name.startswith("keep_")
+    ]
+    assert kept == []
+
+
 class TestCandidateEnumeration:
     def test_pool_respects_shared_letters(self):
         phi, psi = parse_formula("[](p & q)"), parse_formula("<>p")
@@ -135,6 +304,34 @@ class TestDistributiveFragment:
             distributive_fragment_interpolant(
                 parse_formula("[]p"), parse_formula("p")
             )
+
+    def test_shared_setup_matches_prebuilt_pools(self, monkeypatch):
+        """The obligations share one set-up at caps (64, 128); the results
+        are those of searches on pools built before the root screen."""
+        rng = random.Random("distributive-setup")
+        pairs = [
+            (parse_formula("p & (q v s)"), parse_formula("(p & q) v (p & s) v r")),
+            (parse_formula("(p1 & q) v (p2 & q)"), parse_formula("(p1 v p2) v r")),
+        ]
+        while len(pairs) < 12:
+            a = random_formula(rng, ("p", "q"), 2)
+            b = random_formula(rng, ("p", "q", "r"), 2)
+            c = random_formula(rng, ("p", "q", "s"), 2)
+            if all(map(is_modality_free, (a, b, c))):
+                pairs.append((And(a, b), Or(a, c)))
+
+        def results():
+            return [distributive_fragment_interpolant(phi, psi) for phi, psi in pairs]
+
+        got = results()
+
+        def prebuilt(gamma, goal, depth, budget, setup=None):
+            pool = literal_cut_pool(goal, gamma, instance_cap=64, pool_cap=128)
+            return literal_derive_bounded(gamma, goal, depth, budget, pool)
+
+        monkeypatch.setattr(interpolation, "derive_bounded", prebuilt)
+        assert got == results()
+        assert sum(r.verdict == "interpolant" for r in got) >= 6
 
     def test_too_many_shared_letters(self):
         phi = parse_formula("a & b & c & d & e")

@@ -6,7 +6,7 @@ from itertools import accumulate, combinations, product
 
 import pytest
 
-from wpml import interpolation, proofs
+from wpml import proofs
 from wpml.catalog import all_lattices, all_modal_lattices, all_modal_lframes
 from wpml.correspondence import AXIOM_TAGS, AXIOMS
 from wpml.entailment import decide_entailment, gamma_pairs
@@ -30,6 +30,7 @@ from wpml.formulas import (
     match_pair,
     parse_formula,
     parse_pair,
+    subformulas,
     substitute,
 )
 from wpml.generators import sample_modal_lattice, sample_modal_lframe
@@ -48,6 +49,7 @@ from wpml.proofs import (
     BadNode,
     Proof,
     ProofSearch,
+    SearchSetup,
     _axiom_matches,
     _rule_matches,
     _screen_tables,
@@ -56,12 +58,18 @@ from wpml.proofs import (
     check_proof,
     cut_pool,
     derive_bounded,
-    order_cuts,
 )
 from wpml.serialize import proof_from_json, proof_to_json
 from wpml.vectors import PackedScreen, ScreenTables, refuting_structures
 
-from conftest import chain_leq, literal_derive_bounded, random_formula, random_pairs
+from conftest import (
+    chain_leq,
+    literal_cut_pool,
+    literal_derive_bounded,
+    order_cuts,
+    random_formula,
+    random_pairs,
+)
 
 
 class TestCheckProof:
@@ -275,6 +283,69 @@ class TestCutPool:
                     by_key = tuple(sorted(pool, key=formula_key))
                     digest.update(repr((by_key, order_cuts(goal, by_key))).encode())
         assert digest.hexdigest() == CUT_POOLS_SHA256
+
+
+# (name, gamma, caps) of `TestSearchSetup`: each axiom set and the
+# duplicated T at the default caps and at caps that truncate both the
+# instance grids and the pool, and distributivity at its fragment's caps
+SETUP_SETTINGS = [
+    (name, gamma_pairs(tags), caps)
+    for name, tags in (
+        ("none", ()),
+        ("T", ("T",)),
+        ("4", ("4",)),
+        ("B", ("B",)),
+        ("5", ("5",)),
+        (".2", (".2",)),
+        ("T+4", ("T", "4")),
+        ("T,T", ("T", "T")),
+    )
+    for caps in ((256, 512), (5, 40))
+] + [("distributivity", DISTRIBUTIVITY, (64, 128))]
+
+
+class TestSearchSetup:
+    """`cut_pool` builds its instances and closure from a `SearchSetup`'s
+    memos: with a fresh set-up on each call and with one set-up shared by
+    all the goals (and both cap settings) of an axiom set, it returns the
+    pool of the literal build, which substitutes every instance in full."""
+
+    @pytest.mark.parametrize(
+        "name, gamma, caps",
+        SETUP_SETTINGS,
+        ids=[f"{name}-{caps[0]}-{caps[1]}" for name, _, caps in SETUP_SETTINGS],
+    )
+    def test_fresh_and_shared_setups_give_the_literal_pool(self, name, gamma, caps):
+        rng = random.Random(f"setup:{name}")
+        goals = random_pairs(rng, 10) + [parse_pair(text) for text, _ in GOLDEN_SAMPLE]
+        shared = SearchSetup(gamma)
+        warm = SearchSetup(gamma)
+        for goal in goals:
+            # a shared set-up first used at other caps keeps no trace of them
+            cut_pool(goal, gamma, setup=warm)
+        truncated = set()
+        for goal in goals:
+            want = literal_cut_pool(goal, gamma, *caps)
+            assert cut_pool(goal, gamma, *caps) == want, str(goal)
+            assert cut_pool(goal, gamma, *caps, setup=SearchSetup(gamma)) == want
+            assert cut_pool(goal, gamma, *caps, setup=shared) == want, str(goal)
+            assert cut_pool(goal, gamma, *caps, setup=warm) == want, str(goal)
+            ground = len({TOP, BOT} | subformulas(goal.lhs) | subformulas(goal.rhs))
+            if any(ground ** len(letters(m)) > caps[0] for m in gamma):
+                truncated.add("instances")
+            if len(literal_cut_pool(goal, gamma)) > caps[1]:
+                truncated.add("pool")
+        if caps == (5, 40):
+            assert truncated == ({"instances", "pool"} if gamma else {"pool"})
+
+    def test_a_setup_over_another_axiom_set_is_refused(self):
+        goal = parse_pair("[]p |- p")
+        setup = SearchSetup(AXIOMS["T"])
+        with pytest.raises(PreconditionViolated, match="another axiom set"):
+            cut_pool(goal, AXIOMS["4"], setup=setup)
+        with pytest.raises(PreconditionViolated, match="another axiom set"):
+            derive_bounded((), goal, 3, setup=setup)
+        assert derive_bounded(AXIOMS["T"], goal, 3, setup=setup) is not None
 
 
 class TestSoundness:
@@ -934,17 +1005,31 @@ class TestRootScreen:
             at_root += (search.expansions, search.screen_rejects) == (1, 1)
         assert 3 <= at_root < len(goals)
 
-    def test_caller_pool_path(self):
-        """A caller's pool goes through `order_cuts`, as on the
-        distributive fragment's obligations."""
+    def test_caller_pool_path(self, monkeypatch):
+        """A caller's caps come through its set-up, as on the distributive
+        fragment's obligations: one set-up at caps (64, 128) shared by all
+        the goals searches the literal pool at those caps, 128 formulas of
+        the 512 at the default caps, with the outcome of the literal path
+        on that pool."""
         goals = [parse_pair(text) for text, _ in COUNTERMODEL_TEMPLATES[2:5]]
         goals += [parse_pair("p & (q v r) |- (p & q) v r"), parse_pair("p |- q")]
+        setup = SearchSetup(DISTRIBUTIVITY, instance_cap=64, pool_cap=128)
+        capped = []
+
+        def recorded(goal, gamma, *caps, setup):
+            pool = cut_pool(goal, gamma, *caps, setup=setup)
+            capped.append(pool == literal_cut_pool(goal, gamma, 64, 128))
+            return pool
+
+        monkeypatch.setattr(proofs, "cut_pool", recorded)
         proofs_found = 0
         for goal in goals:
-            pool = cut_pool(goal, DISTRIBUTIVITY, instance_cap=64, pool_cap=128)
+            pool = literal_cut_pool(goal, DISTRIBUTIVITY, instance_cap=64, pool_cap=128)
             for depth, budget in product((0, 1, 6), (0, 1, 200_000)):
                 got = outcome(
-                    lambda: derive_bounded(DISTRIBUTIVITY, goal, depth, budget, pool)
+                    lambda: derive_bounded(
+                        DISTRIBUTIVITY, goal, depth, budget, setup=setup
+                    )
                 )
                 want = outcome(
                     lambda: literal_derive_bounded(
@@ -954,6 +1039,7 @@ class TestRootScreen:
                 assert got == want, (str(goal), depth, budget)
                 proofs_found += got[0] == "returns" and got[1] is not None
         assert proofs_found > 0
+        assert len(capped) > len(goals) and all(capped)
 
     @pytest.mark.parametrize("law", _DISTRIBUTION_LAWS, ids=str)
     def test_refuted_root_builds_no_pool(self, law, monkeypatch):
@@ -961,10 +1047,9 @@ class TestRootScreen:
             raise AssertionError("built for a refuted root")
 
         monkeypatch.setattr(proofs, "cut_pool", refuse)
-        monkeypatch.setattr(proofs, "order_cuts", refuse)
         monkeypatch.setattr(proofs, "ProofSearch", refuse)
         assert derive_bounded((), law, 6) is None
-        assert derive_bounded((), law, 6, pool=(TOP, BOT)) is None
+        assert derive_bounded((), law, 6, setup=SearchSetup((), 5, 40)) is None
 
 
 def literal_seeds(tables, k):
@@ -1000,7 +1085,9 @@ def test_wide_phi_screens_on_three_letters_at_most(monkeypatch):
     """`a0 & ... & a11 |- a0 v z`: the candidate screen and the proof
     searches screen no pair or obligation over more than three letters,
     so no screen holds vectors over all twelve letters of phi, which
-    grow like n**12 on a lattice of n elements; the interpolant is a0."""
+    grow like n**12 on a lattice of n elements; the interpolant is a0.
+    The call builds one screen, its `SearchSetup`'s, which all of them
+    share."""
     built = []
 
     class RecordedScreen(PackedScreen):
@@ -1008,13 +1095,12 @@ def test_wide_phi_screens_on_three_letters_at_most(monkeypatch):
             super().__init__(*args)
             built.append(self)
 
-    monkeypatch.setattr(interpolation, "PackedScreen", RecordedScreen)
     monkeypatch.setattr(proofs, "PackedScreen", RecordedScreen)
     phi = parse_formula(" & ".join(f"a{i}" for i in range(12)))
     prob = InterpolationProblem(phi, parse_formula("a0 v z"), model_size=2)
     result = craig_interpolant(prob)
     assert result.verdict == "interpolant" and result.interpolant == Letter("a0")
-    assert len(built) > 2 and all(screen.memo for screen in built)
+    assert len(built) == 1 and built[0].memo
     assert max(len(ls) for screen in built for ls in screen.memo) <= 3
     tables = _screen_tables(_screening_algebras(()))
     assert max(tables._seeds) == 3
