@@ -5,24 +5,30 @@ linear extension (i below j implies i < j), with bot id 0 and top id n-1,
 so only the pairs between 1 and n-2 are free; isomorphic duplicates are
 removed by the least relabeling that fixes bot and top.
 
-Every catalog is computed once per size and cached.  The modal L-frames
+Every catalog is computed once per size.  The modal L-frames
 are the one catalog not held as objects: 21,627 `ModalLFrame`s at size 5
 would take about 4 MB.  Each L-frame's valid relations are kept instead
 as one `bytes` of successor masks, n bytes per relation (about 110 KB at
 size 5), and `all_modal_lframes` builds the frames from it as it yields
-them.  `entailment` keeps its own packed copy per (size, frame
-conditions), with each relation's box and diamond over the L-frame's
-filters added: 3n bytes per relation kept, 324,405 bytes for all 21,627
-relations at size 5 and 36,105 for the 2,407 reflexive ones.
+them.
+
+`validating_structures(n, gamma)`, the one table of the countermodel
+search and the distribution-law scan, keeps per lattice the modal
+structures that validate gamma as packed box and diamond bytes.  By the
+duality they stand for the modal L-frames of n points that meet gamma's
+frame conditions, each by its tight dual (see `entailment`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, permutations
-from typing import Iterator
+from typing import Iterator, Optional
 
+from .duality import fil_l
 from .errors import NotALattice
+from .formulas import ConsequencePair, letters
 from .lattice import (
     FiniteLattice,
     FiniteModalLattice,
@@ -39,6 +45,7 @@ from .lframe import (
     _order_gap,
     lframe_from_leq,
 )
+from .vectors import ScreenTables, refuting_structures
 
 
 def _is_transitive(leq, n) -> bool:
@@ -133,6 +140,79 @@ def _modal_structures(lat: FiniteLattice) -> Iterator[FiniteModalLattice]:
                     break
             else:
                 yield FiniteModalLattice.over(lat, box, dia)
+
+
+@dataclass(frozen=True)
+class StructureTable:
+    """Modal structures over one catalog lattice, in `_modal_structures`
+    order: structure j's box and diamond are the n element ids at j * n
+    of `boxes` and `diamonds`, and `codes` are the lattice's pair-code
+    tables, shared by every table over it, so its batch shapes are too.
+    A structure's dual frame is computed once, when first asked for."""
+
+    lattice: FiniteLattice
+    codes: ScreenTables
+    boxes: bytes
+    diamonds: bytes
+    _duals: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.boxes) // self.lattice.n
+
+    def refuting(
+        self, pair: ConsequencePair, budget: Optional[int] = None
+    ) -> Iterator[tuple[int, int]]:
+        """`vectors.refuting_structures` of pair over the table; by
+        default in full batches, with no bound on the evaluations."""
+        ls, n = sorted(letters(pair)), self.lattice.n
+        budget = n ** len(ls) * (256 // n) if budget is None else budget
+        return refuting_structures(
+            self.codes, self.boxes, self.diamonds, pair, ls, budget
+        )
+
+    def structure(self, j: int) -> FiniteModalLattice:
+        n = self.lattice.n
+        box, dia = self.boxes[j * n : (j + 1) * n], self.diamonds[j * n : (j + 1) * n]
+        return FiniteModalLattice.over(self.lattice, tuple(box), tuple(dia))
+
+    def dual(self, j: int) -> ModalLFrame:
+        """The frame of structure j's dual space, tight and of n points."""
+        frame = self._duals.get(j)
+        if frame is None:
+            frame = self._duals[j] = fil_l(self.structure(j)).frame
+        return frame
+
+    def without(self, drop: set) -> "StructureTable":
+        """The table less the structures in `drop`."""
+        n = self.lattice.n
+        keep = [j for j in range(len(self)) if j not in drop]
+        boxes, diamonds = (
+            b"".join([d[j * n : (j + 1) * n] for j in keep])
+            for d in (self.boxes, self.diamonds)
+        )
+        return StructureTable(self.lattice, self.codes, boxes, diamonds)
+
+
+@lru_cache(maxsize=None)
+def validating_structures(n: int, gamma: tuple) -> tuple[StructureTable, ...]:
+    """For each lattice of `all_lattices(n)`, in order, the table of its
+    modal structures that validate every member of gamma.  The tables for
+    a gamma are those of the empty one, each member evaluated on all of
+    their structures at once in full batches."""
+    if gamma:
+        return tuple(
+            t.without({j for g in gamma for j, _ in t.refuting(g)})
+            for t in validating_structures(n, ())
+        )
+    out = []
+    for lat in all_lattices(n):
+        boxes, diamonds = bytearray(), bytearray()
+        for a in _modal_structures(lat):
+            boxes += bytes(a.box)
+            diamonds += bytes(a.diamond)
+        codes = ScreenTables((lat,))
+        out.append(StructureTable(lat, codes, bytes(boxes), bytes(diamonds)))
+    return tuple(out)
 
 
 def _monotone_diamonds(lat: FiniteLattice) -> list[tuple[int, ...]]:

@@ -102,7 +102,7 @@ from .formulas import (
     subformulas,
     substitute,
 )
-from .vectors import PackedScreen, ScreenTables, refuting_structures
+from .vectors import PackedScreen, ScreenTables
 
 # the `(size, formula_key)` sort key of a formula, as a C-level key function
 _KEY = attrgetter("_key")
@@ -472,48 +472,23 @@ def _distribution_refuters(gamma) -> tuple:
     """For each of `_DISTRIBUTION_LAWS`, the first modal structure over the
     four-element Boolean lattice (the smallest lattice that is not a
     chain) that validates every member of gamma and refutes the law; each
-    such structure once, in `catalog.all_modal_lattices` order.  Nothing
-    for a law that no such structure refutes, and nothing at all for a
-    gamma with a member over more than three letters, which no screen
-    takes.  Each member is evaluated on all the structures at once
-    (`_refuted_mask`)."""
+    such structure once, in `catalog.all_modal_lattices` order.  They are
+    read from the lattice's table in `catalog.validating_structures`.
+    Nothing for a law that no such structure refutes, and nothing at all
+    for a gamma with a member over more than three letters, which no
+    screen takes."""
+    from .catalog import validating_structures
+
     if any(len(letters(g)) > 3 for g in gamma):
         return ()
-    structures, scan, law_masks = _square_structures()
-    invalid = 0
-    for member in gamma:
-        invalid |= _refuted_mask(scan, member)
-    hits = [mask & ~invalid for mask in law_masks]
-    firsts = {(hit & -hit).bit_length() - 1 for hit in hits if hit}
-    return tuple(structures[j] for j in sorted(firsts))
-
-
-@lru_cache(maxsize=None)
-def _square_structures() -> tuple:
-    """The modal structures over the four-element Boolean lattice, in
-    `catalog.all_modal_lattices` order; their scan, the lattice's
-    `ScreenTables` with their boxes and with their diamonds concatenated
-    (as `vectors.refuting_structures` takes them); and for each of
-    `_DISTRIBUTION_LAWS` the structures that refute it, as a bitmask."""
-    from .catalog import _modal_structures, all_lattices
-
     # 0 < 1, 2 < 3 with 1 and 2 incomparable
-    square = next(lat for lat in all_lattices(4) if not lat.leq[1][2])
-    structures = tuple(_modal_structures(square))
-    boxes = b"".join(bytes(a.box) for a in structures)
-    diamonds = b"".join(bytes(a.diamond) for a in structures)
-    scan = ScreenTables((square,)), boxes, diamonds
-    law_masks = tuple(_refuted_mask(scan, law) for law in _DISTRIBUTION_LAWS)
-    return structures, scan, law_masks
-
-
-def _refuted_mask(scan: tuple, pair: ConsequencePair) -> int:
-    """The structures of a `_square_structures` scan that refute pair, of
-    at most three letters, bit j for structure j.  The budget admits
-    batches of 64 structures, the most the tables take."""
-    ls = sorted(letters(pair))
-    found = refuting_structures(*scan, pair, ls, 64 * 4**3)
-    return sum(1 << j for j, _ in found)
+    table = next(t for t in validating_structures(4, gamma) if not t.lattice.leq[1][2])
+    firsts = set()
+    for law in _DISTRIBUTION_LAWS:
+        first = next(table.refuting(law), None)
+        if first is not None:
+            firsts.add(first[0])
+    return tuple(map(table.structure, sorted(firsts)))
 
 
 @lru_cache(maxsize=64)

@@ -18,9 +18,9 @@ modal lattices and takes pairs of at most three letters only, the one
 rule of both semantic screens: `stretch` serves the proof search (see
 `proofs`) and `refutes` screens a candidate's obligations.
 `refuting_structures` evaluates a pair on many modal structures over the
-one lattice of its tables (the relations of one L-frame as box and
-diamond on its filter lattice for `entailment`, the structures over the
-four-element Boolean lattice for the distribution-law scan of `proofs`),
+one lattice of its tables (a table of `catalog.validating_structures`,
+which `catalog` filters by the axioms with it, and which the countermodel
+search of `entailment` and the distribution-law scan of `proofs` walk),
 M = min(256 // f, budget // f**k) of an f-element lattice at a time for
 a pair of k letters: one vector of M stretches of f**k positions,
 stretch j shifted by j * f at each modal step (`batch_shape`'s offsets),
@@ -28,7 +28,7 @@ so that one translate through the batch's concatenated box or diamond
 tables serves all M.  The tables keep their seed vectors (T, F and the
 letters) and their batch shapes (the seeds widened to a batch, with its
 offsets) for at most three letters, so a screen over a cached set, or a
-batch of an L-frame searched before, builds none; wider seeds and shapes
+batch of a lattice searched before, builds none; wider seeds and shapes
 grow like n**k and are built afresh.
 
 The scalar evaluators (`lattice.evaluate`, `lattice.algebra_validates`,

@@ -15,7 +15,7 @@ from wpml import proofs
 from wpml.catalog import all_lattices, all_modal_lframes
 from wpml.correspondence import AXIOM_TAGS, AXIOMS, CONDITION_OF_AXIOM, frame_satisfies
 from wpml.duality import fil_l, is_tight, round_trip_iso
-from wpml.entailment import gamma_conditions, gamma_pairs
+from wpml.entailment import gamma_pairs
 from wpml.formulas import (
     And,
     Box,
@@ -603,7 +603,7 @@ def _frame_screen_algebras(tags):
     """The former candidate screen: the filter algebras of the modal
     L-frames of at most 3 points that satisfy the axioms' conditions,
     without repeats, at most 16."""
-    conds = gamma_conditions(tags)
+    conds = [CONDITION_OF_AXIOM[tag] for tag in tags]
     out = []
     for n in range(1, 4):
         for frame in all_modal_lframes(n):

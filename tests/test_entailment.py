@@ -1,16 +1,20 @@
 import dataclasses
 import gc
 import random
-from itertools import chain
 
 import pytest
 
 from wpml import entailment, proofs
-from wpml.catalog import all_lframes, all_modal_lframes
+from wpml.catalog import (
+    all_lattices,
+    all_modal_lattices,
+    all_modal_lframes,
+    validating_structures,
+)
+from wpml.duality import algebra_filters, fil_l, is_tight
 from wpml.entailment import (
     EntailmentResult,
     decide_entailment,
-    gamma_conditions,
     gamma_pairs,
 )
 from wpml.errors import PreconditionViolated, ResourceBound
@@ -23,7 +27,13 @@ from wpml.formulas import (
     substitute,
 )
 from wpml.interpolation import InterpolationProblem, craig_interpolant
-from wpml.lframe import ModalLFrame, frame_validates, truth_set
+from wpml.lattice import algebra_validates
+from wpml.lframe import (
+    frame_validates,
+    satisfies,
+    truth_set,
+    validate_modal_lframe,
+)
 from wpml.proofs import check_proof, derive_bounded
 from wpml.correspondence import (
     AXIOMS,
@@ -32,7 +42,7 @@ from wpml.correspondence import (
     frame_satisfies,
 )
 from wpml.sweeps import closure_sweep
-from wpml.vectors import refuting_structures
+from wpml.vectors import ScreenTables
 
 from conftest import (
     literal_derive_bounded,
@@ -162,7 +172,6 @@ class TestAgreementWithAlgebraSemantics:
     def test_frame_and_algebra_verdicts_agree(self):
         # semantics agreement: a frame validates a pair iff its filter
         # algebra does (valuations correspond exactly)
-        from wpml.lattice import algebra_validates
         from wpml.lframe import fil_f
 
         pairs = [
@@ -194,10 +203,10 @@ SEEDED_TAGS = [(), ("T",), ("4",), ("B",), ("5",), (".2",), ("T", "4")]
 
 
 def reference_decide(tags, goal, proof_depth, model_size, model_budget=10**6):
-    """`decide_entailment` written out literally: the same proof search,
-    then every modal L-frame straight from `modal_relations`, filtered by
-    `frame_satisfies` per condition and checked by the literal
-    frame-validity loop, one frame at a time."""
+    """`decide_entailment` written out literally over frames: the same
+    proof search, then every modal L-frame straight from
+    `modal_relations`, filtered by `frame_satisfies` per condition and
+    checked by the literal frame-validity loop, one frame at a time."""
     notes = {"proof_depth": proof_depth, "model_size": model_size, "axioms": list(tags)}
     try:
         proof = derive_bounded(gamma_pairs(tags), goal, proof_depth, 200_000)
@@ -226,21 +235,51 @@ def reference_decide(tags, goal, proof_depth, model_size, model_budget=10**6):
     return EntailmentResult("unknown", diagnostics=notes)
 
 
-def assert_same_result(fast, slow):
+def validating(n, tags):
+    """The members of `all_modal_lattices(n)` on which the scalar
+    `algebra_validates` refutes no axiom of the tags, in order."""
+    gamma = gamma_pairs(tags)
+    return [
+        a
+        for a in all_modal_lattices(n)
+        if all(algebra_validates(a, g) is None for g in gamma)
+    ]
+
+
+def assert_agrees(fast, slow, tags, goal, size):
+    """`fast` has the verdict of the literal frame search `slow`; a
+    countermodel has `slow`'s size and passes every frame oracle; an
+    unknown has `slow`'s notes, but counts the structures of at most
+    `size` elements that validate the axioms."""
     assert fast.verdict == slow.verdict
-    assert fast.frame == slow.frame
-    assert fast.valuation == slow.valuation
-    if fast.valuation is not None:
-        assert list(fast.valuation) == list(slow.valuation)
-    assert fast.diagnostics == slow.diagnostics
-    if fast.diagnostics is not None:
-        assert list(fast.diagnostics) == list(slow.diagnostics)
+    if fast.refuted:
+        frame, cv = fast.frame, fast.valuation
+        assert frame.n == slow.frame.n
+        assert validate_modal_lframe(frame.base, frame.succ) == frame
+        assert is_tight(frame)
+        for tag in tags:
+            assert frame_satisfies(frame, CONDITION_OF_AXIOM[tag])[0]
+        want = reference_frame_validates(frame, goal)
+        assert frame_validates(frame, goal) == want == cv
+        assert list(cv) == list(want)
+        assert any(
+            satisfies(frame, cv, x, goal.lhs) and not satisfies(frame, cv, x, goal.rhs)
+            for x in range(frame.n)
+        )
+    else:
+        assert fast.frame is fast.valuation is None
+    if fast.diagnostics is None:
+        assert slow.diagnostics is None
+        return
+    structures = sum(len(validating(n, tags)) for n in range(1, size + 1))
+    assert fast.diagnostics == {**slow.diagnostics, "frames_searched": structures}
+    assert list(fast.diagnostics) == list(slow.diagnostics)
 
 
 class TestAgainstLiteralFrameSearch:
-    """Verdict, frame, countervaluation and diagnostics equal those of a
-    test-local search over the literal catalog with the literal
-    frame-validity loop."""
+    """Verdict, countermodel size and diagnostics agree with a test-local
+    search over the literal frame catalog with the literal frame-validity
+    loop; `frames_searched` counts the structures searched."""
 
     @pytest.mark.parametrize(
         "text,tags",
@@ -259,7 +298,7 @@ class TestAgainstLiteralFrameSearch:
         goal = parse_pair(text)
         size = MODEL_SIZES.get(text, 4)
         fast = decide_entailment(tags, goal, 3, size)
-        assert_same_result(fast, reference_decide(tags, goal, 3, size))
+        assert_agrees(fast, reference_decide(tags, goal, 3, size), tags, goal, size)
 
     @pytest.mark.parametrize("tags", SEEDED_TAGS, ids=lambda t: "+".join(t) or "none")
     def test_seeded_pairs(self, tags):
@@ -268,7 +307,7 @@ class TestAgainstLiteralFrameSearch:
         for i, goal in enumerate(random_pairs(rng, 16)):
             size = 1 + i % 4
             fast = decide_entailment(tags, goal, 3, size)
-            assert_same_result(fast, reference_decide(tags, goal, 3, size))
+            assert_agrees(fast, reference_decide(tags, goal, 3, size), tags, goal, size)
             verdicts.add(fast.verdict)
         assert "refuted" in verdicts
 
@@ -280,14 +319,70 @@ class TestAgainstLiteralFrameSearch:
         ],
     )
     def test_budget_limited(self, text, tags, size, budget, frames, note):
+        """The literal search walks `frames` frames; the structure search
+        walks the distinct structures they induce (ROADMAP item 11's
+        table), and notes the same bound."""
         goal = parse_pair(text)
         fast = decide_entailment(tags, goal, 3, size, model_budget=budget)
-        assert_same_result(fast, reference_decide(tags, goal, 3, size, budget))
+        slow = reference_decide(tags, goal, 3, size, budget)
+        assert_agrees(fast, slow, tags, goal, size)
         assert fast.verdict == "unknown"
-        assert fast.diagnostics["frames_searched"] == frames
+        assert slow.diagnostics["frames_searched"] == frames
+        assert fast.diagnostics["frames_searched"] == STRUCTURES_SEARCHED[text]
         assert fast.diagnostics["model_search"] == (
             f"resource bound: sweep needs {note} evaluations, budget is {budget}"
         )
+
+
+# the structures behind `test_budget_limited`'s frames: 1 + 2 + 10 + 95 +
+# 1,158 under T at sizes 1 to 5, 1 + 3 + 20 + 275 with no axioms at 1 to 4
+STRUCTURES_SEARCHED = {
+    "[]p & <>q |- <>(p & q)": 1266,
+    "p & (q v r) |- (p & q) v (p & r)": 299,
+}
+
+# per tag set, the structures kept at n = 4 and n = 5 (ROADMAP item 11)
+TABLE_COUNTS = {
+    (): (275, 4842),
+    ("T",): (95, 1158),
+    ("4",): (136, 1445),
+    ("B",): (10, 48),
+    ("5",): (39, 292),
+    (".2",): (188, 2699),
+}
+
+
+@pytest.mark.parametrize(
+    "tags", list(TABLE_COUNTS), ids=lambda t: "+".join(t) or "none"
+)
+def test_structure_tables_are_the_scalar_filter(tags):
+    """For n <= 5 the tables of `validating_structures(n, gamma)` hold, in
+    order, exactly the members of `all_modal_lattices(n)` that the scalar
+    `algebra_validates` finds valid for gamma, one table per catalog
+    lattice; their counts at 4 and 5 are item 11's."""
+    counts = []
+    for n in range(1, 6):
+        tables = validating_structures(n, gamma_pairs(tags))
+        assert [t.lattice for t in tables] == list(all_lattices(n))
+        got = [t.structure(j) for t in tables for j in range(len(t))]
+        assert got == validating(n, tags)
+        counts.append(len(got))
+    assert tuple(counts[3:]) == TABLE_COUNTS[tags]
+
+
+def test_each_dual_is_computed_once():
+    """A table computes a structure's dual when first asked for and then
+    keeps it; a refutation returns that frame, the tight dual of the
+    first refuting structure, with elements named by filter masks."""
+    goal = parse_pair("p |- []p")
+    first = decide_entailment((), goal, 3, 3)
+    (table,) = [t for t in validating_structures(3, ()) if len(t)]
+    j = next(
+        j for j in range(len(table)) if algebra_validates(table.structure(j), goal)
+    )
+    assert first.frame is table.dual(j) is decide_entailment((), goal, 3, 3).frame
+    assert first.frame == fil_l(table.structure(j)).frame
+    assert first.frame.base.elements == tuple(map(hex, algebra_filters(table.lattice)))
 
 
 def kernel_pairs(seed, count):
@@ -296,71 +391,57 @@ def kernel_pairs(seed, count):
     return [pair for pair in pairs if letters(pair)][:count]
 
 
-def kept_relations(n):
-    """Every size-n catalog L-frame with all its relations."""
-    kept = entailment._kept_relations(n, ())
-    assert [k.base for k in kept] == list(all_lframes(n))
-    return kept
+def structure_tables(n):
+    """The tables of every size-n catalog lattice with all its structures."""
+    tables = validating_structures(n, ())
+    assert [t.lattice for t in tables] == list(all_lattices(n))
+    return tables
 
 
-def relation_count(kept):
-    return len(kept.succ) // kept.base.n
+def table_subset(table, indices):
+    """`table` holding only its structures `indices`, in that order."""
+    n = table.lattice.n
 
+    def pick(data):
+        return b"".join(data[i * n:(i + 1) * n] for i in indices)
 
-def relation(kept, j):
-    """Relation j of `kept` as a `ModalLFrame`."""
-    n = kept.base.n
-    return ModalLFrame(kept.base, tuple(kept.succ[j * n:(j + 1) * n]))
-
-
-def kept_subset(kept, indices):
-    """`kept` holding only its relations `indices`, in that order."""
-    n, f = kept.base.n, len(kept.base.filter_masks)
-
-    def pick(data, width):
-        return bytes(
-            chain.from_iterable(data[i * width:(i + 1) * width] for i in indices)
-        )
-
-    return entailment._KeptRelations(
-        kept.base, pick(kept.succ, n), pick(kept.box, f), pick(kept.diamond, f)
+    return dataclasses.replace(
+        table, boxes=pick(table.boxes), diamonds=pick(table.diamonds)
     )
 
 
-def fresh(kept):
-    """`kept` with pair-code tables of its own, which hold no seeds and
+def fresh(table):
+    """`table` with pair-code tables of its own, which hold no seeds and
     no batch shapes yet."""
-    return dataclasses.replace(kept)
+    return dataclasses.replace(table, codes=ScreenTables((table.lattice,)))
 
 
-def shapes(kept):
-    """The batch shapes `kept`'s tables hold."""
-    return dict(kept.codes._shapes)
+def shapes(table):
+    """The batch shapes `table`'s pair-code tables hold."""
+    return dict(table.codes._shapes)
 
 
-def per_frame(kept, pair):
-    """(j, valuation) for the first relation of `kept` on which
-    `frame_validates` finds a countervaluation, or None."""
-    for j in range(relation_count(kept)):
-        cv = frame_validates(relation(kept, j), pair)
+def per_structure(table, pair):
+    """(j, valuation) for the first structure of `table` on which
+    `algebra_validates` finds a countervaluation, or None."""
+    for j in range(len(table)):
+        cv = algebra_validates(table.structure(j), pair)
         if cv is not None:
             return j, cv
     return None
 
 
-def batch(kept, pair, budget):
-    """The first answer of `refuting_structures` on `kept`, with its
-    valuation position decoded as `frame_validates` decodes a position:
+def batch(table, pair, budget):
+    """The first answer of `refuting_structures` on `table`, with its
+    valuation position decoded as `algebra_validates` orders valuations:
     (j, valuation) or None."""
-    ls = sorted(letters(pair))
-    found = refuting_structures(kept.codes, kept.box, kept.diamond, pair, ls, budget)
-    got = next(found, None)
+    got = next(table.refuting(pair, budget), None)
     if got is None:
         return None
     j, i = got
-    fs, k = kept.base.filter_masks, len(ls)
-    f = len(fs)
-    return j, {name: fs[i // f ** (k - 1 - t) % f] for t, name in enumerate(ls)}
+    ls, n = sorted(letters(pair)), table.lattice.n
+    k = len(ls)
+    return j, {name: i // n ** (k - 1 - t) % n for t, name in enumerate(ls)}
 
 
 def assert_same_first(got, want):
@@ -370,15 +451,15 @@ def assert_same_first(got, want):
 
 
 class TestBatchKernel:
-    """The batched search of one L-frame's relations
-    (`vectors.refuting_structures`) against `frame_validates` on one
-    relation at a time."""
+    """The batched search of one lattice's structures
+    (`vectors.refuting_structures`) against `algebra_validates` on one
+    structure at a time."""
 
     @staticmethod
-    def budgets(kept, pair):
+    def budgets(table, pair):
         """The default budget, and budgets capping a batch at 1 and at 3
-        relations (f**k * M <= budget)."""
-        size = len(kept.base.filter_masks) ** len(letters(pair))
+        structures (n**k * M <= budget)."""
+        size = table.lattice.n ** len(letters(pair))
         return (10**6, size, 3 * size + size - 1)
 
     def test_matches_per_frame_kernel(self):
@@ -386,21 +467,23 @@ class TestBatchKernel:
         budgets in the opposite order: the same answers, and the warm run
         builds no batch shape (`ScreenTables.batch_shape`)."""
         cases = [
-            (fresh(kept), kernel_pairs(n, 16))
+            (fresh(table), kernel_pairs(n, 16))
             for n in range(1, 5)
-            for kept in kept_relations(n)
+            for table in structure_tables(n)
         ]
-        cases += [(fresh(kept), kernel_pairs(5, 3)) for kept in kept_relations(5)]
+        cases += [(fresh(table), kernel_pairs(5, 3)) for table in structure_tables(5)]
         assert len(cases) == 1 + 1 + 1 + 2 + 5
-        assert not any(shapes(kept) for kept, _ in cases)
-        wants = [[per_frame(kept, pair) for pair in pairs] for kept, pairs in cases]
+        assert not any(shapes(table) for table, _ in cases)
+        wants = [
+            [per_structure(table, pair) for pair in pairs] for table, pairs in cases
+        ]
         held_shapes = []
         for order in (1, -1):
-            for (kept, pairs), want in zip(cases, wants):
+            for (table, pairs), want in zip(cases, wants):
                 for pair, first in zip(pairs, want):
-                    for budget in self.budgets(kept, pair)[::order]:
-                        assert_same_first(batch(kept, pair, budget), first)
-            held_shapes.append([shapes(kept) for kept, _ in cases])
+                    for budget in self.budgets(table, pair)[::order]:
+                        assert_same_first(batch(table, pair, budget), first)
+            held_shapes.append([shapes(table) for table, _ in cases])
         cold, warm = held_shapes
         assert cold == warm and all(cold) and any(len(h) > 3 for h in cold)
         for before, after in zip(cold, warm):
@@ -410,31 +493,30 @@ class TestBatchKernel:
         assert sum(f is None for f in firsts) > 5
 
     def test_refuting_relation_at_batch_edges(self):
-        """A refuting relation placed after t relations that hold the pair:
-        first, last in a batch, first of the next batch, and last of all,
-        with and without refuting relations after it."""
+        """A refuting structure placed after t structures that validate the
+        pair: first, last in a batch, first of the next batch, and last of
+        all, with and without refuting structures after it."""
         placed = set()
         for n in (3, 4):
-            for kept in kept_relations(n):
+            for table in structure_tables(n):
                 for pair in kernel_pairs(10 + n, 8):
                     first = [
-                        frame_validates(relation(kept, j), pair)
-                        for j in range(relation_count(kept))
+                        algebra_validates(table.structure(j), pair)
+                        for j in range(len(table))
                     ]
                     holds = [j for j, cv in enumerate(first) if cv is None]
                     fails = [j for j, cv in enumerate(first) if cv is not None]
                     if not holds or not fails:
                         continue
-                    f = len(kept.base.filter_masks)
-                    for budget in self.budgets(kept, pair):
-                        size = f ** len(letters(pair))
-                        width = max(1, min(256 // f, budget // size))
+                    for budget in self.budgets(table, pair):
+                        size = n ** len(letters(pair))
+                        width = max(1, min(256 // n, budget // size))
                         for t in sorted({0, width - 1, width, 2 * width - 1}):
                             if t > len(holds):
                                 continue
                             for tail in ([], fails[1:3] + holds[t:t + 2]):
                                 order = holds[:t] + [fails[0]] + tail
-                                sub = kept_subset(kept, order)
+                                sub = table_subset(table, order)
                                 got = batch(sub, pair, budget)
                                 assert_same_first(got, (t, first[fails[0]]))
                                 placed.add(
@@ -443,55 +525,53 @@ class TestBatchKernel:
                                     "next batch" if t % width == 0 else "inside"
                                 )
                                 if not tail:
-                                    placed.add("last relation")
-                    # no refuting relation at all
-                    assert batch(kept_subset(kept, holds), pair, 10**6) is None
-        assert {"first", "last slot", "next batch", "last relation"} <= placed
+                                    placed.add("last structure")
+                    # no refuting structure at all
+                    assert batch(table_subset(table, holds), pair, 10**6) is None
+        assert {"first", "last slot", "next batch", "last structure"} <= placed
 
 
 class TestBatchShapes:
-    """The batch shapes (`ScreenTables.batch_shape`) kept on an L-frame's
-    tables change no answer of the batch kernel; `TestBatchKernel` runs
-    its cases on cold and then warm tables."""
+    """The batch shapes (`ScreenTables.batch_shape`) kept on a lattice's
+    pair-code tables change no answer of the batch kernel;
+    `TestBatchKernel` runs its cases on cold and then warm tables."""
 
     def test_partial_last_batch(self):
-        """At size 5 with T, an L-frame of 173 relations and 5 filters is
-        searched in batches of 51, the last of 20: both shapes are kept,
-        and the answers are `frame_validates`'s."""
-        tags = tuple(sorted({c.tag for c in gamma_conditions(("T",))}))
-        (kept,) = [
-            fresh(k)
-            for k in entailment._kept_relations(5, tags)
-            if relation_count(k) == 173
+        """At size 5 with T, a lattice's table of 185 structures is
+        searched in batches of 51, the last of 32: both shapes are kept,
+        and the answers are `algebra_validates`'s."""
+        (table,) = [
+            fresh(t)
+            for t in validating_structures(5, gamma_pairs(("T",)))
+            if len(t) == 185
         ]
-        assert len(kept.base.filter_masks) == 5
         last = 0
-        for pair in kernel_pairs(173, 24):
-            want = per_frame(kept, pair)
-            assert_same_first(batch(kept, pair, 10**6), want)
+        for pair in kernel_pairs(185, 24):
+            want = per_structure(table, pair)
+            assert_same_first(batch(table, pair, 10**6), want)
             if want is None or want[0] >= 153:
                 last += 1
-                assert {(len(letters(pair)), 51), (len(letters(pair)), 20)} <= set(
-                    shapes(kept)
+                assert {(len(letters(pair)), 51), (len(letters(pair)), 32)} <= set(
+                    shapes(table)
                 )
         assert last > 0
 
     def test_no_shape_kept_past_three_letters(self):
-        """A four-letter goal gets the answers of `frame_validates`, and
+        """A four-letter goal gets the answers of `algebra_validates`, and
         leaves no seeds and no shape for four letters on the tables."""
         goals = [parse_pair("p & q |- r v s"), parse_pair("[](p v q) & r |- <>s v p")]
         for n in (2, 3):
-            for kept in map(fresh, kept_relations(n)):
+            for table in map(fresh, structure_tables(n)):
                 for goal in goals:
-                    want = per_frame(kept, goal)
-                    for budget in TestBatchKernel.budgets(kept, goal):
-                        assert_same_first(batch(kept, goal, budget), want)
-                assert all(k <= 3 for k, _ in shapes(kept))
-                assert all(k <= 3 for k in kept.codes._seeds)
+                    want = per_structure(table, goal)
+                    for budget in TestBatchKernel.budgets(table, goal):
+                        assert_same_first(batch(table, goal, budget), want)
+                assert all(k <= 3 for k, _ in shapes(table))
+                assert all(k <= 3 for k in table.codes._seeds)
         decide_entailment((), goals[1], model_size=3)
         for n in (1, 2, 3):
-            for kept in entailment._kept_relations(n, ()):
-                assert all(k <= 3 for k, _ in shapes(kept))
+            for table in validating_structures(n, ()):
+                assert all(k <= 3 for k, _ in shapes(table))
 
 
 # the axiom-free modal distribution templates of the countermodel

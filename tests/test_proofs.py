@@ -7,7 +7,12 @@ from itertools import accumulate, combinations, product
 import pytest
 
 from wpml import proofs
-from wpml.catalog import all_lattices, all_modal_lattices, all_modal_lframes
+from wpml.catalog import (
+    all_lattices,
+    all_modal_lattices,
+    all_modal_lframes,
+    validating_structures,
+)
 from wpml.correspondence import AXIOM_TAGS, AXIOMS
 from wpml.entailment import decide_entailment, gamma_pairs
 from wpml.errors import (
@@ -60,7 +65,7 @@ from wpml.proofs import (
     derive_bounded,
 )
 from wpml.serialize import proof_from_json, proof_to_json
-from wpml.vectors import PackedScreen, ScreenTables, refuting_structures
+from wpml.vectors import PackedScreen, ScreenTables
 
 from conftest import (
     chain_leq,
@@ -853,13 +858,14 @@ class TestDistributionScreens:
             assert all(algebra_validates(a, g) is None for g in gamma)
 
     def test_kernel_matches_algebra_validates(self):
-        """`refuting_structures` on the 100 structures over the Boolean
-        lattice, in batches of 64, 1 and 3 structures, yields exactly the
-        structures on which `algebra_validates` finds a countervaluation,
-        in order, each with that function's first countervaluation; the
-        law masks of the scan are the laws' refuting structures."""
-        structures, scan, law_masks = proofs._square_structures()
-        assert len(structures) == 100
+        """`refuting_structures` on the Boolean lattice's table of
+        `validating_structures`, its 100 structures, in batches of 64, 1
+        and 3 structures, yields exactly the structures on which
+        `algebra_validates` finds a countervaluation, in order, each with
+        that function's first countervaluation."""
+        (table,) = [t for t in validating_structures(4, ()) if not is_chain(t.lattice)]
+        structures = [table.structure(j) for j in range(len(table))]
+        assert structures == [a for a in all_modal_lattices(4) if not is_chain(a)]
         members = [m for tag in sorted(AXIOMS) for m in AXIOMS[tag]]
         pairs = [*_DISTRIBUTION_LAWS, *members, parse_pair("p |- []p")]
         pairs.append(parse_pair("<>(p & r) v q |- [](q v r) & p"))
@@ -874,16 +880,13 @@ class TestDistributionScreens:
                 if cv is not None:
                     want[j] = cv
             widths.add((k, 0 < len(want) < 100))
-            for budget in (10**6, 4**k, 4 * 4**k - 1):
+            for budget in (None, 10**6, 4**k, 4 * 4**k - 1):
                 got = {
                     j: {name: i // 4 ** (k - 1 - t) % 4 for t, name in enumerate(ls)}
-                    for j, i in refuting_structures(*scan, pair, ls, budget)
+                    for j, i in table.refuting(pair, budget)
                 }
                 assert list(got) == sorted(got)
                 assert got == want, (str(pair), budget)
-            if pair in _DISTRIBUTION_LAWS:
-                mask = law_masks[_DISTRIBUTION_LAWS.index(pair)]
-                assert mask == sum(1 << j for j in want)
         assert {(1, True), (2, True), (3, True)} <= widths
 
     def test_each_set_is_one_table(self):
