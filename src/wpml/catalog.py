@@ -5,12 +5,8 @@ linear extension (i below j implies i < j), with bot id 0 and top id n-1,
 so only the pairs between 1 and n-2 are free; isomorphic duplicates are
 removed by the least relabeling that fixes bot and top.
 
-Every catalog is computed once per size.  The modal L-frames
-are the one catalog not held as objects: 21,627 `ModalLFrame`s at size 5
-would take about 4 MB.  Each L-frame's valid relations are kept instead
-as one `bytes` of successor masks, n bytes per relation (about 110 KB at
-size 5), and `all_modal_lframes` builds the frames from it as it yields
-them.
+Every catalog is computed once per size, when first asked for, and
+held as a tuple of its structures.
 
 `validating_structures(n, gamma)`, the one table of the countermodel
 search and the distribution-law scan, keeps per lattice the modal
@@ -306,19 +302,12 @@ def modal_relations(frame: LFrame) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _packed_relations(n: int, i: int) -> bytes | tuple[int, ...]:
-    """`modal_relations` of the i-th size-n L-frame, the successor tuples
-    concatenated: n masks per relation, one byte each (ints past n = 8)."""
-    frame = all_lframes(n)[i]
-    return (bytes if n <= 8 else tuple)(chain.from_iterable(modal_relations(frame)))
+def _modal_lframes(n: int) -> tuple[ModalLFrame, ...]:
+    return tuple(ModalLFrame(f, s) for f in all_lframes(n) for s in modal_relations(f))
 
 
 def all_modal_lframes(n: int) -> Iterator[ModalLFrame]:
     """All valid modal L-frames of size exactly n (frames up to iso, all
-    relations per frame), in deterministic order.  The relations are
-    enumerated once per size and L-frame, when an iteration first
-    reaches that L-frame."""
-    for i, frame in enumerate(all_lframes(n)):
-        packed = _packed_relations(n, i)
-        for start in range(0, len(packed), n):
-            yield ModalLFrame(frame, tuple(packed[start:start + n]))
+    relations per frame), L-frame by L-frame in catalog order, each
+    L-frame's relations in `modal_relations` order."""
+    yield from _modal_lframes(n)

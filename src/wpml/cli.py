@@ -20,6 +20,7 @@ import time
 from typing import Optional
 
 from . import __version__
+from .amalgam import check_supamal_claim, superamalgamate
 from .correspondence import AXIOMS, correspondence_check
 from .duality import fil_l, round_trip_iso
 from .errors import (
@@ -31,6 +32,12 @@ from .errors import (
     resolve_budget,
 )
 from .formulas import is_modality_free, parse_formula, pretty
+from .generators import (
+    sample_lframe,
+    sample_modal_lattice,
+    sample_modal_lframe,
+    sample_vformation,
+)
 from .interpolation import (
     InterpolationProblem,
     craig_interpolant,
@@ -153,8 +160,6 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_amalgamate(args) -> int:
-    from .amalgam import check_supamal_claim, superamalgamate
-
     _, v = _load(args.vformation, "vformation")
     res = superamalgamate(v)
     claim_problems = check_supamal_claim(res.pb)
@@ -268,13 +273,6 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from .generators import (
-        sample_lframe,
-        sample_modal_lattice,
-        sample_modal_lframe,
-        sample_vformation,
-    )
-
     rng = random.Random(args.seed)
     if args.kind == "lattice":
         frame = sample_lframe(rng, args.size)

@@ -2,10 +2,11 @@
 bidirectional correspondence checks, and closure of pullbacks under each
 condition.  Four conditions are universal Horn, "for all x, and all y with
 x R y when a term names y, A <= B" over the terms {x}, R[x], {y}, R[y]:
-their `INCLUSIONS` rows are read by one least-witness evaluator and one
-space-condition kernel here, and by the sampler's closure in
-`generators`.  Directedness (for all, exists) is not Horn, so it and the
-`.2` space condition stay written out."""
+their `INCLUSIONS` rows are walked by one gap scan, `_inclusion_gaps`,
+which the least-witness evaluator here and the sampler's closure in
+`generators` share, and read by one space-condition kernel.
+Directedness (for all, exists) is not Horn, so it and the `.2` space
+condition stay written out."""
 
 from __future__ import annotations
 
@@ -13,10 +14,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
+from .amalgam import pullback
+from .duality import is_tight
 from .errors import PreconditionViolated, resolve_budget
 from .formulas import ConsequencePair, parse_pair
 from .lframe import ModalLFrame, frame_validates
-from .duality import is_tight
 
 AXIOM_TAGS = ("T", "4", "B", "5", ".2")
 
@@ -81,17 +83,13 @@ def _inclusion_gaps(succ, row: tuple[int, int]):
 
 
 def _inclusion_witness(row: tuple[int, int], x: ModalLFrame):
-    """The least failure of `row`: (x,) for a row over x alone, scanned
-    inline since reflexivity filters every frame of a countermodel
-    search; else (x, y), with the least point of A minus B when A is a
-    successor set."""
+    """The least failure of `row`: (x,) for a row over x alone, else
+    (x, y), with the least point of A minus B when A is a successor
+    set."""
     sub, sup = row
-    if not (sub | sup) & _Y:
-        for a, sa in enumerate(x.succ):
-            if (sa if sub else 1 << a) & ~(sa if sup else 1 << a):
-                return (a,)
-        return None
     for a, b, gap in _inclusion_gaps(x.succ, row):
+        if not (sub | sup) & _Y:
+            return (a,)
         return (a, b, (gap & -gap).bit_length() - 1) if sub & _R else (a, b)
     return None
 
@@ -251,8 +249,6 @@ def pullback_preserves(cond: FrameCondition | str, f1, f2):
     A False outcome falsifies the closure theorem for these inputs.
     PreconditionViolated if a leg domain or the common codomain fails
     the condition."""
-    from .amalgam import pullback
-
     if isinstance(cond, str):
         cond = _named(CONDITIONS, cond, "frame condition")
     for leg in (f1, f2):

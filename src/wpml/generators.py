@@ -20,6 +20,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .amalgam import VFormation, validate_vformation
+from .catalog import all_lattices
 from .correspondence import CONDITIONS, INCLUSIONS, _Y, _inclusion_gaps, frame_satisfies
 from .duality import dual_of_frame_morphism
 from .errors import PreconditionViolated, SizeCap
@@ -332,8 +333,6 @@ def sample_inclusion_span(rng: random.Random):
     glued-filter comparison), |K| <= 4 and |Li| <= 6: finds
     bounded-lattice embeddings in the small catalog and relabels each L
     so the image of K is the id prefix."""
-    from .catalog import all_lattices
-
     for _ in range(100):
         nk = rng.randint(1, 4)
         ks = all_lattices(nk)

@@ -27,7 +27,7 @@ from .errors import (
     WrongBounds,
     resolve_budget,
 )
-from .formulas import And, Bot, Box, ConsequencePair, Dia, Formula, Letter, Or, Top
+from .formulas import And, Bot, Box, ConsequencePair, Dia, Formula, Letter, Or, Top, letters
 
 
 @dataclass(frozen=True)
@@ -354,10 +354,8 @@ def algebra_validates(
     """None iff sigma(lhs) <= sigma(rhs) for every valuation; otherwise the
     first countervaluation in lexicographic order (letters sorted, element
     ids ascending).  Raises ResourceBound if |A|^k exceeds the budget."""
-    from .formulas import letters as letters_of
-
     budget = resolve_budget(budget)
-    ls = sorted(letters_of(pair))
+    ls = sorted(letters(pair))
     k = len(ls)
     needed = a.n**k
     if needed > budget:

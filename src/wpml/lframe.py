@@ -21,9 +21,8 @@ bounded-L checks only forth and back on each cached map.
 the frame's filter meet and join tables and box and diamond tables:
 `bytes` and translate tables up to 256 filters, tuples past that.  The
 pointwise `satisfies` and the recursive `truth_set` are its reference
-oracles.  `entailment` batches many relations of one L-frame per packed
-vector (see `vectors`) and takes the valuation of the first refuting
-relation from `frame_validates`, the one per-frame search.
+oracles.  `entailment` takes the countervaluation on a refuting
+structure's tight dual from `frame_validates`, the one per-frame search.
 
 Each modal-L-frame condition is written once, as a kernel on one pair of
 points: `_order_gap` for (i)/(ii), `_meet_gap` for (iv) and `_meet_reach`

@@ -83,6 +83,7 @@ from itertools import product
 from operator import attrgetter
 from typing import Optional
 
+from .catalog import all_lattices, all_modal_lframes, validating_structures
 from .errors import InternalInconsistency, PreconditionViolated, ResourceBound, SizeCap
 from .formulas import (
     BOT,
@@ -102,6 +103,8 @@ from .formulas import (
     subformulas,
     substitute,
 )
+from .lattice import algebra_validates, with_identity_modalities
+from .lframe import fil_f
 from .vectors import PackedScreen, ScreenTables
 
 # the `(size, formula_key)` sort key of a formula, as a C-level key function
@@ -416,10 +419,6 @@ def _screening_candidates() -> tuple:
     """The distinct candidates of `_screening_algebras`' first part, in
     order: the filter algebras of the 2- and 3-point frames, then the 2-
     to 5-element lattices with identity modalities."""
-    from .catalog import all_lattices, all_modal_lframes
-    from .lattice import with_identity_modalities
-    from .lframe import fil_f
-
     candidates = [fil_f(frame) for n in (2, 3) for frame in all_modal_lframes(n)]
     candidates += [
         with_identity_modalities(lat) for n in (2, 3, 4, 5) for lat in all_lattices(n)
@@ -447,8 +446,6 @@ def _screening_algebras(gamma):
     and diamond commutes with join and meet, so no candidate refutes a
     modal distribution law (`_DISTRIBUTION_LAWS`), though the laws fail
     in the variety."""
-    from .lattice import algebra_validates
-
     out = []
     for a in _screening_candidates():
         if all(algebra_validates(a, g) is None for g in gamma):
@@ -477,8 +474,6 @@ def _distribution_refuters(gamma) -> tuple:
     Nothing for a law that no such structure refutes, and nothing at all
     for a gamma with a member over more than three letters, which no
     screen takes."""
-    from .catalog import validating_structures
-
     if any(len(letters(g)) > 3 for g in gamma):
         return ()
     # 0 < 1, 2 < 3 with 1 and 2 incomparable

@@ -17,7 +17,7 @@ from .correspondence import (
     frame_satisfies,
     pullback_preserves,
 )
-from .duality import dual_of_hom, fil_l, is_tight, round_trip_iso
+from .duality import dual_of_hom, fil_l, round_trip_iso
 from .errors import SizeCap
 from .generators import (
     sample_inclusion_span,
@@ -79,15 +79,16 @@ def _sweep(target: str, seed: int, count: int, sample, check, **extra) -> dict:
 
 def duality_sweep(seed: int, count: int) -> dict:
     """Round-trip isomorphism on seeded filter algebras of random frames
-    of at most 5 points; also re-checks the modal identities and
-    tightness of the dual."""
+    of at most 5 points; also re-checks the modal identities.  The dual's
+    tightness is checked by `fil_l` inside `round_trip_iso`, which raises
+    on a dual that is not tight."""
 
     def check(a, sizes):
         sizes.append(a.n)
         if check_modal_identities(a):
             return [{"reason": "identities"}]
         round_trip_iso(a)
-        return [] if is_tight(fil_l(a).frame) else [{"reason": "dual not tight"}]
+        return []
 
     sample = lambda rng: sample_modal_lattice(rng, rng.randint(1, 5))
     return _sweep("duality", seed, count, sample, check)

@@ -371,6 +371,13 @@ def test_distributive_interpolant_past_the_budget_is_a_resource_exit(capsys):
     assert (code, out) == (4, "") and err.startswith("resource bound:")
 
 
+def test_distributive_unknown_over_nine_letters_is_reported(capsys):
+    phi = "a & b & c & d & e & f & g & h"
+    code, out, err = run(["interpolate", phi, "a v z", "--distributive"], capsys)
+    assert (code, err) == (4, "")
+    assert json.loads(out)["payload"]["verdict"] == "unknown"
+
+
 @pytest.mark.parametrize("kind", sorted(WELL_FORMED))
 def test_well_formed_payload_validates(tmp_path, capsys, kind):
     path = write(tmp_path, "good.json", wrap(kind, WELL_FORMED[kind]))

@@ -1,8 +1,10 @@
-"""Every module-level import of the package is read in its module, every
-private function, class and method it defines is read somewhere in the
-package, and every public module-level function and class, and every
-public method of a module-level class, it defines is read somewhere in
-the package, its tests or its benchmark."""
+"""Every module-level import of the package is read in its module, and a
+function-local import of a package module stands only where a
+module-level one would close an import cycle; every private function,
+class and method it defines is read somewhere in the package, and every
+public module-level function and class, and every public method of a
+module-level class, it defines is read somewhere in the package, its
+tests or its benchmark."""
 
 import ast
 from pathlib import Path
@@ -41,6 +43,66 @@ def test_the_check_sees_an_unused_import():
     source = "from itertools import chain, repeat\nimport os.path\n\nrepeat(os)\n"
     assert unused_imports(source) == ["chain"]
     assert SOURCES
+
+
+def _package_module(node) -> str | None:
+    """The package module that a `from .module import ...` node reads."""
+    if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+        return node.module.split(".")[0]
+    return None
+
+
+def _reachable(graph: dict[str, set[str]], start: str) -> set[str]:
+    seen, todo = {start}, [start]
+    while todo:
+        for module in graph.get(todo.pop(), ()):
+            if module not in seen:
+                seen.add(module)
+                todo.append(module)
+    return seen
+
+
+def acyclic_local_imports(sources: dict[str, str]) -> list[str]:
+    """A "module -> imported" entry for each function-local import of a
+    package module whose module-level form would close no import cycle:
+    the imported module does not reach the importing one through
+    module-level imports.  In module order, then source order."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    graph = {
+        name: {module for node in tree.body if (module := _package_module(node))}
+        for name, tree in trees.items()
+    }
+    out = []
+    for name, tree in trees.items():
+        local = {
+            (node.lineno, module)
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if (module := _package_module(node))
+        }
+        out += [
+            f"{name} -> {module}"
+            for _, module in sorted(local)
+            if name not in _reachable(graph, module)
+        ]
+    return out
+
+
+def test_function_local_imports_close_a_cycle():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert acyclic_local_imports(sources) == []
+
+
+def test_the_check_sees_a_local_import_that_closes_no_cycle():
+    sources = {
+        "a": "from .b import x\n",
+        "b": "from .c import y\n\ndef f():\n    from .a import z\n",
+        "c": "def g():\n    from .a import w\n\n    def h():\n        from .d import v\n",
+        "d": "import os\n\ndef k():\n    from .b import u\n    import json\n",
+    }
+    # a -> b -> c, so c's import of a and b's of a close cycles; d's do not
+    assert acyclic_local_imports(sources) == ["c -> d", "d -> b"]
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

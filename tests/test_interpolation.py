@@ -339,6 +339,50 @@ class TestDistributiveFragment:
         with pytest.raises(ResourceBound):
             distributive_fragment_interpolant(phi, psi)
 
+    def test_valid_pair_over_nine_letters_is_reported(self):
+        """The two-element lattice takes 2^9 valuations, well within the
+        budget, so a valid pair over nine letters gets a report; the
+        depth-8 search derives no obligation of its one candidate."""
+        res = distributive_fragment_interpolant(
+            parse_formula("a & b & c & d & e & f & g & h"), parse_formula("a v z")
+        )
+        assert res == InterpolationResult(
+            "unknown",
+            diagnostics={
+                "entailment": "valid-on-distributive-catalog",
+                "semantic_only": ["a"],
+            },
+        )
+
+    def test_two_element_decision_matches_the_catalog_walk(self, monkeypatch):
+        """Seeded modality-free pairs give the same results as when each
+        entailment is decided by the first refuter among the distributive
+        lattices of at most six elements."""
+        catalog = [lat for n in range(1, 7) for lat in all_distributive_lattices(n)]
+
+        def catalog_walk(pair):
+            for lat in catalog:
+                cv = algebra_validates(lat, pair)
+                if cv is not None:
+                    return lat, cv
+            return None
+
+        rng = random.Random("distributive-decision")
+        pairs = []
+        while len(pairs) < 150:
+            a, b, c = (random_formula(rng, names, 2) for names in ("pq", "pqr", "pqs"))
+            if all(map(is_modality_free, (a, b, c))):
+                pairs.append((And(a, b), Or(a, c)) if len(pairs) % 2 else (b, c))
+
+        def results():
+            return [distributive_fragment_interpolant(phi, psi) for phi, psi in pairs]
+
+        got = results()
+        monkeypatch.setattr(interpolation, "_dist_entails", catalog_walk)
+        assert got == results()
+        verdicts = {r.verdict for r in got}
+        assert verdicts == {"interpolant", "no-entailment", "unknown"}
+
 
 class TestFailedInvariants:
     """A derivation that does not check is a fault of the implementation,

@@ -3,7 +3,8 @@ from itertools import product, repeat
 
 import pytest
 
-from wpml.catalog import all_lframes, all_modal_lframes
+from wpml.catalog import all_lframes, all_modal_lattices, all_modal_lframes
+from wpml.duality import is_tight
 from wpml.errors import (
     InternalInconsistency,
     PreconditionViolated,
@@ -681,6 +682,18 @@ class TestModalCatalog:
     def test_matches_modal_relations(self):
         for n in range(1, 5):
             assert list(all_modal_lframes(n)) == literal_modal_lframes(n)
+
+    def test_sizes_and_tight_frames_are_pinned(self):
+        """The catalog of each size up to 5, and its tight frames: by the
+        duality, as many as the modal lattices of that size."""
+        sizes, tight = [], []
+        for n in range(1, 6):
+            frames = list(all_modal_lframes(n))
+            sizes.append(len(frames))
+            tight.append(sum(map(is_tight, frames)))
+        assert sizes == [1, 3, 25, 546, 21_627]
+        assert tight == [len(all_modal_lattices(n)) for n in range(1, 6)]
+        assert tight == [1, 3, 20, 275, 4_842]
 
     def test_matches_brute_force_validation(self):
         """Every tuple of meet-closed successor sets, in lexicographic
