@@ -8,11 +8,20 @@ removed by the least relabeling that fixes bot and top.
 Every catalog is computed once per size, when first asked for, and
 held as a tuple of its structures.
 
+The modal structures over a lattice come from one kernel, `_modal_maps`:
+it yields their (box, diamond) maps, keeping for each box the diamonds
+that meet the one identity tying the two together as the AND of
+precomputed bitmasks of diamonds.  `all_modal_lattices` wraps the maps
+in `FiniteModalLattice`s; `validating_structures` packs them directly.
+
 `validating_structures(n, gamma)`, the one table of the countermodel
 search and the distribution-law scan, keeps per lattice the modal
 structures that validate gamma as packed box and diamond bytes.  By the
 duality they stand for the modal L-frames of n points that meet gamma's
-frame conditions, each by its tight dual (see `entailment`).
+frame conditions, each by its tight dual (see `entailment`).  Each
+lattice's table (`validating_table`) is built when first asked for, so
+the distribution-law scan, which stops at its first hit, builds no table
+past it.
 """
 
 from __future__ import annotations
@@ -117,32 +126,64 @@ def all_modal_lattices(n: int) -> tuple[FiniteModalLattice, ...]:
 
 
 def _modal_structures(lat: FiniteLattice) -> Iterator[FiniteModalLattice]:
-    """The modal structures over `lat`, lazily, in lexicographic order of
-    (box, diamond).  The identities of `lattice.check_modal_identities`
-    split three ways.  Those on box alone hold for exactly the
-    top-fixing, meet-preserving boxes.  Those on diamond alone, `T = <>T`
-    and `<>a v <>b <= <>(a v b)`, hold for exactly the top-fixing
-    monotone diamonds (`_monotone_diamonds`).  Each box keeps those
-    diamonds that meet `<>a & []b <= <>(a & b)`."""
+    """The modal structures over `lat`, lazily, in `_modal_maps` order."""
+    return (FiniteModalLattice.over(lat, box, dia) for box, dia in _modal_maps(lat))
+
+
+def _modal_maps(
+    lat: FiniteLattice,
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (box, diamond) maps of the modal structures over `lat`, lazily,
+    in lexicographic order.  The identities of
+    `lattice.check_modal_identities` split three ways.  Those on box alone
+    hold for exactly the top-fixing, meet-preserving boxes.  Those on
+    diamond alone, `T = <>T` and `<>a v <>b <= <>(a v b)`, hold for
+    exactly the top-fixing monotone diamonds (`_monotone_diamonds`).  Each
+    box keeps those diamonds that meet `<>a & []b <= <>(a & b)`.
+
+    Diamond d is bit d of a mask.  For x, y with x & y != x (elsewhere
+    every diamond meets it), the identity at (x, y) asks
+    `dia[x] & box[y] <= dia[x & y]`, so it depends on the box only through
+    b = box[y]: the diamonds meeting it are the mask of (x, x & y, b), the
+    union over the values u of dia[x] of those with dia[x] == u and
+    dia[x & y] >= u & b.  A box's diamonds are the AND of its masks, read
+    bit by bit from the lowest."""
     n, leq, meet, top = lat.n, lat.leq, lat.meet, lat.top
     diamonds = _monotone_diamonds(lat)
-    # (x, x & y, y) where x & y != x; where x & y == x any diamond meets it
+    # at[x][u]: the diamonds with dia[x] == u; above[x][c]: those with dia[x] >= c
+    at = [[0] * n for _ in range(n)]
+    for d, dia in enumerate(diamonds):
+        bit = 1 << d
+        for x in range(n):
+            at[x][dia[x]] |= bit
+    above = [
+        [sum(row[w] for w in range(n) if leq[c][w]) for c in range(n)] for row in at
+    ]
     pairs = [(x, meet[x][y], y) for x in range(n) for y in range(n) if meet[x][y] != x]
+    masks: dict[tuple[int, int, int], int] = {}
+    everything = (1 << len(diamonds)) - 1
     for box in _table_maps(n, n, [(top, top)], [(meet, meet)]):
-        duality = [(x, xy, box[y]) for x, xy, y in pairs]
-        for dia in diamonds:
-            for x, xy, b in duality:
-                if not leq[meet[dia[x]][b]][dia[xy]]:
-                    break
-            else:
-                yield FiniteModalLattice.over(lat, box, dia)
+        kept = everything
+        for x, xy, y in pairs:
+            b = box[y]
+            mask = masks.get((x, xy, b))
+            if mask is None:
+                row, up = at[x], above[xy]
+                mask = masks[x, xy, b] = sum(row[u] & up[meet[u][b]] for u in range(n))
+            kept &= mask
+            if not kept:
+                break
+        while kept:
+            low = kept & -kept
+            yield box, diamonds[low.bit_length() - 1]
+            kept ^= low
 
 
 @dataclass(frozen=True)
 class StructureTable:
-    """Modal structures over one catalog lattice, in `_modal_structures`
-    order: structure j's box and diamond are the n element ids at j * n
-    of `boxes` and `diamonds`, and `codes` are the lattice's pair-code
+    """Modal structures over one catalog lattice, in `_modal_maps` order:
+    structure j's box and diamond are the n element ids at j * n of
+    `boxes` and `diamonds`, and `codes` are the lattice's pair-code
     tables, shared by every table over it, so its batch shapes are too.
     A structure's dual frame is computed once, when first asked for."""
 
@@ -192,23 +233,27 @@ class StructureTable:
 @lru_cache(maxsize=None)
 def validating_structures(n: int, gamma: tuple) -> tuple[StructureTable, ...]:
     """For each lattice of `all_lattices(n)`, in order, the table of its
-    modal structures that validate every member of gamma.  The tables for
-    a gamma are those of the empty one, each member evaluated on all of
-    their structures at once in full batches."""
+    modal structures that validate every member of gamma
+    (`validating_table`)."""
+    return tuple(validating_table(n, i, gamma) for i in range(len(all_lattices(n))))
+
+
+@lru_cache(maxsize=None)
+def validating_table(n: int, i: int, gamma: tuple) -> StructureTable:
+    """The table of the modal structures over lattice i of
+    `all_lattices(n)` that validate every member of gamma, built once, when
+    first asked for, so a scan that stops early builds no later lattice's
+    table.  The table for a gamma is the empty one's, each member
+    evaluated on all of its structures at once in full batches."""
     if gamma:
-        return tuple(
-            t.without({j for g in gamma for j, _ in t.refuting(g)})
-            for t in validating_structures(n, ())
-        )
-    out = []
-    for lat in all_lattices(n):
-        boxes, diamonds = bytearray(), bytearray()
-        for a in _modal_structures(lat):
-            boxes += bytes(a.box)
-            diamonds += bytes(a.diamond)
-        codes = ScreenTables((lat,))
-        out.append(StructureTable(lat, codes, bytes(boxes), bytes(diamonds)))
-    return tuple(out)
+        t = validating_table(n, i, ())
+        return t.without({j for g in gamma for j, _ in t.refuting(g)})
+    lat = all_lattices(n)[i]
+    boxes, diamonds = bytearray(), bytearray()
+    for box, dia in _modal_maps(lat):
+        boxes.extend(box)
+        diamonds.extend(dia)
+    return StructureTable(lat, ScreenTables((lat,)), bytes(boxes), bytes(diamonds))
 
 
 def _monotone_diamonds(lat: FiniteLattice) -> list[tuple[int, ...]]:

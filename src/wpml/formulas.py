@@ -41,27 +41,18 @@ class _Node(Formula):
     `fields()` and everything derived from them are those of the plain
     dataclass.  `_hash` is the hash of `(class, fields)`; `_key` is
     `(size, formula_key)`, built from the children's keys.  Each subclass
-    sets both in its `__post_init__`, written per arity.  Equality returns
-    at once on identity or on a hash mismatch, and only then compares the
-    fields.  Subclasses pass `eq=False` so the dataclass decorator keeps
-    these methods.
+    sets both in its `__post_init__`, and its `__eq__`, written per arity
+    too: equality returns at once on identity or on a hash mismatch, and
+    only then compares the fields.  A class that sets `__eq__` must set
+    `__hash__` as well, or Python clears it, so each names this one.
+    Subclasses pass `eq=False` so the dataclass decorator keeps these
+    methods.
     """
 
     __slots__ = ("_hash", "_key")
 
     def __hash__(self):
         return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self._hash != other._hash:
-            return False
-        return all(
-            getattr(self, n) == getattr(other, n) for n in self.__match_args__
-        )
 
 
 # The generated hash of a field-less dataclass is hash(()), the same for
@@ -84,6 +75,30 @@ class Bot(Formula):
 
     def __hash__(self):
         return 2
+
+
+def _letter_eq(self, other):
+    if self is other:
+        return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return self._hash == other._hash and self.name == other.name
+
+
+def _binary_eq(self, other):
+    if self is other:
+        return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return self._hash == other._hash and self.lhs == other.lhs and self.rhs == other.rhs
+
+
+def _unary_eq(self, other):
+    if self is other:
+        return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return self._hash == other._hash and self.arg == other.arg
 
 
 def _binary_keys(self):
@@ -112,6 +127,9 @@ class Letter(_Node):
         object.__setattr__(self, "_hash", hash((Letter, (name,))))
         object.__setattr__(self, "_key", (1, (_TAG_ORDER[Letter], name)))
 
+    __eq__ = _letter_eq
+    __hash__ = _Node.__hash__
+
 
 @dataclass(frozen=True, eq=False)
 class And(_Node):
@@ -119,6 +137,8 @@ class And(_Node):
     lhs: Formula
     rhs: Formula
     __post_init__ = _binary_keys
+    __eq__ = _binary_eq
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +147,8 @@ class Or(_Node):
     lhs: Formula
     rhs: Formula
     __post_init__ = _binary_keys
+    __eq__ = _binary_eq
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +156,8 @@ class Box(_Node):
     __slots__ = ("arg",)
     arg: Formula
     __post_init__ = _unary_keys
+    __eq__ = _unary_eq
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +165,8 @@ class Dia(_Node):
     __slots__ = ("arg",)
     arg: Formula
     __post_init__ = _unary_keys
+    __eq__ = _unary_eq
+    __hash__ = _Node.__hash__
 
 
 TOP = Top()

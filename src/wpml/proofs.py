@@ -34,26 +34,34 @@ letters it is a small fixed cost, and it takes no budget.  The set's
 first part is mostly chains.  On a chain every monotone box and diamond
 commutes with join and meet, so no chain refutes a modal distribution
 law such as `[](p v q) |- []p v []q`, though the laws fail in the
-variety.  So the set ends with, per law, the first structure over the
-four-element Boolean lattice that validates the axioms and refutes it
-(`_distribution_refuters`, by `vectors.refuting_structures`), and a
+variety.  So the set ends with, per law, the first structure of at most
+five elements, in `catalog.all_modal_lattices` order, that validates the
+axioms and refutes it (`_distribution_refuters`, by
+`vectors.refuting_structures`; five-element structures are read only for
+a law that no four-element one refutes, today T's `<>` law), and a
 search on such a law is refuted at its root instead of run to
-exhaustion.  `derive_bounded` screens the root before anything else, so
-a refuted root builds no cut pool and no `ProofSearch`; a root that
-passes hands its set-up's screen on to the search.  The set is packed
-once (`_screen_tables`, see `vectors`), and a formula's packed vector
-over it is built once per set-up from its children's.  Each formula id
-has a bitmask of its letters; a pair's mask picks a slot, built once per mask
-from the vector memo of its sorted letters (`PackedScreen.stretch`), or
-"not screened" past three letters.  In its slot each formula id keeps
-its vector's two pair-code halves as big integers, the scale half for a
-left side and the local half for a right side, so screening a pair is
-one addition, one `to_bytes`, one `translate` and one `find`.  The set holds modal
-lattices only, as `PackedScreen` requires.  The scalar
-`lattice.algebra_validates` stays the reference oracle:
-tests/test_proofs.py checks the screen's verdicts and first refuting
-screens against the literal loop over the algebras, and whole searches
-against a search that screens through `algebra_validates`.
+exhaustion.  The set is packed once (`_screen_tables`, see `vectors`),
+and a formula's packed vector over it is built once per set-up from its
+children's.  Each formula id has a bitmask of its letters; a pair's mask
+picks a slot, built once per mask from the vector memo of its sorted
+letters (`PackedScreen.stretch`), or "not screened" past three letters.
+In its slot each formula id keeps its vector's two pair-code halves as
+big integers, the scale half for a left side and the local half for a
+right side, so screening a pair is one addition, one `to_bytes`, one
+`translate` and one `find`.  The set holds modal lattices only, as
+`PackedScreen` requires.  The scalar `lattice.algebra_validates` stays
+the reference oracle: tests/test_proofs.py checks the screen's verdicts
+and first refuting screens against the literal loop over the algebras,
+and whole searches against a search that screens through
+`algebra_validates`.
+
+Root checks: `derive_bounded` checks the root before anything else.  It
+screens it, and with no axioms it decides a modality-free root in the
+free bounded lattice by Whitman's condition (`whitman.free_lattice_leq`),
+whose "no" is sound for the calculus (see `derive_bounded`).  A refuted
+root builds no cut pool and no `ProofSearch`; a root that passes hands
+its set-up's screen on to the search.  Whitman stays an oracle as well:
+tests/test_proofs.py checks its "no" against an ungated `ProofSearch`.
 
 Memo tables: a search numbers the formulas it meets with small ints of
 its own and keys its memo tables by the ids of a pair's two sides, so
@@ -83,7 +91,7 @@ from itertools import product
 from operator import attrgetter
 from typing import Optional
 
-from .catalog import all_lattices, all_modal_lframes, validating_structures
+from .catalog import all_lattices, all_modal_lframes, validating_table
 from .errors import InternalInconsistency, PreconditionViolated, ResourceBound, SizeCap
 from .formulas import (
     BOT,
@@ -97,6 +105,7 @@ from .formulas import (
     Letter,
     Or,
     Top,
+    is_modality_free,
     letters,
     match_pair,
     parse_pair,
@@ -106,6 +115,7 @@ from .formulas import (
 from .lattice import algebra_validates, with_identity_modalities
 from .lframe import fil_f
 from .vectors import PackedScreen, ScreenTables
+from .whitman import free_lattice_leq
 
 # the `(size, formula_key)` sort key of a formula, as a C-level key function
 _KEY = attrgetter("_key")
@@ -466,24 +476,49 @@ _DISTRIBUTION_LAWS = tuple(
 
 
 def _distribution_refuters(gamma) -> tuple:
-    """For each of `_DISTRIBUTION_LAWS`, the first modal structure over the
-    four-element Boolean lattice (the smallest lattice that is not a
-    chain) that validates every member of gamma and refutes the law; each
-    such structure once, in `catalog.all_modal_lattices` order.  They are
-    read from the lattice's table in `catalog.validating_structures`.
-    Nothing for a law that no such structure refutes, and nothing at all
-    for a gamma with a member over more than three letters, which no
-    screen takes."""
+    """For each of `_DISTRIBUTION_LAWS`, the first modal structure of at
+    most five elements, in `catalog.all_modal_lattices` order, that
+    validates every member of gamma and refutes the law; each such
+    structure once, in that order.  They are read from the tables of
+    `catalog.validating_table`, those of five elements only for a
+    law that no four-element structure refutes (under T, `<>(p v q) |-
+    <>p v <>q`; under B it is derivable).  Chains are skipped, as no chain
+    refutes a law, and with them every lattice of three elements or
+    fewer.  Nothing for a law that no such structure refutes, and nothing
+    at all for a gamma with a member over more than three letters, which
+    no screen takes."""
     if any(len(letters(g)) > 3 for g in gamma):
         return ()
-    # 0 < 1, 2 < 3 with 1 and 2 incomparable
-    table = next(t for t in validating_structures(4, gamma) if not t.lattice.leq[1][2])
-    firsts = set()
+    # (size, lattice index, structure index) -> the structure's table
+    firsts = {}
     for law in _DISTRIBUTION_LAWS:
-        first = next(table.refuting(law), None)
-        if first is not None:
-            firsts.add(first[0])
-    return tuple(map(table.structure, sorted(firsts)))
+        for n in (4, 5):
+            first = _first_refuter(law, n, gamma)
+            if first is not None:
+                i, j, table = first
+                firsts[n, i, j] = table
+                break
+    return tuple(firsts[key].structure(key[2]) for key in sorted(firsts))
+
+
+def _first_refuter(law, n: int, gamma):
+    """(i, j, table): the first structure j, over the first lattice i of
+    `all_lattices(n)` that is not a chain, that validates gamma and
+    refutes the law, with its table; None if there is none.  No table
+    past lattice i is built."""
+    for i, lat in enumerate(all_lattices(n)):
+        if not _is_chain(lat):
+            table = validating_table(n, i, gamma)
+            for j, _ in table.refuting(law):
+                return i, j, table
+    return None
+
+
+def _is_chain(lat) -> bool:
+    # a total order of n elements has n (n + 1) / 2 pairs x <= y, any
+    # other order fewer
+    n = lat.n
+    return sum(map(sum, lat.leq)) == n * (n + 1) // 2
 
 
 @lru_cache(maxsize=64)
@@ -801,22 +836,34 @@ def derive_bounded(
     ResourceBound when the expansion budget is exceeded, and SizeCap
     for a depth above `MAX_PROOF_DEPTH`.
 
-    The root is screened first, as the search's first expansion would
-    screen it: a root the screening set refutes returns None with no cut
-    pool built and no `ProofSearch` (at budget >= 1; below, the search
-    raises ResourceBound(1, budget) before it screens).  Any other root
-    is searched with the same screen.  The screen and the cut pool come
-    from `setup` (a `SearchSetup` over gamma, or a fresh one), the pool at
-    its caps."""
+    The root is checked first, at budget >= 1 (below, the search raises
+    ResourceBound(1, budget) before it screens): a root the screening set
+    refutes, as the search's first expansion would refute it, and, with
+    no axioms, a modality-free root that `whitman.free_lattice_leq`
+    rejects, return None with no cut pool built and no `ProofSearch`.  A
+    derivable pair holds in every modal lattice, so in every lattice with
+    identity modalities, so in the free bounded lattice: Whitman's "no"
+    means no proof at any depth.  So where the search would have run out
+    of budget on such a root, the check returns None instead of raising.
+    Any other root is searched with the same screen.  The screen and the
+    cut pool come from `setup` (a `SearchSetup` over gamma, or a fresh
+    one), the pool at its caps."""
     if depth > MAX_PROOF_DEPTH:
         raise SizeCap(f"proof depth {depth} exceeds the cap of {MAX_PROOF_DEPTH}")
     gamma = tuple(gamma)
     setup = _setup_for(gamma, setup)
     screen = setup.screen
-    # the screen of the search's first expansion, which raises at budget
-    # < 1 before it screens; at depth <= 0 the search returns None too
-    root = (goal.lhs, goal.rhs, tuple(sorted(letters(goal))))
-    if budget >= 1 and screen.refutes((root,)):
-        return None
+    if budget >= 1:
+        # at depth <= 0 the search returns None too
+        lhs, rhs = goal.lhs, goal.rhs
+        if screen.refutes(((lhs, rhs, tuple(sorted(letters(goal)))),)):
+            return None
+        if (
+            not gamma
+            and is_modality_free(lhs)
+            and is_modality_free(rhs)
+            and not free_lattice_leq(lhs, rhs)
+        ):
+            return None
     pool = cut_pool(goal, gamma, setup.instance_cap, setup.pool_cap, setup=setup)
     return ProofSearch(gamma, pool, budget, setup.screens, screen).prove(goal, depth)

@@ -249,6 +249,23 @@ class TestCachedHash:
         variants = [parse_formula(t) for t in texts]
         assert len({hash(f) for f in variants}) == 4
 
+    def test_equality_per_arity(self):
+        """Each constructor's equality compares its own fields: equal
+        formulas built apart are equal and hash equal, one differing field
+        at any depth makes them unequal, and T and F differ."""
+        rng = random.Random(78)
+        for _ in range(200):
+            f = _random_formula(rng, rng.randint(0, 5))
+            for a in (f, And(f, TOP), Or(BOT, f), Box(f), Dia(f)):
+                b = parse_formula(pretty(a))
+                assert a == b and b == a and hash(a) == hash(b)
+        p, q = Letter("p"), Letter("q")
+        assert TOP != BOT and Top() == TOP and Bot() == BOT
+        assert And(p, TOP) != And(p, BOT) and Or(TOP, q) != Or(BOT, q)
+        assert Box(Dia(p)) != Box(Dia(q)) and Dia(Box(p)) != Dia(Dia(p))
+        assert And(p, Or(q, p)) != And(p, Or(p, q))
+        assert Letter("p") == Letter("p") and Letter("p") != Letter("pp")
+
     def test_same_children_different_connective(self):
         p, q = Letter("p"), Letter("q")
         assert And(p, q) != Or(p, q)

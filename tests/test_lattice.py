@@ -7,7 +7,9 @@ import pytest
 from wpml.catalog import (
     _canonical,
     _is_transitive,
+    _modal_maps,
     _modal_structures,
+    _monotone_diamonds,
     all_distributive_lattices,
     all_lattice_orders,
     all_lattices,
@@ -318,7 +320,33 @@ class TestLatticeOrderCatalog:
         assert moved
 
 
+def literal_modal_maps(lat):
+    """The (box, diamond) maps of the modal structures over `lat` by the
+    nested loop: every catalog box against every top-fixing monotone
+    diamond, checking `<>a & []b <= <>(a & b)` pair by pair."""
+    n, leq, meet, top = lat.n, lat.leq, lat.meet, lat.top
+    diamonds = _monotone_diamonds(lat)
+    pairs = [(x, meet[x][y], y) for x in range(n) for y in range(n) if meet[x][y] != x]
+    out = []
+    for box in _table_maps(n, n, [(top, top)], [(meet, meet)]):
+        for dia in diamonds:
+            if all(leq[meet[dia[x]][box[y]]][dia[xy]] for x, xy, y in pairs):
+                out.append((box, dia))
+    return out
+
+
 class TestModalCatalog:
+    def test_bitmask_kernel_matches_the_nested_loop(self):
+        """`_modal_maps` gives the nested loop's maps in the same order on
+        every lattice of at most five elements, and the 101,010 modal
+        structures of six elements."""
+        for n in range(1, 6):
+            for lat in all_lattices(n):
+                assert list(_modal_maps(lat)) == literal_modal_maps(lat)
+        counts = [len(all_modal_lattices(n)) for n in range(1, 6)]
+        assert counts == [1, 3, 20, 275, 4842]
+        assert sum(1 for lat in all_lattices(6) for _ in _modal_maps(lat)) == 101_010
+
     def test_modal_two_chains_match_brute_force(self, chain2):
         got = sorted((a.box, a.diamond) for a in all_modal_lattices(2))
         brute = sorted(

@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import accumulate, combinations, product
 
 import pytest
@@ -23,6 +24,7 @@ from wpml.errors import (
 )
 from wpml.formulas import (
     BOT,
+    MAX_HEIGHT,
     TOP,
     And,
     Box,
@@ -31,6 +33,7 @@ from wpml.formulas import (
     Letter,
     Or,
     formula_key,
+    is_modality_free,
     letters,
     match_pair,
     parse_formula,
@@ -66,6 +69,7 @@ from wpml.proofs import (
 )
 from wpml.serialize import proof_from_json, proof_to_json
 from wpml.vectors import PackedScreen, ScreenTables
+from wpml.whitman import free_lattice_leq
 
 from conftest import (
     chain_leq,
@@ -161,10 +165,11 @@ class TestDeriveBounded:
         assert p is not None and p.conclusion == goal
 
     def test_budget_raises(self):
-        # more than three letters, so the semantic screen stands aside
+        # more than three letters, so the semantic screen stands aside, and
+        # a box, so Whitman's root check does too
         with pytest.raises(ResourceBound):
             derive_bounded(
-                (), parse_pair("a1 & a2 & a3 & a4 |- b1 v b2"), 30, budget=3
+                (), parse_pair("[]a1 & a2 & a3 & a4 |- b1 v b2"), 30, budget=3
             )
 
     def test_determinism(self):
@@ -757,19 +762,19 @@ def is_chain(a):
 
 
 # each set of at most two axiom tags, and the distribution laws each
-# refutes (True) or not on the structures over the four-element Boolean
-# lattice
+# refutes (True) or not on the modal structures of at most five elements
+# that validate it; the `<>` law is derivable under B
 LAW_COVERAGE = {
     (): (True, True, True),
-    ("T",): (True, False, True),
+    ("T",): (True, True, True),
     ("4",): (True, True, True),
     ("B",): (True, False, True),
     ("5",): (True, True, True),
     (".2",): (True, True, True),
-    ("T", "4"): (True, False, True),
+    ("T", "4"): (True, True, True),
     ("T", "B"): (True, False, True),
     ("T", "5"): (True, False, True),
-    ("T", ".2"): (True, False, True),
+    ("T", ".2"): (True, True, True),
     ("4", "B"): (True, False, True),
     ("4", "5"): (True, True, True),
     ("4", ".2"): (True, True, True),
@@ -799,10 +804,22 @@ COUNTERMODEL_TEMPLATES = (
 )
 
 
+@lru_cache(maxsize=None)
+def law_refuters():
+    """The modal structures of four and five elements, in
+    `all_modal_lattices` order, and per distribution law the positions of
+    those that refute it, by the scalar `algebra_validates`."""
+    structures = all_modal_lattices(4) + all_modal_lattices(5)
+    return structures, [
+        [s for s, a in enumerate(structures) if algebra_validates(a, law) is not None]
+        for law in _DISTRIBUTION_LAWS
+    ]
+
+
 class TestDistributionScreens:
-    """The structures over the four-element Boolean lattice appended to
-    the screening sets for the modal distribution laws, against the
-    scalar oracle and the selection without them."""
+    """The structures of at most five elements appended to the screening
+    sets for the modal distribution laws, against the scalar oracle and
+    the selection without them."""
 
     def test_chains_validate_the_laws(self):
         """Every modal lattice of at most four elements on a chain
@@ -829,33 +846,53 @@ class TestDistributionScreens:
     )
     def test_appended_structures_are_the_first_refuters(self, tags):
         """The selection is kept as it was, and refutes no law; after it
-        comes, for each law, the first structure over the Boolean
-        lattice (in `all_modal_lattices(4)` order) that validates gamma
-        and refutes it, each once and in that order.  A set refutes a law
-        exactly when a brute-force scan finds such a structure."""
+        comes, for each law, the first structure of at most five elements
+        (in `all_modal_lattices` order; every smaller one is a chain) that
+        validates gamma and refutes it, each once and in that order.  A
+        set refutes a law exactly when a brute-force scan finds such a
+        structure."""
         gamma = gamma_pairs(tags)
         screens = _screening_algebras(gamma)
         selected = selected_screens(gamma)
         assert screens[: len(selected)] == selected
         appended = screens[len(selected) :]
-        square = [a for a in all_modal_lattices(4) if not is_chain(a)]
-        assert len(square) == 100
+        structures, refuters = law_refuters()
+        assert len(structures) == 275 + 4842
         firsts, coverage = [], []
-        for law in _DISTRIBUTION_LAWS:
+        for law, positions in zip(_DISTRIBUTION_LAWS, refuters):
             assert all(algebra_validates(a, law) is None for a in selected)
-            refuters = [
-                s
-                for s, a in enumerate(square)
-                if algebra_validates(a, law) is not None
-                and all(algebra_validates(a, g) is None for g in gamma)
-            ]
-            firsts += refuters[:1]
+            first = next(
+                (
+                    s
+                    for s in positions
+                    if all(algebra_validates(structures[s], g) is None for g in gamma)
+                ),
+                None,
+            )
+            firsts += [] if first is None else [first]
             coverage.append(any(algebra_validates(a, law) for a in screens))
-            assert coverage[-1] == bool(refuters)
-        assert appended == tuple(square[s] for s in sorted(set(firsts)))
+            assert coverage[-1] == (first is not None)
+        assert appended == tuple(structures[s] for s in sorted(set(firsts)))
         assert tuple(coverage) == LAW_COVERAGE[tags]
         for a in appended:
             assert all(algebra_validates(a, g) is None for g in gamma)
+
+    def test_five_elements_only_for_the_diamond_law_under_t(self):
+        """The one five-element structure appended to any set of at most
+        two tags is `all_modal_lattices(5)[2078]`, T's refuter of the `<>`
+        law, and it goes to T, T+4 and T+.2."""
+        fives = {}
+        for tags in LAW_COVERAGE:
+            gamma = gamma_pairs(tags)
+            appended = _screening_algebras(gamma)[len(selected_screens(gamma)) :]
+            fives[tags] = [a for a in appended if a.n == 5]
+        assert {tags for tags, got in fives.items() if got} == {
+            ("T",),
+            ("T", "4"),
+            ("T", ".2"),
+        }
+        for got in fives.values():
+            assert got in ([], [all_modal_lattices(5)[2078]])
 
     def test_kernel_matches_algebra_validates(self):
         """`refuting_structures` on the Boolean lattice's table of
@@ -899,6 +936,7 @@ class TestDistributionScreens:
             areas[tags] = sum(n**2 for n in tables.sizes)
             positions[tags] = sum(n**3 for n in tables.sizes)
         assert max(areas.values()) == areas[("B",)] == 195
+        assert areas[("T",)] == 155 and areas[("T", "4")] == areas[("T", ".2")] == 169
         assert max(positions.values()) == positions[("B",)] == 879
         assert positions[()] == 395
 
@@ -986,27 +1024,54 @@ def root_goals(tags):
     return goals + list(_DISTRIBUTION_LAWS)
 
 
+def whitman_refutes(gamma, goal):
+    """Whitman's root rule, literally: no axioms, both sides modality
+    free, and the pair not derivable in the free bounded lattice."""
+    lhs, rhs = goal.lhs, goal.rhs
+    return (
+        not gamma
+        and is_modality_free(lhs)
+        and is_modality_free(rhs)
+        and not free_lattice_leq(lhs, rhs)
+    )
+
+
+# the axiom-free lattice laws of the countermodel benchmark, which no
+# screen refutes and Whitman's condition does
+LATTICE_LAWS = tuple(
+    pair
+    for pair in (parse_pair(text) for text, tags in COUNTERMODEL_TEMPLATES if not tags)
+    if is_modality_free(pair.lhs) and is_modality_free(pair.rhs)
+)
+
+
 class TestRootScreen:
-    """`derive_bounded` screens the root before it builds a cut pool or a
+    """`derive_bounded` checks the root before it builds a cut pool or a
     search, with the outcome of the literal path, which builds both and
-    lets the search's first expansion screen the root."""
+    lets the search's first expansion screen the root, and, at budget
+    >= 1, returns None for a root that Whitman's rule refutes."""
 
     @pytest.mark.parametrize("tags", ROOT_TAGS, ids=lambda t: "+".join(t) or "none")
     def test_same_outcome_as_the_literal_path(self, tags):
         gamma = gamma_pairs(tags)
         goals = root_goals(tags)
-        at_root = 0
+        at_root = gated = 0
         for goal in goals:
             for depth, budget in product((0, 1, 6), (0, 1, 200_000)):
                 got = outcome(lambda: derive_bounded(gamma, goal, depth, budget))
-                want = outcome(
-                    lambda: literal_derive_bounded(gamma, goal, depth, budget)
-                )
+                if budget >= 1 and whitman_refutes(gamma, goal):
+                    want = "returns", None
+                    gated += 1
+                else:
+                    want = outcome(
+                        lambda: literal_derive_bounded(gamma, goal, depth, budget)
+                    )
                 assert got == want, (str(goal), depth, budget)
             search = ProofSearch(gamma, cut_pool(goal, gamma))
             search.prove(goal, 6)
             at_root += (search.expansions, search.screen_rejects) == (1, 1)
         assert 3 <= at_root < len(goals)
+        assert (gated > 0) == (not gamma)
 
     def test_caller_pool_path(self, monkeypatch):
         """A caller's caps come through its set-up, as on the distributive
@@ -1044,7 +1109,7 @@ class TestRootScreen:
         assert proofs_found > 0
         assert len(capped) > len(goals) and all(capped)
 
-    @pytest.mark.parametrize("law", _DISTRIBUTION_LAWS, ids=str)
+    @pytest.mark.parametrize("law", _DISTRIBUTION_LAWS + LATTICE_LAWS, ids=str)
     def test_refuted_root_builds_no_pool(self, law, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("built for a refuted root")
@@ -1053,6 +1118,76 @@ class TestRootScreen:
         monkeypatch.setattr(proofs, "ProofSearch", refuse)
         assert derive_bounded((), law, 6) is None
         assert derive_bounded((), law, 6, setup=SearchSetup((), 5, 40)) is None
+
+    def test_whitman_refutes_the_lattice_laws_that_pass_the_screen(self):
+        """No screen refutes the axiom-free lattice laws, so the search
+        runs to exhaustion on each; Whitman's rule refutes them."""
+        assert len(LATTICE_LAWS) == 3
+        for law in LATTICE_LAWS:
+            search = ProofSearch((), cut_pool(law))
+            assert search.prove(law, 6) is None
+            assert search.expansions > 100 and whitman_refutes((), law)
+
+
+def lattice_formula(rng, names, depth):
+    """A seeded modality-free formula over `names`."""
+    if depth == 0 or rng.random() < 0.3:
+        r = rng.random()
+        return TOP if r < 0.05 else BOT if r < 0.1 else Letter(rng.choice(names))
+    op = rng.choice((And, Or))
+    return op(
+        lattice_formula(rng, names, depth - 1), lattice_formula(rng, names, depth - 1)
+    )
+
+
+class TestWhitmanRootCheck:
+    """Whitman's rule at `derive_bounded`'s root is sound: where it says
+    no, a search that does not use it finds no proof."""
+
+    def test_no_proof_where_whitman_says_no(self):
+        """200 seeded modality-free pairs that Whitman rejects, half over
+        at most three letters and half over exactly four, which no screen
+        takes: an ungated `ProofSearch` finds no proof at any depth up to
+        8, and `derive_bounded` returns None."""
+        rng = random.Random(2029)
+        pairs = []
+        while len(pairs) < 200:
+            names = ("p", "q", "r", "s") if len(pairs) % 2 else ("p", "q", "r")
+            pair = ConsequencePair(
+                lattice_formula(rng, names, 3), lattice_formula(rng, names, 3)
+            )
+            if len(names) == 4 and len(letters(pair)) < 4:
+                continue
+            if not free_lattice_leq(pair.lhs, pair.rhs):
+                pairs.append(pair)
+        searched = 0
+        for pair in pairs:
+            search = ProofSearch((), cut_pool(pair))
+            for depth in range(1, 9):
+                assert search.prove(pair, depth) is None, (str(pair), depth)
+            # a root the screen refutes is expanded once, at depth 1
+            searched += search.expansions > 1
+            assert derive_bounded((), pair, 8) is None
+        assert searched >= 50
+
+    def test_pair_nested_max_height_deep(self, monkeypatch):
+        """Modality-free sides nested `MAX_HEIGHT` deep, which the parser
+        accepts, go through the check with no RecursionError, and a
+        rejected one builds no pool."""
+        assert sys.getrecursionlimit() == 1000
+        conj = " & ".join(["p", "q", "r", "s"] * 25 + ["p"])
+        disj = "(t v " * MAX_HEIGHT + "u" + ")" * MAX_HEIGHT
+        meet = "(p & " * MAX_HEIGHT + "q" + ")" * MAX_HEIGHT
+        join = " v ".join(["r", "s", "t", "u"] * 25 + ["r"])
+        goals = [parse_pair(f"{conj} |- {disj}"), parse_pair(f"{join} |- {meet}")]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built for a refuted root")
+
+        monkeypatch.setattr(proofs, "cut_pool", refuse)
+        for goal in goals:
+            assert whitman_refutes((), goal)
+            assert derive_bounded((), goal, MAX_PROOF_DEPTH) is None
 
 
 def literal_seeds(tables, k):

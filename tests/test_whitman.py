@@ -17,8 +17,10 @@ from wpml.formulas import (
     parse_formula,
 )
 from wpml.lattice import algebra_validates, with_identity_modalities
-from wpml.proofs import check_proof, derive_bounded
+from wpml.proofs import check_proof
 from wpml.whitman import free_lattice_leq, normalize_constants
+
+from conftest import literal_derive_bounded
 
 
 def leq(a, b):
@@ -113,7 +115,8 @@ class TestCrossChecks:
             if not free_lattice_leq(phi, psi):
                 continue
             depth = 2 * (connectives(phi) + connectives(psi)) + 2
-            proof = derive_bounded((), ConsequencePair(phi, psi), depth)
+            # ungated: `derive_bounded`'s root check is Whitman itself
+            proof = literal_derive_bounded((), ConsequencePair(phi, psi), depth)
             assert proof is not None, (str(phi), str(psi))
             assert check_proof(proof) is None
             confirmed += 1
