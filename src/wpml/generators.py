@@ -28,7 +28,6 @@ from .lattice import FiniteLattice, FiniteModalLattice, LatticeMorphism, enumera
 from .lframe import (
     LFrame,
     ModalLFrame,
-    _meet_reach,
     enumerate_frame_morphisms,
     fil_f,
     filters,
@@ -84,14 +83,25 @@ def _family_lframe(members: tuple[int, ...], full: int) -> LFrame:
 
 
 def _modal_fixpoint(frame: LFrame, succ: list[int], rounds: int) -> bool:
-    """Grow the relation toward conditions (i)-(v); True when stable.  The
-    (iv) and (i)/(ii) repairs are written out because they re-read the
-    successor sets they grow; (iii) adds what `_meet_reach` misses."""
+    """Grow the relation toward conditions (i)-(v); True when stable.
+    Each round makes the (iv), (i)/(ii) and (iii) repairs in turn, each
+    a pass over the pairs of points in lexicographic order that reads
+    the successor sets as the earlier repairs left them, a successor set
+    at a time on the frame's tables: (iv) ORs into R[x meet y] the meet
+    image of R[y], read afresh, of each u in R[x]; (i) adds to R[x] the
+    least point of R[y] above no point of R[x], then the least one above
+    none of those added, and so on, and (ii) likewise into R[y],
+    downward; (iii) adds to R[x] and R[y] what the up-closure of their
+    meet images misses of R[x meet y].  tests/test_generators.py checks
+    it against the per-pair repairs."""
     n = frame.n
     one = frame.one
     meet = frame.meet
     up = frame.up_masks
     down = frame.down_masks
+    images = frame.meet_images
+    up_cl = frame.up_closures
+    down_cl = frame.down_closures
     succ[one] = 1 << one
     for _ in range(rounds):
         changed = False
@@ -100,40 +110,46 @@ def _modal_fixpoint(frame: LFrame, succ: list[int], rounds: int) -> bool:
                 succ[x] |= 1 << x
                 changed = True
         for x in range(n):
+            mx = meet[x]
             for y in range(n):
-                xy = meet[x][y]
+                xy = mx[y]
                 mu = succ[x]
                 while mu:
                     u = (mu & -mu).bit_length() - 1
                     mu &= mu - 1
-                    mv = succ[y]
-                    while mv:
-                        v = (mv & -mv).bit_length() - 1
-                        mv &= mv - 1
-                        if not succ[xy] >> meet[u][v] & 1:
-                            succ[xy] |= 1 << meet[u][v]
-                            changed = True
+                    added = images[u][succ[y]] & ~succ[xy]
+                    if added:
+                        succ[xy] |= added
+                        changed = True
         for x in range(n):
-            for y in range(n):
-                if not frame.le(x, y):
+            m = up[x]
+            while m:
+                y = (m & -m).bit_length() - 1
+                m &= m - 1
+                missed = succ[y] & ~up_cl[succ[x]]
+                while missed:
+                    z = (missed & -missed).bit_length() - 1
+                    succ[x] |= 1 << z
+                    missed &= ~up[z]
+                    changed = True
+                if y == one:
                     continue
-                m = succ[y]
-                while m:
-                    z = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if succ[x] & down[z] == 0:
-                        succ[x] |= 1 << z
-                        changed = True
-                m = succ[x]
-                while m:
-                    w = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if succ[y] & up[w] == 0 and y != one:
-                        succ[y] |= 1 << w
-                        changed = True
+                missed = succ[x] & ~down_cl[succ[y]]
+                while missed:
+                    w = (missed & -missed).bit_length() - 1
+                    succ[y] |= 1 << w
+                    missed &= ~down[w]
+                    changed = True
         for x in range(n):
+            mx = meet[x]
             for y in range(n):
-                missed = succ[meet[x][y]] & ~_meet_reach(frame, succ[x], succ[y])
+                sy = succ[y]
+                image = 0
+                mu = succ[x]
+                while mu:
+                    image |= images[(mu & -mu).bit_length() - 1][sy]
+                    mu &= mu - 1
+                missed = succ[mx[y]] & ~up_cl[image]
                 if missed:
                     if x != one:
                         succ[x] |= missed

@@ -24,13 +24,21 @@ pointwise `satisfies` and the recursive `truth_set` are its reference
 oracles.  `entailment` takes the countervaluation on a refuting
 structure's tight dual from `frame_validates`, the one per-frame search.
 
-Each modal-L-frame condition is written once, as a kernel on one pair of
-points: `_order_gap` for (i)/(ii), `_meet_gap` for (iv) and `_meet_reach`
-for (iii), which is also `filter_join`.  The validator and
-`catalog.modal_relations` use all three.  `generators._modal_fixpoint`
-uses `_meet_reach` only: its (i)/(ii)/(iv) repairs grow successor sets
-mid-scan and read the grown sets at once, which a per-pair kernel would
-not reproduce.
+Each L-frame keeps three tables over point sets, filled one mask at a
+time on first read (`_UnionTable`, `_ImageTable`): `up_closures[m]`,
+`down_closures[m]` and `meet_images[u][m]`, the points u meet v for v in
+m.  The kernels work on a whole successor set through them, one image
+per point u instead of one meet per pair (u, v): `_meet_reach`, the
+up-closure of the union of a set's images, is condition (iii) and
+`filter_join`; `_order_gap` tests (i)/(ii) by one closure each and
+`_meet_gap` tests (iv) by one image per u.  `up_closure`, `is_filter`
+and `filter_closure` read the same tables.  The validator tests every
+condition on the tables and calls a gap kernel only to name the witness
+of the first failure; `catalog.modal_relations` prunes with the gap
+kernels; `generators._modal_fixpoint` repairs with the tables directly,
+since its repairs grow successor sets mid-scan and read the grown sets
+at once.  tests/test_lframe.py and tests/test_generators.py check the
+kernels against the per-pair loops they replaced.
 """
 
 from __future__ import annotations
@@ -77,6 +85,43 @@ FrameFilter = int  # bitmask over frame points
 FrameValuation = dict[str, int]  # letter -> FrameFilter
 
 
+class _UnionTable(dict):
+    """mask -> the union of rows[x] over the points x of the mask, each
+    entry computed on its first read, so a frame pays only for the point
+    sets it meets (2**n entries would not fit a frame of 256 points)."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, mask: int) -> int:
+        rows, out, m = self.rows, 0, mask
+        while m:
+            low = m & -m
+            out |= rows[low.bit_length() - 1]
+            m ^= low
+        self[mask] = out
+        return out
+
+
+class _ImageTable(_UnionTable):
+    """mask -> the mask of the points rows[x] over the points x of the
+    mask, each entry computed on its first read."""
+
+    __slots__ = ()
+
+    def __missing__(self, mask: int) -> int:
+        row, out, m = self.rows, 0, mask
+        while m:
+            low = m & -m
+            out |= 1 << row[low.bit_length() - 1]
+            m ^= low
+        self[mask] = out
+        return out
+
+
 @dataclass(frozen=True)
 class LFrame:
     """Meet semilattice with top element `one`.
@@ -113,6 +158,21 @@ class LFrame:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
+
+    @cached_property
+    def up_closures(self) -> _UnionTable:
+        """up_closures[m] = mask of the points above some point of m."""
+        return _UnionTable(self.up_masks)
+
+    @cached_property
+    def down_closures(self) -> _UnionTable:
+        """down_closures[m] = mask of the points below some point of m."""
+        return _UnionTable(self.down_masks)
+
+    @cached_property
+    def meet_images(self) -> tuple[_ImageTable, ...]:
+        """meet_images[u][m] = mask of {u meet v : v in m}."""
+        return tuple(map(_ImageTable, self.meet))
 
     @cached_property
     def filter_masks(self) -> tuple[int, ...]:
@@ -271,38 +331,28 @@ def _order_gap(base: LFrame, succ, x: int, y: int) -> Optional[tuple[str, int]]:
     R[y] with no w in R[x] below it; else ("ii", w) for the least w in R[x]
     with no z in R[y] above it; else None."""
     sx, sy = succ[x], succ[y]
-    down, up = base.down_masks, base.up_masks
-    m = sy
-    while m:
-        z = (m & -m).bit_length() - 1
-        m &= m - 1
-        if sx & down[z] == 0:
-            return "i", z
-    m = sx
-    while m:
-        w = (m & -m).bit_length() - 1
-        m &= m - 1
-        if sy & up[w] == 0:
-            return "ii", w
+    missed = sy & ~base.up_closures[sx]
+    if missed:
+        return "i", (missed & -missed).bit_length() - 1
+    missed = sx & ~base.down_closures[sy]
+    if missed:
+        return "ii", (missed & -missed).bit_length() - 1
     return None
 
 
 def _meet_gap(base: LFrame, succ, x: int, y: int) -> Optional[tuple[int, int]]:
     """Condition (iv) at (x, y): x R u and y R v imply (x meet y) R
     (u meet v).  The least (u, v) it fails for, or None."""
-    meet = base.meet
-    tgt = succ[meet[x][y]]
+    meet, images = base.meet, base.meet_images
+    tgt, sy = succ[meet[x][y]], succ[y]
     mu = succ[x]
     while mu:
         u = (mu & -mu).bit_length() - 1
         mu &= mu - 1
-        row = meet[u]
-        mv = succ[y]
-        while mv:
-            v = (mv & -mv).bit_length() - 1
-            mv &= mv - 1
-            if not tgt >> row[v] & 1:
-                return u, v
+        if images[u][sy] & ~tgt:
+            row = meet[u]
+            v = next(v for v in range(base.n) if sy >> v & 1 and not tgt >> row[v] & 1)
+            return u, v
     return None
 
 
@@ -310,24 +360,21 @@ def _meet_reach(base: LFrame, a: int, b: int) -> int:
     """The up-closure of {u meet v : u in a, v in b}.  Condition (iii) at
     (x, y), that (x meet y) R z needs u in R[x], v in R[y] with u meet v
     below z, holds iff R[x meet y] lies inside the reach of R[x], R[y]."""
-    meet, up = base.meet, base.up_masks
-    reach = 0
+    images = base.meet_images
+    image = 0
     while a:
         u = (a & -a).bit_length() - 1
         a &= a - 1
-        row = meet[u]
-        mv = b
-        while mv:
-            v = (mv & -mv).bit_length() - 1
-            mv &= mv - 1
-            reach |= up[row[v]]
-    return reach
+        image |= images[u][b]
+    return base.up_closures[image]
 
 
 def _check_modal_conditions(base: LFrame, succ) -> Optional[FrameViolation]:
     """The first violation in the scan order: (v), nonempty successor
     sets, (i)/(ii) over the pairs x below y, then (iv) before (iii) over
-    all pairs, each in lexicographic order of the pair."""
+    all pairs, each in lexicographic order of the pair.  Each pair is
+    tested on the frame's tables; `_order_gap` and `_meet_gap` only name
+    the witness of the first failure."""
     n = base.n
     meet = base.meet
     one = base.one
@@ -337,18 +384,34 @@ def _check_modal_conditions(base: LFrame, succ) -> Optional[FrameViolation]:
     for x in range(n):
         if succ[x] == 0:
             return FrameViolation("i", (x,))  # forced nonempty via x below 1, 1 R 1
+    up, up_cl, down_cl = base.up_masks, base.up_closures, base.down_closures
     for x in range(n):
-        for y in range(n):
-            if base.le(x, y):
-                gap = _order_gap(base, succ, x, y)
-                if gap is not None:
-                    return FrameViolation(gap[0], (x, y, gap[1]))
+        sx = succ[x]
+        above = up_cl[sx]
+        m = up[x]
+        while m:
+            y = (m & -m).bit_length() - 1
+            m &= m - 1
+            sy = succ[y]
+            if sy & ~above or sx & ~down_cl[sy]:
+                kind, w = _order_gap(base, succ, x, y)
+                return FrameViolation(kind, (x, y, w))
+    images = base.meet_images
     for x in range(n):
+        rows = []
+        mu = succ[x]
+        while mu:
+            rows.append(images[(mu & -mu).bit_length() - 1])
+            mu &= mu - 1
+        mx = meet[x]
         for y in range(n):
-            gap = _meet_gap(base, succ, x, y)
-            if gap is not None:
-                return FrameViolation("iv", (x, y) + gap)
-            missed = succ[meet[x][y]] & ~_meet_reach(base, succ[x], succ[y])
+            sy, tgt = succ[y], succ[mx[y]]
+            image = 0
+            for row in rows:
+                image |= row[sy]
+            if image & ~tgt:
+                return FrameViolation("iv", (x, y) + _meet_gap(base, succ, x, y))
+            missed = tgt & ~up_cl[image]
             if missed:
                 z = (missed & -missed).bit_length() - 1
                 return FrameViolation("iii", (x, y, z))
@@ -384,48 +447,23 @@ def validate_modal_lframe(base: LFrame, rel) -> ModalLFrame | FrameViolation:
 # --- filters ----------------------------------------------------------------
 
 def up_closure(frame: LFrame, mask: int) -> int:
-    out = 0
-    m = mask
-    while m:
-        x = (m & -m).bit_length() - 1
-        m &= m - 1
-        out |= frame.up_masks[x]
-    return out
+    return frame.up_closures[mask]
 
 
 def is_filter(frame: LFrame, mask: int) -> bool:
-    """Nonempty, upward closed, meet closed."""
-    if mask == 0:
+    """Nonempty, upward closed, meet closed: an up-set that the
+    up-closure of its pairwise meets does not leave."""
+    if mask == 0 or frame.up_closures[mask] != mask:
         return False
-    if up_closure(frame, mask) != mask:
-        return False
-    members = []
-    m = mask
-    while m:
-        x = (m & -m).bit_length() - 1
-        m &= m - 1
-        members.append(x)
-    for x in members:
-        for y in members:
-            if not mask >> frame.meet[x][y] & 1:
-                return False
-    return True
+    return _meet_reach(frame, mask, mask) == mask
 
 
 def filter_closure(frame: LFrame, mask: int) -> int:
-    """Least filter containing the (nonempty) point set."""
+    """Least filter containing the (nonempty) point set: the least fixed
+    point above it of the up-closure of pairwise meets."""
     cur = mask | 1 << frame.one
     while True:
-        nxt = up_closure(frame, cur)
-        members = []
-        m = nxt
-        while m:
-            x = (m & -m).bit_length() - 1
-            m &= m - 1
-            members.append(x)
-        for i, x in enumerate(members):
-            for y in members[i:]:
-                nxt |= 1 << frame.meet[x][y]
+        nxt = _meet_reach(frame, cur, cur)
         if nxt == cur:
             return cur
         cur = nxt

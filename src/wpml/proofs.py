@@ -60,31 +60,34 @@ screens it, and with no axioms it decides a modality-free root in the
 free bounded lattice by Whitman's condition (`whitman.free_lattice_leq`),
 whose "no" is sound for the calculus (see `derive_bounded`).  A refuted
 root builds no cut pool and no `ProofSearch`; a root that passes hands
-its set-up's screen on to the search.  Whitman stays an oracle as well:
-tests/test_proofs.py checks its "no" against an ungated `ProofSearch`.
+its set-up's screen on to the search, marked as screened there, so the
+search's first expansion does not screen it again.  Whitman stays an
+oracle as well: tests/test_proofs.py checks its "no" against an ungated
+`ProofSearch`.
 
 Memo tables: a search numbers the formulas it meets with small ints of
 its own and keys its memo tables by the ids of a pair's two sides, so
 the memo probes that make up most `prove` calls are int-keyed dict hits
-instead of hashing and comparing formula pairs.  The transitivity loop
+instead of hashing and comparing formula pairs.  Each success is stored
+with its height, taken from its premises' stored heights, so the depth
+bounds the height of every proof returned.  The transitivity loop
 probes each leg's entry inline, by the rule of `_prove`'s memo prologue
-(a success at any depth, or a failure at that depth or deeper, decides
-the leg), and sends the legs the memo leaves open straight to the
-expansion, `_expand`, which counts, screens and tries the rules.  Once a
-loop for a left id has walked the whole pool at depth d without finding
-a cut, the search keeps that id's live cuts, the pool cuts whose first
-leg succeeded: every other first leg failed at depth d or deeper, which
-decides it in any loop at depth d or less, so such loops walk the live
-cuts alone, in pool order (`ProofSearch._live_cuts`).  No table is
-shared between searches: an id means nothing outside the search that
-gave it.
+(a success of height at most the depth, or a failure at that depth or
+deeper, decides the leg), and sends the legs the memo leaves open
+straight to the expansion, `_expand`, which counts, screens and tries
+the rules.  Once a loop for a left id has walked the whole pool at depth
+d without finding a cut, the search keeps that id's live cuts, the pool
+cuts whose first leg succeeded: every other first leg has no proof of
+height d or less, which decides it in any loop at depth d or less, so
+such loops walk the live cuts alone, in pool order
+(`ProofSearch._live_cuts`).  No table is shared between searches: an id
+means nothing outside the search that gave it.
 tests/test_proofs.py checks the search against a literal copy of the
 formula-keyed one.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -423,6 +426,9 @@ def _search_order(ranked, subs) -> tuple[Formula, ...]:
 
 _NEVER = 10**9
 
+# the Becker rule of a pair whose two sides are both of the key's type
+_BECKER = {Box: "becker-box", Dia: "becker-dia"}
+
 
 @lru_cache(maxsize=None)
 def _screening_candidates() -> tuple:
@@ -543,9 +549,10 @@ class ProofSearch:
     the children of a subgoal when the subgoal is expanded.  The memo
     tables are keyed by the ids of a pair's two sides, so a memo probe is
     an int-keyed dict hit; a `ConsequencePair` is built only when a
-    subgoal is expanded.  They are `success` (key -> proof) and
-    `failed_at` (key -> largest depth that failed), where the key of the
-    pair of ids (l, r) is `l << 32 | r`.
+    subgoal is expanded.  They are `success` (key -> proof), `height`
+    (key -> that proof's height) and `failed_at` (key -> largest depth
+    that failed), where the key of the pair of ids (l, r) is
+    `l << 32 | r`.
 
     `screen`, a `PackedScreen` over `screens` that the caller has used
     already (`derive_bounded` passes its `SearchSetup`'s, with which it
@@ -577,13 +584,10 @@ class ProofSearch:
         self._ids = ids
         self._pool_ids = tuple(ids.setdefault(f, len(ids)) for f in self.pool)
         self._formulas: list[Formula] = list(ids)
-        # pool id -> its positions in the pool (a formula may occur twice)
-        self._pool_at: dict[int, list[int]] = {}
-        for at, cut in enumerate(self._pool_ids):
-            self._pool_at.setdefault(cut, []).append(at)
-        # left id -> its live cuts `(dmax, cuts, positions)`; see `_expand`
-        self._live: dict[int, tuple[int, list[int], list[int]]] = {}
+        # left id -> its live cuts `(dmax, cuts)`; see `_live_cuts`
+        self._live: dict[int, tuple[int, list[int]]] = {}
         self.success: dict[int, Proof] = {}
+        self.height: dict[int, int] = {}
         self.failed_at: dict[int, int] = {}
         # letter bitmask of each formula id the screen has met, one bit per
         # letter in the order the search met them
@@ -694,13 +698,13 @@ class ProofSearch:
         return self._prove(self._id(pair.lhs), self._id(pair.rhs), depth)
 
     def _prove(self, l: int, r: int, depth: int) -> Optional[Proof]:
-        """The memo prologue: a success at any depth, or a failure at
-        `depth` or deeper, decides the pair of ids (l, r); any other pair
-        is expanded."""
+        """The memo prologue: a success of height at most `depth`, or a
+        failure at `depth` or deeper, decides the pair of ids (l, r); any
+        other pair is expanded."""
         key = l << _SHIFT | r
-        found = self.success.get(key)
-        if found is not None:
-            return found
+        h = self.height.get(key)
+        if h is not None and h <= depth:
+            return self.success[key]
         if depth <= 0 or self.failed_at.get(key, -1) >= depth:
             return None
         return self._expand(l, r, depth)
@@ -709,7 +713,12 @@ class ProofSearch:
         """The expansion of the pair of ids (l, r), which the memo leaves
         open at `depth` >= 1: it is counted against the budget and
         screened, then the rules are tried in order and the outcome is
-        stored."""
+        stored, a success with its height.  A proof with premises is
+        built from the memo's successes for the premises' keys, and its
+        height is one more than the greatest of their stored heights:
+        both are read once the rule is complete, because a later
+        premise's search may have replaced an earlier one's success by a
+        lower proof."""
         key = l << _SHIFT | r
         self.expansions += 1
         if self.expansions > self.budget:
@@ -720,99 +729,87 @@ class ProofSearch:
         lhs, rhs = self._formulas[l], self._formulas[r]
         pair = ConsequencePair(lhs, rhs)
         found = self._leaf(pair)
-        if found is None and depth < 2:
-            # no room for premises: only leaves fit
-            self.failed_at[key] = depth
-            return None
-        prove, fid, d = self._prove, self._id, depth - 1
-        if found is None and isinstance(rhs, And):
-            a = prove(l, fid(rhs.lhs), d)
-            if a is not None:
-                b = prove(l, fid(rhs.rhs), d)
-                if b is not None:
-                    found = Proof("right-conjunction", pair, (a, b))
-        if found is None and isinstance(lhs, Or):
-            a = prove(fid(lhs.lhs), r, d)
-            if a is not None:
-                b = prove(fid(lhs.rhs), r, d)
-                if b is not None:
-                    found = Proof("left-disjunction", pair, (a, b))
-        if found is None and isinstance(lhs, Box) and isinstance(rhs, Box):
-            a = prove(fid(lhs.arg), fid(rhs.arg), d)
-            if a is not None:
-                found = Proof("becker-box", pair, (a,))
-        if found is None and isinstance(lhs, Dia) and isinstance(rhs, Dia):
-            a = prove(fid(lhs.arg), fid(rhs.arg), d)
-            if a is not None:
-                found = Proof("becker-dia", pair, (a,))
+        h = 1
         if found is None:
-            # each leg's memo probe is `_prove`'s prologue, inline: a success
-            # at any depth, or a failure at depth d or deeper, needs no call,
-            # and a leg the memo leaves open is expanded directly
-            success, failed_at, ll = self.success, self.failed_at, l << _SHIFT
-            expand = self._expand
-            live = self._live.get(l)
-            full = live is None or live[0] < d
-            for cut in self._pool_ids if full else live[1]:
-                if cut == l or cut == r:
-                    continue
-                a = success.get(ll | cut)
-                if a is None:
-                    if failed_at.get(ll | cut, -1) >= d:
-                        continue
-                    a = expand(l, cut, d)
-                    if a is None:
-                        continue
-                key2 = cut << _SHIFT | r
-                b = success.get(key2)
-                if b is None:
-                    if failed_at.get(key2, -1) >= d:
-                        continue
-                    b = expand(cut, r, d)
-                    if b is None:
-                        continue
-                found = Proof("transitivity", pair, (a, b))
-                break
-            else:
-                if full:
-                    self._live[l] = self._live_cuts(l, d)
+            if depth < 2:
+                # no room for premises: only leaves fit
+                self.failed_at[key] = depth
+                return None
+            step = self._premises(l, r, lhs, rhs, depth - 1)
+            if step is not None:
+                rule, keys = step
+                found = Proof(rule, pair, tuple(map(self.success.__getitem__, keys)))
+                h += max(map(self.height.__getitem__, keys))
         if found is not None:
             self.success[key] = found
-            # l is never a cut of its own loop, and (l, l) may succeed
-            # while a loop for l walks its live cuts
-            live = self._live.get(l)
-            if live is not None and r != l and r in self._pool_at:
-                self._revive(live, r)
+            self.height[key] = h
         else:
             self.failed_at[key] = depth
         return found
 
-    def _live_cuts(self, l: int, d: int) -> tuple[int, list[int], list[int]]:
+    def _premises(
+        self, l: int, r: int, lhs: Formula, rhs: Formula, d: int
+    ) -> Optional[tuple[str, tuple[int, ...]]]:
+        """The first rule with premises, in rule order, whose premises all
+        succeed at depth d, with the premises' memo keys; None if none."""
+        prove, fid, ll = self._prove, self._id, l << _SHIFT
+        if isinstance(rhs, And):
+            a = fid(rhs.lhs)
+            if prove(l, a, d) is not None:
+                b = fid(rhs.rhs)
+                if prove(l, b, d) is not None:
+                    return "right-conjunction", (ll | a, ll | b)
+        if isinstance(lhs, Or):
+            a = fid(lhs.lhs)
+            if prove(a, r, d) is not None:
+                b = fid(lhs.rhs)
+                if prove(b, r, d) is not None:
+                    return "left-disjunction", (a << _SHIFT | r, b << _SHIFT | r)
+        rule = _BECKER.get(type(lhs))
+        if rule is not None and type(rhs) is type(lhs):
+            a, b = fid(lhs.arg), fid(rhs.arg)
+            if prove(a, b, d) is not None:
+                return rule, (a << _SHIFT | b,)
+        # each leg's memo probe is `_prove`'s prologue, inline: a success of
+        # height at most d, or a failure at depth d or deeper, needs no
+        # call, and a leg the memo leaves open is expanded directly
+        height, failed_at, expand = self.height, self.failed_at, self._expand
+        live = self._live.get(l)
+        full = live is None or live[0] < d
+        for cut in self._pool_ids if full else live[1]:
+            if cut == l or cut == r:
+                continue
+            key1 = ll | cut
+            h = height.get(key1)
+            if h is None or h > d:
+                if failed_at.get(key1, -1) >= d or expand(l, cut, d) is None:
+                    continue
+            key2 = cut << _SHIFT | r
+            h = height.get(key2)
+            if h is None or h > d:
+                if failed_at.get(key2, -1) >= d or expand(cut, r, d) is None:
+                    continue
+            return "transitivity", (key1, key2)
+        if full:
+            self._live[l] = self._live_cuts(l, d)
+        return None
+
+    def _live_cuts(self, l: int, d: int) -> tuple[int, list[int]]:
         """The live cuts of left id `l` after a full cut loop at depth `d`
         that found no cut: the pool cuts other than `l` whose first leg
-        `(l, cut)` is a success, in pool order, with their positions.
+        `(l, cut)` is a success, in pool order.
 
         Every other cut's first leg then failed at depth d or deeper (the
         loop probed or proved it, and the loop's own pair is stored as
-        failed at d + 1 next).  Such a failure stays decided in any later
-        loop for `l` at depth d or less: calls nested in that loop are at
-        depth d or less, so the loop's memo probe refuses the leg.  So that
-        loop may walk the live cuts instead of the pool and visit the same
-        legs in the same order, as long as a first leg that succeeds later
-        (at a depth above its failure) is put back (`_revive`)."""
-        ll, success, pool = l << _SHIFT, self.success, self._pool_ids
-        at = [i for i, cut in enumerate(pool) if cut != l and ll | cut in success]
-        return d, [pool[i] for i in at], at
-
-    def _revive(self, live, cut: int) -> None:
-        """Put pool cut `cut`, whose first leg from `live`'s left id has
-        just succeeded, into the live cuts at each of its pool positions."""
-        _, cuts, positions = live
-        for at in self._pool_at[cut]:
-            i = bisect_left(positions, at)
-            if i == len(positions) or positions[i] != at:
-                positions.insert(i, at)
-                cuts.insert(i, cut)
+        failed at d + 1 next).  The search at a depth finds a proof iff
+        the pool gives one of at most that height, since a success is
+        reused only within its height, so such a leg has no proof of
+        height d or less, and a later success of it, at a greater depth,
+        is taller than d.  So any later loop for `l` at depth d or less
+        refuses the leg, and it may walk the live cuts instead of the
+        pool and visit the same legs in the same order."""
+        ll, success = l << _SHIFT, self.success
+        return d, [cut for cut in self._pool_ids if cut != l and ll | cut in success]
 
 
 # The greatest proof depth `derive_bounded` accepts.  The search recurses
@@ -845,9 +842,10 @@ def derive_bounded(
     identity modalities, so in the free bounded lattice: Whitman's "no"
     means no proof at any depth.  So where the search would have run out
     of budget on such a root, the check returns None instead of raising.
-    Any other root is searched with the same screen.  The screen and the
-    cut pool come from `setup` (a `SearchSetup` over gamma, or a fresh
-    one), the pool at its caps."""
+    Any other root is searched with the same screen, which does not
+    check it a second time.  The screen and the cut pool come from
+    `setup` (a `SearchSetup` over gamma, or a fresh one), the pool at its
+    caps."""
     if depth > MAX_PROOF_DEPTH:
         raise SizeCap(f"proof depth {depth} exceeds the cap of {MAX_PROOF_DEPTH}")
     gamma = tuple(gamma)
@@ -866,4 +864,9 @@ def derive_bounded(
         ):
             return None
     pool = cut_pool(goal, gamma, setup.instance_cap, setup.pool_cap, setup=setup)
-    return ProofSearch(gamma, pool, budget, setup.screens, screen).prove(goal, depth)
+    search = ProofSearch(gamma, pool, budget, setup.screens, screen)
+    l, r = search._id(goal.lhs), search._id(goal.rhs)
+    # the root has passed the screen above, so the search does not screen
+    # it again (at budget < 1 its first expansion raises before it would)
+    search._screen_ok.add(l << _SHIFT | r)
+    return search._prove(l, r, depth)

@@ -23,6 +23,7 @@ from wpml.lframe import (
     filters,
     lframe_from_leq,
     truth_set,
+    validate_lframe,
     validate_modal_lframe,
 )
 from wpml.proofs import _KEY, ProofSearch, _search_order
@@ -213,6 +214,161 @@ def random_pairs(rng, count, depth=3, names=("p", "q", "r")):
     return list(out)
 
 
+# The modal-L-frame kernels as they were written before the frames kept
+# closure and meet-image tables: one meet or one order test per pair of
+# points.  The references for the table kernels of `lframe` and for
+# `generators._modal_fixpoint`.
+
+
+def _points(mask):
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
+def pairwise_order_gap(base, succ, x, y):
+    sx, sy = succ[x], succ[y]
+    for z in _points(sy):
+        if sx & base.down_masks[z] == 0:
+            return "i", z
+    for w in _points(sx):
+        if sy & base.up_masks[w] == 0:
+            return "ii", w
+    return None
+
+
+def pairwise_meet_gap(base, succ, x, y):
+    tgt = succ[base.meet[x][y]]
+    for u in _points(succ[x]):
+        for v in _points(succ[y]):
+            if not tgt >> base.meet[u][v] & 1:
+                return u, v
+    return None
+
+
+def pairwise_meet_reach(base, a, b):
+    reach = 0
+    for u in _points(a):
+        for v in _points(b):
+            reach |= base.up_masks[base.meet[u][v]]
+    return reach
+
+
+def pairwise_violation(base, succ):
+    """`(condition, witness)` of the first violation in the validator's
+    scan order, or None."""
+    n, meet, one = base.n, base.meet, base.one
+    if succ[one] != 1 << one:
+        return "v", (one,)
+    for x in range(n):
+        if succ[x] == 0:
+            return "i", (x,)
+    for x in range(n):
+        for y in range(n):
+            if base.le(x, y):
+                gap = pairwise_order_gap(base, succ, x, y)
+                if gap is not None:
+                    return gap[0], (x, y, gap[1])
+    for x in range(n):
+        for y in range(n):
+            gap = pairwise_meet_gap(base, succ, x, y)
+            if gap is not None:
+                return "iv", (x, y) + gap
+            missed = succ[meet[x][y]] & ~pairwise_meet_reach(base, succ[x], succ[y])
+            if missed:
+                return "iii", (x, y, next(_points(missed)))
+    return None
+
+
+def pairwise_up_closure(base, mask):
+    out = 0
+    for x in _points(mask):
+        out |= base.up_masks[x]
+    return out
+
+
+def pairwise_is_filter(base, mask):
+    if mask == 0 or pairwise_up_closure(base, mask) != mask:
+        return False
+    members = list(_points(mask))
+    return all(mask >> base.meet[x][y] & 1 for x in members for y in members)
+
+
+def pairwise_filter_closure(base, mask):
+    cur = mask | 1 << base.one
+    while True:
+        nxt = pairwise_up_closure(base, cur)
+        members = list(_points(nxt))
+        for i, x in enumerate(members):
+            for y in members[i:]:
+                nxt |= 1 << base.meet[x][y]
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def relabeled(frame, rng):
+    """The frame with its points renamed by a seeded permutation, so the
+    least point need not be point 0."""
+    n = frame.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    meet = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            meet[perm[x]][perm[y]] = perm[frame.meet[x][y]]
+    names = [None] * n
+    for x in range(n):
+        names[perm[x]] = frame.elements[x]
+    return validate_lframe(names, meet, perm[frame.one])
+
+
+def pairwise_modal_fixpoint(frame, succ, rounds):
+    """`generators._modal_fixpoint` with its repairs one pair of points
+    at a time, each reading the successor sets as the earlier repairs
+    left them."""
+    n, one, meet = frame.n, frame.one, frame.meet
+    up, down = frame.up_masks, frame.down_masks
+    succ[one] = 1 << one
+    for _ in range(rounds):
+        changed = False
+        for x in range(n):
+            if x != one and succ[x] == 0:
+                succ[x] |= 1 << x
+                changed = True
+        for x in range(n):
+            for y in range(n):
+                xy = meet[x][y]
+                for u in _points(succ[x]):
+                    for v in _points(succ[y]):
+                        if not succ[xy] >> meet[u][v] & 1:
+                            succ[xy] |= 1 << meet[u][v]
+                            changed = True
+        for x in range(n):
+            for y in range(n):
+                if not frame.le(x, y):
+                    continue
+                for z in _points(succ[y]):
+                    if succ[x] & down[z] == 0:
+                        succ[x] |= 1 << z
+                        changed = True
+                for w in _points(succ[x]):
+                    if succ[y] & up[w] == 0 and y != one:
+                        succ[y] |= 1 << w
+                        changed = True
+        for x in range(n):
+            for y in range(n):
+                reach = pairwise_meet_reach(frame, succ[x], succ[y])
+                missed = succ[meet[x][y]] & ~reach
+                if missed:
+                    if x != one:
+                        succ[x] |= missed
+                    if y != one:
+                        succ[y] |= missed
+                    changed = True
+        if not changed:
+            return True
+    return False
 
 
 # The five frame conditions as literal first-order clauses over a relation

@@ -203,18 +203,18 @@ def golden_results(golden_run):
 
 
 def test_golden_search_counters_are_pinned(golden_run):
-    """The work of the golden corpus's proof searches, as recorded before
-    the screen was packed; screening changes cost, never the search.
-    The candidate screen takes obligations of at most three letters only,
-    so candidate F for `((p & q) & s) & s2 |- p v r` reaches
-    `derive_bounded` with `p & q & s & s2 |- F`; Whitman's root check
-    refutes it there, so the failing search it once ran (968 expansions,
-    464 screen calls, 398 rejects, 633 memo entries) is not counted."""
+    """The work of the golden corpus's proof searches; screening changes
+    cost, never the search.  The candidate screen takes obligations of at
+    most three letters only, so candidate F for `((p & q) & s) & s2 |-
+    p v r` reaches `derive_bounded` with `p & q & s & s2 |- F`; Whitman's
+    root check refutes it there, so no search runs for it.  A memoized
+    success is reused only within its height, and a root that
+    `derive_bounded` screened is not screened again by its search."""
     assert golden_run[1] == {
-        "expansions": 141_975,
-        "screen_calls": 113_247,
-        "screen_rejects": 83_162,
-        "memo_entries": 122_224,
+        "expansions": 78_453,
+        "screen_calls": 56_531,
+        "screen_rejects": 39_420,
+        "memo_entries": 60_397,
     }
 
 

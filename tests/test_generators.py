@@ -18,7 +18,9 @@ from wpml.lattice import check_modal_identities, validate_lattice
 from wpml.lframe import ModalLFrame, _l_maps, validate_lframe, validate_modal_lframe
 from wpml.correspondence import CONDITIONS, INCLUSIONS, frame_satisfies
 
-from conftest import literal_closure
+from wpml.catalog import all_lframes
+
+from conftest import literal_closure, pairwise_modal_fixpoint, relabeled
 
 
 class TestDeterminism:
@@ -97,6 +99,33 @@ def fixpoint_states(rng, count):
         if _modal_fixpoint(frame, succ, rounds=4 * n * n + 4):
             states.append((frame, succ))
     return states
+
+
+def test_fixpoint_matches_the_pairwise_repairs():
+    """`_modal_fixpoint` on the frames' tables grows the same relation and
+    returns the same verdict as its per-pair loops, on catalog frames of
+    up to 4 points and sampled frames of 5-8 points with their points
+    renamed, at round limits that stop some relations short."""
+    rng = random.Random(2030)
+    frames = [frame for n in range(1, 5) for frame in all_lframes(n)]
+    for _ in range(150):
+        frames.append(relabeled(sample_lframe(rng, rng.randint(5, 8)), rng))
+    verdicts = set()
+    for frame in frames:
+        n = frame.n
+        for _ in range(4):
+            density = rng.choice((0.2, 0.35, 0.5))
+            start = [
+                sum(1 << y for y in range(n) if rng.random() < density)
+                for _ in range(n)
+            ]
+            rounds = rng.choice((1, 2, 4 * n * n + 4))
+            got, want = list(start), list(start)
+            verdict = _modal_fixpoint(frame, got, rounds)
+            assert verdict == pairwise_modal_fixpoint(frame, want, rounds)
+            assert got == want, (frame.meet, start, rounds)
+            verdicts.add((verdict, rounds > 2))
+    assert verdicts == {(True, True), (True, False), (False, False)}
 
 
 def test_horn_closure_is_the_literal_least_fixpoint():

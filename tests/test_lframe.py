@@ -43,8 +43,10 @@ from wpml.lframe import (
     is_l_morphism,
     lframe_from_leq,
     satisfies,
+    _meet_reach,
     successor_extrema,
     truth_set,
+    up_closure,
     validate_modal_lframe,
 )
 
@@ -52,8 +54,15 @@ from conftest import (
     chain_leq,
     identity_modal,
     literal_modal_lframes,
+    pairwise_filter_closure,
+    pairwise_is_filter,
+    pairwise_meet_reach,
+    pairwise_modal_fixpoint,
+    pairwise_up_closure,
+    pairwise_violation,
     random_pairs,
     reference_frame_validates,
+    relabeled,
 )
 
 
@@ -749,6 +758,99 @@ class TestModalCatalog:
             assert x == want[i]
             if i % 100 == 0:
                 assert list(all_modal_lframes(4)) == want
+
+
+def boolean_frame(k):
+    """The 2**k subsets of k bits under intersection, top the full set."""
+    n = 1 << k
+    meet = tuple(tuple(a & b for b in range(n)) for a in range(n))
+    return LFrame(tuple(map(str, range(n))), meet, n - 1)
+
+
+def near_modal_relations(rng, frame, count):
+    """Seeded successor tuples near the modal L-frames on `frame`: a
+    random relation grown by the pairwise fixpoint, then none, one or two
+    edges flipped."""
+    n = frame.n
+    out = []
+    while len(out) < count:
+        density = rng.choice((0.2, 0.4))
+        succ = [
+            sum(1 << y for y in range(n) if rng.random() < density) for _ in range(n)
+        ]
+        pairwise_modal_fixpoint(frame, succ, rounds=4 * n * n + 4)
+        for _ in range(rng.randint(0, 2)):
+            succ[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        out.append(tuple(succ))
+    return out
+
+
+class TestTableKernels:
+    """The kernels on the frames' closure and meet-image tables against
+    the per-pair loops they replaced (see conftest): on catalog frames of
+    up to 4 points, on sampled frames of 5-8 points with their points
+    renamed and on the Boolean frame of 256 points."""
+
+    @staticmethod
+    def assert_kernels_agree(frame, succ, masks):
+        out = validate_modal_lframe(frame, succ)
+        want = pairwise_violation(frame, succ)
+        if want is None:
+            assert isinstance(out, ModalLFrame) and out.succ == tuple(succ)
+        else:
+            assert (out.condition, out.witness) == want, (frame.meet, succ)
+        for a, b in zip(masks, masks[1:]):
+            assert _meet_reach(frame, a, b) == pairwise_meet_reach(frame, a, b)
+            assert up_closure(frame, a) == pairwise_up_closure(frame, a)
+            assert filter_closure(frame, a) == pairwise_filter_closure(frame, a)
+            assert is_filter(frame, a) == pairwise_is_filter(frame, a)
+        return want
+
+    def test_catalog_frames_up_to_four_points(self):
+        rng = random.Random(30)
+        seen = set()
+        for n in range(1, 5):
+            for frame in all_lframes(n):
+                cases = [x.succ for x in all_modal_lframes(n) if x.base == frame]
+                cases += near_modal_relations(rng, frame, 12)
+                cases += [
+                    tuple(rng.randrange(1 << n) for _ in range(n)) for _ in range(12)
+                ]
+                masks = list(range(1 << n))
+                for succ in cases:
+                    want = self.assert_kernels_agree(frame, succ, masks)
+                    seen.add(want and want[0])
+        assert seen == {None, "v", "i", "ii", "iii", "iv"}
+
+    def test_sampled_frames_of_five_to_eight_points(self):
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(120):
+            frame = relabeled(sample_modal_lframe(rng, rng.randint(5, 8)).base, rng)
+            masks = [rng.getrandbits(frame.n) for _ in range(6)]
+            for succ in near_modal_relations(rng, frame, 3):
+                want = self.assert_kernels_agree(frame, succ, masks)
+                seen.add(want and want[0])
+        assert seen >= {None, "i", "ii", "iv"}
+
+    def test_boolean_frame_of_256_points(self):
+        frame = boolean_frame(8)
+        n, rng = frame.n, random.Random(32)
+        identity = [1 << x for x in range(n)]
+        cases = [identity]
+        for _ in range(4):
+            succ = list(identity)
+            for _ in range(rng.randint(1, 3)):
+                succ[rng.randrange(n - 1)] |= 1 << rng.randrange(n)
+            cases.append(succ)
+        masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(5)]
+        masks += [sum(1 << rng.randrange(n) for _ in range(3)) for _ in range(5)]
+        seen = {
+            self.assert_kernels_agree(frame, succ, masks) is None for succ in cases
+        }
+        assert seen == {True, False}
+        # the tables hold only what was read
+        assert len(frame.up_closures) < 1 << 10
 
 
 class TestSuccessorStructure:

@@ -6,6 +6,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wpml import proofs
 from wpml.catalog import (
@@ -358,6 +359,53 @@ class TestSearchSetup:
         assert derive_bounded(AXIOMS["T"], goal, 3, setup=setup) is not None
 
 
+def small_formulas(names):
+    """Formulas over `names`, T and F of at most four leaves."""
+    leaves = st.sampled_from([*map(Letter, names), TOP, BOT])
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.builds(And, kids, kids),
+            st.builds(Or, kids, kids),
+            st.builds(Box, kids),
+            st.builds(Dia, kids),
+        ),
+        max_leaves=4,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    phi=small_formulas("pq"),
+    psi=small_formulas("pr"),
+    tags=st.sampled_from([(), ("T",), ("4",), ("B",), ("5",), (".2",)]),
+    depth=st.integers(1, 5),
+)
+@example(
+    phi=parse_formula("[](p & p) & q"), psi=parse_formula("<>p"), tags=("4",), depth=4
+)
+def test_returned_proofs_are_checked_and_within_the_depth(phi, psi, tags, depth):
+    """Every proof that `derive_bounded`, `decide_entailment` or
+    `craig_interpolant` returns passes `check_proof` and is no taller
+    than the proof depth it was searched at.  The explicit example got a
+    proof of height 6 at depth 4 while the memo reused a success at any
+    depth."""
+    gamma = gamma_pairs(tags)
+    pair = ConsequencePair(phi, psi)
+    entailment = decide_entailment(tags, pair, proof_depth=depth, model_size=2)
+    problem = InterpolationProblem(phi, psi, tags, proof_depth=depth, model_size=2)
+    interpolation = craig_interpolant(problem)
+    found = [
+        derive_bounded(gamma, pair, depth),
+        entailment.proof,
+        interpolation.proof_left,
+        interpolation.proof_right,
+    ]
+    for proof in filter(None, found):
+        assert proof.height() <= depth
+        assert check_proof(proof, gamma) is None
+
+
 class TestSoundness:
     def test_seeded_proofs_validate_on_algebras_and_frames(self):
         rng = random.Random(31)
@@ -499,7 +547,10 @@ def seeded_pairs(rng, count, max_letters=3):
 
 class FormulaKeyedSearch(ProofSearch):
     """Reference search: the formula-keyed `prove` that the id-keyed one
-    replaced, with memo tables keyed by `ConsequencePair`."""
+    replaced, with memo tables keyed by `ConsequencePair`.  A success is
+    reused only if its recursive `Proof.height()` is within the depth,
+    and a proof with premises takes them from the memo once its rule is
+    complete, as the id-keyed search does."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -507,8 +558,9 @@ class FormulaKeyedSearch(ProofSearch):
         self.failed_at = {}
 
     def prove(self, pair, depth):
-        if pair in self.success:
-            return self.success[pair]
+        found = self.success.get(pair)
+        if found is not None and found.height() <= depth:
+            return found
         if depth <= 0 or self.failed_at.get(pair, -1) >= depth:
             return None
         self.expansions += 1
@@ -518,46 +570,40 @@ class FormulaKeyedSearch(ProofSearch):
             self.failed_at[pair] = 10**9
             return None
         found = self._leaf(pair)
-        lhs, rhs = pair.lhs, pair.rhs
         if found is None and depth < 2:
             self.failed_at[pair] = depth
             return None
-        if found is None and isinstance(rhs, And):
-            a = self.prove(ConsequencePair(lhs, rhs.lhs), depth - 1)
-            if a is not None:
-                b = self.prove(ConsequencePair(lhs, rhs.rhs), depth - 1)
-                if b is not None:
-                    found = Proof("right-conjunction", pair, (a, b))
-        if found is None and isinstance(lhs, Or):
-            a = self.prove(ConsequencePair(lhs.lhs, rhs), depth - 1)
-            if a is not None:
-                b = self.prove(ConsequencePair(lhs.rhs, rhs), depth - 1)
-                if b is not None:
-                    found = Proof("left-disjunction", pair, (a, b))
-        if found is None and isinstance(lhs, Box) and isinstance(rhs, Box):
-            a = self.prove(ConsequencePair(lhs.arg, rhs.arg), depth - 1)
-            if a is not None:
-                found = Proof("becker-box", pair, (a,))
-        if found is None and isinstance(lhs, Dia) and isinstance(rhs, Dia):
-            a = self.prove(ConsequencePair(lhs.arg, rhs.arg), depth - 1)
-            if a is not None:
-                found = Proof("becker-dia", pair, (a,))
         if found is None:
-            for cut in self.pool:
-                if cut == lhs or cut == rhs:
-                    continue
-                a = self.prove(ConsequencePair(lhs, cut), depth - 1)
-                if a is None:
-                    continue
-                b = self.prove(ConsequencePair(cut, rhs), depth - 1)
-                if b is not None:
-                    found = Proof("transitivity", pair, (a, b))
-                    break
+            step = self.premises(pair, depth - 1)
+            if step is not None:
+                rule, legs = step
+                found = Proof(rule, pair, tuple(self.success[leg] for leg in legs))
         if found is not None:
             self.success[pair] = found
         else:
             self.failed_at[pair] = depth
         return found
+
+    def premises(self, pair, depth):
+        """The first rule with premises whose premises all succeed at
+        `depth`, with the premises; None if none."""
+        lhs, rhs = pair.lhs, pair.rhs
+        steps = []
+        if isinstance(rhs, And):
+            steps.append(("right-conjunction", [(lhs, rhs.lhs), (lhs, rhs.rhs)]))
+        if isinstance(lhs, Or):
+            steps.append(("left-disjunction", [(lhs.lhs, rhs), (lhs.rhs, rhs)]))
+        for kind, rule in ((Box, "becker-box"), (Dia, "becker-dia")):
+            if isinstance(lhs, kind) and isinstance(rhs, kind):
+                steps.append((rule, [(lhs.arg, rhs.arg)]))
+        for cut in self.pool:
+            if cut != lhs and cut != rhs:
+                steps.append(("transitivity", [(lhs, cut), (cut, rhs)]))
+        for rule, sides in steps:
+            legs = tuple(ConsequencePair(*leg) for leg in sides)
+            if all(self.prove(leg, depth) is not None for leg in legs):
+                return rule, legs
+        return None
 
 
 def decoded(search, table):
@@ -576,6 +622,9 @@ def _assert_same_search(fast, slow):
     assert len(fast.failed_at) == len(slow.failed_at)
     assert decoded(fast, fast.success) == decoded(slow, slow.success)
     assert decoded(fast, fast.failed_at) == decoded(slow, slow.failed_at)
+    # the stored heights are the proofs' recursive heights
+    assert fast.height.keys() == fast.success.keys()
+    assert {k: p.height() for k, p in fast.success.items()} == fast.height
 
 
 # (goal, axiom tags) from the interpolation golden corpus
@@ -1354,9 +1403,9 @@ class TestMaskSlotScreen:
 class LegRecordingSearch(ProofSearch):
     """Counts the transitivity legs that enter the expansion `_expand`
     (its caller is in the cut loop, where `cut` is bound), those of them
-    whose memo entry decides them (a success, or a failure at that depth
-    or deeper), and the legs that enter `_prove`'s memo prologue after
-    the cut loop has probed their memo entry inline."""
+    whose memo entry decides them (a success within that depth, or a
+    failure at that depth or deeper), and the legs that enter `_prove`'s
+    memo prologue after the cut loop has probed their memo entry inline."""
 
     legs = decided_legs = reprobed_legs = 0
 
@@ -1365,7 +1414,8 @@ class LegRecordingSearch(ProofSearch):
             key = l << _SHIFT | r
             self.legs += 1
             self.decided_legs += (
-                key in self.success or self.failed_at.get(key, -1) >= depth
+                self.height.get(key, depth + 1) <= depth
+                or self.failed_at.get(key, -1) >= depth
             )
         return super()._expand(l, r, depth)
 
@@ -1375,20 +1425,22 @@ class LegRecordingSearch(ProofSearch):
 
 
 def assert_live_cuts_exact(search):
-    """Each left id's live cuts are the pool cuts other than itself whose
-    first leg is a success, at their pool positions; every other one
-    failed at the depth the list was made for, or deeper."""
+    """Each left id's live cuts are pool cuts other than itself, in pool
+    order, whose first leg is a success, and they include every cut whose
+    first leg has a proof within the depth the list was made for; every
+    other cut's first leg failed at that depth or deeper.  A first leg
+    that succeeds after the list is made is taller than that depth."""
     pool = search._pool_ids
     assert search._live
-    for left, (dmax, cuts, positions) in search._live.items():
-        assert positions == sorted(set(positions))
-        assert cuts == [pool[at] for at in positions]
-        for at, cut in enumerate(pool):
+    for left, (dmax, cuts) in search._live.items():
+        rest = iter(pool)
+        assert all(cut in rest for cut in cuts)
+        for cut in pool:
             key = left << _SHIFT | cut
-            if at in positions:
+            if cut in cuts:
                 assert cut != left and key in search.success
             elif cut != left:
-                assert key not in search.success
+                assert search.height.get(key, dmax + 1) > dmax
                 assert search.failed_at.get(key, -1) >= dmax
 
 
@@ -1434,30 +1486,38 @@ class TestIdKeyedSearch:
         _assert_same_search(fast, slow)
         assert_live_cuts_exact(fast)
 
-    def test_first_leg_revived_after_a_deeper_success(self):
-        """A first leg that failed at depth 1 when its left id's live cuts
-        were listed, and succeeds at depth 2 later, is put back at its pool
-        position, and the next loop at depth 1 reuses it, as the full
-        pool loop of the formula-keyed search does."""
+    def test_a_success_is_reused_within_its_height_only(self):
+        """`p & q |- q & p` has a proof of height 2 and none lower.  Once
+        it is in the memo, a cut loop at depth 1 for left `p & q` refuses
+        it, so `p & q |- q & p v s`, whose proofs cut through it, has none
+        at depth 2 and one of height 3 at depth 3, as in the formula-keyed
+        search at every step."""
         p_and_q, q_and_p = parse_formula("p & q"), parse_formula("q & p")
         pool = (*map(Letter, "pq"), q_and_p, Letter("r"), Letter("s"))
         fast, slow = ProofSearch((), pool), FormulaKeyedSearch((), pool)
-        left, cut = fast._id(p_and_q), fast._id(q_and_p)
         steps = [
             (parse_formula("q & p v r"), 2, None),
             (q_and_p, 2, "right-conjunction"),
-            (parse_formula("q & p v s"), 2, "transitivity"),
+            (parse_formula("q & p v s"), 2, None),
+            (parse_formula("q & p v s"), 3, "transitivity"),
         ]
-        live = []
         for right, depth, rule in steps:
             pair = ConsequencePair(p_and_q, right)
             proof = fast.prove(pair, depth)
             assert proof == slow.prove(pair, depth) and (proof and proof.rule) == rule
             _assert_same_search(fast, slow)
             assert_live_cuts_exact(fast)
-            live.append(cut in fast._live[left][1])
-        assert live == [False, True, True]
+        assert proof.height() == 3 and check_proof(proof) is None
         assert proof.premises[0].conclusion.rhs == q_and_p
+
+    def test_depth_bounds_the_height(self):
+        """Under 4, `[](p & p) & q |- <>p` has no proof at depth 4 (one
+        of height 6 was returned there while the memo reused a success at
+        any depth) and one at depth 6."""
+        gamma, goal = gamma_pairs(("4",)), parse_pair("[](p & p) & q |- <>p")
+        assert derive_bounded(gamma, goal, 4) is None
+        proof = derive_bounded(gamma, goal, 6)
+        assert proof.height() == 6 and check_proof(proof, gamma) is None
 
     @pytest.mark.parametrize("budget", [0, 1, 7, 200])
     def test_same_resource_bound(self, budget):
