@@ -11,8 +11,9 @@ held as a tuple of its structures.
 The modal structures over a lattice come from one kernel, `_modal_maps`:
 it yields their (box, diamond) maps, keeping for each box the diamonds
 that meet the one identity tying the two together as the AND of
-precomputed bitmasks of diamonds.  `all_modal_lattices` wraps the maps
-in `FiniteModalLattice`s; `validating_structures` packs them directly.
+precomputed bitmasks of diamonds.  `validating_table` packs them, and
+`all_modal_lattices(n)` is a view of the `validating_structures(n, ())`
+tables.  Modal frames come only as duals (`StructureTable.dual`).
 
 `validating_structures(n, gamma)`, the one table of the countermodel
 search and the distribution-law scan, keeps per lattice the modal
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 from typing import Iterator, Optional
 
 from .duality import fil_l
@@ -42,14 +43,7 @@ from .lattice import (
     is_distributive,
     validate_lattice,
 )
-from .lframe import (
-    LFrame,
-    ModalLFrame,
-    _meet_gap,
-    _meet_reach,
-    _order_gap,
-    lframe_from_leq,
-)
+from .lframe import LFrame, ModalLFrame, lframe_from_leq
 from .vectors import ScreenTables, refuting_structures
 
 
@@ -121,13 +115,11 @@ def all_distributive_lattices(n: int) -> tuple[FiniteLattice, ...]:
 @lru_cache(maxsize=None)
 def all_modal_lattices(n: int) -> tuple[FiniteModalLattice, ...]:
     """All modal structures over the size-n lattice catalog (small n
-    only), lattice by lattice in catalog order."""
-    return tuple(chain.from_iterable(map(_modal_structures, all_lattices(n))))
-
-
-def _modal_structures(lat: FiniteLattice) -> Iterator[FiniteModalLattice]:
-    """The modal structures over `lat`, lazily, in `_modal_maps` order."""
-    return (FiniteModalLattice.over(lat, box, dia) for box, dia in _modal_maps(lat))
+    only): those of the `validating_structures(n, ())` tables, table by
+    table, each in `_modal_maps` order."""
+    return tuple(
+        t.structure(j) for t in validating_structures(n, ()) for j in range(len(t))
+    )
 
 
 def _modal_maps(
@@ -293,66 +285,3 @@ def all_lframes(n: int) -> tuple[LFrame, ...]:
         names = tuple(f"x{i}" for i in range(n))
         out.append(lframe_from_leq(names, leq, n - 1))
     return tuple(out)
-
-
-def modal_relations(frame: LFrame) -> Iterator[tuple[int, ...]]:
-    """All successor-mask tuples making the frame a valid modal L-frame,
-    in lexicographic order of the mask tuple.
-
-    Search assigns per-point successor sets (nonempty, meet closed; {1}
-    for the top point, which is condition (v)) with partial pruning on
-    conditions (i), (ii), (iv); a complete assignment has passed those on
-    every pair of points, so only condition (iii) is left to check.  It is
-    symmetric in the pair and holds at (x, x), so the pairs y < x do.
-    """
-    n = frame.n
-    meet = frame.meet
-    one = frame.one
-
-    closed_sets = []
-    for mask in range(1, 1 << n):
-        members = [x for x in range(n) if mask >> x & 1]
-        if all(mask >> meet[x][y] & 1 for x in members for y in members):
-            closed_sets.append(mask)
-
-    succ = [0] * n
-
-    def partial_ok(i: int) -> bool:
-        for j in range(i + 1):
-            if _meet_gap(frame, succ, i, j) is not None:
-                return False
-            # (i)/(ii) for comparable pairs
-            lo, hi = (j, i) if frame.le(j, i) else (i, j)
-            if frame.le(lo, hi) and _order_gap(frame, succ, lo, hi) is not None:
-                return False
-        return True
-
-    def backtrack(i: int):
-        if i == n:
-            if not any(
-                succ[meet[x][y]] & ~_meet_reach(frame, succ[x], succ[y])
-                for x in range(n)
-                for y in range(x)
-            ):
-                yield tuple(succ)
-            return
-        options = (1 << one,) if i == one else closed_sets
-        for s in options:
-            succ[i] = s
-            if partial_ok(i):
-                yield from backtrack(i + 1)
-        succ[i] = 0
-
-    yield from backtrack(0)
-
-
-@lru_cache(maxsize=None)
-def _modal_lframes(n: int) -> tuple[ModalLFrame, ...]:
-    return tuple(ModalLFrame(f, s) for f in all_lframes(n) for s in modal_relations(f))
-
-
-def all_modal_lframes(n: int) -> Iterator[ModalLFrame]:
-    """All valid modal L-frames of size exactly n (frames up to iso, all
-    relations per frame), L-frame by L-frame in catalog order, each
-    L-frame's relations in `modal_relations` order."""
-    yield from _modal_lframes(n)

@@ -3,7 +3,8 @@
 Exit codes: 0 pass, 1 property/validation failure, 2 I/O or usage error,
 3 parse error, 4 resource bound.  A numeric option below its least value
 (`MINIMUMS`) is a usage error; one past a resource cap, such as a
-`--proof-depth` above `proofs.MAX_PROOF_DEPTH` (200), is exit 4.  The
+`--proof-depth` above `proofs.MAX_PROOF_DEPTH` (200) or a `--model-size`
+above `entailment.MAX_MODEL_SIZE` (7), is exit 4.  The
 WPML_BUDGET environment variable overrides the exhaustive-sweep budget;
 a value that is not a non-negative integer is a parse error (exit 3)
 before any command runs.  All JSON output is key-sorted, so identical

@@ -24,13 +24,15 @@ from typing import Optional
 
 from .catalog import validating_structures
 from .correspondence import AXIOMS, _named
-from .errors import InternalInconsistency, ResourceBound
+from .errors import InternalInconsistency, ResourceBound, SizeCap
 from .formulas import ConsequencePair
 from .lframe import FrameValuation, ModalLFrame, frame_validates
 from .proofs import Proof, SearchSetup, derive_bounded
 
 DEFAULT_PROOF_DEPTH = 6
 DEFAULT_MODEL_SIZE = 4
+# the catalog's modal structures number 2.4 million at seven elements
+MAX_MODEL_SIZE = 7
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,10 @@ def decide_entailment(
     finds none, that is an InternalInconsistency.
 
     The proof search takes `setup` (see `proofs.SearchSetup`), which
-    must be over the tags' axioms, or a fresh one."""
+    must be over the tags' axioms, or a fresh one.  A `model_size` above
+    `MAX_MODEL_SIZE` raises SizeCap before any search."""
+    if model_size > MAX_MODEL_SIZE:
+        raise SizeCap(f"model size {model_size} exceeds the cap of {MAX_MODEL_SIZE}")
     tags = tuple(tags)
     unknown_notes: dict = {
         "proof_depth": proof_depth,

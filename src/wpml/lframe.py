@@ -34,11 +34,12 @@ up-closure of the union of a set's images, is condition (iii) and
 `_meet_gap` tests (iv) by one image per u.  `up_closure`, `is_filter`
 and `filter_closure` read the same tables.  The validator tests every
 condition on the tables and calls a gap kernel only to name the witness
-of the first failure; `catalog.modal_relations` prunes with the gap
-kernels; `generators._modal_fixpoint` repairs with the tables directly,
-since its repairs grow successor sets mid-scan and read the grown sets
-at once.  tests/test_lframe.py and tests/test_generators.py check the
-kernels against the per-pair loops they replaced.
+of the first failure; the tests' enumeration of modal relations prunes
+with the gap kernels; `generators._modal_fixpoint` repairs with the
+tables directly, since its repairs grow successor sets mid-scan and
+read the grown sets at once.  tests/test_lframe.py and
+tests/test_generators.py check the kernels against the per-pair loops
+they replaced.
 """
 
 from __future__ import annotations

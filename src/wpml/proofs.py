@@ -31,7 +31,10 @@ validate the axioms (`_screening_algebras`, cached per axiom set;
 the same rule).  A refuted pair is not derivable at all, so the screen
 changes what the search costs, never a verdict; over at most three
 letters it is a small fixed cost, and it takes no budget.  The set's
-first part is mostly chains.  On a chain every monotone box and diamond
+first part is mostly chains, read from the algebra catalog
+(`catalog.all_modal_lattices` of two and three elements, in the order of
+their tight duals' relations, then lattices with identity modalities),
+so no frame is enumerated.  On a chain every monotone box and diamond
 commutes with join and meet, so no chain refutes a modal distribution
 law such as `[](p v q) |- []p v []q`, though the laws fail in the
 variety.  So the set ends with, per law, the first structure of at most
@@ -94,7 +97,8 @@ from itertools import product
 from operator import attrgetter
 from typing import Optional
 
-from .catalog import all_lattices, all_modal_lframes, validating_table
+from .catalog import all_lattices, all_modal_lattices, validating_table
+from .duality import fil_l
 from .errors import InternalInconsistency, PreconditionViolated, ResourceBound, SizeCap
 from .formulas import (
     BOT,
@@ -116,7 +120,6 @@ from .formulas import (
     substitute,
 )
 from .lattice import algebra_validates, with_identity_modalities
-from .lframe import fil_f
 from .vectors import PackedScreen, ScreenTables
 from .whitman import free_lattice_leq
 
@@ -376,8 +379,9 @@ def cut_pool(
     modalities.
 
     Axiom instantiation grids are ranked by total substituted size and
-    truncated at `instance_cap` per member; the final pool keeps the
-    `pool_cap` smallest formulas, in search order.  Both caps only bound
+    truncated at `instance_cap` per member; the final pool keeps its
+    first `pool_cap` formulas in search order, the goal's subformulas
+    before any other formula.  Both caps only bound
     the search, they never affect soundness.  The instances and the
     closure come from `setup`'s memos (a fresh set-up over gamma when
     there is none), so the pool is the same either way.
@@ -415,7 +419,7 @@ def cut_pool(
             # through dia T & box f |- dia(T & f) (the duality axiom at T)
             closure = closures[f] = (box, Dia(f), And(dia_top, box), Dia(And(TOP, f)))
         once.update(closure)
-    return _search_order(sorted(once, key=_KEY)[:pool_cap], subs)
+    return _search_order(sorted(once, key=_KEY), subs)[:pool_cap]
 
 
 def _search_order(ranked, subs) -> tuple[Formula, ...]:
@@ -432,20 +436,15 @@ _BECKER = {Box: "becker-box", Dia: "becker-dia"}
 
 @lru_cache(maxsize=None)
 def _screening_candidates() -> tuple:
-    """The distinct candidates of `_screening_algebras`' first part, in
-    order: the filter algebras of the 2- and 3-point frames, then the 2-
-    to 5-element lattices with identity modalities."""
-    candidates = [fil_f(frame) for n in (2, 3) for frame in all_modal_lframes(n)]
-    candidates += [
-        with_identity_modalities(lat) for n in (2, 3, 4, 5) for lat in all_lattices(n)
-    ]
-    seen = set()
+    """The candidates of `_screening_algebras`' first part, in order: the
+    modal lattices of two and three elements (chains), each size sorted by
+    its tight dual's relation, the order in which a frame-by-frame walk
+    meets the duals, then the 4- and 5-element lattices with identity
+    modalities."""
     out = []
-    for a in candidates:
-        key = (a.leq, a.box, a.diamond)
-        if key not in seen:
-            seen.add(key)
-            out.append(a)
+    for n in (2, 3):
+        out += sorted(all_modal_lattices(n), key=lambda a: fil_l(a).frame.succ)
+    out += [with_identity_modalities(lat) for n in (4, 5) for lat in all_lattices(n)]
     return tuple(out)
 
 

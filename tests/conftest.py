@@ -1,8 +1,9 @@
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
-from wpml.catalog import all_lframes, modal_relations
+from wpml.catalog import all_lframes
 from wpml.errors import ResourceBound, resolve_budget
 from wpml.formulas import (
     BOT,
@@ -20,6 +21,9 @@ from wpml.formulas import (
 from wpml.lattice import validate_lattice, with_identity_modalities
 from wpml.lframe import (
     ModalLFrame,
+    _meet_gap,
+    _meet_reach,
+    _order_gap,
     filters,
     lframe_from_leq,
     truth_set,
@@ -167,7 +171,7 @@ def literal_cut_pool(goal, gamma=(), instance_cap=256, pool_cap=512):
         # through dia T & box f |- dia(T & f) (the duality axiom at T)
         once.add(And(dia_top, box))
         once.add(Dia(And(TOP, f)))
-    return _search_order(sorted(once, key=_KEY)[:pool_cap], subs)
+    return _search_order(sorted(once, key=_KEY), subs)[:pool_cap]
 
 
 def literal_derive_bounded(
@@ -181,9 +185,79 @@ def literal_derive_bounded(
     return ProofSearch(gamma, pool, budget).prove(goal, depth)
 
 
+# The frame-by-frame enumeration of modal L-frames: every valid relation
+# on every L-frame of the catalog.  The library gets frames only as the
+# tight duals of its modal structures (`catalog.validating_structures`);
+# this enumeration, which reaches the frames that are not tight as well,
+# is the duality's independent reference.
+
+
+def modal_relations(frame):
+    """All successor-mask tuples making the frame a valid modal L-frame,
+    in lexicographic order of the mask tuple.
+
+    Search assigns per-point successor sets (nonempty, meet closed; {1}
+    for the top point, which is condition (v)) with partial pruning on
+    conditions (i), (ii), (iv); a complete assignment has passed those on
+    every pair of points, so only condition (iii) is left to check.  It is
+    symmetric in the pair and holds at (x, x), so the pairs y < x do.
+    """
+    n = frame.n
+    meet = frame.meet
+    one = frame.one
+
+    closed_sets = []
+    for mask in range(1, 1 << n):
+        members = [x for x in range(n) if mask >> x & 1]
+        if all(mask >> meet[x][y] & 1 for x in members for y in members):
+            closed_sets.append(mask)
+
+    succ = [0] * n
+
+    def partial_ok(i):
+        for j in range(i + 1):
+            if _meet_gap(frame, succ, i, j) is not None:
+                return False
+            # (i)/(ii) for comparable pairs
+            lo, hi = (j, i) if frame.le(j, i) else (i, j)
+            if frame.le(lo, hi) and _order_gap(frame, succ, lo, hi) is not None:
+                return False
+        return True
+
+    def backtrack(i):
+        if i == n:
+            if not any(
+                succ[meet[x][y]] & ~_meet_reach(frame, succ[x], succ[y])
+                for x in range(n)
+                for y in range(x)
+            ):
+                yield tuple(succ)
+            return
+        options = (1 << one,) if i == one else closed_sets
+        for s in options:
+            succ[i] = s
+            if partial_ok(i):
+                yield from backtrack(i + 1)
+        succ[i] = 0
+
+    yield from backtrack(0)
+
+
 def literal_modal_lframes(n):
     """Every modal L-frame of size n, straight from `modal_relations`."""
     return [ModalLFrame(f, s) for f in all_lframes(n) for s in modal_relations(f)]
+
+
+@lru_cache(maxsize=None)
+def _modal_lframes(n):
+    return tuple(literal_modal_lframes(n))
+
+
+def all_modal_lframes(n):
+    """All valid modal L-frames of size exactly n (frames up to iso, all
+    relations per frame), L-frame by L-frame in catalog order, each
+    L-frame's relations in `modal_relations` order; built once per size."""
+    yield from _modal_lframes(n)
 
 
 def random_formula(rng, names, depth):

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from wpml import proofs
-from wpml.catalog import all_lattices, all_modal_lframes
+from wpml.catalog import all_lattices
 from wpml.correspondence import AXIOM_TAGS, AXIOMS, CONDITION_OF_AXIOM, frame_satisfies
 from wpml.duality import fil_l, is_tight, round_trip_iso
 from wpml.entailment import gamma_pairs
@@ -62,7 +62,7 @@ from wpml.sweeps import (
 from wpml.vectors import PackedScreen
 from wpml.whitman import free_lattice_leq
 
-from conftest import literal_derive_bounded
+from conftest import all_modal_lframes, literal_derive_bounded
 
 SEEDS = {
     "duality": 1001,

@@ -285,6 +285,12 @@ def test_proof_depth_past_its_cap_is_a_resource_exit(capsys):
     assert err == "size cap: proof depth 1000 exceeds the cap of 200\n"
 
 
+def test_model_size_past_its_cap_is_a_resource_exit(capsys):
+    code, out, err = run(["interpolate", "p & q", "r v s", "--model-size", "8"], capsys)
+    assert (code, out) == (4, "")
+    assert err == "size cap: model size 8 exceeds the cap of 7\n"
+
+
 @pytest.mark.parametrize("text", ["abc", "-5"])
 def test_invalid_wpml_budget_exits_with_parse_code(monkeypatch, capsys, text):
     monkeypatch.setenv("WPML_BUDGET", text)
@@ -371,11 +377,12 @@ def test_distributive_interpolant_past_the_budget_is_a_resource_exit(capsys):
     assert (code, out) == (4, "") and err.startswith("resource bound:")
 
 
-def test_distributive_unknown_over_nine_letters_is_reported(capsys):
+def test_distributive_pair_over_nine_letters_gets_an_interpolant(capsys):
     phi = "a & b & c & d & e & f & g & h"
     code, out, err = run(["interpolate", phi, "a v z", "--distributive"], capsys)
-    assert (code, err) == (4, "")
-    assert json.loads(out)["payload"]["verdict"] == "unknown"
+    assert (code, err) == (0, "")
+    payload = json.loads(out)["payload"]
+    assert (payload["verdict"], payload["interpolant"]) == ("interpolant", "a")
 
 
 @pytest.mark.parametrize("kind", sorted(WELL_FORMED))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wpml.catalog import all_lframes, all_modal_lframes
+from wpml.catalog import all_lframes
 from wpml.correspondence import (
     AXIOM_TAGS,
     AXIOMS,
@@ -19,7 +19,12 @@ from wpml.formulas import parse_pair
 from wpml.generators import sample_modal_lattice, sample_modal_lframe, sample_vformation
 from wpml.lframe import ModalLFrame, frame_validates, validate_modal_lframe
 
-from conftest import identity_modal, literal_witness, relation_matrix
+from conftest import (
+    all_modal_lframes,
+    identity_modal,
+    literal_witness,
+    relation_matrix,
+)
 
 
 class TestFrameSatisfies:

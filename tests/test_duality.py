@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wpml.catalog import all_lattices, all_lframes, all_modal_lframes
+from wpml.catalog import all_lattices, all_lframes
 from wpml.duality import (
     algebra_filters,
     clopfil,
@@ -32,7 +32,7 @@ from wpml.lframe import (
     is_l_morphism,
 )
 
-from conftest import identity_modal
+from conftest import all_modal_lframes, identity_modal
 
 
 class TestFilL:

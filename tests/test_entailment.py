@@ -8,7 +8,6 @@ from wpml import entailment, proofs
 from wpml.catalog import (
     all_lattices,
     all_modal_lattices,
-    all_modal_lframes,
     validating_structures,
 )
 from wpml.duality import algebra_filters, fil_l, is_tight
@@ -17,7 +16,7 @@ from wpml.entailment import (
     decide_entailment,
     gamma_pairs,
 )
-from wpml.errors import PreconditionViolated, ResourceBound
+from wpml.errors import PreconditionViolated, ResourceBound, SizeCap
 from wpml.formulas import (
     ConsequencePair,
     Letter,
@@ -45,6 +44,7 @@ from wpml.sweeps import closure_sweep
 from wpml.vectors import ScreenTables
 
 from conftest import (
+    all_modal_lframes,
     literal_derive_bounded,
     literal_modal_lframes,
     random_pairs,
@@ -166,6 +166,25 @@ class TestUnknownVerdicts:
 def test_unknown_name_is_a_precondition_violation(name, call):
     with pytest.raises(PreconditionViolated, match=repr(name)):
         call()
+
+
+def test_model_size_above_the_cap_is_a_size_cap(monkeypatch):
+    """A model size above `MAX_MODEL_SIZE` raises SizeCap before any
+    search: neither the proof search nor the catalog is reached.  At the
+    cap, a derivable pair is decided by the proof search alone."""
+    assert entailment.MAX_MODEL_SIZE == 7
+    goal = parse_pair("p & q |- p")
+    assert decide_entailment((), goal, model_size=7).derivable
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched past the model-size cap")
+
+    monkeypatch.setattr(entailment, "derive_bounded", no_search)
+    monkeypatch.setattr(entailment, "validating_structures", no_search)
+    with pytest.raises(SizeCap, match="model size 8 exceeds the cap of 7"):
+        decide_entailment((), goal, model_size=8)
+    with pytest.raises(SizeCap):
+        craig_interpolant(InterpolationProblem(goal.lhs, goal.rhs, model_size=8))
 
 
 class TestAgreementWithAlgebraSemantics:

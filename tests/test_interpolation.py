@@ -342,17 +342,15 @@ class TestDistributiveFragment:
     def test_valid_pair_over_nine_letters_is_reported(self):
         """The two-element lattice takes 2^9 valuations, well within the
         budget, so a valid pair over nine letters gets a report; the
-        depth-8 search derives no obligation of its one candidate."""
+        depth-8 search derives both obligations of its one candidate, as
+        the cut pool keeps the conjunctions of the left side."""
         res = distributive_fragment_interpolant(
             parse_formula("a & b & c & d & e & f & g & h"), parse_formula("a v z")
         )
-        assert res == InterpolationResult(
-            "unknown",
-            diagnostics={
-                "entailment": "valid-on-distributive-catalog",
-                "semantic_only": ["a"],
-            },
-        )
+        assert res.verdict == "interpolant"
+        assert res.interpolant == parse_formula("a")
+        assert check_proof(res.proof_left, DISTRIBUTIVITY) is None
+        assert check_proof(res.proof_right, DISTRIBUTIVITY) is None
 
     def test_two_element_decision_matches_the_catalog_walk(self, monkeypatch):
         """Seeded modality-free pairs give the same results as when each
@@ -381,7 +379,7 @@ class TestDistributiveFragment:
         monkeypatch.setattr(interpolation, "_dist_entails", catalog_walk)
         assert got == results()
         verdicts = {r.verdict for r in got}
-        assert verdicts == {"interpolant", "no-entailment", "unknown"}
+        assert verdicts == {"interpolant", "no-entailment"}
 
 
 class TestFailedInvariants:

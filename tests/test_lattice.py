@@ -8,7 +8,6 @@ from wpml.catalog import (
     _canonical,
     _is_transitive,
     _modal_maps,
-    _modal_structures,
     _monotone_diamonds,
     all_distributive_lattices,
     all_lattice_orders,
@@ -40,9 +39,8 @@ from wpml.lattice import (
     with_identity_modalities,
 )
 from wpml.lframe import fil_f, lframe_from_leq
-from wpml.catalog import all_modal_lframes
 
-from conftest import chain_leq
+from conftest import all_modal_lframes, chain_leq
 
 
 class TestValidateLattice:
@@ -364,7 +362,7 @@ class TestModalCatalog:
         lexicographic order."""
         for n in range(1, 5):
             for lat in all_lattices(n):
-                got = [(a.box, a.diamond) for a in _modal_structures(lat)]
+                got = list(_modal_maps(lat))
                 boxes = _table_maps(n, n, [(lat.top, lat.top)], [(lat.meet, lat.meet)])
                 over = FiniteModalLattice.over
                 brute = [

@@ -3,7 +3,7 @@ from itertools import product, repeat
 
 import pytest
 
-from wpml.catalog import all_lframes, all_modal_lattices, all_modal_lframes
+from wpml.catalog import all_lframes, all_modal_lattices
 from wpml.duality import is_tight
 from wpml.errors import (
     InternalInconsistency,
@@ -51,6 +51,7 @@ from wpml.lframe import (
 )
 
 from conftest import (
+    all_modal_lframes,
     chain_leq,
     identity_modal,
     literal_modal_lframes,
@@ -688,10 +689,6 @@ class TestVectorFrameValidates:
 
 
 class TestModalCatalog:
-    def test_matches_modal_relations(self):
-        for n in range(1, 5):
-            assert list(all_modal_lframes(n)) == literal_modal_lframes(n)
-
     def test_sizes_and_tight_frames_are_pinned(self):
         """The catalog of each size up to 5, and its tight frames: by the
         duality, as many as the modal lattices of that size."""

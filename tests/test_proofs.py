@@ -12,7 +12,6 @@ from wpml import proofs
 from wpml.catalog import (
     all_lattices,
     all_modal_lattices,
-    all_modal_lframes,
     validating_structures,
 )
 from wpml.correspondence import AXIOM_TAGS, AXIOMS
@@ -73,6 +72,7 @@ from wpml.vectors import PackedScreen, ScreenTables
 from wpml.whitman import free_lattice_leq
 
 from conftest import (
+    all_modal_lframes,
     chain_leq,
     literal_cut_pool,
     literal_derive_bounded,
@@ -258,7 +258,7 @@ class TestEmptyLogicBoxDiamond:
 
 
 # `cut_pool` and `order_cuts` outputs of `test_pools_and_cut_orders_are_pinned`
-CUT_POOLS_SHA256 = "1ca672b847462e56c0ea95067d12bcb8623b3d0e3af1de72cf69ba32f14599c0"
+CUT_POOLS_SHA256 = "9b3aa0300ab69c2e9aad012b9768fe28f97954662b38b88cbecc2a3a926d26e3"
 
 
 class TestCutPool:
@@ -294,6 +294,22 @@ class TestCutPool:
                     by_key = tuple(sorted(pool, key=formula_key))
                     digest.update(repr((by_key, order_cuts(goal, by_key))).encode())
         assert digest.hexdigest() == CUT_POOLS_SHA256
+
+    def test_cap_keeps_the_goal_subformulas(self):
+        """Under the distributive law the instances crowd the pool past
+        `pool_cap`; the cap truncates after the goal's subformulas are put
+        first, so the conjunctions of the left side stay, and the pair
+        gets the proof of height 4 it gets with no axioms."""
+        goal = parse_pair("a & b & c & d & e |- a")
+        pool = cut_pool(goal, DISTRIBUTIVITY)
+        subs = subformulas(goal.lhs) | subformulas(goal.rhs)
+        assert len(pool) == 512 and subs <= set(pool)
+        assert set(pool[: len(subs)]) == subs
+        assert pool == literal_cut_pool(goal, DISTRIBUTIVITY)
+        proof = derive_bounded(DISTRIBUTIVITY, goal, 8)
+        assert proof is not None and proof.height() == 4
+        assert check_proof(proof, DISTRIBUTIVITY) is None
+        assert derive_bounded((), goal, 8).height() == 4
 
 
 # (name, gamma, caps) of `TestSearchSetup`: each axiom set and the
@@ -782,9 +798,11 @@ class TestVectorScreen:
 
 
 def selected_screens(gamma):
-    """The screening set without the distribution-law structures: a
-    literal copy of the selection loop, the first twelve distinct
-    candidates that validate gamma."""
+    """The screening set without the distribution-law structures, by the
+    literal frame walk: the first twelve distinct candidates that
+    validate gamma, among the filter algebras of the 2- and 3-point modal
+    L-frames, then the 2- to 5-element lattices with identity
+    modalities."""
     candidates = []
     for n in (2, 3):
         for frame in all_modal_lframes(n):
@@ -808,6 +826,22 @@ def selected_screens(gamma):
 
 def is_chain(a):
     return all(a.leq[x][y] or a.leq[y][x] for x in range(a.n) for y in range(a.n))
+
+
+def keys(algebras):
+    """The (leq, box, diamond) of each algebra, which ignores the element
+    names: the frame walk names filters by their masks, the catalog its
+    elements e0, e1, ..."""
+    return [(a.leq, a.box, a.diamond) for a in algebras]
+
+
+# the wide gamma: a member over four letters, which no screen takes
+WIDE_GAMMA = (parse_pair("p & q & r & s |- p"), parse_pair("p |- <>p"))
+
+# the 32 subsets of the axiom tags
+TAG_SUBSETS = [
+    c for k in range(len(AXIOM_TAGS) + 1) for c in combinations(AXIOM_TAGS, k)
+]
 
 
 # each set of at most two axiom tags, and the distribution laws each
@@ -886,9 +920,27 @@ class TestDistributionScreens:
     def test_wide_gamma_gets_no_structures(self):
         """A gamma with a member over four letters, which no screen takes,
         gets the selection alone."""
-        gamma = (parse_pair("p & q & r & s |- p"), parse_pair("p |- <>p"))
-        assert _screening_algebras(gamma) == selected_screens(gamma)
-        assert _screening_algebras(gamma[1:]) != selected_screens(gamma[1:])
+        gamma = WIDE_GAMMA
+        screens, selected = _screening_algebras(gamma), selected_screens(gamma)
+        assert len(screens) == len(selected)
+        assert set(keys(screens)) == set(keys(selected))
+        assert len(_screening_algebras(gamma[1:])) > len(selected_screens(gamma[1:]))
+
+    @pytest.mark.parametrize(
+        "gamma",
+        [gamma_pairs(tags) for tags in TAG_SUBSETS] + [DISTRIBUTIVITY, WIDE_GAMMA],
+        ids=["+".join(tags) or "none" for tags in TAG_SUBSETS]
+        + ["distributivity", "wide"],
+    )
+    def test_selection_matches_the_frame_walk(self, gamma):
+        """The selection read from the algebra catalog holds the structures,
+        at most twelve, that the literal frame walk selects, as (leq, box,
+        diamond); their order within the selection may differ, and no
+        screen verdict reads it."""
+        selected = selected_screens(gamma)
+        got = keys(_screening_algebras(gamma)[: len(selected)])
+        assert 0 < len(selected) <= 12
+        assert set(got) == set(keys(selected))
 
     @pytest.mark.parametrize(
         "tags", list(LAW_COVERAGE), ids=lambda tags: "+".join(tags) or "none"
@@ -903,7 +955,7 @@ class TestDistributionScreens:
         gamma = gamma_pairs(tags)
         screens = _screening_algebras(gamma)
         selected = selected_screens(gamma)
-        assert screens[: len(selected)] == selected
+        assert set(keys(screens[: len(selected)])) == set(keys(selected))
         appended = screens[len(selected) :]
         structures, refuters = law_refuters()
         assert len(structures) == 275 + 4842
