@@ -5,7 +5,8 @@ construction.
 The superamalgam (the filter lattice of the pullback frame) is never
 materialized: all comparisons p1(a) <= p2(b) are point-set inclusions
 inside the pullback, which gives identical verdicts exponentially
-cheaper.
+cheaper.  Point sets move through the projections' preimages and the
+legs' images (`lframe._fibres`, `_ImageTable`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .duality import ModalLSpaceFin, algebra_filters, dual_of_hom, fil_l
+from .duality import ModalLSpaceFin, _unit_masks, algebra_filters, dual_of_hom, fil_l
 from .errors import (
     GluingMismatch,
     InternalInconsistency,
@@ -30,10 +31,11 @@ from .lframe import (
     FrameMorphism,
     FrameViolation,
     ModalLFrame,
+    _fibres,
+    _ImageTable,
     filters,
     is_bounded_l_morphism,
     is_filter,
-    up_closure,
     validate_lframe,
     validate_modal_lframe,
 )
@@ -76,8 +78,9 @@ class PullbackFrame:
 
 def pullback(f1: FrameMorphism, f2: FrameMorphism) -> PullbackFrame:
     """Pb(f1, f2) = {(x, y) : f1(x) = f2(y)} for surjective bounded
-    L-morphisms with a common codomain.  Frame validity and both
-    projection conditions are verified, not assumed."""
+    L-morphisms with a common codomain, related where both coordinates
+    are: R[(a, b)] = proj1^-1[R1[a]] & proj2^-1[R2[b]].  Frame validity
+    and both projection conditions are verified, not assumed."""
     if f1.cod != f2.cod:
         raise MorphismInvalid("legs have different codomains")
     for name, f in (("f1", f1), ("f2", f2)):
@@ -96,7 +99,6 @@ def pullback(f1: FrameMorphism, f2: FrameMorphism) -> PullbackFrame:
         if f1.map[a] == f2.map[b]
     ]
     index = {p: i for i, p in enumerate(points)}
-    k = len(points)
     meet = [
         [index[(y1.meet[a][c], y2.meet[b][d])] for (c, d) in points]
         for (a, b) in points
@@ -104,19 +106,15 @@ def pullback(f1: FrameMorphism, f2: FrameMorphism) -> PullbackFrame:
     one = index[(y1.one, y2.one)]
     names = tuple(f"({a},{b})" for a, b in points)
     base = validate_lframe(names, meet, one)
-    succ = tuple(
-        sum(
-            1 << index[(c, d)]
-            for (c, d) in points
-            if y1.succ[a] >> c & 1 and y2.succ[b] >> d & 1
-        )
-        for (a, b) in points
-    )
+    map1 = tuple(a for a, _ in points)
+    map2 = tuple(b for _, b in points)
+    fibres1, fibres2 = _fibres(map1, y1.n), _fibres(map2, y2.n)
+    succ = tuple(fibres1[y1.succ[a]] & fibres2[y2.succ[b]] for a, b in points)
     frame = validate_modal_lframe(base, succ)
     if isinstance(frame, FrameViolation):
         raise InternalInconsistency(f"pullback is not a modal L-frame: {frame}")
-    proj1 = FrameMorphism(frame, y1, tuple(a for a, _ in points), "bounded-L")
-    proj2 = FrameMorphism(frame, y2, tuple(b for _, b in points), "bounded-L")
+    proj1 = FrameMorphism(frame, y1, map1, "bounded-L")
+    proj2 = FrameMorphism(frame, y2, map2, "bounded-L")
     for name, pr in (("proj1", proj1), ("proj2", proj2)):
         bad = is_bounded_l_morphism(pr)
         if bad is not None:
@@ -153,15 +151,8 @@ class Superamalgamation:
 def _point_embedding(space, pb: PullbackFrame, side: int) -> tuple[int, ...]:
     """Element a of L_i maps to the pullback point set
     proj_i^{-1}[phi(a)] = {t : a in provenance of the i-th coordinate}."""
-    prov = space.provenance
-    out = []
-    for a in range(space.source.n):
-        mask = 0
-        for t, pt in enumerate(pb.points):
-            if prov[pt[side]] >> a & 1:
-                mask |= 1 << t
-        out.append(mask)
-    return tuple(out)
+    fibres = _fibres((pb.proj1, pb.proj2)[side].map, space.frame.n)
+    return tuple(fibres[phi] for phi in _unit_masks(space.source.n, space.provenance))
 
 
 def _dual_pullback(v: VFormation):
@@ -258,33 +249,18 @@ def check_supamal_claim(pb: PullbackFrame) -> list[str]:
       are disjoint.
     """
     y1, y2 = pb.f1.dom, pb.f2.dom
-    x = pb.f1.cod
-    xbase = x.base
+    xbase = pb.f1.cod.base
+    images1, images2 = _ImageTable(pb.f1.map), _ImageTable(pb.f2.map)
+    fibres1, fibres2 = _fibres(pb.proj1.map, y1.n), _fibres(pb.proj2.map, y2.n)
     problems = []
-    fs1 = filters(y1.base)
     fs2 = filters(y2.base)
-    down_masks = xbase.down_masks
-    for u in fs1:
-        img = 0
-        m = u
-        while m:
-            a = (m & -m).bit_length() - 1
-            m &= m - 1
-            img |= 1 << pb.f1.map[a]
-        up_f1_u = up_closure(xbase, img)
+    for u in filters(y1.base):
+        up_f1_u = xbase.up_closures[images1[u]]
         if not is_filter(xbase, up_f1_u):
             problems.append(f"up(f1[{hex(u)}]) is not a filter")
-        pre1 = sum(
-            1 << t for t, (a, _) in enumerate(pb.points) if u >> a & 1
-        )
         for vmask in fs2:
-            comp = 0
             rest = y2.base.full_mask & ~vmask
-            m = rest
-            while m:
-                b = (m & -m).bit_length() - 1
-                m &= m - 1
-                comp |= down_masks[pb.f2.map[b]]
+            comp = xbase.down_closures[images2[rest]]
             outside = xbase.full_mask & ~comp
             if not is_filter(xbase, outside) and outside != 0:
                 problems.append(
@@ -294,10 +270,7 @@ def check_supamal_claim(pb: PullbackFrame) -> list[str]:
                 problems.append(
                     f"complement of down(f2[Y2 - {hex(vmask)}]) is empty"
                 )
-            pre2 = sum(
-                1 << t for t, (_, b) in enumerate(pb.points) if vmask >> b & 1
-            )
-            if pre1 & ~pre2 == 0 and up_f1_u & comp:
+            if fibres1[u] & ~fibres2[vmask] == 0 and up_f1_u & comp:
                 problems.append(
                     f"claim disjointness fails for U={hex(u)}, V={hex(vmask)}"
                 )

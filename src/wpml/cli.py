@@ -4,7 +4,9 @@ Exit codes: 0 pass, 1 property/validation failure, 2 I/O or usage error,
 3 parse error, 4 resource bound.  A numeric option below its least value
 (`MINIMUMS`) is a usage error; one past a resource cap, such as a
 `--proof-depth` above `proofs.MAX_PROOF_DEPTH` (200) or a `--model-size`
-above `entailment.MAX_MODEL_SIZE` (7), is exit 4.  The
+above `entailment.MAX_MODEL_SIZE` (7), is exit 4.  `interpolate
+--distributive` takes `--proof-depth` (default 8) and refuses
+`--cand-depth` and `--model-size`, as it refuses `--axioms` (exit 3).  The
 WPML_BUDGET environment variable overrides the exhaustive-sweep budget;
 a value that is not a non-negative integer is a parse error (exit 3)
 before any command runs.  All JSON output is key-sorted, so identical
@@ -221,6 +223,7 @@ def cmd_interpolate(args) -> int:
     if unknown:
         print(f"error: unknown axiom {unknown[0]!r}", file=sys.stderr)
         return EXIT_PARSE
+    given = vars(args)  # holds a number option only when it was given
     if args.distributive:
         if tags:
             print("error: --distributive takes no axioms", file=sys.stderr)
@@ -228,15 +231,21 @@ def cmd_interpolate(args) -> int:
         if not (is_modality_free(phi) and is_modality_free(psi)):
             print("error: --distributive takes modality-free formulas", file=sys.stderr)
             return EXIT_PARSE
-        res = distributive_fragment_interpolant(phi, psi)
+        for dest in ("cand_depth", "model_size"):
+            if dest in given:
+                option = "--" + dest.replace("_", "-")
+                print(f"error: --distributive takes no {option}", file=sys.stderr)
+                return EXIT_PARSE
+        depth = {"proof_depth": given["proof_depth"]} if "proof_depth" in given else {}
+        res = distributive_fragment_interpolant(phi, psi, **depth)
     else:
         prob = InterpolationProblem(
             phi,
             psi,
             tags,
-            proof_depth=args.proof_depth,
-            cand_size=args.cand_depth,
-            model_size=args.model_size,
+            proof_depth=given.get("proof_depth", InterpolationProblem.proof_depth),
+            cand_size=given.get("cand_depth", InterpolationProblem.cand_size),
+            model_size=given.get("model_size", InterpolationProblem.model_size),
         )
         res = craig_interpolant(prob)
     report: dict = {"verdict": res.verdict, "phi": pretty(phi), "psi": pretty(psi)}
@@ -328,9 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("phi")
     p.add_argument("psi")
     p.add_argument("--axioms", default="")
-    p.add_argument("--proof-depth", type=int, default=InterpolationProblem.proof_depth)
-    p.add_argument("--cand-depth", type=int, default=InterpolationProblem.cand_size)
-    p.add_argument("--model-size", type=int, default=InterpolationProblem.model_size)
+    # absent unless given, so that --distributive can tell its own default
+    # depth from a chosen one and refuse the options it has no use for
+    for option in ("--proof-depth", "--cand-depth", "--model-size"):
+        p.add_argument(option, type=int, default=argparse.SUPPRESS)
     p.add_argument("--distributive", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_interpolate)

@@ -6,7 +6,8 @@ their `INCLUSIONS` rows are walked by one gap scan, `_inclusion_gaps`,
 which the least-witness evaluator here and the sampler's closure in
 `generators` share, and read by one space-condition kernel.
 Directedness (for all, exists) is not Horn, so it and the `.2` space
-condition stay written out."""
+condition stay written out.  The space conditions read the frame's
+closure tables (`LFrame.up_closures`, `down_closures`)."""
 
 from __future__ import annotations
 
@@ -98,34 +99,37 @@ def _space_gaps(axiom: str, row: tuple[int, int], x: ModalLFrame):
     """The existential space conditions that a tight frame meeting the
     Horn `row` must also exhibit (with the convexity of successor sets,
     in the frame-side proofs): wherever the row's quantifier prefix
-    holds, each point c of A has a point of B below it (`-lower`) and
-    one above it (`-upper`).  Failures are witnessed as in
-    `_inclusion_witness`, with c added when A is a successor set."""
+    holds, each point c of A has a point of B below it (`-lower`), so
+    lies in the up-closure of B, and one above it (`-upper`), in the
+    down-closure of B.  Failures are witnessed as in
+    `_inclusion_witness`, with c added when A is a successor set, each
+    c's lower before its upper."""
     sub, sup = row
-    down, up, succ = x.base.down_masks, x.base.up_masks, x.succ
+    up_cl, down_cl, succ = x.base.up_closures, x.base.down_closures, x.succ
     over_y = (sub | sup) & _Y
     out = []
     for a, b in x.pairs if over_y else [(a, a) for a in range(x.n)]:
         terms = (1 << a, succ[a], 1 << b, succ[b])
+        a_set, b_set = terms[sub], terms[sup]
+        gaps = (("lower", a_set & ~up_cl[b_set]), ("upper", a_set & ~down_cl[b_set]))
         for c in range(x.n):
-            if terms[sub] >> c & 1:
-                w = (a, b, c) if sub & _R else (a, b) if over_y else (a,)
-                for side, near in (("lower", down), ("upper", up)):
-                    if not terms[sup] & near[c]:
-                        out.append((f"{axiom}-{side}", w))
+            for side, missed in gaps:
+                if missed >> c & 1:
+                    w = (a, b, c) if sub & _R else (a, b) if over_y else (a,)
+                    out.append((f"{axiom}-{side}", w))
     return out
 
 
 def _dot2_space(x: ModalLFrame):
     """The space condition of `.2`, which is not Horn: for x R y and
-    x R c, some point of R[c] lies above some point of R[y]."""
-    up, succ = x.base.up_masks, x.succ
+    x R c, some point of R[c] lies above some point of R[y], that is,
+    in the up-closure of R[y]."""
+    up_cl, succ = x.base.up_closures, x.succ
     out = []
     for a, b in x.pairs:
+        above = up_cl[succ[b]]
         for c in range(x.n):
-            if succ[a] >> c & 1 and not any(
-                up[u] & succ[c] for u in range(x.n) if succ[b] >> u & 1
-            ):
+            if succ[a] >> c & 1 and not succ[c] & above:
                 out.append((".2-directed", (a, b, c)))
     return out
 

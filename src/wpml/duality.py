@@ -10,7 +10,8 @@ the base L-frame of that lattice's `fil_l`.
 
 Shared kernels: `_canonical_relation`, the relation of `fil_l` and of
 `tightening`; `_unit_masks`, the unit c |-> {F : c in F}; and
-`_preimage_map`, the filter-preimage map of both morphism duals.
+`_preimage_map`, the filter-preimage map of both morphism duals, read
+from the map's fibres (`lframe._fibres`).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .lframe import (
     ModalLFrame,
     FrameViolation,
     _base_of,
+    _fibres,
     box_mask,
     dia_mask,
     fil_f,
@@ -79,13 +81,14 @@ def _unit_masks(n: int, points) -> list[int]:
     return [sum(1 << p for p, fm in enumerate(points) if fm >> c & 1) for c in range(n)]
 
 
-def _preimage_map(fmap, masks, index: dict[int, int]) -> tuple[int, ...]:
-    """For each mask m, the position in `index` of its preimage
-    {c : fmap[c] in m}; InternalInconsistency if a preimage is not there
-    (not a filter)."""
+def _preimage_map(fmap, m: int, masks, index: dict[int, int]) -> tuple[int, ...]:
+    """For each mask over the m points that `fmap` maps into, the
+    position in `index` of its preimage {c : fmap[c] in mask};
+    InternalInconsistency if a preimage is not there (not a filter)."""
+    fibres = _fibres(fmap, m)
     mapping = []
-    for m in masks:
-        pre = sum(1 << c for c, fc in enumerate(fmap) if m >> fc & 1)
+    for mask in masks:
+        pre = fibres[mask]
         if pre not in index:
             raise InternalInconsistency(f"preimage {hex(pre)} is not a filter")
         mapping.append(index[pre])
@@ -181,7 +184,7 @@ def dual_of_hom(
     space_b = cod_space if cod_space is not None else fil_l(h.cod)
     space_a = dom_space if dom_space is not None else fil_l(h.dom)
     index_a = {m: i for i, m in enumerate(space_a.provenance)}
-    mapping = _preimage_map(h.map, space_b.provenance, index_a)
+    mapping = _preimage_map(h.map, h.cod.n, space_b.provenance, index_a)
     out = FrameMorphism(space_b.frame, space_a.frame, mapping, "bounded-L")
     bad = is_bounded_l_morphism(out)
     if bad is not None:
@@ -208,7 +211,9 @@ def dual_of_frame_morphism(f: FrameMorphism) -> LatticeMorphism:
     else:
         cod_lat = fil_f_lattice(cod_base)
         dom_lat = fil_f_lattice(dom_base)
-    mapping = _preimage_map(f.map, cod_base.filter_masks, dom_base._filter_index)
+    mapping = _preimage_map(
+        f.map, cod_base.n, cod_base.filter_masks, dom_base._filter_index
+    )
     out = LatticeMorphism(cod_lat, dom_lat, mapping, modal=modal)
     validate_morphism(out)
     return out

@@ -184,8 +184,6 @@ class ConsequencePair:
         return f"{pretty(self.lhs)} |- {pretty(self.rhs)}"
 
 
-RESERVED = {"T", "F", "v"}
-
 _TAG_ORDER = {Top: 0, Bot: 1, Letter: 2, And: 3, Or: 4, Box: 5, Dia: 6}
 
 

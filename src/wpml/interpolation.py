@@ -38,7 +38,7 @@ from .entailment import (
     decide_entailment,
     gamma_pairs,
 )
-from .errors import InternalInconsistency, PreconditionViolated, ResourceBound
+from .errors import InternalInconsistency, PreconditionViolated, ResourceBound, SizeCap
 from .formulas import (
     BOT,
     TOP,
@@ -58,7 +58,7 @@ from .formulas import (
     subformulas,
 )
 from .lattice import FiniteLattice, Valuation, algebra_validates
-from .proofs import Proof, SearchSetup, check_proof, derive_bounded
+from .proofs import MAX_PROOF_DEPTH, Proof, SearchSetup, check_proof, derive_bounded
 
 DISTRIBUTIVITY = (parse_pair("p & (q v r) |- p & q v p & r"),)
 
@@ -162,10 +162,10 @@ def enumerate_candidates(pool, max_atoms: int):
             yield item[2]
 
 
-def _assert_obligations(result: InterpolationResult, prob, gamma) -> None:
-    chi = result.interpolant
-    shared = frozenset(prob.shared)
-    if not letters(chi) <= shared:
+def _assert_obligations(result: InterpolationResult, shared, gamma) -> None:
+    """InternalInconsistency unless the interpolant has only `shared`
+    letters and both derivations check against `gamma`."""
+    if not letters(result.interpolant) <= frozenset(shared):
         raise InternalInconsistency("interpolant uses non-shared letters")
     if check_proof(result.proof_left, gamma) is not None:
         raise InternalInconsistency("left derivation does not check")
@@ -225,7 +225,7 @@ def craig_interpolant(prob: InterpolationProblem) -> InterpolationResult:
         if right is None:
             continue
         result = InterpolationResult("interpolant", chi, left, right)
-        _assert_obligations(result, prob, gamma)
+        _assert_obligations(result, prob.shared, gamma)
         return result
     notes.update(
         {
@@ -287,9 +287,14 @@ def distributive_fragment_interpolant(
     refutes every pair that some distributive lattice refutes
     (`_dist_entails`); candidates are canonical DNFs over the shared
     letters and the accepted one comes with derivations using the
-    distributivity axiom."""
+    distributivity axiom.  A `proof_depth` above `MAX_PROOF_DEPTH`
+    raises SizeCap before any search, as `derive_bounded` does."""
     if not (is_modality_free(phi) and is_modality_free(psi)):
         raise PreconditionViolated("distributive fragment is modality free")
+    if proof_depth > MAX_PROOF_DEPTH:
+        raise SizeCap(
+            f"proof depth {proof_depth} exceeds the cap of {MAX_PROOF_DEPTH}"
+        )
     shared = tuple(sorted(letters(phi) & letters(psi)))
     if len(shared) > 4:
         raise ResourceBound(2 ** (2 ** len(shared)), 2**16)
@@ -326,9 +331,6 @@ def distributive_fragment_interpolant(
             notes.setdefault("semantic_only", []).append(str(chi))
             continue
         result = InterpolationResult("interpolant", chi, left, right)
-        if not letters(chi) <= frozenset(shared):
-            raise InternalInconsistency("interpolant uses non-shared letters")
-        if check_proof(left, DISTRIBUTIVITY) or check_proof(right, DISTRIBUTIVITY):
-            raise InternalInconsistency("distributive derivation does not check")
+        _assert_obligations(result, shared, DISTRIBUTIVITY)
         return result
     return InterpolationResult("unknown", diagnostics=notes)

@@ -1,8 +1,8 @@
 """Finite L-frames and modal L-frames, the filter functor to (modal)
 lattices, morphism condition checkers, and the relational semantics.
 
-Point sets throughout are bitmasks over element ids; a FrameFilter is a
-bitmask that is nonempty, upward closed under the frame order and closed
+Point sets throughout are bitmasks over element ids; a filter is a point
+set that is nonempty, upward closed under the frame order and closed
 under the frame meet.  The improper filter (all points) is admitted and
 the least filter is {1}.
 
@@ -40,6 +40,11 @@ tables directly, since its repairs grow successor sets mid-scan and
 read the grown sets at once.  tests/test_lframe.py and
 tests/test_generators.py check the kernels against the per-pair loops
 they replaced.
+
+A point map is read a set at a time through two tables made per call,
+`_fibres` (preimages) and `_ImageTable` (images): the morphism checks
+here, and the morphism duals, the pullback and the space conditions
+elsewhere; tests/conftest.py keeps the per-point loops they replaced.
 """
 
 from __future__ import annotations
@@ -82,8 +87,7 @@ from .lattice import (
     _table_maps,
 )
 
-FrameFilter = int  # bitmask over frame points
-FrameValuation = dict[str, int]  # letter -> FrameFilter
+FrameValuation = dict[str, int]  # letter -> filter, a bitmask over frame points
 
 
 class _UnionTable(dict):
@@ -121,6 +125,15 @@ class _ImageTable(_UnionTable):
             m ^= low
         self[mask] = out
         return out
+
+
+def _fibres(fmap, m: int) -> _UnionTable:
+    """mask -> its preimage {x : fmap[x] in mask} under a map into m
+    points: the union of the fibres of the mask's points."""
+    rows = [0] * m
+    for x, y in enumerate(fmap):
+        rows[y] |= 1 << x
+    return _UnionTable(rows)
 
 
 @dataclass(frozen=True)
@@ -291,6 +304,8 @@ def validate_lframe(elements, meet, one: int) -> LFrame:
     table = tuple(tuple(int(v) for v in row) for row in meet)
     if len(table) != n or any(len(r) != n for r in table):
         raise NotAPoset("meet table is not square")
+    if any(not 0 <= v < n for row in table for v in row):
+        raise NotAPoset(f"meet entry out of range 0..{n - 1}")
     if not 0 <= one < n:
         raise NotAPoset("one out of range")
     for x in range(n):
@@ -432,6 +447,8 @@ def validate_modal_lframe(base: LFrame, rel) -> ModalLFrame | FrameViolation:
         if len(rel) != n:
             raise NotAPoset("successor-mask list must have one mask per point")
         succ = tuple(int(m) for m in rel)
+        if any(not 0 <= m < 1 << n for m in succ):
+            raise NotAPoset(f"successor mask out of range 0..{(1 << n) - 1}")
     else:
         succ = [0] * n
         for x, y in rel:
@@ -557,39 +574,28 @@ def check_semilattice_hom(f: FrameMorphism) -> None:
 
 def is_l_morphism(f: FrameMorphism) -> Optional[MorphismViolation]:
     """None iff both L-morphism conditions hold; otherwise the first
-    violation with witnesses."""
+    violation: unit reflection at the least x, else the meet cover at the
+    least x, with the first (y', z') in row-major order.  With above[y']
+    the preimage of the up-set of y', the meet cover fails for (y', z')
+    at the points of above[y' meet z'] outside the `_meet_reach` of
+    above[y'] and above[z'], which is symmetric in the pair."""
     check_semilattice_hom(f)
     dom, cod = _base_of(f.dom), _base_of(f.cod)
-    for x in range(dom.n):
-        if f.map[x] == cod.one and x != dom.one:
-            return MorphismViolation("unit-reflection", (x,))
-    # images, for the existential part of condition 2
-    image_above = []  # image_above[y'] = mask of x in dom with y' below f(x)
+    fibres = _fibres(f.map, cod.n)
+    unreflected = fibres[1 << cod.one] & ~(1 << dom.one)
+    if unreflected:
+        x = (unreflected & -unreflected).bit_length() - 1
+        return MorphismViolation("unit-reflection", (x,))
+    above = [fibres[m] for m in cod.up_masks]
+    found = None
     for yp in range(cod.n):
-        image_above.append(
-            sum(1 << x for x in range(dom.n) if cod.le(yp, f.map[x]))
-        )
-    for x in range(dom.n):
-        fx = f.map[x]
-        for yp in range(cod.n):
-            for zp in range(cod.n):
-                if not cod.le(cod.meet[yp][zp], fx):
-                    continue
-                found = False
-                my = image_above[yp]
-                while my and not found:
-                    y = (my & -my).bit_length() - 1
-                    my &= my - 1
-                    mz = image_above[zp]
-                    while mz:
-                        z = (mz & -mz).bit_length() - 1
-                        mz &= mz - 1
-                        if dom.le(dom.meet[y][z], x):
-                            found = True
-                            break
-                if not found:
-                    return MorphismViolation("meet-cover", (x, yp, zp))
-    return None
+        for zp in range(yp, cod.n):
+            bad = above[cod.meet[yp][zp]] & ~_meet_reach(dom, above[yp], above[zp])
+            if bad:
+                x = (bad & -bad).bit_length() - 1
+                if found is None or x < found[0]:
+                    found = (x, yp, zp)
+    return None if found is None else MorphismViolation("meet-cover", found)
 
 
 def is_bounded_l_morphism(f: FrameMorphism) -> Optional[MorphismViolation]:
@@ -603,37 +609,30 @@ def is_bounded_l_morphism(f: FrameMorphism) -> Optional[MorphismViolation]:
 
 def _forth_back_violation(f: FrameMorphism) -> Optional[MorphismViolation]:
     """The first failure of forth, back-below or back-above, or None;
-    the relational half of `is_bounded_l_morphism`."""
+    the relational half of `is_bounded_l_morphism`.  Per point x in
+    order, R[x] must lie inside the preimage of R'[f(x)] (forth, at its
+    least point outside), and every z in R'[f(x)] must lie in the
+    up-closure (back-below) and the down-closure (back-above) of the
+    image of R[x]; the least z outside either names the failure, below
+    first."""
     dom, cod = f.dom, f.cod
     if not isinstance(dom, ModalLFrame) or not isinstance(cod, ModalLFrame):
         raise MorphismInvalid("bounded L-morphism needs modal frames")
-    cbase = cod.base
-    for x in range(dom.n):
-        fx = f.map[x]
-        m = dom.succ[x]
-        while m:
-            y = (m & -m).bit_length() - 1
-            m &= m - 1
-            if not cod.succ[fx] >> f.map[y] & 1:
-                return MorphismViolation("forth", (x, y))
-        m = cod.succ[fx]
-        while m:
-            z = (m & -m).bit_length() - 1
-            m &= m - 1
-            down_ok = any(
-                cbase.le(f.map[y], z)
-                for y in range(dom.n)
-                if dom.succ[x] >> y & 1
-            )
-            if not down_ok:
-                return MorphismViolation("back-below", (x, z))
-            up_ok = any(
-                cbase.le(z, f.map[y])
-                for y in range(dom.n)
-                if dom.succ[x] >> y & 1
-            )
-            if not up_ok:
-                return MorphismViolation("back-above", (x, z))
+    images, fibres = _ImageTable(f.map), _fibres(f.map, cod.n)
+    up_cl, down_cl = cod.base.up_closures, cod.base.down_closures
+    for x, sx in enumerate(dom.succ):
+        target = cod.succ[f.map[x]]
+        missed = sx & ~fibres[target]
+        if missed:
+            y = (missed & -missed).bit_length() - 1
+            return MorphismViolation("forth", (x, y))
+        image = images[sx]
+        below, above = target & ~up_cl[image], target & ~down_cl[image]
+        missed = below | above
+        if missed:
+            z = (missed & -missed).bit_length() - 1
+            kind = "back-below" if below >> z & 1 else "back-above"
+            return MorphismViolation(kind, (x, z))
     return None
 
 

@@ -4,7 +4,14 @@ from itertools import product
 import pytest
 
 from wpml.catalog import all_lframes
-from wpml.errors import ResourceBound, resolve_budget
+from wpml.correspondence import _R, _Y
+from wpml.errors import (
+    InternalInconsistency,
+    MorphismInvalid,
+    ResourceBound,
+    WpmlError,
+    resolve_budget,
+)
 from wpml.formulas import (
     BOT,
     TOP,
@@ -21,12 +28,17 @@ from wpml.formulas import (
 from wpml.lattice import validate_lattice, with_identity_modalities
 from wpml.lframe import (
     ModalLFrame,
+    MorphismViolation,
+    _base_of,
     _meet_gap,
     _meet_reach,
     _order_gap,
+    check_semilattice_hom,
     filters,
+    is_filter,
     lframe_from_leq,
     truth_set,
+    up_closure,
     validate_lframe,
     validate_modal_lframe,
 )
@@ -507,3 +519,153 @@ def literal_closure(tag, succ, one):
     if r[one] != [b == one for b in range(len(r))]:
         return None
     return [sum(1 << b for b, edge in enumerate(row) if edge) for row in r]
+
+
+# The point-map kernels as they were written before the preimage and image
+# tables (`lframe._fibres`, `lframe._ImageTable`): one membership or order
+# test per point.  The references for the morphism checks, the morphism
+# duals, the pullback and the space conditions.
+
+
+def outcome(check, *args):
+    """`check(*args)`, or the type name and message of the WpmlError it
+    raises, so that a kernel and its reference compare on failures too."""
+    try:
+        return check(*args)
+    except WpmlError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def pointwise_is_l_morphism(f):
+    check_semilattice_hom(f)
+    dom, cod = _base_of(f.dom), _base_of(f.cod)
+    for x in range(dom.n):
+        if f.map[x] == cod.one and x != dom.one:
+            return MorphismViolation("unit-reflection", (x,))
+    # image_above[y'] = mask of x in dom with y' below f(x)
+    image_above = [
+        sum(1 << x for x in range(dom.n) if cod.le(yp, f.map[x])) for yp in range(cod.n)
+    ]
+    for x in range(dom.n):
+        for yp in range(cod.n):
+            for zp in range(cod.n):
+                if not cod.le(cod.meet[yp][zp], f.map[x]):
+                    continue
+                if not any(
+                    dom.le(dom.meet[y][z], x)
+                    for y in _points(image_above[yp])
+                    for z in _points(image_above[zp])
+                ):
+                    return MorphismViolation("meet-cover", (x, yp, zp))
+    return None
+
+
+def pointwise_forth_back_violation(f):
+    dom, cod = f.dom, f.cod
+    if not isinstance(dom, ModalLFrame) or not isinstance(cod, ModalLFrame):
+        raise MorphismInvalid("bounded L-morphism needs modal frames")
+    cbase = cod.base
+    for x in range(dom.n):
+        fx = f.map[x]
+        for y in _points(dom.succ[x]):
+            if not cod.succ[fx] >> f.map[y] & 1:
+                return MorphismViolation("forth", (x, y))
+        for z in _points(cod.succ[fx]):
+            if not any(cbase.le(f.map[y], z) for y in _points(dom.succ[x])):
+                return MorphismViolation("back-below", (x, z))
+            if not any(cbase.le(z, f.map[y]) for y in _points(dom.succ[x])):
+                return MorphismViolation("back-above", (x, z))
+    return None
+
+
+def pointwise_preimage_map(fmap, masks, index):
+    mapping = []
+    for m in masks:
+        pre = sum(1 << c for c, fc in enumerate(fmap) if m >> fc & 1)
+        if pre not in index:
+            raise InternalInconsistency(f"preimage {hex(pre)} is not a filter")
+        mapping.append(index[pre])
+    return tuple(mapping)
+
+
+def pointwise_pullback_relation(y1, y2, points):
+    """The successor masks of the pullback points: (a, b) R (c, d) iff
+    a R1 c and b R2 d."""
+    index = {p: i for i, p in enumerate(points)}
+    return tuple(
+        sum(
+            1 << index[(c, d)]
+            for (c, d) in points
+            if y1.succ[a] >> c & 1 and y2.succ[b] >> d & 1
+        )
+        for (a, b) in points
+    )
+
+
+def pointwise_point_embedding(space, pb, side):
+    prov = space.provenance
+    return tuple(
+        sum(1 << t for t, pt in enumerate(pb.points) if prov[pt[side]] >> a & 1)
+        for a in range(space.source.n)
+    )
+
+
+def pointwise_check_supamal_claim(pb):
+    y1, y2 = pb.f1.dom, pb.f2.dom
+    xbase = pb.f1.cod.base
+    problems = []
+    for u in filters(y1.base):
+        img = 0
+        for a in _points(u):
+            img |= 1 << pb.f1.map[a]
+        up_f1_u = up_closure(xbase, img)
+        if not is_filter(xbase, up_f1_u):
+            problems.append(f"up(f1[{hex(u)}]) is not a filter")
+        pre1 = sum(1 << t for t, (a, _) in enumerate(pb.points) if u >> a & 1)
+        for vmask in filters(y2.base):
+            comp = 0
+            rest = y2.base.full_mask & ~vmask
+            for b in _points(rest):
+                comp |= xbase.down_masks[pb.f2.map[b]]
+            outside = xbase.full_mask & ~comp
+            if not is_filter(xbase, outside) and outside != 0:
+                problems.append(
+                    f"complement of down(f2[Y2 - {hex(vmask)}]) is not a filter"
+                )
+            if outside == 0 and rest != 0:
+                problems.append(f"complement of down(f2[Y2 - {hex(vmask)}]) is empty")
+            pre2 = sum(1 << t for t, (_, b) in enumerate(pb.points) if vmask >> b & 1)
+            if pre1 & ~pre2 == 0 and up_f1_u & comp:
+                problems.append(
+                    f"claim disjointness fails for U={hex(u)}, V={hex(vmask)}"
+                )
+    return problems
+
+
+def pointwise_space_gaps(axiom, row, x):
+    """`correspondence._space_gaps` one point c and one side at a time."""
+    sub, sup = row
+    down, up, succ = x.base.down_masks, x.base.up_masks, x.succ
+    over_y = (sub | sup) & _Y
+    out = []
+    for a, b in x.pairs if over_y else [(a, a) for a in range(x.n)]:
+        terms = (1 << a, succ[a], 1 << b, succ[b])
+        for c in range(x.n):
+            if terms[sub] >> c & 1:
+                w = (a, b, c) if sub & _R else (a, b) if over_y else (a,)
+                for side, near in (("lower", down), ("upper", up)):
+                    if not terms[sup] & near[c]:
+                        out.append((f"{axiom}-{side}", w))
+    return out
+
+
+def pointwise_dot2_space(x):
+    up, succ = x.base.up_masks, x.succ
+    out = []
+    for a, b in x.pairs:
+        for c in range(x.n):
+            if succ[a] >> c & 1 and not any(
+                up[u] & succ[c] for u in range(x.n) if succ[b] >> u & 1
+            ):
+                out.append((".2-directed", (a, b, c)))
+    return out

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,13 +13,19 @@ from wpml.amalgam import (
     validate_vformation,
 )
 from wpml.catalog import all_lframes
-from wpml.duality import dual_of_hom, fil_l
+from wpml.duality import dual_of_hom, fil_l, is_tight
 from wpml.errors import GluingMismatch, MorphismInvalid, NotSurjective
 from wpml.generators import sample_inclusion_span, sample_vformation
 from wpml.lattice import LatticeMorphism
-from wpml.lframe import FrameMorphism, is_bounded_l_morphism
+from wpml.lframe import FrameMorphism, enumerate_frame_morphisms, is_bounded_l_morphism
 
-from conftest import identity_modal
+from conftest import (
+    all_modal_lframes,
+    identity_modal,
+    pointwise_check_supamal_claim,
+    pointwise_point_embedding,
+    pointwise_pullback_relation,
+)
 
 
 def embed_chain3_in_b4(chain3_modal, b4_modal):
@@ -82,6 +89,52 @@ class TestPullback:
         for proj in (pb.proj1, pb.proj2):
             assert is_bounded_l_morphism(proj) is None
             assert proj.is_surjective()
+
+
+class TestPointMapTables:
+    """The pullback relation, the point embeddings and the separation
+    claim on the preimage and image tables against the per-point loops
+    they replaced (see conftest)."""
+
+    def test_seeded_vformations(self):
+        rng = random.Random(35)
+        for _ in range(40):
+            res = superamalgamate(sample_vformation(rng))
+            pb = res.pb
+            want = pointwise_pullback_relation(pb.f1.dom, pb.f2.dom, pb.points)
+            assert pb.frame.succ == want
+            assert res.p1 == pointwise_point_embedding(res.space1, pb, 0)
+            assert res.p2 == pointwise_point_embedding(res.space2, pb, 1)
+            assert check_supamal_claim(pb) == pointwise_check_supamal_claim(pb)
+
+    def test_catalog_legs_tight_or_not(self):
+        """Every pair of surjective bounded L-morphisms between catalog
+        frames of at most 3 points; the claim is checked also with the
+        second leg's map replaced by a seeded arbitrary one, so that its
+        failures compare too."""
+        frames = [x for n in range(1, 4) for x in all_modal_lframes(n)]
+        rng = random.Random(36)
+        pairs = failing = loose = 0
+        for cod in frames:
+            legs = [
+                f
+                for dom in frames
+                for f in enumerate_frame_morphisms(dom, cod, "bounded-L", True)
+            ]
+            for f1 in legs:
+                for f2 in legs:
+                    pb = pullback(f1, f2)
+                    want = pointwise_pullback_relation(f1.dom, f2.dom, pb.points)
+                    assert pb.frame.succ == want
+                    arbitrary = tuple(rng.randrange(cod.n) for _ in f2.map)
+                    for g2 in (f2, FrameMorphism(f2.dom, cod, arbitrary)):
+                        claim = replace(pb, f2=g2)
+                        got = check_supamal_claim(claim)
+                        assert got == pointwise_check_supamal_claim(claim)
+                        failing += bool(got)
+                    pairs += 1
+                    loose += not (is_tight(f1.dom) and is_tight(f2.dom))
+        assert pairs > 100 and failing > 10 and loose > 10
 
 
 class TestSuperamalgamate:

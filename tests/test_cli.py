@@ -371,6 +371,30 @@ def test_distributive_misuse_is_a_parse_exit(args, capsys):
     assert (code, out) == (3, "") and err.startswith("error: --distributive takes")
 
 
+DISTRIBUTIVE = ["interpolate", "p & (q v r)", "p & q v p & r v s", "--distributive"]
+
+
+@pytest.mark.parametrize("option", ["--cand-depth", "--model-size"])
+def test_distributive_refuses_the_search_options(capsys, option):
+    code, out, err = run([*DISTRIBUTIVE, option, "2"], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: --distributive takes no {option}\n"
+
+
+def test_distributive_proof_depth_reaches_the_fragment(capsys):
+    # no derivation of height 0, and one past the cap before any search
+    code, out, _ = run([*DISTRIBUTIVE, "--proof-depth", "0"], capsys)
+    assert code == 4 and json.loads(out)["payload"]["verdict"] == "unknown"
+    code, out, err = run([*DISTRIBUTIVE, "--proof-depth", "500"], capsys)
+    assert (code, out) == (4, "")
+    assert err == "size cap: proof depth 500 exceeds the cap of 200\n"
+    # the default depth is the fragment's own, 8
+    default = run(DISTRIBUTIVE, capsys)
+    assert default == run([*DISTRIBUTIVE, "--proof-depth", "8"], capsys)
+    assert default[0] == 0
+    assert json.loads(default[1])["payload"]["interpolant"] == "p & q v p & r"
+
+
 def test_distributive_interpolant_past_the_budget_is_a_resource_exit(capsys):
     phi = "a & b & c & d & e"
     code, out, err = run(["interpolate", phi, phi, "--distributive"], capsys)

@@ -8,6 +8,7 @@ from wpml.correspondence import (
     AXIOMS,
     CONDITION_OF_AXIOM,
     CONDITIONS,
+    INCLUSIONS,
     SPACE_CONDITIONS,
     correspondence_check,
     frame_satisfies,
@@ -23,6 +24,8 @@ from conftest import (
     all_modal_lframes,
     identity_modal,
     literal_witness,
+    pointwise_dot2_space,
+    pointwise_space_gaps,
     relation_matrix,
 )
 
@@ -203,6 +206,26 @@ class TestSpaceConditions:
                     got = SPACE_CONDITIONS[tag](x)
                     assert got == _in_kernel_order(tag, reference(x)), (tag, x.succ)
                     failing[tag] += bool(got)
+        assert all(failing.values()), failing
+
+    def test_tables_match_the_per_point_loops(self):
+        """Every space condition on the closure tables against the loop it
+        replaced (see conftest): on every modal L-frame of at most 4
+        points, tight or not, and on seeded ones of 5 to 8 points."""
+        rng = random.Random(37)
+        frames = [x for n in range(1, 5) for x in all_modal_lframes(n)]
+        frames += [sample_modal_lframe(rng, rng.randint(5, 8)) for _ in range(40)]
+        failing = dict.fromkeys(SPACE_CONDITIONS, 0)
+        for x in frames:
+            for tag, check in SPACE_CONDITIONS.items():
+                if tag == ".2":
+                    want = pointwise_dot2_space(x)
+                else:
+                    row = INCLUSIONS[CONDITION_OF_AXIOM[tag]]
+                    want = pointwise_space_gaps(tag, row, x)
+                got = check(x)
+                assert got == want, (tag, x.succ)
+                failing[tag] += bool(got)
         assert all(failing.values()), failing
 
     def test_tight_frames_meeting_a_condition_meet_its_space_condition(self):

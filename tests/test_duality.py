@@ -1,9 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 from wpml.catalog import all_lattices, all_lframes
 from wpml.duality import (
+    _preimage_map,
     algebra_filters,
     clopfil,
     dual_of_frame_morphism,
@@ -15,7 +17,7 @@ from wpml.duality import (
     tightening,
 )
 from wpml.errors import PreconditionViolated
-from wpml.generators import sample_modal_lattice
+from wpml.generators import sample_modal_lattice, sample_vformation
 from wpml.lattice import (
     LatticeMorphism,
     enumerate_homs,
@@ -32,7 +34,12 @@ from wpml.lframe import (
     is_l_morphism,
 )
 
-from conftest import all_modal_lframes, identity_modal
+from conftest import (
+    all_modal_lframes,
+    identity_modal,
+    outcome,
+    pointwise_preimage_map,
+)
 
 
 class TestFilL:
@@ -198,6 +205,33 @@ class TestDualOfFrameMorphism:
         ident = FrameMorphism(pt, pt, (0,), "bounded-L")
         h = dual_of_frame_morphism(ident)
         assert h.dom.n == 1 and h.map == (0,)
+
+
+class TestPreimageMap:
+    def test_matches_the_per_point_loop(self):
+        """The preimage table of both morphism duals against the loop it
+        replaced: every map between catalog frames of at most 3 points,
+        most of them not morphisms, so their preimages are often not
+        filters; and the seeded legs of V-formations, as `dual_of_hom` maps them."""
+        frames = [x for n in range(1, 4) for x in all_lframes(n)]
+        failed = checked = 0
+        for dom in frames:
+            for cod in frames:
+                for fmap in product(range(cod.n), repeat=dom.n):
+                    args = (cod.filter_masks, dom._filter_index)
+                    got = outcome(_preimage_map, fmap, cod.n, *args)
+                    assert got == outcome(pointwise_preimage_map, fmap, *args)
+                    failed += got[0] == "InternalInconsistency"
+                    checked += 1
+        assert 0 < failed < checked
+        rng = random.Random(34)
+        for _ in range(20):
+            v = sample_vformation(rng)
+            index = {m: i for i, m in enumerate(algebra_filters(v.k))}
+            for h in (v.h1, v.h2):
+                masks = algebra_filters(h.cod)
+                got = _preimage_map(h.map, h.cod.n, masks, index)
+                assert got == pointwise_preimage_map(h.map, masks, index)
 
 
 class TestDualityCharacterizations:

@@ -1,10 +1,10 @@
 """Every module-level import of the package is read in its module, and a
 function-local import of a package module stands only where a
 module-level one would close an import cycle; every private function,
-class and method it defines is read somewhere in the package, and every
-public module-level function and class, and every public method of a
-module-level class, it defines is read somewhere in the package, its
-tests or its benchmark."""
+class, method and module-level assigned name it defines is read somewhere
+in the package, and every public module-level function, class and
+assigned name, and every public method of a module-level class, it
+defines is read somewhere in the package, its tests or its benchmark."""
 
 import ast
 from pathlib import Path
@@ -108,20 +108,38 @@ def test_the_check_sees_a_local_import_that_closes_no_cycle():
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _module_level_names(tree) -> list[str]:
+    """The names that the module's top-level statements define: its
+    functions and classes, and the names its assignments bind."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [
+                name.id
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+            ]
+    return out
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
 def unread_private_definitions(sources: list[str]) -> list[str]:
-    """The private (`_name`, not dunder) module-level functions and
-    classes, and methods of module-level classes, that the sources define
-    and never read as a name or an attribute, in definition order."""
+    """The private (`_name`, not dunder) module-level functions, classes
+    and assigned names, and methods of module-level classes, that the
+    sources define and never read as a name or an attribute, in
+    definition order."""
     trees = [ast.parse(source) for source in sources]
     defined = []
     for tree in trees:
+        defined += [name for name in _module_level_names(tree) if _private(name)]
         for node in tree.body:
-            if isinstance(node, DEFINITIONS) and _private(node.name):
-                defined.append(node.name)
             if isinstance(node, ast.ClassDef):
                 defined += [
                     method.name
@@ -162,16 +180,15 @@ def test_the_check_sees_an_unread_private_definition():
 
 
 def unread_public_definitions(sources: list[str], readers: list[str]) -> list[str]:
-    """The public module-level functions and classes, and public methods
-    of module-level classes, that the sources define and that neither
-    they nor the readers read as a name or an attribute (an import alone
-    is not a read), in definition order."""
+    """The public module-level functions, classes and assigned names, and
+    public methods of module-level classes, that the sources define and
+    that neither they nor the readers read as a name or an attribute (an
+    import alone is not a read), in definition order."""
     trees = [ast.parse(source) for source in sources]
     defined = []
     for tree in trees:
+        defined += [n for n in _module_level_names(tree) if not n.startswith("_")]
         for node in tree.body:
-            if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
-                defined.append(node.name)
             if isinstance(node, ast.ClassDef):
                 defined += [
                     method.name
@@ -199,3 +216,19 @@ def test_the_check_sees_an_unread_public_definition():
     assert unread_public_definitions([package], ["Box()\n"]) == ["orphan", "peek"]
     assert unread_public_definitions([package], []) == ["orphan", "Box", "peek"]
     assert READERS
+
+
+def test_the_checks_see_an_unread_assignment():
+    # tuple and annotated targets bind names; a function's locals and a
+    # subscript store do not
+    package = (
+        "LIMIT = 3\n"
+        "_FLOOR: int = 2\n"
+        "_LOW, HIGH = 0, 9\n"
+        "_TABLE = {}\n"
+        "_TABLE[LIMIT] = 1\n\n"
+        "def clamp(x):\n    low = _FLOOR\n    return max(x, low)\n"
+    )
+    assert unread_private_definitions([package]) == ["_LOW"]
+    assert unread_public_definitions([package], ["clamp(1)\n"]) == ["HIGH"]
+    assert unread_public_definitions([package], []) == ["HIGH", "clamp"]

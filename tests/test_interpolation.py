@@ -8,7 +8,12 @@ import pytest
 from wpml.catalog import all_distributive_lattices
 from wpml import interpolation
 from wpml.entailment import decide_entailment, gamma_pairs
-from wpml.errors import InternalInconsistency, PreconditionViolated, ResourceBound
+from wpml.errors import (
+    InternalInconsistency,
+    PreconditionViolated,
+    ResourceBound,
+    SizeCap,
+)
 from wpml.formulas import (
     And,
     Box,
@@ -292,6 +297,13 @@ class TestDistributiveFragment:
         assert res.countermodel.kind == "algebra"
         assert res.countermodel.structure.n == 2
 
+    def test_depth_past_the_cap_before_any_search(self):
+        # a pair the two-element lattice refutes reaches no proof search
+        with pytest.raises(SizeCap, match="proof depth 201 exceeds the cap of 200"):
+            distributive_fragment_interpolant(
+                parse_formula("q"), parse_formula("r"), proof_depth=201
+            )
+
     def test_needs_distributivity(self):
         res = distributive_fragment_interpolant(
             parse_formula("p & (q v s)"), parse_formula("(p & q) v (p & s) v r")
@@ -397,7 +409,7 @@ class TestFailedInvariants:
             interpolate("p & q", "p v r")
 
     def test_distributive_fragment(self, reject_proofs):
-        with pytest.raises(InternalInconsistency, match="distributive derivation"):
+        with pytest.raises(InternalInconsistency, match="left derivation"):
             distributive_fragment_interpolant(
                 parse_formula("p & q"), parse_formula("p v r")
             )

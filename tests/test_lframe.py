@@ -1,5 +1,5 @@
 import random
-from itertools import product, repeat
+from itertools import islice, product, repeat
 
 import pytest
 
@@ -7,6 +7,7 @@ from wpml.catalog import all_lframes, all_modal_lattices
 from wpml.duality import is_tight
 from wpml.errors import (
     InternalInconsistency,
+    NotAPoset,
     PreconditionViolated,
     ResourceBound,
     UndefinedLetter,
@@ -30,6 +31,8 @@ from wpml.lframe import (
     LFrame,
     ModalLFrame,
     MorphismViolation,
+    _base_maps,
+    _forth_back_violation,
     _l_maps,
     enumerate_frame_morphisms,
     fil_f,
@@ -47,6 +50,7 @@ from wpml.lframe import (
     successor_extrema,
     truth_set,
     up_closure,
+    validate_lframe,
     validate_modal_lframe,
 )
 
@@ -54,17 +58,35 @@ from conftest import (
     all_modal_lframes,
     chain_leq,
     identity_modal,
-    literal_modal_lframes,
+    outcome,
     pairwise_filter_closure,
     pairwise_is_filter,
     pairwise_meet_reach,
     pairwise_modal_fixpoint,
     pairwise_up_closure,
     pairwise_violation,
+    pointwise_forth_back_violation,
+    pointwise_is_l_morphism,
     random_pairs,
     reference_frame_validates,
     relabeled,
 )
+
+
+class TestOutOfRangeIds:
+    """The validators name an id outside the frame with a typed error
+    instead of failing on an index or reading from the end of a row."""
+
+    @pytest.mark.parametrize("entry", [9, -1])
+    def test_meet_entry(self, entry):
+        meet = [[0, entry, 0], [entry, 1, 1], [0, 1, 2]]
+        with pytest.raises(NotAPoset, match="out of range"):
+            validate_lframe(["a", "b", "c"], meet, 2)
+
+    @pytest.mark.parametrize("succ", [[4, 2], [-1, 2]])
+    def test_successor_mask(self, chain2_frame, succ):
+        with pytest.raises(NotAPoset, match="out of range"):
+            validate_modal_lframe(chain2_frame, succ)
 
 
 class TestValidateModalLFrame:
@@ -298,6 +320,17 @@ class TestMorphismCheckers:
         f = FrameMorphism(x, x, (0, 1, 2), "bounded-L")
         assert is_bounded_l_morphism(f) is None
 
+    def test_back_below_is_named_before_back_above(self):
+        # the diamond with its points named a, 0, b, 1: R'[b] = {a, 0, b},
+        # and a is neither below nor above b, the image of R[x], so both
+        # back conditions fail at a, the least point where one fails
+        meet = [[0, 1, 1, 0], [1, 1, 1, 1], [1, 1, 2, 2], [0, 1, 2, 3]]
+        diamond = validate_lframe(["a", "0", "b", "1"], meet, 3)
+        cod = validate_modal_lframe(diamond, (2, 2, 7, 8))
+        point = identity_modal(all_lframes(1)[0])
+        f = FrameMorphism(point, cod, (2,), "bounded-L")
+        assert _forth_back_violation(f) == MorphismViolation("back-below", (0, 0))
+
     def test_forth_violation(self, chain2_frame):
         x = validate_modal_lframe(chain2_frame, [(0, 0), (1, 1)])
         y = validate_modal_lframe(chain2_frame, [(0, 1), (1, 1)])
@@ -447,6 +480,46 @@ class TestMorphismCache:
             f.map for f in reference_frame_morphisms(x3, full, "bounded-L")
         ]
         assert _l_maps.cache_info().currsize == 1
+
+
+class TestPointMapTables:
+    """The morphism checks on the preimage and image tables against the
+    per-point loops they replaced (see conftest): up to 40 maps that
+    preserve 1 and meets and 10 arbitrary ones per pair of frames, on the
+    frame pairs above, from the one-point frame into every 4-point one,
+    and on seeded pairs of 5 to 8 points, renamed."""
+
+    @staticmethod
+    def frame_pairs(rng):
+        # a one-point domain maps R[x] onto any one point, which on a
+        # 4-point frame can have successors incomparable with it
+        point = identity_modal(all_lframes(1)[0])
+        pairs = morphism_frame_pairs() + [(point, y) for y in all_modal_lframes(4)]
+        for _ in range(40):
+            dom, cod = (sample_modal_lframe(rng, rng.randint(5, 8)) for _ in range(2))
+            base = relabeled(dom.base, rng)
+            # the renaming leaves the relation as it was, so `dom` need not
+            # be a modal L-frame: the checks read the relation all the same
+            pairs.append((ModalLFrame(base, dom.succ), cod))
+        return pairs
+
+    def test_morphism_checks_match_the_per_point_loops(self):
+        rng = random.Random(33)
+        seen = set()
+        for dom, cod in self.frame_pairs(rng):
+            maps = list(islice(_base_maps(dom.base, cod.base), 40))
+            maps += [tuple(rng.randrange(cod.n) for _ in dom.succ) for _ in range(10)]
+            for fmap in maps:
+                f = FrameMorphism(dom, cod, fmap, "bounded-L")
+                got = outcome(is_l_morphism, f)
+                assert got == outcome(pointwise_is_l_morphism, f), f
+                seen.add(getattr(got, "condition", got))
+                got = _forth_back_violation(f)
+                assert got == pointwise_forth_back_violation(f), f
+                seen.add(got and got.condition)
+        assert {None, "unit-reflection", "meet-cover", "forth"} <= seen
+        assert {"back-below", "back-above"} <= seen
+        assert ("MorphismInvalid", "1 not preserved") in seen
 
 
 class TestSatisfaction:
@@ -745,16 +818,6 @@ class TestModalCatalog:
             for y in points
             for z in r(frame.meet[x][y])
         )
-
-    def test_interleaved_and_nested_iterations_agree(self):
-        want = literal_modal_lframes(4)
-        assert list(zip(all_modal_lframes(4), all_modal_lframes(4))) == [
-            (x, x) for x in want
-        ]
-        for i, x in enumerate(all_modal_lframes(4)):
-            assert x == want[i]
-            if i % 100 == 0:
-                assert list(all_modal_lframes(4)) == want
 
 
 def boolean_frame(k):
