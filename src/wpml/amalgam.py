@@ -247,30 +247,33 @@ def check_supamal_claim(pb: PullbackFrame) -> list[str]:
     - the complement of the down-closure of f2[Y2 \\ V] is a filter of X;
     - when proj1^{-1}[U] is included in proj2^{-1}[V], the two sets above
       are disjoint.
+
+    The second part is checked once per V, before the loop over U.
     """
     y1, y2 = pb.f1.dom, pb.f2.dom
     xbase = pb.f1.cod.base
     images1, images2 = _ImageTable(pb.f1.map), _ImageTable(pb.f2.map)
     fibres1, fibres2 = _fibres(pb.proj1.map, y1.n), _fibres(pb.proj2.map, y2.n)
     problems = []
-    fs2 = filters(y2.base)
+    # per filter V of Y2: (V, proj2^{-1}[V], down(f2[Y2 \ V]))
+    vs = []
+    for vmask in filters(y2.base):
+        rest = y2.base.full_mask & ~vmask
+        comp = xbase.down_closures[images2[rest]]
+        outside = xbase.full_mask & ~comp
+        if not is_filter(xbase, outside) and outside != 0:
+            problems.append(
+                f"complement of down(f2[Y2 - {hex(vmask)}]) is not a filter"
+            )
+        if outside == 0 and rest != 0:
+            problems.append(f"complement of down(f2[Y2 - {hex(vmask)}]) is empty")
+        vs.append((vmask, fibres2[vmask], comp))
     for u in filters(y1.base):
         up_f1_u = xbase.up_closures[images1[u]]
         if not is_filter(xbase, up_f1_u):
             problems.append(f"up(f1[{hex(u)}]) is not a filter")
-        for vmask in fs2:
-            rest = y2.base.full_mask & ~vmask
-            comp = xbase.down_closures[images2[rest]]
-            outside = xbase.full_mask & ~comp
-            if not is_filter(xbase, outside) and outside != 0:
-                problems.append(
-                    f"complement of down(f2[Y2 - {hex(vmask)}]) is not a filter"
-                )
-            if outside == 0 and rest != 0:
-                problems.append(
-                    f"complement of down(f2[Y2 - {hex(vmask)}]) is empty"
-                )
-            if fibres1[u] & ~fibres2[vmask] == 0 and up_f1_u & comp:
+        for vmask, pre2, comp in vs:
+            if fibres1[u] & ~pre2 == 0 and up_f1_u & comp:
                 problems.append(
                     f"claim disjointness fails for U={hex(u)}, V={hex(vmask)}"
                 )

@@ -5,6 +5,11 @@ catalog that validate the axioms.
 Unknown is an admissible verdict: no completeness claim is made beyond
 the stated bounds.
 
+A caller that drops the proof asks for none (`want_proof=False`); the
+proof search is then `proofs.derivable`'s iterative deepening, whose
+verdict is the depth-first search's wherever that search keeps within
+its budget.
+
 The countermodel search reads `catalog.validating_structures(n, gamma)`,
 one table per catalog lattice, built once per (size, gamma), and
 evaluates the goal on each table in batches with
@@ -27,7 +32,7 @@ from .correspondence import AXIOMS, _named
 from .errors import InternalInconsistency, ResourceBound, SizeCap
 from .formulas import ConsequencePair
 from .lframe import FrameValuation, ModalLFrame, frame_validates
-from .proofs import Proof, SearchSetup, derive_bounded
+from .proofs import Proof, SearchSetup, derivable, derive_bounded
 
 DEFAULT_PROOF_DEPTH = 6
 DEFAULT_MODEL_SIZE = 4
@@ -37,6 +42,11 @@ MAX_MODEL_SIZE = 7
 
 @dataclass(frozen=True)
 class EntailmentResult:
+    """A verdict with its evidence: the proof of a `derivable` verdict
+    (None where the caller asked for none, see `decide_entailment`), the
+    frame and countervaluation of a `refuted` one, and the diagnostics
+    of an `unknown` one."""
+
     verdict: str  # "derivable" | "refuted" | "unknown"
     proof: Optional[Proof] = None
     frame: Optional[ModalLFrame] = None
@@ -68,6 +78,7 @@ def decide_entailment(
     model_budget: int = 10**6,
     *,
     setup: Optional[SearchSetup] = None,
+    want_proof: bool = True,
 ) -> EntailmentResult:
     """Proof search first; otherwise exhaustive countermodel search (up
     to isomorphism) over the modal structures of 1 to `model_size` elements
@@ -84,8 +95,13 @@ def decide_entailment(
     finds none, that is an InternalInconsistency.
 
     The proof search takes `setup` (see `proofs.SearchSetup`), which
-    must be over the tags' axioms, or a fresh one.  A `model_size` above
-    `MAX_MODEL_SIZE` raises SizeCap before any search."""
+    must be over the tags' axioms, or a fresh one.  With `want_proof`
+    off it asks `proofs.derivable` instead of `derive_bounded`: the same
+    verdict, found by iterative deepening, and a `derivable` result then
+    carries no proof.  Only where the depth-first search runs out of
+    budget can that verdict differ, from unknown to decided.  A
+    `model_size` above `MAX_MODEL_SIZE` raises SizeCap before any
+    search."""
     if model_size > MAX_MODEL_SIZE:
         raise SizeCap(f"model size {model_size} exceeds the cap of {MAX_MODEL_SIZE}")
     tags = tuple(tags)
@@ -95,12 +111,17 @@ def decide_entailment(
         "axioms": list(tags),
     }
     pairs = gamma_pairs(tags)
+    proof = None
     try:
-        proof = derive_bounded(pairs, goal, proof_depth, proof_budget, setup=setup)
+        if want_proof:
+            proof = derive_bounded(pairs, goal, proof_depth, proof_budget, setup=setup)
+            found = proof is not None
+        else:
+            found = derivable(pairs, goal, proof_depth, proof_budget, setup=setup)
     except ResourceBound as exc:
-        proof = None
+        found = False
         unknown_notes["proof_search"] = f"resource bound: {exc}"
-    if proof is not None:
+    if found:
         return EntailmentResult("derivable", proof=proof)
 
     structures_seen = 0

@@ -20,7 +20,9 @@ once per call.
 entailment search, the candidate screen and the obligation searches
 share its screen, so each formula's packed vectors are built once per
 call, and its memo of axiom instances and modal closures, which their
-cut pools draw on.  It is dropped with the call.  The distributive
+cut pools draw on.  It is dropped with the call.  The entailment search
+wants no proof, so it is `proofs.derivable`'s iterative deepening; each
+obligation search returns its proof.  The distributive
 fragment's obligations share one set-up at caps (64, 128).
 """
 
@@ -177,7 +179,10 @@ def craig_interpolant(prob: InterpolationProblem) -> InterpolationResult:
     """Entailment first (so no-entailment never spends the candidate
     budget); then least-candidate interpolant search.  The entailment
     search, the candidate screen and the obligation searches share one
-    `proofs.SearchSetup`, made for the call."""
+    `proofs.SearchSetup`, made for the call.  The entailment's proof is
+    not kept, so `decide_entailment` is asked for none and decides by
+    `proofs.derivable`'s iterative deepening, the verdict of the
+    depth-first search it would otherwise run."""
     goal = ConsequencePair(prob.phi, prob.psi)
     gamma = gamma_pairs(prob.tags)
     setup = SearchSetup(gamma)
@@ -188,6 +193,7 @@ def craig_interpolant(prob: InterpolationProblem) -> InterpolationResult:
         model_size=prob.model_size,
         proof_budget=prob.proof_budget,
         setup=setup,
+        want_proof=False,
     )
     if ent.refuted:
         cm = CounterModel("frame", ent.frame, ent.valuation)

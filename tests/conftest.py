@@ -614,6 +614,20 @@ def pointwise_check_supamal_claim(pb):
     y1, y2 = pb.f1.dom, pb.f2.dom
     xbase = pb.f1.cod.base
     problems = []
+    comps = {}
+    for vmask in filters(y2.base):
+        comp = 0
+        rest = y2.base.full_mask & ~vmask
+        for b in _points(rest):
+            comp |= xbase.down_masks[pb.f2.map[b]]
+        outside = xbase.full_mask & ~comp
+        if not is_filter(xbase, outside) and outside != 0:
+            problems.append(
+                f"complement of down(f2[Y2 - {hex(vmask)}]) is not a filter"
+            )
+        if outside == 0 and rest != 0:
+            problems.append(f"complement of down(f2[Y2 - {hex(vmask)}]) is empty")
+        comps[vmask] = comp
     for u in filters(y1.base):
         img = 0
         for a in _points(u):
@@ -622,18 +636,7 @@ def pointwise_check_supamal_claim(pb):
         if not is_filter(xbase, up_f1_u):
             problems.append(f"up(f1[{hex(u)}]) is not a filter")
         pre1 = sum(1 << t for t, (a, _) in enumerate(pb.points) if u >> a & 1)
-        for vmask in filters(y2.base):
-            comp = 0
-            rest = y2.base.full_mask & ~vmask
-            for b in _points(rest):
-                comp |= xbase.down_masks[pb.f2.map[b]]
-            outside = xbase.full_mask & ~comp
-            if not is_filter(xbase, outside) and outside != 0:
-                problems.append(
-                    f"complement of down(f2[Y2 - {hex(vmask)}]) is not a filter"
-                )
-            if outside == 0 and rest != 0:
-                problems.append(f"complement of down(f2[Y2 - {hex(vmask)}]) is empty")
+        for vmask, comp in comps.items():
             pre2 = sum(1 << t for t, (_, b) in enumerate(pb.points) if vmask >> b & 1)
             if pre1 & ~pre2 == 0 and up_f1_u & comp:
                 problems.append(

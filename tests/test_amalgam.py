@@ -111,7 +111,7 @@ class TestPointMapTables:
         """Every pair of surjective bounded L-morphisms between catalog
         frames of at most 3 points; the claim is checked also with the
         second leg's map replaced by a seeded arbitrary one, so that its
-        failures compare too."""
+        failures compare too, and no failure is reported twice."""
         frames = [x for n in range(1, 4) for x in all_modal_lframes(n)]
         rng = random.Random(36)
         pairs = failing = loose = 0
@@ -131,6 +131,7 @@ class TestPointMapTables:
                         claim = replace(pb, f2=g2)
                         got = check_supamal_claim(claim)
                         assert got == pointwise_check_supamal_claim(claim)
+                        assert len(set(got)) == len(got), got
                         failing += bool(got)
                     pairs += 1
                     loose += not (is_tight(f1.dom) and is_tight(f2.dom))

@@ -65,6 +65,7 @@ from wpml.proofs import (
     _screening_candidates,
     check_proof,
     cut_pool,
+    derivable,
     derive_bounded,
 )
 from wpml.serialize import proof_from_json, proof_to_json
@@ -1228,6 +1229,70 @@ class TestRootScreen:
             search = ProofSearch((), cut_pool(law))
             assert search.prove(law, 6) is None
             assert search.expansions > 100 and whitman_refutes((), law)
+
+
+class TestDerivable:
+    """`derivable` decides by iterative deepening what `derive_bounded`
+    decides depth-first, and falls back on `derive_bounded` where the
+    deepening runs out of budget."""
+
+    @pytest.mark.parametrize("tags", ROOT_TAGS[:6], ids=lambda t: "+".join(t) or "none")
+    def test_agrees_with_derive_bounded(self, tags):
+        gamma = gamma_pairs(tags)
+        verdicts = set()
+        for goal in random_pairs(random.Random("derivable:" + "+".join(tags)), 50):
+            for depth in range(1, 7):
+                try:
+                    got = derivable(gamma, goal, depth, 20_000)
+                    want = derive_bounded(gamma, goal, depth, 20_000) is not None
+                except ResourceBound:
+                    continue
+                assert got == want, (str(goal), depth)
+                verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_budget_falls_back_on_the_depth_first_search(self, monkeypatch):
+        """Depth-first, the goal takes 9,368 expansions; deepening takes
+        24,314, past the budget, so the verdict is `derive_bounded`'s."""
+        gamma = gamma_pairs(("4",))
+        goal = parse_pair("[]((p v p) & (T v T)) |- <>(q v p & p)")
+        searches, calls = [], []
+
+        class Recorded(ProofSearch):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                searches.append(self)
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return derive_bounded(*args, **kwargs)
+
+        monkeypatch.setattr(proofs, "ProofSearch", Recorded)
+        assert derivable(gamma, goal, 6, 200_000)
+        assert [s.expansions for s in searches] == [24_314]
+        searches.clear()
+        monkeypatch.setattr(proofs, "derive_bounded", recorded)
+        assert derivable(gamma, goal, 6, 20_000)
+        assert [s.expansions for s in searches] == [20_001, 9_368]
+        assert calls == [(gamma, goal, 6, 20_000)]
+        with pytest.raises(ResourceBound):
+            derivable(gamma, goal, 6, 9_000)
+
+    def test_depth_bounds(self):
+        goal = parse_pair("[](p & q) |- []p")
+        with pytest.raises(SizeCap):
+            derivable((), goal, MAX_PROOF_DEPTH + 1)
+        assert not any(derivable((), goal, depth) for depth in (-1, 0, 1))
+        assert derivable((), goal, 2)
+
+    @pytest.mark.parametrize("law", _DISTRIBUTION_LAWS + LATTICE_LAWS, ids=str)
+    def test_refuted_root_builds_no_pool(self, law, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built for a refuted root")
+
+        monkeypatch.setattr(proofs, "cut_pool", refuse)
+        monkeypatch.setattr(proofs, "ProofSearch", refuse)
+        assert not derivable((), law, 6)
 
 
 def lattice_formula(rng, names, depth):
