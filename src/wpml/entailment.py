@@ -5,10 +5,10 @@ catalog that validate the axioms.
 Unknown is an admissible verdict: no completeness claim is made beyond
 the stated bounds.
 
-A caller that drops the proof asks for none (`want_proof=False`); the
-proof search is then `proofs.derivable`'s iterative deepening, whose
-verdict is the depth-first search's wherever that search keeps within
-its budget.
+A caller that expects the pair to entail with a proof of small height
+may ask for iterative deepening (`deepening=True`, `proofs.derivable`),
+which finds a proof where the depth-first search does, one of least
+height, at less cost where that height is small.
 
 The countermodel search reads `catalog.validating_structures(n, gamma)`,
 one table per catalog lattice, built once per (size, gamma), and
@@ -42,10 +42,9 @@ MAX_MODEL_SIZE = 7
 
 @dataclass(frozen=True)
 class EntailmentResult:
-    """A verdict with its evidence: the proof of a `derivable` verdict
-    (None where the caller asked for none, see `decide_entailment`), the
-    frame and countervaluation of a `refuted` one, and the diagnostics
-    of an `unknown` one."""
+    """A verdict with its evidence: the proof of a `derivable` verdict,
+    the frame and countervaluation of a `refuted` one, and the
+    diagnostics of an `unknown` one."""
 
     verdict: str  # "derivable" | "refuted" | "unknown"
     proof: Optional[Proof] = None
@@ -78,7 +77,7 @@ def decide_entailment(
     model_budget: int = 10**6,
     *,
     setup: Optional[SearchSetup] = None,
-    want_proof: bool = True,
+    deepening: bool = False,
 ) -> EntailmentResult:
     """Proof search first; otherwise exhaustive countermodel search (up
     to isomorphism) over the modal structures of 1 to `model_size` elements
@@ -95,13 +94,14 @@ def decide_entailment(
     finds none, that is an InternalInconsistency.
 
     The proof search takes `setup` (see `proofs.SearchSetup`), which
-    must be over the tags' axioms, or a fresh one.  With `want_proof`
-    off it asks `proofs.derivable` instead of `derive_bounded`: the same
-    verdict, found by iterative deepening, and a `derivable` result then
-    carries no proof.  Only where the depth-first search runs out of
-    budget can that verdict differ, from unknown to decided.  A
-    `model_size` above `MAX_MODEL_SIZE` raises SizeCap before any
-    search."""
+    must be over the tags' axioms, or a fresh one.  It is
+    `derive_bounded`'s depth-first search, or with `deepening` on
+    `proofs.derivable`'s iterative deepening, which finds a proof iff
+    the depth-first search does (one of least height) and costs less
+    where a proof of small height exists, more where none does.  Only
+    where the depth-first search runs out of budget can the verdicts
+    differ, from unknown to decided.  A `model_size` above
+    `MAX_MODEL_SIZE` raises SizeCap before any search."""
     if model_size > MAX_MODEL_SIZE:
         raise SizeCap(f"model size {model_size} exceeds the cap of {MAX_MODEL_SIZE}")
     tags = tuple(tags)
@@ -111,17 +111,13 @@ def decide_entailment(
         "axioms": list(tags),
     }
     pairs = gamma_pairs(tags)
-    proof = None
+    search = derivable if deepening else derive_bounded
     try:
-        if want_proof:
-            proof = derive_bounded(pairs, goal, proof_depth, proof_budget, setup=setup)
-            found = proof is not None
-        else:
-            found = derivable(pairs, goal, proof_depth, proof_budget, setup=setup)
+        proof = search(pairs, goal, proof_depth, proof_budget, setup=setup)
     except ResourceBound as exc:
-        found = False
+        proof = None
         unknown_notes["proof_search"] = f"resource bound: {exc}"
-    if found:
+    if proof is not None:
         return EntailmentResult("derivable", proof=proof)
 
     structures_seen = 0

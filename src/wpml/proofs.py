@@ -68,26 +68,29 @@ search's first expansion does not screen it again.  Whitman stays an
 oracle as well: tests/test_proofs.py checks its "no" against an ungated
 `ProofSearch`.
 
-Verdicts without proofs: `derivable` answers whether `derive_bounded`
-finds a proof, for a caller that drops the proof
+Iterative deepening: `derivable` finds a proof where `derive_bounded`
+finds one, for a caller that expects a proof of small height
 (`interpolation.craig_interpolant`'s entailment check, through
 `entailment.decide_entailment`).  After the same root checks (one helper,
 `_root_search`, serves both), one `ProofSearch` over the same pool runs at
-depths 1, 2, ... up to the depth (iterative deepening) and stops at the
-first that finds a proof.  A success is reused only within its height and
-a failure at depth d means no proof of height d or less, so a search at
-depth d finds a proof iff the pool holds one of height at most d, however
-its memo was filled: the deepening finds one iff the depth-first search at
-the full depth does.  Proofs of small height are found without the
-depth-first search's walk through tall subgoals: the 44 entailment
-checks of a golden-corpus pass at depth 6 take 3,742 expansions instead
-of 20,530.  It can cost more, as on a pair with no low proof (under 4,
-`[]((p v p) & (T v T)) |- <>(q v p & p)` takes 24,314 expansions instead
-of 9,368); where it runs out of budget, `derivable` returns the
-verdict of `derive_bounded` at the same budget, so it may run two
-searches, each within the budget, and where the depth-first search runs
-out too, it raises as that search does.  tests/test_proofs.py checks it
-against `derive_bounded` on seeded pairs under each axiom set.
+depths 1, 2, ... up to the depth and returns the proof of the first that
+finds one.  A success is reused only within its height and a failure at
+depth d means no proof of height d or less, so a search at depth d finds
+a proof iff the pool holds one of height at most d, however its memo was
+filled: the deepening finds one iff the depth-first search at the full
+depth does, and its proof is of least height.  Where such a proof is
+low, it is found without the depth-first search's walk through tall
+subgoals: the 44 entailment checks of a golden-corpus pass at depth 6,
+each of which entails with a proof of height 2 to 4, take 3,742
+expansions instead of 20,530.  Where there is no low proof, or none at
+all, each depth searches again what the one before failed on, so it
+costs more: under 4, `[]((p v p) & (T v T)) |- <>(q v p & p)` takes
+24,314 expansions instead of 9,368.  Where it runs out of budget,
+`derivable` returns what `derive_bounded` returns at the same budget, so
+it may run two searches, each within the budget (up to twice the budget
+in all), and where the depth-first search runs out too, it raises as
+that search does.  tests/test_proofs.py checks it against
+`derive_bounded` on seeded pairs under each axiom set.
 
 Memo tables: a search numbers the formulas it meets with small ints of
 its own and keys its memo tables by the ids of a pair's two sides, so
@@ -913,25 +916,32 @@ def derivable(
     budget: int = 200_000,
     *,
     setup: Optional[SearchSetup] = None,
-) -> bool:
-    """Whether `derive_bounded(gamma, goal, depth, budget, setup=setup)`
-    finds a proof, decided by iterative deepening: after the same root
-    checks, one `ProofSearch` over the same cut pool runs at depths 1, 2,
-    ..., `depth` and stops at the first that finds a proof.  The verdict
-    is the depth-first one (see the module docstring), and no proof is
-    returned.  The budget bounds the expansions of all depths together;
-    where they exceed it, the verdict is `derive_bounded`'s at the same
-    budget, which raises ResourceBound where it too runs out.  SizeCap
-    for a depth above `MAX_PROOF_DEPTH`; False for a depth <= 0."""
+) -> Optional[Proof]:
+    """A proof of `goal` from gamma of height at most `depth`, found by
+    iterative deepening, or None where `derive_bounded(gamma, goal,
+    depth, budget, setup=setup)` finds none: after the same root checks,
+    one `ProofSearch` over the same cut pool runs at depths 1, 2, ...,
+    `depth` and returns the proof of the first that finds one, a proof of
+    least height (see the module docstring).  The budget bounds the
+    expansions of all depths together; where they exceed it, the result
+    is `derive_bounded`'s at the same budget, which raises ResourceBound
+    where it too runs out.  SizeCap for a depth above `MAX_PROOF_DEPTH`;
+    None for a depth <= 0."""
+    gamma = tuple(gamma)
+    setup = _setup_for(gamma, setup)
     found = _root_search(gamma, goal, depth, budget, setup)
     if found is None:
-        return False
+        return None
     search, l, r = found
     del found
     try:
-        return any(search._prove(l, r, d) is not None for d in range(1, depth + 1))
+        for d in range(1, depth + 1):
+            proof = search._prove(l, r, d)
+            if proof is not None:
+                return proof
+        return None
     except ResourceBound:
         pass
     # the first search's memo is dropped before the second search runs
     del search
-    return derive_bounded(gamma, goal, depth, budget, setup=setup) is not None
+    return derive_bounded(gamma, goal, depth, budget, setup=setup)

@@ -210,9 +210,8 @@ def test_golden_search_counters_are_pinned(golden_run):
     root check refutes it there, so no search runs for it.  A memoized
     success is reused only within its height, and a root that
     `derive_bounded` screened is not screened again by its search.  The
-    entailment check wants no proof, so it is decided by
-    `proofs.derivable`'s iterative deepening, which stops at the least
-    depth that finds one."""
+    entailment check is `proofs.derivable`'s iterative deepening, which
+    stops at the least depth that finds a proof."""
     assert golden_run[1] == {
         "expansions": 29_229,
         "screen_calls": 20_924,

@@ -67,6 +67,24 @@ class TestDerivableVerdicts:
         r = decide_entailment(("4",), parse_pair("[]p |- [][]p"), 2, 2)
         assert r.derivable
 
+    def test_deepening_gives_the_depth_first_verdict(self):
+        """With `deepening` the result is the default's, except that a
+        `derivable` one carries a proof of least height, which checks."""
+        verdicts = set()
+        for tags in ((), ("T",), ("4",)):
+            gamma = gamma_pairs(tags)
+            for goal in random_pairs(random.Random("deepening:" + "+".join(tags)), 20):
+                want = decide_entailment(tags, goal, 4, 3)
+                got = decide_entailment(tags, goal, 4, 3, deepening=True)
+                verdicts.add(got.verdict)
+                if not got.derivable:
+                    assert got == want, str(goal)
+                    continue
+                assert want.derivable and got.proof.conclusion == goal
+                assert check_proof(got.proof, gamma) is None
+                assert got.proof.height() <= want.proof.height()
+        assert verdicts == {"derivable", "refuted", "unknown"}
+
 
 class TestRefutedVerdicts:
     def test_p_below_box_p_refuted_at_three_points(self):

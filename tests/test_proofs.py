@@ -1232,28 +1232,35 @@ class TestRootScreen:
 
 
 class TestDerivable:
-    """`derivable` decides by iterative deepening what `derive_bounded`
-    decides depth-first, and falls back on `derive_bounded` where the
-    deepening runs out of budget."""
+    """`derivable` finds by iterative deepening a proof where
+    `derive_bounded` finds one depth-first, and falls back on
+    `derive_bounded` where the deepening runs out of budget."""
 
     @pytest.mark.parametrize("tags", ROOT_TAGS[:6], ids=lambda t: "+".join(t) or "none")
     def test_agrees_with_derive_bounded(self, tags):
+        """Same outcome; the deepening's proof checks, concludes the goal
+        and is no taller than the depth-first one."""
         gamma = gamma_pairs(tags)
         verdicts = set()
         for goal in random_pairs(random.Random("derivable:" + "+".join(tags)), 50):
             for depth in range(1, 7):
                 try:
                     got = derivable(gamma, goal, depth, 20_000)
-                    want = derive_bounded(gamma, goal, depth, 20_000) is not None
+                    want = derive_bounded(gamma, goal, depth, 20_000)
                 except ResourceBound:
                     continue
-                assert got == want, (str(goal), depth)
-                verdicts.add(got)
+                assert (got is None) == (want is None), (str(goal), depth)
+                if got is not None:
+                    assert got.conclusion == goal
+                    assert check_proof(got, gamma) is None
+                    assert got.height() <= want.height() <= depth
+                verdicts.add(got is not None)
         assert verdicts == {True, False}
 
     def test_budget_falls_back_on_the_depth_first_search(self, monkeypatch):
         """Depth-first, the goal takes 9,368 expansions; deepening takes
-        24,314, past the budget, so the verdict is `derive_bounded`'s."""
+        24,314, past the budget, so the result is `derive_bounded`'s,
+        found with the same axiom tuple and set-up."""
         gamma = gamma_pairs(("4",))
         goal = parse_pair("[]((p v p) & (T v T)) |- <>(q v p & p)")
         searches, calls = [], []
@@ -1264,17 +1271,24 @@ class TestDerivable:
                 searches.append(self)
 
         def recorded(*args, **kwargs):
-            calls.append(args)
+            calls.append((args, kwargs))
             return derive_bounded(*args, **kwargs)
 
         monkeypatch.setattr(proofs, "ProofSearch", Recorded)
-        assert derivable(gamma, goal, 6, 200_000)
+        low = derivable(gamma, goal, 6, 200_000)
         assert [s.expansions for s in searches] == [24_314]
         searches.clear()
         monkeypatch.setattr(proofs, "derive_bounded", recorded)
-        assert derivable(gamma, goal, 6, 20_000)
+        setup = SearchSetup(gamma)
+        got = derivable(list(gamma), goal, 6, 20_000, setup=setup)
         assert [s.expansions for s in searches] == [20_001, 9_368]
-        assert calls == [(gamma, goal, 6, 20_000)]
+        assert calls == [((gamma, goal, 6, 20_000), {"setup": setup})]
+        assert got == derive_bounded(gamma, goal, 6, 200_000)
+        assert low.height() <= got.height()
+        # a one-shot iterable reaches the fallback whole
+        searches.clear()
+        assert derivable(iter(gamma), goal, 6, 20_000) == got
+        assert [s.expansions for s in searches][-1] == 9_368
         with pytest.raises(ResourceBound):
             derivable(gamma, goal, 6, 9_000)
 
@@ -1282,8 +1296,8 @@ class TestDerivable:
         goal = parse_pair("[](p & q) |- []p")
         with pytest.raises(SizeCap):
             derivable((), goal, MAX_PROOF_DEPTH + 1)
-        assert not any(derivable((), goal, depth) for depth in (-1, 0, 1))
-        assert derivable((), goal, 2)
+        assert all(derivable((), goal, depth) is None for depth in (-1, 0, 1))
+        assert derivable((), goal, 2).height() == 2
 
     @pytest.mark.parametrize("law", _DISTRIBUTION_LAWS + LATTICE_LAWS, ids=str)
     def test_refuted_root_builds_no_pool(self, law, monkeypatch):
@@ -1292,7 +1306,7 @@ class TestDerivable:
 
         monkeypatch.setattr(proofs, "cut_pool", refuse)
         monkeypatch.setattr(proofs, "ProofSearch", refuse)
-        assert not derivable((), law, 6)
+        assert derivable((), law, 6) is None
 
 
 def lattice_formula(rng, names, depth):
