@@ -147,7 +147,7 @@ class LFrame:
     meet: tuple[tuple[int, ...], ...]
     one: int
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.elements)
 
@@ -238,7 +238,7 @@ class ModalLFrame:
     base: LFrame
     succ: tuple[int, ...]
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.base.n
 

@@ -10,19 +10,23 @@ closed once under box/diamond), so completeness is only relative to the
 bounds.  `cut_pool` returns the pool in search order (goal subformulas
 first, each part by size key) after one sort.
 
-Search set-up: the searches of one caller over one axiom set may share a
-`SearchSetup`, which `derive_bounded` and `cut_pool` take (a fresh one
-when the caller passes none; one per `interpolation.craig_interpolant`
-call, whose entailment search, candidate screen and obligation searches
-share it).  It holds the screening set's one `PackedScreen`, the axiom
-instances of each tuple of ground formulas (a member's non-letter
-subformulas, substituted; the subformulas of the ground formulas are in
-the pool already) and each base formula's four modal-closure formulas.
-Each pool ranks and truncates its instance grids itself, so the caps
-stay exact, and the pool is the one a fresh set-up gives.  A set-up lives
-only as long as its caller keeps it: nothing is kept process-wide, so no
-formula outlives the call.  tests/test_proofs.py checks pools from fresh
-and shared set-ups against a literal build.
+Search set-up: a `SearchSetup` is the one carrier of a search's inputs,
+the axiom set, the two caps of its cut pools and the screen:
+`cut_pool(goal, setup)` and `ProofSearch(setup, pool, budget)` read them
+from it, and `derive_bounded` and `derivable` resolve the one they are
+given (a fresh one over gamma at the default caps when the caller passes
+none) once per call.  The searches of one caller over one axiom set may
+share one (one per `interpolation.craig_interpolant` call, whose
+entailment search, candidate screen and obligation searches share it).
+It holds the screening set's one `PackedScreen`, the axiom instances of
+each tuple of ground formulas (a member's non-letter subformulas,
+substituted; the subformulas of the ground formulas are in the pool
+already) and each base formula's four modal-closure formulas.  Each pool
+ranks and truncates its instance grids itself, so the caps stay exact,
+and the pool is the one a fresh set-up gives.  A set-up lives only as
+long as its caller keeps it: nothing is kept process-wide, so no formula
+outlives the call.  tests/test_proofs.py checks pools from fresh and
+shared set-ups against a literal build.
 
 Semantic screening: before expanding a subgoal of at most three letters,
 the search refutes it on a fixed set of small modal lattices that
@@ -345,15 +349,22 @@ def check_proof(proof: Proof, gamma=()) -> Optional[BadNode]:
 
 
 class SearchSetup:
-    """What the searches of one caller over the axiom set gamma share (see
-    the module docstring): `screen`, the one `PackedScreen` over the
-    screening set `screens`, both built when first asked for; per member
-    of gamma, what its instance at each tuple of ground formulas adds to a
-    pool's base; and each base formula's modal closure.  `instance_cap`
-    and `pool_cap` are the caps of the pools that `derive_bounded` builds
-    with it."""
+    """The one carrier of a search's inputs: the axiom set gamma, the caps
+    of every pool built with it (`instance_cap`, `pool_cap`: see
+    `cut_pool`; PreconditionViolated for a negative one), and the screen,
+    `screen`, the one `PackedScreen` over the screening set `screens`,
+    both built when first asked for (a caller may assign `screens` before
+    `screen` is first read).  `cut_pool` and `ProofSearch` read all of
+    them from it.  The searches of one caller over gamma may share it
+    (see the module docstring), and with it the memos: per member of
+    gamma, what its instance at each tuple of ground formulas adds to a
+    pool's base; and each base formula's modal closure."""
 
     def __init__(self, gamma=(), instance_cap: int = 256, pool_cap: int = 512):
+        if instance_cap < 0 or pool_cap < 0:
+            raise PreconditionViolated(
+                f"negative cap (instance_cap {instance_cap}, pool_cap {pool_cap})"
+            )
         self.gamma = tuple(gamma)
         self.instance_cap = instance_cap
         self.pool_cap = pool_cap
@@ -391,26 +402,23 @@ def _setup_for(gamma: tuple, setup: Optional[SearchSetup]) -> SearchSetup:
 
 
 def cut_pool(
-    goal: ConsequencePair,
-    gamma=(),
-    instance_cap: int = 256,
-    pool_cap: int = 512,
-    *,
-    setup: Optional[SearchSetup] = None,
+    goal: ConsequencePair, setup: Optional[SearchSetup] = None
 ) -> tuple[Formula, ...]:
-    """Deterministic cut-formula pool: subformulas of the goal and of
-    axiom instances over them, plus constants, closed once under the
-    modalities.
+    """Deterministic cut-formula pool over `setup`'s axiom set gamma (an
+    axiom-free `SearchSetup` at the default caps when there is none):
+    subformulas of the goal and of axiom instances over them, plus
+    constants, closed once under the modalities.
 
     Axiom instantiation grids are ranked by total substituted size and
-    truncated at `instance_cap` per member; the final pool keeps its
-    first `pool_cap` formulas in search order, the goal's subformulas
-    before any other formula.  Both caps only bound
-    the search, they never affect soundness.  The instances and the
-    closure come from `setup`'s memos (a fresh set-up over gamma when
-    there is none), so the pool is the same either way.
+    truncated at the set-up's `instance_cap` per member; the final pool
+    keeps its first `pool_cap` formulas in search order, the goal's
+    subformulas before any other formula.  Both caps only bound the
+    search, they never affect soundness.  The instances and the closure
+    come from the set-up's memos, so a shared set-up gives the pool a
+    fresh one gives.
     """
-    setup = _setup_for(tuple(gamma), setup)
+    if setup is None:
+        setup = SearchSetup()
     subs = subformulas(goal.lhs) | subformulas(goal.rhs)
     base: set[Formula] = {TOP, BOT} | subs
     ground = sorted(base, key=_KEY)
@@ -422,7 +430,7 @@ def cut_pool(
                 sum(ground_keys[i][0] for i in c),
                 tuple(ground_keys[i][1] for i in c),
             ),
-        )[:instance_cap]
+        )[: setup.instance_cap]
         for combo in combos:
             # ground is closed under subformulas, so an instance adds to
             # the base only the images of the member's non-letter parts
@@ -443,7 +451,7 @@ def cut_pool(
             # through dia T & box f |- dia(T & f) (the duality axiom at T)
             closure = closures[f] = (box, Dia(f), And(dia_top, box), Dia(And(TOP, f)))
         once.update(closure)
-    return _search_order(sorted(once, key=_KEY), subs)[:pool_cap]
+    return _search_order(sorted(once, key=_KEY), subs)[: setup.pool_cap]
 
 
 def _search_order(ranked, subs) -> tuple[Formula, ...]:
@@ -577,10 +585,10 @@ class ProofSearch:
     that failed), where the key of the pair of ids (l, r) is
     `l << 32 | r`.
 
-    `screen`, a `PackedScreen` over `screens` that the caller has used
-    already (`derive_bounded` passes its `SearchSetup`'s, with which it
-    screened the root and which the other searches of that set-up
-    share), is taken over, vectors and all, instead of a new one.
+    The axiom set and the screen come from `setup`, a `SearchSetup`:
+    its `PackedScreen` over its `screens`, which the caller may have used
+    already (`derive_bounded` screened the root with it, and the other
+    searches of that set-up share it), is taken over, vectors and all.
 
     `expansions`, `screen_calls` (pairs checked against the screen set)
     and `screen_rejects` (pairs a screen refuted) are deterministic work
@@ -589,20 +597,11 @@ class ProofSearch:
     search and candidate screen that shared it.
     """
 
-    def __init__(
-        self,
-        gamma,
-        pool,
-        budget: int = 200_000,
-        screens=None,
-        screen: Optional[PackedScreen] = None,
-    ):
-        self.gamma = tuple(gamma)
+    def __init__(self, setup: SearchSetup, pool, budget: int = 200_000):
+        self.gamma = setup.gamma
         self.pool = tuple(pool)
         self.budget = budget
-        self.screens = (
-            _screening_algebras(self.gamma) if screens is None else tuple(screens)
-        )
+        self._screen = setup.screen
         ids: dict[Formula, int] = {}
         self._ids = ids
         self._pool_ids = tuple(ids.setdefault(f, len(ids)) for f in self.pool)
@@ -619,9 +618,6 @@ class ProofSearch:
         # pair mask -> its slot (see `_slot`), or None past three letters
         self._slots: dict[int, Optional[tuple]] = {}
         self._screen_ok: set[int] = set()
-        self._screen = (
-            PackedScreen(_screen_tables(self.screens)) if screen is None else screen
-        )
         # (type(lhs), type(rhs)) -> the leaf rules and axiom members that
         # can match a pair of that shape
         self._leaf_plans: dict[tuple[type, type], tuple[tuple, tuple]] = {}
@@ -659,10 +655,10 @@ class ProofSearch:
     def _screened_out(self, key: int) -> bool:
         """True iff some screen algebra refutes the pair of formula ids
         `key`, of at most three letters: the same decision as
-        `algebra_validates(a, pair) is not None` for some `a` in
-        `screens`, but all of them are tried at once.  The pair's codes
-        are the sum of its left id's left half and its right id's right
-        half in the slot of its letters, and one translate marks the
+        `algebra_validates(a, pair) is not None` for some `a` in the
+        set-up's `screens`, but all of them are tried at once.  The pair's
+        codes are the sum of its left id's left half and its right id's
+        right half in the slot of its letters, and one translate marks the
         positions whose left value is not below the right one."""
         if key in self._screen_ok:
             return False
@@ -844,31 +840,28 @@ MAX_PROOF_DEPTH = 200
 
 
 def _root_search(
-    gamma, goal: ConsequencePair, depth: int, budget: int, setup: Optional[SearchSetup]
+    setup: SearchSetup, goal: ConsequencePair, depth: int, budget: int
 ) -> Optional[tuple[ProofSearch, int, int]]:
     """The checks and the search that `derive_bounded` and `derivable`
-    share: SizeCap for a depth above `MAX_PROOF_DEPTH`, then the root
-    checks (see `derive_bounded`), which give None for a refuted root;
-    else a `ProofSearch` over the cut pool, with the root's two ids."""
+    share, over the set-up each of them resolved: SizeCap for a depth
+    above `MAX_PROOF_DEPTH`, then the root checks (see `derive_bounded`),
+    which give None for a refuted root; else a `ProofSearch` over the cut
+    pool, with the root's two ids."""
     if depth > MAX_PROOF_DEPTH:
         raise SizeCap(f"proof depth {depth} exceeds the cap of {MAX_PROOF_DEPTH}")
-    gamma = tuple(gamma)
-    setup = _setup_for(gamma, setup)
-    screen = setup.screen
     if budget >= 1:
         # at depth <= 0 the search returns None too
         lhs, rhs = goal.lhs, goal.rhs
-        if screen.refutes(((lhs, rhs, tuple(sorted(letters(goal)))),)):
+        if setup.screen.refutes(((lhs, rhs, tuple(sorted(letters(goal)))),)):
             return None
         if (
-            not gamma
+            not setup.gamma
             and is_modality_free(lhs)
             and is_modality_free(rhs)
             and not free_lattice_leq(lhs, rhs)
         ):
             return None
-    pool = cut_pool(goal, gamma, setup.instance_cap, setup.pool_cap, setup=setup)
-    search = ProofSearch(gamma, pool, budget, setup.screens, screen)
+    search = ProofSearch(setup, cut_pool(goal, setup), budget)
     l, r = search._id(goal.lhs), search._id(goal.rhs)
     # the root has passed the screen above, so the search does not screen
     # it again (at budget < 1 its first expansion raises before it would)
@@ -902,7 +895,7 @@ def derive_bounded(
     check it a second time.  The screen and the cut pool come from
     `setup` (a `SearchSetup` over gamma, or a fresh one), the pool at its
     caps."""
-    found = _root_search(gamma, goal, depth, budget, setup)
+    found = _root_search(_setup_for(tuple(gamma), setup), goal, depth, budget)
     if found is None:
         return None
     search, l, r = found
@@ -929,7 +922,7 @@ def derivable(
     None for a depth <= 0."""
     gamma = tuple(gamma)
     setup = _setup_for(gamma, setup)
-    found = _root_search(gamma, goal, depth, budget, setup)
+    found = _root_search(setup, goal, depth, budget)
     if found is None:
         return None
     search, l, r = found

@@ -42,7 +42,7 @@ from wpml.lframe import (
     validate_lframe,
     validate_modal_lframe,
 )
-from wpml.proofs import _KEY, ProofSearch, _search_order
+from wpml.proofs import _KEY, ProofSearch, SearchSetup, _search_order
 
 
 def chain_leq(n):
@@ -189,12 +189,12 @@ def literal_cut_pool(goal, gamma=(), instance_cap=256, pool_cap=512):
 def literal_derive_bounded(
     gamma, goal, depth, budget=200_000, pool=None, *, setup=None
 ):
-    """`derive_bounded` with no root check and no set-up (a caller's
+    """`derive_bounded` with no root check and a fresh set-up (a caller's
     `setup` is ignored): the literal cut pool first, then the search,
     whose first expansion screens the root on a screen of its own."""
     gamma = tuple(gamma)
     pool = literal_cut_pool(goal, gamma) if pool is None else order_cuts(goal, pool)
-    return ProofSearch(gamma, pool, budget).prove(goal, depth)
+    return ProofSearch(SearchSetup(gamma), pool, budget).prove(goal, depth)
 
 
 # The frame-by-frame enumeration of modal L-frames: every valid relation

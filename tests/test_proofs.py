@@ -273,7 +273,7 @@ class TestCutPool:
 
     def test_gamma_instances_included(self):
         goal = parse_pair("[]p |- <>p")
-        pool = set(cut_pool(goal, AXIOMS["T"]))
+        pool = set(cut_pool(goal, SearchSetup(AXIOMS["T"])))
         from wpml.formulas import parse_formula
 
         # T instantiated at []p contributes [][]p via subformulas+closure
@@ -290,7 +290,7 @@ class TestCutPool:
             goal = parse_pair(text)
             for gamma in AXIOM_SETS:
                 for caps in ({}, {"instance_cap": 5, "pool_cap": 40}):
-                    pool = cut_pool(goal, gamma, **caps)
+                    pool = cut_pool(goal, SearchSetup(gamma, **caps))
                     assert order_cuts(goal, pool) == pool
                     by_key = tuple(sorted(pool, key=formula_key))
                     digest.update(repr((by_key, order_cuts(goal, by_key))).encode())
@@ -302,7 +302,7 @@ class TestCutPool:
         first, so the conjunctions of the left side stay, and the pair
         gets the proof of height 4 it gets with no axioms."""
         goal = parse_pair("a & b & c & d & e |- a")
-        pool = cut_pool(goal, DISTRIBUTIVITY)
+        pool = cut_pool(goal, SearchSetup(DISTRIBUTIVITY))
         subs = subformulas(goal.lhs) | subformulas(goal.rhs)
         assert len(pool) == 512 and subs <= set(pool)
         assert set(pool[: len(subs)]) == subs
@@ -333,10 +333,11 @@ SETUP_SETTINGS = [
 
 
 class TestSearchSetup:
-    """`cut_pool` builds its instances and closure from a `SearchSetup`'s
-    memos: with a fresh set-up on each call and with one set-up shared by
-    all the goals (and both cap settings) of an axiom set, it returns the
-    pool of the literal build, which substitutes every instance in full."""
+    """`cut_pool` takes its axiom set and caps from a `SearchSetup` and
+    builds its instances and closure from the set-up's memos: with a
+    fresh set-up on each call and with one set-up shared by all the goals
+    of an axiom set and cap setting, it returns the pool of the literal
+    build, which substitutes every instance in full."""
 
     @pytest.mark.parametrize(
         "name, gamma, caps",
@@ -346,18 +347,14 @@ class TestSearchSetup:
     def test_fresh_and_shared_setups_give_the_literal_pool(self, name, gamma, caps):
         rng = random.Random(f"setup:{name}")
         goals = random_pairs(rng, 10) + [parse_pair(text) for text, _ in GOLDEN_SAMPLE]
-        shared = SearchSetup(gamma)
-        warm = SearchSetup(gamma)
-        for goal in goals:
-            # a shared set-up first used at other caps keeps no trace of them
-            cut_pool(goal, gamma, setup=warm)
+        shared = SearchSetup(gamma, *caps)
         truncated = set()
         for goal in goals:
             want = literal_cut_pool(goal, gamma, *caps)
-            assert cut_pool(goal, gamma, *caps) == want, str(goal)
-            assert cut_pool(goal, gamma, *caps, setup=SearchSetup(gamma)) == want
-            assert cut_pool(goal, gamma, *caps, setup=shared) == want, str(goal)
-            assert cut_pool(goal, gamma, *caps, setup=warm) == want, str(goal)
+            if not gamma and caps == (256, 512):
+                assert cut_pool(goal) == want, str(goal)
+            assert cut_pool(goal, SearchSetup(gamma, *caps)) == want, str(goal)
+            assert cut_pool(goal, shared) == want, str(goal)
             ground = len({TOP, BOT} | subformulas(goal.lhs) | subformulas(goal.rhs))
             if any(ground ** len(letters(m)) > caps[0] for m in gamma):
                 truncated.add("instances")
@@ -366,11 +363,36 @@ class TestSearchSetup:
         if caps == (5, 40):
             assert truncated == ({"instances", "pool"} if gamma else {"pool"})
 
+    def test_the_caps_reach_the_pool(self):
+        """The set-up's caps are the pool's: under the distributive law
+        the instances crowd the pool past 128 formulas, and at caps (64,
+        128) it is the literal build's 128."""
+        goal = parse_pair("a & b & c & d & e |- a")
+        pool = cut_pool(goal, SearchSetup(DISTRIBUTIVITY, 64, 128))
+        assert len(pool) == 128
+        assert pool == literal_cut_pool(goal, DISTRIBUTIVITY, 64, 128)
+
+    @pytest.mark.parametrize("caps", [(-1, 512), (256, -1), (256, -3), (-2, -2)])
+    def test_a_negative_cap_is_refused(self, caps):
+        """A negative cap would slice the pool from its end, so that
+        `pool_cap` -1 kept all but the last formula: it is refused."""
+        with pytest.raises(PreconditionViolated, match="negative cap"):
+            SearchSetup((), *caps)
+
+    def test_a_zero_cap_is_valid(self):
+        """Caps of 0 keep no axiom instance and no cut formula: with no
+        cut, `p & q |- q v r` has no proof, which the full pool gives."""
+        goal = parse_pair("p & q |- q v r")
+        gamma = AXIOMS["T"]
+        assert cut_pool(goal, SearchSetup(gamma, 0, 512)) == literal_cut_pool(goal)
+        assert literal_cut_pool(goal) != cut_pool(goal, SearchSetup(gamma))
+        assert cut_pool(goal, SearchSetup((), 256, 0)) == ()
+        assert derive_bounded((), goal, 6, setup=SearchSetup((), 256, 0)) is None
+        assert derive_bounded((), goal, 6) is not None
+
     def test_a_setup_over_another_axiom_set_is_refused(self):
         goal = parse_pair("[]p |- p")
         setup = SearchSetup(AXIOMS["T"])
-        with pytest.raises(PreconditionViolated, match="another axiom set"):
-            cut_pool(goal, AXIOMS["4"], setup=setup)
         with pytest.raises(PreconditionViolated, match="another axiom set"):
             derive_bounded((), goal, 3, setup=setup)
         assert derive_bounded(AXIOMS["T"], goal, 3, setup=setup) is not None
@@ -471,8 +493,13 @@ class TestProofSerialization:
 
 class ScalarScreenSearch(ProofSearch):
     """Reference search: screens each pair of at most three letters
-    through the scalar `algebra_validates` oracle on every screen, and
-    counts screen calls and rejects as the packed screen does."""
+    through the scalar `algebra_validates` oracle on every screen of its
+    set-up, and counts screen calls and rejects as the packed screen
+    does."""
+
+    def __init__(self, setup, *args, **kwargs):
+        super().__init__(setup, *args, **kwargs)
+        self.screens = setup.screens
 
     def _screened_out(self, key):
         if key in self._screen_ok:
@@ -490,6 +517,14 @@ class ScalarScreenSearch(ProofSearch):
                 return True
         self._screen_ok.add(key)
         return False
+
+
+def screened(gamma, screens):
+    """A set-up over gamma whose screen is built over `screens` instead
+    of the axiom set's screening set."""
+    setup = SearchSetup(gamma)
+    setup.screens = tuple(screens)
+    return setup
 
 
 def _pair_of(search, key):
@@ -553,7 +588,7 @@ def seeded_pairs(rng, count, max_letters=3):
     order, with at most `max_letters` letters."""
     corpus = {}
     for text, tags in GOLDEN_SAMPLE[:4]:
-        pool = cut_pool(parse_pair(text), gamma_pairs(tags))
+        pool = cut_pool(parse_pair(text), SearchSetup(gamma_pairs(tags)))
         target = len(corpus) + count
         while len(corpus) < target:
             pair = ConsequencePair(rng.choice(pool), rng.choice(pool))
@@ -666,7 +701,7 @@ class TestVectorScreen:
         corpus = seeded_pairs(random.Random(4242), 150)
         for gamma in AXIOM_SETS:
             screens = _screening_algebras(tuple(gamma))
-            search = ProofSearch(gamma, (), screens=screens)
+            search = ProofSearch(SearchSetup(gamma), ())
             screen = PackedScreen(_screen_tables(screens))
             firsts = []
             for pair in corpus:
@@ -692,10 +727,10 @@ class TestVectorScreen:
 
     def test_plain_lattice_screen_is_refused(self, chain3, chain3_modal):
         with pytest.raises(PreconditionViolated, match="plain lattice"):
-            ProofSearch((), (), screens=(chain3,))
+            ProofSearch(screened((), (chain3,)), ())
         with pytest.raises(PreconditionViolated, match="screen 1 is a plain"):
             PackedScreen(ScreenTables((chain3_modal, chain3)))
-        search = ProofSearch((), (), screens=(chain3_modal,))
+        search = ProofSearch(screened((), (chain3_modal,)), ())
         assert screened_out(search, parse_pair("[]p |- p")) is False
         assert screened_out(search, parse_pair("p v q |- p")) is True
 
@@ -708,18 +743,19 @@ class TestVectorScreen:
         with pytest.raises(PreconditionViolated, match="sum of n\\*\\*2 of 272"):
             ScreenTables(screens)
         with pytest.raises(PreconditionViolated, match="272"):
-            ProofSearch((), (), screens=screens)
-        search = ProofSearch((), (), screens=screens[:-1])
-        assert sum(a.n**2 for a in search.screens) == 256
+            ProofSearch(screened((), screens), ())
+        setup = screened((), screens[:-1])
+        search = ProofSearch(setup, ())
+        assert sum(a.n**2 for a in setup.screens) == 256
         assert screened_out(search, parse_pair("p v q |- p")) is True
 
     def test_sixteen_elements_at_most(self):
         chain16 = with_identity_modalities(validate_lattice(chain_leq(16), 0, 15))
         chain17 = with_identity_modalities(validate_lattice(chain_leq(17), 0, 16))
-        search = ProofSearch((), (), screens=(chain16,))
+        search = ProofSearch(screened((), (chain16,)), ())
         assert screened_out(search, parse_pair("p v q |- p")) is True
         with pytest.raises(PreconditionViolated, match="17 elements"):
-            ProofSearch((), (), screens=(chain16, chain17))
+            ProofSearch(screened((), (chain16, chain17)), ())
 
     @pytest.mark.parametrize("budget", [8, 9, 26, 27, 64, 124, 125])
     def test_budget_cuts_the_set_mid_way(self, budget, monkeypatch):
@@ -740,8 +776,8 @@ class TestVectorScreen:
         kinds, firsts = set(), set()
         for gamma in (AXIOMS["B"], AXIOMS["5"], ()):
             screens = _screening_algebras(gamma)
-            search = ProofSearch(gamma, (), screens=screens)
-            scalar = ScalarScreenSearch(gamma, (), screens=screens)
+            search = ProofSearch(SearchSetup(gamma), ())
+            scalar = ScalarScreenSearch(SearchSetup(gamma), ())
             for pair in pairs:
                 want = outcome(lambda: screened_out(scalar, pair))
                 assert outcome(lambda: screened_out(search, pair)) == want, str(pair)
@@ -767,10 +803,10 @@ class TestVectorScreen:
     def test_search_matches_scalar_screen_reference(self, text, tags, depth):
         gamma = gamma_pairs(tags)
         goal = parse_pair(text)
-        cuts = order_cuts(goal, cut_pool(goal, gamma))
-        fast = ProofSearch(gamma, cuts)
-        slow = ScalarScreenSearch(gamma, cuts)
-        formula_keyed = FormulaKeyedSearch(gamma, cuts)
+        cuts = order_cuts(goal, cut_pool(goal, SearchSetup(gamma)))
+        fast = ProofSearch(SearchSetup(gamma), cuts)
+        slow = ScalarScreenSearch(SearchSetup(gamma), cuts)
+        formula_keyed = FormulaKeyedSearch(SearchSetup(gamma), cuts)
         proof = fast.prove(goal, depth)
         assert proof == slow.prove(goal, depth)
         assert proof == formula_keyed.prove(goal, depth)
@@ -787,7 +823,7 @@ class TestVectorScreen:
         assert proof is not None
         monkeypatch.setenv("WPML_BUDGET", "10")
         assert derive_bounded((), goal, 6) == proof
-        slow = ScalarScreenSearch((), order_cuts(goal, cut_pool(goal)))
+        slow = ScalarScreenSearch(SearchSetup(()), order_cuts(goal, cut_pool(goal)))
         assert slow.prove(goal, 6) == proof
 
     def test_small_wpml_budget_keeps_the_verdict(self, monkeypatch):
@@ -1052,13 +1088,13 @@ class TestDistributionScreens:
         gamma = gamma_pairs(tags)
         selected = selected_screens(gamma)
         goal = parse_pair(GOLDEN_SAMPLE[1][0])
-        cuts = order_cuts(goal, cut_pool(goal, gamma))
+        cuts = order_cuts(goal, cut_pool(goal, SearchSetup(gamma)))
         pairs = seeded_pairs(random.Random(2027), 15)
         pairs += [parse_pair(text) for text, _ in COUNTERMODEL_TEMPLATES]
         found = saved = 0
         for pair in pairs:
-            fast = ProofSearch(gamma, cuts)
-            slow = ProofSearch(gamma, cuts, screens=selected)
+            fast = ProofSearch(SearchSetup(gamma), cuts)
+            slow = ProofSearch(screened(gamma, selected), cuts)
             proof = fast.prove(pair, 4)
             assert proof == slow.prove(pair, 4), str(pair)
             assert fast.expansions <= slow.expansions, str(pair)
@@ -1104,10 +1140,10 @@ class TestDistributionScreens:
         the root, where the selection alone searches to depth 6."""
         goal = parse_pair(text)
         pool = cut_pool(goal)
-        search = ProofSearch((), pool)
+        search = ProofSearch(SearchSetup(()), pool)
         assert search.prove(goal, 6) is None
         assert (search.expansions, search.screen_rejects) == (1, 1)
-        slow = ProofSearch((), pool, screens=selected_screens(()))
+        slow = ProofSearch(screened((), selected_screens(())), pool)
         assert slow.prove(goal, 6) is None
         assert slow.expansions > 100
 
@@ -1169,7 +1205,7 @@ class TestRootScreen:
                         lambda: literal_derive_bounded(gamma, goal, depth, budget)
                     )
                 assert got == want, (str(goal), depth, budget)
-            search = ProofSearch(gamma, cut_pool(goal, gamma))
+            search = ProofSearch(SearchSetup(gamma), cut_pool(goal, SearchSetup(gamma)))
             search.prove(goal, 6)
             at_root += (search.expansions, search.screen_rejects) == (1, 1)
         assert 3 <= at_root < len(goals)
@@ -1186,9 +1222,9 @@ class TestRootScreen:
         setup = SearchSetup(DISTRIBUTIVITY, instance_cap=64, pool_cap=128)
         capped = []
 
-        def recorded(goal, gamma, *caps, setup):
-            pool = cut_pool(goal, gamma, *caps, setup=setup)
-            capped.append(pool == literal_cut_pool(goal, gamma, 64, 128))
+        def recorded(goal, setup):
+            pool = cut_pool(goal, setup)
+            capped.append(pool == literal_cut_pool(goal, DISTRIBUTIVITY, 64, 128))
             return pool
 
         monkeypatch.setattr(proofs, "cut_pool", recorded)
@@ -1226,7 +1262,7 @@ class TestRootScreen:
         runs to exhaustion on each; Whitman's rule refutes them."""
         assert len(LATTICE_LAWS) == 3
         for law in LATTICE_LAWS:
-            search = ProofSearch((), cut_pool(law))
+            search = ProofSearch(SearchSetup(()), cut_pool(law))
             assert search.prove(law, 6) is None
             assert search.expansions > 100 and whitman_refutes((), law)
 
@@ -1342,7 +1378,7 @@ class TestWhitmanRootCheck:
                 pairs.append(pair)
         searched = 0
         for pair in pairs:
-            search = ProofSearch((), cut_pool(pair))
+            search = ProofSearch(SearchSetup(()), cut_pool(pair))
             for depth in range(1, 9):
                 assert search.prove(pair, depth) is None, (str(pair), depth)
             # a root the screen refutes is expanded once, at depth 1
@@ -1509,7 +1545,7 @@ class TestMaskSlotScreen:
         kinds = set()
         for screens in mask_slot_sets():
             fast, slow, packed = (
-                cls((), cuts, screens=screens)
+                cls(screened((), screens), cuts)
                 for cls in (ProofSearch, ScalarScreenSearch, RefutesScreenSearch)
             )
             for pair in pairs:
@@ -1587,9 +1623,10 @@ class TestIdKeyedSearch:
         rng = random.Random(2024)
         gamma = gamma_pairs(tags)
         goal = parse_pair(GOLDEN_SAMPLE[0][0])
-        pool = cut_pool(goal, gamma)
+        pool = cut_pool(goal, SearchSetup(gamma))
         cuts = order_cuts(goal, pool)
-        fast, slow = ProofSearch(gamma, cuts), FormulaKeyedSearch(gamma, cuts)
+        fast = ProofSearch(SearchSetup(gamma), cuts)
+        slow = FormulaKeyedSearch(SearchSetup(gamma), cuts)
         found = 0
         for _ in range(60):
             pair = ConsequencePair(rng.choice(pool), rng.choice(pool))
@@ -1611,7 +1648,8 @@ class TestIdKeyedSearch:
         goal = parse_pair("[](p & q) & s |- []p v r")
         cuts = order_cuts(goal, cut_pool(goal))
         pool = cuts[:5] + cuts[3:4] + cuts[5:] + cuts[:1]
-        fast, slow = ProofSearch((), pool), FormulaKeyedSearch((), pool)
+        fast = ProofSearch(SearchSetup(()), pool)
+        slow = FormulaKeyedSearch(SearchSetup(()), pool)
         proof = fast.prove(goal, 6)
         assert proof is not None and proof == slow.prove(goal, 6)
         _assert_same_search(fast, slow)
@@ -1625,7 +1663,8 @@ class TestIdKeyedSearch:
         search at every step."""
         p_and_q, q_and_p = parse_formula("p & q"), parse_formula("q & p")
         pool = (*map(Letter, "pq"), q_and_p, Letter("r"), Letter("s"))
-        fast, slow = ProofSearch((), pool), FormulaKeyedSearch((), pool)
+        fast = ProofSearch(SearchSetup(()), pool)
+        slow = FormulaKeyedSearch(SearchSetup(()), pool)
         steps = [
             (parse_formula("q & p v r"), 2, None),
             (q_and_p, 2, "right-conjunction"),
@@ -1654,8 +1693,8 @@ class TestIdKeyedSearch:
     def test_same_resource_bound(self, budget):
         goal = parse_pair("[](p & q) & s |- []p v r")  # 1023 expansions
         cuts = order_cuts(goal, cut_pool(goal))
-        fast = ProofSearch((), cuts, budget=budget)
-        slow = FormulaKeyedSearch((), cuts, budget=budget)
+        fast = ProofSearch(SearchSetup(()), cuts, budget=budget)
+        slow = FormulaKeyedSearch(SearchSetup(()), cuts, budget=budget)
         with pytest.raises(ResourceBound) as fast_exc:
             fast.prove(goal, 6)
         with pytest.raises(ResourceBound) as slow_exc:
@@ -1671,8 +1710,9 @@ class TestIdKeyedSearch:
         the search is the formula-keyed one."""
         gamma = gamma_pairs(tags)
         goal = parse_pair(text)
-        cuts = order_cuts(goal, cut_pool(goal, gamma))
-        fast, slow = LegRecordingSearch(gamma, cuts), FormulaKeyedSearch(gamma, cuts)
+        cuts = order_cuts(goal, cut_pool(goal, SearchSetup(gamma)))
+        fast = LegRecordingSearch(SearchSetup(gamma), cuts)
+        slow = FormulaKeyedSearch(SearchSetup(gamma), cuts)
         assert fast.prove(goal, 6) == slow.prove(goal, 6)
         _assert_same_search(fast, slow)
         assert fast.legs > 0 and fast.decided_legs == fast.reprobed_legs == 0
@@ -1730,7 +1770,7 @@ class TestLeafDispatch:
     @pytest.mark.parametrize("tags", [(), ("T",), ("4",), ("B",), ("5",), (".2",)])
     def test_matches_the_literal_loop(self, tags):
         gamma = gamma_pairs(tags)
-        search = ProofSearch(gamma, ())
+        search = ProofSearch(SearchSetup(gamma), ())
         rules = set()
         for pair in leaf_pairs(random.Random(7), 150):
             got = search._leaf(pair)
