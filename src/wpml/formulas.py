@@ -18,6 +18,7 @@ FormulaSyntaxError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import FormulaSyntaxError
 
@@ -35,21 +36,30 @@ class Formula:
 
 
 class _Node(Formula):
-    """A formula whose hash and size key are computed once, at construction.
+    """A formula whose hash, size key and letter set are computed once, at
+    construction.
 
-    `_hash` and `_key` are slots, not dataclass fields, so `repr`,
-    `fields()` and everything derived from them are those of the plain
-    dataclass.  `_hash` is the hash of `(class, fields)`; `_key` is
-    `(size, formula_key)`, built from the children's keys.  Each subclass
-    sets both in its `__post_init__`, and its `__eq__`, written per arity
-    too: equality returns at once on identity or on a hash mismatch, and
-    only then compares the fields.  A class that sets `__eq__` must set
-    `__hash__` as well, or Python clears it, so each names this one.
-    Subclasses pass `eq=False` so the dataclass decorator keeps these
-    methods.
+    `_hash`, `_key` and `_letters` are slots, not dataclass fields, so
+    `repr`, `fields()` and everything derived from them are those of the
+    plain dataclass.  `_hash` is the hash of `(class, fields)`; `_key` is
+    `(size, formula_key)`, built from the children's keys; `_letters` is
+    the frozenset of the formula's letters, a child's own set wherever it
+    holds all of them.  Each subclass sets all three in its
+    `__post_init__`.  `_key` encodes the whole tree, so one equality
+    serves every subclass: it returns at once on identity, on a class or
+    hash mismatch, and only then compares the keys, a tuple comparison in
+    C that passes over any child key the two share.  Subclasses pass
+    `eq=False`, so the dataclass decorator keeps `__eq__` and `__hash__`.
     """
 
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_hash", "_key", "_letters")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -63,6 +73,7 @@ class _Node(Formula):
 class Top(Formula):
     __slots__ = ()
     _key = (1, (0,))
+    _letters = frozenset()
 
     def __hash__(self):
         return 1
@@ -72,41 +83,20 @@ class Top(Formula):
 class Bot(Formula):
     __slots__ = ()
     _key = (1, (1,))
+    _letters = frozenset()
 
     def __hash__(self):
         return 2
 
 
-def _letter_eq(self, other):
-    if self is other:
-        return True
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return self._hash == other._hash and self.name == other.name
-
-
-def _binary_eq(self, other):
-    if self is other:
-        return True
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return self._hash == other._hash and self.lhs == other.lhs and self.rhs == other.rhs
-
-
-def _unary_eq(self, other):
-    if self is other:
-        return True
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return self._hash == other._hash and self.arg == other.arg
-
-
 def _binary_keys(self):
     lhs, rhs = self.lhs, self.rhs
     (m, a), (n, b) = lhs._key, rhs._key
+    x, y = lhs._letters, rhs._letters
     cls = self.__class__
     object.__setattr__(self, "_hash", hash((cls, (lhs, rhs))))
     object.__setattr__(self, "_key", (1 + m + n, (_TAG_ORDER[cls], a, b)))
+    object.__setattr__(self, "_letters", x if y <= x else y if x <= y else x | y)
 
 
 def _unary_keys(self):
@@ -115,6 +105,7 @@ def _unary_keys(self):
     cls = self.__class__
     object.__setattr__(self, "_hash", hash((cls, (arg,))))
     object.__setattr__(self, "_key", (1 + m, (_TAG_ORDER[cls], a)))
+    object.__setattr__(self, "_letters", arg._letters)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +117,7 @@ class Letter(_Node):
         name = self.name
         object.__setattr__(self, "_hash", hash((Letter, (name,))))
         object.__setattr__(self, "_key", (1, (_TAG_ORDER[Letter], name)))
-
-    __eq__ = _letter_eq
-    __hash__ = _Node.__hash__
+        object.__setattr__(self, "_letters", frozenset((name,)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +126,6 @@ class And(_Node):
     lhs: Formula
     rhs: Formula
     __post_init__ = _binary_keys
-    __eq__ = _binary_eq
-    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +134,6 @@ class Or(_Node):
     lhs: Formula
     rhs: Formula
     __post_init__ = _binary_keys
-    __eq__ = _binary_eq
-    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +141,6 @@ class Box(_Node):
     __slots__ = ("arg",)
     arg: Formula
     __post_init__ = _unary_keys
-    __eq__ = _unary_eq
-    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +148,6 @@ class Dia(_Node):
     __slots__ = ("arg",)
     arg: Formula
     __post_init__ = _unary_keys
-    __eq__ = _unary_eq
-    __hash__ = _Node.__hash__
 
 
 TOP = Top()
@@ -195,10 +176,9 @@ def formula_key(f: Formula):
     return f._key[1]
 
 
-def _size_key(f: Formula) -> tuple[int, tuple]:
-    """`(size(f), formula_key(f))`, kept on the formula since its
-    construction: the sort key of the cut and candidate pools."""
-    return f._key
+# `(size(f), formula_key(f))`, kept on the formula since its construction:
+# the sort key of the cut and candidate pools, as a C-level key function
+_size_key = attrgetter("_key")
 
 
 def size(f: Formula) -> int:
@@ -216,16 +196,11 @@ def connectives(f: Formula) -> int:
 
 
 def letters(f) -> frozenset[str]:
-    """Set of proposition letters occurring in a formula or pair."""
+    """Set of proposition letters occurring in a formula or pair, kept on
+    each formula since its construction."""
     if isinstance(f, ConsequencePair):
-        return letters(f.lhs) | letters(f.rhs)
-    if isinstance(f, Letter):
-        return frozenset((f.name,))
-    if isinstance(f, (And, Or)):
-        return letters(f.lhs) | letters(f.rhs)
-    if isinstance(f, (Box, Dia)):
-        return letters(f.arg)
-    return frozenset()
+        return f.lhs._letters | f.rhs._letters
+    return f._letters
 
 
 def subformulas(f: Formula) -> set[Formula]:

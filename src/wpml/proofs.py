@@ -49,9 +49,10 @@ a law that no four-element one refutes, today T's `<>` law), and a
 search on such a law is refuted at its root instead of run to
 exhaustion.  The set is packed once (`_screen_tables`, see `vectors`),
 and a formula's packed vector over it is built once per set-up from its
-children's.  Each formula id has a bitmask of its letters; a pair's mask
-picks a slot, built once per mask from the vector memo of its sorted
-letters (`PackedScreen.stretch`), or "not screened" past three letters.
+children's.  A pair's letter set, the union of the sets its two sides
+keep from construction, picks a slot, built once per set from the vector
+memo of its sorted letters (`PackedScreen.stretch`), or "not screened"
+past three letters.
 In its slot each formula id keeps its vector's two pair-code halves as
 big integers, the scale half for a left side and the local half for a
 right side, so screening a pair is one addition, one `to_bytes`, one
@@ -122,7 +123,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from operator import attrgetter
 from typing import Optional
 
 from .catalog import all_lattices, all_modal_lattices, validating_table
@@ -140,6 +140,7 @@ from .formulas import (
     Letter,
     Or,
     Top,
+    _size_key,
     is_modality_free,
     letters,
     match_pair,
@@ -150,9 +151,6 @@ from .formulas import (
 from .lattice import algebra_validates, with_identity_modalities
 from .vectors import PackedScreen, ScreenTables
 from .whitman import free_lattice_leq
-
-# the `(size, formula_key)` sort key of a formula, as a C-level key function
-_KEY = attrgetter("_key")
 
 RULES = (
     "top",
@@ -421,7 +419,7 @@ def cut_pool(
         setup = SearchSetup()
     subs = subformulas(goal.lhs) | subformulas(goal.rhs)
     base: set[Formula] = {TOP, BOT} | subs
-    ground = sorted(base, key=_KEY)
+    ground = sorted(base, key=_size_key)
     ground_keys = [f._key for f in ground]
     for vs, parts, instances in setup._members:
         combos = sorted(
@@ -451,7 +449,7 @@ def cut_pool(
             # through dia T & box f |- dia(T & f) (the duality axiom at T)
             closure = closures[f] = (box, Dia(f), And(dia_top, box), Dia(And(TOP, f)))
         once.update(closure)
-    return _search_order(sorted(once, key=_KEY), subs)[: setup.pool_cap]
+    return _search_order(sorted(once, key=_size_key), subs)[: setup.pool_cap]
 
 
 def _search_order(ranked, subs) -> tuple[Formula, ...]:
@@ -589,6 +587,8 @@ class ProofSearch:
     its `PackedScreen` over its `screens`, which the caller may have used
     already (`derive_bounded` screened the root with it, and the other
     searches of that set-up share it), is taken over, vectors and all.
+    Its slots are keyed by a pair's letter set, read off the letter sets
+    the two formulas keep from construction, so letters get no ids.
 
     `expansions`, `screen_calls` (pairs checked against the screen set)
     and `screen_rejects` (pairs a screen refuted) are deterministic work
@@ -611,12 +611,8 @@ class ProofSearch:
         self.success: dict[int, Proof] = {}
         self.height: dict[int, int] = {}
         self.failed_at: dict[int, int] = {}
-        # letter bitmask of each formula id the screen has met, one bit per
-        # letter in the order the search met them
-        self._masks: dict[int, int] = {}
-        self._bits: dict[str, int] = {}
-        # pair mask -> its slot (see `_slot`), or None past three letters
-        self._slots: dict[int, Optional[tuple]] = {}
+        # a pair's letter set -> its slot (see `_slot`), None past 3 letters
+        self._slots: dict[frozenset[str], Optional[tuple]] = {}
         self._screen_ok: set[int] = set()
         # (type(lhs), type(rhs)) -> the leaf rules and axiom members that
         # can match a pair of that shape
@@ -629,27 +625,17 @@ class ProofSearch:
     def vector_entries(self) -> int:
         return self._screen.vector_entries
 
-    def _mask(self, i: int) -> int:
-        mask = self._masks.get(i)
-        if mask is None:
-            bits, mask = self._bits, 0
-            for name in letters(self._formulas[i]):
-                mask |= bits.setdefault(name, 1 << len(bits))
-            self._masks[i] = mask
-        return mask
-
-    def _slot(self, mask: int) -> Optional[tuple]:
-        """The slot of the pairs whose letters are `mask`, built once per
-        mask: `(memo, end, lefts, rights)`, with the screen's `stretch` of
+    def _slot(self, names: frozenset[str]) -> Optional[tuple]:
+        """The slot of the pairs whose letters are `names`, built once per
+        set: `(memo, end, lefts, rights)`, with the screen's `stretch` of
         the sorted letters, the length of its vectors, and each formula
         id's two pair-code halves as big integers, filled as ids meet the
         screen; None where the screen takes no pair over those letters."""
-        slot = self._slots.get(mask, False)
+        slot = self._slots.get(names, False)
         if slot is False:
-            names = [name for name, bit in self._bits.items() if mask & bit]
             memo = self._screen.stretch(tuple(sorted(names)))
             slot = None if memo is None else (memo, len(memo[TOP]), {}, {})
-            self._slots[mask] = slot
+            self._slots[names] = slot
         return slot
 
     def _screened_out(self, key: int) -> bool:
@@ -663,13 +649,14 @@ class ProofSearch:
         if key in self._screen_ok:
             return False
         l, r = key >> _SHIFT, key & _LOW
-        slot = self._slot(self._mask(l) | self._mask(r))
+        formulas = self._formulas
+        slot = self._slot(formulas[l]._letters | formulas[r]._letters)
         if slot is None:
             self._screen_ok.add(key)
             return False
         self.screen_calls += 1
         memo, end, lefts, rights = slot
-        formulas, tables = self._formulas, self._screen.tables
+        tables = self._screen.tables
         left = lefts.get(l)
         if left is None:
             v = tables.vector(memo, formulas[l])
@@ -844,13 +831,15 @@ def _root_search(
 ) -> Optional[tuple[ProofSearch, int, int]]:
     """The checks and the search that `derive_bounded` and `derivable`
     share, over the set-up each of them resolved: SizeCap for a depth
-    above `MAX_PROOF_DEPTH`, then the root checks (see `derive_bounded`),
-    which give None for a refuted root; else a `ProofSearch` over the cut
-    pool, with the root's two ids."""
+    above `MAX_PROOF_DEPTH`, None for a depth <= 0 (where the search
+    would return None before its first expansion), then the root checks
+    (see `derive_bounded`), which give None for a refuted root; else a
+    `ProofSearch` over the cut pool, with the root's two ids."""
     if depth > MAX_PROOF_DEPTH:
         raise SizeCap(f"proof depth {depth} exceeds the cap of {MAX_PROOF_DEPTH}")
+    if depth <= 0:
+        return None
     if budget >= 1:
-        # at depth <= 0 the search returns None too
         lhs, rhs = goal.lhs, goal.rhs
         if setup.screen.refutes(((lhs, rhs, tuple(sorted(letters(goal)))),)):
             return None
@@ -880,7 +869,8 @@ def derive_bounded(
     """One-shot bounded search; returns a proof whose conclusion is the
     goal, or None when the bounded space is exhausted.  Raises
     ResourceBound when the expansion budget is exceeded, and SizeCap
-    for a depth above `MAX_PROOF_DEPTH`.
+    for a depth above `MAX_PROOF_DEPTH`; a depth <= 0 gives None, with no
+    cut pool built and no `ProofSearch`.
 
     The root is checked first, at budget >= 1 (below, the search raises
     ResourceBound(1, budget) before it screens): a root the screening set

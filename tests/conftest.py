@@ -21,6 +21,7 @@ from wpml.formulas import (
     Dia,
     Letter,
     Or,
+    _size_key,
     letters,
     subformulas,
     substitute,
@@ -42,7 +43,7 @@ from wpml.lframe import (
     validate_lframe,
     validate_modal_lframe,
 )
-from wpml.proofs import _KEY, ProofSearch, SearchSetup, _search_order
+from wpml.proofs import ProofSearch, SearchSetup, _search_order
 
 
 def chain_leq(n):
@@ -150,7 +151,7 @@ def order_cuts(goal, pool):
     to large), then the remaining pool formulas.  `cut_pool` returns its
     pool in this order."""
     subs = subformulas(goal.lhs) | subformulas(goal.rhs)
-    return _search_order(sorted(pool, key=_KEY), subs)
+    return _search_order(sorted(pool, key=_size_key), subs)
 
 
 def literal_cut_pool(goal, gamma=(), instance_cap=256, pool_cap=512):
@@ -158,7 +159,7 @@ def literal_cut_pool(goal, gamma=(), instance_cap=256, pool_cap=512):
     its subformulas taken, every closure formula built, on each call."""
     subs = subformulas(goal.lhs) | subformulas(goal.rhs)
     base = {TOP, BOT} | subs
-    ground = sorted(base, key=_KEY)
+    ground = sorted(base, key=_size_key)
     ground_keys = [f._key for f in ground]
     for member in gamma:
         vs = sorted(letters(member))
@@ -183,7 +184,7 @@ def literal_cut_pool(goal, gamma=(), instance_cap=256, pool_cap=512):
         # through dia T & box f |- dia(T & f) (the duality axiom at T)
         once.add(And(dia_top, box))
         once.add(Dia(And(TOP, f)))
-    return _search_order(sorted(once, key=_KEY), subs)[:pool_cap]
+    return _search_order(sorted(once, key=_size_key), subs)[:pool_cap]
 
 
 def literal_derive_bounded(

@@ -181,9 +181,26 @@ def test_round_trip_property(f):
     assert parse_formula(pretty(f)) == f
 
 
+def literal_eq(f, g):
+    """Structural equality by recursion over both trees: the same class and
+    equal fields, as dataclass equality compared them."""
+    if type(f) is not type(g):
+        return False
+    if isinstance(f, Letter):
+        return f.name == g.name
+    if isinstance(f, (And, Or)):
+        return literal_eq(f.lhs, g.lhs) and literal_eq(f.rhs, g.rhs)
+    if isinstance(f, (Box, Dia)):
+        return literal_eq(f.arg, g.arg)
+    return True
+
+
 @given(_formula_strategy, _formula_strategy)
 def test_formula_key_is_total_order(f, g):
-    assert (formula_key(f) == formula_key(g)) == (f == g)
+    """Equal keys, equal formulas and equal trees are the same thing."""
+    same = literal_eq(f, g)
+    assert (formula_key(f) == formula_key(g)) == same
+    assert (f == g) == same and (f != g) != same
 
 
 def test_size_key_memo_matches_size_and_formula_key():
@@ -194,6 +211,17 @@ def test_size_key_memo_matches_size_and_formula_key():
 
 
 _TAGS = {Top: 0, Bot: 1, Letter: 2, And: 3, Or: 4, Box: 5, Dia: 6}
+
+
+def literal_letters(f):
+    """The letters of a formula by recursion over the syntax tree."""
+    if isinstance(f, Letter):
+        return {f.name}
+    if isinstance(f, (And, Or)):
+        return literal_letters(f.lhs) | literal_letters(f.rhs)
+    if isinstance(f, (Box, Dia)):
+        return literal_letters(f.arg)
+    return set()
 
 
 def literal_size_key(f):
@@ -213,15 +241,17 @@ def literal_size_key(f):
 
 @given(_formula_strategy, _formula_strategy)
 def test_size_key_kept_at_construction_matches_recursion(f, g):
-    """The key each formula keeps from its construction is the recursive
-    one, on copies and on substitution results too; the hash is still
-    that of (class, fields)."""
+    """The key and the letter set each formula keeps from its
+    construction are the recursive ones, on copies and on substitution
+    results too; the hash is still that of (class, fields)."""
     for h in (f, copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert _size_key(h) == literal_size_key(f)
         assert (size(h), formula_key(h)) == literal_size_key(f)
+        assert letters(h) == literal_letters(f)
     for name in ("p", "zz_1"):
         h = substitute(f, {name: g})
         assert _size_key(h) == literal_size_key(h)
+        assert letters(h) == literal_letters(h)
         if not isinstance(h, (Top, Bot)):
             fields = tuple(getattr(h, n) for n in h.__match_args__)
             assert hash(h) == hash((type(h), fields))
@@ -249,22 +279,35 @@ class TestCachedHash:
         variants = [parse_formula(t) for t in texts]
         assert len({hash(f) for f in variants}) == 4
 
-    def test_equality_per_arity(self):
-        """Each constructor's equality compares its own fields: equal
-        formulas built apart are equal and hash equal, one differing field
-        at any depth makes them unequal, and T and F differ."""
+    def test_equality_matches_literal_oracle(self):
+        """Equality is structural for every constructor: it agrees with
+        `literal_eq` on formulas built apart, equal formulas hash equal,
+        one differing field at any depth makes them unequal, and T and F
+        differ."""
         rng = random.Random(78)
         for _ in range(200):
             f = _random_formula(rng, rng.randint(0, 5))
             for a in (f, And(f, TOP), Or(BOT, f), Box(f), Dia(f)):
                 b = parse_formula(pretty(a))
                 assert a == b and b == a and hash(a) == hash(b)
+        outcomes = set()
+        for _ in range(2000):
+            f = _random_formula(rng, rng.randint(0, 2))
+            g = parse_formula(pretty(_random_formula(rng, rng.randint(0, 2))))
+            same = literal_eq(f, g)
+            assert (f == g) == same and (g == f) == same and (f != g) != same
+            outcomes.add(same)
+        assert outcomes == {False, True}
         p, q = Letter("p"), Letter("q")
         assert TOP != BOT and Top() == TOP and Bot() == BOT
         assert And(p, TOP) != And(p, BOT) and Or(TOP, q) != Or(BOT, q)
         assert Box(Dia(p)) != Box(Dia(q)) and Dia(Box(p)) != Dia(Dia(p))
         assert And(p, Or(q, p)) != And(p, Or(p, q))
         assert Letter("p") == Letter("p") and Letter("p") != Letter("pp")
+        # a hash collision alone does not make two formulas equal
+        a, b = Box(And(p, q)), Box(And(q, p))
+        object.__setattr__(b, "_hash", a._hash)
+        assert a != b and b != a
 
     def test_same_children_different_connective(self):
         p, q = Letter("p"), Letter("q")

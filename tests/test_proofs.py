@@ -1335,6 +1335,22 @@ class TestDerivable:
         assert all(derivable((), goal, depth) is None for depth in (-1, 0, 1))
         assert derivable((), goal, 2).height() == 2
 
+    def test_depth_at_most_zero_builds_no_pool(self, monkeypatch):
+        """A search at depth <= 0 returns None before its first expansion,
+        so neither function builds a cut pool or a search for one, at any
+        budget, and neither raises ResourceBound."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built at depth <= 0")
+
+        monkeypatch.setattr(proofs, "cut_pool", refuse)
+        monkeypatch.setattr(proofs, "ProofSearch", refuse)
+        goal = parse_pair("[](p & q) |- []p")
+        for depth in (0, -3):
+            for budget in (0, 1, 200_000):
+                assert derive_bounded((), goal, depth, budget) is None
+                assert derivable((), goal, depth, budget) is None
+
     @pytest.mark.parametrize("law", _DISTRIBUTION_LAWS + LATTICE_LAWS, ids=str)
     def test_refuted_root_builds_no_pool(self, law, monkeypatch):
         def refuse(*args, **kwargs):
