@@ -34,7 +34,7 @@ from .errors import (
     WpmlError,
     resolve_budget,
 )
-from .formulas import is_modality_free, parse_formula, pretty
+from .formulas import is_modality_free, parse_formula
 from .generators import (
     sample_lframe,
     sample_modal_lattice,
@@ -42,6 +42,7 @@ from .generators import (
     sample_vformation,
 )
 from .interpolation import (
+    DISTRIBUTIVE_PROOF_DEPTH,
     InterpolationProblem,
     craig_interpolant,
     distributive_fragment_interpolant,
@@ -53,9 +54,9 @@ from .serialize import (
     dumps,
     frame_from_json,
     frame_to_json,
+    interpolation_report_to_json,
     lattice_to_json,
     load_artifact,
-    proof_to_json,
     unwrap,
     vformation_to_json,
     wrap,
@@ -236,8 +237,11 @@ def cmd_interpolate(args) -> int:
                 option = "--" + dest.replace("_", "-")
                 print(f"error: --distributive takes no {option}", file=sys.stderr)
                 return EXIT_PARSE
-        depth = {"proof_depth": given["proof_depth"]} if "proof_depth" in given else {}
-        res = distributive_fragment_interpolant(phi, psi, **depth)
+        depth = given.get("proof_depth", DISTRIBUTIVE_PROOF_DEPTH)
+        res = distributive_fragment_interpolant(phi, psi, proof_depth=depth)
+        report = interpolation_report_to_json(
+            res, phi, psi, axioms=(), proof_depth=depth, model_size=None
+        )
     else:
         prob = InterpolationProblem(
             phi,
@@ -248,27 +252,14 @@ def cmd_interpolate(args) -> int:
             model_size=given.get("model_size", InterpolationProblem.model_size),
         )
         res = craig_interpolant(prob)
-    report: dict = {"verdict": res.verdict, "phi": pretty(phi), "psi": pretty(psi)}
-    if res.verdict == "interpolant":
-        report["interpolant"] = pretty(res.interpolant)
-        report["proof_left"] = proof_to_json(res.proof_left)
-        report["proof_right"] = proof_to_json(res.proof_right)
-    elif res.verdict == "no-entailment":
-        cm = res.countermodel
-        if cm.kind == "frame":
-            report["countermodel"] = {
-                "kind": "frame",
-                "frame": frame_to_json(cm.structure),
-                "valuation": {k: hex(m) for k, m in sorted(cm.valuation.items())},
-            }
-        else:
-            report["countermodel"] = {
-                "kind": "algebra",
-                "lattice": lattice_to_json(cm.structure),
-                "valuation": dict(sorted(cm.valuation.items())),
-            }
-    else:
-        report["diagnostics"] = res.diagnostics
+        report = interpolation_report_to_json(
+            res,
+            phi,
+            psi,
+            axioms=tags,
+            proof_depth=prob.proof_depth,
+            model_size=prob.model_size,
+        )
     _emit(wrap("interpolation_report", report), args.out)
     return EXIT_PASS if res.verdict != "unknown" else EXIT_RESOURCE
 

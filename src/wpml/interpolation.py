@@ -16,14 +16,19 @@ proof search.  A candidate has shared letters only, so the letters of
 its left obligation are phi's and those of its right one psi's, found
 once per call.
 
-`craig_interpolant` makes one `proofs.SearchSetup` per call: the
-entailment search, the candidate screen and the obligation searches
-share its screen, so each formula's packed vectors are built once per
-call, and its memo of axiom instances and modal closures, which their
-cut pools draw on.  It is dropped with the call.  The entailment search
-is `proofs.derivable`'s iterative deepening, the obligation searches
-depth-first.  The distributive fragment's obligations share one set-up
-at caps (64, 128).
+`craig_interpolant` tries the candidates before it decides the goal: an
+interpolant's two proofs entail the goal, so the entailment check
+(`entailment.decide_entailment` with `proofs.derivable`'s iterative
+deepening) runs only for a goal that the root checks refute, at the
+first candidate whose obligations are searched and fail, at the first
+candidate screened out past the one-atom ones, or after the last
+candidate, and only a refuted or unknown verdict of it is returned.  It
+makes one `proofs.SearchSetup` per call: the entailment search, the
+candidate screen and the obligation searches (depth-first) share its
+screen, so each formula's packed vectors are built once per call, and
+its memo of axiom instances and modal closures, which their cut pools
+draw on.  It is dropped with the call.  The distributive fragment's
+obligations share one set-up at caps (64, 128).
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .catalog import all_distributive_lattices
 from .entailment import (
     DEFAULT_MODEL_SIZE,
     DEFAULT_PROOF_DEPTH,
+    MAX_MODEL_SIZE,
     decide_entailment,
     gamma_pairs,
 )
@@ -60,9 +66,17 @@ from .formulas import (
     subformulas,
 )
 from .lattice import FiniteLattice, Valuation, algebra_validates
-from .proofs import MAX_PROOF_DEPTH, Proof, SearchSetup, check_proof, derive_bounded
+from .proofs import (
+    MAX_PROOF_DEPTH,
+    Proof,
+    SearchSetup,
+    _root_refuted,
+    check_proof,
+    derive_bounded,
+)
 
 DISTRIBUTIVITY = (parse_pair("p & (q v r) |- p & q v p & r"),)
+DISTRIBUTIVE_PROOF_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -175,23 +189,15 @@ def _assert_obligations(result: InterpolationResult, shared, gamma) -> None:
         raise InternalInconsistency("right derivation does not check")
 
 
-def craig_interpolant(prob: InterpolationProblem) -> InterpolationResult:
-    """Entailment first (so no-entailment never spends the candidate
-    budget); then least-candidate interpolant search.  The entailment
-    search, the candidate screen and the obligation searches share one
-    `proofs.SearchSetup`, made for the call.  The entailment search is
-    iterative deepening (`decide_entailment(..., deepening=True)`), which
-    gives the depth-first verdict: the problems this serves mostly entail
-    with a proof of small height, found at less cost than depth-first
-    (the golden corpus's, of height 2 to 4 at depth 6).  On a problem that
-    does not entail it searches again at each depth, and where it runs
-    out of the proof budget the depth-first search runs as well."""
-    goal = ConsequencePair(prob.phi, prob.psi)
-    gamma = gamma_pairs(prob.tags)
-    setup = SearchSetup(gamma)
+def _entailment_verdict(
+    prob: InterpolationProblem, setup: SearchSetup
+) -> Optional[InterpolationResult]:
+    """The result for a goal the entailment check does not derive: its
+    frame countermodel as `no-entailment`, or `unknown` with its
+    diagnostics; None where it derives the goal."""
     ent = decide_entailment(
         prob.tags,
-        goal,
+        ConsequencePair(prob.phi, prob.psi),
         proof_depth=prob.proof_depth,
         model_size=prob.model_size,
         proof_budget=prob.proof_budget,
@@ -205,8 +211,54 @@ def craig_interpolant(prob: InterpolationProblem) -> InterpolationResult:
         return InterpolationResult(
             "unknown", diagnostics={"entailment": ent.diagnostics}
         )
-    pool = candidate_pool(prob.phi, prob.psi, prob.shared)
+    return None
+
+
+def craig_interpolant(prob: InterpolationProblem) -> InterpolationResult:
+    """Least-candidate interpolant search; the entailment check
+    (`decide_entailment(..., deepening=True)`) runs only where a
+    candidate cannot answer for it.  An interpolant comes with proofs of
+    phi |- chi and chi |- psi, which entail the goal by transitivity, so
+    the candidates come first, and the first whose two obligations are
+    derived is returned.  The check runs at most once: before any
+    candidate, for a goal that the root checks refute
+    (`proofs._root_refuted`); else at the first candidate whose
+    obligations are searched and not both derived, or at the first
+    candidate screened out after the one-atom candidates (the first
+    `len(pool)`), or after the candidates run out.  Its refuted or
+    unknown verdict is the result.  Where it derives the goal, the
+    candidates go on, and nothing of the check reaches the result.
+
+    So every interpolant and every countermodel of the entailment-first
+    order is kept, and so are its `unknown`s, except where a candidate's
+    obligations are derived although the check derives no proof of the
+    goal within `proof_depth` and the budget: there the result is that
+    interpolant.  Before the check, a goal that does not entail has at
+    most `len(pool) + 1` candidates screened (the two-atom bucket is
+    built for the last), and one candidate's obligations searched: no
+    candidate of such a goal has both obligations derived, so the first
+    search runs the check.
+
+    A `model_size` above `entailment.MAX_MODEL_SIZE` or a `proof_depth`
+    above `proofs.MAX_PROOF_DEPTH` raises SizeCap before any search.  The
+    check, the candidate screen and the (depth-first) obligation searches
+    share one `proofs.SearchSetup`, made for the call."""
+    if prob.model_size > MAX_MODEL_SIZE:
+        raise SizeCap(
+            f"model size {prob.model_size} exceeds the cap of {MAX_MODEL_SIZE}"
+        )
+    if prob.proof_depth > MAX_PROOF_DEPTH:
+        raise SizeCap(
+            f"proof depth {prob.proof_depth} exceeds the cap of {MAX_PROOF_DEPTH}"
+        )
+    gamma = gamma_pairs(prob.tags)
+    setup = SearchSetup(gamma)
+    # a goal the root checks refute has no proof, so no candidate has two
+    checked = _root_refuted(setup, ConsequencePair(prob.phi, prob.psi))
+    if checked and (verdict := _entailment_verdict(prob, setup)):
+        return verdict
     screen = setup.screen
+    pool = candidate_pool(prob.phi, prob.psi, prob.shared)
     # a candidate's letters are shared ones, so each obligation's letters
     # are those of its other side
     left_ls = tuple(sorted(letters(prob.phi)))
@@ -215,27 +267,32 @@ def craig_interpolant(prob: InterpolationProblem) -> InterpolationResult:
     notes: dict = {}
     for chi in enumerate_candidates(pool, prob.cand_size):
         tried += 1
-        if screen.refutes(((prob.phi, chi, left_ls), (chi, prob.psi, right_ls))):
-            continue
-        left_goal = ConsequencePair(prob.phi, chi)
-        right_goal = ConsequencePair(chi, prob.psi)
-        try:
-            left = derive_bounded(
-                gamma, left_goal, prob.proof_depth, prob.proof_budget, setup=setup
-            )
-            if left is None:
-                continue
-            right = derive_bounded(
-                gamma, right_goal, prob.proof_depth, prob.proof_budget, setup=setup
-            )
-        except ResourceBound as exc:
-            notes.setdefault("resource_bounds", []).append(str(exc))
-            continue
-        if right is None:
-            continue
-        result = InterpolationResult("interpolant", chi, left, right)
-        _assert_obligations(result, prob.shared, gamma)
-        return result
+        screened_out = screen.refutes(
+            ((prob.phi, chi, left_ls), (chi, prob.psi, right_ls))
+        )
+        if not screened_out:
+            left_goal = ConsequencePair(prob.phi, chi)
+            right_goal = ConsequencePair(chi, prob.psi)
+            try:
+                left = derive_bounded(
+                    gamma, left_goal, prob.proof_depth, prob.proof_budget, setup=setup
+                )
+                right = None if left is None else derive_bounded(
+                    gamma, right_goal, prob.proof_depth, prob.proof_budget, setup=setup
+                )
+            except ResourceBound as exc:
+                notes.setdefault("resource_bounds", []).append(str(exc))
+                right = None
+            if right is not None:
+                result = InterpolationResult("interpolant", chi, left, right)
+                _assert_obligations(result, prob.shared, gamma)
+                return result
+        if not checked and (not screened_out or tried > len(pool)):
+            checked = True
+            if verdict := _entailment_verdict(prob, setup):
+                return verdict
+    if not checked and (verdict := _entailment_verdict(prob, setup)):
+        return verdict
     notes.update(
         {
             "entailment": "derivable",
@@ -289,7 +346,10 @@ def _dnf_candidates(shared):
 
 
 def distributive_fragment_interpolant(
-    phi: Formula, psi: Formula, proof_depth: int = 8, proof_budget: int = 300_000
+    phi: Formula,
+    psi: Formula,
+    proof_depth: int = DISTRIBUTIVE_PROOF_DEPTH,
+    proof_budget: int = 300_000,
 ) -> InterpolationResult:
     """Interpolation for the modality-free fragment over distributive
     lattices.  Entailment is decided on the two-element lattice, which

@@ -66,36 +66,39 @@ and whole searches against a search that screens through
 Root checks: `derive_bounded` checks the root before anything else.  It
 screens it, and with no axioms it decides a modality-free root in the
 free bounded lattice by Whitman's condition (`whitman.free_lattice_leq`),
-whose "no" is sound for the calculus (see `derive_bounded`).  A refuted
-root builds no cut pool and no `ProofSearch`; a root that passes hands
-its set-up's screen on to the search, marked as screened there, so the
-search's first expansion does not screen it again.  Whitman stays an
-oracle as well: tests/test_proofs.py checks its "no" against an ungated
-`ProofSearch`.
+whose "no" is sound for the calculus (see `derive_bounded`).  The two
+checks are `_root_refuted`, which `interpolation.craig_interpolant` also
+calls on its goal.  A refuted root builds no cut pool and no
+`ProofSearch`; a root that passes hands its set-up's screen on to the
+search, marked as screened there, so the search's first expansion does
+not screen it again.  Whitman stays an oracle as well:
+tests/test_proofs.py checks its "no" against an ungated `ProofSearch`.
 
 Iterative deepening: `derivable` finds a proof where `derive_bounded`
 finds one, for a caller that expects a proof of small height
 (`interpolation.craig_interpolant`'s entailment check, through
-`entailment.decide_entailment`).  After the same root checks (one helper,
-`_root_search`, serves both), one `ProofSearch` over the same pool runs at
-depths 1, 2, ... up to the depth and returns the proof of the first that
-finds one.  A success is reused only within its height and a failure at
-depth d means no proof of height d or less, so a search at depth d finds
-a proof iff the pool holds one of height at most d, however its memo was
-filled: the deepening finds one iff the depth-first search at the full
-depth does, and its proof is of least height.  Where such a proof is
-low, it is found without the depth-first search's walk through tall
-subgoals: the 44 entailment checks of a golden-corpus pass at depth 6,
-each of which entails with a proof of height 2 to 4, take 3,742
-expansions instead of 20,530.  Where there is no low proof, or none at
-all, each depth searches again what the one before failed on, so it
-costs more: under 4, `[]((p v p) & (T v T)) |- <>(q v p & p)` takes
-24,314 expansions instead of 9,368.  Where it runs out of budget,
-`derivable` returns what `derive_bounded` returns at the same budget, so
-it may run two searches, each within the budget (up to twice the budget
-in all), and where the depth-first search runs out too, it raises as
-that search does.  tests/test_proofs.py checks it against
-`derive_bounded` on seeded pairs under each axiom set.
+`entailment.decide_entailment`, which that function runs only where its
+candidates do not answer for the goal).  After the same root checks (one
+helper, `_root_search`, serves both), one `ProofSearch` over the same
+pool runs at depths 1, 2, ... up to the depth and returns the proof of
+the first that finds one.  A success is reused only within its height
+and a failure at depth d means no proof of height d or less, so a search
+at depth d finds a proof iff the pool holds one of height at most d,
+however its memo was filled: the deepening finds one iff the depth-first
+search at the full depth does, and its proof is of least height.  Where
+such a proof is low, it is found without the depth-first search's walk
+through tall subgoals: on the 44 problems of a golden-corpus pass at
+depth 6, each of which entails with a proof of height 2 to 4, checks
+took 3,742 expansions instead of 20,530 (when every problem was checked;
+one of them is now).  Where there is no low proof, or none at all, each
+depth searches again what the one before failed on, so it costs more:
+under 4, `[]((p v p) & (T v T)) |- <>(q v p & p)` takes 24,314
+expansions instead of 9,368.  Where it runs out of budget, `derivable`
+returns what `derive_bounded` returns at the same budget, so it may run
+two searches, each within the budget (up to twice the budget in all),
+and where the depth-first search runs out too, it raises as that search
+does.  tests/test_proofs.py checks it against `derive_bounded` on seeded
+pairs under each axiom set.
 
 Memo tables: a search numbers the formulas it meets with small ints of
 its own and keys its memo tables by the ids of a pair's two sides, so
@@ -826,6 +829,20 @@ class ProofSearch:
 MAX_PROOF_DEPTH = 200
 
 
+def _root_refuted(setup: SearchSetup, goal: ConsequencePair) -> bool:
+    """Whether the root checks (see `derive_bounded`) refute the goal,
+    so that it has no proof at any depth: the set-up's screen over the
+    goal's letters, and, with no axioms, Whitman's condition for a
+    modality-free goal."""
+    lhs, rhs = goal.lhs, goal.rhs
+    return setup.screen.refutes(((lhs, rhs, tuple(sorted(letters(goal)))),)) or (
+        not setup.gamma
+        and is_modality_free(lhs)
+        and is_modality_free(rhs)
+        and not free_lattice_leq(lhs, rhs)
+    )
+
+
 def _root_search(
     setup: SearchSetup, goal: ConsequencePair, depth: int, budget: int
 ) -> Optional[tuple[ProofSearch, int, int]]:
@@ -833,23 +850,14 @@ def _root_search(
     share, over the set-up each of them resolved: SizeCap for a depth
     above `MAX_PROOF_DEPTH`, None for a depth <= 0 (where the search
     would return None before its first expansion), then the root checks
-    (see `derive_bounded`), which give None for a refuted root; else a
+    (`_root_refuted`), which give None for a refuted root; else a
     `ProofSearch` over the cut pool, with the root's two ids."""
     if depth > MAX_PROOF_DEPTH:
         raise SizeCap(f"proof depth {depth} exceeds the cap of {MAX_PROOF_DEPTH}")
     if depth <= 0:
         return None
-    if budget >= 1:
-        lhs, rhs = goal.lhs, goal.rhs
-        if setup.screen.refutes(((lhs, rhs, tuple(sorted(letters(goal)))),)):
-            return None
-        if (
-            not setup.gamma
-            and is_modality_free(lhs)
-            and is_modality_free(rhs)
-            and not free_lattice_leq(lhs, rhs)
-        ):
-            return None
+    if budget >= 1 and _root_refuted(setup, goal):
+        return None
     search = ProofSearch(setup, cut_pool(goal, setup), budget)
     l, r = search._id(goal.lhs), search._id(goal.rhs)
     # the root has passed the screen above, so the search does not screen

@@ -3,7 +3,8 @@
 Every artifact is wrapped as {"format": "wpml/1", "kind": ..., "payload":
 {...}}; ids in payloads refer to positions in the `elements` array.
 Loaders re-validate structures, so a deserialized object is as trusted
-as a freshly constructed one.
+as a freshly constructed one; an interpolation report's loader re-checks
+its interpolant's proofs (see `interpolation_report_from_json`).
 """
 
 from __future__ import annotations
@@ -12,8 +13,11 @@ import json
 from typing import Any
 
 from .amalgam import VFormation, validate_vformation
-from .errors import WpmlError
-from .formulas import parse_formula, parse_pair, pretty
+from .correspondence import AXIOMS
+from .entailment import MAX_MODEL_SIZE, gamma_pairs
+from .errors import FormulaSyntaxError, WpmlError
+from .formulas import ConsequencePair, letters, parse_formula, parse_pair, pretty
+from .interpolation import DISTRIBUTIVITY, CounterModel, InterpolationResult
 from .lattice import (
     FiniteLattice,
     FiniteModalLattice,
@@ -29,7 +33,7 @@ from .lframe import (
     validate_lframe,
     validate_modal_lframe,
 )
-from .proofs import MAX_PROOF_DEPTH, Proof
+from .proofs import MAX_PROOF_DEPTH, Proof, check_proof
 
 FORMAT = "wpml/1"
 
@@ -269,12 +273,152 @@ def _proof_node(obj: dict, room: int) -> Proof:
     )
 
 
+# --- interpolation reports ----------------------------------------------------
+
+def interpolation_report_to_json(
+    res: InterpolationResult,
+    phi,
+    psi,
+    *,
+    axioms,
+    proof_depth: int,
+    model_size,
+) -> dict:
+    """The report of `res` for phi |- psi, with the bounds it was found
+    within: the axiom tags, the proof depth and the model size.  A
+    `model_size` of None marks the distributive fragment, with no axiom
+    tags: its axiom is distributivity and its countermodels are
+    two-element lattices."""
+    report: dict = {
+        "verdict": res.verdict,
+        "phi": pretty(phi),
+        "psi": pretty(psi),
+        "axioms": list(axioms),
+        "proof_depth": proof_depth,
+        "model_size": model_size,
+    }
+    if res.verdict == "interpolant":
+        report["interpolant"] = pretty(res.interpolant)
+        report["proof_left"] = proof_to_json(res.proof_left)
+        report["proof_right"] = proof_to_json(res.proof_right)
+    elif res.verdict == "no-entailment":
+        cm = res.countermodel
+        if cm.kind == "frame":
+            report["countermodel"] = {
+                "kind": "frame",
+                "frame": frame_to_json(cm.structure),
+                "valuation": {k: hex(m) for k, m in sorted(cm.valuation.items())},
+            }
+        else:
+            report["countermodel"] = {
+                "kind": "algebra",
+                "lattice": lattice_to_json(cm.structure),
+                "valuation": dict(sorted(cm.valuation.items())),
+            }
+    else:
+        report["diagnostics"] = res.diagnostics
+    return report
+
+
+def interpolation_report_from_json(payload: dict) -> InterpolationResult:
+    """The report's result, re-checked by the oracles alone, with no
+    search.  An interpolant's two proofs are read by `proof_from_json`
+    and must conclude phi |- chi and chi |- psi, check (`check_proof`)
+    under the report's axioms (distributivity for the distributive
+    fragment) with height at most its proof depth, and chi's letters
+    must be shared; else WpmlError.  A report with a null model size is
+    of the distributive fragment.  A countermodel's structure is
+    validated by its loader, but whether it refutes the goal is not
+    re-checked.  Shape errors, unknown axiom tags, out-of-range bounds
+    and text that does not parse raise PayloadError."""
+    verdict, phi, psi, axioms, depth, model_size = _fields(
+        payload,
+        "interpolation report",
+        "verdict",
+        "phi",
+        "psi",
+        "axioms",
+        "proof_depth",
+        "model_size",
+    )
+    if not isinstance(axioms, list) or not all(
+        isinstance(tag, str) and tag in AXIOMS for tag in axioms
+    ):
+        raise PayloadError(f"report axioms must be a list of tags of {list(AXIOMS)}")
+    if type(depth) is not int or not 0 <= depth <= MAX_PROOF_DEPTH:
+        raise PayloadError(f"report proof_depth must be in 0..{MAX_PROOF_DEPTH}")
+    distributive = model_size is None
+    if distributive and axioms:
+        raise PayloadError("a distributive report (null model_size) takes no axioms")
+    if not distributive and (type(model_size) is not int or not 1 <= model_size <= MAX_MODEL_SIZE):
+        raise PayloadError(f"report model_size must be in 1..{MAX_MODEL_SIZE}")
+    phi, psi = _formula(phi, "phi"), _formula(psi, "psi")
+    if verdict == "interpolant":
+        chi, left, right = _fields(
+            payload, "interpolant report", "interpolant", "proof_left", "proof_right"
+        )
+        chi = _formula(chi, "interpolant")
+        gamma = DISTRIBUTIVITY if distributive else gamma_pairs(axioms)
+        left = _checked_proof(left, ConsequencePair(phi, chi), gamma, depth)
+        right = _checked_proof(right, ConsequencePair(chi, psi), gamma, depth)
+        if not letters(chi) <= letters(phi) & letters(psi):
+            raise WpmlError(f"interpolant {pretty(chi)} has a letter not shared")
+        return InterpolationResult(verdict, chi, left, right)
+    if verdict == "no-entailment":
+        (cm,) = _fields(payload, "no-entailment report", "countermodel")
+        kind, valuation = _fields(cm, "countermodel", "kind", "valuation")
+        if kind not in ("frame", "algebra") or not isinstance(valuation, dict):
+            raise PayloadError("countermodel must be a frame or an algebra, valued")
+        if kind == "frame":
+            structure = frame_from_json(_fields(cm, "countermodel", "frame")[0])
+        else:
+            structure = lattice_from_json(_fields(cm, "countermodel", "lattice")[0])
+        return InterpolationResult(
+            verdict, countermodel=CounterModel(kind, structure, valuation)
+        )
+    if verdict == "unknown":
+        (diagnostics,) = _fields(payload, "unknown report", "diagnostics")
+        if not isinstance(diagnostics, dict):
+            raise PayloadError("report diagnostics must be an object")
+        return InterpolationResult(verdict, diagnostics=diagnostics)
+    raise PayloadError(f"unknown report verdict {verdict!r}")
+
+
+def _formula(text, what: str):
+    """The formula `text` parses to; PayloadError where it does not."""
+    if not isinstance(text, str):
+        raise PayloadError(f"report {what} must be a formula string")
+    try:
+        return parse_formula(text)
+    except FormulaSyntaxError as exc:
+        raise PayloadError(f"report {what}: {exc}")
+
+
+def _checked_proof(blob, goal: ConsequencePair, gamma, depth: int) -> Proof:
+    """The proof `blob` holds, which must conclude `goal` and check under
+    gamma with height at most `depth` (else WpmlError); PayloadError
+    where it does not load."""
+    try:
+        proof = proof_from_json(blob)
+    except FormulaSyntaxError as exc:
+        raise PayloadError(f"proof of {pretty(goal)}: {exc}")
+    if proof.conclusion != goal:
+        raise WpmlError(f"proof of {pretty(goal)} concludes {pretty(proof.conclusion)}")
+    bad = check_proof(proof, gamma)
+    if bad is not None:
+        raise WpmlError(f"proof of {pretty(goal)} does not check: {bad}")
+    if proof.height() > depth:
+        raise WpmlError(f"proof of {pretty(goal)} is taller than {depth}")
+    return proof
+
+
 LOADERS = {
     "lattice": lattice_from_json,
     "modal_lattice": lattice_from_json,
     "lframe": frame_from_json,
     "modal_lframe": frame_from_json,
     "vformation": vformation_from_json,
+    "interpolation_report": interpolation_report_from_json,
 }
 
 

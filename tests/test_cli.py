@@ -346,10 +346,24 @@ IDENTITY_SPAN = {
     "h2": {"dom": "K", "cod": "L2", "map": [0, 1]},
 }
 
+# what `wpml interpolate "p & q" "p v r"` writes
+INTERPOLANT_REPORT = {
+    "verdict": "interpolant",
+    "phi": "p & q",
+    "psi": "p v r",
+    "axioms": [],
+    "proof_depth": 6,
+    "model_size": 4,
+    "interpolant": "p",
+    "proof_left": {"rule": "left-conjunction", "conclusion": "p & q |- p"},
+    "proof_right": {"rule": "right-disjunction", "conclusion": "p |- p v r"},
+}
+
 WELL_FORMED = {
     "modal_lattice": CHAIN2_MODAL,
     "modal_lframe": CHAIN2_FRAME,
     "vformation": IDENTITY_SPAN,
+    "interpolation_report": INTERPOLANT_REPORT,
 }
 
 
@@ -453,6 +467,107 @@ def test_malformed_lattice_payload_exits_with_parse_code(tmp_path, capsys, kind,
     code, out, err = run(["validate", path], capsys)
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args, verdict",
+    [
+        (["p & q", "p v r"], "interpolant"),
+        (["[]p & q", "[][]p v r", "--axioms", "4"], "interpolant"),
+        (["[]p", "p", "--model-size", "3"], "no-entailment"),
+        (["p & q", "p", "--proof-depth", "0"], "unknown"),
+        (["p & (q v r)", "p & q v p & r v s", "--distributive"], "interpolant"),
+        (["q", "r", "--distributive"], "no-entailment"),
+    ],
+)
+def test_interpolation_report_validates(tmp_path, capsys, args, verdict):
+    path = str(tmp_path / "report.json")
+    code, _, _ = run(["interpolate", *args, "--out", path], capsys)
+    assert code == (4 if verdict == "unknown" else 0)
+    report = json.loads(Path(path).read_text())["payload"]
+    assert report["verdict"] == verdict
+    assert (report["model_size"] is None) == ("--distributive" in args)
+    assert run(["validate", path], capsys) == (0, "valid interpolation_report\n", "")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"axioms": ["Z"]},
+        {"axioms": "T"},
+        {"proof_depth": -1},
+        {"proof_depth": 201},
+        {"proof_depth": "6"},
+        {"model_size": 0},
+        {"model_size": 8},
+        {"model_size": "4"},
+        # a null model size marks the distributive fragment, which has no tags
+        {"model_size": None, "axioms": ["T"]},
+        {"phi": "p &"},
+        {"psi": 5},
+        {"interpolant": "(p"},
+        {"proof_left": {"rule": "left-conjunction", "conclusion": "p & q |-"}},
+        {"proof_right": []},
+        {"verdict": "maybe"},
+        {"verdict": "no-entailment"},
+        {"verdict": "unknown"},
+    ],
+    ids=repr,
+)
+def test_damaged_interpolation_report_exits_with_parse_code(tmp_path, capsys, change):
+    report = wrap("interpolation_report", {**INTERPOLANT_REPORT, **change})
+    code, out, err = run(["validate", write(tmp_path, "bad.json", report)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_interpolation_report_without_its_bounds_exits_with_parse_code(
+    tmp_path, capsys
+):
+    for key in ("axioms", "proof_depth", "model_size"):
+        payload = {k: v for k, v in INTERPOLANT_REPORT.items() if k != key}
+        path = write(tmp_path, "old.json", wrap("interpolation_report", payload))
+        code, out, err = run(["validate", path], capsys)
+        assert (code, out) == (3, "") and f"missing '{key}'" in err
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        # the proofs conclude p & q |- p and p |- p v r, not about q
+        ({"interpolant": "q"}, "concludes"),
+        ({"proof_depth": 0}, "taller than 0"),
+        (
+            {"proof_right": {"rule": "top", "conclusion": "p |- p v r"}},
+            "does not check",
+        ),
+        # a proof of p & q |- p v r through p, so p & q entails both sides,
+        # but q is phi's only
+        (
+            {
+                "interpolant": "p & q",
+                "proof_left": {"rule": "reflexivity", "conclusion": "p & q |- p & q"},
+                "proof_right": {
+                    "rule": "transitivity",
+                    "conclusion": "p & q |- p v r",
+                    "premises": [
+                        INTERPOLANT_REPORT["proof_left"],
+                        INTERPOLANT_REPORT["proof_right"],
+                    ],
+                },
+            },
+            "not shared",
+        ),
+    ],
+    ids=["conclusion", "height", "rule", "letters"],
+)
+def test_interpolation_report_that_does_not_check_is_invalid(
+    tmp_path, capsys, change, reason
+):
+    report = wrap("interpolation_report", {**INTERPOLANT_REPORT, **change})
+    code, out, err = run(["validate", write(tmp_path, "bad.json", report)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid: ") and reason in err
 
 
 @pytest.mark.parametrize("axioms", ["Z", "T,Z"])

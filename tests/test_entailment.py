@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wpml import entailment, proofs
+from wpml import entailment, interpolation, proofs
 from wpml.catalog import (
     all_lattices,
     all_modal_lattices,
@@ -203,6 +203,25 @@ def test_model_size_above_the_cap_is_a_size_cap(monkeypatch):
         decide_entailment((), goal, model_size=8)
     with pytest.raises(SizeCap):
         craig_interpolant(InterpolationProblem(goal.lhs, goal.rhs, model_size=8))
+
+
+def test_proof_depth_above_the_cap_is_a_size_cap(monkeypatch):
+    """A proof depth above `MAX_PROOF_DEPTH` raises SizeCap before
+    `craig_interpolant` enumerates a candidate or searches: neither the
+    entailment check nor an obligation search is reached.  At the cap,
+    the first candidate answers."""
+    assert proofs.MAX_PROOF_DEPTH == 200
+    goal = parse_pair("p & q |- p")
+    res = craig_interpolant(InterpolationProblem(goal.lhs, goal.rhs, proof_depth=200))
+    assert res.verdict == "interpolant"
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched past the proof-depth cap")
+
+    for name in ("decide_entailment", "derive_bounded", "enumerate_candidates"):
+        monkeypatch.setattr(interpolation, name, no_search)
+    with pytest.raises(SizeCap, match="proof depth 201 exceeds the cap of 200"):
+        craig_interpolant(InterpolationProblem(goal.lhs, goal.rhs, proof_depth=201))
 
 
 class TestAgreementWithAlgebraSemantics:

@@ -42,6 +42,7 @@ from wpml.proofs import (
     _screen_tables,
     _screening_algebras,
     check_proof,
+    derivable,
     derive_bounded,
 )
 from wpml.vectors import PackedScreen
@@ -117,11 +118,13 @@ class TestCraig:
 
 
 def per_call_craig_interpolant(prob):
-    """`craig_interpolant` with nothing shared between its searches: the
-    entailment's and each obligation's `derive_bounded` build a screen
-    and a cut pool of their own, the candidate screen is a `PackedScreen`
-    of its own, and each obligation is screened on the sorted letters of
-    the obligation itself."""
+    """`craig_interpolant` in the entailment-first order, the literal
+    oracle for the candidates-first one: the entailment check runs on
+    every problem, before any candidate.  Nothing is shared between its
+    searches: the entailment's and each obligation's `derive_bounded`
+    build a screen and a cut pool of their own, the candidate screen is a
+    `PackedScreen` of its own, and each obligation is screened on the
+    sorted letters of the obligation itself."""
     goal = ConsequencePair(prob.phi, prob.psi)
     ent = decide_entailment(
         prob.tags,
@@ -226,19 +229,113 @@ def agreement_problems():
         ("[](p & (q & p))", "[](p & F v []p)", ("T",)),
     ):
         probs.append(InterpolationProblem(parse_formula(phi), parse_formula(psi), tags))
+    for tags in AGREEMENT_TEMPLATES:
+        rng = random.Random("agreement-pairs:" + "+".join(tags))
+        for i in range(9):
+            names = ("p", "q", "r", "s") if i % 3 == 0 else ("p", "q", "r")
+            phi = random_formula(rng, names, 2)
+            psi = random_formula(rng, names[::-1], 2)
+            probs.append(
+                InterpolationProblem(phi, psi, tags, proof_depth=4, model_size=3)
+            )
     return probs
 
 
+def assert_interpolant_within_depth(res, prob):
+    """`res` is an interpolant of `prob` whose two proofs check under its
+    axioms with height at most its proof depth."""
+    gamma = gamma_pairs(prob.tags)
+    assert res.verdict == "interpolant"
+    assert letters(res.interpolant) <= frozenset(prob.shared)
+    for proof, conclusion in (
+        (res.proof_left, ConsequencePair(prob.phi, res.interpolant)),
+        (res.proof_right, ConsequencePair(res.interpolant, prob.psi)),
+    ):
+        assert proof.conclusion == conclusion
+        assert check_proof(proof, gamma) is None
+        assert proof.height() <= prob.proof_depth
+
+
 def test_craig_interpolant_agrees_with_the_per_call_path():
-    """One set-up per call changes no result: verdict, interpolant, both
+    """One set-up per call, and the candidates before the entailment
+    check, change no result but one kind: verdict, interpolant, both
     proofs, countermodel and diagnostics are those of the path that
-    shares nothing between its searches."""
+    shares nothing between its searches and decides entailment first,
+    except where that path's check finds no proof within its bounds and
+    a candidate's two obligations have proofs within the depth, which
+    turns its `unknown` into that interpolant.  A third of the seeded
+    pairs are over four letters, past the root screen, so their goals
+    reach the candidates whether they entail or not."""
     verdicts = set()
+    changed = []
     for prob in agreement_problems():
         got = craig_interpolant(prob)
-        assert got == per_call_craig_interpolant(prob), (str(prob.phi), str(prob.psi))
+        want = per_call_craig_interpolant(prob)
         verdicts.add(got.verdict)
+        if got == want:
+            continue
+        assert want.verdict == "unknown", (str(prob.phi), str(prob.psi))
+        assert "entailment" in want.diagnostics
+        assert_interpolant_within_depth(got, prob)
+        changed.append((pretty(prob.phi), pretty(prob.psi), prob.tags))
     assert verdicts == {"interpolant", "no-entailment", "unknown"}
+    assert changed == [("[](s & q)", "<>[]s", ("4",))]
+
+
+@pytest.mark.parametrize(
+    "phi, psi",
+    [("(p v t) & []F", "<>[]u"), ("[](F & q)", "<>p")],
+)
+def test_interpolant_where_the_goal_has_no_proof_within_the_depth(phi, psi):
+    """Under 4 at depth 4 and size 3, the goal's least proof is of height
+    5, so the entailment check is `unknown` (the answer when it ran
+    first), but `[]F` interpolates with proofs of height at most 4."""
+    prob = InterpolationProblem(
+        parse_formula(phi), parse_formula(psi), ("4",), proof_depth=4, model_size=3
+    )
+    goal = ConsequencePair(prob.phi, prob.psi)
+    gamma = gamma_pairs(("4",))
+    assert derivable(gamma, goal, 4) is None
+    assert derivable(gamma, goal, 5).height() == 5
+    assert per_call_craig_interpolant(prob).verdict == "unknown"
+    res = craig_interpolant(prob)
+    assert pretty(res.interpolant) == "[]F"
+    assert_interpolant_within_depth(res, prob)
+
+
+def test_a_goal_that_does_not_entail_is_checked_after_the_one_atom_candidates(
+    monkeypatch,
+):
+    """The goal is over four letters, so the root screen passes it, and
+    every candidate is screened out (each obligation is over at most
+    three letters): the entailment check runs at the first candidate
+    past the `len(pool)` one-atom ones, not after all 6,391."""
+    prob = InterpolationProblem(
+        parse_formula("<>r & (p & q)"),
+        parse_formula("<>(s & r)"),
+        ("B",),
+        proof_depth=4,
+        model_size=3,
+    )
+    pool = candidate_pool(prob.phi, prob.psi, prob.shared)
+    enumerated = []
+
+    def counted(pool, max_atoms):
+        for chi in enumerate_candidates(pool, max_atoms):
+            enumerated.append(chi)
+            yield chi
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("an obligation was searched")
+
+    monkeypatch.setattr(interpolation, "enumerate_candidates", counted)
+    monkeypatch.setattr(interpolation, "derive_bounded", no_search)
+    res = craig_interpolant(prob)
+    assert res.verdict == "no-entailment"
+    assert res == per_call_craig_interpolant(prob)
+    assert len(pool) == 11
+    assert len(enumerated) == len(pool) + 1
+    assert sum(1 for _ in enumerate_candidates(pool, prob.cand_size)) == 6391
 
 
 def test_no_formula_outlives_the_call():
